@@ -1,9 +1,12 @@
 """Runtime adversary execution: the machinery behind an :class:`AdversaryPlan`.
 
-The :class:`AdversaryInjector` is the single object the collection system
-consults on its adversary-relevant hot paths (gossip emission, server pull
-targeting) and the owner of the sybil-burst clock.  It follows the same
-design rules as :class:`repro.faults.injector.FaultInjector`:
+:class:`AdversaryRoles` is the one statement of who plays which role and
+of the capture/sybil arithmetic, under both simulators (the fast engine's
+masks inherit it).  The :class:`AdversaryInjector` extends it into the
+single object the collection system consults on its adversary-relevant hot
+paths (gossip emission, server pull targeting) and the owner of the
+sybil-burst clock.  It follows the same design rules as
+:class:`repro.faults.injector.FaultInjector`:
 
 - **Own randomness.**  Every adversarial draw comes from the dedicated
   ``"adversary"`` RNG substream, so enabling a strategy never perturbs the
@@ -33,11 +36,93 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.adversary.plan import TARGET_LOW_DEGREE, AdversaryPlan
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.metrics import MetricsCollector
-from repro.sim.rng import exponential
+from repro.sim.rng import cohort_size, exponential, sample_cohort
 from repro.sim.trace import Tracer
 
 
-class AdversaryInjector:
+class AdversaryRoles:
+    """Role slot sets and set-size arithmetic of one :class:`AdversaryPlan`.
+
+    Args:
+        plan: The adversary configuration.
+        n_slots: Number of peer slots (role sampling, capture arithmetic).
+        rng: Dedicated ``random.Random`` substream; the role permutation
+            is drawn from it once, here, and sybil cohorts later.
+    """
+
+    def __init__(
+        self, plan: AdversaryPlan, n_slots: int, rng: random.Random
+    ) -> None:
+        self.plan = plan
+        self._n_slots = n_slots
+        self._rng = rng
+        liars, freeriders, polluters = self._sample_roles()
+        #: static role slot sets, disjoint by construction.
+        self.liars: FrozenSet[int] = liars
+        self.freeriders: FrozenSet[int] = freeriders
+        self.polluters: FrozenSet[int] = polluters
+
+    def _sample_roles(
+        self,
+    ) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
+        """Draw the disjoint liar/free-rider/polluter slot sets.
+
+        One ``sample(range(n), n)`` permutation carved into consecutive
+        prefixes, each sized by :func:`cohort_size` and capped at what the
+        earlier roles left over.
+        """
+        plan = self.plan
+        n = self._n_slots
+        if plan.static_fraction <= 0.0:
+            return frozenset(), frozenset(), frozenset()
+        order = self._rng.sample(range(n), n)
+        counts = []
+        remaining = n
+        for fraction in (
+            plan.liar_fraction,
+            plan.freerider_fraction,
+            plan.polluter_fraction,
+        ):
+            count = 0
+            if fraction > 0.0:
+                count = min(remaining, cohort_size(fraction, n))
+            counts.append(count)
+            remaining -= count
+        liar_end = counts[0]
+        freerider_end = liar_end + counts[1]
+        polluter_end = freerider_end + counts[2]
+        return (
+            frozenset(order[:liar_end]),
+            frozenset(order[liar_end:freerider_end]),
+            frozenset(order[freerider_end:polluter_end]),
+        )
+
+    def capture_probability(self, attractor_count: int) -> float:
+        """P(one pull is captured) given *attractor_count* advertisers.
+
+        With ``k`` advertising adversaries each inflating its apparent
+        buffer by factor ``A``, a rank-weighted target selection lands on
+        some adversary with probability ``A*k / (A*k + (N - k))``.
+        """
+        k = attractor_count
+        if k <= 0:
+            return 0.0
+        weight = self.plan.liar_inflation * k
+        honest = self._n_slots - k
+        return weight / (weight + honest)
+
+    def sybil_burst_size(self) -> int:
+        """Slots converted per burst event (at least one, at most all)."""
+        return cohort_size(self.plan.sybil_fraction, self._n_slots)
+
+    def sybil_slots(self) -> List[int]:
+        """Draw the slots one sybil burst converts."""
+        return sample_cohort(
+            self._rng, self.plan.sybil_fraction, self._n_slots
+        )
+
+
+class AdversaryInjector(AdversaryRoles):
     """Executes one :class:`AdversaryPlan` against a running simulation.
 
     Args:
@@ -58,19 +143,12 @@ class AdversaryInjector:
         metrics: MetricsCollector,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.plan = plan
+        super().__init__(plan, n_slots, rng)
         self._sim = sim
-        self._rng = rng
-        self._n_slots = n_slots
         self._metrics = metrics
         self._tracer = tracer
-        liars, freeriders, polluters = self._sample_roles()
-        #: static role slot sets, disjoint by construction.
-        self.liars: FrozenSet[int] = liars
-        self.freeriders: FrozenSet[int] = freeriders
-        self.polluters: FrozenSet[int] = polluters
         #: pre-sorted liar slots for deterministic capture choice.
-        self._liar_list: Tuple[int, ...] = tuple(sorted(liars))
+        self._liar_list: Tuple[int, ...] = tuple(sorted(self.liars))
         #: active sybil identities: slot -> adversarial generation.
         self._sybils: Dict[int, int] = {}
         self._handles: List[EventHandle] = []
@@ -81,36 +159,6 @@ class AdversaryInjector:
         #: lifetime tallies (diagnostics; metrics hold windowed counts).
         self.sybil_bursts_fired = 0
         self.sybil_conversions = 0
-
-    def _sample_roles(
-        self,
-    ) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
-        """Draw the disjoint liar/free-rider/polluter slot sets."""
-        plan = self.plan
-        n = self._n_slots
-        if plan.static_fraction <= 0.0:
-            return frozenset(), frozenset(), frozenset()
-        order = self._rng.sample(range(n), n)
-        counts = []
-        remaining = n
-        for fraction in (
-            plan.liar_fraction,
-            plan.freerider_fraction,
-            plan.polluter_fraction,
-        ):
-            count = 0
-            if fraction > 0.0:
-                count = min(remaining, max(1, round(fraction * n)))
-            counts.append(count)
-            remaining -= count
-        liar_end = counts[0]
-        freerider_end = liar_end + counts[1]
-        polluter_end = freerider_end + counts[2]
-        return (
-            frozenset(order[:liar_end]),
-            frozenset(order[liar_end:freerider_end]),
-            frozenset(order[freerider_end:polluter_end]),
-        )
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -218,13 +266,11 @@ class AdversaryInjector:
     def capture_pull(self) -> Optional[int]:
         """Decide whether an advertising adversary captures one pull.
 
-        With ``k`` advertising adversaries each inflating its apparent
-        buffer by factor ``A``, a rank-weighted target selection lands on
-        some adversary with probability ``A*k / (A*k + (N - k))``; the
-        captured slot is then uniform among them.  Returns the capturing
-        slot, or None when the pull proceeds through the honest selection
-        path.  Runs with no liars and no sybils return None without
-        touching the RNG.
+        The pull lands on an advertising adversary with
+        :meth:`capture_probability`; the captured slot is then uniform
+        among them.  Returns the capturing slot, or None when the pull
+        proceeds through the honest selection path.  Runs with no liars
+        and no sybils return None without touching the RNG.
         """
         if not self.liars and not self._sybils:
             return None
@@ -232,9 +278,7 @@ class AdversaryInjector:
         k = len(attractors)
         if k == 0:
             return None
-        weight = self.plan.liar_inflation * k
-        honest = self._n_slots - k
-        if self._rng.random() >= weight / (weight + honest):
+        if self._rng.random() >= self.capture_probability(k):
             return None
         return attractors[self._rng.randrange(k)]
 
@@ -245,13 +289,6 @@ class AdversaryInjector:
         return trust > 0.0 and self._rng.random() < trust
 
     # -- sybil bursts ------------------------------------------------------------
-
-    def sybil_burst_size(self) -> int:
-        """Slots converted per burst event (at least one, at most all)."""
-        return min(
-            self._n_slots,
-            max(1, round(self.plan.sybil_fraction * self._n_slots)),
-        )
 
     def active_sybil_count(self) -> int:
         """Currently active sybil identities (stale marks pruned)."""
@@ -265,7 +302,7 @@ class AdversaryInjector:
         self._handles.append(self._sim.schedule(gap, self._fire_sybil_burst))
 
     def _fire_sybil_burst(self) -> None:
-        slots = self._rng.sample(range(self._n_slots), self.sybil_burst_size())
+        slots = self.sybil_slots()
         self.sybil_bursts_fired += 1
         assert self._kill_slots is not None  # start() enforces bind()
         assert self._get_generation is not None

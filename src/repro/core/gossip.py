@@ -100,10 +100,11 @@ class GossipProtocol:
                     sid,
                 ),
             )
-        elif self._params.segment_selection == SELECTION_UNIFORM:
-            segment_id = sender.sample_segment(self._rng)
         else:
-            segment_id = sender.sample_segment_proportional(self._rng)
+            segment_id = sender.draw_segment(
+                self._rng,
+                self._params.segment_selection == SELECTION_UNIFORM,
+            )
         target = self._find_target(slot, segment_id)
         if target is None:
             self._metrics.gossip_no_target.increment(self._metrics.in_window)

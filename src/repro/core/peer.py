@@ -207,13 +207,16 @@ class Peer:
             self.held_segments.discard(segment_id)
         return True
 
-    def sample_segment(self, rng: random.Random) -> int:
-        """Uniformly random held segment id; raises IndexError when empty."""
-        return self.held_segments.sample(rng)
+    def draw_segment(self, rng: random.Random, uniform: bool) -> int:
+        """The segment this peer emits next (gossip tick or server pull).
 
-    def sample_segment_proportional(self, rng: random.Random) -> int:
-        """Held segment id drawn with probability proportional to the number
-        of its blocks in the buffer (uniform over buffered blocks)."""
+        *uniform* draws uniformly over the held segment ids; otherwise the
+        draw is uniform over buffered blocks, i.e. proportional to each
+        segment's multiplicity in the buffer.  Raises IndexError when the
+        buffer is empty.
+        """
+        if uniform:
+            return self.held_segments.sample(rng)
         return self.buffered_blocks.sample(rng).segment.segment_id
 
     def all_blocks(self) -> List[CodedBlock]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Generator, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.adversary.defense import (
 from repro.adversary.injector import AdversaryInjector
 from repro.core.peer import Peer
 from repro.core.segments import SegmentRegistry, SegmentState
-from repro.faults.injector import FaultInjector, corrupt_block
+from repro.faults.injector import FaultVerdicts, corrupt_block
 from repro.sim.metrics import MetricsCollector
 from repro.sim.trace import (
     KIND_DROP,
@@ -69,6 +69,205 @@ VALID_POLICIES = (
 )
 
 
+#: What one pull trial can count; each is the name of the report field
+#: (``MetricsReport`` / live ``CollectorStats``) it feeds.
+IDLE = "idle_pulls"
+CAPTURED = "pulls_captured"
+QUARANTINE_REJECTED = "pulls_quarantine_rejected"
+REDUNDANT = "redundant_pulls"
+DROPPED = "transfers_dropped"
+POLLUTED = "blocks_rejected_polluted"
+USEFUL = "useful_pulls"
+NEWLY_QUARANTINED = "slots_quarantined"
+
+#: What a trial yields to ask its driver for an ordinary fresh candidate
+#: (any other yielded value is the attractor slot to draw from).
+FRESH = -1
+
+#: Outcomes :class:`LoggingServer` also tallies per server.
+_PER_SERVER = frozenset({IDLE, REDUNDANT, USEFUL})
+
+#: How each block-bearing outcome scores its source with the defense.
+_SCORED = {
+    USEFUL: OUTCOME_USEFUL,
+    REDUNDANT: OUTCOME_REDUNDANT,
+    POLLUTED: OUTCOME_JUNK,
+}
+
+
+class PullCandidate(Protocol):
+    """What a pull trial sees of one drawn (peer, segment) pair."""
+
+    @property
+    def source(self) -> Tuple[int, int]:
+        """The serving identity, ``(slot, generation)``."""
+        ...
+
+    @property
+    def segment_id(self) -> int:
+        """The drawn segment."""
+        ...
+
+    @property
+    def is_complete(self) -> bool:
+        """True when the servers already reconstructed the segment."""
+        ...
+
+    def take(self, now: float) -> Tuple[bool, bool]:
+        """Transfer one coded block: ``(polluted, innovative)``.
+
+        Hides how pollution is detected — the abstract tag, the
+        simulator's decoder, or a wire block's zeroed header — and feeds a
+        clean block to the pooled decode state.
+        """
+        ...
+
+
+def pull_trial(
+    candidate: Optional[PullCandidate],
+    now: float,
+    count: Callable[[str], None],
+    faults: Optional[FaultVerdicts],
+    tracer: Optional[Tracer],
+    adversary: Optional[AdversaryInjector],
+    scorer: Optional[PullSourceScorer],
+    trust_of: Optional[Callable[[int], float]],
+    retries: int,
+    on_quarantine: Optional[Callable[[int, int], None]],
+) -> Generator[int, Optional[PullCandidate], None]:
+    """One server pull trial, sans IO: the single statement of the ladder.
+
+    The driver hands in its first *candidate* (None when nothing is
+    buffered anywhere) and answers every ``yield`` with the next one: a
+    fresh draw for :data:`FRESH`, a draw from that slot's buffer for a
+    yielded slot (the attractor that captured the pull); None again means
+    "nothing to pull".  The trial owns the order of every fault/adversary
+    RNG draw, scorer update, trace record, and ``count(outcome)`` call:
+
+    idle -> (capture) -> (quarantine re-draw) -> already complete, charged
+    redundant -> transfer lost in flight, once per trial -> polluted
+    blocks re-pulled while ``pollution_repull_budget`` lasts -> innovative
+    is useful, anything else redundant.
+
+    Polluted blocks never reach the decode state: ``candidate.take``
+    detects them (in RLNC mode through real GF(2^8) rank arithmetic).
+    *adversary* and *scorer* stay behind the ``None`` guards; *trust_of*
+    (advertisement discounting) maps an attractor slot to its trust, and
+    *retries* bounds the quarantine re-draws.
+    """
+
+    if candidate is None:
+        # Nothing buffered anywhere: the trial is spent but collects
+        # nothing (possible during drain-out or at tiny lambda).
+        count(IDLE)
+        return
+
+    if adversary is not None:
+        captured = adversary.capture_pull()
+        if captured is not None:
+            # A lying advertisement won the target selection.  Under
+            # advertisement discounting the capture only survives with
+            # probability equal to the attractor's trust score.
+            trust = 1.0 if trust_of is None else trust_of(captured)
+            if adversary.accept_capture(trust):
+                count(CAPTURED)
+                candidate = yield captured
+                if candidate is None:
+                    # The attractor has nothing buffered: the pull is
+                    # wasted outright (bait with no switch).
+                    count(IDLE)
+                    return
+
+    if scorer is not None and scorer.quarantine_enabled:
+        # Pull-source scoring: re-draw while the selected identity is
+        # quarantined, up to the retry budget.  An exhausted budget pulls
+        # anyway — quarantine demotes, it never starves the servers
+        # (liveness under fraction=1.0 adversaries).
+        tries = retries
+        while not scorer.admit(*candidate.source):
+            count(QUARANTINE_REJECTED)
+            tries -= 1
+            if tries <= 0:
+                break
+            candidate = yield FRESH
+            if candidate is None:
+                count(IDLE)
+                return
+
+    # "servers may collect redundant blocks of a segment that is already
+    # decodable" — charged, not prevented.
+    outcome = REDUNDANT
+    if not candidate.is_complete:
+        if faults is not None and faults.drop_pull():
+            count(DROPPED)
+            if tracer is not None:
+                tracer.record(
+                    now,
+                    KIND_DROP,
+                    peer=candidate.source[0],
+                    segment=candidate.segment_id,
+                    pull=1.0,
+                )
+            return
+        attempts = 1
+        if faults is not None and faults.polluters:
+            attempts += faults.plan.pollution_repull_budget
+        while True:
+            polluted, innovative = candidate.take(now)
+            if not polluted:
+                if innovative:
+                    outcome = USEFUL
+                break
+            count(POLLUTED)
+            if scorer is not None:
+                _score(
+                    scorer, candidate.source, POLLUTED,
+                    now, count, tracer, on_quarantine,
+                )
+            if tracer is not None:
+                tracer.record(
+                    now,
+                    KIND_POLLUTED,
+                    peer=candidate.source[0],
+                    segment=candidate.segment_id,
+                )
+            attempts -= 1
+            if attempts <= 0:
+                # Re-pull budget spent: the trial collected nothing.
+                return
+            candidate = yield FRESH
+            if candidate is None:
+                count(IDLE)
+                return
+            if candidate.is_complete:
+                break
+    count(outcome)
+    if scorer is not None:
+        _score(
+            scorer, candidate.source, outcome,
+            now, count, tracer, on_quarantine,
+        )
+
+
+def _score(
+    scorer: PullSourceScorer,
+    source: Tuple[int, int],
+    outcome: str,
+    now: float,
+    count: Callable[[str], None],
+    tracer: Optional[Tracer],
+    on_quarantine: Optional[Callable[[int, int], None]],
+) -> None:
+    """Fold one block-bearing outcome into the defense scorer."""
+    if scorer.record(*source, _SCORED[outcome]):
+        # This observation newly quarantined the identity.
+        count(NEWLY_QUARANTINED)
+        if tracer is not None:
+            tracer.record(now, KIND_QUARANTINE, peer=source[0])
+        if on_quarantine is not None:
+            on_quarantine(*source)
+
+
 @dataclass
 class LoggingServer:
     """Per-server pull accounting (state is pooled in the registry)."""
@@ -78,19 +277,68 @@ class LoggingServer:
     useful_pulls: int = 0
     redundant_pulls: int = 0
     idle_pulls: int = 0
-    #: fault injection: pulls whose block transfer was lost in flight.
-    dropped_pulls: int = 0
-    #: fault injection: polluted blocks detected and discarded.
-    polluted_pulls: int = 0
-    #: adversary: pulls a lying advertisement redirected to an attractor.
-    captured_pulls: int = 0
-    #: defense: target draws rejected because the identity was quarantined.
-    quarantined_pulls: int = 0
 
     @property
     def efficiency(self) -> float:
         """Fraction of this server's pulls that advanced some segment."""
         return self.useful_pulls / self.pulls if self.pulls else 0.0
+
+
+class _Held:
+    """The event engine's candidate: *peer*'s holding of *state*'s segment."""
+
+    __slots__ = ("_pool", "_peer", "_state", "is_complete")
+
+    def __init__(
+        self, pool: "ServerPool", peer: Peer, state: SegmentState
+    ) -> None:
+        self._pool = pool
+        self._peer = peer
+        self._state = state
+        self.is_complete = state.is_complete
+
+    @property
+    def source(self) -> Tuple[int, int]:
+        return self._peer.slot, self._peer.generation
+
+    @property
+    def segment_id(self) -> int:
+        return self._state.segment_id
+
+    def take(self, now: float) -> Tuple[bool, bool]:
+        pool = self._pool
+        peer = self._peer
+        state = self._state
+        holding = peer.holdings[state.segment_id]
+        adversary = pool._adversary
+        faults = pool._faults
+        adv_junk = adversary is not None and adversary.serves_junk(
+            peer.slot, peer.generation
+        )
+        polluted = adv_junk or (
+            faults is not None and faults.pollutes(peer.slot, holding)
+        )
+        if adv_junk:
+            pool._metrics.junk_blocks_served.increment(pool._metrics.in_window)
+        if pool._rlnc_mode:
+            block = holding.make_coded_block(pool._coding_rng, now)
+            if polluted:
+                block = corrupt_block(block)
+            # The corrupted block still goes through the real decoder:
+            # detection must come from rank arithmetic, not from trust
+            # in the tag.  A zeroed header can never be innovative.
+            innovative = pool._registry.on_server_block(state, now, block)
+            if polluted and innovative:
+                raise AssertionError(
+                    "polluted block counted innovative by the decoder"
+                )
+        elif polluted:
+            # Abstract mode: the tag *is* the detection (tagged-block
+            # approximation); the block never reaches the server state.
+            innovative = False
+        else:
+            innovative = pool._registry.on_server_block(state, now)
+        return polluted, innovative
 
 
 class ServerPool:
@@ -116,7 +364,7 @@ class ServerPool:
         scheduler_tries: int = 8,
         all_peers: Optional[Callable[[int], Peer]] = None,
         n_slots: int = 0,
-        faults: Optional[FaultInjector] = None,
+        faults: Optional[FaultVerdicts] = None,
         tracer: Optional[Tracer] = None,
         adversary: Optional[AdversaryInjector] = None,
         scorer: Optional[PullSourceScorer] = None,
@@ -153,6 +401,7 @@ class ServerPool:
         ]
         self._registry = registry
         self._metrics = metrics
+        self._counts = [self._counter(server) for server in self.servers]
         self._rng = rng
         self._coding_rng = coding_rng
         self._sample_nonempty_peer = sample_nonempty_peer
@@ -163,30 +412,34 @@ class ServerPool:
         self._all_peers = all_peers
         self._n_slots = n_slots
         self._rr_cursor = 0
-        #: optional FaultInjector (transfer loss + pollution detection) and
-        #: Tracer for the fault-channel events.
+        #: optional fault verdicts (transfer loss + pollution detection)
+        #: and Tracer for the fault-channel events.
         self._faults = faults
         self._tracer = tracer
         #: optional AdversaryInjector (liar capture, junk service) and
         #: PullSourceScorer defense state, plus the defense toggles.
         self._adversary = adversary
         self._scorer = scorer
-        self._discounting = discounting and scorer is not None
+        self._trust_of = (
+            self._attractor_trust
+            if discounting and scorer is not None
+            else None
+        )
         self._on_quarantine = on_quarantine
 
     # -- candidate selection ---------------------------------------------------
 
-    def _draw_segment(self, peer: Peer) -> int:
-        if self._uniform_selection:
-            return peer.sample_segment(self._rng)
-        return peer.sample_segment_proportional(self._rng)
+    def _draw_segment(self, peer: Peer) -> SegmentState:
+        return self._registry.get(
+            peer.draw_segment(self._rng, self._uniform_selection)
+        )
 
     def _draw_candidate(self) -> Optional[Tuple[Peer, SegmentState]]:
         """One (peer, segment state) draw under the paper's random policy."""
         peer = self._sample_nonempty_peer()
         if peer is None:
             return None
-        return peer, self._registry.get(self._draw_segment(peer))
+        return peer, self._draw_segment(peer)
 
     def _draw_round_robin(self) -> Optional[Tuple[Peer, SegmentState]]:
         """Next non-empty peer in slot order (at most one full sweep)."""
@@ -194,7 +447,7 @@ class ServerPool:
             peer = self._all_peers(self._rr_cursor)
             self._rr_cursor = (self._rr_cursor + 1) % self._n_slots
             if not peer.is_empty:
-                return peer, self._registry.get(self._draw_segment(peer))
+                return peer, self._draw_segment(peer)
         return None
 
     def _select(self) -> Optional[Tuple[Peer, SegmentState]]:
@@ -228,180 +481,63 @@ class ServerPool:
             return best
         return self._draw_candidate()
 
+    def _candidate(self, request: int) -> Optional[_Held]:
+        """Answer one request of the trial (see :func:`pull_trial`)."""
+        if request == FRESH:
+            selected = self._select()
+            if selected is None:
+                return None
+            return _Held(self, *selected)
+        assert self._all_peers is not None  # __init__ enforces with adversary
+        peer = self._all_peers(request)
+        if peer.is_empty:
+            return None
+        return _Held(self, peer, self._draw_segment(peer))
+
+    def _attractor_trust(self, slot: int) -> float:
+        assert self._all_peers is not None and self._scorer is not None
+        return self._scorer.trust(slot, self._all_peers(slot).generation)
+
+    def _counter(self, server: LoggingServer) -> Callable[[str], None]:
+        """The trial's ``count`` hook for *server*: metrics + own tally."""
+        metrics = self._metrics
+
+        def count(outcome: str) -> None:
+            getattr(metrics, outcome).increment(metrics.in_window)
+            if outcome in _PER_SERVER:
+                setattr(server, outcome, getattr(server, outcome) + 1)
+
+        return count
+
     def pull(self, server_index: int, now: float) -> None:
         """Execute one pull trial for server *server_index* at time *now*.
 
-        Under fault injection the trial may additionally (a) lose the block
-        transfer in flight (``pull_loss_rate``), or (b) receive a polluted
-        block, which the server detects and discards — in RLNC mode through
-        the actual GF(2^8) rank arithmetic (a corrupted header is provably
-        non-innovative), in abstract mode through the pollution tag — and
-        then retries up to ``pollution_repull_budget`` more draws within the
-        same trial.  Neither path can corrupt the pooled decoder state.
+        Drives :func:`pull_trial` synchronously: candidates come from the
+        pull policy (or from the attractor slot that captured the trial),
+        outcomes land in the metrics and the per-server tallies.
         """
-        server = self.servers[server_index]
-        server.pulls += 1
-        in_window = self._metrics.in_window
-        self._metrics.pulls.increment(in_window)
-
-        candidate = self._select()
-        if candidate is None:
-            # Nothing buffered anywhere: the trial is spent but collects
-            # nothing (possible during drain-out or at tiny lambda).
-            server.idle_pulls += 1
-            self._metrics.idle_pulls.increment(in_window)
-            return
-        peer, state = candidate
-
-        adversary = self._adversary
-        if adversary is not None:
-            captured = adversary.capture_pull()
-            if captured is not None:
-                # A lying advertisement won the target selection.  Under
-                # advertisement discounting the capture only survives with
-                # probability equal to the attractor's trust score.
-                cap_peer = self._all_peers(captured)
-                trust = 1.0
-                if self._discounting:
-                    trust = self._scorer.trust(
-                        cap_peer.slot, cap_peer.generation
-                    )
-                if adversary.accept_capture(trust):
-                    server.captured_pulls += 1
-                    self._metrics.pulls_captured.increment(in_window)
-                    if cap_peer.is_empty:
-                        # The attractor has nothing buffered: the pull is
-                        # wasted outright (bait with no switch).
-                        server.idle_pulls += 1
-                        self._metrics.idle_pulls.increment(in_window)
-                        return
-                    peer = cap_peer
-                    state = self._registry.get(self._draw_segment(peer))
-
-        scorer = self._scorer
-        if scorer is not None and scorer.quarantine_enabled:
-            # Pull-source scoring: re-draw while the selected identity is
-            # quarantined, up to the scheduler's retry budget.  An exhausted
-            # budget pulls anyway — quarantine demotes, it never starves the
-            # servers (liveness under fraction=1.0 adversaries).
-            tries = self._scheduler_tries
-            while not scorer.admit(peer.slot, peer.generation):
-                server.quarantined_pulls += 1
-                self._metrics.pulls_quarantine_rejected.increment(in_window)
-                tries -= 1
-                if tries <= 0:
-                    break
-                candidate = self._select()
-                if candidate is None:
-                    server.idle_pulls += 1
-                    self._metrics.idle_pulls.increment(in_window)
-                    return
-                peer, state = candidate
-
-        if state.is_complete:
-            # "servers may collect redundant blocks of a segment that is
-            # already decodable" — charged, not prevented.
-            server.redundant_pulls += 1
-            self._metrics.redundant_pulls.increment(in_window)
-            self._score_outcome(peer, OUTCOME_REDUNDANT, now)
-            return
-
-        faults = self._faults
-        if faults is not None and faults.drop_pull():
-            server.dropped_pulls += 1
-            self._metrics.transfers_dropped.increment(in_window)
-            if self._tracer is not None:
-                self._tracer.record(
-                    now,
-                    KIND_DROP,
-                    peer=peer.slot,
-                    segment=state.segment_id,
-                    pull=1.0,
-                )
-            return
-
-        attempts = 1
-        if faults is not None and faults.polluters:
-            attempts += faults.plan.pollution_repull_budget
-        while True:
-            attempts -= 1
-            holding = peer.holdings[state.segment_id]
-            adv_junk = adversary is not None and adversary.serves_junk(
-                peer.slot, peer.generation
-            )
-            polluted = adv_junk or (
-                faults is not None and faults.pollutes(peer.slot, holding)
-            )
-            if adv_junk:
-                self._metrics.junk_blocks_served.increment(in_window)
-            if self._rlnc_mode:
-                block = holding.make_coded_block(self._coding_rng, now)
-                if polluted:
-                    block = corrupt_block(block)
-                # The corrupted block still goes through the real decoder:
-                # detection must come from rank arithmetic, not from trust
-                # in the tag.  A zeroed header can never be innovative.
-                innovative = self._registry.on_server_block(state, now, block)
-                if polluted and innovative:
-                    raise AssertionError(
-                        "polluted block counted innovative by the decoder"
-                    )
-            elif polluted:
-                # Abstract mode: the tag *is* the detection (tagged-block
-                # approximation); the block never reaches the server state.
-                innovative = False
-            else:
-                innovative = self._registry.on_server_block(state, now)
-
-            if polluted:
-                server.polluted_pulls += 1
-                self._metrics.blocks_rejected_polluted.increment(in_window)
-                self._score_outcome(peer, OUTCOME_JUNK, now)
-                if self._tracer is not None:
-                    self._tracer.record(
-                        now,
-                        KIND_POLLUTED,
-                        peer=peer.slot,
-                        segment=state.segment_id,
-                    )
-                if attempts <= 0:
-                    # Re-pull budget spent: the trial collected nothing.
-                    return
-                candidate = self._select()
-                if candidate is None:
-                    server.idle_pulls += 1
-                    self._metrics.idle_pulls.increment(in_window)
-                    return
-                peer, state = candidate
-                if state.is_complete:
-                    server.redundant_pulls += 1
-                    self._metrics.redundant_pulls.increment(in_window)
-                    self._score_outcome(peer, OUTCOME_REDUNDANT, now)
-                    return
-                continue
-
-            if innovative:
-                server.useful_pulls += 1
-                self._metrics.useful_pulls.increment(in_window)
-                self._score_outcome(peer, OUTCOME_USEFUL, now)
-            else:
-                server.redundant_pulls += 1
-                self._metrics.redundant_pulls.increment(in_window)
-                self._score_outcome(peer, OUTCOME_REDUNDANT, now)
-            return
-
-    def _score_outcome(self, peer: Peer, outcome: str, now: float) -> None:
-        """Fold one pull outcome into the defense scorer (if enabled)."""
-        scorer = self._scorer
-        if scorer is None:
-            return
-        if scorer.record(peer.slot, peer.generation, outcome):
-            # This observation newly quarantined the identity.
-            self._metrics.slots_quarantined.increment(self._metrics.in_window)
-            if self._tracer is not None:
-                self._tracer.record(now, KIND_QUARANTINE, peer=peer.slot)
-            if self._on_quarantine is not None:
-                self._on_quarantine(peer.slot, peer.generation)
+        self.servers[server_index].pulls += 1
+        self._metrics.pulls.increment(self._metrics.in_window)
+        trial = pull_trial(
+            self._candidate(FRESH),
+            now,
+            self._counts[server_index],
+            self._faults,
+            self._tracer,
+            self._adversary,
+            self._scorer,
+            self._trust_of,
+            self._scheduler_tries,
+            self._on_quarantine,
+        )
+        # Most trials end without asking for another candidate.
+        request = next(trial, None)
+        if request is not None:
+            try:
+                while True:
+                    request = trial.send(self._candidate(request))
+            except StopIteration:
+                pass
 
     # -- diagnostics -----------------------------------------------------------
 

@@ -607,14 +607,12 @@ class CollectionSystem:
         """Outage end: restart pull clocks, then fire a bounded catch-up.
 
         A recovering server drains its backlog as a burst of immediate
-        pulls — one per pull it would have issued during the downtime, capped
-        at ``catchup_limit`` (a real server rate-limits its recovery).
+        pulls (:meth:`FaultVerdicts.catchup_pulls` sizes it).
         """
         catchup = 0
         if self.faults is not None:
-            catchup = min(
-                int(elapsed * self.params.per_server_rate),
-                self.faults.plan.catchup_limit,
+            catchup = self.faults.catchup_pulls(
+                elapsed, self.params.per_server_rate
             )
         for index, process in enumerate(self._server_processes):
             process.start()

@@ -1,46 +1,47 @@
 """Vectorized fault/adversary decisions for the fast engine.
 
-These classes are the batch counterparts of
-:class:`repro.faults.injector.FaultInjector` and
-:class:`repro.adversary.injector.AdversaryInjector`.  Two compatibility
-contracts are load-bearing and tested (``tests/test_fastsim_masks.py``):
+:class:`FastFaultMasks` and :class:`FastAdversaryMasks` extend the scalar
+statements of the rules — :class:`repro.faults.injector.FaultVerdicts` and
+:class:`repro.adversary.injector.AdversaryRoles` — with what is genuinely
+batch: per-transfer loss and capture decisions over a vector of uniforms,
+boolean slot masks, and the pre-drawn outage timeline.  *Who* misbehaves
+and *how many* a burst hits are inherited, drawn from the same-named
+``random.Random`` substreams as the event engine's injectors, so a
+same-seed fast run and event run pick the same slots (docs/PROTOCOL.md,
+"Where each rule is stated").
 
-- **Set/size decisions are bitwise-identical.**  The polluter slot set,
-  the adversary role sets, and burst sizing use the *same formulas on the
-  same ``random.Random`` substream draws* as the scalar injectors, so a
-  fast-engine run and an event-engine run with the same seed pick the
-  same misbehaving slots.
-- **Per-event decisions apply the same rule to the same uniforms.**  A
-  scalar injector decides ``u < p`` per transfer; the mask methods decide
-  the identical predicate over a vector of uniforms (property-tested by
-  replaying one uniform stream through both implementations).
+A scalar injector decides ``u < p`` per transfer; the mask methods decide
+the identical predicate over a vector of uniforms (property-tested by
+replaying one uniform stream, ``tests/test_fastsim_masks.py``).
 
-Zero-knob neutrality holds exactly as for the scalar injectors: every
-query short-circuits on the plan knob *before* touching any RNG, so a
-null channel consumes no randomness (lint rule R7 proves this on the
-decision methods below, same as for the injectors).
+Zero-knob neutrality holds exactly as for the scalar classes: every query
+short-circuits on the plan knob *before* touching any RNG, so a null
+channel consumes no randomness (lint rule R7 proves this on the decision
+methods below, same as for the inherited ones).
 """
 
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
 
+from repro.adversary.injector import AdversaryRoles
 from repro.adversary.plan import TARGET_LOW_DEGREE, AdversaryPlan
+from repro.faults.injector import FaultVerdicts
 from repro.faults.plan import FaultPlan
 from repro.sim.rng import exponential
 
 
-class FastFaultMasks:
+class FastFaultMasks(FaultVerdicts):
     """Batch fault-channel decisions over one :class:`FaultPlan`.
 
     Args:
         plan: The fault configuration.
-        py_rng: Dedicated ``random.Random`` substream — consumed by the
-            same formulas as the scalar injector (polluter set, burst
-            slots, renewal outage gaps).
+        py_rng: Dedicated ``random.Random`` substream for everything
+            inherited (polluter set, burst slots) and the renewal outage
+            gaps.
         np_rng: Dedicated numpy substream for the vectorized per-transfer
             loss draws.
         n_slots: Number of peer slots.
@@ -53,19 +54,8 @@ class FastFaultMasks:
         np_rng: np.random.Generator,
         n_slots: int,
     ) -> None:
-        self.plan = plan
-        self._py_rng = py_rng
+        super().__init__(plan, n_slots, py_rng, py_rng)
         self._np_rng = np_rng
-        self._n_slots = n_slots
-        self.polluters: FrozenSet[int] = self._sample_polluters()
-
-    def _sample_polluters(self) -> FrozenSet[int]:
-        """Identical formula and draw to FaultInjector._sample_polluters."""
-        fraction = self.plan.pollution_fraction
-        if fraction <= 0.0:
-            return frozenset()
-        count = min(self._n_slots, max(1, round(fraction * self._n_slots)))
-        return frozenset(self._py_rng.sample(range(self._n_slots), count))
 
     def polluter_mask(self) -> np.ndarray:
         """Boolean slot mask of the configured polluters."""
@@ -94,18 +84,7 @@ class FastFaultMasks:
             return self._np_rng.random(count) < p
         return None
 
-    # -- burst/outage event support ----------------------------------------
-
-    def burst_size(self) -> int:
-        """Identical formula to FaultInjector.burst_size."""
-        return min(
-            self._n_slots,
-            max(1, round(self.plan.burst_fraction * self._n_slots)),
-        )
-
-    def burst_slots(self) -> List[int]:
-        """Slots killed by one burst event (same draw as the injector)."""
-        return self._py_rng.sample(range(self._n_slots), self.burst_size())
+    # -- outage event support -----------------------------------------------
 
     def outage_timeline(self, horizon: float) -> Tuple[Tuple[float, float], ...]:
         """Materialize the outage schedule over ``[0, horizon]``.
@@ -127,7 +106,7 @@ class FastFaultMasks:
             windows = []
             t = 0.0
             while True:
-                t += exponential(self._py_rng, plan.outage_rate)
+                t += exponential(self._rng, plan.outage_rate)
                 if t >= horizon:
                     break
                 end = min(t + plan.outage_duration, horizon)
@@ -137,14 +116,11 @@ class FastFaultMasks:
         return ()
 
 
-class FastAdversaryMasks:
+class FastAdversaryMasks(AdversaryRoles):
     """Batch adversary decisions over one :class:`AdversaryPlan`.
 
-    Role assignment reproduces AdversaryInjector._sample_roles draw for
-    draw (one ``sample(range(n), n)`` permutation carved into disjoint
-    liar/free-rider/polluter prefixes), so same-seed fast and event runs
-    agree on who misbehaves.  Sybil conversions are identity-scoped and
-    live in the system's role arrays (cleared on churn), not here.
+    Sybil conversions are identity-scoped and live in the system's role
+    arrays (cleared on churn), not here.
     """
 
     def __init__(
@@ -154,44 +130,8 @@ class FastAdversaryMasks:
         np_rng: np.random.Generator,
         n_slots: int,
     ) -> None:
-        self.plan = plan
-        self._py_rng = py_rng
+        super().__init__(plan, n_slots, py_rng)
         self._np_rng = np_rng
-        self._n_slots = n_slots
-        liars, freeriders, polluters = self._sample_roles()
-        self.liars: FrozenSet[int] = liars
-        self.freeriders: FrozenSet[int] = freeriders
-        self.polluters: FrozenSet[int] = polluters
-
-    def _sample_roles(
-        self,
-    ) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
-        """Identical formula and draws to AdversaryInjector._sample_roles."""
-        plan = self.plan
-        n = self._n_slots
-        if plan.static_fraction <= 0.0:
-            return frozenset(), frozenset(), frozenset()
-        order = self._py_rng.sample(range(n), n)
-        counts = []
-        remaining = n
-        for fraction in (
-            plan.liar_fraction,
-            plan.freerider_fraction,
-            plan.polluter_fraction,
-        ):
-            count = 0
-            if fraction > 0.0:
-                count = min(remaining, max(1, round(fraction * n)))
-            counts.append(count)
-            remaining -= count
-        liar_end = counts[0]
-        freerider_end = liar_end + counts[1]
-        polluter_end = freerider_end + counts[2]
-        return (
-            frozenset(order[:liar_end]),
-            frozenset(order[liar_end:freerider_end]),
-            frozenset(order[freerider_end:polluter_end]),
-        )
 
     def role_mask(self, slots: FrozenSet[int]) -> np.ndarray:
         """Boolean slot mask of one role set."""
@@ -210,18 +150,6 @@ class FastAdversaryMasks:
 
     # -- liar advertisement capture -----------------------------------------
 
-    def capture_probability(self, attractor_count: int) -> float:
-        """P(one pull is captured) given *attractor_count* advertisers.
-
-        The injector's arithmetic verbatim: ``A·k / (A·k + (N − k))``.
-        """
-        k = attractor_count
-        if k <= 0:
-            return 0.0
-        weight = self.plan.liar_inflation * k
-        honest = self._n_slots - k
-        return weight / (weight + honest)
-
     def capture_mask(self, count: int, attractor_count: int) -> Optional[np.ndarray]:
         """Per-pull capture decisions; None when nobody advertises."""
         p = self.capture_probability(attractor_count)
@@ -235,16 +163,3 @@ class FastAdversaryMasks:
         """Uniformly sample the capturing slot for *count* captured pulls."""
         picks = self._np_rng.integers(0, len(attractors), size=count)
         return attractors[picks]
-
-    # -- sybil bursts --------------------------------------------------------
-
-    def sybil_burst_size(self) -> int:
-        """Identical formula to AdversaryInjector.sybil_burst_size."""
-        return min(
-            self._n_slots,
-            max(1, round(self.plan.sybil_fraction * self._n_slots)),
-        )
-
-    def sybil_slots(self) -> List[int]:
-        """Slots converted by one sybil burst (same draw as the injector)."""
-        return self._py_rng.sample(range(self._n_slots), self.sybil_burst_size())

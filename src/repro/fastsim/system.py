@@ -179,8 +179,8 @@ class FastCollectionSystem:
         self.delays = DelayAccumulator()
 
         # fault/adversary masks: constructed only for non-null plans, on the
-        # same-named substreams as the event engine's injectors so the
-        # polluter/role slot sets match bit for bit at equal seeds.
+        # same-named substreams as the event engine's injectors, so both
+        # engines pick the same polluter/role slots at equal seeds.
         self.fault_masks: Optional[FastFaultMasks] = None
         if params.faults is not None and not params.faults.is_null:
             self.fault_masks = FastFaultMasks(
@@ -318,11 +318,10 @@ class FastCollectionSystem:
     def end_outage(self, at: float, downtime: float) -> int:
         """Servers recover at *at*; returns the catch-up pull count."""
         self.metrics.servers_down.update(at, 0.0)
-        plan = self.params.faults
-        if plan is None:
+        if self.fault_masks is None:
             return 0
-        per_server = min(
-            int(downtime * self.params.per_server_rate), plan.catchup_limit
+        per_server = self.fault_masks.catchup_pulls(
+            downtime, self.params.per_server_rate
         )
         return per_server * self.params.n_servers
 
@@ -650,7 +649,10 @@ class FastCollectionSystem:
     def kernel_fault_burst(self) -> None:
         """One correlated mass-departure event (FaultPlan burst channel)."""
         assert self.fault_masks is not None
-        slots = np.asarray(self.fault_masks.burst_slots(), dtype=np.int64)
+        slots = np.asarray(
+            self.fault_masks.burst_slots(self.seeds.python("faults")),
+            dtype=np.int64,
+        )
         self.kill_slots(slots, burst=True)
 
     def kernel_sybil_burst(self) -> None:

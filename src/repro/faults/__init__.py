@@ -3,11 +3,23 @@
 This package models the adversarial conditions the paper's robustness
 story implies but never simulates: lossy links, block pollution, server
 outages, and correlated churn bursts.  :class:`FaultPlan` declares what
-goes wrong; :class:`FaultInjector` executes it against a running system.
+goes wrong; :class:`FaultVerdicts` decides it per event under every
+engine; :class:`FaultInjector` executes it against a running simulation.
 A default-constructed plan is bitwise-neutral — see ``plan.py``.
 """
 
-from repro.faults.injector import FaultInjector, PollutableHolding, corrupt_block
+from repro.faults.injector import (
+    FaultInjector,
+    FaultVerdicts,
+    PollutableHolding,
+    corrupt_block,
+)
 from repro.faults.plan import FaultPlan
 
-__all__ = ["FaultPlan", "FaultInjector", "PollutableHolding", "corrupt_block"]
+__all__ = [
+    "FaultPlan",
+    "FaultInjector",
+    "FaultVerdicts",
+    "PollutableHolding",
+    "corrupt_block",
+]

@@ -1,13 +1,16 @@
 """Runtime fault injection: the machinery behind a :class:`FaultPlan`.
 
-The :class:`FaultInjector` is the single object the collection system
-consults on its hot paths (gossip delivery, server pulls) and the owner of
-the fault *event* clocks (outage onsets/recoveries, correlated churn
-bursts).  Design rules:
+:class:`FaultVerdicts` is the one statement of the plan's per-event
+decisions — who pollutes, which transfer is lost, how large a burst or a
+catch-up is — under every engine: the event simulator consults it through
+:class:`FaultInjector`, which extends it with the fault *event* clocks
+(outage onsets/recoveries, correlated churn bursts); the live runtime
+constructs it directly; the fast engine's masks inherit its set and size
+arithmetic.  Design rules:
 
-- **Own randomness.**  The injector draws only from its dedicated
-  ``"faults"`` RNG substream, so enabling a fault channel never perturbs
-  the draws of injection, gossip, server, TTL or churn clocks.
+- **Own randomness.**  Verdicts draw only from the RNG substreams they are
+  handed, so enabling a fault channel never perturbs the draws of
+  injection, gossip, server, TTL or churn clocks.
 - **Bitwise neutrality at zero.**  Every query short-circuits before
   touching the RNG when its knob is off, and ``start()`` schedules nothing
   for a null plan — a system built with ``FaultPlan()`` replays the exact
@@ -26,7 +29,7 @@ from repro.coding.block import CodedBlock
 from repro.faults.plan import PROC_KILL_PEERS, FaultPlan
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.metrics import MetricsCollector
-from repro.sim.rng import exponential
+from repro.sim.rng import cohort_size, exponential, sample_cohort
 from repro.sim.trace import KIND_OUTAGE, KIND_RECOVER, Tracer
 
 
@@ -54,7 +57,98 @@ class PollutableHolding(Protocol):
         ...
 
 
-class FaultInjector:
+class FaultVerdicts:
+    """The per-event decisions of one :class:`FaultPlan`.
+
+    Args:
+        plan: The fault configuration.
+        n_slots: Number of peer slots (polluter sampling, burst sizing).
+        polluter_rng: Stream the polluter set is sampled from, once, here.
+            Processes of one live swarm pass the same swarm-wide substream
+            so each derives the same set; the simulators pass *rng*.
+        rng: Dedicated substream for the per-transfer loss draws.
+    """
+
+    def __init__(
+        self,
+        plan: FaultPlan,
+        n_slots: int,
+        polluter_rng: random.Random,
+        rng: random.Random,
+    ) -> None:
+        self.plan = plan
+        self._n_slots = n_slots
+        self._rng = rng
+        self.polluters: FrozenSet[int] = self._sample_polluters(polluter_rng)
+
+    def _sample_polluters(self, rng: random.Random) -> FrozenSet[int]:
+        fraction = self.plan.pollution_fraction
+        if fraction <= 0.0:
+            return frozenset()
+        return frozenset(sample_cohort(rng, fraction, self._n_slots))
+
+    # -- hot-path queries (zero-knob cases must not touch the RNG) --------------
+
+    def drop_gossip(self) -> bool:
+        """Decide whether one in-flight gossip transfer is lost."""
+        p = self.plan.gossip_loss_rate
+        return p > 0.0 and self._rng.random() < p
+
+    def drop_pull(self) -> bool:
+        """Decide whether one server pull's block transfer is lost."""
+        p = self.plan.pull_loss_rate
+        return p > 0.0 and self._rng.random() < p
+
+    def is_polluter(self, slot: int) -> bool:
+        """True when the peer slot is a configured polluter."""
+        return slot in self.polluters
+
+    def pollutes(self, slot: int, holding: PollutableHolding) -> bool:
+        """True when an emission from *holding* at *slot* is corrupted.
+
+        A block is polluted if its emitter is a polluter slot, or if the
+        holding it is re-encoded from already contains polluted blocks —
+        any linear combination touching junk is junk, which is what makes
+        pollution spread and why end-to-end detection matters.
+        """
+        if not self.polluters:
+            return False
+        return slot in self.polluters or holding.polluted_count > 0
+
+    def maybe_pollute(
+        self, slot: int, holding: PollutableHolding, block: CodedBlock
+    ) -> bool:
+        """Corrupt *block* in place when its emission is polluted.
+
+        Returns True when the block was corrupted.  Zero-knob runs take the
+        ``not self.polluters`` short-circuit inside :meth:`pollutes` and do
+        no work at all.
+        """
+        if self.pollutes(slot, holding):
+            corrupt_block(block)
+            return True
+        return False
+
+    # -- event sizing -------------------------------------------------------------
+
+    def burst_size(self) -> int:
+        """Slots killed per burst event (at least one, at most all)."""
+        return cohort_size(self.plan.burst_fraction, self._n_slots)
+
+    def burst_slots(self, rng: random.Random) -> List[int]:
+        """Draw the slots one correlated-departure burst kills."""
+        return sample_cohort(rng, self.plan.burst_fraction, self._n_slots)
+
+    def catchup_pulls(self, downtime: float, per_server_rate: float) -> int:
+        """Immediate pulls one server fires when an outage ends.
+
+        One per pull it would have issued during *downtime*, capped at
+        ``catchup_limit`` (a real server rate-limits its recovery).
+        """
+        return min(int(downtime * per_server_rate), self.plan.catchup_limit)
+
+
+class FaultInjector(FaultVerdicts):
     """Executes one :class:`FaultPlan` against a running simulation.
 
     Args:
@@ -75,13 +169,10 @@ class FaultInjector:
         metrics: MetricsCollector,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.plan = plan
+        super().__init__(plan, n_slots, rng, rng)
         self._sim = sim
-        self._rng = rng
-        self._n_slots = n_slots
         self._metrics = metrics
         self._tracer = tracer
-        self.polluters: FrozenSet[int] = self._sample_polluters()
         self._down = False
         self._down_since = 0.0
         self._handles: List[EventHandle] = []
@@ -94,13 +185,6 @@ class FaultInjector:
         #: windowed counterparts)
         self.outages_started = 0
         self.bursts_fired = 0
-
-    def _sample_polluters(self) -> FrozenSet[int]:
-        fraction = self.plan.pollution_fraction
-        if fraction <= 0.0:
-            return frozenset()
-        count = min(self._n_slots, max(1, round(fraction * self._n_slots)))
-        return frozenset(self._rng.sample(range(self._n_slots), count))
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -162,48 +246,6 @@ class FaultInjector:
             handle.cancel()
         self._handles.clear()
 
-    # -- hot-path queries (zero-knob cases must not touch the RNG) --------------
-
-    def drop_gossip(self) -> bool:
-        """Decide whether one in-flight gossip transfer is lost."""
-        p = self.plan.gossip_loss_rate
-        return p > 0.0 and self._rng.random() < p
-
-    def drop_pull(self) -> bool:
-        """Decide whether one server pull's block transfer is lost."""
-        p = self.plan.pull_loss_rate
-        return p > 0.0 and self._rng.random() < p
-
-    def is_polluter(self, slot: int) -> bool:
-        """True when the peer slot is a configured polluter."""
-        return slot in self.polluters
-
-    def pollutes(self, slot: int, holding: PollutableHolding) -> bool:
-        """True when an emission from *holding* at *slot* is corrupted.
-
-        A block is polluted if its emitter is a polluter slot, or if the
-        holding it is re-encoded from already contains polluted blocks —
-        any linear combination touching junk is junk, which is what makes
-        pollution spread and why end-to-end detection matters.
-        """
-        if not self.polluters:
-            return False
-        return slot in self.polluters or holding.polluted_count > 0
-
-    def maybe_pollute(
-        self, slot: int, holding: PollutableHolding, block: CodedBlock
-    ) -> bool:
-        """Corrupt *block* in place when its emission is polluted.
-
-        Returns True when the block was corrupted.  Zero-knob runs take the
-        ``not self.polluters`` short-circuit inside :meth:`pollutes` and do
-        no work at all.
-        """
-        if self.pollutes(slot, holding):
-            corrupt_block(block)
-            return True
-        return False
-
     @property
     def servers_down(self) -> bool:
         """True while an outage window is in effect."""
@@ -248,19 +290,12 @@ class FaultInjector:
 
     # -- correlated churn bursts ---------------------------------------------------
 
-    def burst_size(self) -> int:
-        """Slots killed per burst event (at least one, at most all)."""
-        return min(
-            self._n_slots,
-            max(1, round(self.plan.burst_fraction * self._n_slots)),
-        )
-
     def _arm_next_burst(self) -> None:
         gap = exponential(self._rng, self.plan.burst_rate)
         self._handles.append(self._sim.schedule(gap, self._fire_burst))
 
     def _fire_burst(self) -> None:
-        slots = self._rng.sample(range(self._n_slots), self.burst_size())
+        slots = self.burst_slots(self._rng)
         self.bursts_fired += 1
         assert self._kill_slots is not None  # start() enforces bind()
         self._kill_slots(slots)
@@ -272,10 +307,7 @@ class FaultInjector:
         """One scheduled kill-peers event as a correlated departure burst."""
 
         def fire() -> None:
-            count = min(
-                self._n_slots, max(1, round(fraction * self._n_slots))
-            )
-            slots = self._rng.sample(range(self._n_slots), count)
+            slots = sample_cohort(self._rng, fraction, self._n_slots)
             self.bursts_fired += 1
             assert self._kill_slots is not None  # start() enforces bind()
             self._kill_slots(slots)

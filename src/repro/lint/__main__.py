@@ -4,9 +4,8 @@ Also reachable as ``repro lint ...`` through the main CLI.  Exit status is
 0 when the tree is clean, 1 when findings (strict: or warnings/waiver
 problems) remain, 2 on usage errors.
 
-Beyond the basic scan, the CLI fronts the incremental machinery
-(``--changed``, ``--cache``), the SARIF emitter (``--sarif``) and the
-seeded-violation positive controls (``--self-test``); see
+Beyond the basic scan, the CLI fronts the SARIF emitter (``--sarif``) and
+the seeded-violation positive controls (``--self-test``); see
 docs/LINTING.md.
 """
 
@@ -17,11 +16,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.cache import (
-    DEFAULT_CACHE_NAME,
-    git_changed_files,
-    run_lint_incremental,
-)
 from repro.lint.runner import run_lint
 from repro.lint.sarif import sarif_json
 
@@ -69,32 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a SARIF 2.1.0 log to PATH (GitHub code scanning)",
     )
     parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "run per-module rules only on files git reports as changed "
-            "(project passes still scan the full tree)"
-        ),
-    )
-    parser.add_argument(
-        "--base",
-        default=None,
-        metavar="REF",
-        help="with --changed: also include files differing from git REF",
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        nargs="?",
-        const=Path(DEFAULT_CACHE_NAME),
-        default=None,
-        metavar="PATH",
-        help=(
-            "enable the content-hash result cache, stored at PATH "
-            f"(default when enabled: ./{DEFAULT_CACHE_NAME})"
-        ),
-    )
-    parser.add_argument(
         "--self-test",
         action="store_true",
         help=(
@@ -126,25 +94,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         package_dir = args.paths[0] if args.paths else None
         return run_self_test(package_dir, verbose=not args.quiet)
 
-    if args.base is not None and not args.changed:
-        print("repro lint: --base requires --changed", file=sys.stderr)
-        return 2
-
-    changed = None
-    if args.changed:
-        try:
-            changed = git_changed_files(Path.cwd(), base=args.base)
-        except RuntimeError as error:
-            print(f"repro lint: {error}", file=sys.stderr)
-            return 2
-
-    if args.changed or args.cache is not None:
-        report, stats = run_lint_incremental(
-            paths, cache_path=args.cache, changed=changed
-        )
-    else:
-        report = run_lint(paths)
-        stats = None
+    report = run_lint(paths)
 
     json_to_stdout = args.json is not None and str(args.json) == "-"
     if args.json is not None:
@@ -160,17 +110,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # keep stdout machine-readable when the JSON report goes there
         stream = sys.stderr if json_to_stdout else sys.stdout
         print(report.render_text(), file=stream)
-        if stats is not None and (stats["cached"] or stats["skipped"]):
-            print(
-                f"incremental: {stats['ran']} ran, {stats['cached']} from "
-                f"cache, {stats['skipped']} skipped"
-                + (
-                    ", project passes from cache"
-                    if stats["project_cached"]
-                    else ""
-                ),
-                file=stream,
-            )
     return report.exit_code(strict=args.strict)
 
 

@@ -24,9 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
-#: Bumped whenever rule semantics change; invalidates the on-disk cache.
-LINT_VERSION = 2
-
 #: Matches one waiver comment; justification (group "why") may be absent.
 WAIVER_RE = re.compile(
     r"#\s*lint:\s*ok\(\s*(?P<rule>[A-Za-z0-9_\-]+)\s*\)"
@@ -71,21 +68,6 @@ class Finding:
             out["waived"] = True
             out["justification"] = self.justification
         return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        """Inverse of :meth:`as_dict` (used by the lint cache)."""
-        return cls(
-            rule=str(data["rule"]),
-            severity=str(data["severity"]),
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            message=str(data["message"]),
-            hint=str(data.get("hint", "")),
-            waived=bool(data.get("waived", False)),
-            justification=str(data.get("justification", "")),
-        )
 
     def render(self) -> str:
         """``path:line:col: RULE severity: message`` terminal line."""

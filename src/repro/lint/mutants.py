@@ -12,7 +12,7 @@ right file:
   fault injector's ``rng`` parameter.  No call site constructs an RNG
   directly (R1 stays silent); only provenance tracking sees that the
   value reaching the blessed parameter never came from the registry.
-- ``neutrality-guard-dropped`` (R7): ``FaultInjector.drop_gossip``
+- ``neutrality-guard-dropped`` (R7): ``FaultVerdicts.drop_gossip``
   loses its ``p > 0.0 and`` short-circuit, so a null plan draws from
   the RNG on every gossip delivery — runtime-bitwise-neutrality gone,
   caught structurally.

@@ -100,30 +100,53 @@ class Surface:
     ops: FrozenSet[str] = ALL_OPS
 
 
-#: The contract: the three hook surfaces PR 5/6 proved neutral at runtime.
+#: The contract: the hook surfaces PR 5/6 proved neutral at runtime.  The
+#: shared base classes carry the queries every engine calls — the event
+#: simulator through the injectors, the live runtime directly, the fast
+#: engine through its masks — so one proof covers all three.
 SURFACES: Tuple[Surface, ...] = (
     Surface(
-        class_name="FaultInjector",
+        class_name="FaultVerdicts",
         methods=frozenset(
             {
                 "__init__",
                 "_sample_polluters",
-                "start",
-                "stop",
                 "drop_gossip",
                 "drop_pull",
                 "is_polluter",
                 "pollutes",
                 "maybe_pollute",
-                "servers_down",
             }
         ),
         facts={"plan": V_PLAN, "polluters": V_EMPTY},
     ),
     Surface(
-        # Never constructed under a null plan (the system guards every
-        # hook on None), so __init__/_sample_roles are out of scope; the
-        # queries must still short-circuit when every *strategy* is off.
+        class_name="FaultInjector",
+        methods=frozenset({"__init__", "start", "stop", "servers_down"}),
+        facts={"plan": V_PLAN, "polluters": V_EMPTY},
+    ),
+    Surface(
+        # The simulators never construct one under a null plan (every hook
+        # guards on None), but role sampling and the sizing arithmetic
+        # must still do nothing when every fraction is zero.
+        class_name="AdversaryRoles",
+        methods=frozenset(
+            {
+                "__init__",
+                "_sample_roles",
+                "capture_probability",
+                "sybil_burst_size",
+            }
+        ),
+        facts={
+            "plan": V_PLAN,
+            "liars": V_EMPTY,
+            "freeriders": V_EMPTY,
+            "polluters": V_EMPTY,
+        },
+    ),
+    Surface(
+        # The queries must short-circuit when every *strategy* is off.
         class_name="AdversaryInjector",
         methods=frozenset(
             {
@@ -148,16 +171,12 @@ SURFACES: Tuple[Surface, ...] = (
         },
     ),
     Surface(
-        # Vectorized twin of FaultInjector (repro.fastsim.masks): the
-        # batch queries must short-circuit on the plan knob before the
-        # numpy draw, exactly like the scalar injector.  burst_slots is
-        # out of scope — it only runs when a burst event fires, and the
-        # burst channel's rate is 0 under a null plan.
+        # The batch queries must short-circuit on the plan knob before
+        # the numpy draw, exactly like the scalar verdicts they extend.
         class_name="FastFaultMasks",
         methods=frozenset(
             {
                 "__init__",
-                "_sample_polluters",
                 "gossip_loss_mask",
                 "pull_loss_mask",
                 "outage_timeline",
@@ -166,21 +185,11 @@ SURFACES: Tuple[Surface, ...] = (
         facts={"plan": V_PLAN, "polluters": V_EMPTY},
     ),
     Surface(
-        # Vectorized twin of AdversaryInjector.  capture_mask guards on a
-        # computed probability (0 when nobody advertises), which the
-        # abstract interpreter cannot decide — runtime tests pin it; the
-        # statically provable members are the role sampling and the
-        # sizing arithmetic.
+        # capture_mask guards on a computed probability (0 when nobody
+        # advertises), which the abstract interpreter cannot decide —
+        # runtime tests pin it.
         class_name="FastAdversaryMasks",
-        methods=frozenset(
-            {
-                "__init__",
-                "_sample_roles",
-                "targets_low_degree",
-                "capture_probability",
-                "sybil_burst_size",
-            }
-        ),
+        methods=frozenset({"__init__", "targets_low_degree"}),
         facts={
             "plan": V_PLAN,
             "liars": V_EMPTY,

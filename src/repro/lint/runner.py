@@ -256,7 +256,6 @@ def run_lint(
     rules: Optional[List[Rule]] = None,
     trace_registry: Optional[Dict[str, str]] = None,
     project_rules: Optional[List[ProjectRule]] = None,
-    module_filter: Optional[Set[str]] = None,
 ) -> LintReport:
     """Lint every Python file under *paths* and return the full report.
 
@@ -267,12 +266,7 @@ def run_lint(
         trace_registry: Explicit kind registry for R3; by default the
             registry is discovered from a scanned ``sim/trace.py``.
         project_rules: Interprocedural passes run over the whole scanned
-            tree (default: R6, R7).  These always see every module, even
-            when *module_filter* restricts the per-module rules.
-        module_filter: When given, per-module rules run only on modules
-            whose relpath is in the set (the ``--changed`` accelerator);
-            waiver validation and project passes still cover the full
-            tree.
+            tree (default: R6, R7).
     """
     modules, problems = _load_modules(paths, root)
     active_rules = rules if rules is not None else default_rules(trace_registry)
@@ -297,8 +291,6 @@ def run_lint(
     by_relpath = {module.relpath: module for module in modules}
     for module in modules:
         report.problems.extend(_waiver_problems(module, known_rules))
-        if module_filter is not None and module.relpath not in module_filter:
-            continue
         active, waived = check_module(module, active_rules)
         report.findings.extend(active)
         report.waived.extend(waived)

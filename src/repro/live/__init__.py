@@ -6,9 +6,9 @@ standalone process) speaking length-prefixed framed JSON+bytes over TCP,
 the GF(256) kernels of :mod:`repro.coding` encode/recode/decode real
 payload bytes on the wire, and the logging servers decode and
 hash-verify what they collect.  ``Parameters`` and ``FaultPlan`` are
-reused verbatim — the netem-style shim in :mod:`repro.live.transport`
-maps each fault channel onto transport behavior — so any simulated
-operating point can be replayed live and cross-validated
+reused verbatim — the simulator's own fault verdicts are realized
+netem-style at the transport (:mod:`repro.live.transport`) — so any
+simulated operating point can be replayed live and cross-validated
 (:mod:`repro.live.crossval`).
 
 Module map:
@@ -17,7 +17,7 @@ Module map:
 - :mod:`repro.live.wire` — message catalog, block/params serialization
 - :mod:`repro.live.ports` — port-0 binding and bounded-retry connects
 - :mod:`repro.live.clock` — wall-to-sim time mapping, Poisson schedules
-- :mod:`repro.live.transport` — framed connections, LRU cache, netem shim
+- :mod:`repro.live.transport` — framed connections, LRU cache, fault mapping
 - :mod:`repro.live.peer` / :mod:`repro.live.server` — the two node roles
 - :mod:`repro.live.harness` — single-box swarm orchestration
 - :mod:`repro.live.livemetrics` — sim-axis measurement + aggregation
@@ -42,7 +42,7 @@ from repro.live.harness import live_cell, run_swarm, validate_live_params
 from repro.live.livemetrics import aggregate_report
 from repro.live.peer import LivePeer
 from repro.live.server import LiveLoggingServer
-from repro.live.transport import FramedConnection, NetemShim
+from repro.live.transport import FramedConnection
 
 __all__ = [
     "CrossValReport",
@@ -56,7 +56,6 @@ __all__ = [
     "LiveClock",
     "LiveLoggingServer",
     "LivePeer",
-    "NetemShim",
     "PoissonSchedule",
     "aggregate_report",
     "compare_reports",

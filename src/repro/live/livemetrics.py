@@ -5,9 +5,10 @@ The live runtime reports on the *same axes* as the simulator
 time (via :class:`repro.live.clock.LiveClock`), time-weighted state reuses
 the simulator's exact-integration :class:`WindowedAverage`, and
 :func:`aggregate_report` folds one swarm's peer and collector summaries
-into a flat dict whose keys match the report fields — so sim-vs-live
-cross-validation (:mod:`repro.live.crossval`) is a direct field-by-field
-comparison, no unit conversion anywhere.
+into a flat dict whose keys match the report fields, the derived ones
+computed by the simulator's own :func:`repro.sim.metrics.derived_fields`
+— so sim-vs-live cross-validation (:mod:`repro.live.crossval`) is a direct
+field-by-field comparison, no unit conversion anywhere.
 
 Split of responsibilities (mirrors who can observe what in a real
 deployment):
@@ -22,13 +23,11 @@ deployment):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.params import Parameters
-from repro.sim.metrics import WindowedAverage
-from repro.util.summary import percentile
+from repro.sim.metrics import WindowedAverage, derived_fields
 
 
 @dataclass
@@ -163,13 +162,10 @@ def aggregate_report(
 ) -> Dict[str, Any]:
     """Fold one swarm's summaries into a MetricsReport-shaped dict.
 
-    Field names and formulas mirror
-    :meth:`repro.sim.metrics.MetricsCollector.report` exactly (throughput =
-    useful pulls / window, efficiency = useful / total pulls, per-block
-    delay = segment delay / s, storage overhead = rho - lambda/gamma,
-    ...), so the result compares one-to-one with a simulator report.
-    Delay fields are ``None`` when no segment completed in the window,
-    exactly like the simulator's report.
+    Field names are :class:`repro.sim.metrics.MetricsReport`'s, so the
+    result compares one-to-one with a simulator report.  Delay fields are
+    ``None`` when no segment completed in the window, exactly like the
+    simulator's report.
     """
     if window <= 0:
         raise ValueError(f"measurement window must be > 0, got {window}")
@@ -185,28 +181,13 @@ def aggregate_report(
 
     pulls = int(collector["pulls"])
     useful = int(collector["useful_pulls"])
-    delays = [float(d) for d in collector["delay_samples_list"]]
-    throughput = useful / window
-    demand = n * params.arrival_rate
-    goodput = int(collector["delivered_original_blocks"]) / window
     occupancy = peer_mean("mean_occupancy")
-    s = params.segment_size
-
-    mean_segment_delay: Optional[float] = None
-    mean_block_delay: Optional[float] = None
-    p50_block_delay: Optional[float] = None
-    p95_block_delay: Optional[float] = None
-    if delays:
-        mean_segment_delay = math.fsum(delays) / len(delays)
-        mean_block_delay = mean_segment_delay / s
-        p50_block_delay = percentile(delays, 50.0) / s
-        p95_block_delay = percentile(delays, 95.0) / s
 
     report: Dict[str, Any] = {
         # configuration echo
         "n_peers": n,
         "arrival_rate": params.arrival_rate,
-        "segment_size": s,
+        "segment_size": params.segment_size,
         "normalized_capacity": params.normalized_capacity,
         "window": window,
         # collector side
@@ -216,17 +197,9 @@ def aggregate_report(
         "idle_pulls": int(collector["idle_pulls"])
         + int(collector["pull_empty_races"]),
         "segments_completed": int(collector["segments_completed"]),
-        "throughput": throughput,
-        "normalized_throughput": throughput / demand if demand else 0.0,
-        "efficiency": useful / pulls if pulls else 0.0,
-        "goodput": goodput,
-        "normalized_goodput": goodput / demand if demand else 0.0,
         # peer side
         "mean_buffer_occupancy": occupancy,
         "empty_peer_fraction": peer_mean("empty_fraction"),
-        "storage_overhead": max(
-            occupancy - params.arrival_rate / params.deletion_rate, 0.0
-        ),
         "injected_segments": peer_sum("injected_segments"),
         "injected_blocks": peer_sum("injected_blocks"),
         "blocked_injections": peer_sum("blocked_injections"),
@@ -235,12 +208,6 @@ def aggregate_report(
         "gossip_undeliverable": peer_sum("gossip_undeliverable"),
         "blocks_expired": peer_sum("blocks_expired"),
         "blocks_lost_to_churn": peer_sum("blocks_lost_to_churn"),
-        # delay
-        "mean_segment_delay": mean_segment_delay,
-        "mean_block_delay": mean_block_delay,
-        "p50_block_delay": p50_block_delay,
-        "p95_block_delay": p95_block_delay,
-        "delay_samples": len(delays),
         # fault-channel degradation (gossip- and pull-side drops pool into
         # one counter, as in the simulator)
         "transfers_dropped": peer_sum("transfers_dropped")
@@ -256,6 +223,19 @@ def aggregate_report(
         "pull_empty_races": int(collector["pull_empty_races"]),
         "hash_verified": int(collector["hash_verified"]),
         "hash_failures": int(collector["hash_failures"]),
+        # throughput, efficiency, goodput, overhead, delays
+        **derived_fields(
+            pulls=pulls,
+            useful_pulls=useful,
+            delivered_blocks=int(collector["delivered_original_blocks"]),
+            delay_samples=[float(d) for d in collector["delay_samples_list"]],
+            window=window,
+            n_peers=n,
+            arrival_rate=params.arrival_rate,
+            deletion_rate=params.deletion_rate,
+            segment_size=params.segment_size,
+            mean_buffer_occupancy=occupancy,
+        ),
     }
     if extras:
         report.update(extras)

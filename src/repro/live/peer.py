@@ -33,15 +33,15 @@ import numpy as np
 from repro.coding.block import CodedBlock, SegmentDescriptor, make_source_blocks
 from repro.core.params import SELECTION_UNIFORM, Parameters
 from repro.core.peer import Peer
+from repro.faults.injector import FaultVerdicts
 from repro.live import ports, wire
 from repro.live.clock import LiveClock, PoissonSchedule
-from repro.live.framing import Frame, FrameError, FrameTruncated
+from repro.live.framing import Frame, FrameError, FrameGarbage, FrameTruncated
 from repro.live.livemetrics import PeerStats
 from repro.live.ports import Backoff
 from repro.live.transport import (
     ConnectionCache,
     FramedConnection,
-    NetemShim,
     POLLUTER_STREAM,
 )
 from repro.sim.rng import SeedSequenceRegistry, exponential
@@ -134,12 +134,17 @@ class LivePeer:
         self._coding_rng = seeds.numpy(f"live:peer{slot}:coding")
         self._payload_rng = seeds.numpy(f"live:peer{slot}:payload")
         self._backoff_rng = seeds.python(f"live:peer{slot}:backoff")
-        self.netem = NetemShim(
-            params.faults,
-            params.n_peers,
-            seeds.python(POLLUTER_STREAM),
-            seeds.python(f"live:peer{slot}:netem"),
-        )
+        #: fault verdicts, built only for a non-null plan (every use guards
+        #: on None, the rule ``CollectionSystem`` follows).
+        self.faults: Optional[FaultVerdicts] = None
+        if params.has_faults:
+            assert params.faults is not None  # has_faults guarantees
+            self.faults = FaultVerdicts(
+                params.faults,
+                params.n_peers,
+                seeds.python(POLLUTER_STREAM),
+                seeds.python(f"live:peer{slot}:netem"),
+            )
         self.core = Peer(slot, params.effective_buffer_capacity)
 
     @property
@@ -490,23 +495,32 @@ class LivePeer:
         schedule = PoissonSchedule(
             self.clock, self._events_rng, self.cfg.gossip_rate
         )
-        uniform = self.cfg.segment_selection == SELECTION_UNIFORM
         while True:
             at = await schedule.wait()
             if self.core.is_empty:
                 # Idle tick: the mu-clock ran with nothing to send.
                 continue
-            if uniform:
-                segment_id = self.core.sample_segment(self._select_rng)
-            else:
-                segment_id = self.core.sample_segment_proportional(
-                    self._select_rng
-                )
-            holding = self.core.holdings[segment_id]
-            block = holding.make_coded_block(self._coding_rng, at)
-            self.netem.maybe_pollute(self.slot, holding, block)
+            block = self._emit(at)
+            segment_id = block.segment.segment_id
             digest = self._digests.get(segment_id, "")
             await self._gossip_block(segment_id, block, digest)
+
+    def _emit(self, at: float) -> CodedBlock:
+        """Re-encode one block of a freshly drawn buffered segment.
+
+        Serves both the gossip tick and a server pull; a polluted emission
+        (this peer is a polluter, or the holding contains junk) leaves with
+        a zeroed coefficient header.
+        """
+        segment_id = self.core.draw_segment(
+            self._select_rng,
+            self.cfg.segment_selection == SELECTION_UNIFORM,
+        )
+        holding = self.core.holdings[segment_id]
+        block = holding.make_coded_block(self._coding_rng, at)
+        if self.faults is not None:
+            self.faults.maybe_pollute(self.slot, holding, block)
+        return block
 
     async def _gossip_block(
         self, segment_id: int, block: CodedBlock, digest: str
@@ -648,15 +662,28 @@ class LivePeer:
         except (KeyError, TypeError, ValueError):
             await conn.send({"type": wire.MSG_OFFER_REPLY, "want": False})
             return
+        if size != self.cfg.segment_size:
+            # No honest peer of this session gossips another geometry.
+            self.stats.gossip_undeliverable += 1
+            raise FrameGarbage(
+                f"offer declares segment size {size}, session uses "
+                f"{self.cfg.segment_size}"
+            )
         want = self.core.needs_segment(segment_id, size)
         await conn.send({"type": wire.MSG_OFFER_REPLY, "want": bool(want)})
 
     def _receive_block(self, frame: Frame) -> None:
         """A gossiped coded block arrived (possibly on a lossy link)."""
-        if self.netem.drop_gossip():
+        if self.faults is not None and self.faults.drop_gossip():
             self.stats.transfers_dropped += 1
             return
-        block = wire.block_from_wire(frame.header, frame.payload)
+        try:
+            block = wire.session_block_from_wire(
+                self.cfg, frame.header, frame.payload
+            )
+        except FrameGarbage:
+            self.stats.gossip_undeliverable += 1
+            raise
         segment = block.segment
         if not self.core.needs_segment(segment.segment_id, segment.size):
             # The buffer filled up or the segment got satisfied between the
@@ -668,25 +695,17 @@ class LivePeer:
     async def _serve_pull(self, conn: FramedConnection) -> None:
         """Answer one logging-server coupon pull.
 
-        The peer draws the segment itself (uniform over buffered blocks or
-        uniform over segments, per ``segment_selection``) — the same
-        distribution the simulator realizes by letting the server sample
-        the peer's buffer directly.
+        The peer draws the segment itself (:meth:`Peer.draw_segment`, the
+        draw the simulator's server makes on the peer's buffer directly).
         """
         if self.core.is_empty:
             await conn.send({"type": wire.MSG_PULL_EMPTY, "slot": self.slot})
             return
-        if self.cfg.segment_selection == SELECTION_UNIFORM:
-            segment_id = self.core.sample_segment(self._select_rng)
-        else:
-            segment_id = self.core.sample_segment_proportional(self._select_rng)
-        holding = self.core.holdings[segment_id]
-        block = holding.make_coded_block(self._coding_rng, self.clock.now())
-        self.netem.maybe_pollute(self.slot, holding, block)
+        block = self._emit(self.clock.now())
         header, payload = wire.block_to_wire(
             wire.MSG_PULL_BLOCK,
             block,
-            self._digests.get(segment_id, ""),
+            self._digests.get(block.segment.segment_id, ""),
             slot=self.slot,
         )
         await conn.send(header, payload)

@@ -14,14 +14,13 @@ One :class:`LiveLoggingServer` plays two roles at once:
   candidates at rate ``c·N/N_s`` from the set of peers whose buffers are
   currently non-empty, as advertised by STATUS frames.
 
-The pull path mirrors :meth:`repro.core.server.ServerPool.pull` decision
-for decision: idle when no candidate, redundant when the drawn segment is
-already decoded, in-flight loss checked once per trial before the
-pollution re-pull loop, polluted blocks detected by GF(2^8) rank (an
-all-zero coefficient header) and re-drawn within the trial's budget.
-Completed segments are actually decoded and their payload digest checked
-against the source digest — end-to-end verification the simulator cannot
-perform because it never moves real bytes.
+Each pull trial is the simulator's own :func:`repro.core.server.pull_trial`
+(docs/PROTOCOL.md, "Where each rule is stated"); this module only feeds it
+blocks fetched over TCP, with pollution detected by GF(2^8) rank (an
+all-zero coefficient header).  Completed segments are actually decoded and
+their payload digest checked against the source digest — end-to-end
+verification the simulator cannot perform because it never moves real
+bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.coding.block import CodedBlock
 from repro.coding.rlnc import SegmentDecoder
 from repro.core.params import Parameters
-from repro.faults.plan import FaultPlan
+from repro.core.server import pull_trial
+from repro.faults.injector import FaultVerdicts
 from repro.live import ports, wire
 from repro.live.checkpoint import (
     CheckpointError,
@@ -43,13 +43,12 @@ from repro.live.checkpoint import (
     write_checkpoint,
 )
 from repro.live.clock import LiveClock, PoissonSchedule
-from repro.live.framing import Frame, FrameError, FrameTruncated
+from repro.live.framing import Frame, FrameError, FrameGarbage, FrameTruncated
 from repro.live.livemetrics import CollectorStats
 from repro.live.transport import (
     BURST_STREAM,
     ConnectionCache,
     FramedConnection,
-    NetemShim,
     POLLUTER_STREAM,
     detects_pollution,
 )
@@ -86,6 +85,35 @@ class _PeerRecord:
         self.port = port
         self.conn = conn
         self.last_seen = last_seen
+
+
+class _PulledBlock:
+    """The live candidate of a pull trial: one block fetched from a peer."""
+
+    __slots__ = ("_server", "_block", "_digest", "source", "segment_id")
+
+    def __init__(
+        self,
+        server: "LiveLoggingServer",
+        slot: int,
+        block: CodedBlock,
+        digest: str,
+    ) -> None:
+        self._server = server
+        self._block = block
+        self._digest = digest
+        #: (slot, generation); the registry does not learn generations.
+        self.source = (slot, 0)
+        self.segment_id = block.segment.segment_id
+
+    @property
+    def is_complete(self) -> bool:
+        return self.segment_id in self._server._completed
+
+    def take(self, now: float) -> Tuple[bool, bool]:
+        if detects_pollution(self._block):
+            return True, False
+        return False, self._server._ingest(self._block, self._digest, now)
 
 
 class LiveLoggingServer:
@@ -127,12 +155,17 @@ class LiveLoggingServer:
         ]
         self._outage_rng = seeds.python("live:server:outages")
         self._burst_rng = seeds.python(BURST_STREAM)
-        self.netem = NetemShim(
-            params.faults,
-            params.n_peers,
-            seeds.python(POLLUTER_STREAM),
-            seeds.python("live:server:netem"),
-        )
+        #: fault verdicts, built only for a non-null plan (every use guards
+        #: on None, the rule ``CollectionSystem`` follows).
+        self.faults: Optional[FaultVerdicts] = None
+        if params.has_faults:
+            assert params.faults is not None  # has_faults guarantees
+            self.faults = FaultVerdicts(
+                params.faults,
+                params.n_peers,
+                seeds.python(POLLUTER_STREAM),
+                seeds.python("live:server:netem"),
+            )
         self.stats = CollectorStats()
         self.peers: Dict[int, _PeerRecord] = {}
         self.nonempty: RandomizedSet[int] = RandomizedSet()
@@ -310,18 +343,25 @@ class LiveLoggingServer:
             spawn(self._pull_loop(i), name=f"server:pull{i}")
             for i in range(self.params.n_servers)
         ]
-        plan = self.netem.plan
         # process_faults are NOT scheduled here: in the live runtime they
         # are delivered as real signals by the supervisor; only the
         # blackhole-style outage channels run in-process.
-        if plan.outage_windows or plan.outage_rate > 0.0:
-            self._tasks.append(
-                spawn(self._outage_controller(), name="server:outages")
-            )
-        if plan.burst_rate > 0.0:
-            self._tasks.append(
-                spawn(self._burst_controller(), name="server:bursts")
-            )
+        if self.faults is not None:
+            plan = self.faults.plan
+            if plan.outage_windows or plan.outage_rate > 0.0:
+                self._tasks.append(
+                    spawn(
+                        self._outage_controller(self.faults),
+                        name="server:outages",
+                    )
+                )
+            if plan.burst_rate > 0.0:
+                self._tasks.append(
+                    spawn(
+                        self._burst_controller(self.faults),
+                        name="server:bursts",
+                    )
+                )
         if self.checkpoint_path is not None:
             self._tasks.append(
                 spawn(self._checkpoint_loop(), name="server:checkpoint")
@@ -502,16 +542,17 @@ class LiveLoggingServer:
             self._conn_tasks.discard(task)
 
     def _register(self, hello: Frame, conn: FramedConnection) -> _PeerRecord:
-        slot = hello.header.get("slot")
-        if slot is None:
-            slot = self._next_slot
-        slot = int(slot)
-        self._next_slot = max(self._next_slot, slot + 1)
+        header = hello.header
+        try:
+            slot = header.get("slot")
+            slot = self._next_slot if slot is None else int(slot)
+            host, port = str(header["host"]), int(header["port"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FrameGarbage(f"malformed hello: {exc!r}") from exc
         if not 0 <= slot < self.params.n_peers:
-            raise FrameError(f"slot {slot} out of range")
-        record = _PeerRecord(
-            slot, str(hello.header["host"]), int(hello.header["port"]), conn
-        )
+            raise FrameGarbage(f"slot {slot} out of range")
+        self._next_slot = max(self._next_slot, slot + 1)
+        record = _PeerRecord(slot, host, port, conn)
         self.peers[slot] = record
         resume = hello.header.get("resume")
         if isinstance(resume, dict):
@@ -567,10 +608,16 @@ class LiveLoggingServer:
             else:
                 self.nonempty.discard(record.slot)
         elif kind == wire.MSG_METRICS_REPLY:
-            key = (record.slot, int(frame.header.get("req", -1)))
+            try:
+                key = (record.slot, int(frame.header.get("req", -1)))
+                stats = dict(frame.header["stats"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FrameGarbage(
+                    f"malformed metrics reply: {exc!r}"
+                ) from exc
             future = self._metrics_futures.pop(key, None)
             if future is not None and not future.done():
-                future.set_result(dict(frame.header["stats"]))
+                future.set_result(stats)
 
     async def request_metrics(self, slot: int) -> Dict[str, float]:
         """Ask one peer for its measurement-window stats."""
@@ -605,15 +652,13 @@ class LiveLoggingServer:
             # injection loop): delays compare actual times on both ends.
             await self._pull_once(self.clock.now())
 
-    async def _fetch_candidate(
-        self,
-    ) -> Optional[Tuple[int, CodedBlock, str]]:
+    async def _fetch_candidate(self) -> Optional[_PulledBlock]:
         """Draw one non-empty peer and pull a coded block from it.
 
         Returns ``None`` when there is no candidate (idle pull) — either no
         peer advertises a non-empty buffer, or the drawn peer emptied /
-        died between advertisement and service (a race the simulator's
-        atomic transfers cannot exhibit; counted as idle).
+        died / answered garbage between advertisement and service (a race
+        the simulator's atomic transfers cannot exhibit; counted as idle).
         """
         if not self.nonempty:
             return None
@@ -621,62 +666,58 @@ class LiveLoggingServer:
         try:
             conn = await self._cache.get(slot)
             reply = await conn.request({"type": wire.MSG_PULL})
+            if reply.type == wire.MSG_PULL_EMPTY:
+                self.nonempty.discard(slot)
+                self.stats.pull_empty_races += 1
+                return None
+            if reply.type != wire.MSG_PULL_BLOCK:
+                raise FrameGarbage(f"{reply.type!r} in reply to a pull")
+            block = wire.session_block_from_wire(
+                self.params, reply.header, reply.payload
+            )
         except (ConnectionError, FrameError, OSError):
             await self._cache.drop(slot)
             self.stats.pull_empty_races += 1
             return None
-        if reply.type == wire.MSG_PULL_EMPTY:
-            self.nonempty.discard(slot)
-            self.stats.pull_empty_races += 1
-            return None
-        if reply.type != wire.MSG_PULL_BLOCK:
-            await self._cache.drop(slot)
-            self.stats.pull_empty_races += 1
-            return None
-        block = wire.block_from_wire(reply.header, reply.payload)
-        return slot, block, wire.block_digest_of(reply.header)
+        return _PulledBlock(
+            self, slot, block, wire.block_digest_of(reply.header)
+        )
+
+    def _count(self, outcome: str) -> None:
+        stats = self.stats
+        setattr(stats, outcome, getattr(stats, outcome) + 1)
 
     async def _pull_once(self, now: float) -> None:
-        """One pull trial; mirrors ``ServerPool.pull`` decision-for-decision."""
-        stats = self.stats
-        stats.pulls += 1
-        candidate = await self._fetch_candidate()
-        if candidate is None:
-            stats.idle_pulls += 1
-            return
-        _, block, digest = candidate
-        if block.segment.segment_id in self._completed:
-            stats.redundant_pulls += 1
-            return
-        if self.netem.drop_pull():
-            # In-flight loss: checked once per trial, before any re-pulls,
-            # exactly like the simulator.
-            stats.transfers_dropped += 1
-            return
-        attempts = (
-            1 + self.netem.plan.pollution_repull_budget
-            if self.netem.polluters
-            else 1
-        )
-        for _ in range(attempts):
-            if detects_pollution(block):
-                stats.blocks_rejected_polluted += 1
-                candidate = await self._fetch_candidate()
-                if candidate is None:
-                    stats.idle_pulls += 1
-                    return
-                _, block, digest = candidate
-                if block.segment.segment_id in self._completed:
-                    stats.redundant_pulls += 1
-                    return
-                continue
-            self._ingest(block, digest, now)
-            return
-        # Budget exhausted on junk: the trial ends unproductive.
-        stats.redundant_pulls += 1
+        """One pull trial: feed fetched blocks to the shared ladder.
 
-    def _ingest(self, block: CodedBlock, digest: str, now: float) -> None:
-        """Feed one clean block to the pooled decoder state."""
+        No adversary, scorer, or tracer is handed over, so every request
+        of the trial is for a fresh candidate.
+        """
+        self.stats.pulls += 1
+        trial = pull_trial(
+            await self._fetch_candidate(),
+            now,
+            self._count,
+            self.faults,
+            tracer=None,
+            adversary=None,
+            scorer=None,
+            trust_of=None,
+            retries=0,
+            on_quarantine=None,
+        )
+        try:
+            next(trial)
+            while True:
+                trial.send(await self._fetch_candidate())
+        except StopIteration:
+            pass
+
+    def _ingest(self, block: CodedBlock, digest: str, now: float) -> bool:
+        """Feed one clean block to the pooled decoder state.
+
+        Returns True when the block was innovative.
+        """
         segment_id = block.segment.segment_id
         decoder = self._decoders.get(segment_id)
         if decoder is None:
@@ -684,11 +725,8 @@ class LiveLoggingServer:
             self._decoders[segment_id] = decoder
         if digest:
             self._digests.setdefault(segment_id, digest)
-        innovative = decoder.offer(block, now)
-        if not innovative:
-            self.stats.redundant_pulls += 1
-            return
-        self.stats.useful_pulls += 1
+        if not decoder.offer(block, now):
+            return False
         if decoder.is_complete:
             self._completed.add(segment_id)
             self.stats.on_segment_completed(
@@ -697,6 +735,7 @@ class LiveLoggingServer:
             self._verify(segment_id, decoder)
             # Decoded segments' state is no longer needed; keep memory flat.
             del self._decoders[segment_id]
+        return True
 
     def _verify(self, segment_id: int, decoder: SegmentDecoder) -> None:
         """End-to-end check: decoded payload vs the source digest."""
@@ -711,9 +750,9 @@ class LiveLoggingServer:
 
     # -- fault controllers ---------------------------------------------------
 
-    async def _outage_controller(self) -> None:
+    async def _outage_controller(self, faults: FaultVerdicts) -> None:
         """Drive server outages: scheduled windows or the renewal process."""
-        plan = self.netem.plan
+        plan = faults.plan
         if plan.outage_windows:
             for start, end in plan.outage_windows:
                 if end <= self.clock.now():
@@ -721,14 +760,16 @@ class LiveLoggingServer:
                     # came up; the blackout already happened for real.
                     continue
                 await self.clock.sleep_until(start)
-                await self._enter_outage(end - start)
+                await self._enter_outage(faults, end - start)
             return
         while True:
             gap = exponential(self._outage_rng, plan.outage_rate)
             await self.clock.sleep_sim(gap)
-            await self._enter_outage(plan.outage_duration)
+            await self._enter_outage(faults, plan.outage_duration)
 
-    async def _enter_outage(self, duration: float) -> None:
+    async def _enter_outage(
+        self, faults: FaultVerdicts, duration: float
+    ) -> None:
         """All servers blackhole for *duration* sim units, then catch up."""
         if duration <= 0:
             return
@@ -738,10 +779,7 @@ class LiveLoggingServer:
         await self.clock.sleep_sim(duration)
         now = self.clock.now()
         self.stats.servers_down.update(now, 0.0)
-        catchup = min(
-            int(duration * self.params.per_server_rate),
-            self.netem.plan.catchup_limit,
-        )
+        catchup = faults.catchup_pulls(duration, self.params.per_server_rate)
         # Push every pull clock past the outage so the backlog does not
         # drain as an unbounded burst; the bounded catch-up below is the
         # only compensation, exactly like the simulator.
@@ -755,13 +793,12 @@ class LiveLoggingServer:
             for _ in range(catchup):
                 await self._pull_once(self.clock.now())
 
-    async def _burst_controller(self) -> None:
+    async def _burst_controller(self, faults: FaultVerdicts) -> None:
         """Correlated departures: RESET a random cohort of peers."""
-        plan = self.netem.plan
         while True:
-            gap = exponential(self._burst_rng, plan.burst_rate)
+            gap = exponential(self._burst_rng, faults.plan.burst_rate)
             await self.clock.sleep_sim(gap)
-            slots = self.netem.sample_burst_slots(self._burst_rng)
+            slots = faults.burst_slots(self._burst_rng)
             self.stats.burst_departures += len(slots)
             for slot in slots:
                 self.nonempty.discard(slot)

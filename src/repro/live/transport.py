@@ -1,4 +1,4 @@
-"""Framed TCP connections, connection caching, and the netem fault shim.
+"""Framed TCP connections, connection caching, and the fault-plan mapping.
 
 :class:`FramedConnection` wraps one asyncio stream pair with the frame
 codec and a write lock, so concurrent tasks can share a connection without
@@ -11,8 +11,11 @@ thousand-peer single-box swarm cannot afford a persistent clique (O(N^2)
 sockets); with a per-peer cache of a few entries the file-descriptor count
 stays linear in N while hot gossip pairs still reuse their connection.
 
-:class:`NetemShim` maps a :class:`FaultPlan` onto transport behavior — the
-same plans drive simulation and live runs:
+The same :class:`FaultPlan` drives simulation and live runs.  The live
+peers and collector ask the simulator's own
+:class:`repro.faults.injector.FaultVerdicts` for every decision (built
+only for a non-null plan; docs/PROTOCOL.md, "Where each rule is stated")
+and realize the verdicts netem-style, at the transport:
 
 =====================  ====================================================
 FaultPlan channel      live transport behavior
@@ -26,12 +29,11 @@ burst_rate/fraction    server RESETs a random peer cohort: buffers wiped,
                        connections torn down mid-stream
 =====================  ====================================================
 
-Polluter-slot sampling reuses the simulator's exact count formula and
-sample call against the dedicated swarm-wide :data:`POLLUTER_STREAM`
-substream, so every process of a live swarm — peers and servers alike —
-derives the *same* polluter set from the root seed alone.  (The event
-simulator draws its set from its own ``"faults"`` substream, so the sets
-are equal in size and law but not slot-for-slot identical across
+The polluter set is sampled from the dedicated swarm-wide
+:data:`POLLUTER_STREAM` substream, so every process of a live swarm —
+peers and servers alike — derives the *same* set from the root seed alone.
+(The event simulator draws its set from its own ``"faults"`` substream, so
+the sets are equal in size and law but not slot-for-slot identical across
 engines.)
 """
 
@@ -40,14 +42,12 @@ from __future__ import annotations
 import asyncio
 import random
 from collections import OrderedDict
-from typing import Any, Awaitable, Callable, FrozenSet, Mapping, Optional, Tuple
+from typing import Any, Awaitable, Callable, Mapping, Optional, Tuple
 
 from repro.coding.block import CodedBlock
-from repro.core.peer import SegmentHolding
-from repro.faults.injector import corrupt_block
-from repro.faults.plan import FaultPlan
 from repro.live import ports
 from repro.live.framing import Frame, FrameError, read_frame, write_frame
+from repro.sim.rng import sample_cohort
 
 
 class FramedConnection:
@@ -180,95 +180,13 @@ def sample_process_cohort(
 ) -> Tuple[int, ...]:
     """Draw the peer-process cohort one process fault hits.
 
-    Mirrors the :class:`repro.faults.injector.FaultInjector` burst-size
-    formula (at least one process, at most all) so a live ``kill-peers``
-    event and its simulated churn-burst twin remove the same population
-    share.
+    Sized like every other population share (at least one process, at most
+    all), so a live ``kill-peers`` event and its simulated churn-burst twin
+    remove the same population share.
     """
     if n_procs < 1:
         raise ValueError(f"n_procs must be >= 1, got {n_procs}")
-    count = min(n_procs, max(1, round(fraction * n_procs)))
-    return tuple(rng.sample(range(n_procs), count))
-
-
-class NetemShim:
-    """Transport-level realization of a :class:`FaultPlan` (see module doc).
-
-    *shared_rng* must come from the swarm-wide :data:`POLLUTER_STREAM`
-    substream (sampled exactly once, at construction); *event_rng* is the
-    caller's own substream for per-event loss draws, so two endpoints never
-    consume each other's randomness.
-    """
-
-    def __init__(
-        self,
-        plan: Optional[FaultPlan],
-        n_slots: int,
-        shared_rng: random.Random,
-        event_rng: random.Random,
-    ) -> None:
-        self.plan = plan if plan is not None else FaultPlan()
-        self._n_slots = n_slots
-        self._event_rng = event_rng
-        self.polluters: FrozenSet[int] = self._sample_polluters(shared_rng)
-
-    def _sample_polluters(self, rng: random.Random) -> FrozenSet[int]:
-        # Mirrors FaultInjector._sample_polluters exactly (same count
-        # formula, same sample call) so sim and live corrupt the same slots.
-        fraction = self.plan.pollution_fraction
-        if fraction <= 0.0:
-            return frozenset()
-        count = min(self._n_slots, max(1, round(fraction * self._n_slots)))
-        return frozenset(rng.sample(range(self._n_slots), count))
-
-    # -- per-event queries (zero-knob cases never touch the RNG) ------------
-
-    def drop_gossip(self) -> bool:
-        """One in-flight gossip BLOCK is lost on the lossy link."""
-        p = self.plan.gossip_loss_rate
-        return p > 0.0 and self._event_rng.random() < p
-
-    def drop_pull(self) -> bool:
-        """One PULL-BLOCK reply is lost on the lossy link."""
-        p = self.plan.pull_loss_rate
-        return p > 0.0 and self._event_rng.random() < p
-
-    def is_polluter(self, slot: int) -> bool:
-        """True when *slot* is a configured polluter."""
-        return slot in self.polluters
-
-    def pollutes(self, slot: int, holding: SegmentHolding) -> bool:
-        """True when an emission from *holding* at *slot* is corrupted.
-
-        Same contamination rule as the simulator: polluter slots corrupt
-        everything they emit, and any re-encoding over a holding that
-        already contains junk is junk.
-        """
-        if not self.polluters:
-            return False
-        return slot in self.polluters or holding.polluted_count > 0
-
-    def maybe_pollute(
-        self, slot: int, holding: SegmentHolding, block: CodedBlock
-    ) -> bool:
-        """Corrupt *block* in place when its emission is polluted."""
-        if self.pollutes(slot, holding):
-            corrupt_block(block)
-            return True
-        return False
-
-    # -- correlated-churn bursts (server-driven) ----------------------------
-
-    def burst_size(self) -> int:
-        """Slots reset per burst event (at least one, at most all)."""
-        return min(
-            self._n_slots,
-            max(1, round(self.plan.burst_fraction * self._n_slots)),
-        )
-
-    def sample_burst_slots(self, rng: random.Random) -> Tuple[int, ...]:
-        """Draw one burst cohort (server-side, from the burst substream)."""
-        return tuple(rng.sample(range(self._n_slots), self.burst_size()))
+    return tuple(sample_cohort(rng, fraction, n_procs))
 
 
 def detects_pollution(block: CodedBlock) -> bool:
@@ -280,8 +198,3 @@ def detects_pollution(block: CodedBlock) -> bool:
     is carried for accounting cross-checks but is deliberately not trusted.
     """
     return block.coefficients is not None and not block.coefficients.any()
-
-
-def null_plan_is_neutral(plan: Optional[FaultPlan]) -> bool:
-    """True when *plan* configures no fault channel at all."""
-    return plan is None or plan.is_null

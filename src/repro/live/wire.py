@@ -141,6 +141,29 @@ def block_from_wire(header: Mapping[str, Any], payload: bytes) -> CodedBlock:
     )
 
 
+def session_block_from_wire(
+    params: Parameters, header: Mapping[str, Any], payload: bytes
+) -> CodedBlock:
+    """:func:`block_from_wire` for a block received inside a session.
+
+    Every block of one session has the session's geometry: ``segment_size``
+    coefficients and ``payload_bytes`` of coded data.  Anything else is
+    :class:`FrameGarbage` — checked here, at ingress, so a hostile size can
+    neither desynchronize a decoder nor make one allocate size² bytes.
+    """
+    block = block_from_wire(header, payload)
+    size = block.segment.size
+    if size != params.segment_size or (
+        len(payload) != size + params.payload_bytes
+    ):
+        raise FrameGarbage(
+            f"block declares segment size {size} with a {len(payload)}-byte "
+            f"payload; this session uses size {params.segment_size} and "
+            f"{params.segment_size + params.payload_bytes} bytes"
+        )
+    return block
+
+
 def block_digest_of(header: Mapping[str, Any]) -> str:
     """The segment payload digest carried in a block frame header."""
     value = header.get("digest", "")

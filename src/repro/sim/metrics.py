@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.sim.engine import EnginePerf
 from repro.util.summary import percentile
@@ -157,6 +157,57 @@ class MetricsReport:
             else:
                 out[name] = float(value)
         return out
+
+
+def derived_fields(
+    pulls: int,
+    useful_pulls: int,
+    delivered_blocks: int,
+    delay_samples: Sequence[float],
+    window: float,
+    n_peers: int,
+    arrival_rate: float,
+    deletion_rate: float,
+    segment_size: int,
+    mean_buffer_occupancy: float,
+) -> Dict[str, Any]:
+    """The report fields computed from a window's raw tallies.
+
+    The one statement of the module docstring's definitions, shared by the
+    simulators' :meth:`MetricsCollector.report` and the live runtime's
+    ``aggregate_report``; keys are :class:`MetricsReport` field names.
+    A *deletion_rate* of 0 means gamma is unknown: the storage overhead
+    ``rho - lambda/gamma`` is then NaN.
+    """
+    demand = n_peers * arrival_rate
+    throughput = useful_pulls / window if window > 0 else 0.0
+    goodput = delivered_blocks / window if window > 0 else 0.0
+    mean_segment_delay: Optional[float] = None
+    mean_block_delay: Optional[float] = None
+    p50_block_delay: Optional[float] = None
+    p95_block_delay: Optional[float] = None
+    if delay_samples:
+        mean_segment_delay = math.fsum(delay_samples) / len(delay_samples)
+        mean_block_delay = mean_segment_delay / segment_size
+        p50_block_delay = percentile(delay_samples, 50.0) / segment_size
+        p95_block_delay = percentile(delay_samples, 95.0) / segment_size
+    return {
+        "throughput": throughput,
+        "normalized_throughput": throughput / demand if demand else 0.0,
+        "efficiency": useful_pulls / pulls if pulls else 0.0,
+        "goodput": goodput,
+        "normalized_goodput": goodput / demand if demand else 0.0,
+        "storage_overhead": max(
+            mean_buffer_occupancy - arrival_rate / deletion_rate, 0.0
+        )
+        if deletion_rate
+        else math.nan,
+        "mean_segment_delay": mean_segment_delay,
+        "mean_block_delay": mean_block_delay,
+        "p50_block_delay": p50_block_delay,
+        "p95_block_delay": p95_block_delay,
+        "delay_samples": len(delay_samples),
+    }
 
 
 class MetricsCollector:
@@ -303,32 +354,7 @@ class MetricsCollector:
         n = self.n_peers
         pulls = self.pulls.window
         useful = self.useful_pulls.window
-        efficiency = useful / pulls if pulls else 0.0
-        throughput = useful / window if window > 0 else 0.0
-        demand = n * self.arrival_rate
-        goodput = (
-            self._delivered_original_blocks / window if window > 0 else 0.0
-        )
-        mean_segment_delay: Optional[float]
-        mean_block_delay: Optional[float]
-        p50_block_delay: Optional[float]
-        p95_block_delay: Optional[float]
-        if self._delay_samples:
-            mean_segment_delay = math.fsum(self._delay_samples) / len(
-                self._delay_samples
-            )
-            mean_block_delay = mean_segment_delay / self.segment_size
-            p50_block_delay = (
-                percentile(self._delay_samples, 50.0) / self.segment_size
-            )
-            p95_block_delay = (
-                percentile(self._delay_samples, 95.0) / self.segment_size
-            )
-        else:
-            mean_segment_delay = None
-            mean_block_delay = None
-            p50_block_delay = None
-            p95_block_delay = None
+        occupancy = self.total_blocks.average(now) / n
         return MetricsReport(
             n_peers=n,
             arrival_rate=self.arrival_rate,
@@ -340,20 +366,8 @@ class MetricsCollector:
             redundant_pulls=self.redundant_pulls.window,
             idle_pulls=self.idle_pulls.window,
             segments_completed=self.segments_completed.window,
-            throughput=throughput,
-            normalized_throughput=throughput / demand if demand else 0.0,
-            efficiency=efficiency,
-            goodput=goodput,
-            normalized_goodput=goodput / demand if demand else 0.0,
-            mean_buffer_occupancy=self.total_blocks.average(now) / n,
+            mean_buffer_occupancy=occupancy,
             empty_peer_fraction=self.empty_peers.average(now) / n,
-            storage_overhead=max(
-                self.total_blocks.average(now) / n
-                - self.arrival_rate / self._deletion_rate_hint,
-                0.0,
-            )
-            if self._deletion_rate_hint
-            else math.nan,
             injected_segments=self.injected_segments.window,
             injected_blocks=self.injected_blocks.window,
             blocked_injections=self.blocked_injections.window,
@@ -363,11 +377,6 @@ class MetricsCollector:
             blocks_expired=self.blocks_expired.window,
             blocks_lost_to_churn=self.blocks_lost_to_churn.window,
             departures=self.departures.window,
-            mean_segment_delay=mean_segment_delay,
-            mean_block_delay=mean_block_delay,
-            p50_block_delay=p50_block_delay,
-            p95_block_delay=p95_block_delay,
-            delay_samples=len(self._delay_samples),
             saved_blocks_per_peer=self.saved_segments.average(now)
             * self.segment_size
             / n,
@@ -387,6 +396,18 @@ class MetricsCollector:
             slots_quarantined=self.slots_quarantined.window,
             false_quarantines=self.false_quarantines.window,
             sybil_conversions=self.sybil_conversions.window,
+            **derived_fields(
+                pulls=pulls,
+                useful_pulls=useful,
+                delivered_blocks=self._delivered_original_blocks,
+                delay_samples=self._delay_samples,
+                window=window,
+                n_peers=n,
+                arrival_rate=self.arrival_rate,
+                deletion_rate=self._deletion_rate_hint,
+                segment_size=self.segment_size,
+                mean_buffer_occupancy=occupancy,
+            ),
         )
 
     #: Set by the system so storage overhead (rho - lambda/gamma) can be

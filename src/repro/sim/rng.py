@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
@@ -75,3 +75,18 @@ def exponential(rng: random.Random, rate: float) -> float:
     if rate <= 0:
         raise ValueError(f"exponential rate must be > 0, got {rate}")
     return rng.expovariate(rate)
+
+
+def cohort_size(fraction: float, n: int) -> int:
+    """Head count of a population share: at least one member, at most all *n*.
+
+    Every "fraction of the peers" knob (polluters, burst and sybil cohorts,
+    adversary roles, process-fault cohorts) sizes its set here, in every
+    engine.
+    """
+    return min(n, max(1, round(fraction * n)))
+
+
+def sample_cohort(rng: random.Random, fraction: float, n: int) -> List[int]:
+    """Draw the members of one :func:`cohort_size` cohort out of ``range(n)``."""
+    return rng.sample(range(n), cohort_size(fraction, n))

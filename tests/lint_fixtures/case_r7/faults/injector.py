@@ -1,7 +1,7 @@
 """Fixture: a hook surface with one broken short-circuit."""
 
 
-class FaultInjector:
+class FaultVerdicts:
     def __init__(self, plan, rng):
         self.plan = plan
         self._rng = rng

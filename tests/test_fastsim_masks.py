@@ -1,12 +1,11 @@
-"""Bitwise-compatibility tests: fast masks vs the scalar injectors.
+"""The fast engine's fault/adversary masks.
 
-The fast engine promises that *who misbehaves* is decided identically to
-the event engine: polluter/role slot sets and burst sizing consume the
-same ``random.Random`` substream draws through the same formulas, so a
-same-seed fast run and event run agree on the misbehaving slots bit for
-bit.  Per-event decisions (loss, capture) are property-tested instead:
-the vectorized mask applies the scalar predicate ``u < p`` elementwise
-over one uniform vector.
+*Who misbehaves* is decided by the code the event engine's injectors also
+run (``FaultVerdicts`` / ``AdversaryRoles``, which the masks extend), on
+the same-named substreams — checked end to end by
+``TestSystemLevelAgreement``.  Per-event decisions (loss, capture) are
+property-tested: the vectorized mask applies the scalar predicate
+``u < p`` elementwise over one uniform vector.
 
 Zero-knob neutrality is asserted at the RNG-state level: a null channel
 returns ``None``/``()`` without consuming a single draw from either the
@@ -18,56 +17,26 @@ import random
 import numpy as np
 import pytest
 
-from repro.adversary import AdversaryInjector, AdversaryPlan
+from repro.adversary import AdversaryPlan
 from repro.core.params import ENGINE_FAST, Parameters
 from repro.core.system import CollectionSystem
 from repro.fastsim import FastAdversaryMasks, FastFaultMasks
 from repro.fastsim.system import FastCollectionSystem
-from repro.faults import FaultInjector, FaultPlan
-from repro.sim.engine import Simulator
-from repro.sim.metrics import MetricsCollector
+from repro.faults import FaultPlan
 
 N_SLOTS = 60
 
 
-def make_fault_pair(plan, seed=5, n_slots=N_SLOTS):
-    """Same-seeded (FastFaultMasks, FaultInjector) pair."""
-    masks = FastFaultMasks(
-        plan, random.Random(seed), np.random.default_rng(seed), n_slots
+def make_fault_masks(plan, seed=5):
+    return FastFaultMasks(
+        plan, random.Random(seed), np.random.default_rng(seed), N_SLOTS
     )
-    injector = FaultInjector(
-        plan=plan,
-        sim=Simulator(),
-        rng=random.Random(seed),
-        n_slots=n_slots,
-        metrics=MetricsCollector(
-            n_peers=n_slots,
-            arrival_rate=1.0,
-            segment_size=1,
-            normalized_capacity=1.0,
-        ),
-    )
-    return masks, injector
 
 
-def make_adversary_pair(plan, seed=5, n_slots=N_SLOTS):
-    """Same-seeded (FastAdversaryMasks, AdversaryInjector) pair."""
-    masks = FastAdversaryMasks(
-        plan, random.Random(seed), np.random.default_rng(seed), n_slots
+def make_adversary_masks(plan, seed=5):
+    return FastAdversaryMasks(
+        plan, random.Random(seed), np.random.default_rng(seed), N_SLOTS
     )
-    injector = AdversaryInjector(
-        plan=plan,
-        sim=Simulator(),
-        rng=random.Random(seed),
-        n_slots=n_slots,
-        metrics=MetricsCollector(
-            n_peers=n_slots,
-            arrival_rate=1.0,
-            segment_size=1,
-            normalized_capacity=1.0,
-        ),
-    )
-    return masks, injector
 
 
 def np_state(rng):
@@ -75,37 +44,20 @@ def np_state(rng):
 
 
 class TestFaultMaskBitwiseAgreement:
-    def test_polluter_set_matches_injector(self):
-        plan = FaultPlan(pollution_fraction=0.15)
-        for seed in range(6):
-            masks, injector = make_fault_pair(plan, seed=seed)
-            assert masks.polluters == injector.polluters
-
     def test_polluter_mask_reflects_set(self):
         plan = FaultPlan(pollution_fraction=0.2)
-        masks, _ = make_fault_pair(plan)
+        masks = make_fault_masks(plan)
         mask = masks.polluter_mask()
         assert set(np.flatnonzero(mask)) == set(masks.polluters)
 
-    def test_burst_sizing_and_slots_match_injector(self):
-        plan = FaultPlan(burst_rate=1.0, burst_fraction=0.1)
-        masks, injector = make_fault_pair(plan, seed=13)
-        assert masks.burst_size() == injector.burst_size()
-        # both rngs advanced identically through construction, so the
-        # next burst draw (the injector's _fire_burst sample) matches
-        expected = injector._rng.sample(
-            range(N_SLOTS), injector.burst_size()
-        )
-        assert masks.burst_slots() == expected
-
     def test_deterministic_outage_windows_clip_to_horizon(self):
         plan = FaultPlan(outage_windows=((1.0, 2.0), (5.0, 9.0), (20.0, 25.0)))
-        masks, _ = make_fault_pair(plan)
+        masks = make_fault_masks(plan)
         assert masks.outage_timeline(8.0) == ((1.0, 2.0), (5.0, 8.0))
 
     def test_renewal_outage_windows_are_ordered_and_bounded(self):
         plan = FaultPlan(outage_rate=0.8, outage_duration=0.5)
-        masks, _ = make_fault_pair(plan, seed=3)
+        masks = make_fault_masks(plan, seed=3)
         windows = masks.outage_timeline(40.0)
         assert windows
         previous_end = 0.0
@@ -120,31 +72,15 @@ class TestAdversaryMaskBitwiseAgreement:
         liar_fraction=0.1, freerider_fraction=0.1, polluter_fraction=0.1
     )
 
-    def test_role_sets_match_injector(self):
-        for seed in range(6):
-            masks, injector = make_adversary_pair(self.PLAN, seed=seed)
-            assert masks.liars == injector.liars
-            assert masks.freeriders == injector.freeriders
-            assert masks.polluters == injector.polluters
-
     def test_role_sets_are_disjoint(self):
-        masks, _ = make_adversary_pair(self.PLAN)
+        masks = make_adversary_masks(self.PLAN)
         assert not masks.liars & masks.freeriders
         assert not masks.liars & masks.polluters
         assert not masks.freeriders & masks.polluters
 
-    def test_sybil_sizing_and_slots_match_injector(self):
-        plan = AdversaryPlan(sybil_rate=1.0, sybil_fraction=0.08)
-        masks, injector = make_adversary_pair(plan, seed=21)
-        assert masks.sybil_burst_size() == injector.sybil_burst_size()
-        expected = injector._rng.sample(
-            range(N_SLOTS), injector.sybil_burst_size()
-        )
-        assert masks.sybil_slots() == expected
-
     def test_capture_probability_formula(self):
         plan = AdversaryPlan(liar_fraction=0.1, liar_inflation=8.0)
-        masks, _ = make_adversary_pair(plan)
+        masks = make_adversary_masks(plan)
         k = len(masks.liars)
         expected = 8.0 * k / (8.0 * k + (N_SLOTS - k))
         assert masks.capture_probability(k) == pytest.approx(expected)
@@ -152,7 +88,7 @@ class TestAdversaryMaskBitwiseAgreement:
 
     def test_capture_attractors_drawn_from_attractor_set(self):
         plan = AdversaryPlan(liar_fraction=0.1)
-        masks, _ = make_adversary_pair(plan)
+        masks = make_adversary_masks(plan)
         attractors = np.fromiter(sorted(masks.liars), dtype=np.int64)
         picks = masks.capture_attractors(200, attractors)
         assert set(picks.tolist()) <= set(attractors.tolist())
@@ -165,7 +101,7 @@ class TestVectorizedPredicates:
     def test_gossip_loss_mask_is_elementwise_u_less_than_p(self, p):
         plan = FaultPlan(gossip_loss_rate=p)
         seed = 17
-        masks, _ = make_fault_pair(plan, seed=seed)
+        masks = make_fault_masks(plan, seed=seed)
         replay = np.random.default_rng(seed)
         uniforms = replay.random(500)
         mask = masks.gossip_loss_mask(500)
@@ -175,7 +111,7 @@ class TestVectorizedPredicates:
 
     def test_pull_loss_mask_is_elementwise_u_less_than_p(self):
         plan = FaultPlan(pull_loss_rate=0.3)
-        masks, _ = make_fault_pair(plan, seed=23)
+        masks = make_fault_masks(plan, seed=23)
         uniforms = np.random.default_rng(23).random(300)
         mask = masks.pull_loss_mask(300)
         assert mask is not None
@@ -183,7 +119,7 @@ class TestVectorizedPredicates:
 
     def test_capture_mask_is_elementwise_u_less_than_p(self):
         plan = AdversaryPlan(liar_fraction=0.1, liar_inflation=8.0)
-        masks, _ = make_adversary_pair(plan, seed=29)
+        masks = make_adversary_masks(plan, seed=29)
         k = len(masks.liars)
         p = masks.capture_probability(k)
         uniforms = np.random.default_rng(29).random(400)

@@ -2,8 +2,7 @@
 
 Covers the R6 provenance pass (cross-module and callback laundering),
 the R7 neutrality prover (violations *and* the certificate list), the
-R8 worker-boundary pass, the SARIF emitter, the incremental cache
-(round-trip, invalidation, anti-poisoning), and the seeded-violation
+R8 worker-boundary pass, the SARIF emitter, and the seeded-violation
 positive controls.  Fixture goldens pin exact (rule, path, line)
 triples, same discipline as ``test_lint.py``.
 """
@@ -13,10 +12,6 @@ from pathlib import Path
 
 from repro.lint import run_lint
 from repro.lint.__main__ import main as lint_main
-from repro.lint.cache import (
-    load_cache,
-    run_lint_incremental,
-)
 from repro.lint.mutants import MUTANTS, run_self_test
 from repro.lint.sarif import report_to_sarif
 
@@ -88,7 +83,9 @@ class TestR7Neutrality:
         assert triples(report.findings, rule="R7") == []
         surfaces = {c.split(".")[0] for c in report.certified}
         assert surfaces == {
+            "FaultVerdicts",
             "FaultInjector",
+            "AdversaryRoles",
             "AdversaryInjector",
             "FastFaultMasks",
             "FastAdversaryMasks",
@@ -97,13 +94,17 @@ class TestR7Neutrality:
         assert "Simulator.run_until: neutral under null plan" in (
             report.certified
         )
-        assert any(c.startswith("FaultInjector.drop_gossip") for c in report.certified)
+        # the queries the live runtime calls directly are proven too
+        for query in ("drop_gossip", "drop_pull", "maybe_pollute"):
+            assert f"FaultVerdicts.{query}: neutral under null plan" in (
+                report.certified
+            )
         assert any(
             c.startswith("FastFaultMasks.gossip_loss_mask")
             for c in report.certified
         )
         assert any(
-            c.startswith("FastAdversaryMasks._sample_roles")
+            c.startswith("AdversaryRoles._sample_roles")
             for c in report.certified
         )
 
@@ -166,100 +167,6 @@ class TestSarif:
         assert code == 0
         log = json.loads(out.read_text(encoding="utf-8"))
         assert log["runs"][0]["results"] == []
-
-
-class TestIncrementalCache:
-    def _tree(self, tmp_path):
-        root = tmp_path / "tree"
-        (root / "experiments").mkdir(parents=True)
-        offender = root / "experiments" / "bad.py"
-        offender.write_text(
-            "import random\n\n\ndef wire():\n"
-            "    rng = random.Random(1234)\n"
-            "    return rng.random()\n",
-            encoding="utf-8",
-        )
-        (root / "clean.py").write_text("VALUE = 7\n", encoding="utf-8")
-        return root, offender
-
-    def test_round_trip_replays_identical_report(self, tmp_path):
-        root, _ = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        first, stats1 = run_lint_incremental(
-            [root], root=root, cache_path=cache
-        )
-        assert stats1 == {
-            "ran": 2,
-            "cached": 0,
-            "skipped": 0,
-            "project_cached": False,
-        }
-        second, stats2 = run_lint_incremental(
-            [root], root=root, cache_path=cache
-        )
-        assert stats2 == {
-            "ran": 0,
-            "cached": 2,
-            "skipped": 0,
-            "project_cached": True,
-        }
-        assert second.to_json() == first.to_json()
-
-    def test_edited_file_reruns_and_updates(self, tmp_path):
-        root, offender = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        run_lint_incremental([root], root=root, cache_path=cache)
-        offender.write_text("VALUE = 8\n", encoding="utf-8")
-        report, stats = run_lint_incremental(
-            [root], root=root, cache_path=cache
-        )
-        assert stats["ran"] == 1 and stats["cached"] == 1
-        assert report.findings == []
-
-    def test_scoped_run_without_cache_skips_but_never_poisons(
-        self, tmp_path
-    ):
-        root, _ = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        # scoped run, cold cache: the offender is skipped, not marked clean
-        report, stats = run_lint_incremental(
-            [root],
-            root=root,
-            cache_path=cache,
-            changed={"clean.py"},
-        )
-        assert stats["skipped"] == 1 and stats["ran"] == 1
-        # per-module rules never saw the offender (no R1)...
-        assert all(f.rule != "R1" for f in report.findings)
-        # ...but the project passes still scan the full tree (R6 fires)
-        assert any(f.rule == "R6" for f in report.findings)
-        data = load_cache(cache)
-        assert data is None or "experiments/bad.py" not in data.get(
-            "files", {}
-        )
-        # a later full run still reports the skipped file's R1
-        full, _ = run_lint_incremental([root], root=root, cache_path=cache)
-        assert ("R1", "experiments/bad.py") in {
-            (f.rule, f.path) for f in full.findings
-        }
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        root, _ = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json", encoding="utf-8")
-        report, stats = run_lint_incremental(
-            [root], root=root, cache_path=cache
-        )
-        assert stats["ran"] == 2
-        assert {f.rule for f in report.findings} == {"R1", "R6"}
-
-    def test_cli_cache_flag(self, tmp_path):
-        root, _ = self._tree(tmp_path)
-        cache = tmp_path / "cli-cache.json"
-        assert (
-            lint_main(["--quiet", "--cache", str(cache), str(root)]) == 1
-        )
-        assert load_cache(cache) is not None
 
 
 class TestPositiveControls:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.coding.block import SegmentDescriptor, make_source_blocks
 from repro.core.params import Parameters
+from repro.faults.injector import FaultVerdicts
 from repro.faults.plan import FaultPlan
 from repro.live import ports, wire
 from repro.live.crossval import (
@@ -22,11 +23,9 @@ from repro.live.crossval import (
 )
 from repro.live.framing import FrameGarbage
 from repro.live.harness import run_swarm, validate_live_params
-from repro.live.transport import (
-    NetemShim,
-    POLLUTER_STREAM,
-    detects_pollution,
-)
+from repro.live.peer import LivePeer
+from repro.live.server import LiveLoggingServer
+from repro.live.transport import POLLUTER_STREAM, detects_pollution
 from repro.sim.rng import SeedSequenceRegistry
 
 
@@ -203,18 +202,32 @@ class TestWire:
 
 
 class TestNetemShim:
+    """The fault verdicts as a live process builds them (netem-style:
+    the swarm-wide polluter stream plus a per-process event stream)."""
+
     def _shim(self, plan, n=50, root_seed=7):
         seeds = SeedSequenceRegistry(root_seed)
-        return NetemShim(
+        return FaultVerdicts(
             plan, n, seeds.python(POLLUTER_STREAM),
             seeds.python("test:netem"),
         )
 
-    def test_polluter_count_matches_the_simulator_formula(self):
-        for n, fraction in [(50, 0.1), (50, 0.001), (7, 0.5), (3, 1.0)]:
-            shim = self._shim(FaultPlan(pollution_fraction=fraction), n=n)
-            expected = min(n, max(1, round(fraction * n)))
-            assert len(shim.polluters) == expected
+    def test_only_a_non_null_plan_builds_verdicts(self):
+        # The live processes follow CollectionSystem's rule: no plan, or a
+        # null one, means no verdict object at all (every hook guards on
+        # None), not a neutral one.
+        async def build(plan):
+            params = _params(faults=plan)
+            server = LiveLoggingServer(params, 1)
+            peer = LivePeer(0, params, 1, "127.0.0.1", 1)
+            return server.faults, peer.faults
+
+        assert asyncio.run(build(None)) == (None, None)
+        assert asyncio.run(build(FaultPlan())) == (None, None)
+        server_side, peer_side = asyncio.run(
+            build(FaultPlan(pollution_fraction=0.5))
+        )
+        assert server_side.polluters == peer_side.polluters != frozenset()
 
     def test_polluter_set_is_identical_across_processes(self):
         # Same root seed + the shared POLLUTER_STREAM substream -> every
@@ -225,22 +238,12 @@ class TestNetemShim:
         assert first.polluters == second.polluters
         assert first.polluters  # non-empty at this fraction
 
-    def test_polluter_sampling_matches_injector_sample_call(self):
-        # Byte-for-byte parity with FaultInjector._sample_polluters: the
-        # same count formula and the same rng.sample call.
-        plan = FaultPlan(pollution_fraction=0.2)
-        n = 50
-        shim = self._shim(plan, n=n)
-        twin = SeedSequenceRegistry(7).python(POLLUTER_STREAM)
-        count = min(n, max(1, round(plan.pollution_fraction * n)))
-        assert shim.polluters == frozenset(twin.sample(range(n), count))
-
     def test_zero_knob_queries_never_touch_the_event_rng(self):
         shim = self._shim(FaultPlan())
-        state = shim._event_rng.getstate()
+        state = shim._rng.getstate()
         assert not shim.drop_gossip()
         assert not shim.drop_pull()
-        assert shim._event_rng.getstate() == state
+        assert shim._rng.getstate() == state
 
     def test_polluted_emission_is_detectable_on_the_wire(self):
         shim = self._shim(FaultPlan(pollution_fraction=0.2))

@@ -141,7 +141,7 @@ class TestPeer:
             peer.add_block(abstract_block(segment_id=0, size=10))
         peer.add_block(abstract_block(segment_id=1, size=10))
         rng = random.Random(0)
-        draws = [peer.sample_segment(rng) for _ in range(2000)]
+        draws = [peer.draw_segment(rng, uniform=True) for _ in range(2000)]
         share = draws.count(1) / len(draws)
         assert abs(share - 0.5) < 0.05  # uniform over {0, 1}
 
@@ -151,7 +151,7 @@ class TestPeer:
             peer.add_block(abstract_block(segment_id=0, size=10))
         peer.add_block(abstract_block(segment_id=1, size=10))
         rng = random.Random(0)
-        draws = [peer.sample_segment_proportional(rng) for _ in range(2000)]
+        draws = [peer.draw_segment(rng, uniform=False) for _ in range(2000)]
         share = draws.count(1) / len(draws)
         assert abs(share - 0.1) < 0.03  # proportional to multiplicity
 
