@@ -6,16 +6,16 @@ asserts the expected directional effect.
 
 from benchmarks.conftest import run_once
 from repro.experiments.ablations import (
-    run_buffer_ablation,
-    run_coding_ablation,
-    run_scheduler_ablation,
-    run_selection_ablation,
-    run_ttl_ablation,
+    plan_buffer_ablation,
+    plan_coding_ablation,
+    plan_scheduler_ablation,
+    plan_selection_ablation,
+    plan_ttl_ablation,
 )
 
 
 def test_ablation_ttl(benchmark, quality):
-    result = run_once(benchmark, run_ttl_ablation, quality=quality)
+    result = run_once(benchmark, plan_ttl_ablation(quality=quality).run_serial)
     print()
     print(result.to_table())
     occupancy = result.series["occupancy rho"]
@@ -31,7 +31,7 @@ def test_ablation_ttl(benchmark, quality):
 
 
 def test_ablation_buffer_cap(benchmark, quality):
-    result = run_once(benchmark, run_buffer_ablation, quality=quality)
+    result = run_once(benchmark, plan_buffer_ablation(quality=quality).run_serial)
     print()
     print(result.to_table())
     throughput = result.series["normalized throughput"]
@@ -45,7 +45,7 @@ def test_ablation_buffer_cap(benchmark, quality):
 
 
 def test_ablation_selection_rule(benchmark, quality):
-    result = run_once(benchmark, run_selection_ablation, quality=quality)
+    result = run_once(benchmark, plan_selection_ablation(quality=quality).run_serial)
     print()
     print(result.to_table())
     prop = result.series["proportional throughput"]
@@ -65,7 +65,7 @@ def test_ablation_selection_rule(benchmark, quality):
 
 
 def test_ablation_server_scheduling(benchmark, quality):
-    result = run_once(benchmark, run_scheduler_ablation, quality=quality)
+    result = run_once(benchmark, plan_scheduler_ablation(quality=quality).run_serial)
     print()
     print(result.to_table())
     policies = [note.split(": ")[1] for note in result.notes if note.startswith("policy")]
@@ -83,9 +83,9 @@ def test_ablation_server_scheduling(benchmark, quality):
 
 
 def test_ablation_overlay_topology(benchmark, quality):
-    from repro.experiments.ablations import run_topology_ablation
+    from repro.experiments.ablations import plan_topology_ablation
 
-    result = run_once(benchmark, run_topology_ablation, quality=quality)
+    result = run_once(benchmark, plan_topology_ablation(quality=quality).run_serial)
     print()
     print(result.to_table())
     throughput = dict(zip(result.x_values, result.series["normalized throughput"]))
@@ -100,7 +100,7 @@ def test_ablation_overlay_topology(benchmark, quality):
 
 
 def test_ablation_real_rlnc_vs_abstract(benchmark, quality):
-    result = run_once(benchmark, run_coding_ablation, quality=quality)
+    result = run_once(benchmark, plan_coding_ablation(quality=quality).run_serial)
     print()
     print(result.to_table())
     abstract = result.series["abstract efficiency"]

@@ -10,11 +10,11 @@ data remains partially recoverable only under the indirect design.
 import re
 
 from benchmarks.conftest import run_once
-from repro.experiments.baseline import run_baseline_comparison
+from repro.experiments.baseline import plan_baseline_comparison
 
 
 def test_baseline_flash_crowd_comparison(benchmark, quality):
-    result = run_once(benchmark, run_baseline_comparison, quality=quality)
+    result = run_once(benchmark, plan_baseline_comparison(quality=quality).run_serial)
     print()
     print(result.to_table())
 

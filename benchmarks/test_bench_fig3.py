@@ -6,11 +6,11 @@ fails loudly rather than producing a quietly wrong table.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig3 import ARRIVAL_RATE, run_fig3
+from repro.experiments.fig3 import ARRIVAL_RATE, plan_fig3
 
 
 def test_fig3_throughput_vs_segment_size(benchmark, quality):
-    result = run_once(benchmark, run_fig3, quality=quality)
+    result = run_once(benchmark, plan_fig3(quality=quality).run_serial)
     print()
     print(result.to_table())
 

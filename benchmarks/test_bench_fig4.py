@@ -6,11 +6,11 @@ server capacity is ample (c = lambda) and does not when capacity is scarce
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig4 import run_fig4
+from repro.experiments.fig4 import plan_fig4
 
 
 def test_fig4_throughput_vs_mu_under_churn(benchmark, quality):
-    result = run_once(benchmark, run_fig4, quality=quality)
+    result = run_once(benchmark, plan_fig4(quality=quality).run_serial)
     print()
     print(result.to_table())
 

@@ -6,11 +6,11 @@ simulated delay decays over the coded range as well.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig5 import run_fig5
+from repro.experiments.fig5 import plan_fig5
 
 
 def test_fig5_block_delay_vs_segment_size(benchmark, quality):
-    result = run_once(benchmark, run_fig5, quality=quality)
+    result = run_once(benchmark, plan_fig5(quality=quality).run_serial)
     print()
     print(result.to_table())
 

@@ -7,11 +7,11 @@ delayed-delivery buffer.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig6 import run_fig6
+from repro.experiments.fig6 import plan_fig6
 
 
 def test_fig6_saved_data_vs_segment_size(benchmark, quality):
-    result = run_once(benchmark, run_fig6, quality=quality)
+    result = run_once(benchmark, plan_fig6(quality=quality).run_serial)
     print()
     print(result.to_table())
 

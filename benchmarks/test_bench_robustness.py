@@ -9,11 +9,11 @@ decode, or outages not pausing the pull clocks) fails loudly.
 import math
 
 from benchmarks.conftest import run_once
-from repro.experiments.robustness import CHANNELS, run_robustness
+from repro.experiments.robustness import CHANNELS, plan_robustness
 
 
 def test_robustness_degradation_curves(benchmark, quality):
-    result = run_once(benchmark, run_robustness, quality=quality)
+    result = run_once(benchmark, plan_robustness(quality=quality).run_serial)
     print()
     print(result.to_table())
 

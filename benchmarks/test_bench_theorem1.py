@@ -5,11 +5,11 @@ Closed form vs ODE steady state vs event simulation, across segment sizes.
 
 from benchmarks.conftest import run_once
 from repro.experiments.fig3 import DELETION_RATE, GOSSIP_RATE
-from repro.experiments.theorem1 import run_theorem1
+from repro.experiments.theorem1 import plan_theorem1
 
 
 def test_theorem1_storage_overhead(benchmark, quality):
-    result = run_once(benchmark, run_theorem1, quality=quality)
+    result = run_once(benchmark, plan_theorem1(quality=quality).run_serial)
     print()
     print(result.to_table())
 

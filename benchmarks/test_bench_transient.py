@@ -5,11 +5,11 @@ abstract-level claims quantitatively.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.transient import BURST_END, BURST_START, run_transient
+from repro.experiments.transient import BURST_END, BURST_START, plan_transient
 
 
 def test_transient_flash_crowd(benchmark, quality):
-    result = run_once(benchmark, run_transient, quality=quality)
+    result = run_once(benchmark, plan_transient(quality=quality).run_serial)
     print()
     print(result.to_table())
 

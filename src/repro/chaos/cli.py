@@ -27,9 +27,15 @@ from repro.chaos.harness import TrialOutcome, run_trial
 from repro.chaos.mutants import mutant_names
 from repro.chaos.shrink import load_repro, shrink_trial, write_repro
 from repro.chaos.space import CHAOS_CAMPAIGN, TrialConfig
-
-#: Exit code when a campaign session checkpoints before all trials ran.
-EXIT_CHECKPOINTED = 3
+from repro.experiments.base import QUALITY_FAST, budget_for
+from repro.runner import (
+    RunJournal,
+    RunOutcome,
+    RunSpec,
+    add_session_flags,
+    run_session,
+)
+from repro.util.validation import usage_error
 
 
 def build_chaos_parser() -> argparse.ArgumentParser:
@@ -56,10 +62,6 @@ def build_chaos_parser() -> argparse.ArgumentParser:
         "(default 0)",
     )
     run.add_argument(
-        "--workers", type=int, default=1, metavar="K",
-        help="worker processes (default 1)",
-    )
-    run.add_argument(
         "--mutant", default=None, metavar="NAME",
         help=(
             "apply a seeded defect to every trial (positive control); "
@@ -69,31 +71,6 @@ def build_chaos_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--every", type=int, default=None, metavar="K",
         help="override the sampled monitor cadence (events per sweep)",
-    )
-    run.add_argument(
-        "--resume", default=None, metavar="RUN_ID",
-        help="resume an interrupted campaign from its journal",
-    )
-    run.add_argument(
-        "--run-id", default=None, metavar="ID",
-        help="name the run directory (default: auto 'chaos-campaign-NNN')",
-    )
-    run.add_argument(
-        "--runs-dir", type=Path, default=Path("runs"), metavar="DIR",
-        help="parent directory for run journals (default: runs/)",
-    )
-    run.add_argument(
-        "--stop-after", type=int, default=None, metavar="N",
-        help="checkpoint after N trials complete this session",
-    )
-    run.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill and retry any trial exceeding this wall-clock budget",
-    )
-    run.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="re-executions allowed per trial before the run fails "
-        "(default 2)",
     )
     run.add_argument(
         "--shrink-probes", type=int, default=48, metavar="N",
@@ -106,10 +83,7 @@ def build_chaos_parser() -> argparse.ArgumentParser:
             "unshrunk reproducers; default 3)"
         ),
     )
-    run.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress the live progress line",
-    )
+    add_session_flags(run)  # one trial = one task of the sweep
 
     replay = sub.add_parser(
         "replay", help="replay a repro.json and check the violation recurs"
@@ -122,60 +96,32 @@ def build_chaos_parser() -> argparse.ArgumentParser:
 
 
 def _chaos_run(args: argparse.Namespace) -> int:
-    from repro.runner import JournalError, RunJournal, RunSpec, execute_run
-    from repro.experiments.base import QUALITY_FAST, budget_for
-
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-
-    try:
-        if args.resume is not None:
-            journal = RunJournal.load(args.runs_dir / args.resume)
-            spec = RunSpec.from_dict(journal.manifest()["spec"])
-            if spec.experiment != CHAOS_CAMPAIGN:
-                print(
-                    f"error: run {args.resume} is a {spec.experiment!r} "
-                    f"sweep, not a chaos campaign",
-                    file=sys.stderr,
-                )
-                return 2
-        else:
-            options = campaign_options(
-                budget=args.budget,
-                seed=args.seed,
-                mutant=args.mutant,
-                every=args.every,
-            )
-            spec = RunSpec.create(
-                CHAOS_CAMPAIGN, QUALITY_FAST, budget_for(QUALITY_FAST), options
-            )
-            spec.build_plan()  # surface bad --budget/--mutant before journaling
-        outcome = execute_run(
-            spec,
-            workers=args.workers,
-            runs_dir=args.runs_dir,
-            run_id=args.run_id,
-            resume=args.resume,
-            task_timeout=args.task_timeout,
-            retries=args.retries,
-            stop_after=args.stop_after,
-            progress=not args.no_progress,
+    def fresh_spec() -> RunSpec:
+        options = campaign_options(
+            budget=args.budget,
+            seed=args.seed,
+            mutant=args.mutant,
+            every=args.every,
         )
-    except (JournalError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if not outcome.complete:
-        print(
-            f"checkpointed {outcome.run_id}: "
-            f"{outcome.completed_tasks}/{outcome.total_tasks} trials "
-            f"journaled in {outcome.run_dir}; continue with "
-            f"'repro chaos run --resume {outcome.run_id}'",
-            file=sys.stderr,
+        spec = RunSpec.create(
+            CHAOS_CAMPAIGN, QUALITY_FAST, budget_for(QUALITY_FAST), options
         )
-        return EXIT_CHECKPOINTED
+        spec.build_plan()  # surface bad --budget/--mutant before journaling
+        return spec
 
+    return run_session(
+        args,
+        experiment=CHAOS_CAMPAIGN,
+        command="repro chaos run",
+        fresh_spec=fresh_spec,
+        report=lambda spec, outcome: _campaign_verdict(args, spec, outcome),
+    )
+
+
+def _campaign_verdict(
+    args: argparse.Namespace, spec: RunSpec, outcome: RunOutcome
+) -> int:
+    """Summarize a completed campaign; shrink and write its violations."""
     journal = RunJournal.load(outcome.run_dir)
     outcomes = outcomes_from_payloads(journal.completed_payloads())
     violations = [o for o in outcomes if not o.ok]
@@ -216,8 +162,7 @@ def _chaos_replay(args: argparse.Namespace) -> int:
     try:
         config, expected_monitor, payload = load_repro(args.repro)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return usage_error(exc)
     print(f"replaying {args.repro}: {config.describe()}")
     outcome: TrialOutcome = run_trial(config)
     if not outcome.ok and outcome.monitor == expected_monitor:

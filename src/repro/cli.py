@@ -8,8 +8,10 @@ terminal and optionally writes the series to JSON::
     repro all --quality fast
     repro fig4 --seeds 1,2,3,4          # override the preset seed list
 
-The parallel sweep runner executes the same experiments as sharded task
-grids on a worker pool, journaling each cell for checkpoint/resume (see
+Every experiment is one task grid registered in
+:data:`repro.experiments.PLAN_BUILDERS`; ``repro <experiment>`` executes it
+in-process, and the parallel sweep runner executes the same grid on a
+worker pool, journaling each cell for checkpoint/resume (see
 ``docs/RUNNER.md``)::
 
     repro run fig5 --quality fast --workers 4
@@ -32,6 +34,10 @@ The live deployment runtime serves the protocol over real TCP sockets
     repro live swarm --n-peers 64 --duration 8 --json
     repro live serve --port 9000 &
     repro live peer --server-host 10.0.0.1 --server-port 9000
+
+Exit codes, for every command: 0 done; 1 the check the command exists for
+failed; 2 usage or invalid configuration (one ``error: …`` line, no
+traceback); 3 checkpointed, resumable.  README.md has the table.
 """
 
 from __future__ import annotations
@@ -39,9 +45,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.experiments import (
+    PLAN_BUILDERS,
     QUALITY_FAST,
     QUALITY_FULL,
     SeriesResult,
@@ -49,54 +56,26 @@ from repro.experiments import (
     budget_for,
     override_budget,
     parse_seeds,
-    run_adversary,
-    run_baseline_comparison,
-    run_buffer_ablation,
-    run_coding_ablation,
-    run_fig3,
-    run_fig4,
-    run_fig5,
-    run_fig6,
-    run_live,
-    run_live_chaos,
-    run_robustness,
-    run_scale,
-    run_scheduler_ablation,
-    run_selection_ablation,
-    run_theorem1,
-    run_topology_ablation,
-    run_transient,
-    run_ttl_ablation,
 )
-
-RUNNERS: Dict[str, Callable[..., SeriesResult]] = {
-    "fig3": run_fig3,
-    "fig4": run_fig4,
-    "fig5": run_fig5,
-    "fig6": run_fig6,
-    "theorem1": run_theorem1,
-    "transient": run_transient,
-    "baseline": run_baseline_comparison,
-    "robustness": run_robustness,
-    "adversary": run_adversary,
-    "scale": run_scale,
-    "live": run_live,
-    "live-chaos": run_live_chaos,
-    "ablation-ttl": run_ttl_ablation,
-    "ablation-buffer": run_buffer_ablation,
-    "ablation-selection": run_selection_ablation,
-    "ablation-scheduler": run_scheduler_ablation,
-    "ablation-coding": run_coding_ablation,
-    "ablation-topology": run_topology_ablation,
-}
-
-#: Exit code when a runner session checkpoints before the grid completes
-#: (``--stop-after``): the run is resumable, not failed.
-EXIT_CHECKPOINTED = 3
+from repro.runner import RunOutcome, RunSpec, add_session_flags, run_session
+from repro.util.validation import usage_error
 
 
-def _add_budget_overrides(parser: argparse.ArgumentParser) -> None:
-    """Budget-override flags shared by the legacy and runner paths."""
+def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags every experiment command takes: preset, archive, budget."""
+    parser.add_argument(
+        "--quality",
+        choices=[QUALITY_FAST, QUALITY_FULL],
+        default=QUALITY_FAST,
+        help="simulation budget: 'fast' for minutes, 'full' for paper-scale",
+    )
+    parser.add_argument(
+        "--json",
+        type=Path,
+        default=None,
+        metavar="PATH",
+        help="also write the series to a JSON file (or directory for 'all')",
+    )
     parser.add_argument(
         "--seeds",
         default=None,
@@ -138,18 +117,11 @@ def _add_budget_overrides(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_budget(args: argparse.Namespace) -> Optional[SimBudget]:
-    """Apply any budget-override flags; ``None`` means 'use the preset'."""
-    seeds = parse_seeds(args.seeds) if args.seeds is not None else None
-    overrides = (
-        seeds, args.n_peers, args.warmup, args.duration, args.n_servers,
-        args.engine, args.tau,
-    )
-    if all(value is None for value in overrides):
-        return None
+def _resolve_budget(args: argparse.Namespace) -> SimBudget:
+    """The quality preset with any budget-override flag applied."""
     return override_budget(
         budget_for(args.quality),
-        seeds=seeds,
+        seeds=parse_seeds(args.seeds) if args.seeds is not None else None,
         n_peers=args.n_peers,
         warmup=args.warmup,
         duration=args.duration,
@@ -157,6 +129,13 @@ def _resolve_budget(args: argparse.Namespace) -> Optional[SimBudget]:
         engine=args.engine,
         tau=args.tau,
     )
+
+
+def _write_json(target: Path, result: SeriesResult) -> None:
+    """Archive one series at *target*, creating missing parents."""
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(result.to_json())
+    print(f"wrote {target}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(RUNNERS) + ["all"],
+        choices=sorted(PLAN_BUILDERS) + ["all"],
         help=(
             "which figure/ablation to regenerate ('all' runs everything); "
             "'repro lint' runs the static determinism checker; 'repro run' "
@@ -178,20 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
             "chaos campaign engine"
         ),
     )
-    parser.add_argument(
-        "--quality",
-        choices=[QUALITY_FAST, QUALITY_FULL],
-        default=QUALITY_FAST,
-        help="simulation budget: 'fast' for minutes, 'full' for paper-scale",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="also write the series to a JSON file (or directory for 'all')",
-    )
-    _add_budget_overrides(parser)
+    _add_experiment_flags(parser)
     return parser
 
 
@@ -202,148 +168,48 @@ def build_run_parser() -> argparse.ArgumentParser:
         description=(
             "Execute one experiment as a sharded task grid on a worker "
             "pool with checkpoint/resume; results are byte-identical to "
-            "the serial path (docs/RUNNER.md)."
+            "'repro <experiment>' (docs/RUNNER.md)."
         ),
     )
     parser.add_argument(
         "experiment",
+        choices=sorted(PLAN_BUILDERS),
         help="experiment name (as in 'repro <experiment>')",
     )
-    parser.add_argument(
-        "--quality",
-        choices=[QUALITY_FAST, QUALITY_FULL],
-        default=QUALITY_FAST,
-        help="simulation budget preset",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes (default 1)",
-    )
-    parser.add_argument(
-        "--resume", default=None, metavar="RUN_ID",
-        help=(
-            "resume an interrupted run: execute only the cells missing "
-            "from its journal (the spec is restored from the manifest)"
-        ),
-    )
-    parser.add_argument(
-        "--run-id", default=None, metavar="ID",
-        help="name the run directory (default: auto '<experiment>-NNN')",
-    )
-    parser.add_argument(
-        "--runs-dir", type=Path, default=Path("runs"), metavar="DIR",
-        help="parent directory for run journals (default: runs/)",
-    )
-    parser.add_argument(
-        "--json", type=Path, default=None, metavar="PATH",
-        help="also write the merged series to a JSON file",
-    )
-    parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill and retry any task exceeding this wall-clock budget",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="re-executions allowed per task before the run fails "
-        "(default 2)",
-    )
-    parser.add_argument(
-        "--stop-after", type=int, default=None, metavar="N",
-        help=(
-            "checkpoint: end the session after N cells complete in it "
-            "(resume later with --resume)"
-        ),
-    )
-    parser.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress the live progress line",
-    )
-    _add_budget_overrides(parser)
+    _add_experiment_flags(parser)
+    add_session_flags(parser)
     return parser
-
-
-def run_experiment(
-    name: str, quality: str, budget: Optional[SimBudget] = None
-) -> SeriesResult:
-    """Run one named experiment and return its series."""
-    runner = RUNNERS.get(name)
-    if runner is None:
-        raise ValueError(
-            f"unknown experiment {name!r}; choose from {sorted(RUNNERS)}"
-        )
-    if budget is not None:
-        return runner(quality=quality, budget=budget)
-    return runner(quality=quality)
 
 
 def run_main(argv: List[str]) -> int:
     """Entry point of ``repro run ...`` (the parallel sweep runner)."""
-    from repro.runner import JournalError, RunJournal, RunSpec, execute_run
-
     args = build_run_parser().parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
 
-    try:
-        if args.resume is not None:
-            # The journal manifest is the source of truth for a resumed
-            # spec; the fingerprint check still guards against drift.
-            journal = RunJournal.load(args.runs_dir / args.resume)
-            manifest_spec = journal.manifest()["spec"]
-            spec = RunSpec.from_dict(manifest_spec)
-            if args.experiment != spec.experiment:
-                print(
-                    f"error: run {args.resume} is a {spec.experiment!r} "
-                    f"sweep, not {args.experiment!r}",
-                    file=sys.stderr,
-                )
-                return 2
-        else:
-            budget = _resolve_budget(args) or budget_for(args.quality)
-            spec = RunSpec.create(args.experiment, args.quality, budget)
-        outcome = execute_run(
-            spec,
-            workers=args.workers,
-            runs_dir=args.runs_dir,
-            run_id=args.run_id,
-            resume=args.resume,
-            task_timeout=args.task_timeout,
-            retries=args.retries,
-            stop_after=args.stop_after,
-            progress=not args.no_progress,
-        )
-    except (JournalError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if not outcome.complete:
+    def report(spec: RunSpec, outcome: RunOutcome) -> int:
+        result = outcome.result
+        assert result is not None
+        print(result.to_table())
+        print()
         print(
-            f"checkpointed {outcome.run_id}: "
-            f"{outcome.completed_tasks}/{outcome.total_tasks} cells "
-            f"journaled in {outcome.run_dir}; continue with "
-            f"'repro run {spec.experiment} --resume {outcome.run_id}'",
+            f"run {outcome.run_id}: {outcome.total_tasks} cells "
+            f"({outcome.resumed_tasks} from journal, "
+            f"{outcome.executed_this_session} executed) -> "
+            f"{outcome.run_dir / 'result.json'}",
             file=sys.stderr,
         )
-        return EXIT_CHECKPOINTED
+        if args.json is not None:
+            _write_json(args.json, result)
+        return 0
 
-    result = outcome.result
-    assert result is not None
-    print(result.to_table())
-    print()
-    print(
-        f"run {outcome.run_id}: {outcome.total_tasks} cells "
-        f"({outcome.resumed_tasks} from journal, "
-        f"{outcome.executed_this_session} executed) -> "
-        f"{outcome.run_dir / 'result.json'}",
-        file=sys.stderr,
+    return run_session(
+        args,
+        experiment=args.experiment,
+        command=f"repro run {args.experiment}",
+        fresh_spec=lambda: RunSpec.create(
+            args.experiment, args.quality, _resolve_budget(args)
+        ),
+        report=report,
     )
-    if args.json is not None:
-        if args.json.parent != Path("."):
-            args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(result.to_json())
-        print(f"wrote {args.json}", file=sys.stderr)
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -372,26 +238,27 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return live_main(argv[1:])
     args = build_parser().parse_args(argv)
+    many = args.experiment == "all"
+    names = sorted(PLAN_BUILDERS) if many else [args.experiment]
     try:
+        # Budgets and Parameters validate eagerly, while the grids are
+        # built; nothing past this block is a usage error.
         budget = _resolve_budget(args)
+        plans = [
+            PLAN_BUILDERS[name](quality=args.quality, budget=budget)
+            for name in names
+        ]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    names = sorted(RUNNERS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        result = run_experiment(name, args.quality, budget)
+        return usage_error(exc)
+    for plan in plans:
+        result = plan.run_serial()
         print(result.to_table())
         print()
         if args.json is not None:
-            if args.experiment == "all":
-                args.json.mkdir(parents=True, exist_ok=True)
-                target = args.json / f"{result.name}.json"
-            else:
-                target = args.json
-                if target.parent != Path("."):
-                    target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(result.to_json())
-            print(f"wrote {target}", file=sys.stderr)
+            _write_json(
+                args.json / f"{result.name}.json" if many else args.json,
+                result,
+            )
     return 0
 
 

@@ -1,28 +1,31 @@
-"""Experiment harness: one runner per paper figure plus ablations.
+"""Experiment harness: one task-grid builder per paper figure plus ablations.
 
-====================  =====================================================
-runner                regenerates
-====================  =====================================================
-``run_fig3``          Fig. 3 — throughput vs segment size
-``run_fig4``          Fig. 4 — throughput vs mu under churn
-``run_fig5``          Fig. 5 — block delivery delay vs segment size
-``run_fig6``          Fig. 6 — data saved per peer vs segment size
-``run_theorem1``      Theorem 1 — storage overhead validation
-``run_baseline_comparison``  Fig. 1(a) vs 1(b) flash-crowd head-to-head
-``run_transient``     flash crowd: fluid (ODE) limit vs event simulation
-``run_*_ablation``    design-choice ablations (TTL, buffer, selection,
-                      scheduler, RLNC, topology)
-``run_robustness``    E-ROBUST — graceful degradation under fault injection
-``run_adversary``     E-ADVERSARY — Byzantine strategies vs server defenses
-====================  =====================================================
+=============================  ============================================
+builder                        regenerates
+=============================  ============================================
+``plan_fig3``                  Fig. 3 — throughput vs segment size
+``plan_fig4``                  Fig. 4 — throughput vs mu under churn
+``plan_fig5``                  Fig. 5 — block delivery delay vs segment size
+``plan_fig6``                  Fig. 6 — data saved per peer vs segment size
+``plan_theorem1``              Theorem 1 — storage overhead validation
+``plan_baseline_comparison``   Fig. 1(a) vs 1(b) flash-crowd head-to-head
+``plan_transient``             flash crowd: fluid (ODE) limit vs simulation
+``plan_*_ablation``            design-choice ablations (TTL, buffer,
+                               selection, scheduler, RLNC, topology)
+``plan_robustness``            E-ROBUST — degradation under fault injection
+``plan_adversary``             E-ADVERSARY — Byzantine strategies vs defenses
+``plan_scale``                 E-SCALE — the vectorized engine at large N
+``plan_live``                  E-LIVE — real TCP swarm vs the simulator
+``plan_live_chaos``            E-LIVE-CHAOS — supervised swarm under kills
+=============================  ============================================
 
-Every runner is a thin wrapper over a ``plan_*`` builder that exposes the
-experiment as a deterministic task grid (:class:`ExperimentPlan`):
-``run_X(...) == plan_X(...).run_serial()``.  The parallel sweep runner
-(:mod:`repro.runner`) executes the same grids on a worker pool and merges
+Every builder returns a deterministic task grid (:class:`ExperimentPlan`).
+``plan_X(...).run_serial()`` executes it in-process — that is what
+``repro <experiment>`` does — and the parallel sweep runner
+(:mod:`repro.runner`) executes the same grid on a worker pool and merges
 through the same code path, which is what makes sharded execution
-byte-identical to serial (see ``docs/RUNNER.md``).  ``PLAN_BUILDERS`` maps
-each CLI experiment name to its plan builder.
+byte-identical to serial (see ``docs/RUNNER.md``).  ``PLAN_BUILDERS`` is
+the one registry: it maps each CLI experiment name to its builder.
 
 Supporting machinery: quality budgets and :class:`SeriesResult`
 (:mod:`repro.experiments.base`), and cross-run regression diffing
@@ -31,7 +34,7 @@ Supporting machinery: quality budgets and :class:`SeriesResult`
 
 from typing import Callable, Dict
 
-from repro.experiments.adversary import plan_adversary, run_adversary
+from repro.experiments.adversary import plan_adversary
 from repro.experiments.ablations import (
     plan_buffer_ablation,
     plan_coding_ablation,
@@ -39,12 +42,6 @@ from repro.experiments.ablations import (
     plan_selection_ablation,
     plan_topology_ablation,
     plan_ttl_ablation,
-    run_buffer_ablation,
-    run_coding_ablation,
-    run_scheduler_ablation,
-    run_selection_ablation,
-    run_topology_ablation,
-    run_ttl_ablation,
 )
 from repro.experiments.base import (
     BUDGETS,
@@ -59,32 +56,29 @@ from repro.experiments.base import (
     budget_from_dict,
     override_budget,
     parse_seeds,
-    simulate_metrics,
 )
 from repro.experiments.baseline import (
     FlashCrowdScenario,
     plan_baseline_comparison,
-    run_baseline_comparison,
 )
-from repro.experiments.fig3 import plan_fig3, run_fig3
+from repro.experiments.fig3 import plan_fig3
 from repro.experiments.regression import (
     ComparisonReport,
     compare_archives,
     compare_results,
 )
-from repro.experiments.fig4 import plan_fig4, run_fig4
-from repro.experiments.fig5 import plan_fig5, run_fig5
-from repro.experiments.fig6 import plan_fig6, run_fig6
-from repro.experiments.live import plan_live, run_live
-from repro.experiments.live_chaos import plan_live_chaos, run_live_chaos
+from repro.experiments.fig4 import plan_fig4
+from repro.experiments.fig5 import plan_fig5
+from repro.experiments.fig6 import plan_fig6
+from repro.experiments.live import plan_live
+from repro.experiments.live_chaos import plan_live_chaos
 from repro.experiments.robustness import (
     plan_robustness,
     rlnc_pollution_audit,
-    run_robustness,
 )
-from repro.experiments.scale import plan_scale, run_scale
-from repro.experiments.theorem1 import plan_theorem1, run_theorem1
-from repro.experiments.transient import plan_transient, run_transient
+from repro.experiments.scale import plan_scale
+from repro.experiments.theorem1 import plan_theorem1
+from repro.experiments.transient import plan_transient
 
 #: CLI experiment name -> task-grid builder.  Every builder accepts
 #: ``(quality=..., budget=...)`` keywords; passing an explicit budget
@@ -119,12 +113,6 @@ __all__ = [
     "plan_coding_ablation",
     "plan_selection_ablation",
     "plan_ttl_ablation",
-    "run_buffer_ablation",
-    "run_scheduler_ablation",
-    "run_topology_ablation",
-    "run_coding_ablation",
-    "run_selection_ablation",
-    "run_ttl_ablation",
     "BUDGETS",
     "ExperimentPlan",
     "QUALITY_FAST",
@@ -137,34 +125,21 @@ __all__ = [
     "budget_from_dict",
     "override_budget",
     "parse_seeds",
-    "simulate_metrics",
     "FlashCrowdScenario",
     "plan_baseline_comparison",
-    "run_baseline_comparison",
     "plan_fig3",
-    "run_fig3",
     "ComparisonReport",
     "compare_archives",
     "compare_results",
     "plan_fig4",
-    "run_fig4",
     "plan_fig5",
-    "run_fig5",
     "plan_fig6",
-    "run_fig6",
     "plan_adversary",
-    "run_adversary",
     "plan_robustness",
     "rlnc_pollution_audit",
-    "run_robustness",
     "plan_live",
-    "run_live",
     "plan_live_chaos",
-    "run_live_chaos",
     "plan_scale",
-    "run_scale",
     "plan_theorem1",
-    "run_theorem1",
     "plan_transient",
-    "run_transient",
 ]

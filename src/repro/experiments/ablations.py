@@ -120,15 +120,6 @@ def plan_ttl_ablation(
     return ExperimentPlan("ablation-ttl", tasks, merge)
 
 
-def run_ttl_ablation(
-    quality: str = QUALITY_FAST,
-    gammas: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
-    budget: Optional[SimBudget] = None,
-) -> SeriesResult:
-    """E-ABL-TTL: sweep the deletion rate gamma."""
-    return plan_ttl_ablation(quality, gammas, budget).run_serial()
-
-
 def plan_buffer_ablation(
     quality: str = QUALITY_FAST,
     capacities: Sequence[int] = (16, 24, 32, 48, 96),
@@ -199,15 +190,6 @@ def plan_buffer_ablation(
     return ExperimentPlan("ablation-buffer", tasks, merge)
 
 
-def run_buffer_ablation(
-    quality: str = QUALITY_FAST,
-    capacities: Sequence[int] = (16, 24, 32, 48, 96),
-    budget: Optional[SimBudget] = None,
-) -> SeriesResult:
-    """E-ABL-BUF: sweep the per-peer buffer cap B."""
-    return plan_buffer_ablation(quality, capacities, budget).run_serial()
-
-
 def plan_selection_ablation(
     quality: str = QUALITY_FAST,
     segment_sizes: Sequence[int] = (1, 5, 20, 40),
@@ -272,15 +254,6 @@ def plan_selection_ablation(
     return ExperimentPlan("ablation-selection", tasks, merge)
 
 
-def run_selection_ablation(
-    quality: str = QUALITY_FAST,
-    segment_sizes: Sequence[int] = (1, 5, 20, 40),
-    budget: Optional[SimBudget] = None,
-) -> SeriesResult:
-    """E-ABL-SELECT: degree-proportional vs uniform segment selection."""
-    return plan_selection_ablation(quality, segment_sizes, budget).run_serial()
-
-
 def _coding_cell(
     n_peers: int, mode: str, s: int, seed: int, warmup: float, duration: float
 ) -> Payload:
@@ -309,7 +282,14 @@ def plan_coding_ablation(
     budget: Optional[SimBudget] = None,
     seed: int = 11,
 ) -> ExperimentPlan:
-    """E-ABL-CODE as a task grid: one cell per (fidelity mode, s)."""
+    """E-ABL-CODE: abstract innovation idealization vs real GF(2^8) RLNC.
+
+    Runs a small network in both fidelity modes with identical parameters
+    and compares collection efficiency; the RLNC mode additionally reports
+    the measured redundant fraction among pulls of *incomplete* segments —
+    the quantity the abstract mode idealizes to zero.  One cell per
+    (fidelity mode, s).
+    """
     budget = budget or budget_for(quality)
     # Full RLNC carries real rank computations: keep the network small.
     n_peers = min(budget.n_peers, 60)
@@ -355,24 +335,6 @@ def plan_coding_ablation(
     return ExperimentPlan("ablation-coding", tasks, merge)
 
 
-def run_coding_ablation(
-    quality: str = QUALITY_FAST,
-    segment_sizes: Sequence[int] = (2, 4, 8),
-    budget: Optional[SimBudget] = None,
-    seed: int = 11,
-) -> SeriesResult:
-    """E-ABL-CODE: abstract innovation idealization vs real GF(2^8) RLNC.
-
-    Runs a small network in both fidelity modes with identical parameters
-    and compares collection efficiency; the RLNC mode additionally reports
-    the measured redundant fraction among pulls of *incomplete* segments —
-    the quantity the abstract mode idealizes to zero.
-    """
-    return plan_coding_ablation(
-        quality, segment_sizes, budget, seed
-    ).run_serial()
-
-
 def plan_scheduler_ablation(
     quality: str = QUALITY_FAST,
     policies: Sequence[str] = (
@@ -383,7 +345,15 @@ def plan_scheduler_ablation(
     ),
     budget: Optional[SimBudget] = None,
 ) -> ExperimentPlan:
-    """E-ABL-SCHED as a task grid: one cell per (policy, seed)."""
+    """E-ABL-SCHED: server pull-scheduling policies (extension study).
+
+    The paper's random coupon-collector pull spends its budget evenly over
+    segment *blocks*; a greedy variant that finishes the segment closest to
+    completion converts the same pull budget into far more fully
+    reconstructed data.  Series are indexed by policy (x is the policy
+    ordinal; the table labels carry the names).  One cell per
+    (policy, seed).
+    """
     budget = budget or budget_for(quality)
     metrics = (
         "normalized_throughput",
@@ -454,27 +424,6 @@ def plan_scheduler_ablation(
     return ExperimentPlan("ablation-scheduler", tasks, merge)
 
 
-def run_scheduler_ablation(
-    quality: str = QUALITY_FAST,
-    policies: Sequence[str] = (
-        "random",
-        "round-robin",
-        "avoid-redundant",
-        "greedy-completion",
-    ),
-    budget: Optional[SimBudget] = None,
-) -> SeriesResult:
-    """E-ABL-SCHED: server pull-scheduling policies (extension study).
-
-    The paper's random coupon-collector pull spends its budget evenly over
-    segment *blocks*; a greedy variant that finishes the segment closest to
-    completion converts the same pull budget into far more fully
-    reconstructed data.  Series are indexed by policy (x is the policy
-    ordinal; the table labels carry the names).
-    """
-    return plan_scheduler_ablation(quality, policies, budget).run_serial()
-
-
 def _topology_cell(
     n_peers: int, n_servers: int, degree: int, seed: int,
     warmup: float, duration: float,
@@ -518,7 +467,14 @@ def plan_topology_ablation(
     budget: Optional[SimBudget] = None,
     seed: int = 17,
 ) -> ExperimentPlan:
-    """E-ABL-TOPO as a task grid: one cell per overlay degree."""
+    """E-ABL-TOPO: overlay density vs the mean-field assumption.
+
+    Sec. 2 gossips "to peer B chosen u.a.r. from among its *neighbors*",
+    while the Sec. 3 analysis draws targets from all peers (the complete
+    graph).  This ablation sweeps random-regular overlays of increasing
+    degree to locate how dense a neighborhood must be before the mean-field
+    prediction holds.  One cell per overlay degree.
+    """
     budget = budget or budget_for(quality)
 
     tasks = [
@@ -562,38 +518,3 @@ def plan_topology_ablation(
         return result
 
     return ExperimentPlan("ablation-topology", tasks, merge)
-
-
-def run_topology_ablation(
-    quality: str = QUALITY_FAST,
-    degrees: Sequence[int] = (2, 4, 8, 16, 0),  # 0 = complete graph
-    budget: Optional[SimBudget] = None,
-    seed: int = 17,
-) -> SeriesResult:
-    """E-ABL-TOPO: overlay density vs the mean-field assumption.
-
-    Sec. 2 gossips "to peer B chosen u.a.r. from among its *neighbors*",
-    while the Sec. 3 analysis draws targets from all peers (the complete
-    graph).  This ablation sweeps random-regular overlays of increasing
-    degree to locate how dense a neighborhood must be before the mean-field
-    prediction holds.
-    """
-    return plan_topology_ablation(quality, degrees, budget, seed).run_serial()
-
-
-def main(quality: str = QUALITY_FAST) -> None:
-    """CLI entry: run and print all five ablations."""
-    for runner in (
-        run_ttl_ablation,
-        run_buffer_ablation,
-        run_selection_ablation,
-        run_coding_ablation,
-        run_scheduler_ablation,
-        run_topology_ablation,
-    ):
-        print(runner(quality).to_table())
-        print()
-
-
-if __name__ == "__main__":
-    main()

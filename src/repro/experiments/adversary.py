@@ -359,21 +359,3 @@ def plan_adversary(
         return result
 
     return ExperimentPlan("adversary", tasks, merge)
-
-
-def run_adversary(
-    quality: str = QUALITY_FAST,
-    fractions: Sequence[float] = DEFAULT_FRACTIONS,
-    budget: Optional[SimBudget] = None,
-) -> SeriesResult:
-    """E-ADVERSARY: sweep adversary fraction x strategy x defenses."""
-    return plan_adversary(quality, fractions, budget).run_serial()
-
-
-def main(quality: str = QUALITY_FAST) -> None:
-    """CLI entry: run and print the adversary sweep."""
-    print(run_adversary(quality).to_table())
-
-
-if __name__ == "__main__":
-    main()

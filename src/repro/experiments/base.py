@@ -1,6 +1,6 @@
 """Shared experiment machinery: quality presets, sweeps, result records.
 
-Every figure runner produces a :class:`SeriesResult` — one x-axis sweep with
+Every experiment produces a :class:`SeriesResult` — one x-axis sweep with
 several labelled y-series, which is exactly the structure of each figure in
 the paper.  Results render as ASCII tables (for the benchmark logs and
 EXPERIMENTS.md) and serialize to JSON (for archival/regression diffing).
@@ -19,11 +19,11 @@ Each experiment additionally exposes its work as a deterministic **task
 grid** (:class:`ExperimentPlan`): a flat, ordered list of independent
 :class:`SimTask` cells — one per (sweep point, seed) — plus a ``merge``
 function that folds the task payloads back into the figure's
-:class:`SeriesResult`.  The serial runners (``run_fig3`` etc.) are thin
-wrappers that execute their plan's tasks in order and merge; the parallel
-sweep orchestrator (:mod:`repro.runner`) executes the *same* tasks on a
-worker pool and calls the *same* merge, so parallel results are
-byte-identical to serial ones by construction:
+:class:`SeriesResult`.  :meth:`ExperimentPlan.run_serial` executes the
+tasks in order in-process and merges; the parallel sweep orchestrator
+(:mod:`repro.runner`) executes the *same* tasks on a worker pool and calls
+the *same* merge, so parallel results are byte-identical to serial ones by
+construction:
 
 - every task seeds its own simulation from its ``(params, seed)`` cell —
   tasks share no RNG state, honoring the named-substream discipline of
@@ -369,8 +369,7 @@ def simulate_cell(
 
     The single-cell unit of every task grid.  ``None``/NaN metric values
     (e.g. no delay observations) are encoded as ``None`` so the payload
-    survives strict JSON; :func:`seed_mean` drops them on the other side
-    exactly as :func:`simulate_metrics` always has.
+    survives strict JSON; :func:`seed_mean` drops them on the other side.
 
     ``params.engine`` selects the simulator: the event-exact engine (the
     default) or the vectorized fast engine (abstract mode only; see
@@ -406,9 +405,9 @@ def seed_mean(
 ) -> float:
     """Mean of *metric* over per-seed cells ``{cell_prefix}:seed={n}``.
 
-    Folds seeds in declared budget order (never completion order) with the
-    same drop-``None``/empty-is-NaN semantics as :func:`simulate_metrics`,
-    so a merged parallel run reproduces the serial mean bit for bit.
+    Folds seeds in declared budget order (never completion order), drops
+    ``None`` samples, and is NaN when none remain, so a merged parallel run
+    reproduces the serial mean bit for bit.
     """
     values: List[float] = []
     for seed in seeds:
@@ -416,31 +415,3 @@ def seed_mean(
         if value is not None:
             values.append(float(value))
     return summarize(values).mean if values else math.nan
-
-
-def simulate_metrics(
-    params: Parameters,
-    budget: SimBudget,
-    metrics: Sequence[str],
-    workload: Optional[Workload] = None,
-) -> Dict[str, float]:
-    """Run one parameter point over the budget's seeds; mean each metric.
-
-    *metrics* names attributes of :class:`repro.sim.metrics.MetricsReport`.
-    ``None``-valued samples (e.g. no delay observations) are dropped; if a
-    metric has no valid samples at all its mean is ``nan``.  Implemented on
-    the same :func:`simulate_cell` unit the task grids execute, so serial
-    and sharded sweeps share one code path.
-    """
-    cells = [
-        simulate_cell(params, budget.warmup, budget.duration, metrics, seed,
-                      workload)
-        for seed in budget.seeds
-    ]
-    out: Dict[str, float] = {}
-    for name in metrics:
-        values = [
-            float(cell[name]) for cell in cells if cell[name] is not None
-        ]
-        out[name] = summarize(values).mean if values else math.nan
-    return out

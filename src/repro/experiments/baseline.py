@@ -206,26 +206,3 @@ def plan_baseline_comparison(
         return result
 
     return ExperimentPlan("baseline", tasks, merge)
-
-
-def run_baseline_comparison(
-    quality: str = QUALITY_FAST,
-    scenario: Optional[FlashCrowdScenario] = None,
-    budget: Optional[SimBudget] = None,
-    seed: int = 1,
-) -> SeriesResult:
-    """Run the flash-crowd three-way comparison; x-axis is the phase."""
-    return plan_baseline_comparison(
-        quality, scenario, budget, seed
-    ).run_serial()
-
-
-def main(quality: str = QUALITY_FAST) -> SeriesResult:
-    """CLI entry: run and print the table."""
-    result = run_baseline_comparison(quality)
-    print(result.to_table())
-    return result
-
-
-if __name__ == "__main__":
-    main()

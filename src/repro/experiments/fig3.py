@@ -126,27 +126,3 @@ def plan_fig3(
         return result
 
     return ExperimentPlan("fig3", tasks, merge)
-
-
-def run_fig3(
-    quality: str = QUALITY_FAST,
-    segment_sizes: Optional[Sequence[int]] = None,
-    capacities: Sequence[float] = CAPACITIES,
-    budget: Optional[SimBudget] = None,
-    include_simulation: bool = True,
-) -> SeriesResult:
-    """Regenerate Fig. 3's series; returns the table-ready result."""
-    return plan_fig3(
-        quality, segment_sizes, capacities, budget, include_simulation
-    ).run_serial()
-
-
-def main(quality: str = QUALITY_FAST) -> SeriesResult:
-    """CLI entry: run and print the table."""
-    result = run_fig3(quality)
-    print(result.to_table())
-    return result
-
-
-if __name__ == "__main__":
-    main()

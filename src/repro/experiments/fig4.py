@@ -127,24 +127,3 @@ def plan_fig4(
         return result
 
     return ExperimentPlan("fig4", tasks, merge)
-
-
-def run_fig4(
-    quality: str = QUALITY_FAST,
-    mu_values: Optional[Sequence[float]] = None,
-    scenarios: Sequence[Tuple[float, int]] = SCENARIOS,
-    budget: Optional[SimBudget] = None,
-) -> SeriesResult:
-    """Regenerate Fig. 4's series; returns the table-ready result."""
-    return plan_fig4(quality, mu_values, scenarios, budget).run_serial()
-
-
-def main(quality: str = QUALITY_FAST) -> SeriesResult:
-    """CLI entry: run and print the table."""
-    result = run_fig4(quality)
-    print(result.to_table())
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -115,27 +115,3 @@ def plan_fig6(
         return result
 
     return ExperimentPlan("fig6", tasks, merge)
-
-
-def run_fig6(
-    quality: str = QUALITY_FAST,
-    segment_sizes: Optional[Sequence[int]] = None,
-    capacities: Sequence[float] = CAPACITIES,
-    budget: Optional[SimBudget] = None,
-    include_simulation: bool = True,
-) -> SeriesResult:
-    """Regenerate Fig. 6's series; returns the table-ready result."""
-    return plan_fig6(
-        quality, segment_sizes, capacities, budget, include_simulation
-    ).run_serial()
-
-
-def main(quality: str = QUALITY_FAST) -> SeriesResult:
-    """CLI entry: run and print the table."""
-    result = run_fig6(quality)
-    print(result.to_table())
-    return result
-
-
-if __name__ == "__main__":
-    main()

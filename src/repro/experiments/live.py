@@ -216,23 +216,3 @@ def plan_live(
         return result
 
     return ExperimentPlan("live", tasks, merge)
-
-
-def run_live(
-    quality: str = QUALITY_FAST,
-    segment_sizes: Sequence[int] = SEGMENT_SIZES,
-    budget: Optional[SimBudget] = None,
-) -> SeriesResult:
-    """Run E-LIVE serially; returns the table-ready result."""
-    return plan_live(quality, segment_sizes, budget).run_serial()
-
-
-def main(quality: str = QUALITY_FAST) -> SeriesResult:
-    """CLI entry: run and print the table."""
-    result = run_live(quality)
-    print(result.to_table())
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -301,22 +301,3 @@ def plan_live_chaos(
         return result
 
     return ExperimentPlan("live_chaos", tasks, merge)
-
-
-def run_live_chaos(
-    quality: str = QUALITY_FAST,
-    budget: Optional[SimBudget] = None,
-) -> SeriesResult:
-    """Run E-LIVE-CHAOS serially; returns the table-ready result."""
-    return plan_live_chaos(quality, budget).run_serial()
-
-
-def main(quality: str = QUALITY_FAST) -> SeriesResult:
-    """CLI entry: run and print the table."""
-    result = run_live_chaos(quality)
-    print(result.to_table())
-    return result
-
-
-if __name__ == "__main__":
-    main()

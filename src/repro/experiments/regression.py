@@ -7,7 +7,7 @@ against a fresh run) point by point with per-series tolerances, producing
 a structured report CI can assert on::
 
     baseline = SeriesResult.from_json(path.read_text())
-    fresh = run_fig3(quality="fast")
+    fresh = plan_fig3(quality="fast").run_serial()
     diff = compare_results(baseline, fresh, rel_tolerance=0.1)
     assert diff.matches, diff.summary()
 

@@ -194,15 +194,6 @@ def plan_robustness(
     return ExperimentPlan("robustness", tasks, merge)
 
 
-def run_robustness(
-    quality: str = QUALITY_FAST,
-    severities: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.45),
-    budget: Optional[SimBudget] = None,
-) -> SeriesResult:
-    """E-ROBUST: sweep fault severity per channel vs the fault-free run."""
-    return plan_robustness(quality, severities, budget).run_serial()
-
-
 def rlnc_pollution_audit(
     seed: int = 5,
     pollution_fraction: float = 0.3,
@@ -250,12 +241,3 @@ def rlnc_pollution_audit(
             corrupted += 1
     rejected = system.metrics.blocks_rejected_polluted.total
     return rejected, corrupted, len(system.collected_data)
-
-
-def main(quality: str = QUALITY_FAST) -> None:
-    """CLI entry: run and print the robustness sweep."""
-    print(run_robustness(quality).to_table())
-
-
-if __name__ == "__main__":
-    main()

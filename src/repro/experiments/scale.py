@@ -194,27 +194,3 @@ def plan_scale(
         return result
 
     return ExperimentPlan("scale", tasks, merge)
-
-
-def run_scale(
-    quality: str = QUALITY_FAST,
-    n_values: Optional[Sequence[int]] = None,
-    segment_sizes: Sequence[int] = SEGMENT_SIZES,
-    shards: int = DEFAULT_SHARDS,
-    budget: Optional[SimBudget] = None,
-) -> SeriesResult:
-    """Run E-SCALE serially; returns the table-ready result."""
-    return plan_scale(
-        quality, n_values, segment_sizes, shards, budget
-    ).run_serial()
-
-
-def main(quality: str = QUALITY_FAST) -> SeriesResult:
-    """CLI entry: run and print the table."""
-    result = run_scale(quality)
-    print(result.to_table())
-    return result
-
-
-if __name__ == "__main__":
-    main()

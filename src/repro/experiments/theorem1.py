@@ -131,23 +131,3 @@ def plan_theorem1(
         return result
 
     return ExperimentPlan("theorem1", tasks, merge)
-
-
-def run_theorem1(
-    quality: str = QUALITY_FAST,
-    segment_sizes: Optional[Sequence[int]] = None,
-    budget: Optional[SimBudget] = None,
-) -> SeriesResult:
-    """Validate Theorem 1's occupancy/overhead across segment sizes."""
-    return plan_theorem1(quality, segment_sizes, budget).run_serial()
-
-
-def main(quality: str = QUALITY_FAST) -> SeriesResult:
-    """CLI entry: run and print the table."""
-    result = run_theorem1(quality)
-    print(result.to_table())
-    return result
-
-
-if __name__ == "__main__":
-    main()

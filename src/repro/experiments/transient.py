@@ -152,24 +152,3 @@ def plan_transient(
         return result
 
     return ExperimentPlan("transient", tasks, merge)
-
-
-def run_transient(
-    quality: str = QUALITY_FAST,
-    budget: Optional[SimBudget] = None,
-    n_samples: int = 9,
-    seed: int = 1,
-) -> SeriesResult:
-    """Run the fluid model and the event simulator through the same burst."""
-    return plan_transient(quality, budget, n_samples, seed).run_serial()
-
-
-def main(quality: str = QUALITY_FAST) -> SeriesResult:
-    """CLI entry: run and print the table."""
-    result = run_transient(quality)
-    print(result.to_table())
-    return result
-
-
-if __name__ == "__main__":
-    main()

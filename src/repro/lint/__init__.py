@@ -9,7 +9,7 @@ those repo-specific contracts by machine:
 - **R1 rng-discipline** — all randomness flows through
   :class:`repro.sim.rng.SeedSequenceRegistry` substreams or an explicit
   ``rng`` parameter; no direct ``random.*`` / ``numpy.random.*`` calls
-  outside ``sim/rng.py``.
+  outside the body of ``class SeedSequenceRegistry`` in ``sim/rng.py``.
 - **R2 determinism-hazards** — no iteration over sets, no unsorted dict
   views, no wall-clock reads, no ``id()``-based ordering inside the
   ``core/``, ``sim/`` and ``faults/`` hot paths.

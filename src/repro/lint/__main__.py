@@ -33,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "AST + call-graph determinism & protocol-invariant checker "
-            "(rules R1-R8; see docs/LINTING.md)"
+            "AST determinism & protocol-invariant checker "
+            "(rules R1-R5, R7, R8; see docs/LINTING.md)"
         ),
     )
     parser.add_argument(
@@ -84,8 +84,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     paths: List[Path] = args.paths or [default_target()]
     missing = [path for path in paths if not path.exists()]
     if missing:
-        for path in missing:
-            print(f"repro lint: no such path: {path}", file=sys.stderr)
+        listed = ", ".join(str(path) for path in missing)
+        print(f"error: no such path: {listed}", file=sys.stderr)
         return 2
 
     if args.self_test:

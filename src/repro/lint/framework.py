@@ -230,15 +230,17 @@ class Rule(ast.NodeVisitor):
         )
 
 
+#: What a :class:`ProjectRule` receives: every parsed module of the scan.
+Project = List[SourceModule]
+
+
 class ProjectRule:
-    """Base class for whole-tree (interprocedural) passes.
+    """Base class for whole-tree passes.
 
     Unlike :class:`Rule`, which sees one module at a time, a ProjectRule
-    receives the whole :class:`~repro.lint.callgraph.Project` — every
-    parsed module plus the lazily built call graph — and returns raw
-    findings for the runner to waive/report.  Subclasses set the same
-    class attributes as :class:`Rule` so reports and W0 validation treat
-    both kinds uniformly.
+    receives the whole :data:`Project` and returns raw findings for the
+    runner to waive/report.  Subclasses set the same class attributes as
+    :class:`Rule` so reports and W0 validation treat both kinds uniformly.
     """
 
     id: ClassVar[str] = "P0"
@@ -246,7 +248,7 @@ class ProjectRule:
     severity: ClassVar[str] = SEVERITY_ERROR
     hint: ClassVar[str] = ""
 
-    def check_project(self, project: Any) -> List[Finding]:
+    def check_project(self, project: Project) -> List[Finding]:
         """Scan the whole project; returns raw findings."""
         raise NotImplementedError
 

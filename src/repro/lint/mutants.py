@@ -1,17 +1,18 @@
-"""Seeded violations proving the interprocedural passes actually fire.
+"""Seeded violations proving the scoped and whole-tree rules actually fire.
 
 Same philosophy as ``repro.chaos.mutants``: a checker that has never
 caught anything is indistinguishable from one that cannot.  Each
 :class:`LintMutant` patches a copy of the shipped package with one
-realistic determinism defect that the *per-call* rules (R1–R5) cannot
-see, then asserts the matching interprocedural pass reports it in the
-right file:
+realistic determinism defect, then asserts the matching rule reports it
+in the right file:
 
-- ``rng-smuggled-through-helper`` (R6): a helper in ``sim/rng.py``
-  returns a fresh ``random.Random()`` and the system wires it into the
-  fault injector's ``rng`` parameter.  No call site constructs an RNG
-  directly (R1 stays silent); only provenance tracking sees that the
-  value reaching the blessed parameter never came from the registry.
+- ``rng-smuggled-through-helper`` (R1): a helper parked in ``sim/rng.py``,
+  next to the registry, returns a fresh ``random.Random()`` for callers to
+  hand on as an ``rng`` parameter.  While R1 exempted the whole file this
+  needed an interprocedural provenance pass (the retired R6) to follow
+  the value to its use; R1's exemption is the body of
+  ``class SeedSequenceRegistry`` now, so the construction is flagged at
+  its origin.
 - ``neutrality-guard-dropped`` (R7): ``FaultVerdicts.drop_gossip``
   loses its ``p > 0.0 and`` short-circuit, so a null plan draws from
   the RNG on every gossip delivery — runtime-bitwise-neutrality gone,
@@ -52,12 +53,12 @@ class LintMutant:
 MUTANTS: Tuple[LintMutant, ...] = (
     LintMutant(
         name="rng-smuggled-through-helper",
-        rule="R6",
+        rule="R1",
         description=(
-            "fault injector fed an ambient random.Random() through an "
-            "innocuous-looking helper instead of the faults substream"
+            "an ambient random.Random() handed out by an innocuous-looking "
+            "helper beside the registry, outside SeedSequenceRegistry"
         ),
-        expect_path="core/system.py",
+        expect_path="sim/rng.py",
         patches=(
             (
                 "sim/rng.py",
@@ -68,20 +69,6 @@ MUTANTS: Tuple[LintMutant, ...] = (
                 "\n"
                 "\n"
                 "def exponential(rng: random.Random, rate: float) -> float:",
-            ),
-            (
-                "core/system.py",
-                "from repro.sim.rng import SeedSequenceRegistry, exponential",
-                "from repro.sim.rng import (\n"
-                "    SeedSequenceRegistry,\n"
-                "    ambient_entropy,\n"
-                "    exponential,\n"
-                ")",
-            ),
-            (
-                "core/system.py",
-                '                rng=self.seeds.python("faults"),',
-                "                rng=ambient_entropy(),",
             ),
         ),
     ),

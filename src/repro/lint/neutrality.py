@@ -39,8 +39,13 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from repro.lint.callgraph import ClassInfo, Project
-from repro.lint.framework import SEVERITY_ERROR, Finding, ProjectRule
+from repro.lint.framework import (
+    SEVERITY_ERROR,
+    Finding,
+    Project,
+    ProjectRule,
+    SourceModule,
+)
 
 # -- abstract values under the null-plan hypothesis ------------------------
 
@@ -241,12 +246,10 @@ class _MethodWalker:
     def __init__(
         self,
         surface: Surface,
-        class_info: ClassInfo,
         summaries: Dict[str, _Summary],
         node: ast.AST,
     ) -> None:
         self.surface = surface
-        self.class_info = class_info
         self.summaries = summaries
         self.node = node
         self.env: Dict[str, str] = {}
@@ -708,19 +711,23 @@ class NeutralityRule(ProjectRule):
     def check_project(self, project: Project) -> List[Finding]:
         self._certified = []
         findings: List[Finding] = []
-        graph = project.graph
         for surface in SURFACES:
-            for class_info in graph.classes_by_name.get(
-                surface.class_name, []
-            ):
-                findings.extend(self._check_class(surface, class_info))
+            for module in project:
+                for node in ast.walk(module.tree):
+                    if (
+                        isinstance(node, ast.ClassDef)
+                        and node.name == surface.class_name
+                    ):
+                        findings.extend(
+                            self._check_class(surface, module, node)
+                        )
         return findings
 
     def _check_class(
-        self, surface: Surface, class_info: ClassInfo
+        self, surface: Surface, module: SourceModule, class_node: ast.ClassDef
     ) -> List[Finding]:
         method_nodes: Dict[str, ast.AST] = {}
-        for stmt in class_info.node.body:
+        for stmt in class_node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 method_nodes[stmt.name] = stmt
         summaries: Dict[str, _Summary] = {
@@ -729,7 +736,7 @@ class NeutralityRule(ProjectRule):
         for _ in range(10):
             changed = False
             for name, node in sorted(method_nodes.items()):
-                walker = _MethodWalker(surface, class_info, summaries, node)
+                walker = _MethodWalker(surface, summaries, node)
                 summary = walker.run()
                 old = summaries[name]
                 # once unsafe, stay unsafe (monotone convergence)
@@ -755,7 +762,7 @@ class NeutralityRule(ProjectRule):
                     Finding(
                         rule=self.id,
                         severity=self.severity,
-                        path=class_info.module.relpath,
+                        path=module.relpath,
                         line=getattr(node, "lineno", 1),
                         col=getattr(node, "col_offset", 0),
                         message=(

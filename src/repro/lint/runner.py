@@ -18,8 +18,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.boundary import WorkerBoundaryRule
-from repro.lint.callgraph import Project
-from repro.lint.dataflow import RngProvenanceRule
 from repro.lint.framework import (
     RULE_BAD_WAIVER,
     RULE_PARSE_ERROR,
@@ -55,11 +53,8 @@ def default_rules(
 
 
 def default_project_rules() -> List[ProjectRule]:
-    """Fresh instances of the interprocedural pass set (R6, R7)."""
-    return [
-        RngProvenanceRule(),
-        NeutralityRule(),
-    ]
+    """Fresh instances of the whole-tree pass set (R7)."""
+    return [NeutralityRule()]
 
 
 @dataclass
@@ -265,8 +260,8 @@ def run_lint(
         rules: Per-module rule instances to run (default: R1–R5, R8).
         trace_registry: Explicit kind registry for R3; by default the
             registry is discovered from a scanned ``sim/trace.py``.
-        project_rules: Interprocedural passes run over the whole scanned
-            tree (default: R6, R7).
+        project_rules: Passes run over the whole scanned tree
+            (default: R7).
     """
     modules, problems = _load_modules(paths, root)
     active_rules = rules if rules is not None else default_rules(trace_registry)
@@ -295,9 +290,8 @@ def run_lint(
         report.findings.extend(active)
         report.waived.extend(waived)
 
-    project = Project(modules)
     for project_rule in active_project_rules:
-        for finding in project_rule.check_project(project):
+        for finding in project_rule.check_project(modules):
             owner = by_relpath.get(finding.path)
             if owner is not None:
                 resolved, was_waived = _apply_waiver(owner, finding)

@@ -30,6 +30,7 @@ from repro.live.livemetrics import aggregate_report
 from repro.live.peer import LivePeer
 from repro.live.server import LiveLoggingServer
 from repro.live.supervisor import run_supervised_swarm
+from repro.util.validation import usage_error
 
 
 def parse_proc_fault(spec: str) -> Tuple[str, float, float, float]:
@@ -252,7 +253,7 @@ async def _run_serve_report(
     return 0
 
 
-async def _run_serve(args: argparse.Namespace) -> int:
+async def _run_serve(args: argparse.Namespace, params: Parameters) -> int:
     # Install the drain handlers before anything is observable from the
     # outside (the endpoint line): once a caller can see the port, a
     # SIGTERM must drain gracefully rather than hit the default handler.
@@ -260,7 +261,6 @@ async def _run_serve(args: argparse.Namespace) -> int:
     stop = asyncio.Event()
     for sig in (signal.SIGINT, signal.SIGTERM):
         loop.add_signal_handler(sig, stop.set)
-    params = _serve_params(args)
     server = LiveLoggingServer(
         params,
         args.seed,
@@ -367,40 +367,45 @@ def _print_summary(report: Dict[str, Any]) -> None:
 def live_main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro live ...``."""
     args = _build_parser().parse_args(argv)
-    if args.command == "swarm":
-        params = _params_from_args(args)
-        if args.supervised:
-            validate_live_params(params, supervised=True)
-            report = asyncio.run(
-                run_supervised_swarm(
-                    params,
-                    args.seed,
-                    warmup=args.warmup,
-                    duration=args.duration,
-                    time_scale=args.time_scale,
-                    peer_procs=args.peer_procs,
-                )
-            )
-        else:
-            report = asyncio.run(
-                run_swarm(
-                    params,
-                    args.seed,
-                    warmup=args.warmup,
-                    duration=args.duration,
-                    time_scale=args.time_scale,
-                )
-            )
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            _print_summary(report)
-        return 0
-    if args.command == "serve":
-        return asyncio.run(_run_serve(args))
     if args.command == "peer":
         return asyncio.run(_run_peer(args))
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        # An invalid knob is a usage error (exit 2), not a traceback.
+        if args.command == "serve":
+            params = _serve_params(args)
+        else:
+            params = _params_from_args(args)
+            validate_live_params(params, supervised=args.supervised)
+    except (OSError, ValueError) as exc:
+        return usage_error(exc)
+    if args.command == "serve":
+        return asyncio.run(_run_serve(args, params))
+    if args.supervised:
+        report = asyncio.run(
+            run_supervised_swarm(
+                params,
+                args.seed,
+                warmup=args.warmup,
+                duration=args.duration,
+                time_scale=args.time_scale,
+                peer_procs=args.peer_procs,
+            )
+        )
+    else:
+        report = asyncio.run(
+            run_swarm(
+                params,
+                args.seed,
+                warmup=args.warmup,
+                duration=args.duration,
+                time_scale=args.time_scale,
+            )
+        )
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        _print_summary(report)
+    return 0
 
 
 if __name__ == "__main__":

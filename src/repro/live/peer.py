@@ -1,7 +1,8 @@
 """A live peer node: the Sec. 2 protocol as asyncio tasks over real TCP.
 
 One :class:`LivePeer` wraps the *same* :class:`repro.core.peer.Peer`
-buffer model the simulator uses and drives it with four long-lived tasks:
+buffer model the simulator uses and drives it with three long-lived tasks
+and one loop timer per buffered block:
 
 - **injection** — at rate λ/s, group ``s`` fresh payload rows into a
   segment, systematically encode them (:func:`make_source_blocks`), and
@@ -10,7 +11,8 @@ buffer model the simulator uses and drives it with four long-lived tasks:
   kernels (:func:`SegmentHolding.make_coded_block`) and push the coded
   block to a uniformly drawn peer, with the simulator's rejection-sampled
   target eligibility realized as an OFFER/OFFER-REPLY round-trip;
-- **expiry** — per-block TTL at rate γ via a deadline heap;
+- **expiry** — per-block TTL at rate γ, one ``loop.call_later`` timer per
+  stored block (no task, so nothing to cancel at teardown);
 - **control** — the registry connection: directory/start/mark/stop
   downstream, buffer status upstream, metrics on request, RESET
   (disconnect-burst) teardown.
@@ -24,7 +26,6 @@ processes on separate hosts.
 from __future__ import annotations
 
 import asyncio
-import heapq
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -93,9 +94,6 @@ class LivePeer:
             self._configure(params, seed)
         self.directory: Dict[int, Tuple[str, int]] = {}
         self._digests: Dict[int, str] = {}
-        self._ttl_heap: List[Tuple[float, int, CodedBlock]] = []
-        self._ttl_seq = 0
-        self._ttl_wakeup = asyncio.Event()
         self._segment_seq = 0
         self._listener: Optional[asyncio.AbstractServer] = None
         self.listen_port = 0
@@ -393,7 +391,6 @@ class LivePeer:
         name = f"peer{self.slot}"
         self._protocol_tasks = [
             spawn(self._injection_loop(), name=f"{name}:inject"),
-            spawn(self._expiry_loop(), name=f"{name}:expiry"),
             spawn(self._status_loop(), name=f"{name}:status"),
         ]
         if self.cfg.gossip_rate > 0:
@@ -416,12 +413,33 @@ class LivePeer:
         self.core.add_block(block)
         self._digests.setdefault(block.segment.segment_id, digest)
         ttl = exponential(self._events_rng, self.cfg.deletion_rate)
-        heapq.heappush(
-            self._ttl_heap, (now + ttl, self._ttl_seq, block)
-        )
-        self._ttl_seq += 1
-        self._ttl_wakeup.set()
+        self._arm_expiry(now + ttl, block)
         self._after_buffer_change(now)
+
+    def _arm_expiry(self, deadline: float, block: CodedBlock) -> None:
+        """One loop timer per stored block, as ``CollectionSystem`` arms one
+        ``schedule_call(ttl, expire)`` per block; nothing to cancel or await
+        at teardown."""
+        asyncio.get_running_loop().call_later(
+            self.clock.wall_interval(deadline - self.clock.now()),
+            self._expire, deadline, block,
+        )
+
+    def _expire(self, deadline: float, block: CodedBlock) -> None:
+        """TTL deadline of one block; a no-op for a block that already
+        died (served out, burst reset) and once the protocol has stopped
+        (STOP freezes the buffer and the counters the report reads)."""
+        if not block.alive or not self._running:
+            return
+        now = self.clock.now()
+        if now < deadline:
+            # Armed during the START lead-in, while the clock still read 0.
+            self._arm_expiry(deadline, block)
+            return
+        block.alive = False
+        if self.core.remove_block(block):
+            self.stats.blocks_expired += 1
+            self._after_buffer_change(now)
 
     def _after_buffer_change(self, now: float) -> None:
         self.stats.on_buffer_change(now, self.core.block_count)
@@ -561,36 +579,6 @@ class LivePeer:
             self.stats.gossip_transfers += 1
             return
         self.stats.gossip_no_target += 1
-
-    async def _expiry_loop(self) -> None:
-        """Drive per-block TTL expiry off the deadline heap."""
-        heap = self._ttl_heap
-        while True:
-            if not heap:
-                await self._ttl_wakeup.wait()
-                self._ttl_wakeup.clear()
-                continue
-            deadline, _, block = heap[0]
-            if not block.alive:
-                heapq.heappop(heap)
-                continue
-            now = self.clock.now()
-            if deadline > now:
-                try:
-                    await asyncio.wait_for(
-                        self._ttl_wakeup.wait(),
-                        timeout=self.clock.wall_interval(deadline - now),
-                    )
-                except asyncio.TimeoutError:
-                    pass
-                else:
-                    self._ttl_wakeup.clear()
-                continue
-            heapq.heappop(heap)
-            block.alive = False
-            if self.core.remove_block(block):
-                self.stats.blocks_expired += 1
-                self._after_buffer_change(self.clock.now())
 
     async def _burst_reset(self) -> None:
         """Disconnect-burst: wipe the buffer, bump the generation, drop

@@ -16,7 +16,9 @@ sweeps" (ROADMAP: sharding/batching/async).  Layers, bottom up:
                   per-task timeouts, bounded retries, and crash isolation
                   with targeted kill-and-respawn.
 ``orchestrator``  :func:`execute_run` — grid -> pool -> journal -> merge,
-                  byte-identical to serial execution by construction.
+                  byte-identical to serial execution by construction;
+                  :func:`add_session_flags` + :func:`run_session`, the one
+                  command-line session every sweep command shares.
 ``synthetic``     misbehaving micro-plans for the fault-path tests and
                   the task-throughput benchmark.
 
@@ -29,8 +31,10 @@ from repro.runner.journal import JournalError, RunJournal, task_slug
 from repro.runner.orchestrator import (
     DEFAULT_RUNS_DIR,
     RunOutcome,
+    add_session_flags,
     execute_run,
     make_run_id,
+    run_session,
 )
 from repro.runner.pool import PoolResult, TaskFailedError, WorkerPool
 from repro.runner.spec import RunSpec, SYNTHETIC_PREFIX
@@ -47,8 +51,10 @@ __all__ = [
     "task_slug",
     "DEFAULT_RUNS_DIR",
     "RunOutcome",
+    "add_session_flags",
     "execute_run",
     "make_run_id",
+    "run_session",
     "PoolResult",
     "TaskFailedError",
     "WorkerPool",

@@ -14,16 +14,23 @@ identically whether they stayed in memory or round-tripped through the
 journal; and the merge consumes them keyed by task id in the plan's
 declared order, never completion order.  Serial execution *is* the same
 plan with a trivial executor, so ``--workers 4``, ``--workers 1``, a
-resumed run, and ``run_X()`` in-process all produce byte-identical
-``SeriesResult`` JSON.  ``docs/RUNNER.md`` spells this out.
+resumed run, and ``plan.run_serial()`` in-process all produce
+byte-identical ``SeriesResult`` JSON.  ``docs/RUNNER.md`` spells this out.
+
+:func:`add_session_flags` and :func:`run_session` are the command-line
+face of :func:`execute_run`, shared by every command that drives a sweep
+(``repro run``, ``repro chaos run``): the eight session flags, resume from
+the journal manifest, and the exit-code convention are stated here once.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, TextIO
+from typing import Any, Callable, Dict, Optional, TextIO
 
 from repro.experiments.base import SeriesResult
 from repro.runner.journal import JournalError, RunJournal
@@ -36,9 +43,14 @@ from repro.runner.telemetry import (
     KIND_RUN_STOPPED,
     RunnerTelemetry,
 )
+from repro.util.validation import usage_error
 
 #: Default parent directory for run journals.
 DEFAULT_RUNS_DIR = Path("runs")
+
+#: Exit code of a session that checkpointed before the grid completed
+#: (``--stop-after``): the run is resumable, not failed.
+EXIT_CHECKPOINTED = 3
 
 
 @dataclass
@@ -202,3 +214,100 @@ def execute_run(
         executed_this_session=executed,
         resumed_tasks=len(completed),
     )
+
+
+def add_session_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of one sweep session, for any command that runs a grid."""
+    parser.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="worker processes (default 1)",
+    )
+    parser.add_argument(
+        "--resume", default=None, metavar="RUN_ID",
+        help=(
+            "resume an interrupted run: execute only the tasks missing "
+            "from its journal (the spec is restored from the manifest)"
+        ),
+    )
+    parser.add_argument(
+        "--run-id", default=None, metavar="ID",
+        help="name the run directory (default: auto '<experiment>-NNN')",
+    )
+    parser.add_argument(
+        "--runs-dir", type=Path, default=DEFAULT_RUNS_DIR, metavar="DIR",
+        help="parent directory for run journals (default: runs/)",
+    )
+    parser.add_argument(
+        "--stop-after", type=int, default=None, metavar="N",
+        help=(
+            "checkpoint: end the session after N tasks complete in it "
+            "(exit 3; resume later with --resume)"
+        ),
+    )
+    parser.add_argument(
+        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        help="kill and retry any task exceeding this wall-clock budget",
+    )
+    parser.add_argument(
+        "--retries", type=int, default=2, metavar="N",
+        help="re-executions allowed per task before the run fails "
+        "(default 2)",
+    )
+    parser.add_argument(
+        "--no-progress", action="store_true",
+        help="suppress the live progress line",
+    )
+
+
+def run_session(
+    args: argparse.Namespace,
+    experiment: str,
+    command: str,
+    fresh_spec: Callable[[], RunSpec],
+    report: Callable[[RunSpec, RunOutcome], int],
+) -> int:
+    """One sweep session of *command* from parsed :func:`add_session_flags`.
+
+    A fresh run executes ``fresh_spec()``; ``--resume`` restores the spec
+    from the journal manifest (the source of truth — the fingerprint check
+    in :func:`execute_run` still guards against drift) and refuses a run
+    of another experiment.  Exit codes: ``report(spec, outcome)`` when the
+    grid completes, 3 when the session checkpointed first, 2 for a bad
+    flag, spec or journal.
+    """
+    if args.workers < 1:
+        return usage_error("--workers must be >= 1")
+    try:
+        if args.resume is not None:
+            journal = RunJournal.load(args.runs_dir / args.resume)
+            spec = RunSpec.from_dict(journal.manifest()["spec"])
+            if spec.experiment != experiment:
+                return usage_error(
+                    f"run {args.resume} is a {spec.experiment!r} sweep, "
+                    f"not {experiment!r}"
+                )
+        else:
+            spec = fresh_spec()
+        outcome = execute_run(
+            spec,
+            workers=args.workers,
+            runs_dir=args.runs_dir,
+            run_id=args.run_id,
+            resume=args.resume,
+            task_timeout=args.task_timeout,
+            retries=args.retries,
+            stop_after=args.stop_after,
+            progress=not args.no_progress,
+        )
+    except (JournalError, ValueError) as exc:
+        return usage_error(exc)
+    if not outcome.complete:
+        print(
+            f"checkpointed {outcome.run_id}: "
+            f"{outcome.completed_tasks}/{outcome.total_tasks} tasks "
+            f"journaled in {outcome.run_dir}; continue with "
+            f"'{command} --resume {outcome.run_id}'",
+            file=sys.stderr,
+        )
+        return EXIT_CHECKPOINTED
+    return report(spec, outcome)

@@ -9,7 +9,21 @@ and raises :class:`ValueError` with a field name the user can act on.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional
+
+#: Exit code of a usage or configuration error (README, "Exit codes").
+EXIT_USAGE = 2
+
+
+def usage_error(message: object) -> int:
+    """Report an invalid invocation: one ``error: …`` stderr line, exit 2.
+
+    Every ``repro`` command turns the :class:`ValueError` the helpers below
+    raise into this, so a bad knob never ends in a traceback.
+    """
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def require_positive(name: str, value: float) -> float:

@@ -1,4 +1,4 @@
-"""Fixture: cross-module laundering of an unseeded RNG."""
+"""Fixture: callers of the registry and of the unseeded helper beside it."""
 from sim.rng import SeedSequenceRegistry, ambient
 
 

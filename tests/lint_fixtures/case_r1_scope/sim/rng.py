@@ -1,4 +1,4 @@
-"""Fixture: the registry plus an unseeded taint-origin helper."""
+"""Fixture: R1's exemption is the registry class, not the file around it."""
 import random
 
 

@@ -4,19 +4,25 @@ import json
 
 import pytest
 
+from repro.experiments import PLAN_BUILDERS
 from repro.experiments.base import (
     QUALITY_FAST,
+    ExperimentPlan,
     SeriesResult,
     SimBudget,
     budget_for,
-    simulate_metrics,
+    seed_mean,
+    simulate_cell,
 )
-from repro.experiments.baseline import FlashCrowdScenario, run_baseline_comparison
-from repro.experiments.fig3 import run_fig3
-from repro.experiments.fig4 import run_fig4
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6
-from repro.experiments.theorem1 import run_theorem1
+from repro.experiments.baseline import (
+    FlashCrowdScenario,
+    plan_baseline_comparison,
+)
+from repro.experiments.fig3 import plan_fig3
+from repro.experiments.fig4 import plan_fig4
+from repro.experiments.fig5 import plan_fig5
+from repro.experiments.fig6 import plan_fig6
+from repro.experiments.theorem1 import plan_theorem1
 
 TINY = SimBudget(n_peers=30, warmup=3.0, duration=4.0, seeds=(1,), n_servers=2)
 
@@ -77,18 +83,25 @@ class TestSimulateMetrics:
             segment_size=2,
             n_servers=TINY.n_servers,
         )
-        metrics = simulate_metrics(
-            params, TINY, ("normalized_throughput", "mean_buffer_occupancy")
+        names = ("normalized_throughput", "mean_buffer_occupancy")
+        cells = {
+            f"point:seed={seed}": simulate_cell(
+                params, TINY.warmup, TINY.duration, names, seed
+            )
+            for seed in TINY.seeds
+        }
+        assert all(set(cell) == set(names) for cell in cells.values())
+        throughput = seed_mean(
+            cells, "point", TINY.seeds, "normalized_throughput"
         )
-        assert set(metrics) == {"normalized_throughput", "mean_buffer_occupancy"}
-        assert 0 < metrics["normalized_throughput"] <= 1
+        assert 0 < throughput <= 1
 
 
 class TestRunners:
     def test_fig3_shape(self):
-        result = run_fig3(
+        result = plan_fig3(
             segment_sizes=(1, 4), capacities=(2.0,), budget=TINY
-        )
+        ).run_serial()
         assert result.x_values == [1.0, 4.0]
         assert set(result.series) == {
             "analytic c=2",
@@ -101,16 +114,16 @@ class TestRunners:
         assert all(v <= 2.0 / 20.0 + 1e-9 for v in result.series["capacity c=2"])
 
     def test_fig3_without_simulation_is_fast(self):
-        result = run_fig3(
+        result = plan_fig3(
             segment_sizes=(1, 2), capacities=(4.0,), budget=TINY,
             include_simulation=False,
-        )
+        ).run_serial()
         assert "sim c=4" not in result.series
 
     def test_fig4_shape(self):
-        result = run_fig4(
+        result = plan_fig4(
             mu_values=(4.0,), scenarios=((2.0, 1), (2.0, 4)), budget=TINY
-        )
+        ).run_serial()
         assert set(result.series) == {
             "c=2 s=1 static",
             "c=2 s=1 churn",
@@ -119,24 +132,28 @@ class TestRunners:
         }
 
     def test_fig5_flags_negative_analytic_corner(self):
-        result = run_fig5(segment_sizes=(1, 4), capacities=(8.0,), budget=TINY)
+        result = plan_fig5(
+            segment_sizes=(1, 4), capacities=(8.0,), budget=TINY
+        ).run_serial()
         assert any("negative" in note for note in result.notes)
 
     def test_fig6_saved_decreases(self):
-        result = run_fig6(segment_sizes=(1, 8), capacities=(8.0,), budget=TINY)
+        result = plan_fig6(
+            segment_sizes=(1, 8), capacities=(8.0,), budget=TINY
+        ).run_serial()
         analytic = result.series["analytic c=8"]
         assert analytic[0] > analytic[1]
 
     def test_theorem1_reports_constant_rho(self):
-        result = run_theorem1(segment_sizes=(1, 4), budget=TINY)
+        result = plan_theorem1(segment_sizes=(1, 4), budget=TINY).run_serial()
         closed = result.series["closed-form rho"]
         assert closed[0] == closed[1]
         assert result.series["sim rho"][0] == pytest.approx(closed[0], rel=0.2)
 
     def test_transient_runs_and_aligns_series(self):
-        from repro.experiments.transient import run_transient
+        from repro.experiments.transient import plan_transient
 
-        result = run_transient(budget=TINY, n_samples=4)
+        result = plan_transient(budget=TINY, n_samples=4).run_serial()
         assert len(result.x_values) == 4
         for label in (
             "demand",
@@ -148,16 +165,18 @@ class TestRunners:
             assert len(result.series[label]) == 4
 
     def test_scheduler_ablation_runs(self):
-        from repro.experiments.ablations import run_scheduler_ablation
+        from repro.experiments.ablations import plan_scheduler_ablation
 
-        result = run_scheduler_ablation(
+        result = plan_scheduler_ablation(
             budget=TINY, policies=("random", "greedy-completion")
-        )
+        ).run_serial()
         assert len(result.series["goodput"]) == 2
 
     def test_baseline_comparison_runs(self):
         scenario = FlashCrowdScenario(phase_ends=(4.0, 6.0, 10.0))
-        result = run_baseline_comparison(budget=TINY, scenario=scenario)
+        result = plan_baseline_comparison(
+            budget=TINY, scenario=scenario
+        ).run_serial()
         assert len(result.x_values) == 3
         assert set(result.series) == {
             "push intake",
@@ -167,9 +186,11 @@ class TestRunners:
         assert any("dropped" in note for note in result.notes)
 
     def test_robustness_runs(self):
-        from repro.experiments.robustness import CHANNELS, run_robustness
+        from repro.experiments.robustness import CHANNELS, plan_robustness
 
-        result = run_robustness(budget=TINY, severities=(0.0, 0.3))
+        result = plan_robustness(
+            budget=TINY, severities=(0.0, 0.3)
+        ).run_serial()
         assert result.x_values == [0.0, 0.3]
         for channel in CHANNELS:
             delivery = result.series[f"delivery ratio: {channel}"]
@@ -180,10 +201,25 @@ class TestRunners:
 
 class TestCli:
     def test_unknown_experiment_rejected(self):
-        from repro.cli import run_experiment
+        from repro.cli import main
 
-        with pytest.raises(ValueError):
-            run_experiment("fig99", "fast")
+        for argv in (["fig99"], ["run", "fig99"]):
+            with pytest.raises(SystemExit) as usage:
+                main(argv)
+            assert usage.value.code == 2
+
+    def test_both_commands_accept_exactly_the_registry(self):
+        """One registry: `repro <name>` and `repro run <name>` read it."""
+        from repro.cli import build_parser, build_run_parser
+
+        def experiments(parser):
+            (action,) = [
+                a for a in parser._actions if a.dest == "experiment"
+            ]
+            return list(action.choices)
+
+        assert experiments(build_parser()) == sorted(PLAN_BUILDERS) + ["all"]
+        assert experiments(build_run_parser()) == sorted(PLAN_BUILDERS)
 
     def test_parser_choices(self):
         from repro.cli import build_parser
@@ -212,17 +248,21 @@ class TestCli:
         assert "closed-form rho" in payload["series"]
 
     def test_main_writes_json(self, tmp_path, monkeypatch, capsys):
-        """End-to-end CLI: patch in a tiny runner to keep the test quick."""
+        """End-to-end CLI: patch in a tiny plan to keep the test quick."""
         import repro.cli as cli
 
-        def fake_runner(quality="fast"):
+        def fake_merge(payloads):
             result = SeriesResult(
                 name="fig3", title="t", x_name="x", x_values=[1.0]
             )
             result.add_series("y", [2.0])
             return result
 
-        monkeypatch.setitem(cli.RUNNERS, "fig3", fake_runner)
+        monkeypatch.setitem(
+            PLAN_BUILDERS,
+            "fig3",
+            lambda quality, budget: ExperimentPlan("fig3", [], fake_merge),
+        )
         target = tmp_path / "out.json"
         code = cli.main(["fig3", "--json", str(target)])
         assert code == 0

@@ -36,13 +36,20 @@ class TestGoldenFindings:
         assert triples(report.findings) == [
             ("R1", "experiments/bad_rng.py", 9),
             ("R1", "experiments/bad_rng.py", 11),
-            # the provenance pass independently flags the draw on the
-            # unseeded stream R1 caught at its construction
-            ("R6", "experiments/bad_rng.py", 10),
         ]
         assert report.problems == []
-        # the designated RNG module is exempt
+        # the registry class in the designated RNG module is exempt
         assert all(f.path != "sim/rng.py" for f in report.findings)
+
+    def test_r1_exempts_the_registry_class_not_its_file(self):
+        """An unseeded helper parked beside the registry is flagged at its
+        origin, so nothing downstream of it needs following."""
+        report = lint_case("case_r1_scope")
+        assert triples(report.findings) == [
+            ("R1", "sim/rng.py", 14),  # ambient(): outside the class
+        ]
+        # random.Random(hash(name)) on line 7 is the registry's own body
+        assert report.problems == []
 
     def test_r2_determinism_hazards(self):
         report = lint_case("case_r2")
@@ -143,7 +150,6 @@ class TestRealTree:
         report = run_lint([tmp_path], root=tmp_path)
         assert triples(report.findings) == [
             ("R1", "experiments/regression.py", 5),
-            ("R6", "experiments/regression.py", 6),
         ]
         assert report.exit_code(strict=True) == 1
         assert lint_main(["--strict", "--quiet", str(tmp_path)]) == 1
@@ -178,7 +184,6 @@ class TestCommandLine:
             "R3",
             "R4",
             "R5",
-            "R6",
             "R7",
             "R8",
         }

@@ -1,8 +1,7 @@
-"""Goldens and integration tests for the interprocedural lint passes.
+"""Goldens and integration tests for the whole-tree and scoped lint passes.
 
-Covers the R6 provenance pass (cross-module and callback laundering),
-the R7 neutrality prover (violations *and* the certificate list), the
-R8 worker-boundary pass, the SARIF emitter, and the seeded-violation
+Covers the R7 neutrality prover (violations *and* the certificate list),
+the R8 worker-boundary pass, the SARIF emitter, and the seeded-violation
 positive controls.  Fixture goldens pin exact (rule, path, line)
 triples, same discipline as ``test_lint.py``.
 """
@@ -30,36 +29,6 @@ def triples(findings, rule=None):
         for f in findings
         if rule is None or f.rule == rule
     )
-
-
-class TestR6Provenance:
-    def test_cross_module_laundering(self):
-        """A helper-returned RNG is flagged at the draw AND the hand-off."""
-        report = lint_case("case_r6_crossmodule")
-        assert triples(report.findings) == [
-            ("R6", "core/engine.py", 10),  # draw on the smuggled stream
-            ("R6", "core/engine.py", 16),  # ambient() into the rng param
-        ]
-        assert report.problems == []
-        messages = {f.line: f.message for f in report.findings}
-        assert "unseeded provenance" in messages[10]
-        assert "parameter 'rng'" in messages[16]
-
-    def test_registry_substream_is_not_flagged(self):
-        """The blessed seeds.python(...) hand-off in the same fixture."""
-        report = lint_case("case_r6_crossmodule")
-        assert all(f.line != 15 for f in report.findings)
-
-    def test_callback_carried_taint(self):
-        """A factory passed as a callback taints the invoking scope."""
-        report = lint_case("case_r6_callback")
-        assert triples(report.findings, rule="R6") == [
-            ("R6", "core/pipeline.py", 11)
-        ]
-        # the raw construction inside the factory is R1's finding, not R6's
-        assert triples(report.findings, rule="R1") == [
-            ("R1", "core/pipeline.py", 6)
-        ]
 
 
 class TestR7Neutrality:
@@ -139,7 +108,8 @@ class TestSarif:
         assert run["tool"]["driver"]["name"] == "repro-lint"
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
         assert len(rule_ids) == len(set(rule_ids))
-        assert {"R6", "R7", "R8"} <= set(rule_ids)
+        assert {"R1", "R7", "R8"} <= set(rule_ids)
+        assert "R6" not in rule_ids  # retired, never reused
         results = run["results"]
         suppressed = [r for r in results if "suppressions" in r]
         assert len(results) == 5 and len(suppressed) == 1
@@ -171,7 +141,7 @@ class TestSarif:
 
 class TestPositiveControls:
     def test_mutant_catalog_shape(self):
-        assert {m.rule for m in MUTANTS} == {"R6", "R7", "R8"}
+        assert {m.rule for m in MUTANTS} == {"R1", "R7", "R8"}
         names = [m.name for m in MUTANTS]
         assert len(names) == len(set(names))
 

@@ -21,6 +21,7 @@ import warnings
 import pytest
 
 from repro.core.params import Parameters
+from repro.live.clock import LiveClock
 from repro.live.harness import run_swarm
 from repro.live.peer import LivePeer
 from repro.live.server import LiveLoggingServer
@@ -130,6 +131,35 @@ class TestSwarmTeardown:
             # No START ever broadcast: protocol tasks never spawned.
             await peer.close()
             await server.close()
+
+        run_clean(scenario)
+
+    def test_close_never_loses_a_cancel_to_a_ttl_deadline(self):
+        """TTL deadlines firing constantly must not be able to eat a cancel.
+
+        The expiry task used to sit in ``wait_for`` inside ``while True``
+        and swallow ``TimeoutError``; on Python < 3.12 a cancellation that
+        coincides with the timeout surfaces as exactly that error, the
+        cancel was lost and ``close()`` waited forever (about 1 teardown in
+        50).  Expiry is a plain loop timer per block now: 200 teardowns,
+        each under its own short timeout.
+        """
+
+        async def scenario():
+            params = _params(arrival_rate=400.0, deletion_rate=400.0)
+            clock = LiveClock(1.0)
+            clock.start()
+            peers = [
+                LivePeer(slot, params, 7, "127.0.0.1", 1, clock=clock)
+                for slot in range(params.n_peers)
+            ]
+            for _ in range(50):
+                for peer in peers:
+                    peer._start_protocol()
+                await asyncio.sleep(0.01)
+                for peer in peers:
+                    await asyncio.wait_for(peer.close(), timeout=1.0)
+            assert sum(peer.stats.blocks_expired for peer in peers) > 0
 
         run_clean(scenario)
 

@@ -20,7 +20,6 @@ import pytest
 
 from repro.experiments import PLAN_BUILDERS
 from repro.experiments.base import SimBudget, parse_seeds
-from repro.experiments.fig5 import run_fig5
 from repro.runner import (
     JournalError,
     RunJournal,
@@ -76,11 +75,6 @@ class TestParseSeeds:
 
 
 class TestPlanModel:
-    def test_every_cli_experiment_has_a_plan_builder(self):
-        from repro import cli
-
-        assert set(PLAN_BUILDERS) == set(cli.RUNNERS)
-
     def test_duplicate_task_ids_rejected(self):
         from repro.experiments.base import ExperimentPlan, SimTask
 
@@ -97,16 +91,6 @@ class TestPlanModel:
         plan = spec.build_plan()
         with pytest.raises(ValueError, match="missing"):
             plan.merge({"cell=0000": {"value": 1.0, "index": 0}})
-
-    def test_run_serial_matches_legacy_runner(self):
-        spec = RunSpec.create(
-            "fig5", "fast", TINY,
-            {"segment_sizes": [1, 4], "capacities": [8.0]},
-        )
-        direct = run_fig5(
-            segment_sizes=(1, 4), capacities=(8.0,), budget=TINY
-        )
-        assert spec.build_plan().run_serial().to_json() == direct.to_json()
 
 
 class TestSerialParallelEquivalence:
@@ -384,20 +368,23 @@ class TestRunnerCLI:
 class TestLegacyCLISeeds:
     def test_seeds_override_reaches_runner(self, monkeypatch, capsys):
         from repro import cli
-        from repro.experiments.base import SeriesResult
+        from repro.experiments.base import ExperimentPlan, SeriesResult
 
         captured = {}
 
-        def fake_runner(quality, budget=None):
-            captured["quality"] = quality
-            captured["budget"] = budget
+        def fake_merge(payloads):
             result = SeriesResult(
                 name="fig3", title="t", x_name="x", x_values=[1.0]
             )
             result.add_series("y", [1.0])
             return result
 
-        monkeypatch.setitem(cli.RUNNERS, "fig3", fake_runner)
+        def fake_builder(quality, budget):
+            captured["quality"] = quality
+            captured["budget"] = budget
+            return ExperimentPlan("fig3", [], fake_merge)
+
+        monkeypatch.setitem(PLAN_BUILDERS, "fig3", fake_builder)
         assert cli.main(["fig3", "--seeds", "5,6"]) == 0
         capsys.readouterr()
         assert captured["budget"].seeds == (5, 6)
