@@ -28,6 +28,11 @@ _INITIAL_CAPACITY = 1024
 #: Dead segments must both exceed this floor and outnumber live ones
 #: before a compaction pays for itself.
 _COMPACT_MIN_DEAD = 4096
+#: The block table's owner-slot and segment-id columns: every kernel gathers
+#: from them at random, so they are as narrow as the ids allow (guarded in
+#: the constructor and in :meth:`FastState.new_segments`).
+_BLOCK_ID = np.int32
+_BLOCK_ID_MAX = int(np.iinfo(_BLOCK_ID).max)
 
 
 def _grow(array: np.ndarray, needed: int) -> np.ndarray:
@@ -41,12 +46,29 @@ def _grow(array: np.ndarray, needed: int) -> np.ndarray:
     return grown
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct *values*: one native sort and a neighbour compare.
+
+    Bare ``np.unique`` goes through a hash table on numpy >= 2.3, ~20x the
+    cost of the sort on the mostly-distinct ids the kernels dedupe.
+    """
+    ordered = np.sort(values)
+    if len(ordered) < 2:
+        return ordered
+    first = np.empty(len(ordered), dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 class FastState:
     """Mutable struct-of-arrays state of one fast-engine session."""
 
     def __init__(self, n_peers: int, capacity: int, segment_size: int) -> None:
-        if n_peers < 1:
-            raise ValueError(f"n_peers must be >= 1, got {n_peers}")
+        if not 1 <= n_peers <= _BLOCK_ID_MAX:
+            raise ValueError(
+                f"n_peers must be in [1, {_BLOCK_ID_MAX}], got {n_peers}"
+            )
         if capacity < segment_size:
             raise ValueError(
                 f"capacity ({capacity}) must be >= segment_size "
@@ -68,8 +90,8 @@ class FastState:
         self.is_fault_polluter = np.zeros(n_peers, dtype=bool)
 
         # blocks -----------------------------------------------------------
-        self.block_peer = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self.block_seg = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
+        self.block_peer = np.zeros(_INITIAL_CAPACITY, dtype=_BLOCK_ID)
+        self.block_seg = np.zeros(_INITIAL_CAPACITY, dtype=_BLOCK_ID)
         self.block_polluted = np.zeros(_INITIAL_CAPACITY, dtype=bool)
         self.n_blocks = 0
 
@@ -129,6 +151,10 @@ class FastState:
         count = len(injected_at)
         start = self.n_segments
         end = start + count
+        if end > _BLOCK_ID_MAX:
+            raise OverflowError(
+                f"segment ids exceed {_BLOCK_ID_MAX}: {end} segment rows"
+            )
         self.seg_degree = _grow(self.seg_degree, end)
         self.seg_polluted = _grow(self.seg_polluted, end)
         self.seg_collected = _grow(self.seg_collected, end)
@@ -218,18 +244,18 @@ class FastState:
         if count == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty.astype(bool), empty
-        peers = self.block_peer[rows].copy()
-        segments = self.block_seg[rows].copy()
-        polluted = self.block_polluted[rows].copy()
+        peers = self.block_peer[rows]
+        segments = self.block_seg[rows]
+        polluted = self.block_polluted[rows]
 
+        # holes below the new end (ascending) take the surviving rows of
+        # the `count`-row tail (ascending): row order is state.
         keep_start = n - count
-        holes = rows[rows < keep_start]
-        tail_deleted = rows[rows >= keep_start]
-        tail_kept = np.setdiff1d(
-            np.arange(keep_start, n, dtype=rows.dtype),
-            tail_deleted,
-            assume_unique=True,
-        )
+        in_tail = rows >= keep_start
+        holes = rows[~in_tail]
+        tail_survives = np.ones(count, dtype=bool)
+        tail_survives[rows[in_tail] - keep_start] = False
+        tail_kept = keep_start + np.flatnonzero(tail_survives)
         self.block_peer[holes] = self.block_peer[tail_kept]
         self.block_seg[holes] = self.block_seg[tail_kept]
         self.block_polluted[holes] = self.block_polluted[tail_kept]
@@ -240,7 +266,7 @@ class FastState:
         if polluted.any():
             np.subtract.at(self.seg_polluted, segments[polluted], 1)
 
-        touched = np.unique(segments)
+        touched = _sorted_unique(segments)
         extinct = touched[
             (self.seg_degree[touched] == 0) & self.seg_alive[touched]
         ]

@@ -26,7 +26,7 @@ float per completed segment.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.core.params import (
     Parameters,
 )
 from repro.fastsim.masks import FastAdversaryMasks, FastFaultMasks
-from repro.fastsim.state import FastState
+from repro.fastsim.state import FastState, _sorted_unique
 from repro.sim.metrics import MetricsCollector, MetricsReport
 from repro.sim.rng import SeedSequenceRegistry
 
@@ -386,8 +386,8 @@ class FastCollectionSystem:
         if emitting == 0 or state.n_blocks == 0:
             return
         rows = self._gossip_rng.integers(0, state.n_blocks, size=emitting)
-        segments = state.block_seg[rows].copy()
-        polluted = state.block_polluted[rows].copy()
+        segments = state.block_seg[rows]
+        polluted = state.block_polluted[rows]
         if self.adversary_masks is not None and self.adversary_masks.targets_low_degree:
             strategic = state.is_adv_polluter[senders]
             if strategic.any():
@@ -427,13 +427,17 @@ class FastCollectionSystem:
             self._gossip_rng.integers(0, len(non_full), size=transfers)
         ]
         # Within-batch capacity: a receiver accepts at most its free space;
-        # the excess would have failed the target search.
-        order = np.argsort(receivers, kind="stable")
-        sorted_receivers = receivers[order]
-        uniq, starts, per_receiver = np.unique(
-            sorted_receivers, return_index=True, return_counts=True
-        )
-        position = np.arange(transfers) - np.repeat(starts, per_receiver)
+        # the excess would have failed the target search.  One sort of the
+        # composite key receiver * transfers + arrival groups by receiver in
+        # arrival order (int64; n_peers * batch is far below 2**63).
+        arrival = np.arange(transfers)
+        keys = receivers * transfers + arrival
+        keys.sort()
+        sorted_receivers, order = np.divmod(keys, transfers)
+        head = np.empty(transfers, dtype=bool)
+        head[0] = True
+        np.not_equal(sorted_receivers[1:], sorted_receivers[:-1], out=head[1:])
+        position = arrival - np.maximum.accumulate(np.where(head, arrival, 0))
         free = capacity - state.peer_blocks[sorted_receivers]
         fits = position < free
         overflow = transfers - int(fits.sum())
@@ -515,16 +519,13 @@ class FastCollectionSystem:
                 break
             rows = self._srv_rng.integers(0, state.n_blocks, size=trials)
             segments = state.block_seg[rows]
-            owners = state.block_peer[rows]
-            block_polluted = state.block_polluted[rows]
             complete = state.seg_collected[segments] >= s
             n_redundant = int(complete.sum())
             if n_redundant:
                 metrics.redundant_pulls.increment(in_window, n_redundant)
             active = ~complete
+            rows = rows[active]
             segments = segments[active]
-            owners = owners[active]
-            block_polluted = block_polluted[active]
             if len(segments) == 0:
                 break
             if self.fault_masks is not None:
@@ -534,19 +535,22 @@ class FastCollectionSystem:
                     if dropped:
                         metrics.transfers_dropped.increment(in_window, dropped)
                         keep = ~loss
+                        rows = rows[keep]
                         segments = segments[keep]
-                        owners = owners[keep]
-                        block_polluted = block_polluted[keep]
             if len(segments) == 0:
                 break
+            # owner and pollution tag matter only to a hostile plan
             junk = np.zeros(len(segments), dtype=bool)
             if self.adversary_masks is not None:
                 junk = (
                     state.is_liar | state.is_adv_polluter | state.is_sybil
-                )[owners]
+                )[state.block_peer[rows]]
             polluted = junk.copy()
             if self.fault_masks is not None:
-                polluted |= state.is_fault_polluter[owners] | block_polluted
+                polluted |= (
+                    state.is_fault_polluter[state.block_peer[rows]]
+                    | state.block_polluted[rows]
+                )
             n_junk = int(junk.sum())
             if n_junk:
                 metrics.junk_blocks_served.increment(in_window, n_junk)
@@ -599,7 +603,7 @@ class FastCollectionSystem:
         if count == 0 or self.state.n_blocks == 0:
             return
         state = self.state
-        rows = np.unique(
+        rows = _sorted_unique(
             self._ttl_rng.integers(0, state.n_blocks, size=count)
         )
         _, _, _, extinct = state.remove_block_rows(rows)
@@ -621,7 +625,7 @@ class FastCollectionSystem:
         """Lifetime expirations: *count* uniform slots are replaced."""
         if count == 0:
             return
-        slots = np.unique(
+        slots = _sorted_unique(
             self._churn_rng.integers(0, self.state.n_peers, size=count)
         )
         self.kill_slots(slots, burst=False)
@@ -691,41 +695,13 @@ class FastCollectionSystem:
         )
 
 
-class ChannelRates:
+class ChannelRates(NamedTuple):
     """Total event rates of the aggregate channels (TTL is per-block)."""
 
-    __slots__ = (
-        "injection",
-        "gossip",
-        "pull",
-        "ttl_per_block",
-        "churn",
-        "burst",
-        "sybil",
-    )
-
-    def __init__(
-        self,
-        injection: float,
-        gossip: float,
-        pull: float,
-        ttl_per_block: float,
-        churn: float,
-        burst: float,
-        sybil: float,
-    ) -> None:
-        self.injection = injection
-        self.gossip = gossip
-        self.pull = pull
-        self.ttl_per_block = ttl_per_block
-        self.churn = churn
-        self.burst = burst
-        self.sybil = sybil
-
-    def __repr__(self) -> str:
-        return (
-            f"ChannelRates(injection={self.injection:g}, "
-            f"gossip={self.gossip:g}, pull={self.pull:g}, "
-            f"ttl_per_block={self.ttl_per_block:g}, churn={self.churn:g}, "
-            f"burst={self.burst:g}, sybil={self.sybil:g})"
-        )
+    injection: float
+    gossip: float
+    pull: float
+    ttl_per_block: float
+    churn: float
+    burst: float
+    sybil: float

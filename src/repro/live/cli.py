@@ -30,7 +30,11 @@ from repro.live.livemetrics import aggregate_report
 from repro.live.peer import LivePeer
 from repro.live.server import LiveLoggingServer
 from repro.live.supervisor import run_supervised_swarm
-from repro.util.validation import usage_error
+from repro.util.validation import (
+    require_nonnegative,
+    require_positive,
+    usage_error,
+)
 
 
 def parse_proc_fault(spec: str) -> Tuple[str, float, float, float]:
@@ -371,9 +375,12 @@ def live_main(argv: Optional[List[str]] = None) -> int:
         return asyncio.run(_run_peer(args))
     try:
         # An invalid knob is a usage error (exit 2), not a traceback.
+        require_positive("time_scale", args.time_scale)
         if args.command == "serve":
             params = _serve_params(args)
         else:
+            require_nonnegative("warmup", args.warmup)
+            require_positive("duration", args.duration)
             params = _params_from_args(args)
             validate_live_params(params, supervised=args.supervised)
     except (OSError, ValueError) as exc:

@@ -33,6 +33,8 @@ def _argv(template, tmp_path):
         ["run", "fig3", "--resume", "no-such-run", *SESSION],
         ["live", "swarm", "--n-peers", "4", "--payload-bytes", "0"],
         ["live", "swarm", "--n-peers", "4", "--proc-fault", "kill-server@1"],
+        ["live", "swarm", "--n-peers", "4", "--duration", "0"],
+        ["live", "swarm", "--n-peers", "4", "--time-scale", "0"],
         ["live", "serve", "--params-json", "{tmp}/missing.json"],
         ["chaos", "run", "--mutant", "no-such-mutant", *SESSION],
         ["chaos", "replay", "{tmp}/missing.json"],

@@ -14,7 +14,9 @@ Three contracts are exercised here:
   sharded run is byte-identical for any worker count.
 """
 
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,6 +56,26 @@ def params(**overrides):
     )
     defaults.update(overrides)
     return Parameters(**defaults)
+
+
+#: Every fault and adversary channel firing at once (loss, pollution,
+#: bursts, outages; liars, free-riders, low-degree polluters, sybil bursts).
+ALL_FAULT_CHANNELS = FaultPlan(
+    gossip_loss_rate=0.1,
+    pull_loss_rate=0.1,
+    pollution_fraction=0.1,
+    burst_rate=0.3,
+    burst_fraction=0.05,
+    outage_rate=0.2,
+    outage_duration=0.5,
+)
+ALL_ADVERSARY_CHANNELS = AdversaryPlan(
+    liar_fraction=0.05,
+    freerider_fraction=0.05,
+    polluter_fraction=0.05,
+    sybil_rate=0.3,
+    sybil_fraction=0.05,
+)
 
 
 def rel_close(a, b, tolerance):
@@ -203,22 +225,8 @@ class TestEngineFidelity:
             engine=ENGINE_FAST,
             tau=0.05,
             mean_lifetime=8.0,
-            faults=FaultPlan(
-                gossip_loss_rate=0.1,
-                pull_loss_rate=0.1,
-                pollution_fraction=0.1,
-                burst_rate=0.3,
-                burst_fraction=0.05,
-                outage_rate=0.2,
-                outage_duration=0.5,
-            ),
-            adversary=AdversaryPlan(
-                liar_fraction=0.05,
-                freerider_fraction=0.05,
-                polluter_fraction=0.05,
-                sybil_rate=0.3,
-                sybil_fraction=0.05,
-            ),
+            faults=ALL_FAULT_CHANNELS,
+            adversary=ALL_ADVERSARY_CHANNELS,
         )
         system = FastCollectionSystem(p, seed=11)
         report = system.run(4.0, 10.0)
@@ -228,6 +236,65 @@ class TestEngineFidelity:
         assert report.pulls_captured > 0
         assert report.sybil_conversions > 0
         assert report.outage_time > 0
+
+
+def digest(payload):
+    """SHA-256 of the sorted JSON (``bench``'s ``report_digest``)."""
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedDigests:
+    """Every simulated statistic of four fixed sessions, as recorded on the
+    tree before the kernels' set operations became sort-based (PR 16).
+
+    Kernel rewrites must keep every RNG draw and every row order, so these
+    digests only change with a deliberate, documented change of the model.
+    """
+
+    @pytest.mark.parametrize(
+        "seed,expected",
+        [
+            (1, "e81e8b0268953edeacbadaf53a8b98a7c93e1538428b4004370125d6f18dd974"),
+            (2, "5609c37632bce991cf95153177916add1875f5e0e4d057f4c1d43e2e8106fa4d"),
+        ],
+    )
+    def test_honest_tau(self, seed, expected):
+        p = params(n_peers=2000, engine=ENGINE_FAST, tau=0.05)
+        report = FastCollectionSystem(p, seed=seed).run(3.0, 8.0)
+        assert digest(report.as_dict()) == expected
+
+    def test_exact_stepper(self):
+        p = params(n_peers=60, engine=ENGINE_FAST, tau=0.0)
+        report = FastCollectionSystem(p, seed=5).run(1.0, 3.0)
+        assert digest(report.as_dict()) == (
+            "4ba09ee0873c278da7384c2515ef5394495c5e59edc80d3aa402213353a403e6"
+        )
+
+    def test_churn_faults_and_adversary(self):
+        # the only pin over kill_slots/rows_of_peers -> remove_block_rows
+        p = params(
+            n_peers=1000,
+            engine=ENGINE_FAST,
+            tau=0.05,
+            mean_lifetime=5.0,
+            faults=replace(ALL_FAULT_CHANNELS, pollution_repull_budget=2),
+            adversary=ALL_ADVERSARY_CHANNELS,
+        )
+        report = FastCollectionSystem(p, seed=11).run(4.0, 10.0)
+        assert report.burst_departures > 0 and report.sybil_conversions > 0
+        assert digest(report.as_dict()) == (
+            "dbc08bd57c3c320c4f8566ed7cfe0a3f1d400844debb1e5719683b929de4c65f"
+        )
+
+    def test_sharded_merge(self):
+        p = params(n_peers=800, engine=ENGINE_FAST, tau=0.05)
+        merged = merge_shard_payloads(
+            [run_shard(p, 3, index, 4, 2.0, 6.0) for index in range(4)]
+        )
+        assert digest(merged) == (
+            "ec8fdb57acd78bc411667c6d40aad3527d863d3c0caf720b3dca85973f4531fb"
+        )
 
 
 class TestDelayAccumulator:
