@@ -90,30 +90,16 @@ def _install_decoder_skip_elimination() -> Undo:
 
     original = IncrementalDecoder.__dict__["_insert"]
 
-    def insert_without_elimination(
-        self: "IncrementalDecoder",
-        vector: "Vector",
-        payload: Optional["Vector"],
-    ) -> None:
-        pivot_col = int(np.nonzero(vector)[0][0])
-        pivot_value = int(vector[pivot_col])
+    def insert_without_elimination(self: "IncrementalDecoder", row: "Vector") -> None:
+        pivot_col = int(np.nonzero(row[: self.size])[0][0])
+        pivot_value = int(row[pivot_col])
         if pivot_value != 1:
-            inverse = gf256.inv(pivot_value)
-            vector = gf256.vec_scale(vector, inverse)
-            if payload is not None:
-                payload = gf256.vec_scale(payload, inverse)
+            row = gf256.vec_scale(row, gf256.inv(pivot_value))
         r = self._rank
         # BUG: the back-substitution into rows [:r] is skipped entirely.
-        self._matrix[r] = vector
+        self._matrix[r] = row
         self._pivot_cols.append(pivot_col)
         self._pivot_array[r] = pivot_col
-        if payload is not None:
-            if self._payload_matrix is None:
-                self._payload_matrix = np.zeros(
-                    (self.size, payload.shape[0]), dtype=np.uint8
-                )
-            self._payload_matrix[r] = payload
-            self._has_payload[r] = True
         self._rank = r + 1
 
     setattr(IncrementalDecoder, "_insert", insert_without_elimination)

@@ -15,7 +15,7 @@ without global coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +62,14 @@ class CodedBlock:
     blocks; ``payload`` is the coded data bytes.  Both are optional because
     the abstract simulation mode tracks block *counts* only (the paper's
     bipartite-graph view, where a block is just an edge); the full-RLNC mode
-    fills both in.
+    fills them in.
+
+    A coded block is one buffer: ``row`` is the contiguous ``uint8`` vector
+    ``[header | payload]`` of ``s + L`` bytes (``L = 0`` for header-only
+    RLNC) and ``coefficients`` / ``payload`` are views into it, because the
+    two always undergo the same linear combination — recode, decode and the
+    wire each make one pass over ``row``.  Writing through a view (pollution
+    zero-fills the header) writes the row; rebinding an attribute does not.
 
     Identity (not value) equality is deliberate: two blocks with equal
     coefficients are still distinct objects occupying distinct buffer slots.
@@ -81,17 +88,35 @@ class CodedBlock:
     #: rejects the block without consulting this flag; abstract mode relies
     #: on the tag alone (the tagged-block approximation).
     polluted: bool = field(default=False, compare=False)
+    #: ``[header | payload]``, None for an abstract block; passed instead
+    #: of ``coefficients``/``payload`` by a caller that has it (not copied).
+    row: Optional[Vector] = None
 
     def __post_init__(self) -> None:
-        if self.coefficients is not None:
-            self.coefficients = gf256.as_vector(self.coefficients)
-            if self.coefficients.shape != (self.segment.size,):
+        row = self.row
+        if row is None:
+            if self.coefficients is None:
+                return
+            parts = [
+                gf256.as_vector(part, copy=False)
+                for part in (self.coefficients, self.payload)
+                if part is not None
+            ]
+            if parts[0].shape != (self.segment.size,) or parts[-1].ndim != 1:
                 raise ValueError(
-                    f"coefficient vector has shape {self.coefficients.shape}, "
-                    f"expected ({self.segment.size},)"
+                    f"coefficients and payload of shapes "
+                    f"{[part.shape for part in parts]}, expected "
+                    f"({self.segment.size},) and one row of bytes"
                 )
-        if self.payload is not None:
-            self.payload = gf256.as_vector(self.payload)
+            row = self.row = np.concatenate(parts)
+        size = self.segment.size
+        if row.ndim != 1 or row.shape[0] < size or row.dtype != np.uint8:
+            raise ValueError(
+                f"a block row of {self.segment} is >= {size} uint8 entries, "
+                f"got {row.dtype} {row.shape}"
+            )
+        self.coefficients = row[:size]
+        self.payload = row[size:] if row.shape[0] > size else None
 
     @property
     def is_coded(self) -> bool:
@@ -106,6 +131,61 @@ class CodedBlock:
         )
 
 
+class BlockRows:
+    """The rows of one holder's coded blocks of one segment, in one matrix.
+
+    Order is state: recoding coefficient ``i`` multiplies the ``i``-th row,
+    so rows stay in insertion order and a removal shifts the tail up.  Rows
+    are copied in (an emitter may still zero its header in place); room for
+    ``s`` rows doubles when a holder keeps more (its rank is still < s).
+    """
+
+    __slots__ = ("segment", "count", "_matrix")
+
+    def __init__(self, segment: SegmentDescriptor, width: int) -> None:
+        self.segment = segment
+        self.count = 0
+        self._matrix: Vector = np.empty((segment.size, width), dtype=np.uint8)
+
+    @classmethod
+    def of(cls, blocks: Sequence[CodedBlock]) -> "BlockRows":
+        """The rows of *blocks*, which must be coded blocks of one segment."""
+        if not blocks:
+            raise ValueError("cannot recode from an empty block set")
+        first = blocks[0]
+        rows = cls(first.segment, 0 if first.row is None else first.row.shape[0])
+        for block in blocks:
+            if block.segment is not first.segment and block.segment != first.segment:
+                raise ValueError("recode inputs must belong to a single segment")
+            rows.append(block)
+        return rows
+
+    @property
+    def rows(self) -> Vector:
+        """The live ``(count, s + L)`` rows, a view."""
+        return self._matrix[: self.count]
+
+    def append(self, block: CodedBlock) -> None:
+        """Copy the row of *block* in as the last row."""
+        row, matrix = block.row, self._matrix
+        if row is None or row.shape[0] != matrix.shape[1]:
+            raise ValueError(
+                f"{block!r} among coded blocks with rows of {matrix.shape[1]} "
+                f"bytes: payloads are all of one length or all absent"
+            )
+        if self.count == matrix.shape[0]:
+            self._matrix = np.empty((2 * self.count, row.shape[0]), dtype=np.uint8)
+            self._matrix[: self.count] = matrix
+        self._matrix[self.count] = row
+        self.count += 1
+
+    def remove(self, index: int) -> None:
+        """Drop row *index*, keeping the order of the rest."""
+        last = self.count - 1
+        self._matrix[index:last] = self._matrix[index + 1 : last + 1]
+        self.count = last
+
+
 def make_source_blocks(
     segment: SegmentDescriptor,
     payloads: Optional[Vector] = None,
@@ -114,29 +194,20 @@ def make_source_blocks(
     """Create the ``s`` systematic (identity-coded) blocks of a new segment.
 
     When the source injects a segment it holds the original blocks
-    themselves; in coded form those are unit coefficient vectors.  *payloads*
+    themselves; in coded form those are unit coefficient vectors, so the
+    blocks' rows are the rows of ``[I | payloads]``, built once.  *payloads*
     is an optional ``(s, payload_len)`` array of original data rows.
     """
+    rows: Vector = np.eye(segment.size, dtype=np.uint8)
     if payloads is not None:
         payloads = np.atleast_2d(np.asarray(payloads)).astype(np.uint8)
         if payloads.shape[0] != segment.size:
             raise ValueError(
                 f"expected {segment.size} payload rows, got {payloads.shape[0]}"
             )
+        rows = np.concatenate((rows, payloads), axis=1)
     when = segment.injected_at if created_at is None else created_at
-    blocks: List[CodedBlock] = []
-    for index in range(segment.size):
-        unit = np.zeros(segment.size, dtype=np.uint8)
-        unit[index] = 1
-        blocks.append(
-            CodedBlock(
-                segment=segment,
-                coefficients=unit,
-                payload=None if payloads is None else payloads[index].copy(),
-                created_at=when,
-            )
-        )
-    return blocks
+    return [CodedBlock(segment, row=row, created_at=when) for row in rows]
 
 
 def make_abstract_blocks(

@@ -88,6 +88,10 @@ def _build_mul_table() -> Vector:
 
 #: Flat multiplication table: ``MUL_TABLE[a, b] == mul(a, b)`` (64 KiB).
 MUL_TABLE: Vector = _build_mul_table()
+#: The same 64 KiB as one vector, ``_FLAT_TABLE[(a << 8) | b] == mul(a, b)``,
+#: and where each scalar's table row starts in it, as a ``(256, 1)`` column.
+_FLAT_TABLE: Vector = MUL_TABLE.reshape(-1)
+_ROW_START = (np.arange(ORDER, dtype=np.uint16) << 8)[:, None]
 
 
 def validate_symbol(value: int) -> int:
@@ -251,6 +255,23 @@ def vec_addmul(accumulator: Vector, vector: Vector, scalar: int) -> None:
         np.bitwise_xor(accumulator, row[vector], out=accumulator)
 
 
+def _scaled(scalars: Vector, values: Vector) -> Vector:
+    """The ``(r, n)`` products ``scalars[i] * values[i, j]``; *values* may
+    also be one ``(n,)`` vector, scaled by every scalar.  One ``take`` on
+    ``(scalar << 8) | value``: ``MUL_TABLE[scalars[:, None], values]`` is
+    the same bytes 2-3x slower at payload widths (docs/PERFORMANCE.md)."""
+    index = np.bitwise_or(_ROW_START[scalars], values)
+    products: Vector = _FLAT_TABLE.take(index, mode="clip")
+    return products
+
+
+def _require_aligned(rows: Vector, scalars: Vector) -> None:
+    if rows.ndim != 2 or rows.shape[0] != scalars.shape[0]:
+        raise ValueError(
+            f"rows {rows.shape} and scalars {scalars.shape} do not align"
+        )
+
+
 def vec_addmul_rows(accumulator: Vector, rows: Vector, scalars: Vector) -> None:
     """Batched axpy: ``accumulator ^= XOR_i scalars[i] * rows[i]``.
 
@@ -259,20 +280,16 @@ def vec_addmul_rows(accumulator: Vector, rows: Vector, scalars: Vector) -> None:
     nothing because table row 0 is zero.  This is the whole elimination pass
     of the incremental decoder.
     """
-    if rows.ndim != 2 or rows.shape[0] != scalars.shape[0]:
-        raise ValueError(
-            f"rows {rows.shape} and scalars {scalars.shape} do not align"
-        )
+    _require_aligned(rows, scalars)
     if rows.shape[1] != accumulator.shape[0]:
         raise ValueError(
             f"rows {rows.shape} do not match accumulator {accumulator.shape}"
         )
     if not scalars.any():
         return
-    products = MUL_TABLE[scalars[:, None], rows]
     np.bitwise_xor(
         accumulator,
-        np.bitwise_xor.reduce(products, axis=0),
+        np.bitwise_xor.reduce(_scaled(scalars, rows), axis=0),
         out=accumulator,
     )
 
@@ -283,31 +300,23 @@ def rows_addmul(rows: Vector, vector: Vector, scalars: Vector) -> None:
     The outer-product gather used for Gauss-Jordan back-elimination: one
     new pivot row is folded into all stored rows in a single pass.
     """
-    if rows.ndim != 2 or rows.shape[0] != scalars.shape[0]:
-        raise ValueError(
-            f"rows {rows.shape} and scalars {scalars.shape} do not align"
-        )
+    _require_aligned(rows, scalars)
     if rows.shape[1] != vector.shape[0]:
         raise ValueError(f"rows {rows.shape} do not match vector {vector.shape}")
     if not scalars.any():
         return
-    products = MUL_TABLE[scalars[:, None], vector[None, :]]
-    np.bitwise_xor(rows, products, out=rows)
+    np.bitwise_xor(rows, _scaled(scalars, vector), out=rows)
 
 
 def combine_rows(rows: Vector, scalars: Vector) -> Vector:
     """Return the linear combination ``XOR_i scalars[i] * rows[i]``.
 
     The coding primitive behind re-encoding: a fresh ``(n,)`` vector from
-    ``(r, n)`` rows and ``(r,)`` coefficients.
+    ``(r, n)`` rows and ``(r,)`` coefficients, one gather and one XOR-reduce.
     """
-    if rows.ndim != 2 or rows.shape[0] != scalars.shape[0]:
-        raise ValueError(
-            f"rows {rows.shape} and scalars {scalars.shape} do not align"
-        )
-    out = np.zeros(rows.shape[1], dtype=np.uint8)
-    vec_addmul_rows(out, rows, scalars)
-    return out
+    _require_aligned(rows, scalars)
+    combined: Vector = np.bitwise_xor.reduce(_scaled(scalars, rows), axis=0)
+    return combined
 
 
 def vec_mul(a: Vector, b: Vector) -> Vector:

@@ -141,33 +141,32 @@ def invert(matrix: VectorLike) -> Vector:
 class IncrementalDecoder:
     """Progressive Gauss-Jordan elimination over GF(256).
 
-    Collects coded blocks ``(coefficients, payload)`` for one segment of
-    *size* original blocks.  Each offered block is reduced against the pivot
-    rows accumulated so far; a block that reduces to zero is *redundant* and
-    rejected, otherwise it becomes a new pivot row.  Once ``size`` pivot rows
-    exist the original payloads are recoverable via back-substitution.
+    Collects the coded blocks of one segment of *size* original blocks as
+    rows ``[coefficients | payload]``.  Each offered row is reduced against
+    the pivot rows accumulated so far; a row whose coefficients reduce to
+    zero is *redundant* and rejected, otherwise it becomes a new pivot row.
+    Once ``size`` pivot rows exist the payload columns *are* the originals.
 
-    Payloads are optional: the protocol simulators often track only
-    coefficient vectors (rank evolution) without carrying data bytes.
+    Payloads are optional (the protocol simulators often track rank
+    evolution without carrying data bytes) but uniform: the first row fixes
+    the payload length ``L`` (0 for header-only blocks) and a row of any
+    other width raises ``ValueError``.
 
-    Storage invariants (the zero-copy design): the ``size x size``
-    coefficient matrix is preallocated at construction and rows
-    ``[0, rank)`` are the live pivot rows in insertion order — no array is
-    ever reallocated or vstacked per insert.  The payload matrix is
-    allocated once, lazily, when the first payload arrives; a boolean mask
-    records which rows carry payloads so mixed streams behave exactly like
-    the original list-of-optionals implementation.
+    Storage invariants (the zero-copy design): one ``size x (size + L)``
+    matrix whose rows ``[0, rank)`` are the live pivot rows in insertion
+    order — nothing is reallocated or vstacked per insert, and header and
+    payload share every elimination pass because they are one row.
     """
 
     def __init__(self, size: int, payload_length: Optional[int] = None) -> None:
         if size < 1:
             raise ValueError(f"segment size must be >= 1, got {size}")
         self.size = size
+        #: ``L`` once a payload row has been offered, None until then.
         self.payload_length = payload_length
-        # Preallocated pivot-row storage; rows [0, _rank) are live.
+        # Preallocated pivot-row storage; rows [0, _rank) are live.  The
+        # payload columns join with the first payload row (`_widen`).
         self._matrix: Vector = np.zeros((size, size), dtype=np.uint8)
-        self._payload_matrix: Optional[Vector] = None
-        self._has_payload = np.zeros(size, dtype=bool)
         # pivot column of each stored row, in insertion order
         self._pivot_cols: List[int] = []
         self._pivot_array = np.zeros(size, dtype=np.intp)
@@ -183,45 +182,32 @@ class IncrementalDecoder:
         """True once the full segment can be decoded."""
         return self._rank == self.size
 
-    def needs_more(self) -> bool:
-        """True while additional innovative blocks are still useful."""
-        return not self.is_complete
-
     def would_be_innovative(self, coefficients: Vector) -> bool:
         """Check innovation without mutating the decoder state."""
-        reduced, _ = self._reduce(gf256.as_vector(coefficients, copy=False), None)
-        return bool(reduced.any())
+        return bool(self._reduce(self._header(coefficients)).any())
 
     def add(
-        self,
-        coefficients: VectorLike,
-        payload: Optional[VectorLike] = None,
+        self, coefficients: VectorLike, payload: Optional[VectorLike] = None
     ) -> bool:
         """Offer one coded block; return ``True`` iff it was innovative.
 
         *coefficients* is the length-``size`` encoding vector over the
-        original blocks; *payload* is the coded data (optional, but must be
-        consistently present or absent across calls if decoding is desired).
+        original blocks; *payload* is the coded data, present on every call
+        or on none.  :meth:`add_row` takes the two as the one row they are.
         """
-        # copy=False: _reduce copies before mutating, so no defensive copy.
-        vector = gf256.as_vector(coefficients, copy=False)
-        if vector.shape != (self.size,):
-            raise ValueError(
-                f"coefficient vector has shape {vector.shape}, expected ({self.size},)"
-            )
-        data: Optional[Vector] = None
+        parts = [self._header(coefficients)]
         if payload is not None:
-            data = gf256.as_vector(payload, copy=False)
-            if self.payload_length is None:
-                self.payload_length = int(data.shape[0])
-            elif data.shape[0] != self.payload_length:
-                raise ValueError(
-                    f"payload length {data.shape[0]} != expected {self.payload_length}"
-                )
-        reduced_vec, reduced_payload = self._reduce(vector, data)
-        if not reduced_vec.any():
+            parts.append(gf256.as_vector(payload, copy=False))
+        return self.add_row(np.concatenate(parts))
+
+    def add_row(self, row: Vector) -> bool:
+        """Offer one block as its row ``[coefficients | payload]``."""
+        if row.shape != (self._matrix.shape[1],):
+            self._widen(row)
+        reduced = self._reduce(row)
+        if not reduced[: self.size].any():
             return False
-        self._insert(reduced_vec, reduced_payload)
+        self._insert(reduced)
         return True
 
     def decode(self) -> Vector:
@@ -234,145 +220,110 @@ class IncrementalDecoder:
             raise ValueError(
                 f"segment not decodable: rank {self.rank} < size {self.size}"
             )
-        payloads = self._payload_matrix
-        if payloads is None or not bool(self._has_payload[: self._rank].all()):
+        if self._matrix.shape[1] == self.size:
             raise ValueError("cannot decode: coded blocks carried no payloads")
         # Rows are maintained in fully reduced (Gauss-Jordan) form, so after
         # sorting by pivot column the coefficient matrix is the identity and
         # the payloads *are* the original blocks.
-        order = np.argsort(self._pivot_array[: self._rank])
-        result: Vector = payloads[: self._rank][order].copy()
+        order = np.argsort(self._pivot_array)
+        result: Vector = self._matrix[order, self.size :]
         return result
 
     def coefficient_matrix(self) -> Vector:
         """Copy of the current reduced coefficient rows (for inspection)."""
-        return self._matrix[: self._rank].copy()
+        return self._matrix[: self._rank, : self.size].copy()
 
     def snapshot(self) -> DecoderSnapshot:
         """Serialize the live rows to a :class:`DecoderSnapshot`."""
-        r = self._rank
-        payload_rows = b""
-        if self._payload_matrix is not None:
-            payload_rows = self._payload_matrix[:r].tobytes()
+        live = self._matrix[: self._rank]
         return DecoderSnapshot(
             size=self.size,
             payload_length=self.payload_length,
             pivot_cols=tuple(self._pivot_cols),
-            has_payload=tuple(bool(flag) for flag in self._has_payload[:r]),
-            matrix_rows=self._matrix[:r].tobytes(),
-            payload_rows=payload_rows,
+            has_payload=(live.shape[1] > self.size,) * self._rank,
+            matrix_rows=live[:, : self.size].tobytes(),
+            payload_rows=live[:, self.size :].tobytes(),
         )
 
     @classmethod
     def from_snapshot(cls, snap: DecoderSnapshot) -> "IncrementalDecoder":
         """Rebuild a decoder whose state is byte-identical to the snapshot."""
-        decoder = cls(snap.size, snap.payload_length)
         r = len(snap.pivot_cols)
-        if r > snap.size:
+        # All rows carry payloads or none does.
+        length = (snap.payload_length or 0) if any(snap.has_payload) else 0
+        if r > snap.size or snap.has_payload != (length > 0,) * r:
             raise ValueError(
-                f"snapshot rank {r} exceeds segment size {snap.size}"
+                f"snapshot of size {snap.size} has {r} pivot(s) with payload "
+                f"flags {snap.has_payload} at length {snap.payload_length}"
             )
-        if len(snap.has_payload) != r:
-            raise ValueError(
-                f"snapshot has {len(snap.has_payload)} payload flags "
-                f"for rank {r}"
-            )
-        if len(snap.matrix_rows) != r * snap.size:
-            raise ValueError(
-                f"snapshot matrix is {len(snap.matrix_rows)} byte(s), "
-                f"expected {r * snap.size}"
-            )
+        # reshape raises ValueError unless each half holds exactly r rows.
+        header = np.frombuffer(snap.matrix_rows, dtype=np.uint8).reshape(r, snap.size)
+        data = np.frombuffer(snap.payload_rows, dtype=np.uint8).reshape(r, length)
+        decoder = cls(snap.size, snap.payload_length)
         if r:
-            decoder._matrix[:r] = np.frombuffer(
-                snap.matrix_rows, dtype=np.uint8
-            ).reshape(r, snap.size)
+            decoder._matrix = np.zeros(
+                (snap.size, snap.size + length), dtype=np.uint8
+            )
+            decoder._matrix[:r] = np.concatenate((header, data), axis=1)
             decoder._pivot_cols = list(snap.pivot_cols)
-            decoder._pivot_array[:r] = np.asarray(
-                snap.pivot_cols, dtype=np.intp
-            )
-            decoder._has_payload[:r] = snap.has_payload
+            decoder._pivot_array[:r] = snap.pivot_cols
             decoder._rank = r
-        if snap.payload_rows:
-            length = snap.payload_length
-            if length is None or length <= 0:
-                raise ValueError(
-                    "snapshot carries payload rows without a payload_length"
-                )
-            if len(snap.payload_rows) != r * length:
-                raise ValueError(
-                    f"snapshot payloads are {len(snap.payload_rows)} "
-                    f"byte(s), expected {r * length}"
-                )
-            payload_matrix: Vector = np.zeros(
-                (snap.size, length), dtype=np.uint8
-            )
-            if r:
-                payload_matrix[:r] = np.frombuffer(
-                    snap.payload_rows, dtype=np.uint8
-                ).reshape(r, length)
-            decoder._payload_matrix = payload_matrix
         return decoder
 
     # -- internals ---------------------------------------------------------
 
-    def _reduce(
-        self,
-        vector: Vector,
-        payload: Optional[Vector],
-    ) -> Tuple[Vector, Optional[Vector]]:
-        """Eliminate *vector* (and its payload) against the stored rows.
+    def _header(self, coefficients: VectorLike) -> Vector:
+        vector = gf256.as_vector(coefficients, copy=False)  # _reduce copies
+        if vector.shape != (self.size,):
+            raise ValueError(
+                f"coefficient vector has shape {vector.shape}, expected ({self.size},)"
+            )
+        return vector
 
-        One batched gather-scale-XOR pass over all pivot rows.  Gathering
-        the elimination factors up-front is exact because stored rows are
-        mutually reduced (see the module docstring).
+    def _widen(self, row: Vector) -> None:
+        """The first payload row, offered at rank 0, fixes ``L``."""
+        length = row.shape[0] - self.size if row.ndim == 1 else 0
+        if self._rank or length < 1 or self.payload_length not in (None, length):
+            raise ValueError(
+                f"block row of shape {row.shape} offered at rank {self._rank} of "
+                f"size {self.size}, payload length {self.payload_length}"
+            )
+        self.payload_length = length
+        self._matrix = np.zeros((self.size, row.shape[0]), dtype=np.uint8)
+
+    def _reduce(self, row: Vector) -> Vector:
+        """Eliminate *row* against the stored rows; returns a reduced copy.
+
+        One batched gather-scale-XOR pass over all pivot rows, as wide as
+        *row* (a bare header probes the header columns).  Gathering the
+        factors up-front is exact because stored rows are mutually reduced.
         """
-        vec = vector.copy()
-        data = payload.copy() if payload is not None else None
+        reduced = row.copy()
         r = self._rank
         if r:
-            factors = vec[self._pivot_array[:r]]
-            if factors.any():
-                gf256.vec_addmul_rows(vec, self._matrix[:r], factors)
-                if data is not None and self._payload_matrix is not None:
-                    payload_factors = factors.copy()
-                    payload_factors[~self._has_payload[:r]] = 0
-                    gf256.vec_addmul_rows(
-                        data, self._payload_matrix[:r], payload_factors
-                    )
-        return vec, data
+            gf256.vec_addmul_rows(
+                reduced,
+                self._matrix[:r, : row.shape[0]],
+                reduced[self._pivot_array[:r]],
+            )
+        return reduced
 
-    def _insert(self, vector: Vector, payload: Optional[Vector]) -> None:
-        """Normalize the reduced *vector*, install it, and back-eliminate."""
-        pivot_col = int(np.nonzero(vector)[0][0])
-        pivot_value = int(vector[pivot_col])
+    def _insert(self, row: Vector) -> None:
+        """Normalize the reduced *row*, install it, and back-eliminate."""
+        pivot_col = int(np.nonzero(row[: self.size])[0][0])
+        pivot_value = int(row[pivot_col])
         if pivot_value != 1:
-            inverse = gf256.inv(pivot_value)
-            vector = gf256.vec_scale(vector, inverse)
-            if payload is not None:
-                payload = gf256.vec_scale(payload, inverse)
+            row = gf256.vec_scale(row, gf256.inv(pivot_value))
         r = self._rank
         if r:
             # Back-substitute into existing rows so the basis stays
             # Gauss-Jordan reduced; this keeps `decode` trivial and
             # `_reduce` single-pass.  The factor column must be copied
             # before the in-place update zeroes it.
-            factors = self._matrix[:r, pivot_col].copy()
-            if factors.any():
-                gf256.rows_addmul(self._matrix[:r], vector, factors)
-                if payload is not None and self._payload_matrix is not None:
-                    payload_factors = factors.copy()
-                    payload_factors[~self._has_payload[:r]] = 0
-                    gf256.rows_addmul(
-                        self._payload_matrix[:r], payload, payload_factors
-                    )
-        self._matrix[r] = vector
+            gf256.rows_addmul(
+                self._matrix[:r], row, self._matrix[:r, pivot_col].copy()
+            )
+        self._matrix[r] = row
         self._pivot_cols.append(pivot_col)
         self._pivot_array[r] = pivot_col
-        if payload is not None:
-            if self._payload_matrix is None:
-                self._payload_matrix = np.zeros(
-                    (self.size, payload.shape[0]), dtype=np.uint8
-                )
-            self._payload_matrix[r] = payload
-            self._has_payload[r] = True
         self._rank = r + 1

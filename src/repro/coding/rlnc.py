@@ -26,9 +26,9 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.coding import gf256
-from repro.coding.block import CodedBlock, SegmentDescriptor
+from repro.coding.block import BlockRows, CodedBlock, SegmentDescriptor
 from repro.coding.gf256 import Vector
-from repro.coding.linalg import DecoderSnapshot, IncrementalDecoder
+from repro.coding.linalg import DecoderSnapshot, IncrementalDecoder, rank as matrix_rank
 
 #: Either RNG flavour the codec accepts; draws are routed by isinstance.
 RngLike = Union[np.random.Generator, random.Random]
@@ -56,44 +56,23 @@ def _draw_coefficients(rng: RngLike, count: int) -> Vector:
 
 
 def recode(
-    blocks: Sequence[CodedBlock], rng: RngLike, created_at: float = 0.0
+    blocks: Union[Sequence[CodedBlock], BlockRows],
+    rng: RngLike,
+    created_at: float = 0.0,
 ) -> CodedBlock:
     """Produce one new coded block from the holder's *blocks* of a segment.
 
-    All inputs must be live coded blocks of the same segment.  The output's
-    header coefficients are expressed over the segment's original blocks, and
-    its payload (if the inputs carry payloads) is the matching combination of
-    the input payloads.
+    All inputs must be coded blocks of the same segment, all with a payload
+    of one length or all without (:class:`BlockRows` checks on the way in).
+    One coefficient draw and one gather-XOR over the ``[header | payload]``
+    rows: the output's header is expressed over the segment's original
+    blocks and its payload is the same combination of the input payloads.
     """
-    if not blocks:
-        raise ValueError("cannot recode from an empty block set")
-    segment = blocks[0].segment
-    for block in blocks:
-        if block.segment is not segment and block.segment != segment:
-            raise ValueError("recode inputs must belong to a single segment")
-        if not block.is_coded:
-            raise ValueError("recode requires explicit coefficient vectors")
-    local = _draw_coefficients(rng, len(blocks))
-    # One batched gather-XOR over all input rows (vec_addmul_rows) instead
-    # of a Python loop of per-block axpys.
-    header_rows = np.stack(
-        [block.coefficients for block in blocks if block.coefficients is not None]
-    )
-    coefficients = gf256.combine_rows(header_rows, local)
-    payload: Optional[Vector] = None
-    first_payload = blocks[0].payload
-    if first_payload is not None and all(
-        block.payload is not None for block in blocks
-    ):
-        payload_rows = np.stack(
-            [block.payload for block in blocks if block.payload is not None]
-        )
-        payload = gf256.combine_rows(payload_rows, local)
+    held = blocks if isinstance(blocks, BlockRows) else BlockRows.of(blocks)
+    rows = held.rows
+    local = _draw_coefficients(rng, rows.shape[0])
     return CodedBlock(
-        segment=segment,
-        coefficients=coefficients,
-        payload=payload,
-        created_at=created_at,
+        held.segment, row=gf256.combine_rows(rows, local), created_at=created_at
     )
 
 
@@ -110,12 +89,8 @@ def encode_from_source(
             f"expected {segment.size} original rows, got {payloads.shape[0]}"
         )
     coefficients = _draw_coefficients(rng, segment.size)
-    payload = gf256.combine_rows(payloads, coefficients)
     return CodedBlock(
-        segment=segment,
-        coefficients=coefficients,
-        payload=payload,
-        created_at=created_at,
+        segment, coefficients, gf256.combine_rows(payloads, coefficients), created_at
     )
 
 
@@ -151,11 +126,10 @@ class SegmentDecoder:
                 f"block of segment {block.segment.segment_id} offered to "
                 f"decoder of segment {self.segment.segment_id}"
             )
-        if not block.is_coded:
+        if block.row is None:
             raise ValueError("SegmentDecoder requires coded blocks")
-        assert block.coefficients is not None  # is_coded guarantees this
         self.offered += 1
-        innovative = self._decoder.add(block.coefficients, block.payload)
+        innovative = self._decoder.add_row(block.row)
         if not innovative:
             self.redundant += 1
         elif self.is_complete and self.completed_at is None:
@@ -216,8 +190,6 @@ def rank_of_blocks(blocks: Sequence[CodedBlock]) -> int:
         raise ValueError("rank_of_blocks requires coded blocks")
     if not vectors:
         return 0
-    from repro.coding.linalg import rank as matrix_rank
-
     return matrix_rank(np.stack(vectors))
 
 
@@ -240,9 +212,10 @@ def innovation_probability(
     for row in receiver_matrix:
         if row.any():
             base.add(row)
+    held = BlockRows.of(holder_blocks)
     hits = 0
     for _ in range(trials):
-        candidate = recode(holder_blocks, rng)
+        candidate = recode(held, rng)
         assert candidate.coefficients is not None  # recode always sets them
         if base.would_be_innovative(candidate.coefficients):
             hits += 1

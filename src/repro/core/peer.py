@@ -23,18 +23,25 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.coding.block import CodedBlock, SegmentDescriptor
+from repro.coding.block import BlockRows, CodedBlock, SegmentDescriptor
 from repro.coding.linalg import rank as matrix_rank
 from repro.coding.rlnc import RngLike, recode
 from repro.util.randomset import RandomizedSet
 
 
-class SegmentHolding:
-    """All live blocks one peer holds for one segment."""
+#: ``SegmentHolding._rows`` before the first block has chosen the layout.
+_UNDECIDED = BlockRows.__new__(BlockRows)
 
-    __slots__ = ("descriptor", "blocks", "polluted_count", "_rank_cache")
+
+class SegmentHolding:
+    """All live blocks one peer holds for one segment.
+
+    The first block stored chooses the layout, once per holding: abstract
+    (``_rows`` None: blocks are only counted) or coded (their rows are also
+    kept in a :class:`BlockRows`, in the order of ``blocks``).
+    """
+
+    __slots__ = ("descriptor", "blocks", "polluted_count", "_rank_cache", "_rows")
 
     def __init__(self, descriptor: SegmentDescriptor) -> None:
         self.descriptor = descriptor
@@ -44,6 +51,7 @@ class SegmentHolding:
         #: like any other — but they contribute no useful information.
         self.polluted_count = 0
         self._rank_cache: Optional[int] = None
+        self._rows: Optional[BlockRows] = _UNDECIDED
 
     @property
     def block_count(self) -> int:
@@ -58,12 +66,11 @@ class SegmentHolding:
         """
         if not self.blocks:
             return 0
-        if self.blocks[0].coefficients is None:
+        if self._rows is None:
             useful = len(self.blocks) - self.polluted_count
             return min(useful, self.descriptor.size)
         if self._rank_cache is None:
-            matrix = np.stack([block.coefficients for block in self.blocks])
-            self._rank_cache = matrix_rank(matrix)
+            self._rank_cache = matrix_rank(self._rows.rows[:, : self.descriptor.size])
         return self._rank_cache
 
     def add(self, block: CodedBlock) -> None:
@@ -73,20 +80,30 @@ class SegmentHolding:
                 f"block of segment {block.segment.segment_id} added to "
                 f"holding of segment {self.descriptor.segment_id}"
             )
+        if (rows := self._rows) is not None:
+            if rows is _UNDECIDED:
+                self._rows = None if block.row is None else BlockRows.of([block])
+            else:
+                rows.append(block)
+            self._rank_cache = None
         self.blocks.append(block)
         if block.polluted:
             self.polluted_count += 1
-        self._rank_cache = None
 
     def remove(self, block: CodedBlock) -> bool:
         """Drop *block* if present; returns True when removed."""
         try:
-            self.blocks.remove(block)
+            if (rows := self._rows) is None:
+                self.blocks.remove(block)
+            else:
+                index = self.blocks.index(block)
+                del self.blocks[index]
+                rows.remove(index)
+                self._rank_cache = None
         except ValueError:
             return False
         if block.polluted:
             self.polluted_count -= 1
-        self._rank_cache = None
         return True
 
     def make_coded_block(self, rng: RngLike, now: float) -> CodedBlock:
@@ -97,9 +114,9 @@ class SegmentHolding:
         """
         if not self.blocks:
             raise ValueError("cannot encode from an empty holding")
-        if self.blocks[0].coefficients is None:
+        if self._rows is None:
             return CodedBlock(segment=self.descriptor, created_at=now)
-        return recode(self.blocks, rng, created_at=now)
+        return recode(self._rows, rng, created_at=now)
 
 
 class Peer:

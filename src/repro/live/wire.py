@@ -17,10 +17,10 @@ Data plane (peer <-> peer, server -> peer)
     ``pull`` -> ``pull-block`` | ``pull-empty`` implements one logging
     -server coupon pull.
 
-Coded blocks travel with their GF(256) coefficient header and coded
-payload as raw bytes (never through JSON) plus the segment descriptor and
-the source segment's payload digest, so any collector can verify a decoded
-segment end to end.
+Coded blocks travel as their row — the GF(256) coefficient header followed
+by the coded payload, the block's one buffer verbatim as raw bytes (never
+through JSON) — plus the segment descriptor and the source segment's
+payload digest, so any collector can verify a decoded segment end to end.
 """
 
 from __future__ import annotations
@@ -76,12 +76,12 @@ def block_to_wire(
 ) -> Tuple[Dict[str, Any], bytes]:
     """Serialize one RLNC coded block to a (header, payload) frame pair.
 
-    The payload is the s-byte coefficient vector followed by the coded
-    payload row; the header carries the segment descriptor, timestamps, and
+    The payload is the block's row, the s-byte coefficient vector followed by
+    the coded payload; the header carries the segment descriptor, timestamps, and
     the segment's original-payload *digest* (so collectors can verify their
     reconstruction against the source without ever seeing it).
     """
-    if block.coefficients is None or block.payload is None:
+    if block.row is None or block.payload is None:
         raise ValueError(
             "live transport requires RLNC blocks with explicit "
             "coefficients and payload (mode='rlnc', payload_bytes > 0)"
@@ -101,8 +101,7 @@ def block_to_wire(
         "digest": digest,
         **extra,
     }
-    payload = block.coefficients.tobytes() + block.payload.tobytes()
-    return header, payload
+    return header, block.row.tobytes()
 
 
 def block_from_wire(header: Mapping[str, Any], payload: bytes) -> CodedBlock:
@@ -130,15 +129,9 @@ def block_from_wire(header: Mapping[str, Any], payload: bytes) -> CodedBlock:
             f"block payload is {len(payload)} byte(s), need more than the "
             f"{segment.size}-byte coefficient vector"
         )
-    coefficients = np.frombuffer(payload[: segment.size], dtype=np.uint8).copy()
-    data = np.frombuffer(payload[segment.size :], dtype=np.uint8).copy()
-    return CodedBlock(
-        segment=segment,
-        coefficients=coefficients,
-        payload=data,
-        created_at=created_at,
-        polluted=polluted,
-    )
+    # The copy makes the row writable (pollution zero-fills headers in place).
+    row = np.frombuffer(payload, dtype=np.uint8).copy()
+    return CodedBlock(segment, row=row, created_at=created_at, polluted=polluted)
 
 
 def session_block_from_wire(
