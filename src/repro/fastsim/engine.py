@@ -15,10 +15,9 @@ how channel event counts and times are produced:
   on the event engine's :class:`~repro.sim.engine.Simulator`: one
   :class:`~repro.sim.engine.PoissonProcess` per channel at the channel's
   *total* rate, firing the kernels with ``count == 1`` at exact event
-  times.  The fixed-rate channels ride the non-cancellable bulk path
-  (``gap_batch`` pre-draw + bulk schedule via ``next_times``); the TTL
-  clock is re-rated to γ·K after every event by memorylessness, and the
-  pull clock pauses across server outages.
+  times.  The fixed-rate channels ride the non-cancellable
+  (handle-free) path; the TTL clock is re-rated to γ·K after every event
+  by memorylessness, and the pull clock pauses across server outages.
 
 Server outages are shared logic: the system materializes the outage
 timeline up front, the steppers replay its boundaries (exact
@@ -34,13 +33,10 @@ import numpy as np
 from repro.fastsim.system import (
     CHECK_EVERY_EVENTS,
     CHECK_EVERY_STEPS,
+    STATS_STRIDE,
     FastCollectionSystem,
 )
 from repro.sim.engine import PoissonProcess, Simulator
-
-#: Pre-drawn gaps per aggregate clock on the exact path.  Each clock owns
-#: an exclusive named substream, which is what makes batching sound.
-_GAP_BATCH = 64
 
 #: (time, is_recovery, downtime) — a flattened outage boundary.
 _Boundary = Tuple[float, bool, float]
@@ -121,7 +117,7 @@ class TauLeapStepper:
             system.now = t1
             self._steps += 1
             system.push_averages(
-                t1, segments=self._steps % system.stats_stride == 0
+                t1, segments=self._steps % STATS_STRIDE == 0
             )
             if state.should_compact():
                 state.compact_segments()
@@ -184,7 +180,6 @@ class ExactStepper:
                 rate,
                 self._fire(kernel),
                 cancellable=cancellable,
-                gap_batch=_GAP_BATCH,
             )
 
         clock("injection", rates.injection, system.kernel_inject)

@@ -19,57 +19,15 @@ regardless of worker count or completion order.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Sequence
 
 from repro.core.params import Parameters
 from repro.fastsim.system import DelayAccumulator, FastCollectionSystem
+from repro.sim.metrics import fold_report
 from repro.sim.rng import SeedSequenceRegistry
 
 #: Payload schema version (bump on incompatible payload changes).
 PAYLOAD_SCHEMA = 1
-
-#: Window counters serialized into shard payloads, by collector attribute
-#: name.  Includes the channels fastsim never fires (always 0) so the
-#: payload shape matches MetricsReport field for field.
-COUNTER_NAMES = (
-    "pulls",
-    "useful_pulls",
-    "redundant_pulls",
-    "idle_pulls",
-    "segments_completed",
-    "injected_segments",
-    "injected_blocks",
-    "blocked_injections",
-    "gossip_transfers",
-    "gossip_no_target",
-    "gossip_undeliverable",
-    "blocks_expired",
-    "blocks_lost_to_churn",
-    "departures",
-    "segments_lost",
-    "transfers_dropped",
-    "blocks_rejected_polluted",
-    "burst_departures",
-    "gossip_suppressed",
-    "pulls_captured",
-    "junk_blocks_served",
-    "pulls_quarantine_rejected",
-    "slots_quarantined",
-    "false_quarantines",
-    "sybil_conversions",
-)
-
-#: Time-weighted averages serialized into shard payloads.  The first four
-#: are population totals (merge by sum); servers_down is an indicator
-#: (merge by mean).
-AVERAGE_NAMES = (
-    "total_blocks",
-    "empty_peers",
-    "saved_segments",
-    "decodable_segments",
-    "servers_down",
-)
 
 
 def shard_parameters(params: Parameters, shards: int) -> List[Parameters]:
@@ -130,26 +88,12 @@ def run_shard(
     except InvariantViolation as error:
         monitors_clean = False
         violation = str(error)
-    now = system.now
-    metrics = system.metrics
-    window = max(now - metrics._window_start, 0.0)
     return {
         "schema": PAYLOAD_SCHEMA,
         "shard": shard_index,
         "shards": shards,
-        "n_peers": shard_params.n_peers,
-        "arrival_rate": params.arrival_rate,
-        "segment_size": params.segment_size,
-        "normalized_capacity": params.normalized_capacity,
-        "deletion_rate": params.deletion_rate,
-        "window": window,
-        "counters": {
-            name: int(getattr(metrics, name).window) for name in COUNTER_NAMES
-        },
-        "averages": {
-            name: float(getattr(metrics, name).average(now))
-            for name in AVERAGE_NAMES
-        },
+        # config echo, window, counters and averages
+        **system.metrics.snapshot(system.now),
         "delays": {
             "counts": [int(c) for c in system.delays.counts],
             "count": int(system.delays.count),
@@ -186,68 +130,15 @@ def merge_shard_payloads(payloads: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
                 f"{payload['window']}, shard {first['shard']} measured "
                 f"{first['window']}; shards must share the horizon"
             )
-    n_peers = sum(p["n_peers"] for p in ordered)
-    window = float(first["window"])
-    arrival_rate = float(first["arrival_rate"])
-    segment_size = int(first["segment_size"])
-    deletion_rate = float(first["deletion_rate"])
-
-    counters = {
-        name: sum(p["counters"][name] for p in ordered)
-        for name in COUNTER_NAMES
-    }
-    sums = {
-        name: math.fsum(p["averages"][name] for p in ordered)
-        for name in AVERAGE_NAMES
-    }
     delays = DelayAccumulator()
     for payload in ordered:
         blob = payload["delays"]
         delays.merge_counts(blob["counts"], blob["count"], blob["total"])
-
-    pulls = counters["pulls"]
-    useful = counters["useful_pulls"]
-    demand = n_peers * arrival_rate
-    throughput = useful / window if window > 0 else 0.0
-    goodput = (
-        delays.count * segment_size / window if window > 0 else 0.0
-    )
-    occupancy = sums["total_blocks"] / n_peers
-    mean_segment = delays.mean()
-    p50 = delays.percentile(50.0)
-    p95 = delays.percentile(95.0)
-    merged: Dict[str, Any] = {
-        "n_peers": n_peers,
-        "arrival_rate": arrival_rate,
-        "segment_size": segment_size,
-        "normalized_capacity": float(first["normalized_capacity"]),
-        "window": window,
+    echo = {**first, "n_peers": sum(p["n_peers"] for p in ordered)}
+    return {
+        **fold_report(echo, ordered, delays.summary(first["segment_size"])),
         "shards": len(ordered),
         "monitors_clean": all(p["monitors_clean"] for p in ordered),
         "violations": [p["violation"] for p in ordered if p["violation"]],
-        "throughput": throughput,
-        "normalized_throughput": throughput / demand if demand else 0.0,
-        "efficiency": useful / pulls if pulls else 0.0,
-        "goodput": goodput,
-        "normalized_goodput": goodput / demand if demand else 0.0,
-        "mean_buffer_occupancy": occupancy,
-        "empty_peer_fraction": sums["empty_peers"] / n_peers,
-        "storage_overhead": max(
-            occupancy - arrival_rate / deletion_rate, 0.0
-        ),
-        "mean_segment_delay": mean_segment,
-        "mean_block_delay": (
-            mean_segment / segment_size if mean_segment is not None else None
-        ),
-        "p50_block_delay": p50 / segment_size if p50 is not None else None,
-        "p95_block_delay": p95 / segment_size if p95 is not None else None,
-        "delay_samples": delays.count,
-        "saved_blocks_per_peer": sums["saved_segments"]
-        * segment_size
-        / n_peers,
-        "decodable_segments_per_peer": sums["decodable_segments"] / n_peers,
-        "outage_time": sums["servers_down"] / len(ordered) * window,
         "engine_events_fired": sum(p["events_applied"] for p in ordered),
     }
-    merged.update(counters)
-    return merged

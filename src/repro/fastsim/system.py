@@ -25,7 +25,6 @@ float per completed segment.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -38,13 +37,21 @@ from repro.core.params import (
 )
 from repro.fastsim.masks import FastAdversaryMasks, FastFaultMasks
 from repro.fastsim.state import FastState, _sorted_unique
-from repro.sim.metrics import MetricsCollector, MetricsReport
+from repro.sim.metrics import (
+    DelaySummary,
+    MetricsCollector,
+    MetricsReport,
+    fold_report,
+)
 from repro.sim.rng import SeedSequenceRegistry
 
 #: Consistency-check cadence for the tau stepper (steps) and the exact
 #: stepper (events).
 CHECK_EVERY_STEPS = 64
 CHECK_EVERY_EVENTS = 4096
+#: The tau stepper re-scans the O(M) segment populations for the
+#: time-weighted averages every this many steps (peer scans run every step).
+STATS_STRIDE = 4
 
 
 class DelayAccumulator:
@@ -84,6 +91,17 @@ class DelayAccumulator:
         self.count += count
         self.total += total
 
+    def summary(self, segment_size: int) -> DelaySummary:
+        """What a report needs of the samples, each one a completed segment
+        of *segment_size* original blocks."""
+        return DelaySummary(
+            self.count,
+            self.count * segment_size,
+            self.mean(),
+            self.percentile(50.0),
+            self.percentile(95.0),
+        )
+
     def mean(self) -> Optional[float]:
         """Exact mean delay, or None with no samples."""
         if self.count == 0:
@@ -120,7 +138,6 @@ class FastCollectionSystem:
         self,
         params: Parameters,
         seed: int = 0,
-        stats_stride: int = 4,
     ) -> None:
         if params.mode != MODE_ABSTRACT:
             raise ValueError(
@@ -145,11 +162,8 @@ class FastCollectionSystem:
             raise ValueError(
                 "fastsim does not support pull_scoring/advert_discounting"
             )
-        if stats_stride < 1:
-            raise ValueError(f"stats_stride must be >= 1, got {stats_stride}")
         self.params = params
         self.seed = seed
-        self.stats_stride = stats_stride
         self.now = 0.0
         #: total channel events applied (the deterministic work measure the
         #: events/sec benchmarks divide by wall time; never in payloads).
@@ -235,30 +249,13 @@ class FastCollectionSystem:
     def report(self) -> MetricsReport:
         """Freeze the measurement window into a MetricsReport.
 
-        The collector produces every field except the delay statistics
-        (which live in the streaming accumulator) and goodput (derived
-        from the accumulator's completion count).
+        The collector's snapshot folded with the streaming accumulator's
+        delay summary (the collector's own sample list stays empty here).
         """
-        base = self.metrics.report(self.now)
-        s = self.params.segment_size
-        window = base.window
-        count = self.delays.count
-        mean_segment = self.delays.mean()
-        goodput = count * s / window if window > 0 else 0.0
-        demand = self.params.n_peers * self.params.arrival_rate
-        p50 = self.delays.percentile(50.0)
-        p95 = self.delays.percentile(95.0)
-        return replace(
-            base,
-            mean_segment_delay=mean_segment,
-            mean_block_delay=(
-                mean_segment / s if mean_segment is not None else None
-            ),
-            p50_block_delay=p50 / s if p50 is not None else None,
-            p95_block_delay=p95 / s if p95 is not None else None,
-            delay_samples=count,
-            goodput=goodput,
-            normalized_goodput=goodput / demand if demand else 0.0,
+        snap = self.metrics.snapshot(self.now)
+        delays = self.delays.summary(self.params.segment_size)
+        return MetricsReport(
+            **fold_report(snap, [snap], delays),
             engine_events_fired=self.events_applied,
         )
 

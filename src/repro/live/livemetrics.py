@@ -4,10 +4,9 @@ The live runtime reports on the *same axes* as the simulator
 (:class:`repro.sim.metrics.MetricsReport`): every timestamp is simulated
 time (via :class:`repro.live.clock.LiveClock`), time-weighted state reuses
 the simulator's exact-integration :class:`WindowedAverage`, and
-:func:`aggregate_report` folds one swarm's peer and collector summaries
-into a flat dict whose keys match the report fields, the derived ones
-computed by the simulator's own :func:`repro.sim.metrics.derived_fields`
-— so sim-vs-live cross-validation (:mod:`repro.live.crossval`) is a direct
+:func:`aggregate_report` hands one swarm's peer and collector summaries
+to the simulator's own :func:`repro.sim.metrics.fold_report` — so
+sim-vs-live cross-validation (:mod:`repro.live.crossval`) is a direct
 field-by-field comparison, no unit conversion anywhere.
 
 Split of responsibilities (mirrors who can observe what in a real
@@ -19,15 +18,31 @@ deployment):
 - the **collector** (logging-server process) tracks pull accounting,
   decode completions, per-block delays, and outage downtime;
 - the **harness** aggregates both sides over the measurement window.
+
+What is stated here is only what is genuinely live: which side observes
+which counter (the ``int`` fields of :class:`PeerStats` and
+:class:`CollectorStats`; the names are :data:`repro.sim.metrics.COUNTERS`
+rows), and the five live-only counters among them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+import math
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.params import Parameters
-from repro.sim.metrics import WindowedAverage, derived_fields
+from repro.sim.metrics import (
+    COUNTERS,
+    DelaySummary,
+    WindowedAverage,
+    fold_report,
+)
+
+
+def _counter_fields(stats: type) -> Tuple[str, ...]:
+    """The window counters of a stats dataclass: its ``int`` fields."""
+    return tuple(f.name for f in fields(stats) if isinstance(f.default, int))
 
 
 @dataclass
@@ -40,7 +55,9 @@ class PeerStats:
     gossip_transfers: int = 0
     gossip_no_target: int = 0
     gossip_undeliverable: int = 0
+    #: live-only: OFFER frames sent (gossip attempts that reached the wire).
     offers_sent: int = 0
+    #: live-only: PULL requests this peer answered with a block.
     pull_blocks_served: int = 0
     transfers_dropped: int = 0
     blocks_expired: int = 0
@@ -52,7 +69,7 @@ class PeerStats:
 
     def begin_window(self, now: float) -> None:
         """Discard warmup statistics; measurements start at *now*."""
-        for name in self._counter_names():
+        for name in PEER_COUNTERS:
             setattr(self, name, 0)
         self.occupancy.reset(now)
         self.empty.reset(now)
@@ -62,26 +79,10 @@ class PeerStats:
         self.occupancy.update(now, float(block_count))
         self.empty.update(now, 1.0 if block_count == 0 else 0.0)
 
-    @staticmethod
-    def _counter_names() -> Sequence[str]:
-        return (
-            "injected_segments",
-            "injected_blocks",
-            "blocked_injections",
-            "gossip_transfers",
-            "gossip_no_target",
-            "gossip_undeliverable",
-            "offers_sent",
-            "pull_blocks_served",
-            "transfers_dropped",
-            "blocks_expired",
-            "blocks_lost_to_churn",
-        )
-
     def to_wire(self, now: float) -> Dict[str, float]:
         """Flatten for a ``metrics-reply`` frame header."""
         out: Dict[str, float] = {
-            name: float(getattr(self, name)) for name in self._counter_names()
+            name: float(getattr(self, name)) for name in PEER_COUNTERS
         }
         out["mean_occupancy"] = self.occupancy.average(now)
         out["empty_fraction"] = self.empty.average(now)
@@ -97,13 +98,15 @@ class CollectorStats:
     redundant_pulls: int = 0
     idle_pulls: int = 0
     segments_completed: int = 0
+    #: the goodput numerator; reaches the report through the delay summary.
     delivered_original_blocks: int = 0
     transfers_dropped: int = 0
     blocks_rejected_polluted: int = 0
     burst_departures: int = 0
     #: live-only: pulls answered PULL-EMPTY by a peer that emptied between
     #: candidate selection and service (impossible in the simulator, where
-    #: selection and transfer are atomic; counted as idle in the report).
+    #: selection and transfer are atomic; the pull trial books each as idle,
+    #: so these are a subset of ``idle_pulls``).
     pull_empty_races: int = 0
     #: live-only: end-to-end decode verification against the source digest.
     hash_verified: int = 0
@@ -113,27 +116,10 @@ class CollectorStats:
 
     def begin_window(self, now: float) -> None:
         """Discard warmup statistics; measurements start at *now*."""
-        for name in self._counter_names():
+        for name in COLLECTOR_COUNTERS:
             setattr(self, name, 0)
         self.servers_down.reset(now)
         self.delay_samples = []
-
-    @staticmethod
-    def _counter_names() -> Sequence[str]:
-        return (
-            "pulls",
-            "useful_pulls",
-            "redundant_pulls",
-            "idle_pulls",
-            "segments_completed",
-            "delivered_original_blocks",
-            "transfers_dropped",
-            "blocks_rejected_polluted",
-            "burst_departures",
-            "pull_empty_races",
-            "hash_verified",
-            "hash_failures",
-        )
 
     def on_segment_completed(
         self, now: float, injected_at: float, size: int
@@ -144,13 +130,52 @@ class CollectorStats:
         self.delivered_original_blocks += size
 
     def summary(self, now: float, window: float) -> Dict[str, Any]:
-        """Flatten the collector side for aggregation."""
-        out: Dict[str, Any] = {
-            name: getattr(self, name) for name in self._counter_names()
+        """The collector side as a :func:`fold_report` snapshot (of no
+        peers), plus the window's raw delay samples."""
+        return {
+            "n_peers": 0,
+            "window": window,
+            "counters": {
+                name: getattr(self, name) for name in COLLECTOR_COUNTERS
+            },
+            "averages": {"servers_down": self.servers_down.average(now)},
+            "delay_samples": list(self.delay_samples),
         }
-        out["outage_time"] = self.servers_down.average(now) * window
-        out["delay_samples_list"] = list(self.delay_samples)
-        return out
+
+
+#: Which side of a live swarm observes which counter (the ``metrics-reply``
+#: and checkpoint counter names).
+PEER_COUNTERS = _counter_fields(PeerStats)
+COLLECTOR_COUNTERS = _counter_fields(CollectorStats)
+
+#: Counters only a live swarm has, reported beside the MetricsReport fields.
+LIVE_ONLY_COUNTERS = tuple(
+    name
+    for name in PEER_COUNTERS + COLLECTOR_COUNTERS
+    if name not in COUNTERS and name != "delivered_original_blocks"
+)
+
+_PEER_WIRE_KEYS = frozenset(PEER_COUNTERS + ("mean_occupancy", "empty_fraction"))
+
+
+def peer_summary_from_wire(stats: Any) -> Dict[str, float]:
+    """Validate the ``stats`` of a peer's ``metrics-reply`` (outside input).
+
+    Exactly the keys :meth:`PeerStats.to_wire` sends, every value a finite
+    non-negative number — anything else would crash or poison the final
+    report of the whole swarm.  Raises :class:`ValueError` otherwise.
+    """
+    if not isinstance(stats, Mapping) or stats.keys() != _PEER_WIRE_KEYS:
+        raise ValueError("metrics reply stats are not the peer counter set")
+    for name, value in stats.items():
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or value < 0
+        ):
+            raise ValueError(f"metrics reply {name} = {value!r}")
+    return dict(stats)
 
 
 def aggregate_report(
@@ -165,78 +190,40 @@ def aggregate_report(
     Field names are :class:`repro.sim.metrics.MetricsReport`'s, so the
     result compares one-to-one with a simulator report.  Delay fields are
     ``None`` when no segment completed in the window, exactly like the
-    simulator's report.
+    simulator's report.  *collector* is :meth:`CollectorStats.summary`,
+    each of *peers* a validated ``metrics-reply``: a one-peer snapshot.
     """
     if window <= 0:
         raise ValueError(f"measurement window must be > 0, got {window}")
-    n = params.n_peers
     if not peers:
         raise ValueError("aggregate_report needs at least one peer summary")
-
-    def peer_sum(key: str) -> int:
-        return int(sum(summary[key] for summary in peers))
-
-    def peer_mean(key: str) -> float:
-        return float(sum(summary[key] for summary in peers)) / len(peers)
-
-    pulls = int(collector["pulls"])
-    useful = int(collector["useful_pulls"])
-    occupancy = peer_mean("mean_occupancy")
-
-    report: Dict[str, Any] = {
-        # configuration echo
-        "n_peers": n,
+    snapshots: List[Mapping[str, Any]] = [collector]
+    for peer in peers:
+        snapshots.append({
+            "n_peers": 1,
+            "window": window,
+            "counters": {name: int(peer[name]) for name in PEER_COUNTERS},
+            "averages": {
+                "total_blocks": peer["mean_occupancy"],
+                "empty_peers": peer["empty_fraction"],
+            },
+        })
+    echo = {
+        "n_peers": params.n_peers,
         "arrival_rate": params.arrival_rate,
         "segment_size": params.segment_size,
         "normalized_capacity": params.normalized_capacity,
-        "window": window,
-        # collector side
-        "pulls": pulls,
-        "useful_pulls": useful,
-        "redundant_pulls": int(collector["redundant_pulls"]),
-        "idle_pulls": int(collector["idle_pulls"])
-        + int(collector["pull_empty_races"]),
-        "segments_completed": int(collector["segments_completed"]),
-        # peer side
-        "mean_buffer_occupancy": occupancy,
-        "empty_peer_fraction": peer_mean("empty_fraction"),
-        "injected_segments": peer_sum("injected_segments"),
-        "injected_blocks": peer_sum("injected_blocks"),
-        "blocked_injections": peer_sum("blocked_injections"),
-        "gossip_transfers": peer_sum("gossip_transfers"),
-        "gossip_no_target": peer_sum("gossip_no_target"),
-        "gossip_undeliverable": peer_sum("gossip_undeliverable"),
-        "blocks_expired": peer_sum("blocks_expired"),
-        "blocks_lost_to_churn": peer_sum("blocks_lost_to_churn"),
-        # fault-channel degradation (gossip- and pull-side drops pool into
-        # one counter, as in the simulator)
-        "transfers_dropped": peer_sum("transfers_dropped")
-        + int(collector["transfers_dropped"]),
-        "blocks_rejected_polluted": int(
-            collector["blocks_rejected_polluted"]
-        ),
-        "burst_departures": int(collector["burst_departures"]),
-        "outage_time": float(collector["outage_time"]),
-        # live-only extras
-        "offers_sent": peer_sum("offers_sent"),
-        "pull_blocks_served": peer_sum("pull_blocks_served"),
-        "pull_empty_races": int(collector["pull_empty_races"]),
-        "hash_verified": int(collector["hash_verified"]),
-        "hash_failures": int(collector["hash_failures"]),
-        # throughput, efficiency, goodput, overhead, delays
-        **derived_fields(
-            pulls=pulls,
-            useful_pulls=useful,
-            delivered_blocks=int(collector["delivered_original_blocks"]),
-            delay_samples=[float(d) for d in collector["delay_samples_list"]],
-            window=window,
-            n_peers=n,
-            arrival_rate=params.arrival_rate,
-            deletion_rate=params.deletion_rate,
-            segment_size=params.segment_size,
-            mean_buffer_occupancy=occupancy,
-        ),
+        "deletion_rate": params.deletion_rate,
     }
+    delays = DelaySummary.of_samples(
+        collector["delay_samples"],
+        collector["counters"]["delivered_original_blocks"],
+    )
+    report = fold_report(echo, snapshots, delays)
+    for name in LIVE_ONLY_COUNTERS:
+        report[name] = sum(
+            snap["counters"].get(name, 0) for snap in snapshots
+        )
     if extras:
         report.update(extras)
     return report

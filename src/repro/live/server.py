@@ -44,7 +44,11 @@ from repro.live.checkpoint import (
 )
 from repro.live.clock import LiveClock, PoissonSchedule
 from repro.live.framing import Frame, FrameError, FrameGarbage, FrameTruncated
-from repro.live.livemetrics import CollectorStats
+from repro.live.livemetrics import (
+    COLLECTOR_COUNTERS,
+    CollectorStats,
+    peer_summary_from_wire,
+)
 from repro.live.transport import (
     BURST_STREAM,
     ConnectionCache,
@@ -249,14 +253,11 @@ class LiveLoggingServer:
         self._completed = set(state.completed)
         self._next_slot = max(self._next_slot, state.next_slot)
         self._marked_at = state.marked_at
-        for name in CollectorStats._counter_names():
+        for name in COLLECTOR_COUNTERS:
             setattr(self.stats, name, int(state.counters.get(name, 0)))
         self.stats.delay_samples = list(state.delay_samples)
         down = self.stats.servers_down
-        down.value = state.servers_down["value"]
-        down._last_time = state.servers_down["last_time"]
-        down._integral = state.servers_down["integral"]
-        down._window_start = state.servers_down["window_start"]
+        down.restore(state.servers_down)
         if state.epoch is not None and not self.clock.started:
             # loop.time() is CLOCK_MONOTONIC (system-wide on Linux), so the
             # dead process's epoch maps this process onto the *same*
@@ -402,7 +403,6 @@ class LiveLoggingServer:
         decoders = tuple(
             self._decoders[sid].snapshot() for sid in sorted(self._decoders)
         )
-        down = self.stats.servers_down
         return ServerCheckpoint(
             seed=self.seed,
             restarts=self.restarts,
@@ -415,15 +415,10 @@ class LiveLoggingServer:
             digests=dict(self._digests),
             counters={
                 name: int(getattr(self.stats, name))
-                for name in CollectorStats._counter_names()
+                for name in COLLECTOR_COUNTERS
             },
             delay_samples=tuple(self.stats.delay_samples),
-            servers_down={
-                "value": down.value,
-                "last_time": down._last_time,
-                "integral": down._integral,
-                "window_start": down._window_start,
-            },
+            servers_down=self.stats.servers_down.state(),
             total_rank=sum(d.rank for d in self._decoders.values()),
             decoders=decoders,
         )
@@ -610,7 +605,7 @@ class LiveLoggingServer:
         elif kind == wire.MSG_METRICS_REPLY:
             try:
                 key = (record.slot, int(frame.header.get("req", -1)))
-                stats = dict(frame.header["stats"])
+                stats = peer_summary_from_wire(frame.header["stats"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise FrameGarbage(
                     f"malformed metrics reply: {exc!r}"

@@ -428,24 +428,13 @@ class PoissonProcess:
     drawn at the new rate.  A rate of 0 parks the process until a positive
     rate is set again.
 
-    Perf knobs:
-
-    - ``cancellable=False`` uses the simulator's handle-free fast path (no
-      :class:`EventHandle` allocation per fire).  Restriction: a scheduled
-      fire cannot be revoked, so ``set_rate`` on an *armed* non-cancellable
-      clock raises, and after ``stop()`` the stale fire must drain (as a
-      no-op) before ``start()`` is allowed again.  Use it for clocks that
-      run at a fixed rate until the end of the simulation (the common case:
-      per-peer injection and gossip clocks).
-    - ``gap_batch=k`` pre-draws ``k`` exponential gaps at a time,
-      amortizing draw overhead.  The per-stream draw *sequence* is
-      unchanged, but draws are consumed from the RNG earlier than the fires
-      they time, so this is only deterministic when the process owns its
-      RNG stream exclusively — never enable it on a shared substream.
-      ``set_rate`` discards undrawn gaps (memorylessness at the new rate).
-      On the non-cancellable fast path the whole pre-drawn run is also
-      *scheduled* in bulk (see :meth:`next_times`): the clock re-enters the
-      scheduler once per ``k`` fires instead of re-arming after every fire.
+    Perf knob: ``cancellable=False`` uses the simulator's handle-free fast
+    path (no :class:`EventHandle` allocation per fire).  Restriction: a
+    scheduled fire cannot be revoked, so ``set_rate`` on an *armed*
+    non-cancellable clock raises, and after ``stop()`` the stale fire must
+    drain (as a no-op) before ``start()`` is allowed again.  Use it for
+    clocks that run at a fixed rate until the end of the simulation (the
+    common case: per-peer injection and gossip clocks).
     """
 
     def __init__(
@@ -456,12 +445,9 @@ class PoissonProcess:
         action: Action,
         start: bool = True,
         cancellable: bool = True,
-        gap_batch: int = 1,
     ) -> None:
         if rate < 0 or not math.isfinite(rate):
             raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
-        if gap_batch < 1:
-            raise ValueError(f"gap_batch must be >= 1, got {gap_batch!r}")
         self._sim = sim
         self._rng = rng
         self._rate = rate
@@ -469,10 +455,7 @@ class PoissonProcess:
         self._handle: Optional[EventHandle] = None
         self._running = False
         self._cancellable = cancellable
-        self._gap_batch = gap_batch
-        self._gap_buffer: List[float] = []
-        # Fast-path state: how many handle-free fires are queued (one on the
-        # single-gap path, up to gap_batch on the bulk path), and how many
+        # Fast-path state: is a handle-free fire queued (0 or 1), and how many
         # stale (post-stop) fires are still in the queue as pending no-ops?
         self._armed_count = 0
         self._dead_pending = 0
@@ -526,7 +509,6 @@ class PoissonProcess:
                 "supported; construct the process with cancellable=True"
             )
         self._rate = rate
-        del self._gap_buffer[:]  # memorylessness: re-draw at the new rate
         if self._running:
             if self._handle is not None:
                 self._handle.cancel()
@@ -534,60 +516,10 @@ class PoissonProcess:
                 self.events_cancelled += 1
             self._arm()
 
-    def next_times(self, k: int) -> List[float]:
-        """Absolute times of the next *k* fires, drawn in bulk.
-
-        Consumes the per-stream draw sequence exactly as *k* successive
-        fires would — the gap buffer is drained first and refilled in
-        ``gap_batch`` chunks — so mixing bulk and single draws never changes
-        the schedule.  The list may be shorter than *k*: a subnormal rate
-        can overflow an exponential gap to infinity, beyond which the clock
-        never fires.  The caller owns the returned times; the clock's own
-        arming state is untouched.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k!r}")
-        if self._rate <= 0:
-            raise RuntimeError("next_times on a parked (rate 0) clock")
-        times: List[float] = []
-        t = self._sim.now
-        while len(times) < k:
-            gap = self._next_gap()
-            if not math.isfinite(gap):
-                break
-            t += gap
-            times.append(t)
-        return times
-
-    def _next_gap(self) -> float:
-        if self._gap_batch <= 1:
-            return exponential(self._rng, self._rate)
-        buffer = self._gap_buffer
-        if not buffer:
-            rng = self._rng
-            rate = self._rate
-            buffer.extend(
-                exponential(rng, rate) for _ in range(self._gap_batch)
-            )
-            buffer.reverse()  # consume in draw order via O(1) pops
-        return buffer.pop()
-
     def _arm(self) -> None:
         if not self._running or self._rate <= 0:
             return
-        if not self._cancellable and self._gap_batch > 1:
-            # Bulk arm: schedule the whole pre-drawn run of fires at once,
-            # entering the scheduler once per gap_batch fires.  Safe only
-            # because the fast path forbids revocation anyway — stop() just
-            # converts the remaining run into stale no-op fires.
-            times = self.next_times(self._gap_batch)
-            sim = self._sim
-            fire = self._fire
-            for when in times:
-                sim.schedule_call_at(when, fire)
-            self._armed_count = len(times)
-            return
-        gap = self._next_gap()
+        gap = exponential(self._rng, self._rate)
         if not math.isfinite(gap):
             # A subnormal rate can overflow expovariate to infinity; such a
             # clock will effectively never fire — park it (set_rate re-arms).
@@ -609,11 +541,8 @@ class PoissonProcess:
             self._armed_count -= 1
         self.events_fired += 1
         # Re-arm before running the action so the action may stop/retime the
-        # process and have that take effect immediately.  On the bulk path
-        # later fires of the run are already queued, so re-arm only once the
-        # run is exhausted.
-        if self._armed_count == 0:
-            self._arm()
+        # process and have that take effect immediately.
+        self._arm()
         self._action()
 
 

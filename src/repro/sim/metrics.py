@@ -23,8 +23,18 @@ measurement-window total so a warmup transient can be excluded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.sim.engine import EnginePerf
 from repro.util.summary import percentile
@@ -66,6 +76,22 @@ class WindowedAverage:
             return self.value
         integral = self._integral + self.value * (now - self._last_time)
         return integral / width
+
+    def state(self) -> Dict[str, float]:
+        """The integrator's internals, as a checkpoint journal stores them."""
+        return {
+            "value": self.value,
+            "last_time": self._last_time,
+            "integral": self._integral,
+            "window_start": self._window_start,
+        }
+
+    def restore(self, state: Mapping[str, float]) -> None:
+        """Resume from a :meth:`state` written earlier."""
+        self.value = state["value"]
+        self._last_time = state["last_time"]
+        self._integral = state["integral"]
+        self._window_start = state["window_start"]
 
 
 @dataclass
@@ -159,54 +185,164 @@ class MetricsReport:
         return out
 
 
-def derived_fields(
-    pulls: int,
-    useful_pulls: int,
-    delivered_blocks: int,
-    delay_samples: Sequence[float],
-    window: float,
-    n_peers: int,
-    arrival_rate: float,
-    deletion_rate: float,
-    segment_size: int,
-    mean_buffer_occupancy: float,
-) -> Dict[str, Any]:
-    """The report fields computed from a window's raw tallies.
+#: Every window counter, named once: a counter is its row here plus its
+#: typed :class:`MetricsReport` field.  :class:`MetricsCollector` allocates,
+#: resets, snapshots and reports from this table; fastsim shard payloads,
+#: live ``metrics-reply`` frames and collector checkpoints carry these
+#: names.  Channels an engine never fires read 0 there.
+COUNTERS: Tuple[str, ...] = (
+    # server-side
+    "pulls",
+    "useful_pulls",
+    "redundant_pulls",
+    "idle_pulls",
+    "segments_completed",
+    # peer-side
+    "injected_segments",
+    "injected_blocks",
+    "blocked_injections",
+    "gossip_transfers",
+    "gossip_no_target",
+    "gossip_undeliverable",
+    "blocks_expired",
+    "blocks_lost_to_churn",
+    "departures",
+    "segments_lost",
+    # fault-injection degradation
+    "transfers_dropped",
+    "blocks_rejected_polluted",
+    "burst_departures",
+    # adversary degradation and defense
+    "gossip_suppressed",
+    "pulls_captured",
+    "junk_blocks_served",
+    "pulls_quarantine_rejected",
+    "slots_quarantined",
+    "false_quarantines",
+    "sybil_conversions",
+)
 
-    The one statement of the module docstring's definitions, shared by the
-    simulators' :meth:`MetricsCollector.report` and the live runtime's
-    ``aggregate_report``; keys are :class:`MetricsReport` field names.
-    A *deletion_rate* of 0 means gamma is unknown: the storage overhead
-    ``rho - lambda/gamma`` is then NaN.
+#: Time-weighted state.  The first four are population totals (reported per
+#: peer); ``servers_down`` is the 0/1 indicator of a server outage in
+#: progress, whose integral over the window is the exact outage time.
+AVERAGES: Tuple[str, ...] = (
+    "total_blocks",
+    "empty_peers",
+    "saved_segments",
+    "decodable_segments",
+    "servers_down",
+)
+
+
+class DelaySummary(NamedTuple):
+    """One window's completed segments, reduced to what a report needs.
+
+    Built from raw per-segment samples (event engine, live collector) or
+    from fastsim's streaming ``DelayAccumulator``; delays are per *segment*
+    (completion - injection), the fold divides by ``s``.
     """
+
+    count: int
+    #: original blocks those segments delivered (the goodput numerator).
+    blocks: int
+    mean: Optional[float]
+    p50: Optional[float]
+    p95: Optional[float]
+
+    @classmethod
+    def of_samples(cls, samples: Sequence[float], blocks: int) -> "DelaySummary":
+        if not samples:
+            return cls(0, blocks, None, None, None)
+        return cls(
+            len(samples),
+            blocks,
+            math.fsum(samples) / len(samples),
+            percentile(samples, 50.0),
+            percentile(samples, 95.0),
+        )
+
+
+def fold_report(
+    echo: Mapping[str, Any],
+    snapshots: Sequence[Mapping[str, Any]],
+    delays: DelaySummary,
+) -> Dict[str, Any]:
+    """Fold window snapshots into the :class:`MetricsReport` fields.
+
+    The one statement of the module docstring's definitions.  A snapshot is
+    ``{"n_peers", "window", "counters", "averages"}`` as
+    :meth:`MetricsCollector.snapshot` builds it: the peers its population
+    averages total over, and whichever :data:`COUNTERS` / :data:`AVERAGES`
+    its observer sees.  One collector's report, a W-shard merge and a live
+    swarm's N peers plus collector are the same fold: counters add,
+    population averages add and divide by the population, ``servers_down``
+    averages over its observers, and the derived fields follow.  *echo*
+    supplies ``n_peers``, ``arrival_rate``, ``segment_size``,
+    ``normalized_capacity`` and ``deletion_rate`` (0 means gamma is unknown:
+    the storage overhead ``rho - lambda/gamma`` is then NaN).  Returns every
+    report field except the event-engine perf counters.
+    """
+    n_peers = echo["n_peers"]
+    arrival_rate = echo["arrival_rate"]
+    deletion_rate = echo["deletion_rate"]
+    segment_size = echo["segment_size"]
+    window = snapshots[0]["window"]
+    # lint: ok(R4): integer peer counts, exact
+    population = sum(snap["n_peers"] for snap in snapshots)
+    counters = {
+        # lint: ok(R4): integer event counts, exact
+        name: sum(snap["counters"].get(name, 0) for snap in snapshots)
+        for name in COUNTERS
+    }
+    observed = {
+        name: [
+            snap["averages"][name]
+            for snap in snapshots
+            if name in snap["averages"]
+        ]
+        for name in AVERAGES
+    }
+
+    def per_peer(name: str) -> float:
+        return math.fsum(observed[name]) / population
+
+    def per_block(delay: Optional[float]) -> Optional[float]:
+        return None if delay is None else delay / segment_size
+
+    down = observed["servers_down"]
     demand = n_peers * arrival_rate
-    throughput = useful_pulls / window if window > 0 else 0.0
-    goodput = delivered_blocks / window if window > 0 else 0.0
-    mean_segment_delay: Optional[float] = None
-    mean_block_delay: Optional[float] = None
-    p50_block_delay: Optional[float] = None
-    p95_block_delay: Optional[float] = None
-    if delay_samples:
-        mean_segment_delay = math.fsum(delay_samples) / len(delay_samples)
-        mean_block_delay = mean_segment_delay / segment_size
-        p50_block_delay = percentile(delay_samples, 50.0) / segment_size
-        p95_block_delay = percentile(delay_samples, 95.0) / segment_size
+    pulls = counters["pulls"]
+    useful = counters["useful_pulls"]
+    throughput = useful / window if window > 0 else 0.0
+    goodput = delays.blocks / window if window > 0 else 0.0
+    occupancy = per_peer("total_blocks")
     return {
+        "n_peers": n_peers,
+        "arrival_rate": arrival_rate,
+        "segment_size": segment_size,
+        "normalized_capacity": echo["normalized_capacity"],
+        "window": window,
+        **counters,
         "throughput": throughput,
         "normalized_throughput": throughput / demand if demand else 0.0,
-        "efficiency": useful_pulls / pulls if pulls else 0.0,
+        "efficiency": useful / pulls if pulls else 0.0,
         "goodput": goodput,
         "normalized_goodput": goodput / demand if demand else 0.0,
-        "storage_overhead": max(
-            mean_buffer_occupancy - arrival_rate / deletion_rate, 0.0
-        )
+        "mean_buffer_occupancy": occupancy,
+        "empty_peer_fraction": per_peer("empty_peers"),
+        "storage_overhead": max(occupancy - arrival_rate / deletion_rate, 0.0)
         if deletion_rate
         else math.nan,
-        "mean_segment_delay": mean_segment_delay,
-        "mean_block_delay": mean_block_delay,
-        "p50_block_delay": p50_block_delay,
-        "p95_block_delay": p95_block_delay,
-        "delay_samples": len(delay_samples),
+        "mean_segment_delay": delays.mean,
+        "mean_block_delay": per_block(delays.mean),
+        "p50_block_delay": per_block(delays.p50),
+        "p95_block_delay": per_block(delays.p95),
+        "delay_samples": delays.count,
+        "saved_blocks_per_peer": math.fsum(observed["saved_segments"])
+        * segment_size
+        / population,
+        "decodable_segments_per_peer": per_peer("decodable_segments"),
+        "outage_time": math.fsum(down) / len(down) * window,
     }
 
 
@@ -215,8 +351,14 @@ class MetricsCollector:
 
     Lifecycle: construct at t=0, ``begin_window(now)`` after warmup,
     ``report(now)`` at the end.  The collector is passive — it never reads
-    simulator state; the system pushes every change in.
+    simulator state; the system pushes every change in.  Every name in
+    :data:`COUNTERS` is a :class:`WindowedCounter` attribute, every name in
+    :data:`AVERAGES` a :class:`WindowedAverage` one.
     """
+
+    if TYPE_CHECKING:
+
+        def __getattr__(self, name: str) -> WindowedCounter: ...
 
     def __init__(
         self,
@@ -233,43 +375,13 @@ class MetricsCollector:
         self._window_start = now
         self._in_window = False
 
-        # time-weighted state
         self.total_blocks = WindowedAverage(0.0, now)
         self.empty_peers = WindowedAverage(float(n_peers), now)
         self.saved_segments = WindowedAverage(0.0, now)
         self.decodable_segments = WindowedAverage(0.0, now)
-        #: 0/1 indicator of a server outage in progress (fault injection);
-        #: integrating it over the window yields the exact outage time.
         self.servers_down = WindowedAverage(0.0, now)
-
-        # counters
-        self.pulls = WindowedCounter()
-        self.useful_pulls = WindowedCounter()
-        self.redundant_pulls = WindowedCounter()
-        self.idle_pulls = WindowedCounter()
-        self.segments_completed = WindowedCounter()
-        self.injected_segments = WindowedCounter()
-        self.injected_blocks = WindowedCounter()
-        self.blocked_injections = WindowedCounter()
-        self.gossip_transfers = WindowedCounter()
-        self.gossip_no_target = WindowedCounter()
-        self.gossip_undeliverable = WindowedCounter()
-        self.blocks_expired = WindowedCounter()
-        self.blocks_lost_to_churn = WindowedCounter()
-        self.departures = WindowedCounter()
-        self.segments_lost = WindowedCounter()
-        # fault-injection degradation counters
-        self.transfers_dropped = WindowedCounter()
-        self.blocks_rejected_polluted = WindowedCounter()
-        self.burst_departures = WindowedCounter()
-        # adversary degradation and defense counters
-        self.gossip_suppressed = WindowedCounter()
-        self.pulls_captured = WindowedCounter()
-        self.junk_blocks_served = WindowedCounter()
-        self.pulls_quarantine_rejected = WindowedCounter()
-        self.slots_quarantined = WindowedCounter()
-        self.false_quarantines = WindowedCounter()
-        self.sybil_conversions = WindowedCounter()
+        for name in COUNTERS:
+            setattr(self, name, WindowedCounter())
 
         self._delay_samples: List[float] = []
         self._delivered_original_blocks = 0
@@ -280,10 +392,10 @@ class MetricsCollector:
         """Discard warmup statistics; measurements start at *now*."""
         self._in_window = True
         self._window_start = now
-        for avg in self._averages():
-            avg.reset(now)
-        for counter in self._counters():
-            counter.reset_window()
+        for name in AVERAGES:
+            getattr(self, name).reset(now)
+        for name in COUNTERS:
+            getattr(self, name).reset_window()
         self._delay_samples = []
         self._delivered_original_blocks = 0
 
@@ -291,44 +403,6 @@ class MetricsCollector:
     def in_window(self) -> bool:
         """True once the measurement window has started."""
         return self._in_window
-
-    def _averages(self) -> List[WindowedAverage]:
-        return [
-            self.total_blocks,
-            self.empty_peers,
-            self.saved_segments,
-            self.decodable_segments,
-            self.servers_down,
-        ]
-
-    def _counters(self) -> List[WindowedCounter]:
-        return [
-            self.pulls,
-            self.useful_pulls,
-            self.redundant_pulls,
-            self.idle_pulls,
-            self.segments_completed,
-            self.injected_segments,
-            self.injected_blocks,
-            self.blocked_injections,
-            self.gossip_transfers,
-            self.gossip_no_target,
-            self.gossip_undeliverable,
-            self.blocks_expired,
-            self.blocks_lost_to_churn,
-            self.departures,
-            self.segments_lost,
-            self.transfers_dropped,
-            self.blocks_rejected_polluted,
-            self.burst_departures,
-            self.gossip_suppressed,
-            self.pulls_captured,
-            self.junk_blocks_served,
-            self.pulls_quarantine_rejected,
-            self.slots_quarantined,
-            self.false_quarantines,
-            self.sybil_conversions,
-        ]
 
     # -- event hooks (called by the system) --------------------------------
 
@@ -341,6 +415,26 @@ class MetricsCollector:
 
     # -- report -------------------------------------------------------------
 
+    def snapshot(self, now: float) -> Dict[str, Any]:
+        """The window so far as plain JSON-safe values: what :func:`fold_report`
+        folds and a fastsim shard payload carries (it doubles as the *echo*).
+        """
+        return {
+            "n_peers": self.n_peers,
+            "arrival_rate": self.arrival_rate,
+            "segment_size": self.segment_size,
+            "normalized_capacity": self.normalized_capacity,
+            "deletion_rate": self._deletion_rate_hint,
+            "window": max(now - self._window_start, 0.0),
+            "counters": {
+                name: int(getattr(self, name).window) for name in COUNTERS
+            },
+            "averages": {
+                name: float(getattr(self, name).average(now))
+                for name in AVERAGES
+            },
+        }
+
     def report(
         self, now: float, engine: Optional["EnginePerf"] = None
     ) -> MetricsReport:
@@ -350,64 +444,15 @@ class MetricsCollector:
         deterministic event-engine counters; its host-dependent wall time is
         deliberately left out so same-seed reports stay byte-identical.
         """
-        window = max(now - self._window_start, 0.0)
-        n = self.n_peers
-        pulls = self.pulls.window
-        useful = self.useful_pulls.window
-        occupancy = self.total_blocks.average(now) / n
+        snap = self.snapshot(now)
+        delays = DelaySummary.of_samples(
+            self._delay_samples, self._delivered_original_blocks
+        )
         return MetricsReport(
-            n_peers=n,
-            arrival_rate=self.arrival_rate,
-            segment_size=self.segment_size,
-            normalized_capacity=self.normalized_capacity,
-            window=window,
-            pulls=pulls,
-            useful_pulls=useful,
-            redundant_pulls=self.redundant_pulls.window,
-            idle_pulls=self.idle_pulls.window,
-            segments_completed=self.segments_completed.window,
-            mean_buffer_occupancy=occupancy,
-            empty_peer_fraction=self.empty_peers.average(now) / n,
-            injected_segments=self.injected_segments.window,
-            injected_blocks=self.injected_blocks.window,
-            blocked_injections=self.blocked_injections.window,
-            gossip_transfers=self.gossip_transfers.window,
-            gossip_no_target=self.gossip_no_target.window,
-            gossip_undeliverable=self.gossip_undeliverable.window,
-            blocks_expired=self.blocks_expired.window,
-            blocks_lost_to_churn=self.blocks_lost_to_churn.window,
-            departures=self.departures.window,
-            saved_blocks_per_peer=self.saved_segments.average(now)
-            * self.segment_size
-            / n,
-            decodable_segments_per_peer=self.decodable_segments.average(now) / n,
-            segments_lost=self.segments_lost.window,
-            transfers_dropped=self.transfers_dropped.window,
-            blocks_rejected_polluted=self.blocks_rejected_polluted.window,
-            burst_departures=self.burst_departures.window,
-            outage_time=self.servers_down.average(now) * window,
+            **fold_report(snap, [snap], delays),
             engine_events_fired=engine.events_fired if engine else 0,
             engine_events_cancelled=engine.events_cancelled if engine else 0,
             engine_heap_compactions=engine.heap_compactions if engine else 0,
-            gossip_suppressed=self.gossip_suppressed.window,
-            pulls_captured=self.pulls_captured.window,
-            junk_blocks_served=self.junk_blocks_served.window,
-            pulls_quarantine_rejected=self.pulls_quarantine_rejected.window,
-            slots_quarantined=self.slots_quarantined.window,
-            false_quarantines=self.false_quarantines.window,
-            sybil_conversions=self.sybil_conversions.window,
-            **derived_fields(
-                pulls=pulls,
-                useful_pulls=useful,
-                delivered_blocks=self._delivered_original_blocks,
-                delay_samples=self._delay_samples,
-                window=window,
-                n_peers=n,
-                arrival_rate=self.arrival_rate,
-                deletion_rate=self._deletion_rate_hint,
-                segment_size=self.segment_size,
-                mean_buffer_occupancy=occupancy,
-            ),
         )
 
     #: Set by the system so storage overhead (rho - lambda/gamma) can be

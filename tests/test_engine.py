@@ -396,29 +396,6 @@ class TestNonCancellableClock:
         sim.run_until(1.0)
         assert fires
 
-    def test_gap_batch_preserves_fire_times_on_exclusive_stream(self):
-        def fire_times(gap_batch):
-            sim = Simulator()
-            fires = []
-            PoissonProcess(
-                sim,
-                random.Random(77),  # exclusive stream
-                rate=10.0,
-                action=lambda: fires.append(sim.now),
-                gap_batch=gap_batch,
-            )
-            sim.run_until(50.0)
-            return fires
-
-        assert fire_times(1) == fire_times(16)
-
-    def test_gap_batch_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            PoissonProcess(
-                sim, random.Random(0), rate=1.0, action=lambda: None, gap_batch=0
-            )
-
     def test_per_clock_counters(self):
         sim = Simulator()
         process = PoissonProcess(

@@ -157,10 +157,6 @@ class TestFastSystemValidation:
         with pytest.raises(ValueError, match="gossip_latency"):
             FastCollectionSystem(params(gossip_latency=0.5))
 
-    def test_rejects_bad_stats_stride(self):
-        with pytest.raises(ValueError, match="stats_stride"):
-            FastCollectionSystem(params(), stats_stride=0)
-
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError, match="warmup"):
             FastCollectionSystem(params(n_peers=20)).run(-1.0, 2.0)
@@ -372,11 +368,15 @@ class TestSharding:
         direct = FastCollectionSystem(
             shard_parameters(p, 1)[0], shard_seed(9, 0)
         ).run(2.0, 6.0)
-        assert merged["efficiency"] == pytest.approx(direct.efficiency)
-        assert merged["normalized_throughput"] == pytest.approx(
-            direct.normalized_throughput
-        )
-        assert merged["useful_pulls"] == direct.useful_pulls
+        # the same fold over the same snapshot: every shared key, exactly
+        # (None delays are NaN in as_dict; this run completes segments)
+        report = direct.as_dict()
+        assert direct.delay_samples > 0
+        assert set(report) - set(merged) == {
+            "engine_events_cancelled", "engine_heap_compactions",
+        }
+        for key in set(report) & set(merged):
+            assert merged[key] == report[key], key
 
     def test_merge_rejects_window_mismatch(self):
         p = params(n_peers=80, engine=ENGINE_FAST, tau=0.05)

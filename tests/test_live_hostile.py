@@ -7,9 +7,12 @@ long-lived task, never size an allocation from an unchecked header.
 """
 
 import asyncio
+import json
+import struct
 
 from repro.core.params import Parameters
-from repro.live import wire
+from repro.live import framing, wire
+from repro.live.livemetrics import PeerStats, aggregate_report
 from repro.live.peer import LivePeer
 from repro.live.server import LiveLoggingServer
 from repro.live.transport import FramedConnection
@@ -98,6 +101,14 @@ class TestCollectorIngress:
             lambda params: [({"type": wire.MSG_OFFER_REPLY}, b"")]
         )
         assert server.stats.pull_empty_races == 1
+        # the trial booked it as idle; the report must not book it again
+        report = aggregate_report(
+            server.params,
+            1.0,
+            server.stats.summary(1.0, 1.0),
+            [PeerStats().to_wire(1.0)],
+        )
+        assert report["pulls"] == report["idle_pulls"] == 1
 
 
 class TestPeerIngress:
@@ -224,14 +235,35 @@ class TestRegistryIngress:
         assert welcome.header["slot"] == 0
 
     def test_metrics_reply_without_stats(self):
-        async def scenario():
+        """No stats at all, and the four stats blobs that used to crash or
+        poison ``aggregate_report`` after the whole run: each is garbage at
+        ingress and costs that peer its registration, nothing more."""
+        good = json.dumps(PeerStats().to_wire(0.0))
+        assert '"injected_blocks": 0.0' in good
+        assert '"mean_occupancy": 0.0' in good
+        heads = [
+            '{"type": "metrics-reply", "req": 1}',
+            '{"type": "metrics-reply", "req": 1, "stats": {}}',
+        ] + [
+            '{"type": "metrics-reply", "req": 1, "stats": %s}'
+            % good.replace('"%s": 0.0' % key, '"%s": %s' % (key, hostile))
+            for key, hostile in [
+                ("injected_blocks", '"7"'),
+                ("injected_blocks", "1e400"),
+                ("mean_occupancy", "NaN"),
+                ("injected_blocks", "-1"),
+            ]
+        ]
+
+        async def scenario(head):
             server = LiveLoggingServer(_params(), seed=5)
             await server.start()
             fake = FakePeer(server, 0, lambda frame: None)
             try:
                 await fake.start()
-                await fake.control.send(
-                    {"type": wire.MSG_METRICS_REPLY, "req": 1}
+                # raw bytes: the honest encoder refuses NaN and infinities
+                fake.control._writer.write(
+                    framing.MAGIC + struct.pack(">II", len(head), 0) + head
                 )
                 hung_up = await asyncio.wait_for(fake.control.read(), 5.0)
                 for _ in range(200):
@@ -244,6 +276,7 @@ class TestRegistryIngress:
                 await server.close()
             return hung_up, registered
 
-        hung_up, registered = run_quiet(scenario)
-        assert hung_up is None
-        assert registered == []
+        for head in heads:
+            hung_up, registered = run_quiet(lambda: scenario(head.encode()))
+            assert hung_up is None, head
+            assert registered == [], head
