@@ -14,7 +14,7 @@ without global coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -54,7 +54,6 @@ class SegmentDescriptor:
         )
 
 
-@dataclass(eq=False)
 class CodedBlock:
     """One coded block of a segment.
 
@@ -73,46 +72,64 @@ class CodedBlock:
 
     Identity (not value) equality is deliberate: two blocks with equal
     coefficients are still distinct objects occupying distinct buffer slots.
+    Slotted by hand (``dataclass(slots=True)`` needs Python 3.10): an
+    abstract session allocates one per buffered block, and an instance
+    ``__dict__`` doubles what the garbage collector tracks for each.
     """
 
-    segment: SegmentDescriptor
-    coefficients: Optional[Vector] = None
-    payload: Optional[Vector] = None
-    created_at: float = 0.0
-    #: Liveness flag flipped by TTL expiry and churn; lets stale deletion
-    #: events detect that their target is already gone.
-    alive: bool = field(default=True, compare=False)
-    #: Fault-injection tag: the block was emitted (or re-encoded from a
-    #: holding contaminated) by a polluting peer.  In RLNC mode the
-    #: coefficient header is additionally zeroed, so GF(2^8) rank detection
-    #: rejects the block without consulting this flag; abstract mode relies
-    #: on the tag alone (the tagged-block approximation).
-    polluted: bool = field(default=False, compare=False)
-    #: ``[header | payload]``, None for an abstract block; passed instead
-    #: of ``coefficients``/``payload`` by a caller that has it (not copied).
-    row: Optional[Vector] = None
+    __slots__ = (
+        "segment", "coefficients", "payload", "created_at",
+        "alive", "polluted", "row", "position",
+    )
 
-    def __post_init__(self) -> None:
-        row = self.row
+    def __init__(
+        self,
+        segment: SegmentDescriptor,
+        coefficients: Optional[Vector] = None,
+        payload: Optional[Vector] = None,
+        created_at: float = 0.0,
+        alive: bool = True,
+        polluted: bool = False,
+        row: Optional[Vector] = None,
+    ) -> None:
+        self.segment = segment
+        self.coefficients = coefficients
+        self.payload = payload
+        self.created_at = created_at
+        #: Liveness flag flipped by TTL expiry and churn; lets stale deletion
+        #: events detect that their target is already gone.
+        self.alive = alive
+        #: Fault-injection tag: the block was emitted (or re-encoded from a
+        #: holding contaminated) by a polluting peer.  In RLNC mode the
+        #: coefficient header is additionally zeroed, so GF(2^8) rank
+        #: detection rejects the block without consulting this flag; abstract
+        #: mode relies on the tag alone (the tagged-block approximation).
+        self.polluted = polluted
+        #: ``[header | payload]``, None for an abstract block; passed instead
+        #: of ``coefficients``/``payload`` by a caller that has it (not copied).
+        self.row = row
+        #: Index in the holding peer's ``buffered_blocks`` while buffered
+        #: there (``Peer.add_block`` / ``remove_block`` maintain it).
+        self.position = -1
         if row is None:
-            if self.coefficients is None:
+            if coefficients is None:
                 return
             parts = [
                 gf256.as_vector(part, copy=False)
-                for part in (self.coefficients, self.payload)
+                for part in (coefficients, payload)
                 if part is not None
             ]
-            if parts[0].shape != (self.segment.size,) or parts[-1].ndim != 1:
+            if parts[0].shape != (segment.size,) or parts[-1].ndim != 1:
                 raise ValueError(
                     f"coefficients and payload of shapes "
                     f"{[part.shape for part in parts]}, expected "
-                    f"({self.segment.size},) and one row of bytes"
+                    f"({segment.size},) and one row of bytes"
                 )
             row = self.row = np.concatenate(parts)
-        size = self.segment.size
+        size = segment.size
         if row.ndim != 1 or row.shape[0] < size or row.dtype != np.uint8:
             raise ValueError(
-                f"a block row of {self.segment} is >= {size} uint8 entries, "
+                f"a block row of {segment} is >= {size} uint8 entries, "
                 f"got {row.dtype} {row.shape}"
             )
         self.coefficients = row[:size]

@@ -195,9 +195,8 @@ class DirectCollectionSystem:
             self.metrics.empty_peers.add(self.sim.now, -1)
         if not self.retain_forever:
             ttl = exponential(self._ttl_rng, self.params.deletion_rate)
-            generation = peer.generation
             self.sim.schedule_call(
-                ttl, lambda: self._expire(slot, generation, block)
+                ttl, self._expire, slot, peer.generation, block
             )
 
     def _expire(self, slot: int, generation: int, block: _PendingBlock) -> None:

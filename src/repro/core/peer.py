@@ -153,8 +153,10 @@ class Peer:
         #: all live buffered blocks, supporting O(1) uniform choice over
         #: blocks — a block-uniform draw selects a segment with probability
         #: proportional to its multiplicity in the buffer, which realizes the
-        #: degree-proportional rule the paper's analysis assumes.
-        self.buffered_blocks: RandomizedSet[CodedBlock] = RandomizedSet()
+        #: degree-proportional rule the paper's analysis assumes.  A dense
+        #: array in :class:`RandomizedSet`'s layout (append, swap-with-last
+        #: removal) whose index lives in each block's ``position``.
+        self.buffered_blocks: List[CodedBlock] = []
         self.block_count = 0
         self.joined_at = joined_at
 
@@ -208,7 +210,8 @@ class Peer:
             self.holdings[segment_id] = holding
             self.held_segments.add(segment_id)
         holding.add(block)
-        self.buffered_blocks.add(block)
+        block.position = len(self.buffered_blocks)
+        self.buffered_blocks.append(block)
         self.block_count += 1
 
     def remove_block(self, block: CodedBlock) -> bool:
@@ -217,9 +220,13 @@ class Peer:
         holding = self.holdings.get(segment_id)
         if holding is None or not holding.remove(block):
             return False
-        self.buffered_blocks.discard(block)
+        last = self.buffered_blocks.pop()
+        if last is not block:
+            # Not the final slot: the former last block fills the hole.
+            self.buffered_blocks[block.position] = last
+            last.position = block.position
         self.block_count -= 1
-        if holding.block_count == 0:
+        if not holding.blocks:
             del self.holdings[segment_id]
             self.held_segments.discard(segment_id)
         return True
@@ -234,7 +241,7 @@ class Peer:
         """
         if uniform:
             return self.held_segments.sample(rng)
-        return self.buffered_blocks.sample(rng).segment.segment_id
+        return rng.choice(self.buffered_blocks).segment.segment_id
 
     def all_blocks(self) -> List[CodedBlock]:
         """Every live block in the buffer (e.g. for churn teardown)."""

@@ -142,7 +142,7 @@ class PushCollectionSystem:
     def _begin_service(self, server: _ServerQueue) -> None:
         server.busy = True
         service_time = exponential(self._service_rng, self.params.per_server_rate)
-        self.sim.schedule_call(service_time, lambda: self._finish_service(server))
+        self.sim.schedule_call(service_time, self._finish_service, server)
 
     def _finish_service(self, server: _ServerQueue) -> None:
         arrived_at = server.queue.popleft()

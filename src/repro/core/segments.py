@@ -32,6 +32,8 @@ class SegmentState:
 
     __slots__ = (
         "descriptor",
+        "segment_id",
+        "size",
         "network_degree",
         "collected",
         "decoder",
@@ -44,6 +46,8 @@ class SegmentState:
         self, descriptor: SegmentDescriptor, use_decoder: bool = False
     ) -> None:
         self.descriptor = descriptor
+        self.segment_id = descriptor.segment_id
+        self.size = descriptor.size
         self.network_degree = 0
         self.collected = 0
         self.decoder: Optional[SegmentDecoder] = (
@@ -54,22 +58,9 @@ class SegmentState:
         self._counted_saved = False
 
     @property
-    def segment_id(self) -> int:
-        return self.descriptor.segment_id
-
-    @property
-    def size(self) -> int:
-        return self.descriptor.size
-
-    @property
     def is_complete(self) -> bool:
         """True once the servers hold ``s`` independent blocks."""
         return self.collected >= self.size
-
-    @property
-    def is_network_decodable(self) -> bool:
-        """Degree-based decodability (Theorem 4's Σ_{i≥s} X_i population)."""
-        return self.network_degree >= self.size
 
     def __repr__(self) -> str:
         return (
@@ -85,6 +76,9 @@ class SegmentRegistry:
         self._metrics = metrics
         self._use_decoders = use_decoders
         self._segments: Dict[int, SegmentState] = {}
+        #: look up a live segment; raises KeyError for unknown/expired ids.
+        #: The dict's own method: a lookup per block event needs no frame.
+        self.get: Callable[[int], SegmentState] = self._segments.__getitem__
         self._next_id = 0
         #: optional hook fired exactly once when a segment completes, while
         #: its decoder (and thus its payload) is still reachable.
@@ -106,10 +100,6 @@ class SegmentRegistry:
 
     def __contains__(self, segment_id: int) -> bool:
         return segment_id in self._segments
-
-    def get(self, segment_id: int) -> SegmentState:
-        """Look up a live segment; raises KeyError for unknown/expired ids."""
-        return self._segments[segment_id]
 
     def live_states(self) -> Iterable[SegmentState]:
         """All segments currently holding blocks in the network."""
@@ -140,7 +130,8 @@ class SegmentRegistry:
     def on_block_added(self, state: SegmentState, now: float) -> None:
         """One live block of the segment appeared somewhere in the network."""
         state.network_degree += 1
-        self._refresh_populations(state, now)
+        if state.network_degree == state.size:
+            self._refresh_populations(state, now)
 
     def on_block_removed(self, state: SegmentState, now: float) -> None:
         """One live block disappeared (TTL expiry or churn loss)."""
@@ -149,7 +140,8 @@ class SegmentRegistry:
                 f"degree underflow for segment {state.segment_id}"
             )
         state.network_degree -= 1
-        self._refresh_populations(state, now)
+        if state.network_degree == state.size - 1:
+            self._refresh_populations(state, now)
         if state.network_degree == 0:
             self._extinguish(state, now)
 
@@ -191,7 +183,10 @@ class SegmentRegistry:
     # -- internals --------------------------------------------------------------
 
     def _refresh_populations(self, state: SegmentState, now: float) -> None:
-        decodable = state.is_network_decodable
+        """Re-derive the decodable (degree >= s: Theorem 4's Σ_{i≥s} X_i) and
+        saved flags; they can only change when the degree crosses ``s`` or
+        the segment completes, so only those transitions call this."""
+        decodable = state.network_degree >= state.size
         if decodable != state._counted_decodable:
             self._metrics.decodable_segments.add(now, 1 if decodable else -1)
             state._counted_decodable = decodable
@@ -235,5 +230,5 @@ class SegmentRegistry:
         return sum(
             1
             for state in self._segments.values()
-            if state.is_network_decodable and not state.is_complete
+            if state.network_degree >= state.size and not state.is_complete
         )

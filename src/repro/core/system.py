@@ -57,7 +57,7 @@ from repro.sim.engine import (
     ThinnedPoissonProcess,
 )
 from repro.sim.metrics import MetricsCollector, MetricsReport
-from repro.sim.rng import SeedSequenceRegistry, exponential
+from repro.sim.rng import SeedSequenceRegistry
 from repro.sim.topology import CompleteTopology, Topology
 from repro.sim.trace import (
     KIND_BURST,
@@ -113,13 +113,6 @@ class SourceRecovery:
     def collected_fraction(self) -> float:
         """Usefully collected coded blocks / originals made (intake)."""
         return self.collected / self.injected if self.injected else 0.0
-
-    @property
-    def reachable_fraction(self) -> float:
-        """Delivered plus still-collectable, as a fraction of originals."""
-        if not self.injected:
-            return 0.0
-        return (self.delivered + self.recoverable) / self.injected
 
     def __repr__(self) -> str:
         return (
@@ -190,6 +183,9 @@ class CollectionSystem:
             )
         self.workload = workload
         self._rlnc = params.mode == MODE_RLNC
+        #: bound once: every pending TTL entry holds it, and a bound method
+        #: per entry is one more tracked object per buffered block.
+        self._expire = self._expire_block
         if payload_provider is not None and not self._rlnc:
             raise ValueError("payload_provider requires mode='rlnc'")
         self._payload_provider = payload_provider
@@ -351,10 +347,10 @@ class CollectionSystem:
     def _build_processes(self) -> None:
         params = self.params
         for slot in range(params.n_peers):
+            # Injection and gossip clocks run at a fixed (maximum) rate for the
+            # lifetime of the system (only shutdown() ever stops them), so
+            # they ride the engine's handle-free fast path.
             if self.workload is None:
-                # Injection and gossip clocks run at a fixed rate for the
-                # lifetime of the system (only shutdown() ever stops them),
-                # so they ride the engine's handle-free fast path.
                 self._processes.append(
                     PoissonProcess(
                         self.sim,
@@ -374,6 +370,7 @@ class CollectionSystem:
                         max_rate=workload.max_rate / segment_size,
                         rate_fn=lambda t, w=workload, s=segment_size: w.rate(t) / s,
                         action=lambda slot=slot: self._inject(slot),
+                        cancellable=False,
                     )
                 )
             if params.gossip_rate > 0:
@@ -490,15 +487,10 @@ class CollectionSystem:
         if latency <= 0.0:
             self._land_gossip_block(peer, block)
             return
-        delay = exponential(self._ttl_rng, 1.0 / latency)
-        target_slot = peer.slot
-        target_generation = peer.generation
+        delay = self._ttl_rng.expovariate(1.0 / latency)
         # Fire-and-forget delivery: handle-free fast path.
         self.sim.schedule_call(
-            delay,
-            lambda: self._arrive_gossip_block(
-                target_slot, target_generation, block
-            ),
+            delay, self._arrive_gossip_block, peer.slot, peer.generation, block
         )
 
     def _arrive_gossip_block(
@@ -530,19 +522,20 @@ class CollectionSystem:
 
     def _store_block(self, peer: Peer, block: CodedBlock) -> None:
         """Buffer *block* at *peer* with full accounting and a TTL clock."""
-        now = self.sim.now
-        was_empty = peer.is_empty
+        sim = self.sim
+        now = sim.now
+        registry = self.registry
+        was_empty = peer.block_count == 0
         peer.add_block(block)
-        state = self.registry.get(block.segment.segment_id)
-        self.registry.on_block_added(state, now)
+        registry.on_block_added(registry.get(block.segment.segment_id), now)
         self.metrics.total_blocks.add(now, 1)
         if was_empty:
             self._nonempty.add(peer.slot)
             self.metrics.empty_peers.add(now, -1)
-        ttl = exponential(self._ttl_rng, self.params.deletion_rate)
         # TTL expiries are never cancelled (expiry itself checks liveness),
-        # so they ride the handle-free fast path.
-        self.sim.schedule_call(ttl, lambda: self._expire_block(peer, block))
+        # so they ride the handle-free fast path; Parameters validated γ > 0.
+        ttl = self._ttl_rng.expovariate(self.params.deletion_rate)
+        sim.schedule_call(ttl, self._expire, peer, block)
 
     def _expire_block(self, peer: Peer, block: CodedBlock) -> None:
         """TTL expiry: delete the block unless churn already destroyed it."""
@@ -555,11 +548,12 @@ class CollectionSystem:
                 f"from peer {peer.slot}'s buffer"
             )
         now = self.sim.now
-        self.metrics.blocks_expired.increment(self.metrics.in_window)
-        self.metrics.total_blocks.add(now, -1)
-        if peer.is_empty:
+        metrics = self.metrics
+        metrics.blocks_expired.increment(metrics.in_window)
+        metrics.total_blocks.add(now, -1)
+        if peer.block_count == 0:
             self._nonempty.discard(peer.slot)
-            self.metrics.empty_peers.add(now, 1)
+            metrics.empty_peers.add(now, 1)
         state = self.registry.get(block.segment.segment_id)
         self.registry.on_block_removed(state, now)
         if self.tracer is not None:

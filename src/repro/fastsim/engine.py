@@ -214,10 +214,8 @@ class ExactStepper:
             cancellable=True,
         )
         for start, end in system.outage_windows:
-            self.sim.schedule_call_at(start, self._make_outage_begin(start))
-            self.sim.schedule_call_at(
-                end, self._make_outage_end(end, end - start)
-            )
+            self.sim.schedule_call_at(start, self._outage_begin, start)
+            self.sim.schedule_call_at(end, self._outage_end, end, end - start)
 
     def _fire(
         self, kernel: Callable[[int, float, float], None]
@@ -257,29 +255,21 @@ class ExactStepper:
         if self._events % CHECK_EVERY_EVENTS == 0:
             system.consistency_check()
 
-    def _make_outage_begin(self, at: float) -> Callable[[], None]:
-        def action() -> None:
-            self.system.now = at
-            self.system.begin_outage(at)
-            if self._pull_clock is not None:
-                self._pull_clock.stop()
+    def _outage_begin(self, at: float) -> None:
+        self.system.now = at
+        self.system.begin_outage(at)
+        if self._pull_clock is not None:
+            self._pull_clock.stop()
 
-        return action
-
-    def _make_outage_end(
-        self, at: float, downtime: float
-    ) -> Callable[[], None]:
-        def action() -> None:
-            self.system.now = at
-            catchup = self.system.end_outage(at, downtime)
-            if self._pull_clock is not None:
-                self._pull_clock.start()
-            if catchup:
-                self.system.kernel_pull(catchup, at, at)
-                self.system.events_applied += catchup
-                self._after_event(at)
-
-        return action
+    def _outage_end(self, at: float, downtime: float) -> None:
+        self.system.now = at
+        catchup = self.system.end_outage(at, downtime)
+        if self._pull_clock is not None:
+            self._pull_clock.start()
+        if catchup:
+            self.system.kernel_pull(catchup, at, at)
+            self.system.events_applied += catchup
+            self._after_event(at)
 
     def run_until(self, end_time: float) -> None:
         self.sim.run_until(end_time)

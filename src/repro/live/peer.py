@@ -418,8 +418,8 @@ class LivePeer:
 
     def _arm_expiry(self, deadline: float, block: CodedBlock) -> None:
         """One loop timer per stored block, as ``CollectionSystem`` arms one
-        ``schedule_call(ttl, expire)`` per block; nothing to cancel or await
-        at teardown."""
+        ``schedule_call(ttl, expire, peer, block)`` per block; nothing to
+        cancel or await at teardown."""
         asyncio.get_running_loop().call_later(
             self.clock.wall_interval(deadline - self.clock.now()),
             self._expire, deadline, block,

@@ -1,6 +1,6 @@
 """Discrete-event simulation engine.
 
-A minimal, fast event loop: a binary heap of ``(time, sequence, item)``
+A minimal, fast event loop: a binary heap of ``(time, sequence, item, *args)``
 entries with O(log n) scheduling, lazy cancellation, and helpers for the
 Poisson (exponential-clock) processes that make up the entire protocol model
 (segment injection at rate ``lambda/s``, gossip at rate ``mu``, server pulls
@@ -19,7 +19,8 @@ Hot-path design.  Two scheduling flavours share one heap:
 - :meth:`Simulator.schedule_call` / :meth:`Simulator.schedule_call_at` are
   the handle-free fast path for fire-and-forget events (recurring clock
   fires, TTL expiries, delivery latencies): the heap entry *is* the bare
-  callable — no per-event allocation beyond the tuple.
+  callable followed by its arguments — no per-event allocation beyond the
+  tuple, so a caller passes ``(fn, a, b)`` instead of closing over a and b.
 
 ``run_until`` additionally batch-drains the heap: when many entries are due
 before the horizon, one linear partition + ``sort`` replaces thousands of
@@ -38,9 +39,7 @@ import math
 import random
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
-
-from repro.sim.rng import exponential
+from typing import Any, Callable, List, Optional, Tuple
 
 Action = Callable[[], None]
 
@@ -82,10 +81,10 @@ class EventHandle:
             self._sim._note_cancelled()
 
 
-#: A heap entry: cancellable events carry an EventHandle, fast-path events
-#: carry the bare callable.  The sequence number is unique, so tuple
-#: comparison never reaches the third element.
-_Entry = Tuple[float, int, Union[EventHandle, Action]]
+#: A heap entry ``(time, sequence, item, *args)``: cancellable events carry
+#: an EventHandle, fast-path events the bare callable and its arguments.
+#: The sequence number is unique, so tuple comparison never reaches the item.
+_Entry = Tuple[Any, ...]
 
 
 @dataclass(frozen=True)
@@ -195,21 +194,26 @@ class Simulator:
         heapq.heappush(self._heap, (time, next(self._sequence), handle))
         return handle
 
-    def schedule_call(self, delay: float, action: Action) -> None:
-        """Handle-free fast path: run *action* after *delay*, no cancellation.
+    def schedule_call(
+        self, delay: float, action: Callable[..., None], *args: object
+    ) -> None:
+        """Handle-free fast path: run ``action(*args)`` after *delay*.
 
         Identical ordering semantics to :meth:`schedule`, but the heap entry
-        is the bare callable — no :class:`EventHandle` allocation.  Use it
-        for fire-and-forget events (clock fires, TTL expiries, latencies)
-        whose handle would be dropped anyway.
+        is the bare callable and its arguments — no :class:`EventHandle`, and
+        no closure when the caller passes *args* instead of capturing them.
+        Use it for fire-and-forget events (clock fires, TTL expiries,
+        latencies) whose handle would be dropped anyway.
         """
         if not 0.0 <= delay < math.inf:
             raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         heapq.heappush(
-            self._heap, (self.now + delay, next(self._sequence), action)
+            self._heap, (self.now + delay, next(self._sequence), action, *args)
         )
 
-    def schedule_call_at(self, time: float, action: Action) -> None:
+    def schedule_call_at(
+        self, time: float, action: Callable[..., None], *args: object
+    ) -> None:
         """Absolute-time variant of :meth:`schedule_call`."""
         if not math.isfinite(time):
             raise ValueError(f"event time must be finite, got {time!r}")
@@ -217,7 +221,7 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule into the past: t={time} < now={self.now}"
             )
-        heapq.heappush(self._heap, (time, next(self._sequence), action))
+        heapq.heappush(self._heap, (time, next(self._sequence), action, *args))
 
     def stop(self) -> None:
         """Request the current ``run_until`` call to return after this event."""
@@ -333,9 +337,8 @@ class Simulator:
                     entry = heapq.heappop(heap)
                 else:
                     pos += 1
-                event_time, _, item = entry
+                item = entry[2]
                 popped += 1
-                action: Optional[Action]
                 if type(item) is EventHandle:
                     if item.cancelled:
                         self._cancelled_pending -= 1
@@ -350,11 +353,13 @@ class Simulator:
                     item.action = None
                     item.fired = True
                     assert action is not None  # only cancel() clears a live action
+                    self._ready_pos = pos
+                    self.now = entry[0]
+                    action()
                 else:
-                    action = item  # type: ignore[assignment]
-                self._ready_pos = pos
-                self.now = event_time
-                action()
+                    self._ready_pos = pos
+                    self.now = entry[0]
+                    item(*entry[3:])
                 executed += 1
                 if probe is not None:
                     probe_countdown -= 1
@@ -519,7 +524,7 @@ class PoissonProcess:
     def _arm(self) -> None:
         if not self._running or self._rate <= 0:
             return
-        gap = exponential(self._rng, self._rate)
+        gap = self._rng.expovariate(self._rate)
         if not math.isfinite(gap):
             # A subnormal rate can overflow expovariate to infinity; such a
             # clock will effectively never fire — park it (set_rate re-arms).
@@ -563,6 +568,7 @@ class ThinnedPoissonProcess(PoissonProcess):
         rate_fn: Callable[[float], float],
         action: Action,
         start: bool = True,
+        cancellable: bool = True,
     ) -> None:
         if max_rate <= 0 or not math.isfinite(max_rate):
             raise ValueError(f"max_rate must be finite and > 0, got {max_rate!r}")
@@ -570,7 +576,9 @@ class ThinnedPoissonProcess(PoissonProcess):
         self._max_rate = max_rate
         self._thinning_rng = rng
         self._user_action = action
-        super().__init__(sim, rng, max_rate, self._maybe_fire, start=start)
+        super().__init__(
+            sim, rng, max_rate, self._maybe_fire, start=start, cancellable=cancellable
+        )
 
     def _maybe_fire(self) -> None:
         current = self._rate_fn(self._sim.now)

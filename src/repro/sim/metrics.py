@@ -61,7 +61,12 @@ class WindowedAverage:
 
     def add(self, now: float, delta: float) -> None:
         """Advance to *now* and shift the current value by *delta*."""
-        self.update(now, self.value + delta)
+        # update(now, value + delta) written out: twice per buffered block.
+        if now < self._last_time:
+            raise ValueError(f"time went backwards: {now} < {self._last_time}")
+        self._integral += self.value * (now - self._last_time)
+        self._last_time = now
+        self.value += delta
 
     def reset(self, now: float) -> None:
         """Begin a fresh averaging window at *now*, keeping the value."""
@@ -373,7 +378,8 @@ class MetricsCollector:
         self.segment_size = segment_size
         self.normalized_capacity = normalized_capacity
         self._window_start = now
-        self._in_window = False
+        #: True once the measurement window has started.
+        self.in_window = False
 
         self.total_blocks = WindowedAverage(0.0, now)
         self.empty_peers = WindowedAverage(float(n_peers), now)
@@ -390,7 +396,7 @@ class MetricsCollector:
 
     def begin_window(self, now: float) -> None:
         """Discard warmup statistics; measurements start at *now*."""
-        self._in_window = True
+        self.in_window = True
         self._window_start = now
         for name in AVERAGES:
             getattr(self, name).reset(now)
@@ -399,17 +405,12 @@ class MetricsCollector:
         self._delay_samples = []
         self._delivered_original_blocks = 0
 
-    @property
-    def in_window(self) -> bool:
-        """True once the measurement window has started."""
-        return self._in_window
-
     # -- event hooks (called by the system) --------------------------------
 
     def on_segment_completed(self, now: float, injected_at: float, size: int) -> None:
         """A segment became decodable at the servers."""
-        self.segments_completed.increment(self._in_window)
-        if self._in_window:
+        self.segments_completed.increment(self.in_window)
+        if self.in_window:
             self._delay_samples.append(now - injected_at)
             self._delivered_original_blocks += size
 

@@ -82,10 +82,9 @@ class RandomizedSet(Generic[T]):
         if not self._items:
             raise IndexError("sample from an empty RandomizedSet")
         if hasattr(rng, "randrange"):
-            pos = rng.randrange(len(self._items))
-        else:
-            pos = int(rng.integers(len(self._items)))
-        return self._items[pos]
+            # randrange(len)'s own draw, without its argument processing
+            return rng.choice(self._items)
+        return self._items[int(rng.integers(len(self._items)))]
 
     def sample_excluding(
         self, rng: SamplingRng, excluded: T, max_tries: int = 64

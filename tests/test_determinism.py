@@ -11,12 +11,18 @@ those call sites now ride named :class:`SeedSequenceRegistry` substreams, and
 the functions must be reproducible from their ``seed`` argument alone.
 """
 
+import hashlib
 import json
 
+import pytest
+
+from repro.adversary import AdversaryPlan
 from repro.core.params import Parameters
 from repro.core.system import CollectionSystem
 from repro.faults import FaultPlan
+from repro.sim.topology import ExplicitTopology
 from repro.sim.trace import Tracer
+from repro.stats.workload import DiurnalWorkload
 
 
 def _params(faults=None):
@@ -76,6 +82,114 @@ class TestSameSeedSameBytes:
         events_a, _ = _run_traced(None, seed=11)
         events_b, _ = _run_traced(None, seed=12)
         assert events_a != events_b
+
+
+def _pinned_params(**overrides):
+    values = dict(
+        n_peers=40, arrival_rate=6.0, gossip_rate=8.0, deletion_rate=1.0,
+        normalized_capacity=3.0, segment_size=4, n_servers=2,
+    )
+    values.update(overrides)
+    return Parameters(**values)
+
+
+#: case -> CollectionSystem keyword arguments, built fresh per run.
+PINNED_EVENT_CASES = {
+    "abstract": lambda: dict(params=_pinned_params(), seed=21),
+    "uniform_selection": lambda: dict(
+        params=_pinned_params(segment_selection="uniform"), seed=22
+    ),
+    # churn on, so in-flight blocks meet replaced targets (stale generations)
+    "gossip_latency": lambda: dict(
+        params=_pinned_params(gossip_latency=0.3, mean_lifetime=3.0), seed=23
+    ),
+    "hostile": lambda: dict(
+        params=_pinned_params(
+            mean_lifetime=5.0,
+            faults=FaultPlan(
+                gossip_loss_rate=0.05, pull_loss_rate=0.05,
+                pollution_fraction=0.05, outage_rate=0.5, outage_duration=0.2,
+                burst_rate=0.5, burst_fraction=0.05,
+            ),
+            adversary=AdversaryPlan(
+                liar_fraction=0.05, freerider_fraction=0.05,
+                polluter_fraction=0.05, sybil_rate=0.25, sybil_fraction=0.05,
+            ),
+            pull_scoring=True,
+            advert_discounting=True,
+        ),
+        seed=24,
+        workload=DiurnalWorkload(6.0, 0.5, 4.0),
+    ),
+    "bounded_degree": lambda: dict(
+        params=_pinned_params(),
+        seed=25,
+        topology=ExplicitTopology(
+            40, {slot: [(slot + 1) % 40, (slot + 7) % 40] for slot in range(40)}
+        ),
+    ),
+}
+
+
+def _sha256(payload):
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _pinned_event_run(build):
+    """(report digest, trace-stream digest, report) of one pinned session."""
+    tracer = Tracer()
+    system = CollectionSystem(tracer=tracer, **build())
+    report = system.run(warmup=3.0, duration=8.0)
+    system.consistency_check()
+    events = [event.as_dict() for event in tracer.events]
+    return _sha256(report.as_dict()), _sha256(events), report
+
+
+class TestPinnedEventDigests:
+    """Every report field and every trace record of five abstract-mode
+    sessions, as recorded on the tree before heap entries carried their
+    arguments (PR 18): the engine every figure sweeps is pinned across
+    commits, not only against itself."""
+
+    @pytest.mark.parametrize(
+        "case,report_digest,trace_digest",
+        [
+            (
+                "abstract",
+                "a4b0e8f9fa83099df132108438688f734713184ccd45dff367bd6673f89f80f0",
+                "a034ec946af3fb8a0744fb8a990f8ed8b9e2461f73c7d2392e5eee2c25b971ca",
+            ),
+            (
+                "uniform_selection",
+                "924ec2edc7143d4f260e2d6279b28d735ded0b24c2613d64df8a5469fcaf1733",
+                "a8ed2158eb428e945ca29569e1e4be425fd8dc4be59f8f6e163257fdc3edddaf",
+            ),
+            (
+                "gossip_latency",
+                "25ebdffc3d4f97fbd1c60ca596382c9afc4d0f3dc9134eef26efcbfea60e5d98",
+                "64c6e2856504a1cf8dc80e930e34c4abca2b56f91e630b4409ad0d19d69436c2",
+            ),
+            (
+                "hostile",
+                "a589eb90a06d3256caac0ae68dde18097c6f2c5c596ab628dfe6d1b33f9ea93d",
+                "e5f54ec642265308085a5f888f4d9b956e79e6b5b20f7f0f1dbb927394670393",
+            ),
+            (
+                "bounded_degree",
+                "66b9af90f32fae855b67f7c1d4dfed7ea1334a98452590d3276c562540ca0838",
+                "10a54ecf7ce54ef3991100fa9bcd6988bf6dc61e67aa1b0c80ea37908bd13b4f",
+            ),
+        ],
+    )
+    def test_pinned(self, case, report_digest, trace_digest):
+        got_report, got_trace, report = _pinned_event_run(PINNED_EVENT_CASES[case])
+        assert report.segments_completed >= 8
+        if case == "gossip_latency":
+            assert report.gossip_undeliverable > 0 and report.departures > 0
+        if case == "hostile":
+            assert report.pulls_captured > 0 and report.burst_departures > 0
+            assert report.blocks_rejected_polluted > 0
+        assert (got_report, got_trace) == (report_digest, trace_digest)
 
 
 class TestRemediatedSubstreams:

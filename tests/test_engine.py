@@ -207,9 +207,11 @@ class TestFastPathScheduling:
 
     def test_batch_drain_matches_classic_order(self, monkeypatch):
         """The sorted-batch drain must execute the exact event order of a
-        pure pop loop, including ties and events scheduled mid-run."""
+        pure pop loop, including ties and events scheduled mid-run — and an
+        entry that carries its arguments fires exactly as the closure over
+        the same values does."""
 
-        def run(force_classic):
+        def run(force_classic, carry_arguments):
             import repro.sim.engine as engine_mod
 
             if force_classic:
@@ -219,27 +221,76 @@ class TestFastPathScheduling:
             sim = Simulator()
             order = []
             rng = random.Random(99)
+
+            def act(idx, at):
+                order.append((sim.now, idx, at))
+                # handlers keep scheduling into the current batch
+                if idx % 7 == 0:
+                    if carry_arguments:
+                        sim.schedule_call(0.0, act, -idx - 1, at)
+                    else:
+                        sim.schedule_call(0.0, lambda: act(-idx - 1, at))
+
             for index in range(300):
                 t = rng.choice([0.5, 1.0, 1.5, 2.0, 2.5])
-
-                def make(idx=index, at=t):
-                    def act():
-                        order.append((sim.now, idx))
-                        # handlers keep scheduling into the current batch
-                        if idx % 7 == 0:
-                            sim.schedule_call(
-                                0.0, lambda: order.append((sim.now, -idx))
-                            )
-                    return act
-
                 if index % 3 == 0:
-                    sim.schedule(t, make())
+                    sim.schedule(t, lambda i=index, at=t: act(i, at))
+                elif index % 3 == 1 or not carry_arguments:
+                    sim.schedule_call(t, lambda i=index, at=t: act(i, at))
                 else:
-                    sim.schedule_call(t, make())
+                    sim.schedule_call(t, act, index, t)
             sim.run_until(3.0)
             return order
 
-        assert run(force_classic=False) == run(force_classic=True)
+        classic = run(force_classic=True, carry_arguments=False)
+        assert len(classic) > 300 and all(now == at for now, _, at in classic)
+        for force_classic in (False, True):
+            assert run(force_classic, carry_arguments=True) == classic
+        assert run(force_classic=False, carry_arguments=False) == classic
+
+    def test_schedule_call_at_passes_arguments(self):
+        sim = Simulator()
+        got = []
+        sim.schedule_call_at(2.0, lambda *args: got.append(args), "a", 2)
+        sim.schedule_call_at(1.0, lambda *args: got.append(args))
+        sim.run_until(3.0)
+        assert got == [(), ("a", 2)]
+
+    def test_pushed_back_entries_keep_their_arguments(self):
+        """stop() and a raising action both leave part of the sorted batch
+        unconsumed; what goes back on the heap still fires with its args."""
+        sim = Simulator()
+        fired = []
+
+        def act(index, tag):
+            fired.append((index, tag))
+            if index == 70:
+                sim.stop()
+            if index == 140:
+                raise RuntimeError("boom")
+
+        for index in range(200):
+            sim.schedule_call(float(index), act, index, f"t{index}")
+        assert sim.run_until(1000.0) == 71
+        assert sim.pending == 129
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run_until(1000.0)
+        assert sim.pending == 59
+        sim.run_until(1000.0)
+        assert fired == [(index, f"t{index}") for index in range(200)]
+
+    def test_compaction_keeps_argument_entries(self):
+        sim = Simulator()
+        fired = []
+        for index in range(300):
+            sim.schedule_call(1.0 + index, fired.append, index)
+        handles = [sim.schedule(0.5, lambda: fired.append("h")) for _ in range(700)]
+        for handle in handles:
+            handle.cancel()
+        assert sim.heap_compactions > 0
+        assert sim.pending == 300
+        sim.run_until(1000.0)
+        assert fired == list(range(300))
 
     def test_stop_mid_batch_preserves_remaining_events(self):
         sim = Simulator()

@@ -4,9 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.coding.block import CodedBlock, SegmentDescriptor, make_source_blocks
 from repro.core.peer import Peer, SegmentHolding
+from repro.util.randomset import RandomizedSet
 
 
 def descriptor(segment_id=0, size=4):
@@ -183,3 +185,43 @@ class TestPeer:
 
     def test_repr(self):
         assert "slot=2" in repr(Peer(slot=2, capacity=5))
+
+
+class TestBufferLayout:
+    """``buffered_blocks`` is a plain list indexed by ``block.position``; its
+    layout, and so every block-uniform draw, is the one a RandomizedSet fed
+    the same adds and removals has."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**16), max_size=150))
+    def test_matches_randomized_set_element_for_element(self, ops):
+        peer = Peer(slot=0, capacity=12)
+        mirror = RandomizedSet()
+        live = []
+        for op in ops:
+            if live and (op % 3 == 0 or peer.is_full):
+                block = live.pop(op % len(live))
+                assert peer.remove_block(block)
+                mirror.discard(block)
+            else:
+                block = abstract_block(segment_id=op % 5)
+                peer.add_block(block)
+                mirror.add(block)
+                live.append(block)
+            buffer = peer.buffered_blocks
+            assert len(buffer) == len(mirror) == peer.block_count
+            assert all(a is b for a, b in zip(buffer, mirror))
+            assert all(buffer[block.position] is block for block in live)
+        if live:
+            expected = list(mirror)[random.Random(op).randrange(len(mirror))]
+            drawn = peer.draw_segment(random.Random(op), uniform=False)
+            assert drawn == expected.segment.segment_id
+
+    def test_removed_block_is_not_found_again(self):
+        peer = Peer(slot=0, capacity=4)
+        first, second = abstract_block(), abstract_block()
+        peer.add_block(first)
+        peer.add_block(second)
+        assert peer.remove_block(first)
+        assert not peer.remove_block(first)
+        assert peer.buffered_blocks == [second] and second.position == 0

@@ -1,9 +1,12 @@
 """Integration tests for the full indirect collection system."""
 
+import gc
 import math
+import types
 
 import pytest
 
+from repro.coding.block import CodedBlock
 from repro.core.params import Parameters
 from repro.core.system import CollectionSystem
 from repro.sim.topology import CompleteTopology, random_regular_topology
@@ -317,3 +320,50 @@ class TestRunApi:
         assert system.now == 5.0
         assert first.window == pytest.approx(3.0)
         assert second.window == pytest.approx(2.0)
+
+
+class TestBlockAllocations:
+    """What one buffered block costs the allocator and the cyclic collector:
+    the block and its heap entry, not a ``__dict__`` and a closure on top."""
+
+    def _warm_system(self):
+        system = CollectionSystem(params(normalized_capacity=6.0), seed=4)
+        system.run_until(3.0)
+        return system
+
+    def test_coded_block_has_no_instance_dict(self):
+        system = self._warm_system()
+        block = next(iter(system.peers[0].buffered_blocks))
+        assert not hasattr(block, "__dict__")
+        with pytest.raises(AttributeError):
+            block.scratch = 1
+
+    def test_ttl_entries_share_one_callable(self):
+        system = self._warm_system()
+        expiries = [
+            entry for entry in system.sim._heap
+            if isinstance(entry[-1], CodedBlock) and entry[-1].alive
+        ]
+        assert len(expiries) == system.total_blocks_in_network() > 50
+        assert len({id(entry[2]) for entry in expiries}) == 1
+        time, _, action, peer, block = expiries[0]
+        assert isinstance(action, types.MethodType)
+        assert action.__func__ is CollectionSystem._expire_block
+        assert peer.buffered_blocks[block.position] is block
+
+    def test_tracked_objects_per_buffered_block(self):
+        system = self._warm_system()
+        peer = max(system.peers, key=lambda p: p.free_space)
+        count = peer.free_space
+        assert count >= 8
+        segment = next(iter(system.registry.live_states())).descriptor
+        gc.collect()
+        before = len(gc.get_objects())
+        for _ in range(count):
+            system._store_block(peer, CodedBlock(segment, created_at=system.now))
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        system.consistency_check()
+        # the block and its (time, seq, fn, peer, block) entry, plus the
+        # amortized new holding; the parent allocated about 7 per block
+        assert grown <= 3 * count
