@@ -284,22 +284,10 @@ def load_checkpoint(path: Path) -> ServerCheckpoint:
     return state
 
 
-def checkpoint_sidecar_fields(state: ServerCheckpoint) -> Dict[str, Any]:
-    """Small JSON-able summary for logs and the supervisor's stdout line."""
-    return {
-        "restarts": state.restarts,
-        "decoders": len(state.decoders),
-        "total_rank": state.total_rank,
-        "completed": len(state.completed),
-        "marked": state.marked_at is not None,
-    }
-
-
 __all__ = [
     "CHECKPOINT_FORMAT",
     "CheckpointError",
     "ServerCheckpoint",
-    "checkpoint_sidecar_fields",
     "load_checkpoint",
     "write_checkpoint",
 ]

@@ -5,8 +5,8 @@ in-process :class:`LivePeer` tasks on loopback TCP, runs the protocol for
 ``warmup + duration`` simulated units, and returns a MetricsReport-shaped
 dict (:func:`repro.live.livemetrics.aggregate_report`).  The same
 machinery scales from the 8-peer test swarms to the 1000-peer E-LIVE
-experiment: peers are cheap tasks, sockets are the only real resource
-(about 3 file descriptors per peer with the default gossip cache).
+experiment: peers are cheap tasks, sockets are the only real resource (per
+peer one listener, both ends of one control link and of <= 2 data links).
 
 :func:`live_cell` is the synchronous entry point shaped exactly like
 :func:`repro.experiments.base.simulate_cell`, so experiment task grids can

@@ -47,8 +47,8 @@ from repro.live.transport import (
 )
 from repro.sim.rng import SeedSequenceRegistry, exponential
 
-#: Outbound gossip connections kept per peer; bounds the swarm's total
-#: descriptor count to O(N · GOSSIP_CACHE) instead of O(N^2).
+#: Outbound gossip links each hosted peer adds to its process's pool;
+#: bounds the swarm's descriptor count to O(N · GOSSIP_CACHE), not O(N^2).
 GOSSIP_CACHE = 4
 
 #: Segment ids are globally unique without coordination: slot << SHIFT | n.
@@ -98,7 +98,8 @@ class LivePeer:
         self._listener: Optional[asyncio.AbstractServer] = None
         self.listen_port = 0
         self._control: Optional[FramedConnection] = None
-        self._cache = ConnectionCache(self._open_gossip, GOSSIP_CACHE)
+        #: the loop's outbound pool once start()ed; until then no budget.
+        self._pool = ConnectionCache()
         self._protocol_tasks: List["asyncio.Task[None]"] = []
         self._control_task: Optional["asyncio.Task[None]"] = None
         self._heartbeat_task: Optional["asyncio.Task[None]"] = None
@@ -169,6 +170,7 @@ class LivePeer:
             self._handle_connection, self._listen_host
         )
         await self._dial_control()
+        self._pool = ConnectionCache.lease(GOSSIP_CACHE)
         self._control_task = asyncio.create_task(
             self._control_loop(), name=f"peer{self.slot}:control"
         )
@@ -231,23 +233,23 @@ class LivePeer:
     async def close(self) -> None:
         """Tear everything down; leaves no tasks or transports behind."""
         self._stop_protocol()
-        for task in [self._control_task, self._heartbeat_task,
-                     *self._protocol_tasks, *self._conn_tasks]:
-            if task is not None:
-                task.cancel()
-        await asyncio.gather(
-            *(t for t in [self._control_task, self._heartbeat_task,
-                          *self._protocol_tasks, *self._conn_tasks]
-              if t is not None),
-            return_exceptions=True,
-        )
+        if self._listener is not None:
+            # First, or a re-dialed pooled link outlives the cancel below.
+            self._listener.close()
+        tasks = [t for t in (self._control_task, self._heartbeat_task,
+                             *self._protocol_tasks, *self._conn_tasks)
+                 if t is not None]
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
         self._protocol_tasks.clear()
         self._conn_tasks.clear()
-        await self._cache.close_all()
+        pool, self._pool = self._pool, ConnectionCache()
+        if pool.limit:  # only the leased pool has a budget
+            await pool.release(GOSSIP_CACHE)
         if self._control is not None:
             await self._control.close()
         if self._listener is not None:
-            self._listener.close()
             await self._listener.wait_closed()
         self.stopped.set()
 
@@ -346,10 +348,11 @@ class LivePeer:
             }
             if frame.header.get("partial", False):
                 # Incremental update: a peer re-registered (possibly on a
-                # new port); drop any cached connection to its old address.
+                # new port); drop the pooled link to its old address.
                 for slot, addr in entries.items():
-                    if self.directory.get(slot) != addr:
-                        await self._cache.drop(slot)
+                    old = self.directory.get(slot, addr)
+                    if old != addr:
+                        await self._pool.drop(old)
                 self.directory.update(entries)
             else:
                 self.directory = entries
@@ -553,26 +556,26 @@ class LivePeer:
             if target >= self.slot:
                 target += 1
             try:
-                conn = await self._cache.get(target)
+                addr = self.directory[target]
+                conn = await self._pool.get(addr)
+            except (KeyError, ConnectionError, OSError):
+                continue
+            try:
                 self.stats.offers_sent += 1
                 reply = await conn.request({
                     "type": wire.MSG_OFFER,
                     "segment_id": segment_id,
                     "size": size,
                 })
+                if reply.type != wire.MSG_OFFER_REPLY:
+                    raise FrameGarbage(f"{reply.type!r} in reply to an offer")
+                if not reply.header.get("want", False):
+                    continue
+                frame = wire.block_to_wire(wire.MSG_BLOCK, block, digest)
+                await conn.send(*frame)
             except (ConnectionError, FrameError, OSError):
-                await self._cache.drop(target)
-                continue
-            if reply.type != wire.MSG_OFFER_REPLY:
-                await self._cache.drop(target)
-                continue
-            if not reply.header.get("want", False):
-                continue
-            header, payload = wire.block_to_wire(wire.MSG_BLOCK, block, digest)
-            try:
-                await conn.send(header, payload)
-            except (ConnectionError, OSError):
-                await self._cache.drop(target)
+                # (a no-op if a hosted neighbour has re-dialed meanwhile)
+                await self._pool.drop(addr, conn)
                 continue
             # Counted at the sender on send, like the simulator's tick;
             # the receiver may still drop it on the lossy link.
@@ -581,8 +584,8 @@ class LivePeer:
         self.stats.gossip_no_target += 1
 
     async def _burst_reset(self) -> None:
-        """Disconnect-burst: wipe the buffer, bump the generation, drop
-        every outbound connection mid-stream."""
+        """Disconnect-burst: wipe the buffer, bump the generation, hang up
+        on every accepted connection mid-stream (as a departing host does)."""
         lost = self.core.block_count
         for block in self.core.all_blocks():
             block.alive = False
@@ -595,17 +598,11 @@ class LivePeer:
         )
         self._digests.clear()
         self.stats.blocks_lost_to_churn += lost
-        await self._cache.close_all()
+        for task in list(self._conn_tasks):
+            task.cancel()
         self._after_buffer_change(self.clock.now())
 
     # -- data plane (incoming) ----------------------------------------------
-
-    async def _open_gossip(self, target: int) -> FramedConnection:
-        try:
-            host, port = self.directory[target]
-        except KeyError:
-            raise ConnectionError(f"no directory entry for slot {target}")
-        return await FramedConnection.open(host, port, attempts=2)
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -18,7 +18,6 @@ import errno
 import math
 import random
 from typing import (
-    Any,
     Awaitable,
     Callable,
     Iterator,
@@ -211,12 +210,3 @@ async def close_writer(writer: asyncio.StreamWriter) -> None:
         await writer.wait_closed()
     except (ConnectionError, asyncio.TimeoutError, OSError):
         pass
-
-
-def describe_endpoint(obj: Any) -> str:
-    """Best-effort ``host:port`` of a writer/socket for log messages."""
-    try:
-        host, port = obj.get_extra_info("peername")[:2]
-        return f"{host}:{port}"
-    except Exception:
-        return "<unknown>"

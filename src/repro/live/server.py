@@ -50,6 +50,7 @@ from repro.live.livemetrics import (
     peer_summary_from_wire,
 )
 from repro.live.transport import (
+    Address,
     BURST_STREAM,
     ConnectionCache,
     FramedConnection,
@@ -59,9 +60,6 @@ from repro.live.transport import (
 from repro.sim.metrics import WindowedAverage
 from repro.sim.rng import SeedSequenceRegistry, exponential
 from repro.util.randomset import RandomizedSet
-
-#: Outbound pull connections cached across all pull loops.
-PULL_CACHE = 64
 
 #: Wall-clock timeout for one peer's metrics reply during collection.
 METRICS_TIMEOUT = 30.0
@@ -78,15 +76,14 @@ HEARTBEAT_TIMEOUT_WALL = 8.0
 class _PeerRecord:
     """Registry entry for one connected peer."""
 
-    __slots__ = ("slot", "host", "port", "conn", "last_seen")
+    __slots__ = ("slot", "addr", "conn", "last_seen")
 
     def __init__(
-        self, slot: int, host: str, port: int, conn: FramedConnection,
+        self, slot: int, addr: Address, conn: FramedConnection,
         last_seen: float = 0.0,
     ) -> None:
         self.slot = slot
-        self.host = host
-        self.port = port
+        self.addr = addr
         self.conn = conn
         self.last_seen = last_seen
 
@@ -176,7 +173,8 @@ class LiveLoggingServer:
         self._decoders: Dict[int, SegmentDecoder] = {}
         self._digests: Dict[int, str] = {}
         self._completed: Set[int] = set()
-        self._cache = ConnectionCache(self._open_pull, PULL_CACHE)
+        #: pull links of all N_s loops, at most one per registered peer.
+        self._cache = ConnectionCache()
         self._listener: Optional[asyncio.AbstractServer] = None
         self._tasks: List["asyncio.Task[None]"] = []
         self._conn_tasks: Set["asyncio.Task[None]"] = set()
@@ -327,7 +325,7 @@ class LiveLoggingServer:
 
     def _directory(self) -> Dict[int, List[Any]]:
         return {
-            record.slot: [record.host, record.port]
+            record.slot: list(record.addr)
             for record in self.peers.values()
         }
 
@@ -471,7 +469,8 @@ class LiveLoggingServer:
         )
         self._tasks = []
         self._conn_tasks.clear()
-        await self._cache.close_all()
+        self._cache.limit = 0
+        await self._cache.trim()
         for record in list(self.peers.values()):
             try:
                 await record.conn.send({"type": wire.MSG_BYE})
@@ -525,11 +524,15 @@ class LiveLoggingServer:
             # machinery sees a clean exit, not an unhandled cancellation.
             pass
         finally:
+            stale: Optional[Address] = None
             if record is not None and self.peers.get(record.slot) is record:
                 del self.peers[record.slot]
                 self.nonempty.discard(record.slot)
+                stale = record.addr  # its listener is gone, or will move
             try:
                 await conn.close()
+                if stale is not None:
+                    await self._cache.drop(stale)
             except asyncio.CancelledError:
                 pass
             # Deregister only after the transport is down: close() gathers
@@ -547,7 +550,7 @@ class LiveLoggingServer:
         if not 0 <= slot < self.params.n_peers:
             raise FrameGarbage(f"slot {slot} out of range")
         self._next_slot = max(self._next_slot, slot + 1)
-        record = _PeerRecord(slot, host, port, conn)
+        record = _PeerRecord(slot, (host, port), conn)
         self.peers[slot] = record
         resume = hello.header.get("resume")
         if isinstance(resume, dict):
@@ -577,7 +580,7 @@ class LiveLoggingServer:
         update = {
             "type": wire.MSG_DIRECTORY,
             "partial": True,
-            "peers": {record.slot: [record.host, record.port]},
+            "peers": {record.slot: list(record.addr)},
         }
         for other in list(self.peers.values()):
             if other is record:
@@ -586,8 +589,6 @@ class LiveLoggingServer:
                 await other.conn.send(update)
             except (ConnectionError, OSError):
                 pass
-        # The address may have changed; drop any cached pull connection.
-        await self._cache.drop(record.slot)
 
     def _handle_peer_frame(self, record: _PeerRecord, frame: Frame) -> None:
         kind = frame.type
@@ -630,12 +631,6 @@ class LiveLoggingServer:
 
     # -- pull engine --------------------------------------------------------
 
-    async def _open_pull(self, slot: int) -> FramedConnection:
-        record = self.peers.get(slot)
-        if record is None:
-            raise ConnectionError(f"no registered peer in slot {slot}")
-        return await FramedConnection.open(record.host, record.port, attempts=2)
-
     async def _pull_loop(self, index: int) -> None:
         schedule = self._pull_schedules[index]
         while True:
@@ -658,8 +653,13 @@ class LiveLoggingServer:
         if not self.nonempty:
             return None
         slot = self.nonempty.sample(self._select_rng)
+        record = self.peers.get(slot)
+        conn: Optional[FramedConnection] = None
         try:
-            conn = await self._cache.get(slot)
+            if record is None:
+                raise ConnectionError(f"no registered peer in slot {slot}")
+            self._cache.limit = len(self.peers)
+            conn = await self._cache.get(record.addr)
             reply = await conn.request({"type": wire.MSG_PULL})
             if reply.type == wire.MSG_PULL_EMPTY:
                 self.nonempty.discard(slot)
@@ -671,7 +671,8 @@ class LiveLoggingServer:
                 self.params, reply.header, reply.payload
             )
         except (ConnectionError, FrameError, OSError):
-            await self._cache.drop(slot)
+            if record is not None and conn is not None:
+                await self._cache.drop(record.addr, conn)
             self.stats.pull_empty_races += 1
             return None
         return _PulledBlock(
@@ -797,9 +798,9 @@ class LiveLoggingServer:
             self.stats.burst_departures += len(slots)
             for slot in slots:
                 self.nonempty.discard(slot)
-                await self._cache.drop(slot)
                 record = self.peers.get(slot)
                 if record is not None:
+                    await self._cache.drop(record.addr)
                     try:
                         await record.conn.send({"type": wire.MSG_RESET})
                     except (ConnectionError, OSError):

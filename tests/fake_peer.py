@@ -15,6 +15,15 @@ from repro.live import ports, wire
 from repro.live.transport import FramedConnection
 
 
+async def until(predicate, what, tries=1000):
+    """Poll *predicate* every 10 ms; fail (not hang) if it never holds."""
+    for _ in range(tries):
+        if predicate():
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError(f"never happened: {what}")
+
+
 def wire_block(params, segment_id, coefficients, **segment_overrides):
     """A PULL-BLOCK ``(header, payload)`` pair with the given coefficients."""
     fields = dict(

@@ -10,13 +10,17 @@ import asyncio
 import json
 import struct
 
+import numpy as np
+import pytest
+
+from repro.coding.block import SegmentDescriptor, make_source_blocks
 from repro.core.params import Parameters
-from repro.live import framing, wire
+from repro.live import framing, ports, wire
 from repro.live.livemetrics import PeerStats, aggregate_report
 from repro.live.peer import LivePeer
 from repro.live.server import LiveLoggingServer
 from repro.live.transport import FramedConnection
-from tests.fake_peer import FakePeer, wire_block
+from tests.fake_peer import FakePeer, until, wire_block
 
 
 def _params():
@@ -177,6 +181,193 @@ class TestPeerIngress:
         assert hung_up is None
         assert reply.header["want"] is True
         assert peer.stats.gossip_undeliverable == 1
+
+
+class _AimAtLastSlot:
+    """A target draw that always lands on slot ``n - 1``."""
+
+    def randrange(self, n):
+        return n - 1
+
+
+def _give_segment(peer, params):
+    """Buffer one fresh source segment, as the injection loop would."""
+    size = params.segment_size
+    descriptor = SegmentDescriptor(
+        segment_id=(peer.slot << 32) | peer._segment_seq, source_peer=peer.slot,
+        size=size, injected_at=0.0, generation=0,
+    )
+    peer._segment_seq += 1
+    rows = np.full((size, params.payload_bytes), peer.slot + 1, dtype=np.uint8)
+    digest = wire.payload_digest(rows.tobytes())
+    for block in make_source_blocks(descriptor, rows, created_at=0.0):
+        peer._store_block(block, digest)
+
+
+async def _gossip_once(peer):
+    """One gossip tick of *peer*, aimed at the last slot."""
+    block = peer._emit(0.0)
+    draw, peer._select_rng = peer._select_rng, _AimAtLastSlot()
+    try:
+        await peer._gossip_block(
+            block.segment.segment_id, block,
+            peer._digests[block.segment.segment_id],
+        )
+    finally:
+        peer._select_rng = draw
+
+
+async def _hosted_senders(params, seed=5):
+    """A collector and every slot but the last as in-process peers: one
+    event loop, hence one outbound pool under all of them."""
+    server = LiveLoggingServer(params, seed)
+    await server.start()
+    senders = [
+        LivePeer(slot, params, seed, "127.0.0.1", server.port,
+                 clock=server.clock)
+        for slot in range(params.n_peers - 1)
+    ]
+    for peer in senders:
+        await peer.start()
+        _give_segment(peer, params)
+    return server, senders
+
+
+class TestSharedLinks:
+    """One pooled link carries several hosted senders: what goes wrong on
+    it costs that link, once, and nobody's counters but the culprit's."""
+
+    @pytest.mark.parametrize("attack", ["geometry", "truncated-row"])
+    def test_garbage_block_costs_the_one_link_it_came_on(self, attack):
+        async def scenario():
+            params = _params()
+            server, senders = await _hosted_senders(params)
+            victim = LivePeer(
+                params.n_peers - 1, params, 5, "127.0.0.1", server.port,
+                clock=server.clock,
+            )
+            await victim.start()
+            peers = senders + [victim]
+            try:
+                await server.wait_for_peers(params.n_peers, timeout=30.0)
+                await server.broadcast(
+                    {"type": wire.MSG_DIRECTORY, "peers": server._directory()}
+                )
+                await until(
+                    lambda: all(
+                        len(p.directory) == params.n_peers for p in senders
+                    ),
+                    "the directory reaching every sender",
+                )
+                first, second, third = senders
+                pool = first._pool
+                addr = ("127.0.0.1", victim.listen_port)
+
+                await _gossip_once(first)
+                shared = pool._links[addr]
+                # garbage arrives on the very link the honest senders share
+                if attack == "geometry":
+                    header, payload = wire_block(params, 3, [1, 0, 0], size=3)
+                else:
+                    header, payload = wire_block(params, 3, [1, 0])
+                    payload = payload[:-1]
+                header["type"] = wire.MSG_BLOCK
+                await shared.send(header, payload)
+                await until(
+                    lambda: not victim._conn_tasks, "the victim hanging up"
+                )
+
+                await _gossip_once(second)  # finds it dead, re-dials
+                redialed = pool._links[addr]
+                await _gossip_once(third)  # rides the new link
+                assert redialed is not shared and shared.is_closing
+                assert pool._links[addr] is redialed
+                assert not redialed.is_closing and len(pool) == 1
+                moved = [
+                    (p.stats.offers_sent, p.stats.gossip_transfers,
+                     p.stats.gossip_no_target, p.stats.gossip_undeliverable)
+                    for p in senders
+                ]
+                assert moved == [(1, 1, 0, 0), (2, 1, 0, 0), (1, 1, 0, 0)]
+                assert victim.stats.gossip_undeliverable == 1  # counted once
+                await until(
+                    lambda: victim.core.block_count == 3,
+                    "all three honest blocks arriving",
+                )
+
+                # ...and the swarm goes on to collect and verify
+                await server.begin(start_delay_wall=0.05)
+                await until(
+                    lambda: server.stats.hash_verified, "a verified segment",
+                    tries=2000,
+                )
+                await server.stop_protocol()
+            finally:
+                for peer in peers:
+                    await peer.close()
+                await server.close()
+            return server
+
+        server = run_quiet(scenario)
+        assert server.stats.hash_verified > 0
+        assert server.stats.hash_failures == 0
+
+    def test_listener_dying_mid_offer_fails_each_requester_once(self):
+        async def scenario():
+            params = _params()
+            server, senders = await _hosted_senders(params)
+            offers_seen = asyncio.Event()
+            accepted = []
+
+            async def listener(reader, writer):
+                """First link: swallow an OFFER, then die without a word.
+                Later links: an honest peer that wants everything."""
+                conn = FramedConnection(reader, writer)
+                accepted.append(conn)
+                try:
+                    while True:
+                        frame = await conn.read()
+                        if frame is None:
+                            break
+                        if frame.type != wire.MSG_OFFER:
+                            continue
+                        if conn is accepted[0]:
+                            offers_seen.set()
+                            await asyncio.sleep(0.1)  # the others queue up
+                            break
+                        await conn.send(
+                            {"type": wire.MSG_OFFER_REPLY, "want": True}
+                        )
+                except (ConnectionError, OSError):
+                    pass
+                finally:
+                    await conn.close()
+
+            dying, port = await ports.start_server(listener)
+            addr = ("127.0.0.1", port)
+            try:
+                for peer in senders:
+                    peer.directory = {params.n_peers - 1: addr}
+                pool = senders[0]._pool
+                dead = await pool.get(addr)
+                await asyncio.gather(*(_gossip_once(p) for p in senders))
+                assert offers_seen.is_set() and dead.is_closing
+                # every requester failed once on the dead link, then got
+                # through on its next try; nobody's re-dial was torn down
+                for peer in senders:
+                    assert peer.stats.offers_sent == 2
+                    assert peer.stats.gossip_transfers == 1
+                    assert peer.stats.gossip_no_target == 0
+                assert len(pool) == 1 and not pool._links[addr].is_closing
+                assert 2 <= len(accepted) <= 1 + len(senders)
+            finally:
+                for peer in senders:
+                    await peer.close()
+                await server.close()
+                dying.close()
+                await dying.wait_closed()
+
+        run_quiet(scenario)
 
 
 class TestRegistryIngress:
