@@ -14,7 +14,7 @@ Two defenses read the same score, each independently toggleable through
 :class:`repro.core.params.Parameters`:
 
 - **pull-source scoring** (``pull_scoring``) — identities whose score
-  falls below ``quarantine_threshold`` after at least ``scoring_min_pulls``
+  falls below ``threshold`` after at least ``min_pulls``
   observations are quarantined: the server re-draws its pull target.
   Every ``probation_interval``-th rejected attempt is let through as a
   probe, so an identity that starts behaving (or was wrongly demoted under

@@ -11,7 +11,7 @@ sybil-burst clock.  It follows the same design rules as
 - **Own randomness.**  Every adversarial draw comes from the dedicated
   ``"adversary"`` RNG substream, so enabling a strategy never perturbs the
   draws of injection, gossip, server, TTL, churn, or fault clocks.
-- **Bitwise neutrality at zero.**  A null plan constructs no injector at
+- **Bitwise neutral at zero.**  A null plan constructs no injector at
   all (the system guards every hook on ``None``), and each query
   short-circuits before touching the RNG when its strategy is off.
 - **Hooks, not references.**  Sybil bursts act through an injected

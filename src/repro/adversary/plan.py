@@ -23,7 +23,7 @@ document at deployed scale:
 
 All knobs default to "off"; a default-constructed plan is *null* and the
 injector built from it is never constructed at all — a run with a null
-plan is event-for-event identical to a run with no plan (the neutrality
+plan is event-for-event identical to a run with no plan (the null-plan
 property test in ``tests/test_adversary.py`` asserts exactly this).
 """
 

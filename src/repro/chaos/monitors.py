@@ -14,7 +14,7 @@ Design rules, mirroring the fault injector's:
 - **Read-only.**  Monitors never mutate simulation state, draw randomness,
   or schedule events; the probe consumes no event sequence numbers.  A
   monitored run is therefore event-for-event identical to an unmonitored
-  one (the neutrality regression test asserts exactly this).
+  one (the monitored-run regression test asserts exactly this).
 - **Near-zero cost when off.**  An uninstalled suite leaves the engine's
   probe slot ``None``; the hot loop then pays one local is-None test per
   event (benchmarked in ``benchmarks/test_bench_microbench.py``).

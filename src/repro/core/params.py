@@ -33,11 +33,9 @@ from typing import Any, Optional
 from repro.adversary.plan import AdversaryPlan
 from repro.faults.plan import FaultPlan
 from repro.util.validation import (
-    require_in_range,
     require_nonnegative,
     require_positive,
     require_positive_int,
-    require_probability,
     require_rate,
 )
 
@@ -119,15 +117,6 @@ class Parameters:
     #: captured identity's trust score (requires no quarantine; the two
     #: defenses are independently toggleable).
     advert_discounting: bool = False
-    #: EWMA step size for the pull-source scorer.
-    scoring_alpha: float = 0.25
-    #: score below which an identity is quarantined (after min pulls).
-    quarantine_threshold: float = 0.25
-    #: scored pulls required before quarantine may trigger.
-    scoring_min_pulls: int = 8
-    #: every Nth rejected draw against a quarantined identity is admitted
-    #: as a probation probe so scores can recover.
-    probation_interval: int = 64
     #: simulation engine: "event" (event-exact, any mode) or "fast" (the
     #: vectorized tau-leaping engine of repro.fastsim, abstract mode only).
     engine: str = ENGINE_EVENT
@@ -196,16 +185,6 @@ class Parameters:
                 f"adversary must be an AdversaryPlan or None, "
                 f"got {self.adversary!r}"
             )
-        require_probability("scoring_alpha", self.scoring_alpha)
-        if self.scoring_alpha == 0.0:
-            raise ValueError(
-                "scoring_alpha must be > 0, got 0.0 (score would freeze)"
-            )
-        require_in_range(
-            "quarantine_threshold", self.quarantine_threshold, low=0.0, high=1.0
-        )
-        require_positive_int("scoring_min_pulls", self.scoring_min_pulls)
-        require_positive_int("probation_interval", self.probation_interval)
         if self.engine not in VALID_ENGINES:
             raise ValueError(
                 f"engine must be one of {VALID_ENGINES}, got {self.engine!r}"

@@ -213,7 +213,7 @@ class CollectionSystem:
 
         #: fault injector, created only for a non-null plan so fault-free
         #: systems carry no injector at all (the cheapest form of the
-        #: bitwise-neutrality guarantee — every hook guards on None).  Its
+        #: bitwise-neutral guarantee — every hook guards on None).  Its
         #: "faults" substream is independent by name, so enabling faults
         #: never perturbs the protocol's own clocks.
         self.faults: Optional[FaultInjector] = None
@@ -245,13 +245,7 @@ class CollectionSystem:
         #: presence cannot shift any RNG substream).
         self.scorer: Optional[PullSourceScorer] = None
         if params.has_defenses:
-            self.scorer = PullSourceScorer(
-                alpha=params.scoring_alpha,
-                threshold=params.quarantine_threshold,
-                min_pulls=params.scoring_min_pulls,
-                probation_interval=params.probation_interval,
-                quarantine=params.pull_scoring,
-            )
+            self.scorer = PullSourceScorer(quarantine=params.pull_scoring)
 
         capacity = params.effective_buffer_capacity
         self.peers: List[Peer] = [

@@ -14,10 +14,10 @@ A scalar injector decides ``u < p`` per transfer; the mask methods decide
 the identical predicate over a vector of uniforms (property-tested by
 replaying one uniform stream, ``tests/test_fastsim_masks.py``).
 
-Zero-knob neutrality holds exactly as for the scalar classes: every query
+Zero knobs are inert exactly as for the scalar classes: every query
 short-circuits on the plan knob *before* touching any RNG, so a null
-channel consumes no randomness (lint rule R7 proves this on the decision
-methods below, same as for the inherited ones).
+channel consumes no randomness (the zero-knob table test calls each
+decision method below, same as the inherited ones, with its knob off).
 """
 
 from __future__ import annotations

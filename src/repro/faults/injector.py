@@ -11,10 +11,12 @@ arithmetic.  Design rules:
 - **Own randomness.**  Verdicts draw only from the RNG substreams they are
   handed, so enabling a fault channel never perturbs the draws of
   injection, gossip, server, TTL or churn clocks.
-- **Bitwise neutrality at zero.**  Every query short-circuits before
-  touching the RNG when its knob is off, and ``start()`` schedules nothing
-  for a null plan — a system built with ``FaultPlan()`` replays the exact
-  event sequence of a system built with no plan at all.
+- **Bitwise neutral at zero.**  The engines build a verdict object only
+  for a non-null plan, every query short-circuits before touching the RNG
+  when its own knob is off, and ``start()`` arms no clock whose rate is
+  zero — a system built with ``FaultPlan()`` replays the exact event
+  sequence of a system built with no plan at all (the zero-knob table
+  test has one row per query).
 - **Hooks, not references.**  The injector manipulates the system through
   three injected callbacks (pause servers, resume servers, kill slots), so
   it is testable standalone and the system stays the owner of its state.

@@ -26,11 +26,10 @@ degradation"):
   churn burst; the live supervisor (:mod:`repro.live.supervisor`)
   delivers the real signals at the same simulated instants.
 
-All knobs default to "off"; a default-constructed plan is *null* and the
-injector built from it is bitwise-neutral — it draws no randomness and
-schedules no events, so a run with a null plan is event-for-event
-identical to a run with no plan at all (the neutrality regression test
-asserts exactly this).
+All knobs default to "off"; a default-constructed plan is *null* and no
+injector is built from it — nothing draws randomness or schedules events,
+so a run with a null plan is event-for-event identical to a run with no
+plan at all (the null-plan regression test asserts exactly this).
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ Also reachable as ``repro lint ...`` through the main CLI.  Exit status is
 0 when the tree is clean, 1 when findings (strict: or warnings/waiver
 problems) remain, 2 on usage errors.
 
-Beyond the basic scan, the CLI fronts the SARIF emitter (``--sarif``) and
-the seeded-violation positive controls (``--self-test``); see
-docs/LINTING.md.
+Beyond the basic scan, the CLI fronts the seeded-violation positive
+controls (``--self-test``); see docs/LINTING.md.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.lint.runner import run_lint
-from repro.lint.sarif import sarif_json
 
 
 def default_target() -> Path:
@@ -34,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "AST determinism & protocol-invariant checker "
-            "(rules R1-R5, R7, R8; see docs/LINTING.md)"
+            "(rules R1-R5, R8; see docs/LINTING.md)"
         ),
     )
     parser.add_argument(
@@ -54,13 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write the machine-readable JSON report to PATH ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--sarif",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write a SARIF 2.1.0 log to PATH (GitHub code scanning)",
     )
     parser.add_argument(
         "--self-test",
@@ -95,6 +86,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_self_test(package_dir, verbose=not args.quiet)
 
     report = run_lint(paths)
+    if report.files_scanned == 0 and not report.problems:
+        # A gate that scanned nothing would pass vacuously.
+        listed = ", ".join(str(path) for path in paths)
+        print(f"error: no Python files under: {listed}", file=sys.stderr)
+        return 2
 
     json_to_stdout = args.json is not None and str(args.json) == "-"
     if args.json is not None:
@@ -103,9 +99,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             args.json.parent.mkdir(parents=True, exist_ok=True)
             args.json.write_text(report.to_json(), encoding="utf-8")
-    if args.sarif is not None:
-        args.sarif.parent.mkdir(parents=True, exist_ok=True)
-        args.sarif.write_text(sarif_json(report), encoding="utf-8")
     if not args.quiet:
         # keep stdout machine-readable when the JSON report goes there
         stream = sys.stderr if json_to_stdout else sys.stdout

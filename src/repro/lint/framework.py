@@ -230,38 +230,6 @@ class Rule(ast.NodeVisitor):
         )
 
 
-#: What a :class:`ProjectRule` receives: every parsed module of the scan.
-Project = List[SourceModule]
-
-
-class ProjectRule:
-    """Base class for whole-tree passes.
-
-    Unlike :class:`Rule`, which sees one module at a time, a ProjectRule
-    receives the whole :data:`Project` and returns raw findings for the
-    runner to waive/report.  Subclasses set the same class attributes as
-    :class:`Rule` so reports and W0 validation treat both kinds uniformly.
-    """
-
-    id: ClassVar[str] = "P0"
-    name: ClassVar[str] = "abstract-project-rule"
-    severity: ClassVar[str] = SEVERITY_ERROR
-    hint: ClassVar[str] = ""
-
-    def check_project(self, project: Project) -> List[Finding]:
-        """Scan the whole project; returns raw findings."""
-        raise NotImplementedError
-
-    def certified(self) -> List[str]:
-        """Human-readable certificates proven by the last check, if any.
-
-        Passes that *prove* properties (rather than merely hunt for
-        violations) report what they proved here; the runner surfaces the
-        list in the JSON report so CI can assert on it.
-        """
-        return []
-
-
 def path_within(relpath: str, *fragments: str) -> bool:
     """True when posix *relpath* lies under any ``fragment`` directory.
 

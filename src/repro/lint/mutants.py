@@ -1,4 +1,4 @@
-"""Seeded violations proving the scoped and whole-tree rules actually fire.
+"""Seeded violations proving the scoped rules actually fire.
 
 Same philosophy as ``repro.chaos.mutants``: a checker that has never
 caught anything is indistinguishable from one that cannot.  Each
@@ -13,16 +13,12 @@ in the right file:
   the value to its use; R1's exemption is the body of
   ``class SeedSequenceRegistry`` now, so the construction is flagged at
   its origin.
-- ``neutrality-guard-dropped`` (R7): ``FaultVerdicts.drop_gossip``
-  loses its ``p > 0.0 and`` short-circuit, so a null plan draws from
-  the RNG on every gossip delivery — runtime-bitwise-neutrality gone,
-  caught structurally.
 - ``fork-shared-result-cache`` (R8): the worker pool grows a
   module-level dict cache, the classic fork-boundary state leak.
 
 ``python -m repro.lint --self-test`` copies the package to a temp dir,
 applies each mutant, lints, and checks the expected (rule, path) pair
-appears; exit 0 only when all three are caught.
+appears; exit 0 only when both are caught.
 """
 
 from __future__ import annotations
@@ -69,23 +65,6 @@ MUTANTS: Tuple[LintMutant, ...] = (
                 "\n"
                 "\n"
                 "def exponential(rng: random.Random, rate: float) -> float:",
-            ),
-        ),
-    ),
-    LintMutant(
-        name="neutrality-guard-dropped",
-        rule="R7",
-        description=(
-            "drop_gossip loses its zero-knob short-circuit and draws "
-            "from the RNG even under a null FaultPlan"
-        ),
-        expect_path="faults/injector.py",
-        patches=(
-            (
-                "faults/injector.py",
-                "        p = self.plan.gossip_loss_rate\n"
-                "        return p > 0.0 and self._rng.random() < p",
-                "        return self._rng.random() < self.plan.gossip_loss_rate",
             ),
         ),
     ),

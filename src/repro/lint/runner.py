@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -23,12 +23,10 @@ from repro.lint.framework import (
     RULE_PARSE_ERROR,
     SEVERITY_ERROR,
     Finding,
-    ProjectRule,
     Rule,
     SourceModule,
     path_endswith,
 )
-from repro.lint.neutrality import NeutralityRule
 from repro.lint.rules_determinism import DeterminismHazardRule
 from repro.lint.rules_numeric import FloatAccumulationRule, Gf256MisuseRule
 from repro.lint.rules_rng import RngDisciplineRule
@@ -52,22 +50,15 @@ def default_rules(
     ]
 
 
-def default_project_rules() -> List[ProjectRule]:
-    """Fresh instances of the whole-tree pass set (R7)."""
-    return [NeutralityRule()]
-
-
 @dataclass
 class LintReport:
     """Outcome of one lint run."""
 
     files_scanned: int = 0
-    rules: List[Any] = field(default_factory=list)
+    rules: List[Rule] = field(default_factory=list)
     findings: List[Finding] = field(default_factory=list)
     waived: List[Finding] = field(default_factory=list)
     problems: List[Finding] = field(default_factory=list)
-    #: properties the project passes *proved* (R7 neutrality certificates).
-    certified: List[str] = field(default_factory=list)
 
     @property
     def failures(self) -> List[Finding]:
@@ -84,7 +75,7 @@ class LintReport:
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready report (the CI artifact format)."""
         return {
-            "version": 2,
+            "version": 3,
             "files_scanned": self.files_scanned,
             "rules": [
                 {
@@ -98,7 +89,6 @@ class LintReport:
             "findings": [f.as_dict() for f in self.findings],
             "problems": [f.as_dict() for f in self.problems],
             "waived": [f.as_dict() for f in self.waived],
-            "certified": list(self.certified),
             "summary": {
                 "active": len(self.findings),
                 "problems": len(self.problems),
@@ -207,50 +197,11 @@ def _waiver_problems(module: SourceModule, known_rules: Sequence[str]) -> List[F
     return problems
 
 
-def _apply_waiver(
-    module: SourceModule, finding: Finding
-) -> Tuple[Finding, bool]:
-    """Return (finding, waived?) with the waiver folded in when present."""
-    waiver = module.waiver_for(finding.rule, finding.line)
-    if waiver is None:
-        return finding, False
-    return (
-        Finding(
-            rule=finding.rule,
-            severity=finding.severity,
-            path=finding.path,
-            line=finding.line,
-            col=finding.col,
-            message=finding.message,
-            hint=finding.hint,
-            waived=True,
-            justification=waiver.justification,
-        ),
-        True,
-    )
-
-
-def check_module(
-    module: SourceModule, rules: Sequence[Rule]
-) -> Tuple[List[Finding], List[Finding]]:
-    """Run every applicable per-module rule; returns (active, waived)."""
-    active: List[Finding] = []
-    waived: List[Finding] = []
-    for rule in rules:
-        if not rule.applies_to(module.relpath):
-            continue
-        for finding in rule.check(module):
-            resolved, was_waived = _apply_waiver(module, finding)
-            (waived if was_waived else active).append(resolved)
-    return active, waived
-
-
 def run_lint(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     rules: Optional[List[Rule]] = None,
     trace_registry: Optional[Dict[str, str]] = None,
-    project_rules: Optional[List[ProjectRule]] = None,
 ) -> LintReport:
     """Lint every Python file under *paths* and return the full report.
 
@@ -260,14 +211,9 @@ def run_lint(
         rules: Per-module rule instances to run (default: R1–R5, R8).
         trace_registry: Explicit kind registry for R3; by default the
             registry is discovered from a scanned ``sim/trace.py``.
-        project_rules: Passes run over the whole scanned tree
-            (default: R7).
     """
     modules, problems = _load_modules(paths, root)
     active_rules = rules if rules is not None else default_rules(trace_registry)
-    active_project_rules = (
-        project_rules if project_rules is not None else default_project_rules()
-    )
 
     for rule in active_rules:
         if isinstance(rule, TraceKindRule):
@@ -276,29 +222,25 @@ def run_lint(
                     rule.learn_registry(module)
                     break
 
-    report = LintReport(
-        files_scanned=len(modules),
-        rules=list(active_rules) + list(active_project_rules),
-    )
+    report = LintReport(files_scanned=len(modules), rules=list(active_rules))
     report.problems.extend(problems)
     known_rules = [rule.id for rule in report.rules]
 
-    by_relpath = {module.relpath: module for module in modules}
     for module in modules:
         report.problems.extend(_waiver_problems(module, known_rules))
-        active, waived = check_module(module, active_rules)
-        report.findings.extend(active)
-        report.waived.extend(waived)
-
-    for project_rule in active_project_rules:
-        for finding in project_rule.check_project(modules):
-            owner = by_relpath.get(finding.path)
-            if owner is not None:
-                resolved, was_waived = _apply_waiver(owner, finding)
-                (report.waived if was_waived else report.findings).append(
-                    resolved
-                )
-            else:
-                report.findings.append(finding)
-        report.certified.extend(project_rule.certified())
+        for rule in active_rules:
+            if not rule.applies_to(module.relpath):
+                continue
+            for finding in rule.check(module):
+                waiver = module.waiver_for(finding.rule, finding.line)
+                if waiver is None:
+                    report.findings.append(finding)
+                else:
+                    report.waived.append(
+                        replace(
+                            finding,
+                            waived=True,
+                            justification=waiver.justification,
+                        )
+                    )
     return report

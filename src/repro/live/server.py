@@ -472,10 +472,6 @@ class LiveLoggingServer:
         self._cache.limit = 0
         await self._cache.trim()
         for record in list(self.peers.values()):
-            try:
-                await record.conn.send({"type": wire.MSG_BYE})
-            except (ConnectionError, OSError):
-                pass
             await record.conn.close()
         self.peers.clear()
         if self._listener is not None:

@@ -1,4 +1,4 @@
-"""Fixture: waiver syntax handling (justified, bare, unknown rule)."""
+"""Fixture: waiver syntax handling (justified, bare, retired rule id)."""
 
 
 def spin():
@@ -7,6 +7,6 @@ def spin():
         out.append(item)
     for item in {3, 4}:  # lint: ok(R2)
         out.append(item)
-    for item in {5, 6}:  # lint: ok(R9): no such rule
+    for item in {5, 6}:  # lint: ok(R7): retired id, never reused
         out.append(item)
     return out

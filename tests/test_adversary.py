@@ -175,14 +175,6 @@ class TestInjectorRoles:
 
 
 class TestInjectorCapture:
-    def test_no_liars_never_touches_rng(self):
-        plan = AdversaryPlan(freerider_fraction=0.5)
-        _, _, injector = make_injector(plan, n_slots=10)
-        state = injector._rng.getstate()
-        for _ in range(50):
-            assert injector.capture_pull() is None
-        assert injector._rng.getstate() == state
-
     def test_capture_frequency_matches_inflation_model(self):
         plan = AdversaryPlan(liar_fraction=0.2, liar_inflation=8.0)
         _, _, injector = make_injector(plan, n_slots=20)

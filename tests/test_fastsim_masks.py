@@ -7,9 +7,7 @@ the same-named substreams — checked end to end by
 property-tested: the vectorized mask applies the scalar predicate
 ``u < p`` elementwise over one uniform vector.
 
-Zero-knob neutrality is asserted at the RNG-state level: a null channel
-returns ``None``/``()`` without consuming a single draw from either the
-python or the numpy substream.
+That a zero-knob query draws nothing is ``tests/test_neutrality.py``'s.
 """
 
 import random
@@ -37,10 +35,6 @@ def make_adversary_masks(plan, seed=5):
     return FastAdversaryMasks(
         plan, random.Random(seed), np.random.default_rng(seed), N_SLOTS
     )
-
-
-def np_state(rng):
-    return repr(rng.bit_generator.state)
 
 
 class TestFaultMaskBitwiseAgreement:
@@ -126,35 +120,6 @@ class TestVectorizedPredicates:
         mask = masks.capture_mask(400, k)
         assert mask is not None
         assert np.array_equal(mask, uniforms < p)
-
-
-class TestZeroKnobNeutrality:
-    """Null channels consume no randomness (the R7 contract, at runtime)."""
-
-    def test_null_fault_queries_leave_rngs_untouched(self):
-        py_rng = random.Random(5)
-        np_rng = np.random.default_rng(5)
-        masks = FastFaultMasks(FaultPlan(), py_rng, np_rng, N_SLOTS)
-        py_before, np_before = py_rng.getstate(), np_state(np_rng)
-        assert masks.polluters == frozenset()
-        assert masks.gossip_loss_mask(100) is None
-        assert masks.pull_loss_mask(100) is None
-        assert masks.outage_timeline(50.0) == ()
-        assert py_rng.getstate() == py_before
-        assert np_state(np_rng) == np_before
-
-    def test_null_adversary_queries_leave_rngs_untouched(self):
-        py_rng = random.Random(5)
-        np_rng = np.random.default_rng(5)
-        masks = FastAdversaryMasks(AdversaryPlan(), py_rng, np_rng, N_SLOTS)
-        py_before, np_before = py_rng.getstate(), np_state(np_rng)
-        assert masks.liars == frozenset()
-        assert masks.freeriders == frozenset()
-        assert masks.polluters == frozenset()
-        assert masks.capture_mask(100, 0) is None
-        assert not masks.targets_low_degree
-        assert py_rng.getstate() == py_before
-        assert np_state(np_rng) == np_before
 
 
 class TestSystemLevelAgreement:

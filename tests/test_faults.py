@@ -156,14 +156,6 @@ class TestFaultPlan:
 
 
 class TestFaultInjectorUnit:
-    def test_null_plan_draws_and_schedules_nothing(self):
-        sim, _, injector = make_injector(FaultPlan())
-        injector.start()
-        assert not injector.polluters
-        assert not injector.drop_gossip()
-        assert not injector.drop_pull()
-        assert sim.pending == 0  # bitwise neutrality: no clocks armed
-
     def test_double_start_raises(self):
         _, _, injector = make_injector(FaultPlan())
         injector.start()

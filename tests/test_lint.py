@@ -99,7 +99,8 @@ class TestWaivers:
         report = lint_case("case_waivers")
         # justified waiver suppresses the finding
         assert triples(report.waived) == [("R2", "sim/waivers.py", 6)]
-        # unjustified and unknown-rule waivers do NOT suppress
+        # unjustified and unknown-rule waivers (here the retired R7) do
+        # NOT suppress
         assert triples(report.findings) == [
             ("R2", "sim/waivers.py", 8),
             ("R2", "sim/waivers.py", 10),
@@ -111,7 +112,7 @@ class TestWaivers:
         ]
         by_line = {p.line: p.message for p in report.problems}
         assert "no justification" in by_line[8]
-        assert "unknown rule 'R9'" in by_line[10]
+        assert "unknown rule 'R7'" in by_line[10]
         assert report.exit_code(strict=True) == 1
 
     def test_parse_error_is_reported(self, tmp_path):
@@ -175,7 +176,8 @@ class TestCommandLine:
         )
         assert code == 1  # one active error-severity finding
         payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["version"] == 2
+        assert payload["version"] == 3
+        assert "certified" not in payload
         assert payload["summary"]["active"] == 1
         assert payload["summary"]["waived"] == 1
         assert {r["id"] for r in payload["rules"]} == {
@@ -184,7 +186,6 @@ class TestCommandLine:
             "R3",
             "R4",
             "R5",
-            "R7",
             "R8",
         }
         (finding,) = payload["findings"]
@@ -193,6 +194,12 @@ class TestCommandLine:
 
     def test_missing_path_exits_2(self, tmp_path):
         assert lint_main([str(tmp_path / "nope")]) == 2
+
+    def test_scanning_no_python_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "README.md").write_text("not python\n")
+        assert lint_main(["--strict", str(tmp_path)]) == 2
+        assert lint_main(["--strict", str(tmp_path / "README.md")]) == 2
+        assert "no Python files" in capsys.readouterr().err
 
     def test_python_dash_m_invocation(self):
         result = subprocess.run(

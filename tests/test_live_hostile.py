@@ -391,6 +391,25 @@ class TestRegistryIngress:
 
         return run_quiet(scenario)
 
+    def test_shutdown_says_bye_exactly_once(self):
+        async def scenario():
+            server = LiveLoggingServer(_params(), seed=5)
+            await server.start()
+            fake = FakePeer(server, 0, lambda frame: None)
+            try:
+                await fake.start()
+                await server.close()
+                frames = []
+                while (frame := await asyncio.wait_for(
+                    fake.control.read(), 5.0
+                )) is not None:
+                    frames.append(frame.type)
+            finally:
+                await fake.close()
+            return frames
+
+        assert run_quiet(scenario) == [wire.MSG_BYE]
+
     def test_hello_without_an_address(self):
         answer, welcome, slots = self._register(host=None)
         assert answer is None
