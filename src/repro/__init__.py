@@ -36,7 +36,6 @@ figure-by-figure reproduction record.
 
 from repro.analysis import (
     AnalyticalPoint,
-    BipartiteProcess,
     CollectionODE,
     ODEConfig,
     SteadyState,
@@ -76,7 +75,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AnalyticalPoint",
-    "BipartiteProcess",
     "CollectionODE",
     "ODEConfig",
     "SteadyState",

@@ -1,6 +1,5 @@
-"""Analytical layer: ODE systems of Sec. 3, Theorems 1-4, bipartite process."""
+"""Analytical layer: ODE systems of Sec. 3, Theorems 1-4."""
 
-from repro.analysis.bipartite import BipartiteProcess, BipartiteReport
 from repro.analysis.ode import CollectionODE, ODEConfig, SegmentDegreeODE, SteadyState
 from repro.analysis.transient import Trajectory, TransientCollectionODE
 from repro.analysis.validation import (
@@ -26,8 +25,6 @@ from repro.analysis.theorems import (
 )
 
 __all__ = [
-    "BipartiteProcess",
-    "BipartiteReport",
     "CollectionODE",
     "ODEConfig",
     "SegmentDegreeODE",

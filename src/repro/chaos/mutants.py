@@ -5,7 +5,7 @@ the duration of one trial — the positive control of the chaos campaign.
 The shipped code passing a campaign proves little unless the same campaign
 *fails* when a conservation law is actually broken; ``repro chaos run
 --mutant <name>`` runs that experiment, and CI keeps one mutant in the
-loop permanently (the ``chaos-smoke`` job).
+loop permanently (the ``smoke (chaos)`` job).
 
 Each mutant targets a different invariant monitor:
 

@@ -112,7 +112,7 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         "--tau", type=float, default=None, metavar="T",
         help=(
             "fast-engine tau-leap step in simulated time units "
-            "(0 = exact aggregate clocks; default 0.01)"
+            "(> 0; default 0.01)"
         ),
     )
 

@@ -51,9 +51,8 @@ VALID_MODES = (MODE_ABSTRACT, MODE_RLNC)
 #:
 #: ``"fast"`` — the vectorized struct-of-arrays engine (repro.fastsim):
 #: peer/segment state lives in flat numpy columns and the Poisson channels
-#: are advanced in batch steps (tau-leaping, or the exact aggregate-clock
-#: fallback when ``tau == 0``).  Abstract mode only; see docs/PERFORMANCE.md
-#: for the accuracy/speed trade-off.
+#: are advanced in tau-leaping batch steps.  Abstract mode only; see
+#: docs/PERFORMANCE.md for the accuracy/speed trade-off.
 ENGINE_EVENT = "event"
 ENGINE_FAST = "fast"
 VALID_ENGINES = (ENGINE_EVENT, ENGINE_FAST)
@@ -121,8 +120,8 @@ class Parameters:
     #: vectorized tau-leaping engine of repro.fastsim, abstract mode only).
     engine: str = ENGINE_EVENT
     #: fast-engine step size Δ for tau-leaping over the Poisson channel
-    #: clocks, in simulated time units; ``0.0`` selects the exact
-    #: aggregate-clock fallback.  Ignored by the event engine.
+    #: clocks, in simulated time units; must be > 0.  Ignored by the event
+    #: engine.
     tau: float = 0.01
 
     def __post_init__(self) -> None:
@@ -189,7 +188,7 @@ class Parameters:
             raise ValueError(
                 f"engine must be one of {VALID_ENGINES}, got {self.engine!r}"
             )
-        require_nonnegative("tau", self.tau)
+        require_positive("tau", self.tau)
         if self.engine == ENGINE_FAST:
             if self.mode != MODE_ABSTRACT:
                 raise ValueError(

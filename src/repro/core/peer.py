@@ -172,11 +172,6 @@ class Peer:
         """True when the buffer is at its cap (refuses gossip, Sec. 2)."""
         return self.block_count >= self.capacity
 
-    @property
-    def free_space(self) -> int:
-        """Remaining buffer slots."""
-        return self.capacity - self.block_count
-
     def can_inject(self, segment_size: int) -> bool:
         """True if a fresh segment of *segment_size* blocks fits (degree ≤ B−s)."""
         return self.block_count + segment_size <= self.capacity
@@ -190,10 +185,6 @@ class Peer:
         if holding is None:
             return True
         return holding.independent_count() < segment_size
-
-    def holds_segment(self, segment_id: int) -> bool:
-        """True when at least one live block of the segment is buffered."""
-        return segment_id in self.holdings
 
     # -- mutations -----------------------------------------------------------
 
@@ -250,11 +241,6 @@ class Peer:
             for holding in self.holdings.values()
             for block in holding.blocks
         ]
-
-    def degree_of(self, segment_id: int) -> int:
-        """Blocks held of one segment (edge multiplicity in the graph view)."""
-        holding = self.holdings.get(segment_id)
-        return 0 if holding is None else holding.block_count
 
     def __repr__(self) -> str:
         return (

@@ -52,6 +52,7 @@ from repro.core.system import CollectionSystem
 from repro.stats.workload import Workload
 from repro.util.summary import summarize
 from repro.util.tables import render_series
+from repro.util.validation import require_positive
 
 QUALITY_FAST = "fast"
 QUALITY_FULL = "full"
@@ -65,7 +66,7 @@ class SimBudget:
     ``engine``/``tau`` select the simulation engine for every cell of the
     sweep (see :class:`repro.core.params.Parameters`): ``"event"`` is the
     event-exact default, ``"fast"`` the vectorized struct-of-arrays
-    engine with tau-leap step size ``tau`` (0 = exact aggregate clocks).
+    engine with tau-leap step size ``tau`` (> 0).
     """
 
     n_peers: int
@@ -81,10 +82,7 @@ class SimBudget:
             raise ValueError(
                 f"engine must be one of {VALID_ENGINES}, got {self.engine!r}"
             )
-        if self.tau < 0 or not math.isfinite(self.tau):
-            raise ValueError(
-                f"tau must be finite and >= 0, got {self.tau!r}"
-            )
+        require_positive("tau", self.tau)
 
 
 #: Default budgets.  The paper does not state its simulated N; these sizes

@@ -8,15 +8,11 @@ per-segment degrees/collected counts, TTL state and churn state live in
 flat numpy columns, and the five Poisson channels (injection, gossip,
 server pulls, TTL expiry, churn) advance in vectorized batch steps.
 
-Two steppers share the same batch kernels:
-
-- **tau-leaping** (``tau > 0``): each channel fires ``Poisson(rate·tau)``
-  times per step, with event times jittered uniformly inside the step
-  (exact for a Poisson process conditional on the count);
-- **exact** (``tau == 0``): an aggregate-clock Gillespie simulation on the
-  event engine's own :class:`~repro.sim.engine.Simulator` /
-  :class:`~repro.sim.engine.PoissonProcess` machinery, firing the same
-  kernels one event at a time at exact event times.
+One stepper drives the batch kernels: **tau-leaping** (``tau > 0``), where
+each channel fires ``Poisson(rate·tau)`` times per step, with event times
+jittered uniformly inside the step (exact for a Poisson process
+conditional on the count).  The exact finite-N simulator of the abstract
+model is the event engine itself; the fast engine is its approximation.
 
 Fidelity contract: the fast engine simulates the paper's *mean-field
 closure* of the protocol — segment selection for gossip emissions and

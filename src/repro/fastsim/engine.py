@@ -1,42 +1,32 @@
-"""The two fast-engine steppers: tau-leaping and exact aggregate clocks.
+"""The fast-engine stepper: tau-leaping over the batch kernels.
 
-Both steppers drive the *same* batch kernels on
-:class:`~repro.fastsim.system.FastCollectionSystem`; they differ only in
-how channel event counts and times are produced:
+:class:`TauLeapStepper` drives the batch kernels of
+:class:`~repro.fastsim.system.FastCollectionSystem` in fixed steps of
+``tau`` simulated time units.  Each channel fires ``Poisson(rate·tau)``
+times per step (rates are constant except TTL, which is re-read per step
+from the current block population — an O(tau) rate lag, the method's only
+bias alongside within-step ordering).  Event times inside a step are
+jittered U(t0, t1), which is exact for a Poisson process conditional on
+the count.  The exact finite-N simulator of the same model is the event
+engine (:class:`repro.core.system.CollectionSystem`); the step is checked
+by refinement in ``tests/test_fastsim.py``.
 
-- :class:`TauLeapStepper` advances in fixed steps of ``tau`` simulated
-  time units.  Each channel fires ``Poisson(rate·tau)`` times per step
-  (rates are constant except TTL, which is re-read per step from the
-  current block population — an O(tau) rate lag, the method's only bias
-  alongside within-step ordering).  Event times inside a step are
-  jittered U(t0, t1), which is exact for a Poisson process conditional
-  on the count.
-- :class:`ExactStepper` is a Gillespie-style aggregate-clock simulation
-  on the event engine's :class:`~repro.sim.engine.Simulator`: one
-  :class:`~repro.sim.engine.PoissonProcess` per channel at the channel's
-  *total* rate, firing the kernels with ``count == 1`` at exact event
-  times.  The fixed-rate channels ride the non-cancellable
-  (handle-free) path; the TTL clock is re-rated to γ·K after every event
-  by memorylessness, and the pull clock pauses across server outages.
-
-Server outages are shared logic: the system materializes the outage
-timeline up front, the steppers replay its boundaries (exact
-``servers_down`` integration and catch-up bursts at recovery instants).
+Server outages: the system materializes the outage timeline up front and
+the stepper replays its boundaries (exact ``servers_down`` integration
+and catch-up bursts at recovery instants).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.fastsim.system import (
-    CHECK_EVERY_EVENTS,
     CHECK_EVERY_STEPS,
     STATS_STRIDE,
     FastCollectionSystem,
 )
-from repro.sim.engine import PoissonProcess, Simulator
 
 #: (time, is_recovery, downtime) — a flattened outage boundary.
 _Boundary = Tuple[float, bool, float]
@@ -151,126 +141,3 @@ class TauLeapStepper:
         if not self._down:
             up += t1 - cursor
         return up
-
-
-class ExactStepper:
-    """Aggregate-clock exact driver on the event engine's simulator."""
-
-    def __init__(self, system: FastCollectionSystem) -> None:
-        self.system = system
-        self.sim = Simulator()
-        rates = system.channel_rates()
-        gamma = rates.ttl_per_block
-        self._gamma = gamma
-        self._ttl_rate = 0.0
-        self._events = 0
-        seeds = system.seeds
-
-        def clock(
-            name: str,
-            rate: float,
-            kernel: Callable[[int, float, float], None],
-            cancellable: bool = False,
-        ) -> Optional[PoissonProcess]:
-            if rate <= 0.0:
-                return None
-            return PoissonProcess(
-                self.sim,
-                seeds.python(f"fast:clock:{name}"),
-                rate,
-                self._fire(kernel),
-                cancellable=cancellable,
-            )
-
-        clock("injection", rates.injection, system.kernel_inject)
-        clock("gossip", rates.gossip, system.kernel_gossip)
-        # pausable for outages, hence cancellable (set_rate/stop/start).
-        self._pull_clock = clock(
-            "pull", rates.pull, system.kernel_pull, cancellable=True
-        )
-        clock("churn", rates.churn, system.kernel_churn)
-        if system.fault_masks is not None and rates.burst > 0.0:
-            PoissonProcess(
-                self.sim,
-                seeds.python("fast:clock:burst"),
-                rates.burst,
-                self._fire_burst(system.kernel_fault_burst),
-                cancellable=False,
-            )
-        if system.adversary_masks is not None and rates.sybil > 0.0:
-            PoissonProcess(
-                self.sim,
-                seeds.python("fast:clock:sybil"),
-                rates.sybil,
-                self._fire_burst(system.kernel_sybil_burst),
-                cancellable=False,
-            )
-        # TTL: rate tracks γ·K, so it must stay re-ratable.
-        self._ttl_clock = PoissonProcess(
-            self.sim,
-            seeds.python("fast:clock:ttl"),
-            0.0,
-            self._fire(system.kernel_ttl),
-            cancellable=True,
-        )
-        for start, end in system.outage_windows:
-            self.sim.schedule_call_at(start, self._outage_begin, start)
-            self.sim.schedule_call_at(end, self._outage_end, end, end - start)
-
-    def _fire(
-        self, kernel: Callable[[int, float, float], None]
-    ) -> Callable[[], None]:
-        def action() -> None:
-            now = self.sim.now
-            self.system.now = now
-            kernel(1, now, now)
-            self.system.events_applied += 1
-            self._after_event(now)
-
-        return action
-
-    def _fire_burst(self, kernel: Callable[[], None]) -> Callable[[], None]:
-        def action() -> None:
-            now = self.sim.now
-            self.system.now = now
-            kernel()
-            self.system.events_applied += 1
-            self._after_event(now)
-
-        return action
-
-    def _after_event(self, now: float) -> None:
-        system = self.system
-        state = system.state
-        # memorylessness: re-rating the TTL clock to γ·K after a population
-        # change is exact; unchanged K skips the re-draw.
-        ttl_rate = self._gamma * state.n_blocks
-        if ttl_rate != self._ttl_rate:
-            self._ttl_clock.set_rate(ttl_rate)
-            self._ttl_rate = ttl_rate
-        system.push_averages(now, segments=True)
-        if state.should_compact():
-            state.compact_segments()
-        self._events += 1
-        if self._events % CHECK_EVERY_EVENTS == 0:
-            system.consistency_check()
-
-    def _outage_begin(self, at: float) -> None:
-        self.system.now = at
-        self.system.begin_outage(at)
-        if self._pull_clock is not None:
-            self._pull_clock.stop()
-
-    def _outage_end(self, at: float, downtime: float) -> None:
-        self.system.now = at
-        catchup = self.system.end_outage(at, downtime)
-        if self._pull_clock is not None:
-            self._pull_clock.start()
-        if catchup:
-            self.system.kernel_pull(catchup, at, at)
-            self.system.events_applied += catchup
-            self._after_event(at)
-
-    def run_until(self, end_time: float) -> None:
-        self.sim.run_until(end_time)
-        self.system.now = end_time

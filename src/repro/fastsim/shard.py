@@ -10,7 +10,7 @@ with its own derived seed, returns a *pure* payload of sufficient
 statistics, and :func:`merge_shard_payloads` folds them into one
 flat report deterministically.
 
-Merge contract (what the ``scale-smoke`` CI job asserts): payloads are
+Merge contract (what the ``smoke (scale)`` CI job asserts): payloads are
 JSON-round-trippable, contain **no host-dependent values** (no wall
 times, no RSS — those ride the runner's telemetry channel), and the
 merge sorts by shard index first, so the merged report is byte-identical

@@ -3,11 +3,10 @@
 :class:`FastCollectionSystem` is the abstract-mode counterpart of
 :class:`repro.core.system.CollectionSystem` for the vectorized engine.
 Each protocol channel is a *kernel* — a method applying ``count`` channel
-events over a time span ``[t0, t1]`` in one vectorized pass — and the two
-steppers in :mod:`repro.fastsim.engine` drive the kernels either in
-tau-leaps (``count ~ Poisson(rate·tau)`` with event times jittered
-uniformly inside the step, which is exact conditional on the count) or
-one event at a time at exact aggregate-clock times.
+events over a time span ``[t0, t1]`` in one vectorized pass — and the
+tau-leap stepper in :mod:`repro.fastsim.engine` drives the kernels
+(``count ~ Poisson(rate·tau)`` per step, with event times jittered
+uniformly inside the step, which is exact conditional on the count).
 
 Mean-field closure (the documented deviation from the event engine; see
 the package docstring): gossip emissions and server pulls draw their
@@ -45,10 +44,8 @@ from repro.sim.metrics import (
 )
 from repro.sim.rng import SeedSequenceRegistry
 
-#: Consistency-check cadence for the tau stepper (steps) and the exact
-#: stepper (events).
+#: Consistency-check cadence of the tau stepper, in steps.
 CHECK_EVERY_STEPS = 64
-CHECK_EVERY_EVENTS = 4096
 #: The tau stepper re-scans the O(M) segment populations for the
 #: time-weighted averages every this many steps (peer scans run every step).
 STATS_STRIDE = 4
@@ -229,15 +226,12 @@ class FastCollectionSystem:
                 f"need warmup >= 0 and duration > 0, got "
                 f"warmup={warmup!r} duration={duration!r}"
             )
-        from repro.fastsim.engine import ExactStepper, TauLeapStepper
+        from repro.fastsim.engine import TauLeapStepper
 
         horizon = warmup + duration
         if self.fault_masks is not None:
             self.outage_windows = self.fault_masks.outage_timeline(horizon)
-        if self.params.tau > 0.0:
-            stepper = TauLeapStepper(self, self.params.tau)
-        else:
-            stepper = ExactStepper(self)
+        stepper = TauLeapStepper(self, self.params.tau)
         stepper.run_until(warmup)
         self.push_averages(self.now, segments=True)
         self.metrics.begin_window(self.now)
@@ -294,7 +288,7 @@ class FastCollectionSystem:
         """Advance the time-weighted averages to *now*.
 
         The O(N) peer scans run every push; the O(M) segment populations
-        only when *segments* is set (the steppers stride them).
+        only when *segments* is set (the stepper strides them).
         """
         state = self.state
         metrics = self.metrics
@@ -324,9 +318,9 @@ class FastCollectionSystem:
 
     # -- channel kernels -----------------------------------------------------
     #
-    # Every kernel applies `count` channel events over [t0, t1].  The
-    # steppers guarantee t0 == t1 == now in exact mode (count == 1) and
-    # jitter event times uniformly otherwise.
+    # Every kernel applies `count` channel events over [t0, t1], jittering
+    # event times uniformly inside the span (t0 == t1 for the catch-up
+    # pulls at an outage's recovery instant).
 
     def _jitter(self, count: int, t0: float, t1: float, rng: np.random.Generator) -> np.ndarray:
         if t1 > t0:
@@ -594,8 +588,7 @@ class FastCollectionSystem:
         """TTL expiries: *count* uniform live blocks age out.
 
         Within one tau step the victims are sampled with replacement and
-        deduplicated (collisions are an O(count²/blocks) tau-bias, gone in
-        exact mode where count == 1).
+        deduplicated (collisions are an O(count²/blocks) tau-bias).
         """
         if count == 0 or self.state.n_blocks == 0:
             return

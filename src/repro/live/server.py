@@ -540,9 +540,13 @@ class LiveLoggingServer:
         try:
             slot = header.get("slot")
             slot = self._next_slot if slot is None else int(slot)
-            host, port = str(header["host"]), int(header["port"])
+            host, port = str(header["host"]), header["port"]
         except (KeyError, TypeError, ValueError) as exc:
             raise FrameGarbage(f"malformed hello: {exc!r}") from exc
+        # Every pull and every peer's directory dials this address, so a
+        # port the socket layer refuses must never get past the door.
+        if type(port) is not int or not 1 <= port <= 65535:
+            raise FrameGarbage(f"malformed hello: port {port!r}")
         if not 0 <= slot < self.params.n_peers:
             raise FrameGarbage(f"slot {slot} out of range")
         self._next_slot = max(self._next_slot, slot + 1)

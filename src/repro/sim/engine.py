@@ -428,18 +428,17 @@ class PoissonProcess:
     """Self-rescheduling exponential clock driving a recurring action.
 
     Fires ``action()`` at the points of a Poisson process with the given
-    *rate*.  The rate can be changed on the fly (``set_rate``), which, by the
-    memorylessness of the exponential clock, simply means the *next* gap is
-    drawn at the new rate.  A rate of 0 parks the process until a positive
-    rate is set again.
+    fixed *rate*.  A rate of 0 (or one so small the first gap overflows)
+    parks the process: it never fires.  ``stop()`` / ``start()`` pause and
+    resume it (server pull clocks across outages); by the memorylessness
+    of the exponential clock a restart simply draws a fresh gap.
 
     Perf knob: ``cancellable=False`` uses the simulator's handle-free fast
     path (no :class:`EventHandle` allocation per fire).  Restriction: a
-    scheduled fire cannot be revoked, so ``set_rate`` on an *armed*
-    non-cancellable clock raises, and after ``stop()`` the stale fire must
-    drain (as a no-op) before ``start()`` is allowed again.  Use it for
-    clocks that run at a fixed rate until the end of the simulation (the
-    common case: per-peer injection and gossip clocks).
+    scheduled fire cannot be revoked, so after ``stop()`` the stale fire
+    must drain (as a no-op) before ``start()`` is allowed again.  Use it
+    for clocks that run until the end of the simulation (the common case:
+    per-peer injection and gossip clocks).
     """
 
     def __init__(
@@ -504,30 +503,13 @@ class PoissonProcess:
             self._dead_pending += self._armed_count
             self._armed_count = 0
 
-    def set_rate(self, rate: float) -> None:
-        """Change the firing rate, rescheduling the next fire accordingly."""
-        if rate < 0 or not math.isfinite(rate):
-            raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
-        if self._armed_count:
-            raise RuntimeError(
-                "set_rate on an armed non-cancellable clock is not "
-                "supported; construct the process with cancellable=True"
-            )
-        self._rate = rate
-        if self._running:
-            if self._handle is not None:
-                self._handle.cancel()
-                self._handle = None
-                self.events_cancelled += 1
-            self._arm()
-
     def _arm(self) -> None:
         if not self._running or self._rate <= 0:
             return
         gap = self._rng.expovariate(self._rate)
         if not math.isfinite(gap):
             # A subnormal rate can overflow expovariate to infinity; such a
-            # clock will effectively never fire — park it (set_rate re-arms).
+            # clock will effectively never fire — park it.
             return
         if self._cancellable:
             self._handle = self._sim.schedule(gap, self._fire)
@@ -545,7 +527,7 @@ class PoissonProcess:
                 return
             self._armed_count -= 1
         self.events_fired += 1
-        # Re-arm before running the action so the action may stop/retime the
+        # Re-arm before running the action so the action may stop the
         # process and have that take effect immediately.
         self._arm()
         self._action()

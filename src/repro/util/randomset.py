@@ -86,33 +86,6 @@ class RandomizedSet(Generic[T]):
             return rng.choice(self._items)
         return self._items[int(rng.integers(len(self._items)))]
 
-    def sample_excluding(
-        self, rng: SamplingRng, excluded: T, max_tries: int = 64
-    ) -> Optional[T]:
-        """Return a uniformly random member different from *excluded*.
-
-        Uses rejection sampling, which is O(1) in expectation whenever the set
-        has at least two members.  Returns ``None`` if the only member is
-        *excluded* or the set is empty.
-        """
-        size = len(self._items)
-        if size == 0:
-            return None
-        if size == 1:
-            only = self._items[0]
-            return None if only == excluded else only
-        for _ in range(max_tries):
-            candidate = self.sample(rng)
-            if candidate != excluded:
-                return candidate
-        # Fall back to an exact (O(n)) draw; reachable only with adversarial
-        # duplicates of `excluded`, which a set cannot contain, or vanishing
-        # probability ~2^-64.
-        others = [item for item in self._items if item != excluded]
-        if not others:
-            return None
-        return others[rng.randrange(len(others)) if hasattr(rng, "randrange") else int(rng.integers(len(others)))]
-
     def __contains__(self, item: object) -> bool:
         return item in self._index
 

@@ -1,12 +1,20 @@
-"""Tests for the bipartite graph process (the Sec. 3 operations, finite N)."""
+"""The random bipartite graph process of Sec. 3, as the event engine runs it.
+
+Abstract-mode :class:`CollectionSystem` with proportional selection and
+random pulls *is* the finite-N graph process: blocks are edges between
+peers and segments, and the four operations (inject, gossip, delete,
+collect) are its Poisson channels.  Its agreement with the ODE limit and
+Theorem 1 lives in ``test_crossmodel.py``; these are the graph identities
+and measured trends no other test states.
+"""
 
 import pytest
 
-from repro.analysis.bipartite import BipartiteProcess
-from repro.analysis.theorems import theorem1_storage
+from repro.core.params import Parameters
+from repro.core.system import CollectionSystem
 
 
-def process(**overrides):
+def system(seed=0, **overrides):
     defaults = dict(
         n_peers=120,
         arrival_rate=6.0,
@@ -14,107 +22,34 @@ def process(**overrides):
         deletion_rate=1.0,
         segment_size=3,
         normalized_capacity=2.0,
-        seed=0,
     )
     defaults.update(overrides)
-    return BipartiteProcess(**defaults)
-
-
-class TestConstruction:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            process(n_peers=0)
-        with pytest.raises(ValueError):
-            process(deletion_rate=0.0)
-        with pytest.raises(ValueError):
-            process(buffer_capacity=2, segment_size=5)
-
-    def test_auto_buffer_capacity(self):
-        p = process()
-        assert p.B > (6.0 + 6.0) / 1.0  # above natural occupancy
+    return CollectionSystem(Parameters(**defaults), seed=seed)
 
 
 class TestDynamics:
-    def test_consistency_through_time(self):
-        p = process()
-        for _ in range(4):
-            p.run_until(p.now + 2.0)
-            p.consistency_check()
-
-    def test_run_backwards_rejected(self):
-        p = process()
-        p.run_until(1.0)
-        with pytest.raises(ValueError):
-            p.run_until(0.5)
-
-    def test_determinism(self):
-        a = process(seed=3).run(3.0, 5.0)
-        b = process(seed=3).run(3.0, 5.0)
-        assert a == b
-
-    def test_degree_distribution_sums_to_one(self):
-        p = process()
-        p.run_until(6.0)
-        z = p.peer_degree_distribution()
-        assert sum(z) == pytest.approx(1.0)
-
     def test_edges_match_histograms(self):
-        p = process()
-        p.run_until(6.0)
-        seg_hist = p.segment_degree_histogram()
-        from_segments = sum(d * c for d, c in seg_hist.items())
-        assert from_segments == p.edge_count
-        matrix = p.collection_matrix()
-        edges_from_matrix = sum(
-            d * sum(row.values()) for d, row in matrix.items()
-        )
-        assert edges_from_matrix == p.edge_count
-        segments_from_matrix = sum(
-            sum(row.values()) for row in matrix.values()
-        )
-        assert segments_from_matrix == sum(seg_hist.values())
+        s = system()
+        s.run_until(6.0)
+        edges = s.total_blocks_in_network()
+        assert edges > 0
+        seg_hist = s.segment_degree_histogram()
+        assert sum(d * c for d, c in seg_hist.items()) == edges
+        matrix = s.registry.collection_matrix()
+        assert sum(d * sum(row.values()) for d, row in matrix.items()) == edges
+        assert {d: sum(row.values()) for d, row in matrix.items()} == seg_hist
 
 
 class TestAgainstTheory:
-    def test_occupancy_matches_theorem1(self):
-        p = process(n_peers=200)
-        report = p.run(8.0, 12.0)
-        expected = theorem1_storage(6.0, 6.0, 1.0).occupancy
-        assert report.mean_occupancy == pytest.approx(expected, rel=0.05)
-
-    def test_throughput_matches_ode(self):
-        from repro.analysis.ode import CollectionODE
-        from repro.analysis.theorems import theorem2_throughput
-
-        p = process(n_peers=250, segment_size=4, seed=7)
-        report = p.run(10.0, 12.0)
-        steady = CollectionODE(6.0, 6.0, 1.0, 4, 2.0).steady_state()
-        predicted = theorem2_throughput(steady, 6.0, 2.0, 4)
-        assert report.normalized_throughput == pytest.approx(
-            predicted.normalized_throughput, rel=0.08
-        )
-
     def test_throughput_increases_with_s(self):
-        low = process(segment_size=1, seed=5).run(8.0, 10.0)
-        high = process(segment_size=8, seed=5).run(8.0, 10.0)
+        low = system(seed=5, segment_size=1).run(8.0, 10.0)
+        high = system(seed=5, segment_size=8).run(8.0, 10.0)
         assert high.normalized_throughput > low.normalized_throughput
-
-    def test_efficiency_bounds(self):
-        report = process().run(5.0, 8.0)
-        assert 0.0 < report.efficiency <= 1.0
-        assert report.useful_pulls <= report.pulls
 
 
 class TestMeasurement:
-    def test_run_arguments_validated(self):
-        with pytest.raises(ValueError):
-            process().run(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            process().run(1.0, 0.0)
-
     def test_window_excludes_warmup(self):
-        p = process(seed=9)
-        report = p.run(4.0, 6.0)
+        report = system(seed=9).run(4.0, 6.0)
         assert report.window == pytest.approx(6.0)
         # pulls in the window should be about c*N*duration
         expected_pulls = 2.0 * 120 * 6.0

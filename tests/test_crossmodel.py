@@ -1,14 +1,14 @@
-"""Cross-model agreement: the four fidelity levels must tell one story.
+"""Cross-model agreement: the three fidelity levels must tell one story.
 
-DESIGN.md §4 promises that the ODE limit, the bipartite graph process, the
-abstract event simulator, and the full-RLNC simulator validate each other.
+DESIGN.md §4 promises that the ODE limit, the abstract event simulator (the
+finite-N bipartite graph process), and the full-RLNC simulator validate
+each other.
 These tests pin that agreement with explicit tolerances at one mid-size
 configuration per comparison (kept small enough for CI).
 """
 
 import pytest
 
-from repro.analysis.bipartite import BipartiteProcess
 from repro.analysis.ode import CollectionODE
 from repro.analysis.theorems import (
     theorem1_storage,
@@ -47,21 +47,6 @@ class TestThroughputAgreement:
         report = simulate(1)
         assert report.normalized_throughput == pytest.approx(predicted, rel=0.06)
 
-    def test_bipartite_matches_ode(self):
-        steady = CollectionODE(LAM, MU, GAMMA, 8, C).steady_state()
-        predicted = theorem2_throughput(steady, LAM, C, 8).normalized_throughput
-        process = BipartiteProcess(
-            n_peers=200,
-            arrival_rate=LAM,
-            gossip_rate=MU,
-            deletion_rate=GAMMA,
-            segment_size=8,
-            normalized_capacity=C,
-            seed=2,
-        )
-        report = process.run(12.0, 15.0)
-        assert report.normalized_throughput == pytest.approx(predicted, rel=0.06)
-
     def test_rlnc_close_to_abstract(self):
         """Real GF(2^8) coding loses only a little to non-innovative draws."""
         abstract = simulate(4, n_peers=50, seed=3)
@@ -78,18 +63,6 @@ class TestOccupancyAgreement:
 
         report = simulate(4)
         assert report.mean_buffer_occupancy == pytest.approx(closed, rel=0.08)
-
-        process = BipartiteProcess(
-            n_peers=200,
-            arrival_rate=LAM,
-            gossip_rate=MU,
-            deletion_rate=GAMMA,
-            segment_size=4,
-            normalized_capacity=C,
-            seed=4,
-        )
-        bp_report = process.run(12.0, 12.0)
-        assert bp_report.mean_occupancy == pytest.approx(closed, rel=0.08)
 
     def test_empty_fraction_agrees(self):
         lam, mu = 1.0, 1.5  # a sparse regime where z0 is substantial

@@ -346,15 +346,17 @@ class TestCancellationAccounting:
         with pytest.raises(RuntimeError, match="runaway"):
             sim.run_until(2.0, max_events=100)
 
-    def test_set_rate_churn_keeps_heap_bounded(self):
-        """Heavy set_rate churn used to grow the heap without bound; the
-        compactor must keep the cancelled backlog capped."""
+    def test_stop_start_churn_keeps_heap_bounded(self):
+        """Pausing a cancellable clock (a server pull clock across outages)
+        leaves a lazily-cancelled entry per stop; the compactor must keep
+        that backlog capped."""
         sim = Simulator()
         process = PoissonProcess(
             sim, random.Random(8), rate=1.0, action=lambda: None
         )
-        for index in range(5000):
-            process.set_rate(1.0 + (index % 7))
+        for _ in range(5000):
+            process.stop()
+            process.start()
         assert sim.events_cancelled >= 5000
         assert sim.heap_compactions > 0
         # bounded backlog: far below the 5000 cancellations issued
@@ -421,32 +423,6 @@ class TestNonCancellableClock:
         sim.run_until(200.0)
         assert fires  # restart works once the stale fire drained
 
-    def test_set_rate_on_armed_clock_raises(self):
-        sim = Simulator()
-        process = PoissonProcess(
-            sim,
-            random.Random(2),
-            rate=1.0,
-            action=lambda: None,
-            cancellable=False,
-        )
-        with pytest.raises(RuntimeError, match="non-cancellable"):
-            process.set_rate(2.0)
-
-    def test_set_rate_on_parked_clock_recovers(self):
-        sim = Simulator()
-        fires = []
-        process = PoissonProcess(
-            sim,
-            random.Random(2),
-            rate=0.0,
-            action=lambda: fires.append(1),
-            cancellable=False,
-        )
-        process.set_rate(100.0)  # parked, not armed: retiming is legal
-        sim.run_until(1.0)
-        assert fires
-
     def test_per_clock_counters(self):
         sim = Simulator()
         process = PoissonProcess(
@@ -454,7 +430,7 @@ class TestNonCancellableClock:
         )
         sim.run_until(1.0)
         assert process.events_fired > 0
-        process.set_rate(50.0)
+        process.stop()
         assert process.events_cancelled == 1
 
 
@@ -485,14 +461,12 @@ class TestPoissonProcess:
     def test_zero_rate_parks(self):
         sim = Simulator()
         fires = []
-        process = PoissonProcess(
+        PoissonProcess(
             sim, random.Random(0), rate=0.0, action=lambda: fires.append(1)
         )
         sim.run_until(10.0)
         assert not fires
-        process.set_rate(100.0)
-        sim.run_until(11.0)
-        assert fires
+        assert sim.pending == 0
 
     def test_stop_disarms(self):
         sim = Simulator()
@@ -507,45 +481,29 @@ class TestPoissonProcess:
         assert len(fires) == count
         assert not process.is_running
 
-    def test_set_rate_midflight(self):
-        sim = Simulator()
-        fires = []
-        process = PoissonProcess(
-            sim, random.Random(1), rate=1.0, action=lambda: fires.append(sim.now)
-        )
-        sim.run_until(10.0)
-        slow = len(fires)
-        process.set_rate(100.0)
-        sim.run_until(20.0)
-        fast = len(fires) - slow
-        assert fast > slow * 10
-
     def test_negative_rate_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
             PoissonProcess(sim, random.Random(0), rate=-1.0, action=lambda: None)
-        process = PoissonProcess(
-            sim, random.Random(0), rate=1.0, action=lambda: None
-        )
         with pytest.raises(ValueError):
-            process.set_rate(math.inf)
+            PoissonProcess(
+                sim, random.Random(0), rate=math.inf, action=lambda: None
+            )
 
     def test_subnormal_rate_parks_instead_of_infinite_delay(self):
         """A denormal-but-positive rate overflows expovariate to infinity;
         the process must park rather than schedule an unreachable event."""
         sim = Simulator()
         fires = []
-        process = PoissonProcess(
+        PoissonProcess(
             sim,
             random.Random(0),
             rate=5e-324,  # smallest positive float
             action=lambda: fires.append(1),
         )
+        assert sim.pending == 0  # parked: nothing scheduled at t=inf
         sim.run_until(10.0)
         assert not fires
-        process.set_rate(100.0)  # recoverable via set_rate
-        sim.run_until(11.0)
-        assert fires
 
     def test_start_idempotent(self):
         sim = Simulator()

@@ -6,6 +6,7 @@ traceback; 3 = checkpointed, resumable.  Everything goes through
 ``repro.cli.main``, the dispatcher every command shares.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,9 @@ def _argv(template, tmp_path):
     "template",
     [
         ["fig3", "--n-peers", "0"],
+        ["fig3", "--engine", "fast", "--tau", "0"],
         ["run", "fig3", "--n-peers", "0", *SESSION],
+        ["run", "fig3", "--tau", "0", *SESSION],
         ["run", "fig3", "--workers", "0", *SESSION],
         ["run", "fig3", "--resume", "no-such-run", *SESSION],
         ["live", "swarm", "--n-peers", "4", "--payload-bytes", "0"],
@@ -103,3 +106,17 @@ def test_checkpointed_sweep_resumes_to_done(tmp_path, capsys):
         capsys.readouterr().err
     )
     assert main(["run", "theorem1", "--resume", "r", *session]) == 0
+
+
+def test_resuming_a_journal_with_tau_zero_exits_2(tmp_path, capsys):
+    """A manifest may carry a step size the engine no longer accepts."""
+    session = _argv(["--run-id", "r", *SESSION], tmp_path)
+    assert main(["run", "theorem1", *TINY, "--stop-after", "1", *session]) == 3
+    manifest_path = tmp_path / "r" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["spec"]["budget"]["tau"] = 0.0
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["run", "theorem1", "--resume", "r", *session]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "tau" in line

@@ -1,12 +1,12 @@
-"""Tests for the vectorized fast engine (state, steppers, sharding).
+"""Tests for the vectorized fast engine (state, stepper, sharding).
 
 Three contracts are exercised here:
 
 - **Engine fidelity** — same-seed fast and event runs agree
   *distributionally* (the fast engine is a mean-field closure, not an
   event-for-event replay) on the steady-state observables within a
-  documented tolerance, and the exact aggregate-clock path (tau=0)
-  agrees with the tau-leap path.
+  documented tolerance, and the tau-leap step is refined far enough that
+  a ten-times-finer step tells the same story.
 - **Invariant safety** — array-level conservation monitors stay clean
   under the full fault/adversary channel set.
 - **Shard determinism** — ``run_shard`` payloads are pure (JSON
@@ -92,10 +92,13 @@ class TestBudgetPlumbing:
             )
 
     def test_tau_field_validated(self):
-        with pytest.raises(ValueError, match="tau"):
-            SimBudget(
-                n_peers=10, warmup=1.0, duration=1.0, seeds=(1,), tau=-0.5,
-            )
+        for bad in (-0.5, 0.0):
+            with pytest.raises(ValueError, match="tau"):
+                SimBudget(
+                    n_peers=10, warmup=1.0, duration=1.0, seeds=(1,), tau=bad,
+                )
+            with pytest.raises(ValueError, match="tau"):
+                params(engine=ENGINE_FAST, tau=bad)
         with pytest.raises(ValueError, match="tau"):
             SimBudget(
                 n_peers=10, warmup=1.0, duration=1.0, seeds=(1,),
@@ -202,15 +205,18 @@ class TestEngineFidelity:
             self.TOLERANCE,
         )
 
-    def test_tau_leap_agrees_with_exact_clocks(self):
-        p_tau = params(n_peers=150, engine=ENGINE_FAST, tau=0.05)
-        p_exact = params(n_peers=150, engine=ENGINE_FAST, tau=0.0)
-        leaped = FastCollectionSystem(p_tau, seed=5).run(6.0, 12.0)
-        exact = FastCollectionSystem(p_exact, seed=5).run(6.0, 12.0)
-        assert exact.engine_events_fired > 0
-        assert rel_close(leaped.efficiency, exact.efficiency, 0.15)
+    def test_tau_leap_agrees_under_refinement(self):
+        # the step's own bias (TTL rate lag, within-step ordering) is
+        # O(tau): a ten-times-finer step must land in the same band (0.813
+        # vs 0.808).  A stepper that reads the TTL population once per
+        # run_until instead of once per step reads 0.850 vs 0.645 and fails.
+        coarse = params(n_peers=150, engine=ENGINE_FAST, tau=0.05)
+        fine = params(n_peers=150, engine=ENGINE_FAST, tau=0.005)
+        leaped = FastCollectionSystem(coarse, seed=5).run(6.0, 12.0)
+        refined = FastCollectionSystem(fine, seed=5).run(6.0, 12.0)
+        assert rel_close(leaped.efficiency, refined.efficiency, 0.15)
         assert rel_close(
-            leaped.mean_block_delay, exact.mean_block_delay, 0.15
+            leaped.mean_block_delay, refined.mean_block_delay, 0.15
         )
 
     def test_monitors_clean_under_all_channels(self):
@@ -259,13 +265,6 @@ class TestPinnedDigests:
         p = params(n_peers=2000, engine=ENGINE_FAST, tau=0.05)
         report = FastCollectionSystem(p, seed=seed).run(3.0, 8.0)
         assert digest(report.as_dict()) == expected
-
-    def test_exact_stepper(self):
-        p = params(n_peers=60, engine=ENGINE_FAST, tau=0.0)
-        report = FastCollectionSystem(p, seed=5).run(1.0, 3.0)
-        assert digest(report.as_dict()) == (
-            "4ba09ee0873c278da7384c2515ef5394495c5e59edc80d3aa402213353a403e6"
-        )
 
     def test_churn_faults_and_adversary(self):
         # the only pin over kill_slots/rows_of_peers -> remove_block_rows

@@ -420,6 +420,14 @@ class TestRegistryIngress:
         assert answer is None
         assert welcome.type == wire.MSG_WELCOME and slots == [1]
 
+    @pytest.mark.parametrize("port", [70000, -1, 0, True])
+    def test_hello_with_an_undialable_port(self, port):
+        # Admitted, such an address kills every server pull task that
+        # draws it (connect() raises OverflowError, not OSError).
+        answer, welcome, slots = self._register(port=port)
+        assert answer is None
+        assert welcome.type == wire.MSG_WELCOME and slots == [1]
+
     def test_hello_with_a_non_integer_slot(self):
         answer, welcome, slots = self._register(slot="first")
         assert answer is None

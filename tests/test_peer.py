@@ -89,7 +89,7 @@ class TestPeer:
         peer = Peer(slot=3, capacity=10)
         assert peer.is_empty
         assert not peer.is_full
-        assert peer.free_space == 10
+        assert peer.capacity - peer.block_count == 10
         assert peer.block_count == 0
 
     def test_capacity_validated(self):
@@ -101,10 +101,10 @@ class TestPeer:
         block = abstract_block()
         peer.add_block(block)
         assert peer.block_count == 1
-        assert peer.holds_segment(0)
+        assert 0 in peer.holdings
         assert peer.remove_block(block)
         assert peer.is_empty
-        assert not peer.holds_segment(0)
+        assert 0 not in peer.holdings
         assert not peer.remove_block(block)
 
     def test_full_buffer_rejects(self):
@@ -161,8 +161,8 @@ class TestPeer:
         peer = Peer(slot=0, capacity=10)
         peer.add_block(abstract_block(segment_id=0))
         peer.add_block(abstract_block(segment_id=0))
-        assert peer.degree_of(0) == 2
-        assert peer.degree_of(9) == 0
+        assert peer.holdings[0].block_count == 2
+        assert 9 not in peer.holdings
 
     def test_all_blocks(self):
         peer = Peer(slot=0, capacity=10)

@@ -130,7 +130,7 @@ class TestPathologicalCorners:
         # every block lives only at its source: degree == source multiplicity
         for state in system.registry.live_states():
             holders = sum(
-                1 for peer in system.peers if peer.holds_segment(state.segment_id)
+                1 for peer in system.peers if state.segment_id in peer.holdings
             )
             assert holders <= 1
 

@@ -353,8 +353,8 @@ class TestBlockAllocations:
 
     def test_tracked_objects_per_buffered_block(self):
         system = self._warm_system()
-        peer = max(system.peers, key=lambda p: p.free_space)
-        count = peer.free_space
+        peer = min(system.peers, key=lambda p: p.block_count)
+        count = peer.capacity - peer.block_count
         assert count >= 8
         segment = next(iter(system.registry.live_states())).descriptor
         gc.collect()

@@ -72,17 +72,6 @@ class TestRandomizedSet:
         rng = np.random.default_rng(0)
         assert rs.sample(rng) in (10, 20)
 
-    def test_sample_excluding(self):
-        rs = RandomizedSet([1, 2])
-        rng = random.Random(3)
-        for _ in range(20):
-            assert rs.sample_excluding(rng, 1) == 2
-
-    def test_sample_excluding_only_member(self):
-        rs = RandomizedSet([1])
-        assert rs.sample_excluding(random.Random(0), 1) is None
-        assert RandomizedSet().sample_excluding(random.Random(0), 1) is None
-
     def test_bool_and_repr(self):
         assert not RandomizedSet()
         rs = RandomizedSet([1])
