@@ -34,6 +34,41 @@ from repro.stats.workload import Workload
 from repro.util.randomset import RandomizedSet
 
 
+class MeasuredRun:
+    """The measurement lifecycle both baselines share: warm up, then open
+    a metric window, run it and report (``CollectionSystem``'s shape)."""
+
+    sim: Simulator
+    metrics: MetricsCollector
+
+    @property
+    def now(self) -> float:
+        """Current simulation time."""
+        return self.sim.now
+
+    def run(self, warmup: float, duration: float) -> MetricsReport:
+        """Warm up, measure for *duration*, and return the window's report."""
+        if warmup < 0 or duration <= 0:
+            raise ValueError(
+                f"need warmup >= 0 and duration > 0, got {warmup}, {duration}"
+            )
+        if warmup > 0:
+            self.sim.run_until(self.sim.now + warmup)
+        return self.run_phase(duration)
+
+    def run_phase(self, duration: float) -> MetricsReport:
+        """Open a fresh measurement window, run, and report."""
+        if duration <= 0:
+            raise ValueError(f"duration must be > 0, got {duration}")
+        self.metrics.begin_window(self.sim.now)
+        self.sim.run_until(self.sim.now + duration)
+        return self.metrics.report(self.sim.now, engine=self.sim.perf())
+
+    def run_until(self, end_time: float) -> None:
+        """Advance raw simulation time without touching metric windows."""
+        self.sim.run_until(end_time)
+
+
 class _PendingBlock:
     """One statistics block waiting at its generating peer."""
 
@@ -64,7 +99,7 @@ class _DirectPeer:
             self.queue.popleft()
 
 
-class DirectCollectionSystem:
+class DirectCollectionSystem(MeasuredRun):
     """Traditional pull-based collection (the paper's strawman).
 
     Configuration reuses :class:`Parameters`: ``arrival_rate``,
@@ -268,35 +303,6 @@ class DirectCollectionSystem:
         self.peers[slot] = _DirectPeer(
             slot, self.params.effective_buffer_capacity, peer.generation + 1
         )
-
-    # -- measurement lifecycle ------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self.sim.now
-
-    def run(self, warmup: float, duration: float) -> MetricsReport:
-        """Warm up, measure for *duration*, and return the window's report."""
-        if warmup < 0 or duration <= 0:
-            raise ValueError(
-                f"need warmup >= 0 and duration > 0, got {warmup}, {duration}"
-            )
-        if warmup > 0:
-            self.sim.run_until(self.sim.now + warmup)
-        return self.run_phase(duration)
-
-    def run_phase(self, duration: float) -> MetricsReport:
-        """Open a fresh measurement window, run, and report."""
-        if duration <= 0:
-            raise ValueError(f"duration must be > 0, got {duration}")
-        self.metrics.begin_window(self.sim.now)
-        self.sim.run_until(self.sim.now + duration)
-        return self.metrics.report(self.sim.now, engine=self.sim.perf())
-
-    def run_until(self, end_time: float) -> None:
-        """Advance raw simulation time without touching metric windows."""
-        self.sim.run_until(end_time)
 
     def backlog(self) -> int:
         """Blocks currently waiting at peers (the server-side debt)."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
+from repro.core.baseline import MeasuredRun
 from repro.core.params import Parameters
 from repro.sim.engine import PoissonProcess, Simulator, ThinnedPoissonProcess
 from repro.sim.metrics import MetricsCollector, MetricsReport
@@ -52,7 +53,7 @@ class _ServerQueue:
         self.dropped = 0
 
 
-class PushCollectionSystem:
+class PushCollectionSystem(MeasuredRun):
     """Traditional push reporting into finite-capacity logging servers.
 
     Reuses :class:`Parameters`: ``arrival_rate``, ``normalized_capacity``
@@ -157,35 +158,6 @@ class PushCollectionSystem:
             self._begin_service(server)
         else:
             server.busy = False
-
-    # -- measurement lifecycle -------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self.sim.now
-
-    def run(self, warmup: float, duration: float) -> MetricsReport:
-        """Warm up, measure for *duration*, and return the window's report."""
-        if warmup < 0 or duration <= 0:
-            raise ValueError(
-                f"need warmup >= 0 and duration > 0, got {warmup}, {duration}"
-            )
-        if warmup > 0:
-            self.sim.run_until(self.sim.now + warmup)
-        return self.run_phase(duration)
-
-    def run_phase(self, duration: float) -> MetricsReport:
-        """Open a fresh measurement window, run, and report."""
-        if duration <= 0:
-            raise ValueError(f"duration must be > 0, got {duration}")
-        self.metrics.begin_window(self.sim.now)
-        self.sim.run_until(self.sim.now + duration)
-        return self.metrics.report(self.sim.now, engine=self.sim.perf())
-
-    def run_until(self, end_time: float) -> None:
-        """Advance raw simulation time without touching metric windows."""
-        self.sim.run_until(end_time)
 
     def loss_fraction(self) -> float:
         """Lifetime fraction of generated blocks dropped at the servers."""

@@ -35,7 +35,7 @@ from repro.experiments.base import (
     SimTask,
     budget_for,
     seed_mean,
-    simulate_cell,
+    seed_cells,
 )
 
 
@@ -75,14 +75,7 @@ def plan_ttl_ablation(
             segment_size=16,
             n_servers=budget.n_servers,
         )
-        for seed in budget.seeds:
-            tasks.append(SimTask(
-                task_id=f"gamma={gamma:g}:seed={seed}",
-                thunk=partial(
-                    simulate_cell, params, budget.warmup, budget.duration,
-                    metrics, seed,
-                ),
-            ))
+        tasks.extend(seed_cells(budget, f"gamma={gamma:g}", params, metrics))
 
     def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
         result = SeriesResult(
@@ -145,14 +138,7 @@ def plan_buffer_ablation(
             n_servers=budget.n_servers,
             buffer_capacity=capacity,
         )
-        for seed in budget.seeds:
-            tasks.append(SimTask(
-                task_id=f"B={capacity}:seed={seed}",
-                thunk=partial(
-                    simulate_cell, params, budget.warmup, budget.duration,
-                    metrics, seed,
-                ),
-            ))
+        tasks.extend(seed_cells(budget, f"B={capacity}", params, metrics))
 
     def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
         result = SeriesResult(
@@ -212,14 +198,9 @@ def plan_selection_ablation(
                 n_servers=budget.n_servers,
                 segment_selection=selection,
             )
-            for seed in budget.seeds:
-                tasks.append(SimTask(
-                    task_id=f"{selection}:s={s}:seed={seed}",
-                    thunk=partial(
-                        simulate_cell, params, budget.warmup,
-                        budget.duration, metrics, seed,
-                    ),
-                ))
+            tasks.extend(seed_cells(
+                budget, f"{selection}:s={s}", params, metrics,
+            ))
 
     def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
         result = SeriesResult(
@@ -374,14 +355,7 @@ def plan_scheduler_ablation(
             n_servers=budget.n_servers,
             pull_policy=policy,
         )
-        for seed in budget.seeds:
-            tasks.append(SimTask(
-                task_id=f"{policy}:seed={seed}",
-                thunk=partial(
-                    simulate_cell, params, budget.warmup, budget.duration,
-                    metrics, seed,
-                ),
-            ))
+        tasks.extend(seed_cells(budget, policy, params, metrics))
 
     def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
         result = SeriesResult(

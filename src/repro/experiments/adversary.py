@@ -42,7 +42,6 @@ as-is rather than hidden.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.adversary.plan import AdversaryPlan
@@ -53,10 +52,9 @@ from repro.experiments.base import (
     QUALITY_FAST,
     SeriesResult,
     SimBudget,
-    SimTask,
     budget_for,
     seed_mean,
-    simulate_cell,
+    seed_cells,
 )
 from repro.stats.workload import TraceWorkload
 
@@ -213,14 +211,9 @@ def plan_adversary(
     tasks = []
     for arm in DEFENSE_ARMS:
         params = _base_params(budget, AdversaryPlan(), defended=arm == "on")
-        for seed in budget.seeds:
-            tasks.append(SimTask(
-                task_id=f"baseline:defense={arm}:seed={seed}",
-                thunk=partial(
-                    simulate_cell, params, budget.warmup, budget.duration,
-                    WANTED, seed, workload,
-                ),
-            ))
+        tasks.extend(seed_cells(
+            budget, f"baseline:defense={arm}", params, WANTED, workload,
+        ))
     for strategy in STRATEGIES:
         for fraction in fractions:
             if fraction == 0.0:
@@ -228,17 +221,10 @@ def plan_adversary(
             plan = plan_for(strategy, fraction)
             for arm in DEFENSE_ARMS:
                 params = _base_params(budget, plan, defended=arm == "on")
-                for seed in budget.seeds:
-                    tasks.append(SimTask(
-                        task_id=(
-                            f"{strategy}:fraction={fraction:g}"
-                            f":defense={arm}:seed={seed}"
-                        ),
-                        thunk=partial(
-                            simulate_cell, params, budget.warmup,
-                            budget.duration, WANTED, seed, workload,
-                        ),
-                    ))
+                prefix = f"{strategy}:fraction={fraction:g}:defense={arm}"
+                tasks.extend(seed_cells(
+                    budget, prefix, params, WANTED, workload,
+                ))
 
     def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
         result = SeriesResult(

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -393,6 +394,27 @@ def simulate_cell(
         else:
             cell[name] = float(value)
     return cell
+
+
+def seed_cells(
+    budget: SimBudget,
+    prefix: str,
+    params: Parameters,
+    metrics: Sequence[str],
+    workload: Optional[Workload] = None,
+) -> List[SimTask]:
+    """One :func:`simulate_cell` task per seed, ids ``{prefix}:seed={n}``."""
+    extra = () if workload is None else (workload,)
+    return [
+        SimTask(
+            task_id=f"{prefix}:seed={seed}",
+            thunk=partial(
+                simulate_cell, params, budget.warmup, budget.duration,
+                metrics, seed, *extra,
+            ),
+        )
+        for seed in budget.seeds
+    ]
 
 
 def seed_mean(

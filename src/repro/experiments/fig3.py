@@ -20,8 +20,7 @@ for this figure).
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.analysis.theorems import analyze
 from repro.core.params import Parameters
@@ -34,7 +33,7 @@ from repro.experiments.base import (
     SimTask,
     budget_for,
     seed_mean,
-    simulate_cell,
+    seed_cells,
 )
 
 #: Paper parameters for Fig. 3.
@@ -51,6 +50,32 @@ CAPACITIES = (4.0, 8.0, 12.0)
 METRICS = ("normalized_throughput",)
 
 
+def segment_grid(
+    budget: SimBudget,
+    capacities: Sequence[float],
+    segment_sizes: Sequence[int],
+    metrics: Sequence[str],
+) -> List[SimTask]:
+    """One simulation per (c, s, seed) at the paper's Fig. 3 rates: the task
+    grid Figs. 3, 5 and 6 share, each reading its own *metrics*."""
+    tasks = []
+    for c in capacities:
+        for s in segment_sizes:
+            params = Parameters(
+                n_peers=budget.n_peers,
+                arrival_rate=ARRIVAL_RATE,
+                gossip_rate=GOSSIP_RATE,
+                deletion_rate=DELETION_RATE,
+                normalized_capacity=c,
+                segment_size=s,
+                n_servers=budget.n_servers,
+                engine=budget.engine,
+                tau=budget.tau,
+            )
+            tasks.extend(seed_cells(budget, f"c={c:g}:s={s}", params, metrics))
+    return tasks
+
+
 def plan_fig3(
     quality: str = QUALITY_FAST,
     segment_sizes: Optional[Sequence[int]] = None,
@@ -64,29 +89,10 @@ def plan_fig3(
     budget = budget or budget_for(quality)
     x_values = [float(s) for s in segment_sizes]
 
-    tasks = []
-    if include_simulation:
-        for c in capacities:
-            for s in segment_sizes:
-                params = Parameters(
-                    n_peers=budget.n_peers,
-                    arrival_rate=ARRIVAL_RATE,
-                    gossip_rate=GOSSIP_RATE,
-                    deletion_rate=DELETION_RATE,
-                    normalized_capacity=c,
-                    segment_size=s,
-                    n_servers=budget.n_servers,
-                    engine=budget.engine,
-                    tau=budget.tau,
-                )
-                for seed in budget.seeds:
-                    tasks.append(SimTask(
-                        task_id=f"c={c:g}:s={s}:seed={seed}",
-                        thunk=partial(
-                            simulate_cell, params, budget.warmup,
-                            budget.duration, METRICS, seed,
-                        ),
-                    ))
+    tasks = (
+        segment_grid(budget, capacities, segment_sizes, METRICS)
+        if include_simulation else []
+    )
 
     def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
         result = SeriesResult(

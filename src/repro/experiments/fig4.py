@@ -22,7 +22,6 @@ not model churn, so this figure is simulation-driven there as well.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.core.params import Parameters
@@ -32,10 +31,9 @@ from repro.experiments.base import (
     QUALITY_FAST,
     SeriesResult,
     SimBudget,
-    SimTask,
     budget_for,
     seed_mean,
-    simulate_cell,
+    seed_cells,
 )
 
 #: Paper parameters for Fig. 4.
@@ -83,16 +81,8 @@ def plan_fig4(
                     engine=budget.engine,
                     tau=budget.tau,
                 )
-                for seed in budget.seeds:
-                    tasks.append(SimTask(
-                        task_id=(
-                            f"c={c:g}:s={s}:{regime}:mu={mu:g}:seed={seed}"
-                        ),
-                        thunk=partial(
-                            simulate_cell, params, budget.warmup,
-                            budget.duration, METRICS, seed,
-                        ),
-                    ))
+                prefix = f"c={c:g}:s={s}:{regime}:mu={mu:g}"
+                tasks.extend(seed_cells(budget, prefix, params, METRICS))
 
     def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
         result = SeriesResult(

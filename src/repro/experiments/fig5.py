@@ -20,21 +20,17 @@ this with Fig. 3 into the recommendation ``s in [20, 40]``.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Mapping, Optional, Sequence
 
 from repro.analysis.theorems import analyze
-from repro.core.params import Parameters
 from repro.experiments.base import (
     ExperimentPlan,
     Payload,
     QUALITY_FAST,
     SeriesResult,
     SimBudget,
-    SimTask,
     budget_for,
     seed_mean,
-    simulate_cell,
 )
 from repro.experiments.fig3 import (
     ARRIVAL_RATE,
@@ -42,6 +38,7 @@ from repro.experiments.fig3 import (
     DELETION_RATE,
     GOSSIP_RATE,
     SEGMENT_SIZES,
+    segment_grid,
 )
 
 METRICS = ("mean_block_delay",)
@@ -59,29 +56,10 @@ def plan_fig5(
         segment_sizes = SEGMENT_SIZES["full" if quality == "full" else "fast"]
     budget = budget or budget_for(quality)
 
-    tasks = []
-    if include_simulation:
-        for c in capacities:
-            for s in segment_sizes:
-                params = Parameters(
-                    n_peers=budget.n_peers,
-                    arrival_rate=ARRIVAL_RATE,
-                    gossip_rate=GOSSIP_RATE,
-                    deletion_rate=DELETION_RATE,
-                    normalized_capacity=c,
-                    segment_size=s,
-                    n_servers=budget.n_servers,
-                    engine=budget.engine,
-                    tau=budget.tau,
-                )
-                for seed in budget.seeds:
-                    tasks.append(SimTask(
-                        task_id=f"c={c:g}:s={s}:seed={seed}",
-                        thunk=partial(
-                            simulate_cell, params, budget.warmup,
-                            budget.duration, METRICS, seed,
-                        ),
-                    ))
+    tasks = (
+        segment_grid(budget, capacities, segment_sizes, METRICS)
+        if include_simulation else []
+    )
 
     def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
         result = SeriesResult(

@@ -27,7 +27,6 @@ original bytes — zero tolerance, recorded as a table note.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +43,7 @@ from repro.experiments.base import (
     SimTask,
     budget_for,
     seed_mean,
-    simulate_cell,
+    seed_cells,
 )
 from repro.faults import FaultPlan
 from repro.sim.rng import SeedSequenceRegistry
@@ -115,27 +114,17 @@ def plan_robustness(
     budget = budget or budget_for(quality)
 
     tasks = []
-    for seed in budget.seeds:
-        tasks.append(SimTask(
-            task_id=f"baseline:seed={seed}",
-            thunk=partial(
-                simulate_cell, _base_params(budget, FaultPlan()),
-                budget.warmup, budget.duration, WANTED, seed,
-            ),
-        ))
+    tasks.extend(seed_cells(
+        budget, "baseline", _base_params(budget, FaultPlan()), WANTED,
+    ))
     for channel in CHANNELS:
         for severity in severities:
             if severity == 0.0:
                 continue
             params = _base_params(budget, plan_for(channel, severity))
-            for seed in budget.seeds:
-                tasks.append(SimTask(
-                    task_id=f"{channel}:severity={severity:g}:seed={seed}",
-                    thunk=partial(
-                        simulate_cell, params, budget.warmup,
-                        budget.duration, WANTED, seed,
-                    ),
-                ))
+            tasks.extend(seed_cells(
+                budget, f"{channel}:severity={severity:g}", params, WANTED,
+            ))
     tasks.append(SimTask(task_id="audit", thunk=_audit_cell))
 
     def merge(payloads: Mapping[str, Payload]) -> SeriesResult:

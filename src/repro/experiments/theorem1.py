@@ -16,7 +16,6 @@ of occupancy and the empty-peer fraction:
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Mapping, Optional, Sequence
 
 from repro.analysis.ode import CollectionODE
@@ -28,10 +27,9 @@ from repro.experiments.base import (
     QUALITY_FAST,
     SeriesResult,
     SimBudget,
-    SimTask,
     budget_for,
     seed_mean,
-    simulate_cell,
+    seed_cells,
 )
 from repro.experiments.fig3 import ARRIVAL_RATE, DELETION_RATE, GOSSIP_RATE
 
@@ -69,14 +67,7 @@ def plan_theorem1(
             engine=budget.engine,
             tau=budget.tau,
         )
-        for seed in budget.seeds:
-            tasks.append(SimTask(
-                task_id=f"s={s}:seed={seed}",
-                thunk=partial(
-                    simulate_cell, params, budget.warmup, budget.duration,
-                    METRICS, seed,
-                ),
-            ))
+        tasks.extend(seed_cells(budget, f"s={s}", params, METRICS))
 
     def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
         closed = theorem1_storage(ARRIVAL_RATE, GOSSIP_RATE, DELETION_RATE)

@@ -2,7 +2,7 @@
 
 Where :mod:`repro.sim` *simulates* the paper's indirect collection
 protocol, this package *runs* it: every peer is an asyncio task (or a
-standalone process) speaking length-prefixed framed JSON+bytes over TCP,
+standalone process) speaking length-prefixed framed header+bytes over TCP,
 the GF(256) kernels of :mod:`repro.coding` encode/recode/decode real
 payload bytes on the wire, and the logging servers decode and
 hash-verify what they collect.  ``Parameters`` and ``FaultPlan`` are
@@ -23,46 +23,16 @@ Module map:
 - :mod:`repro.live.livemetrics` — sim-axis measurement + aggregation
 - :mod:`repro.live.crossval` — sim-vs-live tolerance comparison
 - :mod:`repro.live.cli` — ``repro live serve|peer|swarm``
+
+Everything else is imported from its module.
 """
 
-from repro.live.clock import LiveClock, PoissonSchedule
-from repro.live.crossval import CrossValReport, compare_reports
-from repro.live.framing import (
-    Frame,
-    FrameDecoder,
-    FrameError,
-    FrameGarbage,
-    FrameTooLarge,
-    FrameTruncated,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
-from repro.live.harness import live_cell, run_swarm, validate_live_params
-from repro.live.livemetrics import aggregate_report
+from repro.live.crossval import compare_reports
+from repro.live.harness import live_cell, run_swarm
 from repro.live.peer import LivePeer
 from repro.live.server import LiveLoggingServer
-from repro.live.transport import FramedConnection
 
 __all__ = [
-    "CrossValReport",
-    "Frame",
-    "FrameDecoder",
-    "FrameError",
-    "FrameGarbage",
-    "FrameTooLarge",
-    "FrameTruncated",
-    "FramedConnection",
-    "LiveClock",
-    "LiveLoggingServer",
-    "LivePeer",
-    "PoissonSchedule",
-    "aggregate_report",
-    "compare_reports",
-    "encode_frame",
-    "live_cell",
-    "read_frame",
+    "LiveLoggingServer", "LivePeer", "compare_reports", "live_cell",
     "run_swarm",
-    "validate_live_params",
-    "write_frame",
 ]

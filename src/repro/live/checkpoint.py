@@ -32,12 +32,12 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.coding.block import SegmentDescriptor
 from repro.coding.linalg import DecoderSnapshot
 from repro.coding.rlnc import SegmentDecoderSnapshot
 from repro.live.framing import Frame, FrameDecoder, FrameError, encode_frame
+from repro.live.wire import segment_from_wire, segment_to_wire
 
 #: Format tag of the journal; bump on any incompatible layout change so a
 #: restarted server refuses a checkpoint written by an older binary
@@ -88,31 +88,11 @@ class ServerCheckpoint:
     decoders: Tuple[SegmentDecoderSnapshot, ...]
 
 
-def _segment_to_json(segment: SegmentDescriptor) -> Dict[str, Any]:
-    return {
-        "segment_id": segment.segment_id,
-        "source_peer": segment.source_peer,
-        "size": segment.size,
-        "injected_at": segment.injected_at,
-        "generation": segment.generation,
-    }
-
-
-def _segment_from_json(raw: Mapping[str, Any]) -> SegmentDescriptor:
-    return SegmentDescriptor(
-        segment_id=int(raw["segment_id"]),
-        source_peer=int(raw["source_peer"]),
-        size=int(raw["size"]),
-        injected_at=float(raw["injected_at"]),
-        generation=int(raw["generation"]),
-    )
-
-
 def _decoder_frame(snap: SegmentDecoderSnapshot) -> bytes:
     decoder = snap.decoder
     header: Dict[str, Any] = {
         "type": _DECODER_TYPE,
-        "segment": _segment_to_json(snap.segment),
+        "segment": segment_to_wire(snap.segment),
         "offered": snap.offered,
         "redundant": snap.redundant,
         "completed_at": snap.completed_at,
@@ -127,7 +107,7 @@ def _decoder_frame(snap: SegmentDecoderSnapshot) -> bytes:
 def _decoder_from_frame(frame: Frame) -> SegmentDecoderSnapshot:
     header = frame.header
     try:
-        segment = _segment_from_json(header["segment"])
+        segment = segment_from_wire(header["segment"])
         matrix_bytes = int(header["matrix_bytes"])
         raw_length = header["payload_length"]
         payload_length = None if raw_length is None else int(raw_length)

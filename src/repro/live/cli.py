@@ -181,6 +181,20 @@ def _serve_params(args: argparse.Namespace) -> Parameters:
     return _params_from_args(args)
 
 
+async def _cohort_joined(
+    args: argparse.Namespace, server: LiveLoggingServer, stop: "asyncio.Event"
+) -> bool:
+    """Wait for the expected peers; False if *stop* came first."""
+    expected = args.expect_peers or server.params.n_peers
+    join = asyncio.ensure_future(server.wait_for_peers(expected))
+    stopper = asyncio.ensure_future(stop.wait())
+    await asyncio.wait({join, stopper}, return_when=asyncio.FIRST_COMPLETED)
+    for task in (join, stopper):
+        task.cancel()
+    await asyncio.gather(join, stopper, return_exceptions=True)
+    return not stop.is_set()
+
+
 async def _run_serve_report(
     args: argparse.Namespace,
     server: LiveLoggingServer,
@@ -204,17 +218,7 @@ async def _run_serve_report(
             "restored_rank": server.restored_rank,
         }), flush=True)
     else:
-        expected = args.expect_peers or server.params.n_peers
-        join = asyncio.ensure_future(server.wait_for_peers(expected))
-        stopper = asyncio.ensure_future(stop.wait())
-        await asyncio.wait(
-            {join, stopper}, return_when=asyncio.FIRST_COMPLETED
-        )
-        stopper.cancel()
-        await asyncio.gather(stopper, return_exceptions=True)
-        if stop.is_set():
-            join.cancel()
-            await asyncio.gather(join, return_exceptions=True)
+        if not await _cohort_joined(args, server, stop):
             return 0
         await server.begin()
         print(json.dumps(
@@ -285,18 +289,8 @@ async def _run_serve(args: argparse.Namespace, params: Parameters) -> int:
             await server.stop_protocol()
             await server.close()
     try:
-        expected = args.expect_peers or params.n_peers
-        join = asyncio.ensure_future(server.wait_for_peers(expected))
-        stopper = asyncio.ensure_future(stop.wait())
-        await asyncio.wait(
-            {join, stopper}, return_when=asyncio.FIRST_COMPLETED
-        )
-        if stop.is_set():
-            join.cancel()
-            await asyncio.gather(join, return_exceptions=True)
+        if not await _cohort_joined(args, server, stop):
             return 0
-        stopper.cancel()
-        await asyncio.gather(stopper, return_exceptions=True)
         await server.begin()
         await asyncio.wait_for(
             stop.wait(),

@@ -19,27 +19,46 @@ gap after finishing the previous event's work.  Per-event service time
 (socket round-trips) therefore does not deflate the realized event rate —
 the live Poisson clocks stay honest to their configured rates as long as
 service stays ahead of the schedule on average.
+
+Timer grid: once the epoch is set, every timer a clock arms — its sleeps
+and :meth:`LiveClock.call_at` — fires on the next multiple of
+:data:`TIMER_SLACK` simulated units past the epoch, so every clock of a
+process (one per hosted peer's gossip, injection and TTL, plus the
+collector's pulls, outages and bursts) that falls due within one slack
+wakes the loop once, not once each.  An event lands at most one slack
+late; a :class:`PoissonSchedule` keeps drawing from scheduled times, so
+its rate stays exact.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import random
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.rng import exponential
+from repro.util.validation import require_positive
+
+#: Spacing of the timer grid in simulated units (10 ms of wall time at
+#: ``time_scale`` 0.5): the most any clock timer fires late.
+TIMER_SLACK = 0.005
+
+#: A loop reading this close below a grid point (in grid spacings) is at
+#: that point: asyncio fires a timer up to its clock resolution early.
+_AT_POINT = 1e-6
 
 
 class LiveClock:
     """Monotonic wall clock mapped linearly onto simulated time."""
 
-    __slots__ = ("time_scale", "_t0")
+    __slots__ = ("time_scale", "_t0", "_spacing")
 
     def __init__(self, time_scale: float) -> None:
-        if time_scale <= 0:
-            raise ValueError(f"time_scale must be > 0, got {time_scale}")
-        self.time_scale = time_scale
+        self.time_scale = require_positive("time_scale", time_scale)
         self._t0: Optional[float] = None
+        #: wall seconds between two grid points.
+        self._spacing = TIMER_SLACK / time_scale
 
     @property
     def started(self) -> bool:
@@ -82,16 +101,67 @@ class LiveClock:
         """Wall seconds spanning *sim_interval* simulated units."""
         return sim_interval / self.time_scale
 
+    def _grid_point(
+        self, loop: asyncio.AbstractEventLoop, wall: float
+    ) -> float:
+        """The loop time a timer due at *wall* fires: the first grid point
+        at or after it that is past the point the loop is at, so a wake
+        that lands a hair early re-arms to the next point, never the same
+        one (which would spin at zero delay).  *wall* itself before the
+        epoch is set."""
+        t0, spacing = self._t0, self._spacing
+        if t0 is None:
+            return wall
+        at = math.floor((loop.time() - t0) / spacing + _AT_POINT)
+        return t0 + max(math.ceil((wall - t0) / spacing), at + 1) * spacing
+
+    def _deadline_point(
+        self, loop: asyncio.AbstractEventLoop, sim_deadline: float
+    ) -> float:
+        """:meth:`_grid_point` of the moment the clock reads *sim_deadline*
+        (before the epoch, when it reads 0, that is *sim_deadline* away)."""
+        base = loop.time() if self._t0 is None else self._t0
+        return self._grid_point(loop, base + sim_deadline / self.time_scale)
+
+    def call_at(
+        self, sim_deadline: float, callback: Callable[..., Any], *args: Any
+    ) -> None:
+        """Run ``callback(*args)`` on the grid once the clock reads
+        *sim_deadline* (or a hair before: callbacks re-check the clock)."""
+        loop = asyncio.get_running_loop()
+        loop.call_at(self._deadline_point(loop, sim_deadline), callback, *args)
+
     async def sleep_sim(self, sim_interval: float) -> None:
         """Sleep for *sim_interval* simulated units of wall time."""
         if sim_interval > 0:
-            await asyncio.sleep(self.wall_interval(sim_interval))
+            loop = asyncio.get_running_loop()
+            wall = loop.time() + sim_interval / self.time_scale
+            await _sleep_at(loop, self._grid_point(loop, wall))
 
     async def sleep_until(self, sim_deadline: float) -> None:
-        """Sleep until simulated time *sim_deadline* (no-op if past)."""
-        remaining = sim_deadline - self.now()
-        if remaining > 0:
-            await asyncio.sleep(self.wall_interval(remaining))
+        """Sleep until the clock reads *sim_deadline* (no-op if past)."""
+        loop = asyncio.get_running_loop()
+        while self.now() < sim_deadline:
+            started = self.started
+            await _sleep_at(loop, self._deadline_point(loop, sim_deadline))
+            if not started:
+                return  # one plain sleep: the clock read 0 when it began
+
+
+async def _sleep_at(loop: asyncio.AbstractEventLoop, when: float) -> None:
+    """``asyncio.sleep`` to an absolute loop time: timers armed for one grid
+    point carry the identical float, so the loop fires them together."""
+    future = loop.create_future()
+    handle = loop.call_at(when, _wake, future)
+    try:
+        await future
+    finally:
+        handle.cancel()
+
+
+def _wake(future: "asyncio.Future[None]") -> None:
+    if not future.done():
+        future.set_result(None)
 
 
 class PoissonSchedule:

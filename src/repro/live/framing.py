@@ -1,16 +1,19 @@
-"""Length-prefixed JSON+bytes framing for the live runtime.
+"""Length-prefixed header+bytes framing for the live runtime.
 
 Every message on a live-runtime TCP stream is one *frame*::
 
     +-------+------------+-------------+---------------+---------------+
-    | magic | header len | payload len | header (JSON) | payload bytes |
+    | magic | header len | payload len | header        | payload bytes |
     | 4 B   | u32 BE     | u32 BE      | header-len B  | payload-len B |
     +-------+------------+-------------+---------------+---------------+
 
-The header is a compact, sorted-key JSON object (always a dict, always
-carrying a ``"type"`` key by convention — see :mod:`repro.live.wire`); the
-payload is opaque bytes (coefficient vectors and coded payload rows travel
-here so GF(256) data never round-trips through JSON).
+The header decodes to a dict carrying a ``"type"`` key by convention (see
+:mod:`repro.live.wire`).  The six block-path frames, sent once per block
+op, have a fixed binary header (:data:`BINARY_HEADERS`: a code byte, then
+big-endian fields); every other header is a compact, sorted-key JSON
+object.  A code byte is never ``{``, so the first byte tells the two
+apart, and both decode to the same dict.  The payload is opaque bytes
+(coded rows travel here, never through the header).
 
 Failure behavior is part of the contract: a reader faced with a bad magic,
 an oversized length, an unparseable header, or an EOF mid-frame raises a
@@ -25,9 +28,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 #: Frame preamble; a connection speaking anything else fails fast.
 MAGIC = b"RPLV"
@@ -74,17 +78,84 @@ class Frame:
         return value if isinstance(value, str) else ""
 
 
+_SEGMENT = ("segment_id", "source_peer", "size", "injected_at", "generation")
+_BLOCK = _SEGMENT + ("created_at", "polluted", "digest")
+
+#: type -> (code byte, layout, field names after the code).  Segment fields
+#: nest under ``"segment"`` in the dict form, as ``wire.block_to_wire``
+#: builds it; the digest is 16 ASCII bytes, NUL-padded when shorter.
+BINARY_HEADERS = {
+    kind: (code, struct.Struct(">B" + layout), names)
+    for kind, code, layout, names in (
+        ("block", 1, "qiidid?16s", _BLOCK),
+        ("pull-block", 2, "qiidid?16si", _BLOCK + ("slot",)),
+        ("offer", 3, "qi", ("segment_id", "size")),
+        ("offer-reply", 4, "?", ("want",)),
+        ("pull", 5, "", ()),
+        ("pull-empty", 6, "i", ("slot",)),
+    )
+}
+_BY_CODE = {bytes([c]): (k, *rest) for k, (c, *rest) in BINARY_HEADERS.items()}
+
+
+def _check_fields(fields: Mapping[str, Any]) -> None:
+    """What a block-path header carries must be sane on either side."""
+    size = fields.get("size", 1)
+    if not 0 < size <= MAX_PAYLOAD_BYTES:
+        raise FrameGarbage(f"block-path header declares size {size}")
+    for name in ("injected_at", "created_at"):
+        if not math.isfinite(fields.get(name, 0.0)):
+            raise FrameGarbage(f"block-path header {name} is not finite")
+
+
 def _encode_header(header: Mapping[str, Any]) -> bytes:
+    kind = header.get("type")
+    binary = BINARY_HEADERS.get(kind) if isinstance(kind, str) else None
     try:
-        return json.dumps(
-            dict(header), separators=(",", ":"), sort_keys=True,
-            allow_nan=False,
-        ).encode("utf-8")
-    except (TypeError, ValueError) as exc:
+        if binary is None:
+            return json.dumps(
+                dict(header), separators=(",", ":"), sort_keys=True,
+                allow_nan=False,
+            ).encode("utf-8")
+        code, layout, names = binary
+        fields = {**header.get("segment", {}), **header}
+        _check_fields(fields)
+        if "digest" in fields:
+            fields["digest"] = fields["digest"].encode("ascii")
+            if len(fields["digest"]) > 16:
+                raise ValueError("digest longer than 16 characters")
+        return layout.pack(code, *[fields[name] for name in names])
+    except (
+        AttributeError, FrameError, KeyError, TypeError, ValueError,
+        struct.error,
+    ) as exc:
         raise FrameError(f"unserializable frame header: {exc}") from exc
 
 
+def _parse_binary(
+    kind: str, layout: struct.Struct, names: Tuple[str, ...], data: bytes
+) -> Dict[str, Any]:
+    if len(data) != layout.size:
+        raise FrameGarbage(
+            f"{kind} header is {len(data)} bytes, not {layout.size}"
+        )
+    fields = dict(zip(names, layout.unpack(data)[1:]))
+    _check_fields(fields)
+    if "digest" in fields:
+        try:
+            fields["digest"] = fields["digest"].rstrip(b"\0").decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FrameGarbage(f"{kind} digest is not ASCII") from exc
+    if "created_at" not in fields:
+        return {"type": kind, **fields}
+    segment = {name: fields.pop(name) for name in _SEGMENT}
+    return {"type": kind, "segment": segment, **fields}
+
+
 def _parse_header(data: bytes) -> Dict[str, Any]:
+    binary = _BY_CODE.get(data[:1])
+    if binary is not None:
+        return _parse_binary(*binary, data)
     try:
         header = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

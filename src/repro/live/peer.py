@@ -11,8 +11,8 @@ and one loop timer per buffered block:
   kernels (:func:`SegmentHolding.make_coded_block`) and push the coded
   block to a uniformly drawn peer, with the simulator's rejection-sampled
   target eligibility realized as an OFFER/OFFER-REPLY round-trip;
-- **expiry** — per-block TTL at rate γ, one ``loop.call_later`` timer per
-  stored block (no task, so nothing to cancel at teardown);
+- **expiry** — per-block TTL at rate γ, one :meth:`LiveClock.call_at` timer
+  per stored block (no task, so nothing to cancel at teardown);
 - **control** — the registry connection: directory/start/mark/stop
   downstream, buffer status upstream, metrics on request, RESET
   (disconnect-burst) teardown.
@@ -26,8 +26,9 @@ processes on separate hosts.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -205,23 +206,10 @@ class LivePeer:
                     f"peer {self.slot}: expected WELCOME, got "
                     f"{None if welcome is None else welcome.type!r}"
                 )
+            self._adopt(welcome.header)
         except BaseException:
             await conn.close()
             raise
-        self.slot = int(welcome.header["slot"])
-        if self.params is None:
-            if not self._clock_given and not self.clock.started:
-                self.clock = LiveClock(float(welcome.header["time_scale"]))
-            self._configure(
-                wire.params_from_wire(welcome.header["params"]),
-                int(welcome.header["seed"]),
-            )
-        epoch = welcome.header.get("epoch")
-        if epoch is not None and not self.clock.started:
-            # A restarted server restores the swarm's original epoch; a
-            # rejoining peer adopts it directly instead of waiting for a
-            # START broadcast that already happened.
-            self.clock.start(float(epoch))
         old = self._control
         self._control = conn
         if old is not None:
@@ -229,6 +217,32 @@ class LivePeer:
         # Force a fresh STATUS edge on the new connection.
         self._status_sent_nonempty = False
         self._status_event.set()
+
+    def _adopt(self, welcome: Mapping[str, Any]) -> None:
+        """Take slot, session and epoch from a WELCOME; any malformed field
+        is :class:`FrameGarbage`, like every other byte read off the wire."""
+        try:
+            slot = int(welcome["slot"])
+            epoch = welcome.get("epoch")
+            if epoch is not None and not math.isfinite(epoch := float(epoch)):
+                raise ValueError(f"epoch {epoch}")
+            if slot < 0:
+                raise ValueError(f"slot {slot}")
+            self.slot = slot
+            if self.params is None:
+                if not self._clock_given and not self.clock.started:
+                    self.clock = LiveClock(float(welcome["time_scale"]))
+                self._configure(
+                    wire.params_from_wire(welcome["params"]),
+                    int(welcome["seed"]),
+                )
+        except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+            raise FrameGarbage(f"malformed welcome: {exc!r}") from exc
+        if epoch is not None and not self.clock.started:
+            # A restarted server restores the swarm's original epoch; a
+            # rejoining peer adopts it directly instead of waiting for a
+            # START broadcast that already happened.
+            self.clock.start(epoch)
 
     async def close(self) -> None:
         """Tear everything down; leaves no tasks or transports behind."""
@@ -325,7 +339,9 @@ class LivePeer:
         reconnection.
         """
         while True:
-            await asyncio.sleep(HEARTBEAT_WALL)
+            # On the timer grid, like the protocol clocks: a hosted swarm's
+            # beacons then share the loop wake-ups its protocol already pays.
+            await self.clock.sleep_sim(HEARTBEAT_WALL * self.clock.time_scale)
             conn = self._control
             if conn is None or self.params is None:
                 continue
@@ -423,10 +439,7 @@ class LivePeer:
         """One loop timer per stored block, as ``CollectionSystem`` arms one
         ``schedule_call(ttl, expire, peer, block)`` per block; nothing to
         cancel or await at teardown."""
-        asyncio.get_running_loop().call_later(
-            self.clock.wall_interval(deadline - self.clock.now()),
-            self._expire, deadline, block,
-        )
+        self.clock.call_at(deadline, self._expire, deadline, block)
 
     def _expire(self, deadline: float, block: CodedBlock) -> None:
         """TTL deadline of one block; a no-op for a block that already
@@ -436,7 +449,7 @@ class LivePeer:
             return
         now = self.clock.now()
         if now < deadline:
-            # Armed during the START lead-in, while the clock still read 0.
+            # Armed before the epoch was set, or a grid wake a hair early.
             self._arm_expiry(deadline, block)
             return
         block.alive = False
@@ -446,24 +459,25 @@ class LivePeer:
 
     def _after_buffer_change(self, now: float) -> None:
         self.stats.on_buffer_change(now, self.core.block_count)
-        self._status_event.set()
+        if self.core.is_empty == self._status_sent_nonempty:
+            self._status_event.set()  # the bit now differs from the last sent
 
     async def _status_loop(self) -> None:
         """Push empty/nonempty transitions to the registry (deduplicated).
 
-        Survives control-connection loss: a failed send re-arms the event
-        and the next attempt goes out on whatever connection the reconnect
-        path installed (``_dial_control`` resets the dedup state so the
-        new server always gets a fresh edge).
+        The event is set only when the bit differs from the last one sent,
+        and the bit is re-checked after every send, so an edge that flips
+        back while a send is blocked is still delivered.  Survives
+        control-connection loss: a failed send retries on whatever
+        connection the reconnect path installed (``_dial_control`` resets
+        the dedup state so the new server always gets a fresh edge).
         """
         while True:
-            await self._status_event.wait()
-            self._status_event.clear()
-            conn = self._control
-            if conn is None:
-                continue
             nonempty = not self.core.is_empty
-            if nonempty == self._status_sent_nonempty:
+            conn = self._control
+            if conn is None or nonempty == self._status_sent_nonempty:
+                self._status_event.clear()
+                await self._status_event.wait()
                 continue
             try:
                 await conn.send({
@@ -472,9 +486,7 @@ class LivePeer:
                     "nonempty": nonempty,
                 })
             except (ConnectionError, OSError):
-                # Mid-reconnect; re-arm and let the next edge retry.
-                self._status_event.set()
-                await asyncio.sleep(0.05)
+                await asyncio.sleep(0.05)  # mid-reconnect
                 continue
             self._status_sent_nonempty = nonempty
 

@@ -592,13 +592,9 @@ class LiveLoggingServer:
 
     def _handle_peer_frame(self, record: _PeerRecord, frame: Frame) -> None:
         kind = frame.type
-        if kind == wire.MSG_STATUS:
-            if frame.header.get("nonempty", False):
-                self.nonempty.add(record.slot)
-            else:
-                self.nonempty.discard(record.slot)
-        elif kind == wire.MSG_HEARTBEAT:
-            record.last_seen = asyncio.get_running_loop().time()
+        if kind in (wire.MSG_STATUS, wire.MSG_HEARTBEAT):
+            if kind == wire.MSG_HEARTBEAT:
+                record.last_seen = asyncio.get_running_loop().time()
             if frame.header.get("nonempty", False):
                 self.nonempty.add(record.slot)
             else:

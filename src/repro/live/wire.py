@@ -71,6 +71,29 @@ def payload_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def segment_to_wire(segment: SegmentDescriptor) -> Dict[str, Any]:
+    """A segment descriptor as block headers and checkpoints carry it."""
+    return {
+        "segment_id": segment.segment_id,
+        "source_peer": segment.source_peer,
+        "size": segment.size,
+        "injected_at": segment.injected_at,
+        "generation": segment.generation,
+    }
+
+
+def segment_from_wire(raw: Mapping[str, Any]) -> SegmentDescriptor:
+    """Inverse of :func:`segment_to_wire`; a malformed *raw* raises
+    ``KeyError``, ``TypeError`` or ``ValueError``."""
+    return SegmentDescriptor(
+        segment_id=int(raw["segment_id"]),
+        source_peer=int(raw["source_peer"]),
+        size=int(raw["size"]),
+        injected_at=float(raw["injected_at"]),
+        generation=int(raw["generation"]),
+    )
+
+
 def block_to_wire(
     msg_type: str, block: CodedBlock, digest: str, **extra: Any
 ) -> Tuple[Dict[str, Any], bytes]:
@@ -86,16 +109,9 @@ def block_to_wire(
             "live transport requires RLNC blocks with explicit "
             "coefficients and payload (mode='rlnc', payload_bytes > 0)"
         )
-    segment = block.segment
     header: Dict[str, Any] = {
         "type": msg_type,
-        "segment": {
-            "segment_id": segment.segment_id,
-            "source_peer": segment.source_peer,
-            "size": segment.size,
-            "injected_at": segment.injected_at,
-            "generation": segment.generation,
-        },
+        "segment": segment_to_wire(block.segment),
         "created_at": block.created_at,
         "polluted": bool(block.polluted),
         "digest": digest,
@@ -112,14 +128,7 @@ def block_from_wire(header: Mapping[str, Any], payload: bytes) -> CodedBlock:
     reader surfaces cleanly, never an index crash deeper in the stack).
     """
     try:
-        raw = header["segment"]
-        segment = SegmentDescriptor(
-            segment_id=int(raw["segment_id"]),
-            source_peer=int(raw["source_peer"]),
-            size=int(raw["size"]),
-            injected_at=float(raw["injected_at"]),
-            generation=int(raw["generation"]),
-        )
+        segment = segment_from_wire(header["segment"])
         created_at = float(header["created_at"])
         polluted = bool(header["polluted"])
     except (KeyError, TypeError, ValueError) as exc:

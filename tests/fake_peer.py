@@ -4,14 +4,17 @@ The fake registers with a :class:`LiveLoggingServer` like a real peer
 (HELLO/WELCOME on a control connection, a listener for inbound pulls) but
 answers every inbound frame with whatever the test's *reply* callback
 returns — so a test can serve polluted, malformed, or oversized frames.
+Malformed block-path frames are raw bytes (:func:`raw_block`): the honest
+encoder refuses to write them.
 """
 
 import asyncio
+import struct
 
 import numpy as np
 
 from repro.coding.block import CodedBlock, SegmentDescriptor
-from repro.live import ports, wire
+from repro.live import framing, ports, wire
 from repro.live.transport import FramedConnection
 
 
@@ -39,11 +42,40 @@ def wire_block(params, segment_id, coefficients, **segment_overrides):
         payload=np.zeros(params.payload_bytes, dtype=np.uint8),
         created_at=0.0,
     )
-    return wire.block_to_wire(wire.MSG_PULL_BLOCK, block, "")
+    return wire.block_to_wire(wire.MSG_PULL_BLOCK, block, "", slot=0)
+
+
+def raw_frame(head, payload=b""):
+    """Frame bytes around an arbitrary *head*, validated by nobody."""
+    lengths = struct.pack(">II", len(head), len(payload))
+    return framing.MAGIC + lengths + head + payload
+
+
+def raw_head(kind, **fields):
+    """A block-path binary header packed straight from *fields*."""
+    code, layout, names = framing.BINARY_HEADERS[kind]
+    return layout.pack(code, *[fields[name] for name in names])
+
+
+def raw_block(
+    params, coefficients, kind=wire.MSG_PULL_BLOCK, row=None, **overrides
+):
+    """A whole block frame whose header fields may be anything the binary
+    layout can hold (negative sizes, NaN timestamps, non-ASCII digests)."""
+    fields = dict(
+        segment_id=7, source_peer=0, size=params.segment_size,
+        injected_at=0.0, generation=0, created_at=0.0, polluted=False,
+        digest=b"", slot=0,
+    )
+    fields.update(overrides)
+    if row is None:
+        row = bytes(coefficients) + bytes(params.payload_bytes)
+    return raw_frame(raw_head(kind, **fields), row)
 
 
 class FakePeer:
-    """One scripted peer: *reply(frame)* -> ``(header, payload)`` or None."""
+    """One scripted peer: *reply(frame)* -> ``(header, payload)``, raw
+    frame bytes, or None."""
 
     def __init__(self, server, slot, reply):
         self.server = server
@@ -95,7 +127,10 @@ class FakePeer:
                     return
                 self.served[frame.type] = self.served.get(frame.type, 0) + 1
                 answer = self.reply(frame)
-                if answer is not None:
+                if isinstance(answer, bytes):
+                    writer.write(answer)
+                    await writer.drain()
+                elif answer is not None:
                     await conn.send(*answer)
         except (ConnectionError, OSError):
             pass

@@ -8,11 +8,15 @@ UnicodeDecodeError / struct.error from the guts.
 """
 
 import asyncio
+import json
+import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.live.framing import (
+    BINARY_HEADERS,
     Frame,
     FrameDecoder,
     FrameError,
@@ -231,3 +235,140 @@ class TestFrameValue:
         blob = encode_frame({"type": "x"}, b"abc")
         decoder.feed(blob[:6])
         assert decoder.pending_bytes == 6
+
+
+# -- the fixed binary header of the six block-path frames -----------------
+
+_I32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SIZES = st.integers(min_value=1, max_value=MAX_PAYLOAD_BYTES)
+_SEGMENTS = st.fixed_dictionaries({
+    "segment_id": st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    "source_peer": _I32,
+    "size": _SIZES,
+    "injected_at": _FINITE,
+    "generation": _I32,
+})
+_BLOCK_FIELDS = {
+    "segment": _SEGMENTS,
+    "created_at": _FINITE,
+    "polluted": st.booleans(),
+    "digest": st.text(alphabet="0123456789abcdef", max_size=16),
+}
+_BINARY = {
+    "block": _BLOCK_FIELDS,
+    "pull-block": {**_BLOCK_FIELDS, "slot": _I32},
+    "offer": {
+        "segment_id": st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        "size": _SIZES,
+    },
+    "offer-reply": {"want": st.booleans()},
+    "pull": {},
+    "pull-empty": {"slot": _I32},
+}
+_BLOCK_PATH = st.one_of(*(
+    st.fixed_dictionaries({"type": st.just(kind), **fields})
+    for kind, fields in _BINARY.items()
+))
+
+
+def _frame(head, payload=b""):
+    return MAGIC + struct.pack(">II", len(head), len(payload)) + head + payload
+
+
+def _head(kind, **overrides):
+    """A valid binary header of *kind*, with raw field *overrides*."""
+    code, layout, names = BINARY_HEADERS[kind]
+    fields = dict(
+        segment_id=7, source_peer=1, size=2, injected_at=0.5, generation=0,
+        created_at=0.75, polluted=False, digest=b"0123456789abcdef", slot=3,
+        want=True,
+    )
+    fields.update(overrides)
+    return layout.pack(code, *[fields[name] for name in names])
+
+
+def _garbage_everywhere(blob):
+    """*blob* is FrameGarbage to the sans-IO decoder and the stream reader
+    alike; any other exception fails the test by escaping."""
+    with pytest.raises(FrameGarbage):
+        FrameDecoder().feed(blob)
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(blob)
+        reader.feed_eof()
+        await read_frame(reader)
+
+    with pytest.raises(FrameGarbage):
+        asyncio.run(read())
+
+
+class TestBinaryHeaders:
+    @given(header=_BLOCK_PATH, payload=_PAYLOADS)
+    @settings(max_examples=150)
+    def test_round_trip_equals_the_dict_form(self, header, payload):
+        blob = encode_frame(header, payload)
+        (frame,) = FrameDecoder().feed(blob)
+        assert frame.header == header == json.loads(json.dumps(header))
+        assert frame.payload == payload
+        layout = BINARY_HEADERS[header["type"]][1]
+        assert len(blob) == PREFIX_SIZE + layout.size + len(payload)
+
+    def test_a_code_byte_is_never_an_opening_brace(self):
+        codes = {code for code, _, _ in BINARY_HEADERS.values()}
+        assert len(codes) == 6 and not codes & set(b"{ \t\r\n")
+
+    def test_json_still_decodes_for_every_type(self):
+        head = json.dumps({"type": "offer-reply", "want": True}).encode()
+        (frame,) = FrameDecoder().feed(_frame(head))
+        assert frame.header == {"type": "offer-reply", "want": True}
+
+    @pytest.mark.parametrize("kind", sorted(BINARY_HEADERS))
+    def test_every_truncation_and_extension_is_garbage(self, kind):
+        head = _head(kind)
+        for cut in range(len(head)):
+            _garbage_everywhere(_frame(head[:cut], b"\x01" * 8))
+        for extra in range(1, 9):
+            _garbage_everywhere(_frame(head + b"\x00" * extra, b"\x01" * 8))
+
+    @given(first=st.integers(min_value=0, max_value=255), rest=st.binary())
+    @settings(max_examples=80)
+    def test_an_unknown_code_is_garbage(self, first, rest):
+        codes = {code for code, _, _ in BINARY_HEADERS.values()}
+        if first in codes or first in b"{ \t\r\n":
+            return
+        _garbage_everywhere(_frame(bytes([first]) + rest))
+
+    @pytest.mark.parametrize("kind", ["block", "pull-block"])
+    @pytest.mark.parametrize("field", ["created_at", "injected_at"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamps_are_garbage(self, kind, field, value):
+        _garbage_everywhere(_frame(_head(kind, **{field: value}), b"\x01" * 8))
+
+    @pytest.mark.parametrize("kind", ["block", "pull-block", "offer"])
+    @pytest.mark.parametrize(
+        "size", [0, -1, -(2**31), MAX_PAYLOAD_BYTES + 1, 2**31 - 1]
+    )
+    def test_a_negative_or_oversized_size_is_garbage(self, kind, size):
+        _garbage_everywhere(_frame(_head(kind, size=size), b"\x01" * 8))
+
+    @pytest.mark.parametrize("kind", ["block", "pull-block"])
+    @pytest.mark.parametrize("digest", [b"\xff" * 16, b"0123456789abcd\x80e"])
+    def test_a_non_ascii_digest_is_garbage(self, kind, digest):
+        _garbage_everywhere(_frame(_head(kind, digest=digest), b"\x01" * 8))
+
+    @pytest.mark.parametrize("header", [
+        {"type": "offer-reply"},
+        {"type": "pull-empty", "slot": "three"},
+        {"type": "offer", "segment_id": 1, "size": 0},
+        {"type": "pull-block", "segment": {"segment_id": 1}},
+        {"type": "block", "segment": {
+            "segment_id": 1, "source_peer": 0, "size": 2,
+            "injected_at": math.nan, "generation": 0,
+        }, "created_at": 0.0, "polluted": False, "digest": ""},
+        {"type": "pull-empty", "slot": 2**40},
+    ])
+    def test_the_encoder_refuses_what_the_decoder_would(self, header):
+        with pytest.raises(FrameError):
+            encode_frame(header)

@@ -20,7 +20,14 @@ from repro.live.livemetrics import PeerStats, aggregate_report
 from repro.live.peer import LivePeer
 from repro.live.server import LiveLoggingServer
 from repro.live.transport import FramedConnection
-from tests.fake_peer import FakePeer, until, wire_block
+from tests.fake_peer import (
+    FakePeer,
+    raw_block,
+    raw_frame,
+    raw_head,
+    until,
+    wire_block,
+)
 
 
 def _params():
@@ -91,9 +98,9 @@ class TestCollectorIngress:
 
     def test_huge_declared_size_allocates_no_decoder(self):
         def replies(params):
-            header, _ = wire_block(params, 9, [1, 0])
-            header["segment"]["size"] = 60_000
-            return [(header, bytes(60_001))]
+            return [raw_block(
+                params, [], row=bytes(60_001), segment_id=9, size=60_000
+            )]
 
         server = self._pull_through(replies)
         assert server._decoders == {}
@@ -102,7 +109,7 @@ class TestCollectorIngress:
 
     def test_reply_of_another_type_is_dropped(self):
         server = self._pull_through(
-            lambda params: [({"type": wire.MSG_OFFER_REPLY}, b"")]
+            lambda params: [raw_frame(raw_head(wire.MSG_OFFER_REPLY, want=1))]
         )
         assert server.stats.pull_empty_races == 1
         # the trial booked it as idle; the report must not book it again
@@ -498,3 +505,247 @@ class TestRegistryIngress:
             hung_up, registered = run_quiet(lambda: scenario(head.encode()))
             assert hung_up is None, head
             assert registered == [], head
+
+
+class TestBinaryHeaderIngress:
+    """Malformed block-path headers reach a live collector as raw bytes and
+    cost the offending link, never the pull task."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"created_at": float("nan")},
+        {"injected_at": float("inf")},
+        {"size": -2},
+        {"size": 2**31 - 1},
+        {"digest": b"\xfe" * 16},
+    ])
+    def test_malformed_pull_block_is_an_idle_pull(self, overrides):
+        async def scenario():
+            params = _params()
+            server = LiveLoggingServer(params, seed=5)
+            await server.start()
+            replies = [
+                raw_block(params, [1, 0], **overrides),
+                wire_block(params, 7, [1, 0]),
+            ]
+            fake = FakePeer(server, 0, lambda frame: replies.pop(0))
+            try:
+                await fake.start()
+                await fake.advertise()
+                for _ in range(2):
+                    await server._pull_once(1.0)
+            finally:
+                await fake.close()
+                await server.close()
+            return server
+
+        server = run_quiet(scenario)
+        assert server.stats.pulls == 2
+        assert server.stats.pull_empty_races == 1
+        assert server.stats.useful_pulls == 1  # the honest link re-dialed
+
+    def test_truncated_offer_reply_costs_the_sender_one_try(self):
+        async def scenario():
+            params = _params()
+            server, senders = await _hosted_senders(params)
+            head = raw_head(wire.MSG_OFFER_REPLY, want=True)
+
+            async def listener(reader, writer):
+                await FramedConnection(reader, writer).read()
+                writer.write(raw_frame(head[:1]))
+                await writer.drain()
+                await ports.close_writer(writer)
+
+            hostile, port = await ports.start_server(listener)
+            try:
+                sender = senders[0]
+                sender.directory = {params.n_peers - 1: ("127.0.0.1", port)}
+                await _gossip_once(sender)
+            finally:
+                for peer in senders:
+                    await peer.close()
+                await server.close()
+                hostile.close()
+                await hostile.wait_closed()
+            return sender
+
+        sender = run_quiet(scenario)
+        tries = sender.cfg.gossip_target_tries
+        assert sender.stats.offers_sent == tries
+        assert sender.stats.gossip_transfers == 0
+        assert sender.stats.gossip_no_target == 1
+
+
+def _welcome(session, **overrides):
+    """A WELCOME header as the registry sends it, with *overrides*."""
+    header = {
+        "type": wire.MSG_WELCOME, "slot": 0, "seed": 5, "time_scale": 1.0,
+        "epoch": None, "params": wire.params_to_wire(session),
+    }
+    header.update(overrides)
+    return {k: v for k, v in header.items() if v is not _DROP}
+
+
+_DROP = object()
+
+
+async def _registry(welcomes):
+    """A fake registry answering each HELLO with the next raw WELCOME; the
+    returned event fires when a peer hangs up on it."""
+    hung_up = asyncio.Event()
+
+    async def serve(reader, writer):
+        try:
+            await FramedConnection(reader, writer).read()
+            head = json.dumps(welcomes.pop(0)).encode()  # NaN stays NaN
+            writer.write(framing.MAGIC + struct.pack(">II", len(head), 0) + head)
+            await writer.drain()
+            if welcomes:  # more to come: drop this link, the peer re-dials
+                return
+            await reader.read()
+            hung_up.set()
+        finally:
+            await ports.close_writer(writer)
+
+    listener, port = await ports.start_server(serve)
+    return listener, port, hung_up
+
+
+class TestWelcomeIngress:
+    """A standalone peer adopts its whole session from the WELCOME, so every
+    field of it is outside input: malformed means ``FrameGarbage``, and
+    nothing is left running."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"params": [1, 2]},
+        {"params": "not a dict"},
+        {"params": "unknown-key"},
+        {"params": "outage-arity"},
+        {"slot": _DROP},
+        {"slot": -1},
+        {"slot": float("inf")},
+        {"seed": None},
+        {"seed": float("inf")},
+        {"time_scale": 0.0},
+        {"time_scale": float("nan")},
+        {"time_scale": float("inf")},
+        {"time_scale": 10**400},  # a JSON integer no float can hold
+        {"epoch": float("nan")},
+        {"epoch": 10**400},
+    ], ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()))
+    def test_malformed_welcome_is_garbage_and_leaves_nothing(self, overrides):
+        params = _params()
+        if overrides.get("params") == "unknown-key":
+            overrides = {"params": {**wire.params_to_wire(params), "bogus": 1}}
+        elif overrides.get("params") == "outage-arity":
+            blob = wire.params_to_wire(params)
+            blob["faults"] = {"outage_windows": [[1.0, 2.0, 3.0]]}
+            overrides = {"params": blob}
+
+        async def scenario():
+            listener, port, hung_up = await _registry(
+                [_welcome(params, **overrides)]
+            )
+            peer = LivePeer(None, None, None, "127.0.0.1", port)
+            try:
+                with pytest.raises(framing.FrameGarbage):
+                    await peer.start()
+                await peer.close()
+                await asyncio.wait_for(hung_up.wait(), 5.0)
+                left = asyncio.all_tasks() - {asyncio.current_task()}
+            finally:
+                listener.close()
+                await listener.wait_closed()
+            return peer, left
+
+        peer, left = run_quiet(scenario)
+        assert left == set()
+        assert peer.params is None and peer.stopped.is_set()
+
+    def test_malformed_welcome_on_reconnect_stops_the_peer_cleanly(self):
+        params = _params()
+
+        async def scenario():
+            listener, port, _ = await _registry([
+                _welcome(params),
+                *[_welcome(params, slot=_DROP) for _ in range(50)],
+            ])
+            peer = LivePeer(
+                None, None, None, "127.0.0.1", port, reconnect_deadline=0.5,
+            )
+            try:
+                await peer.start()
+                await asyncio.wait_for(peer.stopped.wait(), 10.0)
+                task = peer._control_task
+                await peer.close()
+            finally:
+                listener.close()
+                await listener.wait_closed()
+            return peer, task
+
+        peer, task = run_quiet(scenario)
+        assert task.done() and task.exception() is None
+        assert peer.reconnects == 0
+
+
+class TestStatusEdges:
+    def test_an_edge_that_flips_back_during_a_blocked_send_is_delivered(self):
+        async def scenario():
+            params = _params()
+            server = LiveLoggingServer(params, seed=5)
+            await server.start()
+            peer = LivePeer(0, params, 5, "127.0.0.1", server.port)
+            seen = []
+            handle = server._handle_peer_frame
+
+            def record(rec, frame):
+                if frame.type == wire.MSG_STATUS:
+                    seen.append(frame.header["nonempty"])
+                handle(rec, frame)
+
+            server._handle_peer_frame = record
+            await peer.start()
+            peer._heartbeat_task.cancel()  # only STATUS may carry the bit
+            status = asyncio.create_task(peer._status_loop())
+            try:
+                lock = peer._control._lock
+                await lock.acquire()
+                _give_segment(peer, params)  # empty -> non-empty
+                await asyncio.sleep(0.05)  # the send is now blocked
+                for block in list(peer.core.all_blocks()):
+                    block.alive = False
+                    peer.core.remove_block(block)
+                peer._after_buffer_change(peer.clock.now())  # -> empty
+                lock.release()
+                await until(lambda: len(seen) == 2, "both edges")
+                await asyncio.sleep(0.05)  # and nothing after them
+            finally:
+                status.cancel()
+                await asyncio.gather(status, return_exceptions=True)
+                await peer.close()
+                await server.close()
+            return seen, server, peer
+
+        seen, server, peer = run_quiet(scenario)
+        assert seen == [True, False]
+        assert 0 not in server.nonempty
+        assert peer._status_sent_nonempty is False
+
+    def test_no_wakeup_while_the_bit_does_not_change(self):
+        async def scenario():
+            params = _params()
+            server = LiveLoggingServer(params, seed=5)
+            await server.start()
+            peer = LivePeer(0, params, 5, "127.0.0.1", server.port)
+            try:
+                await peer.start()
+                peer._status_sent_nonempty = True  # the server knows non-empty
+                peer._status_event.clear()
+                _give_segment(peer, params)
+                _give_segment(peer, params)
+                set_while_nonempty = peer._status_event.is_set()
+            finally:
+                await peer.close()
+                await server.close()
+            return set_while_nonempty
+
+        assert run_quiet(scenario) is False
