@@ -32,8 +32,8 @@ The live deployment runtime serves the protocol over real TCP sockets
 (see ``docs/LIVE.md``)::
 
     repro live swarm --n-peers 64 --duration 8 --json
-    repro live serve --port 9000 &
-    repro live peer --server-host 10.0.0.1 --server-port 9000
+    repro live serve --port 9000 --n-peers 16 &   # prints its report
+    repro live peer --server-host 10.0.0.1 --server-port 9000 --count 16
 
 Exit codes, for every command: 0 done; 1 the check the command exists for
 failed; 2 usage or invalid configuration (one ``error: …`` line, no

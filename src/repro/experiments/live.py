@@ -36,11 +36,16 @@ from repro.experiments.base import (
     SimBudget,
     SimTask,
     budget_for,
+    seed_mean,
     simulate_cell,
 )
-from repro.live.crossval import DEFAULT_TOLERANCES, compare_reports
+from repro.live.crossval import (
+    DEFAULT_TOLERANCES,
+    compare_reports,
+    verdict_note,
+    verification_note,
+)
 from repro.live.harness import live_cell
-from repro.util.summary import summarize
 
 #: The operating point (per-peer rates; the Fig. 3 family's low-load
 #: corner, where a live swarm reaches steady state in seconds).
@@ -145,70 +150,35 @@ def plan_live(
             x_values=[float(s) for s, _ in grid],
         )
 
-        def seed_mean(
-            prefix: str, s: int, metric: str
-        ) -> Optional[float]:
-            samples = [
-                float(value)
+        def mean(prefix: str, s: int, metric: str) -> float:
+            return seed_mean(payloads, f"{prefix}:s={s}", seeds, metric)
+
+        def live_sum(metric: str) -> int:
+            return sum(
+                int(value)
+                for s, _ in grid
                 for seed in seeds
-                for value in [payloads[f"{prefix}:s={s}:seed={seed}"][metric]]
+                for value in [payloads[f"live:s={s}:seed={seed}"][metric]]
                 if value is not None
-            ]
-            return summarize(samples).mean if samples else None
+            )
 
-        verdicts = []
-        for s, _ in grid:
-            sim_report = {
-                metric: seed_mean("sim", s, metric)
-                for metric in CROSSVAL_METRICS
-            }
-            live_report = {
-                metric: seed_mean("live", s, metric)
-                for metric in CROSSVAL_METRICS
-            }
-            verdicts.append((s, compare_reports(sim_report, live_report)))
-
+        verdicts = [
+            (s, compare_reports(*(
+                {m: mean(prefix, s, m) for m in CROSSVAL_METRICS}
+                for prefix in ("sim", "live")
+            )))
+            for s, _ in grid
+        ]
         for metric in DEFAULT_TOLERANCES:
-            result.add_series(
-                f"sim {metric}",
-                [seed_mean("sim", s, metric) for s, _ in grid],
-            )
-            result.add_series(
-                f"live {metric}",
-                [seed_mean("live", s, metric) for s, _ in grid],
-            )
-
-        for s, report in verdicts:
-            worst = report.worst
-            if worst is None or worst.deviation is None:
-                detail = "no compared metric produced samples on both sides"
-            else:
-                detail = (
-                    f"worst {worst.metric}: "
-                    f"dev {worst.deviation:.1%} vs tol {worst.tolerance:.0%}"
+            for prefix in ("sim", "live"):
+                result.add_series(
+                    f"{prefix} {metric}",
+                    [mean(prefix, s, metric) for s, _ in grid],
                 )
-            result.add_note(
-                f"s={s}: {'agrees' if report.agrees else 'DISAGREES'} "
-                f"({detail})"
-            )
-        failures = sum(
-            int(value)
-            for s, _ in grid
-            for seed in seeds
-            for value in [payloads[f"live:s={s}:seed={seed}"]["hash_failures"]]
-            if value is not None
-        )
-        verified = sum(
-            int(value)
-            for s, _ in grid
-            for seed in seeds
-            for value in [payloads[f"live:s={s}:seed={seed}"]["hash_verified"]]
-            if value is not None
-        )
-        result.add_note(
-            f"end-to-end decode verification: {verified} segment(s) "
-            f"hash-verified on the wire, {failures} failure(s)"
-        )
+        for s, report in verdicts:
+            result.add_note(verdict_note(f"s={s}", report))
+        failures = live_sum("hash_failures")
+        result.add_note(verification_note(live_sum("hash_verified"), failures))
         if all(report.agrees for _, report in verdicts) and failures == 0:
             result.add_note("CROSS-VALIDATION PASSED")
         else:

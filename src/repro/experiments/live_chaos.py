@@ -34,6 +34,7 @@ real wall time (respawn backoff) rather than a configured constant.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -46,12 +47,16 @@ from repro.experiments.base import (
     SimBudget,
     SimTask,
     budget_for,
+    seed_mean,
     simulate_cell,
 )
 from repro.faults.plan import FaultPlan
-from repro.live.crossval import compare_reports
+from repro.live.crossval import (
+    compare_reports,
+    verdict_note,
+    verification_note,
+)
 from repro.live.supervisor import supervised_cell
-from repro.util.summary import summarize
 
 #: The operating point (same low-load corner as E-LIVE).
 ARRIVAL_RATE = 0.25
@@ -180,18 +185,10 @@ def plan_live_chaos(
             x_values=[float(i) for i, _ in enumerate(CONDITIONS)],
         )
 
-        def seed_mean(
-            prefix: str, condition: str, metric: str
-        ) -> Optional[float]:
-            samples = [
-                float(value)
-                for seed in seeds
-                for value in [
-                    payloads[f"{prefix}:{condition}:seed={seed}"][metric]
-                ]
-                if value is not None
-            ]
-            return summarize(samples).mean if samples else None
+        def mean(prefix: str, condition: str, metric: str) -> float:
+            return seed_mean(
+                payloads, f"{prefix}:{condition}", seeds, metric
+            )
 
         def live_sum(condition: str, metric: str) -> int:
             return sum(
@@ -203,55 +200,36 @@ def plan_live_chaos(
                 if value is not None
             )
 
-        verdicts = []
-        for condition in CONDITIONS:
-            sim_report = {
-                metric: seed_mean("sim", condition, metric)
-                for metric in CHAOS_TOLERANCES
-            }
-            live_report = {
-                metric: seed_mean("live", condition, metric)
-                for metric in CHAOS_TOLERANCES
-            }
-            verdicts.append((condition, compare_reports(
-                sim_report, live_report, tolerances=CHAOS_TOLERANCES
-            )))
-
+        bands = ", ".join(
+            f"{m}<={t:.0%}" for m, t in CHAOS_TOLERANCES.items()
+        )
+        verdicts = [
+            compare_reports(
+                *(
+                    {m: mean(prefix, condition, m) for m in CHAOS_TOLERANCES}
+                    for prefix in ("sim", "live")
+                ),
+                tolerances=CHAOS_TOLERANCES,
+            )
+            for condition in CONDITIONS
+        ]
         for metric in CROSSVAL_METRICS:
-            result.add_series(
-                f"sim {metric}",
-                [seed_mean("sim", c, metric) for c in CONDITIONS],
-            )
-            result.add_series(
-                f"live {metric}",
-                [seed_mean("live", c, metric) for c in CONDITIONS],
-            )
-
-        for condition, report in verdicts:
-            worst = report.worst
-            if worst is None or worst.deviation is None:
-                detail = "no compared metric produced samples on both sides"
-            else:
-                detail = (
-                    f"worst {worst.metric}: "
-                    f"dev {worst.deviation:.1%} vs tol {worst.tolerance:.0%}"
+            for prefix in ("sim", "live"):
+                result.add_series(
+                    f"{prefix} {metric}",
+                    [mean(prefix, c, metric) for c in CONDITIONS],
                 )
+        for condition, report in zip(CONDITIONS, verdicts):
             result.add_note(
-                f"{condition}: "
-                f"{'agrees' if report.agrees else 'DISAGREES'} ({detail}) "
-                f"[bands: "
-                + ", ".join(
-                    f"{m}<={t:.0%}" for m, t in CHAOS_TOLERANCES.items()
-                )
-                + "]"
+                f"{verdict_note(condition, report)} [bands: {bands}]"
             )
 
         # Outage-induced delay degradation, engine by engine.
         for metric in ("mean_block_delay", "normalized_throughput"):
             for prefix in ("sim", "live"):
-                base = seed_mean(prefix, "base", metric)
-                fault = seed_mean(prefix, "fault", metric)
-                if base is not None and fault is not None:
+                base = mean(prefix, "base", metric)
+                fault = mean(prefix, "fault", metric)
+                if not (math.isnan(base) or math.isnan(fault)):
                     result.add_note(
                         f"{prefix} {metric} degradation: "
                         f"{base:.4f} -> {fault:.4f} "
@@ -284,12 +262,9 @@ def plan_live_chaos(
             f"zero rank lost — the restore path raises on mismatch), "
             f"{peer_kills} peer-cohort kill(s) executed"
         )
-        result.add_note(
-            f"end-to-end decode verification: {verified} segment(s) "
-            f"hash-verified on the wire, {failures} failure(s)"
-        )
+        result.add_note(verification_note(verified, failures))
         passed = (
-            all(report.agrees for _, report in verdicts)
+            all(report.agrees for report in verdicts)
             and failures == 0
             and verified > 0
             and restarts >= 1

@@ -6,7 +6,9 @@ Three subcommands map onto the three deployment shapes:
   tasks on loopback), run for a fixed window, report to stdout.  This is
   the E-LIVE workhorse and the CI smoke job.
 - ``repro live serve`` — a standalone logging-server registry process;
-  peers connect to it from anywhere (the docker-compose topology).
+  peers connect to it from anywhere (the docker-compose topology).  It
+  waits for its cohort, runs one measured window and prints the
+  ``started``/``resumed``, ``marked`` and ``report`` events as JSON lines.
 - ``repro live peer`` — one standalone peer process; fetches the entire
   session configuration from the server's WELCOME frame, so it needs
   nothing but the server address.
@@ -26,10 +28,9 @@ from repro.core.params import MODE_RLNC, Parameters
 from repro.faults.plan import PROCESS_FAULT_KINDS, FaultPlan
 from repro.live import wire
 from repro.live.harness import run_swarm, validate_live_params
-from repro.live.livemetrics import aggregate_report
 from repro.live.peer import LivePeer
 from repro.live.server import LiveLoggingServer
-from repro.live.supervisor import run_supervised_swarm
+from repro.live.supervisor import LiveSupervisor
 from repro.util.validation import (
     require_nonnegative,
     require_positive,
@@ -157,10 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "restores and resumes the window")
     serve.add_argument("--checkpoint-interval", type=float, default=1.0,
                        help="wall seconds between checkpoint writes")
-    serve.add_argument("--report", action="store_true",
-                       help="drive one measured window (warmup, MARK, "
-                            "duration) and print the report as a JSON "
-                            "line; emits started/resumed/marked events")
 
     peer = sub.add_parser("peer", help="standalone peer process")
     peer.add_argument("--server-host", required=True)
@@ -181,87 +178,17 @@ def _serve_params(args: argparse.Namespace) -> Parameters:
     return _params_from_args(args)
 
 
-async def _cohort_joined(
-    args: argparse.Namespace, server: LiveLoggingServer, stop: "asyncio.Event"
-) -> bool:
-    """Wait for the expected peers; False if *stop* came first."""
-    expected = args.expect_peers or server.params.n_peers
-    join = asyncio.ensure_future(server.wait_for_peers(expected))
-    stopper = asyncio.ensure_future(stop.wait())
-    await asyncio.wait({join, stopper}, return_when=asyncio.FIRST_COMPLETED)
-    for task in (join, stopper):
-        task.cancel()
-    await asyncio.gather(join, stopper, return_exceptions=True)
-    return not stop.is_set()
-
-
-async def _run_serve_report(
-    args: argparse.Namespace,
-    server: LiveLoggingServer,
-    stop: "asyncio.Event",
-) -> int:
-    """Drive one measured window from inside the serve process.
-
-    Fresh start: wait for the peer cohort, begin, MARK at ``warmup``,
-    report at ``warmup + duration``. Supervised respawn (the checkpoint
-    restored state in ``server.start()``): resume the running window on
-    the restored epoch — peers rejoin on their own schedule, MARK is
-    skipped if it already happened.
-    """
-    clock = server.clock
-    if server.restarts > 0:
-        await server.resume()
-        print(json.dumps({
-            "type": "resumed",
-            "epoch": clock.epoch,
-            "restarts": server.restarts,
-            "restored_rank": server.restored_rank,
-        }), flush=True)
-    else:
-        if not await _cohort_joined(args, server, stop):
-            return 0
-        await server.begin()
-        print(json.dumps(
-            {"type": "started", "epoch": clock.epoch}
-        ), flush=True)
-    if server.marked_at is None:
-        await clock.sleep_until(args.warmup)
-        await server.mark()
-        print(json.dumps(
-            {"type": "marked", "at": server.marked_at}
-        ), flush=True)
-    mark_at = server.marked_at
-    assert mark_at is not None
-    await clock.sleep_until(args.warmup + args.duration)
-    await server.stop_protocol()
-    stop_at = clock.now()
-    window = stop_at - mark_at
-    peer_summaries: List[Dict[str, float]] = []
-    for slot in sorted(server.peers):
-        # Chaos may have taken peers out for good: collect best-effort.
-        try:
-            peer_summaries.append(await server.request_metrics(slot))
-        except (ConnectionError, OSError, asyncio.TimeoutError, KeyError):
-            continue
-    report = aggregate_report(
-        server.params,
-        window,
-        server.stats.summary(stop_at, window),
-        peer_summaries,
-        extras={
-            "engine": "live",
-            "time_scale": clock.time_scale,
-            "server_restarts": server.restarts,
-            "restored_rank": server.restored_rank,
-            "checkpoint_writes": server.checkpoint_writes,
-            "peers_reporting": len(peer_summaries),
-        },
-    )
-    print(json.dumps({"type": "report", "report": report}), flush=True)
-    return 0
+def _emit(event: Dict[str, Any]) -> None:
+    print(json.dumps(event), flush=True)
 
 
 async def _run_serve(args: argparse.Namespace, params: Parameters) -> int:
+    """Serve one measured window and print its events and report.
+
+    A fresh server waits for its cohort first; a supervised respawn (the
+    checkpoint restored state in ``server.start()``) resumes its window at
+    once.  SIGINT/SIGTERM drains at any point: no report, exit 0.
+    """
     # Install the drain handlers before anything is observable from the
     # outside (the endpoint line): once a caller can see the port, a
     # SIGTERM must drain gracefully rather than hit the default handler.
@@ -281,23 +208,14 @@ async def _run_serve(args: argparse.Namespace, params: Parameters) -> int:
         checkpoint_interval=args.checkpoint_interval,
     )
     await server.start()
-    print(json.dumps({"host": args.host, "port": server.port}), flush=True)
-    if args.report:
-        try:
-            return await _run_serve_report(args, server, stop)
-        finally:
-            await server.stop_protocol()
-            await server.close()
+    _emit({"host": args.host, "port": server.port})
     try:
-        if not await _cohort_joined(args, server, stop):
-            return 0
-        await server.begin()
-        await asyncio.wait_for(
-            stop.wait(),
-            timeout=(args.warmup + args.duration + 5.0) / args.time_scale,
+        report = await server.measure(
+            args.warmup, args.duration, stop, _emit,
+            expect_peers=args.expect_peers or params.n_peers,
         )
-        return 0
-    except asyncio.TimeoutError:
+        if report is not None:
+            _emit({"type": "report", "report": report})
         return 0
     finally:
         await server.stop_protocol()
@@ -370,28 +288,24 @@ def live_main(argv: Optional[List[str]] = None) -> int:
     try:
         # An invalid knob is a usage error (exit 2), not a traceback.
         require_positive("time_scale", args.time_scale)
+        require_nonnegative("warmup", args.warmup)
+        require_positive("duration", args.duration)
         if args.command == "serve":
             params = _serve_params(args)
+            validate_live_params(params, supervised=True)
         else:
-            require_nonnegative("warmup", args.warmup)
-            require_positive("duration", args.duration)
             params = _params_from_args(args)
             validate_live_params(params, supervised=args.supervised)
+            supervisor = LiveSupervisor(
+                params, args.seed, args.warmup, args.duration,
+                time_scale=args.time_scale, peer_procs=args.peer_procs,
+            ) if args.supervised else None
     except (OSError, ValueError) as exc:
         return usage_error(exc)
     if args.command == "serve":
         return asyncio.run(_run_serve(args, params))
-    if args.supervised:
-        report = asyncio.run(
-            run_supervised_swarm(
-                params,
-                args.seed,
-                warmup=args.warmup,
-                duration=args.duration,
-                time_scale=args.time_scale,
-                peer_procs=args.peer_procs,
-            )
-        )
+    if supervisor is not None:
+        report = asyncio.run(supervisor.run())
     else:
         report = asyncio.run(
             run_swarm(

@@ -18,6 +18,7 @@ equal window length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -142,7 +143,29 @@ def compare_reports(
     return CrossValReport(tuple(comparisons))
 
 
+def verdict_note(label: str, report: CrossValReport) -> str:
+    """One operating point's verdict line, naming its worst metric."""
+    worst = report.worst
+    if worst is None or worst.deviation is None:
+        detail = "no compared metric produced samples on both sides"
+    else:
+        detail = (
+            f"worst {worst.metric}: "
+            f"dev {worst.deviation:.1%} vs tol {worst.tolerance:.0%}"
+        )
+    return f"{label}: {'agrees' if report.agrees else 'DISAGREES'} ({detail})"
+
+
+def verification_note(verified: int, failures: int) -> str:
+    """The end-to-end decode verification line of a live experiment."""
+    return (
+        f"end-to-end decode verification: {verified} segment(s) "
+        f"hash-verified on the wire, {failures} failure(s)"
+    )
+
+
 def _as_optional_float(value: Any) -> Optional[float]:
-    if value is None:
+    """``None`` for a missing statistic, whether ``None`` or NaN."""
+    if value is None or math.isnan(value := float(value)):
         return None
-    return float(value)
+    return value

@@ -19,56 +19,18 @@ import asyncio
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.params import MODE_RLNC, Parameters
+from repro.core.params import Parameters
 from repro.live.clock import LiveClock
-from repro.live.livemetrics import aggregate_report
 from repro.live.peer import LivePeer
 from repro.live.server import LiveLoggingServer
+from repro.live.server import START_DELAY as START_DELAY  # re-export
+from repro.live.wire import validate_live_params as validate_live_params
 
 #: Peers started concurrently per batch (bounds the connect storm).
 START_BATCH = 64
 
 #: Wall-clock ceiling for all peers to register.
 JOIN_TIMEOUT = 120.0
-
-#: Wall-clock lead time between broadcasting START and the clock epoch.
-START_DELAY = 0.5
-
-
-def validate_live_params(params: Parameters, supervised: bool = False) -> None:
-    """Reject configurations the live runtime cannot execute faithfully.
-
-    *supervised* marks a multi-process run under
-    :class:`repro.live.supervisor.LiveSupervisor`: only there can
-    ``process_faults`` be delivered (as real signals); a single-process
-    swarm has no processes to kill, so such plans are rejected.
-    """
-    if params.mode != MODE_RLNC or params.payload_bytes <= 0:
-        raise ValueError(
-            "live swarms move real bytes: set mode='rlnc' and "
-            "payload_bytes > 0"
-        )
-    if params.has_adversary:
-        raise ValueError("live swarms do not run adversary plans")
-    if (
-        not supervised
-        and params.faults is not None
-        and params.faults.process_faults
-    ):
-        raise ValueError(
-            "process_faults need real processes to signal: run with "
-            "--supervised (repro live swarm) or run_supervised_swarm()"
-        )
-    if params.pull_policy != "random":
-        raise ValueError(
-            f"live swarms implement the paper's random pull policy only, "
-            f"got {params.pull_policy!r}"
-        )
-    if params.gossip_latency != 0.0:
-        raise ValueError(
-            "gossip_latency is a simulator knob; live transfers take real "
-            "network time"
-        )
 
 
 async def run_swarm(
@@ -84,7 +46,8 @@ async def run_swarm(
     *warmup* and *duration* are in simulated time units, like the
     simulator's cells: the swarm runs for ``warmup`` units to reach
     steady state, MARK resets every counter, and the report covers the
-    following ``duration`` units.
+    following ``duration`` units (:meth:`LiveLoggingServer.measure`).
+    Raises unless every peer reported.
     """
     validate_live_params(params)
     if warmup < 0 or duration <= 0:
@@ -110,33 +73,14 @@ async def run_swarm(
             batch = peers[base : base + START_BATCH]
             await asyncio.gather(*(peer.start() for peer in batch))
         await server.wait_for_peers(params.n_peers, timeout=JOIN_TIMEOUT)
-        await server.begin(START_DELAY)
-        await asyncio.sleep(START_DELAY + clock.wall_interval(warmup))
-        await server.mark()
-        mark_at = clock.now()
-        await asyncio.sleep(clock.wall_interval(duration))
-        await server.stop_protocol()
-        stop_at = clock.now()
-        window = stop_at - mark_at
-        peer_summaries = [
-            await server.request_metrics(slot)
-            for slot in range(params.n_peers)
-        ]
-        frames = sum(
-            record.conn.frames_received for record in server.peers.values()
-        )
-        report = aggregate_report(
-            params,
-            window,
-            server.stats.summary(stop_at, window),
-            peer_summaries,
-            extras={
-                "time_scale": time_scale,
-                "wall_seconds": time.monotonic() - wall_start,
-                "control_frames": frames,
-                "engine": "live",
-            },
-        )
+        report = await server.measure(warmup, duration)
+        assert report is not None  # no stop event: the window completes
+        if report["peers_reporting"] != params.n_peers:
+            raise RuntimeError(
+                f"only {report['peers_reporting']} of {params.n_peers} "
+                f"peers reported their window metrics"
+            )
+        report["wall_seconds"] = time.monotonic() - wall_start
         return report
     finally:
         await asyncio.gather(

@@ -117,13 +117,7 @@ class LivePeer:
 
     def _configure(self, params: Parameters, seed: int) -> None:
         """Bind the protocol state once slot, params, and seed are known."""
-        if params.payload_bytes <= 0:
-            raise ValueError(
-                "the live runtime moves real bytes: set mode='rlnc' and "
-                "payload_bytes > 0"
-            )
-        if params.has_adversary:
-            raise ValueError("the live runtime does not run adversary plans")
+        wire.validate_live_params(params, supervised=True)
         if self.slot < 0:
             raise RuntimeError("cannot configure a peer with no slot yet")
         self.params = params

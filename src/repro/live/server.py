@@ -26,9 +26,9 @@ bytes.
 from __future__ import annotations
 
 import asyncio
-import random
+import contextlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.coding.block import CodedBlock
 from repro.coding.rlnc import SegmentDecoder
@@ -47,6 +47,7 @@ from repro.live.framing import Frame, FrameError, FrameGarbage, FrameTruncated
 from repro.live.livemetrics import (
     COLLECTOR_COUNTERS,
     CollectorStats,
+    aggregate_report,
     peer_summary_from_wire,
 )
 from repro.live.transport import (
@@ -57,9 +58,15 @@ from repro.live.transport import (
     POLLUTER_STREAM,
     detects_pollution,
 )
-from repro.sim.metrics import WindowedAverage
 from repro.sim.rng import SeedSequenceRegistry, exponential
 from repro.util.randomset import RandomizedSet
+
+#: Wall-clock lead time between broadcasting START and the clock epoch.
+START_DELAY = 0.5
+
+#: Wall seconds STOP waits for missing peers to re-register (a peer's
+#: default reconnect deadline, :mod:`repro.live.peer`).
+REJOIN_TIMEOUT = 20.0
 
 #: Wall-clock timeout for one peer's metrics reply during collection.
 METRICS_TIMEOUT = 30.0
@@ -131,8 +138,7 @@ class LiveLoggingServer:
         checkpoint_path: Optional[Path] = None,
         checkpoint_interval: float = DEFAULT_CHECKPOINT_INTERVAL,
     ) -> None:
-        if params.has_adversary:
-            raise ValueError("the live runtime does not run adversary plans")
+        wire.validate_live_params(params, supervised=True)
         if checkpoint_interval <= 0:
             raise ValueError(
                 f"checkpoint_interval must be > 0, got {checkpoint_interval}"
@@ -195,13 +201,9 @@ class LiveLoggingServer:
         self.restored_rank = 0
         #: checkpoint journal writes performed by this process.
         self.checkpoint_writes = 0
+        #: sim time MARK happened (restored across restarts), or None.
         self._marked_at: Optional[float] = None
         self._began = False
-
-    @property
-    def marked_at(self) -> Optional[float]:
-        """Sim time MARK happened (restored across restarts), or None."""
-        return self._marked_at
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -289,39 +291,117 @@ class LiveLoggingServer:
                 self._peer_joined.clear()
                 await self._peer_joined.wait()
 
-        if timeout is None:
-            await _wait()
-        else:
-            await asyncio.wait_for(_wait(), timeout)
+        await asyncio.wait_for(_wait(), timeout)
 
-    async def begin(self, start_delay_wall: float = 0.5) -> None:
-        """Broadcast the directory and START, then spawn the pull engine."""
-        await self.broadcast(
-            {"type": wire.MSG_DIRECTORY, "peers": self._directory()}
-        )
-        if not self.clock.started:
-            loop = asyncio.get_running_loop()
-            self.clock.start(loop.time() + start_delay_wall)
-        await self.broadcast(
-            {"type": wire.MSG_START, "in": start_delay_wall}
-        )
-        self._began = True
-        self._spawn_engine()
+    async def begin(self, start_delay_wall: float = START_DELAY) -> None:
+        """Broadcast the directory and START, then spawn the pull engine.
 
-    async def resume(self) -> None:
-        """Spawn the pull engine on a restored clock (supervised respawn).
-
-        No START broadcast: the swarm's epoch was fixed by the dead
-        predecessor and restored from the checkpoint; peers re-register on
-        their own schedule and get a RESUME frame as they arrive.
+        A restored server (supervised respawn) broadcasts nothing: the
+        swarm's epoch was fixed by the dead predecessor and restored from
+        the checkpoint; peers re-register on their own schedule and get a
+        RESUME frame as they arrive.
         """
-        if not self.clock.started:
-            raise RuntimeError(
-                "resume() needs a restored clock epoch; call begin() for "
-                "a fresh swarm"
+        if not self.restarts:
+            await self.broadcast(
+                {"type": wire.MSG_DIRECTORY, "peers": self._directory()}
+            )
+            if not self.clock.started:
+                loop = asyncio.get_running_loop()
+                self.clock.start(loop.time() + start_delay_wall)
+            await self.broadcast(
+                {"type": wire.MSG_START, "in": start_delay_wall}
             )
         self._began = True
         self._spawn_engine()
+
+    async def measure(
+        self,
+        warmup: float,
+        duration: float,
+        stop: Optional[asyncio.Event] = None,
+        emit: Callable[[Dict[str, Any]], None] = lambda event: None,
+        expect_peers: int = 0,
+    ) -> Optional[Dict[str, Any]]:
+        """Run the one measured window; the report, or None if *stop* fired.
+
+        A fresh server waits for *expect_peers* registrations and begins;
+        a restored one resumes its window on the restored epoch.  MARK goes
+        out at sim time *warmup* (unless the restored window is already
+        open), STOP at ``warmup + duration`` once *expect_peers* are
+        registered again (or ``REJOIN_TIMEOUT`` passed), and every
+        reachable peer's METRICS is folded into one report.  *emit* sees the
+        ``started``/``resumed`` and ``marked`` events as they happen.
+        """
+        window = asyncio.ensure_future(
+            self._window(warmup, duration, emit, expect_peers)
+        )
+        stopper = asyncio.ensure_future((stop or asyncio.Event()).wait())
+        try:
+            await asyncio.wait(
+                {window, stopper}, return_when=asyncio.FIRST_COMPLETED
+            )
+        finally:
+            for task in (window, stopper):
+                task.cancel()
+            await asyncio.gather(window, stopper, return_exceptions=True)
+        return None if window.cancelled() else window.result()
+
+    async def _window(
+        self,
+        warmup: float,
+        duration: float,
+        emit: Callable[[Dict[str, Any]], None],
+        expect_peers: int,
+    ) -> Dict[str, Any]:
+        clock = self.clock
+        if not self.restarts:
+            await self.wait_for_peers(expect_peers)
+        await self.begin()
+        emit({
+            "type": "resumed" if self.restarts else "started",
+            "epoch": clock.epoch,
+            "restarts": self.restarts,
+            "restored_rank": self.restored_rank,
+        })
+        if self._marked_at is None:
+            await clock.sleep_until(warmup)
+            await self.mark()
+            emit({"type": "marked", "at": self._marked_at})
+        mark_at = self._marked_at
+        assert mark_at is not None
+        await clock.sleep_until(warmup + duration)
+        # A respawned collector can reach STOP before every peer has
+        # re-dialled it; their window counters are worth the wait.
+        with contextlib.suppress(asyncio.TimeoutError):
+            await self.wait_for_peers(expect_peers, timeout=REJOIN_TIMEOUT)
+        await self.stop_protocol()
+        stop_at = clock.now()
+        window = stop_at - mark_at
+        summaries: List[Dict[str, float]] = []
+        for slot in sorted(self.peers):
+            # Chaos may have taken peers out for good: collect best-effort.
+            try:
+                summaries.append(await self.request_metrics(slot))
+            except (ConnectionError, OSError, asyncio.TimeoutError, KeyError):
+                continue
+        return aggregate_report(
+            self.params,
+            window,
+            self.stats.summary(stop_at, window),
+            summaries,
+            extras={
+                "engine": "live",
+                "time_scale": clock.time_scale,
+                "server_restarts": self.restarts,
+                "restored_rank": self.restored_rank,
+                "checkpoint_writes": self.checkpoint_writes,
+                "peers_reporting": len(summaries),
+                "control_frames": sum(
+                    record.conn.frames_received
+                    for record in self.peers.values()
+                ),
+            },
+        )
 
     def _directory(self) -> Dict[int, List[Any]]:
         return {

@@ -120,6 +120,8 @@ class LiveSupervisor:
         host: str = "127.0.0.1",
         grace: float = DEFAULT_GRACE,
     ) -> None:
+        # Fail here, not in a server child that would burn its restarts.
+        wire.validate_live_params(params, supervised=True)
         if warmup < 0 or duration <= 0:
             raise ValueError(
                 f"need warmup >= 0 and duration > 0, got {warmup}, {duration}"
@@ -267,7 +269,6 @@ class LiveSupervisor:
             "--expect-peers", str(self.params.n_peers),
             "--params-json", params_file,
             "--checkpoint", checkpoint,
-            "--report",
         ]
 
     def _peer_argv(self, base_slot: int, count: int) -> List[str]:
@@ -468,29 +469,6 @@ class LiveSupervisor:
         )
 
 
-async def run_supervised_swarm(
-    params: Parameters,
-    seed: int,
-    warmup: float,
-    duration: float,
-    time_scale: float = 1.0,
-    peer_procs: int = 4,
-    policy: Optional[RestartPolicy] = None,
-    host: str = "127.0.0.1",
-    grace: float = DEFAULT_GRACE,
-) -> Dict[str, Any]:
-    """Run one supervised multi-process swarm; returns the live report."""
-    supervisor = LiveSupervisor(
-        params, seed, warmup, duration,
-        time_scale=time_scale,
-        peer_procs=peer_procs,
-        policy=policy,
-        host=host,
-        grace=grace,
-    )
-    return await supervisor.run()
-
-
 def supervised_cell(
     params: Parameters,
     seed: int,
@@ -501,10 +479,10 @@ def supervised_cell(
     metrics: Optional[Sequence[str]] = None,
 ) -> Dict[str, Any]:
     """Synchronous supervised cell shaped like ``live_cell``."""
-    report = asyncio.run(run_supervised_swarm(
+    report = asyncio.run(LiveSupervisor(
         params, seed, warmup, duration,
         time_scale=time_scale, peer_procs=peer_procs,
-    ))
+    ).run())
     if metrics is None:
         return report
     return {name: report.get(name) for name in metrics}
@@ -514,6 +492,5 @@ __all__ = [
     "DEFAULT_GRACE",
     "LiveSupervisor",
     "RestartPolicy",
-    "run_supervised_swarm",
     "supervised_cell",
 ]

@@ -32,7 +32,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.coding.block import CodedBlock, SegmentDescriptor
-from repro.core.params import Parameters
+from repro.core.params import MODE_RLNC, Parameters
 from repro.faults.plan import FaultPlan
 from repro.live.framing import FrameGarbage
 
@@ -172,20 +172,53 @@ def block_digest_of(header: Mapping[str, Any]) -> str:
     return value if isinstance(value, str) else ""
 
 
+def validate_live_params(params: Parameters, supervised: bool = False) -> None:
+    """Reject configurations the live runtime cannot execute faithfully.
+
+    The one gate every live entry point passes: the swarm harness, the
+    server and peer constructors, and the WELCOME serializer.
+    *supervised* marks a multi-process run under
+    :class:`repro.live.supervisor.LiveSupervisor`: only there can
+    ``process_faults`` be delivered (as real signals); a single-process
+    swarm has no processes to kill, so such plans are rejected.
+    """
+    if params.mode != MODE_RLNC or params.payload_bytes <= 0:
+        raise ValueError(
+            "live swarms move real bytes: set mode='rlnc' and "
+            "payload_bytes > 0"
+        )
+    if params.has_adversary:
+        raise ValueError("live swarms do not run adversary plans")
+    if (
+        not supervised
+        and params.faults is not None
+        and params.faults.process_faults
+    ):
+        raise ValueError(
+            "process_faults need real processes to signal: run with "
+            "--supervised (repro live swarm) or a LiveSupervisor"
+        )
+    if params.pull_policy != "random":
+        raise ValueError(
+            f"live swarms implement the paper's random pull policy only, "
+            f"got {params.pull_policy!r}"
+        )
+    if params.gossip_latency != 0.0:
+        raise ValueError(
+            "gossip_latency is a simulator knob; live transfers take real "
+            "network time"
+        )
+
+
 def params_to_wire(params: Parameters) -> Dict[str, Any]:
     """Serialize :class:`Parameters` for the WELCOME frame.
 
-    The live runtime reuses ``Parameters`` and ``FaultPlan`` verbatim; the
-    Byzantine adversary plans and server-side defense knobs are
-    simulation-only and rejected here rather than silently dropped.
+    The live runtime reuses ``Parameters`` and ``FaultPlan`` verbatim;
+    anything it cannot execute (adversary plans, simulator-only knobs) is
+    rejected here rather than silently dropped.
     """
-    if params.adversary is not None:
-        raise ValueError(
-            "the live runtime does not run adversary plans; strip the "
-            "AdversaryPlan before serving"
-        )
-    payload = dataclasses.asdict(params)
-    return payload
+    validate_live_params(params, supervised=True)
+    return dataclasses.asdict(params)
 
 
 def params_from_wire(payload: Mapping[str, Any]) -> Parameters:

@@ -6,12 +6,14 @@ traceback; 3 = checkpointed, resumable.  Everything goes through
 ``repro.cli.main``, the dispatcher every command shares.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.core.params import Parameters
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
@@ -39,6 +41,7 @@ def _argv(template, tmp_path):
         ["live", "swarm", "--n-peers", "4", "--duration", "0"],
         ["live", "swarm", "--n-peers", "4", "--time-scale", "0"],
         ["live", "serve", "--params-json", "{tmp}/missing.json"],
+        ["live", "serve", "--params-json", "{tmp}/round-robin.json"],
         ["chaos", "run", "--mutant", "no-such-mutant", *SESSION],
         ["chaos", "replay", "{tmp}/missing.json"],
         ["lint", "{tmp}/missing"],
@@ -48,6 +51,15 @@ def _argv(template, tmp_path):
 def test_invalid_configuration_exits_2_with_one_error_line(
     template, tmp_path, capsys
 ):
+    # Valid Parameters with a pull policy the live runtime cannot run.
+    session = Parameters(
+        n_peers=4, arrival_rate=0.5, gossip_rate=1.0, deletion_rate=0.25,
+        normalized_capacity=1.0, mode="rlnc", payload_bytes=16,
+        pull_policy="round-robin",
+    )
+    (tmp_path / "round-robin.json").write_text(
+        json.dumps(dataclasses.asdict(session))
+    )
     assert main(_argv(template, tmp_path)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

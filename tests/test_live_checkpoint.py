@@ -32,7 +32,7 @@ from repro.live.checkpoint import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.live.supervisor import run_supervised_swarm
+from repro.live.supervisor import LiveSupervisor
 
 
 def _segment(size, segment_id=7):
@@ -223,10 +223,10 @@ class TestServerSigkill:
                 process_restart_latency=1.0,
             ),
         )
-        report = asyncio.run(run_supervised_swarm(
+        report = asyncio.run(LiveSupervisor(
             params, seed=1, warmup=2.0, duration=6.0,
             time_scale=2.0, peer_procs=2,
-        ))
+        ).run())
         assert report["supervised"] is True
         assert report["server_restarts"] >= 1
         assert report["hash_failures"] == 0

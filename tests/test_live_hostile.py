@@ -620,6 +620,8 @@ class TestWelcomeIngress:
         {"params": "not a dict"},
         {"params": "unknown-key"},
         {"params": "outage-arity"},
+        {"params": {"pull_policy": "round-robin"}},
+        {"params": {"gossip_latency": 0.5}},
         {"slot": _DROP},
         {"slot": -1},
         {"slot": float("inf")},
@@ -639,6 +641,10 @@ class TestWelcomeIngress:
         elif overrides.get("params") == "outage-arity":
             blob = wire.params_to_wire(params)
             blob["faults"] = {"outage_windows": [[1.0, 2.0, 3.0]]}
+            overrides = {"params": blob}
+        elif isinstance(overrides.get("params"), dict):
+            # Valid Parameters the live runtime cannot execute.
+            blob = {**wire.params_to_wire(params), **overrides["params"]}
             overrides = {"params": blob}
 
         async def scenario():

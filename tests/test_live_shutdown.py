@@ -6,7 +6,9 @@ the loop exits, a forced GC under a ResourceWarning trap asserts no
 transport was left unclosed.  Covered: full-swarm teardown, one peer
 disconnecting mid-transfer while the swarm keeps running, server drain
 (the SIGTERM path both in-process and as a real signal to a
-``repro live serve`` subprocess).
+``repro live serve`` subprocess, before and inside its window), and the
+docker-compose shape: a plain ``serve`` plus a ``peer --count`` process
+runs one window and prints its report.
 """
 
 import asyncio
@@ -16,6 +18,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -245,3 +248,77 @@ class TestServerDrain:
             raise
         assert proc.returncode == 0, f"serve exited {proc.returncode}: {err}"
         assert "Traceback" not in err
+
+
+def _live(*argv):
+    """A ``repro live`` subprocess with line-buffered text pipes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src"
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "live", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+
+
+def _serve_with_peers(n_peers, *serve_flags):
+    """Start ``serve`` and one ``peer --count n_peers`` process against it."""
+    serve = _live(
+        "serve", "--n-peers", str(n_peers), "--host", "127.0.0.1",
+        "--port", "0", *serve_flags,
+    )
+    port = json.loads(serve.stdout.readline())["port"]
+    peers = _live(
+        "peer", "--server-host", "127.0.0.1", "--server-port", str(port),
+        "--count", str(n_peers),
+    )
+    return serve, peers
+
+
+def _reap(*procs):
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate()
+
+
+class TestServeWindow:
+    def test_sigterm_inside_the_window_drains_at_once(self):
+        serve, peers = _serve_with_peers(
+            4, "--warmup", "10", "--duration", "20", "--time-scale", "1",
+        )
+        try:
+            started = json.loads(serve.stdout.readline())
+            assert started["type"] == "started"
+            signalled = time.monotonic()
+            serve.send_signal(signal.SIGTERM)
+            out, err = serve.communicate(timeout=5)
+            elapsed = time.monotonic() - signalled
+            peers.communicate(timeout=30)  # BYE: the peers leave too
+        finally:
+            _reap(serve, peers)
+        assert serve.returncode == 0, f"serve exited {serve.returncode}: {err}"
+        assert elapsed < 5.0
+        assert "Traceback" not in err
+        assert '"report"' not in out
+
+    def test_plain_serve_runs_one_window_and_prints_its_report(self):
+        """The docker-compose shape: no extra flag, a report at the end."""
+        serve, peers = _serve_with_peers(
+            8, "--warmup", "2", "--duration", "6", "--time-scale", "2",
+            "--arrival-rate", "0.5",
+        )
+        try:
+            out, err = serve.communicate(timeout=60)
+            peers.communicate(timeout=30)
+        finally:
+            _reap(serve, peers)
+        assert serve.returncode == 0, f"serve exited {serve.returncode}: {err}"
+        events = [json.loads(line) for line in out.splitlines()]
+        assert [e["type"] for e in events] == ["started", "marked", "report"]
+        report = events[-1]["report"]
+        assert report["peers_reporting"] == 8
+        assert report["hash_verified"] > 0
+        assert report["hash_failures"] == 0
