@@ -31,6 +31,7 @@ from repro.experiments.base import (
     SimBudget,
     SimTask,
 )
+from repro.util.codec import decode, encode
 
 
 def campaign_options(
@@ -82,7 +83,7 @@ def build_chaos_plan(
             config = sample_trial(seed, trial_id, mutant=mutant)
             if every is not None:
                 config = replace(config, every=every)
-            return run_trial(config).to_json()
+            return encode(run_trial(config))
 
         return SimTask(task_id=f"trial={trial_id:05d}", thunk=thunk)
 
@@ -103,7 +104,7 @@ def build_chaos_plan(
         sweeps: List[Optional[float]] = []
         violations = 0
         for trial_id in range(n_trials):
-            outcome = TrialOutcome.from_json(payloads[f"trial={trial_id:05d}"])
+            outcome = decode(TrialOutcome, payloads[f"trial={trial_id:05d}"])
             ok.append(1.0 if outcome.ok else 0.0)
             events.append(float(outcome.events))
             sweeps.append(float(outcome.checks_run))
@@ -128,6 +129,6 @@ def outcomes_from_payloads(
 ) -> List[TrialOutcome]:
     """Decode journaled campaign payloads, ordered by trial id."""
     return [
-        TrialOutcome.from_json(payloads[task_id])
+        decode(TrialOutcome, payloads[task_id])
         for task_id in sorted(payloads)
     ]

@@ -35,6 +35,7 @@ from repro.runner import (
     add_session_flags,
     run_session,
 )
+from repro.util.codec import decode
 from repro.util.validation import usage_error
 
 
@@ -137,7 +138,7 @@ def _campaign_verdict(
 
     for index, violated in enumerate(violations):
         print(f"  {violated.describe()}")
-        config = TrialConfig.from_json(violated.config)
+        config = decode(TrialConfig, violated.config)
         shrink = None
         if index < args.max_shrink and violated.monitor is not None:
             shrink = shrink_trial(
@@ -161,7 +162,7 @@ def _campaign_verdict(
 def _chaos_replay(args: argparse.Namespace) -> int:
     try:
         config, expected_monitor, payload = load_repro(args.repro)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         return usage_error(exc)
     print(f"replaying {args.repro}: {config.describe()}")
     outcome: TrialOutcome = run_trial(config)
@@ -173,7 +174,7 @@ def _chaos_replay(args: argparse.Namespace) -> int:
             f"NOT reproduced: trial passed "
             f"({outcome.events} events, {outcome.checks_run} sweeps); "
             f"expected [{expected_monitor}] "
-            f"{payload['violation']['message']}",
+            f"{payload['violation'].get('message')}",
             file=sys.stderr,
         )
     else:

@@ -14,7 +14,7 @@ worker fault the pool would retry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from repro.chaos.mutants import apply_mutant
 from repro.chaos.space import TrialConfig
 from repro.core.params import MODE_RLNC
 from repro.core.system import CollectionSystem
+from repro.util.codec import encode
 
 #: pseudo-monitor name for trials that crashed instead of drifting
 EXCEPTION_MONITOR = "exception"
@@ -48,33 +49,6 @@ class TrialOutcome:
     events: int
     #: the trial's full configuration (JSON form), for shrink/replay
     config: Dict[str, Any]
-
-    def to_json(self) -> Dict[str, Any]:
-        """JSON-clean form (runner payloads, campaign reports)."""
-        return {
-            "trial_id": self.trial_id,
-            "ok": self.ok,
-            "monitor": self.monitor,
-            "message": self.message,
-            "checks_run": self.checks_run,
-            "events": self.events,
-            "config": dict(self.config),
-        }
-
-    @staticmethod
-    def from_json(payload: Mapping[str, Any]) -> "TrialOutcome":
-        """Inverse of :meth:`to_json`."""
-        monitor = payload.get("monitor")
-        message = payload.get("message")
-        return TrialOutcome(
-            trial_id=int(payload["trial_id"]),
-            ok=bool(payload["ok"]),
-            monitor=str(monitor) if monitor is not None else None,
-            message=str(message) if message is not None else None,
-            checks_run=int(payload["checks_run"]),
-            events=int(payload["events"]),
-            config=dict(payload["config"]),
-        )
 
     def describe(self) -> str:
         """One-line verdict for campaign logs."""
@@ -104,7 +78,7 @@ def _run_monitored(config: TrialConfig) -> TrialOutcome:
     events = 0
     system: Optional[CollectionSystem] = None
     try:
-        params = config.build_params()
+        params = config.parameters()
         system = CollectionSystem(params, seed=config.seed)
         originals: Optional[Dict[int, np.ndarray]] = None
         if params.mode == MODE_RLNC and params.payload_bytes > 0:
@@ -139,5 +113,5 @@ def _run_monitored(config: TrialConfig) -> TrialOutcome:
         message=message,
         checks_run=checks_run,
         events=events,
-        config=config.to_json(),
+        config=encode(config),
     )

@@ -27,6 +27,7 @@ from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.chaos.harness import TrialOutcome, run_trial
 from repro.chaos.space import TrialConfig
+from repro.util.codec import decode, encode
 
 #: schema tag written into (and required from) every repro file
 REPRO_FORMAT = "repro-chaos-v1"
@@ -61,18 +62,7 @@ class ShrinkResult:
 
     def minimized_config(self) -> TrialConfig:
         """The minimized trial, ready to replay."""
-        return TrialConfig.from_json(self.minimized)
-
-    def to_json(self) -> Dict[str, Any]:
-        """JSON-clean form."""
-        return {
-            "original": dict(self.original),
-            "minimized": dict(self.minimized),
-            "monitor": self.monitor,
-            "message": self.message,
-            "probes": self.probes,
-            "reductions": self.reductions,
-        }
+        return decode(TrialConfig, self.minimized)
 
 
 def _with_plan(config: TrialConfig, plan: Dict[str, Any]) -> TrialConfig:
@@ -195,7 +185,7 @@ def shrink_trial(
             if probes >= max_probes:
                 break
             try:
-                candidate.build_params()
+                candidate.parameters()
             except ValueError:
                 continue  # reduction stepped outside the valid envelope
             outcome = run_trial(candidate)
@@ -207,8 +197,8 @@ def shrink_trial(
                 improved = True
                 break
     return ShrinkResult(
-        original=config.to_json(),
-        minimized=current.to_json(),
+        original=encode(config),
+        minimized=encode(current),
         monitor=monitor,
         message=message,
         probes=probes,
@@ -256,11 +246,12 @@ def write_repro(
 def load_repro(path: Union[str, Path]) -> Tuple[TrialConfig, str, Dict[str, Any]]:
     """Load a ``repro.json``: (config to replay, expected monitor, payload)."""
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != REPRO_FORMAT:
-        raise ValueError(
-            f"{path}: not a {REPRO_FORMAT} file "
-            f"(format={payload.get('format')!r})"
-        )
-    config = TrialConfig.from_json(payload["config"])
-    monitor = str(payload["violation"]["monitor"])
+    if not isinstance(payload, dict) or payload.get("format") != REPRO_FORMAT:
+        raise ValueError(f"{path}: not a {REPRO_FORMAT} file")
+    violation = payload.get("violation")
+    monitor = violation.get("monitor") if isinstance(violation, dict) else None
+    if not isinstance(monitor, str):
+        raise ValueError(f"{path}: violation.monitor must be a string")
+    config = decode(TrialConfig, payload.get("config"))
+    config.parameters()  # a malformed knob is bad input, not a caught bug
     return config, monitor, payload

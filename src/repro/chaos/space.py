@@ -13,25 +13,25 @@ replay and shrink machinery depend on.
 
 A :class:`TrialConfig` stores plain JSON dictionaries rather than the
 frozen dataclasses they build, because it must survive the runner's
-journal round-trip and the ``repro.json`` file byte-identically; the
-builders (:meth:`TrialConfig.build_params`) re-validate on every
-reconstruction.
+journal round-trip and the ``repro.json`` file byte-identically;
+:meth:`TrialConfig.parameters` decodes and re-validates them through
+:mod:`repro.util.codec` on every reconstruction.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.adversary.plan import AdversaryPlan, VALID_TARGETING
+from repro.adversary.plan import VALID_TARGETING
 from repro.core.params import (
     MODE_RLNC,
     Parameters,
     VALID_SELECTIONS,
 )
-from repro.faults.plan import FaultPlan
 from repro.sim.rng import SeedSequenceRegistry
+from repro.util.codec import decode
 
 #: The chaos campaign experiment name (prefix-routed by RunSpec.build_plan).
 CHAOS_CAMPAIGN = "chaos-campaign"
@@ -59,82 +59,29 @@ class TrialConfig:
     mutant: Optional[str] = None
     adversary: Dict[str, Any] = field(default_factory=dict)
 
-    def build_fault_plan(self) -> Optional[FaultPlan]:
-        """Reconstruct (and re-validate) the trial's fault plan."""
-        if not self.plan:
-            return None
-        kwargs = dict(self.plan)
-        windows = kwargs.pop("outage_windows", None)
-        if windows:
-            kwargs["outage_windows"] = tuple(
-                (float(start), float(end)) for start, end in windows
-            )
-        process_faults = kwargs.pop("process_faults", None)
-        if process_faults:
-            kwargs["process_faults"] = tuple(
-                (str(kind), float(at), float(duration), float(fraction))
-                for kind, at, duration, fraction in process_faults
-            )
-        return FaultPlan(**kwargs)
-
-    def build_adversary_plan(self) -> Optional[AdversaryPlan]:
-        """Reconstruct (and re-validate) the trial's adversary plan."""
-        if not self.adversary:
-            return None
-        return AdversaryPlan(**self.adversary)
-
-    def build_params(self) -> Parameters:
-        """Reconstruct (and re-validate) the trial's protocol parameters."""
-        return Parameters(
-            faults=self.build_fault_plan(),
-            adversary=self.build_adversary_plan(),
+    def parameters(self) -> Parameters:
+        """The trial's protocol parameters, decoded and validated."""
+        return decode(Parameters, {
             **self.params,
-        )
+            "faults": self.plan or None,
+            "adversary": self.adversary or None,
+        })
 
     @property
     def task_id(self) -> str:
         """Deterministic runner task id for this trial."""
         return f"trial={self.trial_id:05d}"
 
-    def to_json(self) -> Dict[str, Any]:
-        """JSON-clean form (journal payloads, repro.json)."""
-        return {
-            "trial_id": self.trial_id,
-            "seed": self.seed,
-            "params": dict(self.params),
-            "plan": dict(self.plan),
-            "adversary": dict(self.adversary),
-            "warmup": self.warmup,
-            "duration": self.duration,
-            "every": self.every,
-            "mutant": self.mutant,
-        }
-
-    @staticmethod
-    def from_json(payload: Mapping[str, Any]) -> "TrialConfig":
-        """Inverse of :meth:`to_json`."""
-        mutant = payload.get("mutant")
-        return TrialConfig(
-            trial_id=int(payload["trial_id"]),
-            seed=int(payload["seed"]),
-            params=dict(payload["params"]),
-            plan=dict(payload["plan"]),
-            # absent in pre-adversary journals: default to honest peers
-            adversary=dict(payload.get("adversary") or {}),
-            warmup=float(payload["warmup"]),
-            duration=float(payload["duration"]),
-            every=int(payload["every"]),
-            mutant=str(mutant) if mutant is not None else None,
-        )
-
     def describe(self) -> str:
         """One-line summary for campaign logs."""
-        plan = self.build_fault_plan()
-        faults = plan.describe() if plan is not None else "no faults"
-        adversary = self.build_adversary_plan()
-        n = self.params["n_peers"]
+        params = self.parameters()
+        faults = (
+            params.faults.describe() if params.faults is not None
+            else "no faults"
+        )
+        adversary = params.adversary
         return (
-            f"trial {self.trial_id}: N={n} seed={self.seed} "
+            f"trial {self.trial_id}: N={params.n_peers} seed={self.seed} "
             f"T={self.warmup:g}+{self.duration:g} every={self.every} "
             f"[{faults}]"
             + (f" [{adversary.describe()}]" if adversary is not None else "")
@@ -410,7 +357,7 @@ class PlanSpace:
         )
         # Fail at sampling time, not inside a worker, if the space ever
         # drifts outside the validated parameter envelope.
-        config.build_params()
+        config.parameters()
         return config
 
 

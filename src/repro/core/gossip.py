@@ -30,7 +30,9 @@ import numpy as np
 
 from repro.adversary.injector import AdversaryInjector
 from repro.coding.block import CodedBlock
-from repro.core.params import Parameters, SELECTION_UNIFORM
+from repro.core.params import (
+    GOSSIP_TARGET_TRIES, Parameters, SELECTION_UNIFORM,
+)
 from repro.core.peer import Peer
 from repro.core.segments import SegmentRegistry
 from repro.faults.injector import FaultInjector, corrupt_block
@@ -123,7 +125,7 @@ class GossipProtocol:
     def _find_target(self, sender_slot: int, segment_id: int) -> Optional[Peer]:
         """Rejection-sample an eligible neighbor for *segment_id*."""
         size = self._registry.get(segment_id).size
-        for _ in range(self._params.gossip_target_tries):
+        for _ in range(GOSSIP_TARGET_TRIES):
             candidate_slot = self._topology.sample_neighbor(sender_slot, self._rng)
             if candidate_slot is None:
                 return None

@@ -17,8 +17,8 @@ attribute               paper meaning
 ``buffer_capacity``     B     per-peer buffer cap in blocks
 ======================= ===== =============================================
 
-plus implementation choices (simulation fidelity mode, payload size, gossip
-target retry budget, churn lifetime).  Parameter sanity is enforced eagerly;
+plus implementation choices (simulation fidelity mode, payload size, churn
+lifetime).  Parameter sanity is enforced eagerly;
 notably the paper's standing assumptions ``c < μ`` (Theorem 2) and
 ``μ/γ < 20``-ish storage overhead are surfaced as warnings-by-property, not
 hard errors, so exploratory sweeps remain possible.
@@ -74,6 +74,10 @@ SELECTION_PROPORTIONAL = "proportional"
 SELECTION_UNIFORM = "uniform"
 VALID_SELECTIONS = (SELECTION_PROPORTIONAL, SELECTION_UNIFORM)
 
+#: Candidate targets a gossip sender rejection-samples before giving up on
+#: a transfer (every engine: event, fast and live).
+GOSSIP_TARGET_TRIES = 32
+
 
 @dataclass(frozen=True)
 class Parameters:
@@ -90,13 +94,10 @@ class Parameters:
     mean_lifetime: Optional[float] = None
     mode: str = MODE_ABSTRACT
     payload_bytes: int = 0
-    gossip_target_tries: int = 32
     segment_selection: str = SELECTION_PROPORTIONAL
     #: server pull scheduling: "random" (the paper), "round-robin",
     #: "avoid-redundant", or "greedy-completion" (see repro.core.server).
     pull_policy: str = "random"
-    #: candidate draws per pull for the non-random policies
-    scheduler_tries: int = 8
     #: mean gossip transfer latency (exponential); 0 = instantaneous, the
     #: paper's model.  In-flight blocks are re-checked for target
     #: eligibility on arrival and dropped if the target filled up or the
@@ -157,7 +158,6 @@ class Parameters:
             )
         if self.payload_bytes and self.mode != MODE_RLNC:
             raise ValueError("payload_bytes requires mode='rlnc'")
-        require_positive_int("gossip_target_tries", self.gossip_target_tries)
         if self.segment_selection not in VALID_SELECTIONS:
             raise ValueError(
                 f"segment_selection must be one of {VALID_SELECTIONS}, "
@@ -171,7 +171,6 @@ class Parameters:
                 f"pull_policy must be one of {VALID_POLICIES}, "
                 f"got {self.pull_policy!r}"
             )
-        require_positive_int("scheduler_tries", self.scheduler_tries)
         require_nonnegative("gossip_latency", self.gossip_latency)
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise ValueError(

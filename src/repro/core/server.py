@@ -17,10 +17,10 @@ cost smarter servers could claw back while staying stateless-ish:
 - ``"random"`` — the paper's policy exactly (default);
 - ``"round-robin"`` — sweep peer slots cyclically (skipping empty buffers)
   instead of sampling, equalizing per-peer service;
-- ``"avoid-redundant"`` — resample up to ``scheduler_tries`` times when the
+- ``"avoid-redundant"`` — resample up to ``SCHEDULER_TRIES`` times when the
   drawn segment is already complete (a one-bit "done" hint per segment,
   which a real deployment gets for free from its own decode state);
-- ``"greedy-completion"`` — draw ``scheduler_tries`` candidates and pull
+- ``"greedy-completion"`` — draw ``SCHEDULER_TRIES`` candidates and pull
   the incomplete one closest to completion, concentrating pulls so partial
   segments actually finish (improves goodput, not just efficiency).
 """
@@ -67,6 +67,10 @@ VALID_POLICIES = (
     POLICY_AVOID_REDUNDANT,
     POLICY_GREEDY_COMPLETION,
 )
+
+#: Candidate draws per pull for the "avoid-redundant" and
+#: "greedy-completion" policies.
+SCHEDULER_TRIES = 8
 
 
 #: What one pull trial can count; each is the name of the report field
@@ -361,7 +365,6 @@ class ServerPool:
         rlnc_mode: bool,
         segment_selection: str = SELECTION_PROPORTIONAL,
         pull_policy: str = POLICY_RANDOM,
-        scheduler_tries: int = 8,
         all_peers: Optional[Callable[[int], Peer]] = None,
         n_slots: int = 0,
         faults: Optional[FaultVerdicts] = None,
@@ -382,10 +385,6 @@ class ServerPool:
             raise ValueError(
                 f"pull_policy must be one of {VALID_POLICIES}, "
                 f"got {pull_policy!r}"
-            )
-        if scheduler_tries < 1:
-            raise ValueError(
-                f"scheduler_tries must be >= 1, got {scheduler_tries}"
             )
         if pull_policy == POLICY_ROUND_ROBIN and (all_peers is None or n_slots < 1):
             raise ValueError(
@@ -408,7 +407,6 @@ class ServerPool:
         self._rlnc_mode = rlnc_mode
         self._uniform_selection = segment_selection == SELECTION_UNIFORM
         self._policy = pull_policy
-        self._scheduler_tries = scheduler_tries
         self._all_peers = all_peers
         self._n_slots = n_slots
         self._rr_cursor = 0
@@ -456,14 +454,14 @@ class ServerPool:
             return self._draw_round_robin()
         if self._policy == POLICY_AVOID_REDUNDANT:
             candidate = None
-            for _ in range(self._scheduler_tries):
+            for _ in range(SCHEDULER_TRIES):
                 candidate = self._draw_candidate()
                 if candidate is None or not candidate[1].is_complete:
                     return candidate
             return candidate  # every try was redundant: pay the redundant pull
         if self._policy == POLICY_GREEDY_COMPLETION:
             best: Optional[Tuple[Peer, SegmentState]] = None
-            for _ in range(self._scheduler_tries):
+            for _ in range(SCHEDULER_TRIES):
                 candidate = self._draw_candidate()
                 if candidate is None:
                     break
@@ -527,7 +525,7 @@ class ServerPool:
             self._adversary,
             self._scorer,
             self._trust_of,
-            self._scheduler_tries,
+            SCHEDULER_TRIES,
             self._on_quarantine,
         )
         # Most trials end without asking for another candidate.

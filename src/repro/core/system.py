@@ -275,7 +275,6 @@ class CollectionSystem:
             rlnc_mode=self._rlnc,
             segment_selection=params.segment_selection,
             pull_policy=params.pull_policy,
-            scheduler_tries=params.scheduler_tries,
             all_peers=self.peer,
             n_slots=params.n_peers,
             faults=self.faults,

@@ -28,8 +28,7 @@ byte-identical to serial (see ``docs/RUNNER.md``).  ``PLAN_BUILDERS`` is
 the one registry: it maps each CLI experiment name to its builder.
 
 Supporting machinery: quality budgets and :class:`SeriesResult`
-(:mod:`repro.experiments.base`), and cross-run regression diffing
-(:mod:`repro.experiments.regression`).
+(:mod:`repro.experiments.base`).
 """
 
 from typing import Callable, Dict
@@ -51,9 +50,7 @@ from repro.experiments.base import (
     SeriesResult,
     SimBudget,
     SimTask,
-    budget_as_dict,
     budget_for,
-    budget_from_dict,
     override_budget,
     parse_seeds,
 )
@@ -62,11 +59,6 @@ from repro.experiments.baseline import (
     plan_baseline_comparison,
 )
 from repro.experiments.fig3 import plan_fig3
-from repro.experiments.regression import (
-    ComparisonReport,
-    compare_archives,
-    compare_results,
-)
 from repro.experiments.fig4 import plan_fig4
 from repro.experiments.fig5 import plan_fig5
 from repro.experiments.fig6 import plan_fig6
@@ -120,17 +112,12 @@ __all__ = [
     "SeriesResult",
     "SimBudget",
     "SimTask",
-    "budget_as_dict",
     "budget_for",
-    "budget_from_dict",
     "override_budget",
     "parse_seeds",
     "FlashCrowdScenario",
     "plan_baseline_comparison",
     "plan_fig3",
-    "ComparisonReport",
-    "compare_archives",
-    "compare_results",
     "plan_fig4",
     "plan_fig5",
     "plan_fig6",

@@ -36,6 +36,7 @@ from repro.experiments.base import (
     budget_for,
     seed_mean,
     seed_cells,
+    require_event_engine,
 )
 
 
@@ -272,6 +273,7 @@ def plan_coding_ablation(
     (fidelity mode, s).
     """
     budget = budget or budget_for(quality)
+    require_event_engine(budget, "ablation-coding")
     # Full RLNC carries real rank computations: keep the network small.
     n_peers = min(budget.n_peers, 60)
 
@@ -450,6 +452,7 @@ def plan_topology_ablation(
     prediction holds.  One cell per overlay degree.
     """
     budget = budget or budget_for(quality)
+    require_event_engine(budget, "ablation-topology")
 
     tasks = [
         SimTask(

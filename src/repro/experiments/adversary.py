@@ -55,6 +55,7 @@ from repro.experiments.base import (
     budget_for,
     seed_mean,
     seed_cells,
+    require_event_engine,
 )
 from repro.stats.workload import TraceWorkload
 
@@ -206,6 +207,7 @@ def plan_adversary(
     (strategy, fraction > 0, defense arm, seed).
     """
     budget = budget or budget_for(quality)
+    require_event_engine(budget, "adversary")
     workload = _workload(budget)
 
     tasks = []

@@ -160,36 +160,6 @@ def override_budget(
     return replace(budget, **changes) if changes else budget
 
 
-def budget_as_dict(budget: SimBudget) -> Dict[str, Any]:
-    """JSON-ready form of a budget (for run manifests)."""
-    return {
-        "n_peers": budget.n_peers,
-        "warmup": budget.warmup,
-        "duration": budget.duration,
-        "seeds": list(budget.seeds),
-        "n_servers": budget.n_servers,
-        "engine": budget.engine,
-        "tau": budget.tau,
-    }
-
-
-def budget_from_dict(payload: Mapping[str, Any]) -> SimBudget:
-    """Inverse of :func:`budget_as_dict` (for workers rebuilding a plan).
-
-    ``engine``/``tau`` default when absent so manifests journaled before
-    the fast engine existed still resume.
-    """
-    return SimBudget(
-        n_peers=int(payload["n_peers"]),
-        warmup=float(payload["warmup"]),
-        duration=float(payload["duration"]),
-        seeds=tuple(int(seed) for seed in payload["seeds"]),
-        n_servers=int(payload["n_servers"]),
-        engine=str(payload.get("engine", ENGINE_EVENT)),
-        tau=float(payload.get("tau", 0.01)),
-    )
-
-
 @dataclass
 class SeriesResult:
     """One figure's worth of reproduced data."""
@@ -403,7 +373,12 @@ def seed_cells(
     metrics: Sequence[str],
     workload: Optional[Workload] = None,
 ) -> List[SimTask]:
-    """One :func:`simulate_cell` task per seed, ids ``{prefix}:seed={n}``."""
+    """One :func:`simulate_cell` task per seed, ids ``{prefix}:seed={n}``.
+
+    The cells run on the budget's engine; ``Parameters`` refuses a point
+    the fast engine cannot simulate, while the grid is built.
+    """
+    params = replace(params, engine=budget.engine, tau=budget.tau)
     extra = () if workload is None else (workload,)
     return [
         SimTask(
@@ -415,6 +390,15 @@ def seed_cells(
         )
         for seed in budget.seeds
     ]
+
+
+def require_event_engine(budget: SimBudget, experiment: str) -> None:
+    """Refuse a fast-engine budget for a grid that cannot honour it."""
+    if budget.engine != ENGINE_EVENT:
+        raise ValueError(
+            f"{experiment} runs on the event engine only, "
+            f"not engine={budget.engine!r}"
+        )
 
 
 def seed_mean(

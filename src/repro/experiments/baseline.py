@@ -46,6 +46,7 @@ from repro.experiments.base import (
     SimBudget,
     SimTask,
     budget_for,
+    require_event_engine,
 )
 from repro.stats.workload import FlashCrowdWorkload
 
@@ -91,6 +92,7 @@ def plan_baseline_comparison(
     """
     scenario = scenario or FlashCrowdScenario()
     budget = budget or budget_for(quality)
+    require_event_engine(budget, "baseline")
     base_demand = budget.n_peers * scenario.base_rate
 
     params = Parameters(

@@ -69,8 +69,6 @@ def segment_grid(
                 normalized_capacity=c,
                 segment_size=s,
                 n_servers=budget.n_servers,
-                engine=budget.engine,
-                tau=budget.tau,
             )
             tasks.extend(seed_cells(budget, f"c={c:g}:s={s}", params, metrics))
     return tasks

@@ -78,8 +78,6 @@ def plan_fig4(
                     segment_size=s,
                     n_servers=budget.n_servers,
                     mean_lifetime=CHURN_LIFETIME if churned else None,
-                    engine=budget.engine,
-                    tau=budget.tau,
                 )
                 prefix = f"c={c:g}:s={s}:{regime}:mu={mu:g}"
                 tasks.extend(seed_cells(budget, prefix, params, METRICS))

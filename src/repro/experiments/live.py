@@ -38,6 +38,7 @@ from repro.experiments.base import (
     budget_for,
     seed_mean,
     simulate_cell,
+    require_event_engine,
 )
 from repro.live.crossval import (
     DEFAULT_TOLERANCES,
@@ -96,6 +97,7 @@ def plan_live(
     one box's event loop each.
     """
     budget = budget or budget_for(quality)
+    require_event_engine(budget, "live")
     n_peers, live_warmup, live_duration, time_scale = LIVE_SHAPE[
         "full" if quality == "full" else "fast"
     ]

@@ -49,6 +49,7 @@ from repro.experiments.base import (
     budget_for,
     seed_mean,
     simulate_cell,
+    require_event_engine,
 )
 from repro.faults.plan import FaultPlan
 from repro.live.crossval import (
@@ -128,6 +129,7 @@ def plan_live_chaos(
     (2 live cells per seed) by design.
     """
     budget = budget or budget_for(quality)
+    require_event_engine(budget, "live-chaos")
     n_peers, peer_procs, warmup, duration, time_scale = CHAOS_SHAPE[
         "full" if quality == "full" else "fast"
     ]

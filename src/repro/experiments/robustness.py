@@ -44,6 +44,7 @@ from repro.experiments.base import (
     budget_for,
     seed_mean,
     seed_cells,
+    require_event_engine,
 )
 from repro.faults import FaultPlan
 from repro.sim.rng import SeedSequenceRegistry
@@ -112,6 +113,7 @@ def plan_robustness(
     seed), plus the standalone RLNC pollution-audit task.
     """
     budget = budget or budget_for(quality)
+    require_event_engine(budget, "robustness")
 
     tasks = []
     tasks.extend(seed_cells(

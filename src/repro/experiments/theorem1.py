@@ -64,8 +64,6 @@ def plan_theorem1(
             normalized_capacity=CAPACITY,
             segment_size=s,
             n_servers=budget.n_servers,
-            engine=budget.engine,
-            tau=budget.tau,
         )
         tasks.extend(seed_cells(budget, f"s={s}", params, METRICS))
 

@@ -35,6 +35,7 @@ from repro.experiments.base import (
     SimBudget,
     SimTask,
     budget_for,
+    require_event_engine,
 )
 from repro.stats.workload import FlashCrowdWorkload
 
@@ -71,6 +72,7 @@ def plan_transient(
     computed in the merge step.
     """
     budget = budget or budget_for(quality)
+    require_event_engine(budget, "transient")
     sample_times = np.linspace(HORIZON / n_samples, HORIZON, n_samples)
 
     def run_phases() -> Payload:

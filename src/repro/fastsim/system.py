@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.chaos.monitors import InvariantViolation
 from repro.core.params import (
+    GOSSIP_TARGET_TRIES,
     MODE_ABSTRACT,
     SELECTION_PROPORTIONAL,
     Parameters,
@@ -394,14 +395,14 @@ class FastCollectionSystem:
             polluted |= state.is_adv_polluter[senders]
 
         # Target search: the event engine rejection-samples up to
-        # `gossip_target_tries` uniform candidates with buffer room; the
+        # `GOSSIP_TARGET_TRIES` uniform candidates with buffer room; the
         # batch form thins each tick by the all-tries-full probability.
         full = state.full_peer_count()
         if full >= n:
             metrics.gossip_no_target.increment(in_window, emitting)
             return
         if full:
-            fail = (full / n) ** self.params.gossip_target_tries
+            fail = (full / n) ** GOSSIP_TARGET_TRIES
             if fail > 0.0:
                 no_target = self._gossip_rng.random(emitting) < fail
                 missed = int(no_target.sum())

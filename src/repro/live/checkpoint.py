@@ -30,14 +30,15 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.coding.block import SegmentDescriptor
 from repro.coding.linalg import DecoderSnapshot
 from repro.coding.rlnc import SegmentDecoderSnapshot
 from repro.live.framing import Frame, FrameDecoder, FrameError, encode_frame
-from repro.live.wire import segment_from_wire, segment_to_wire
+from repro.util.codec import decode, encode
 
 #: Format tag of the journal; bump on any incompatible layout change so a
 #: restarted server refuses a checkpoint written by an older binary
@@ -88,82 +89,68 @@ class ServerCheckpoint:
     decoders: Tuple[SegmentDecoderSnapshot, ...]
 
 
+@dataclass(frozen=True)
+class _DecoderEntry:
+    """The header of one ``decoder`` frame; its payload carries the rows."""
+
+    segment: SegmentDescriptor
+    offered: int
+    redundant: int
+    completed_at: Optional[float]
+    payload_length: Optional[int]
+    pivot_cols: Tuple[int, ...]
+    #: one 0/1 flag per row
+    has_payload: Tuple[int, ...]
+    #: the payload splits here into matrix rows and payload rows
+    matrix_bytes: int
+
+
 def _decoder_frame(snap: SegmentDecoderSnapshot) -> bytes:
     decoder = snap.decoder
-    header: Dict[str, Any] = {
-        "type": _DECODER_TYPE,
-        "segment": segment_to_wire(snap.segment),
-        "offered": snap.offered,
-        "redundant": snap.redundant,
-        "completed_at": snap.completed_at,
-        "payload_length": decoder.payload_length,
-        "pivot_cols": list(decoder.pivot_cols),
-        "has_payload": [int(flag) for flag in decoder.has_payload],
-        "matrix_bytes": len(decoder.matrix_rows),
-    }
-    return encode_frame(header, decoder.matrix_rows + decoder.payload_rows)
+    entry = _DecoderEntry(
+        snap.segment, snap.offered, snap.redundant, snap.completed_at,
+        decoder.payload_length, decoder.pivot_cols,
+        tuple(int(flag) for flag in decoder.has_payload),
+        len(decoder.matrix_rows),
+    )
+    return encode_frame(
+        {"type": _DECODER_TYPE, **encode(entry)},
+        decoder.matrix_rows + decoder.payload_rows,
+    )
 
 
 def _decoder_from_frame(frame: Frame) -> SegmentDecoderSnapshot:
-    header = frame.header
-    try:
-        segment = segment_from_wire(header["segment"])
-        matrix_bytes = int(header["matrix_bytes"])
-        raw_length = header["payload_length"]
-        payload_length = None if raw_length is None else int(raw_length)
-        raw_completed = header["completed_at"]
-        completed_at = (
-            None if raw_completed is None else float(raw_completed)
-        )
-        snapshot = SegmentDecoderSnapshot(
-            segment=segment,
-            offered=int(header["offered"]),
-            redundant=int(header["redundant"]),
-            completed_at=completed_at,
-            decoder=DecoderSnapshot(
-                size=segment.size,
-                payload_length=payload_length,
-                pivot_cols=tuple(
-                    int(col) for col in header["pivot_cols"]
-                ),
-                has_payload=tuple(
-                    bool(flag) for flag in header["has_payload"]
-                ),
-                matrix_rows=bytes(frame.payload[:matrix_bytes]),
-                payload_rows=bytes(frame.payload[matrix_bytes:]),
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed decoder entry: {exc}") from exc
-    if matrix_bytes > len(frame.payload):
+    fields = {k: v for k, v in frame.header.items() if k != "type"}
+    entry = decode(_DecoderEntry, fields)
+    if not 0 <= entry.matrix_bytes <= len(frame.payload):
         raise CheckpointError(
-            f"decoder entry declares {matrix_bytes} matrix byte(s) but "
+            f"decoder entry declares {entry.matrix_bytes} matrix byte(s) but "
             f"carries only {len(frame.payload)}"
         )
-    return snapshot
+    return SegmentDecoderSnapshot(
+        segment=entry.segment,
+        offered=entry.offered,
+        redundant=entry.redundant,
+        completed_at=entry.completed_at,
+        decoder=DecoderSnapshot(
+            size=entry.segment.size,
+            payload_length=entry.payload_length,
+            pivot_cols=entry.pivot_cols,
+            has_payload=tuple(bool(flag) for flag in entry.has_payload),
+            matrix_rows=bytes(frame.payload[:entry.matrix_bytes]),
+            payload_rows=bytes(frame.payload[entry.matrix_bytes:]),
+        ),
+    )
 
 
 def write_checkpoint(path: Path, state: ServerCheckpoint) -> None:
     """Atomically persist *state* to *path* (temp file + fsync + rename)."""
-    header: Dict[str, Any] = {
-        "type": _HEADER_TYPE,
-        "format": CHECKPOINT_FORMAT,
-        "seed": state.seed,
-        "restarts": state.restarts,
-        "time_scale": state.time_scale,
-        "epoch": state.epoch,
-        "marked_at": state.marked_at,
-        "next_slot": state.next_slot,
-        "written_at": state.written_at,
-        "completed": list(state.completed),
-        # JSON object keys are strings; load coerces them back to int.
-        "digests": {str(sid): d for sid, d in state.digests.items()},
-        "counters": dict(state.counters),
-        "delay_samples": list(state.delay_samples),
-        "servers_down": dict(state.servers_down),
-        "total_rank": state.total_rank,
-        "n_decoders": len(state.decoders),
-    }
+    header = encode(replace(state, decoders=()))
+    del header["decoders"]
+    header.update(
+        type=_HEADER_TYPE, format=CHECKPOINT_FORMAT,
+        n_decoders=len(state.decoders),
+    )
     blob = bytearray(encode_frame(header))
     for snap in state.decoders:
         blob.extend(_decoder_frame(snap))
@@ -212,42 +199,18 @@ def load_checkpoint(path: Path) -> ServerCheckpoint:
             f"checkpoint format {version!r} is not {CHECKPOINT_FORMAT!r}; "
             "refusing to restore across incompatible layouts"
         )
+    fields = {
+        k: v for k, v in header.items()
+        if k not in ("type", "format", "n_decoders")
+    }
     try:
-        raw_epoch = header["epoch"]
-        raw_marked = header["marked_at"]
-        servers_down = {
-            str(key): float(value)
-            for key, value in dict(header["servers_down"]).items()
-        }
-        state = ServerCheckpoint(
-            seed=int(header["seed"]),
-            restarts=int(header["restarts"]),
-            time_scale=float(header["time_scale"]),
-            epoch=None if raw_epoch is None else float(raw_epoch),
-            marked_at=None if raw_marked is None else float(raw_marked),
-            next_slot=int(header["next_slot"]),
-            written_at=float(header["written_at"]),
-            completed=tuple(int(sid) for sid in header["completed"]),
-            digests={
-                int(sid): str(digest)
-                for sid, digest in dict(header["digests"]).items()
-            },
-            counters={
-                str(name): int(value)
-                for name, value in dict(header["counters"]).items()
-            },
-            delay_samples=tuple(
-                float(sample) for sample in header["delay_samples"]
-            ),
-            servers_down=servers_down,
-            total_rank=int(header["total_rank"]),
-            decoders=tuple(
-                _decoder_from_frame(frame) for frame in frames[1:]
-            ),
+        state = replace(
+            decode(ServerCheckpoint, {**fields, "decoders": ()}),
+            decoders=tuple(_decoder_from_frame(frame) for frame in frames[1:]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed checkpoint header: {exc}") from exc
-    declared = int(header.get("n_decoders", len(state.decoders)))
+    except ValueError as exc:
+        raise CheckpointError(f"malformed checkpoint: {exc}") from exc
+    declared = header.get("n_decoders", len(state.decoders))
     if declared != len(state.decoders):
         raise CheckpointError(
             f"checkpoint declares {declared} decoder(s) but carries "

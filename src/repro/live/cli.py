@@ -26,11 +26,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.params import MODE_RLNC, Parameters
 from repro.faults.plan import PROCESS_FAULT_KINDS, FaultPlan
-from repro.live import wire
 from repro.live.harness import run_swarm, validate_live_params
 from repro.live.peer import LivePeer
 from repro.live.server import LiveLoggingServer
 from repro.live.supervisor import LiveSupervisor
+from repro.util.codec import decode
 from repro.util.validation import (
     require_nonnegative,
     require_positive,
@@ -174,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _serve_params(args: argparse.Namespace) -> Parameters:
     if args.params_json:
         payload = json.loads(Path(args.params_json).read_text())
-        return wire.params_from_wire(payload)
+        return decode(Parameters, payload)
     return _params_from_args(args)
 
 

@@ -33,7 +33,9 @@ from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from repro.coding.block import CodedBlock, SegmentDescriptor, make_source_blocks
-from repro.core.params import SELECTION_UNIFORM, Parameters
+from repro.core.params import (
+    GOSSIP_TARGET_TRIES, SELECTION_UNIFORM, Parameters,
+)
 from repro.core.peer import Peer
 from repro.faults.injector import FaultVerdicts
 from repro.live import ports, wire
@@ -47,6 +49,7 @@ from repro.live.transport import (
     POLLUTER_STREAM,
 )
 from repro.sim.rng import SeedSequenceRegistry, exponential
+from repro.util.codec import decode
 
 #: Outbound gossip links each hosted peer adds to its process's pool;
 #: bounds the swarm's descriptor count to O(N · GOSSIP_CACHE), not O(N^2).
@@ -227,8 +230,7 @@ class LivePeer:
                 if not self._clock_given and not self.clock.started:
                     self.clock = LiveClock(float(welcome["time_scale"]))
                 self._configure(
-                    wire.params_from_wire(welcome["params"]),
-                    int(welcome["seed"]),
+                    decode(Parameters, welcome["params"]), int(welcome["seed"])
                 )
         except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
             raise FrameGarbage(f"malformed welcome: {exc!r}") from exc
@@ -555,7 +557,7 @@ class LivePeer:
         """Rejection-sample an eligible target over the wire and send."""
         n = self.cfg.n_peers
         size = block.segment.size
-        for _ in range(self.cfg.gossip_target_tries):
+        for _ in range(GOSSIP_TARGET_TRIES):
             if n < 2:
                 break
             target = self._select_rng.randrange(n - 1)

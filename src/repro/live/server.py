@@ -59,6 +59,7 @@ from repro.live.transport import (
     detects_pollution,
 )
 from repro.sim.rng import SeedSequenceRegistry, exponential
+from repro.util.codec import encode
 from repro.util.randomset import RandomizedSet
 
 #: Wall-clock lead time between broadcasting START and the clock epoch.
@@ -579,7 +580,7 @@ class LiveLoggingServer:
                 "seed": self.seed,
                 "time_scale": self.clock.time_scale,
                 "epoch": self.clock.epoch,
-                "params": wire.params_to_wire(self.params),
+                "params": encode(self.params),
             })
             if self._began:
                 await self._welcome_back(record)

@@ -55,6 +55,7 @@ from repro.faults.plan import (
     PROC_STOP_SERVER,
 )
 from repro.sim.rng import SeedSequenceRegistry
+from repro.util.codec import encode
 
 #: Wall seconds of slack on top of the window for the whole campaign
 #: (join storms, respawn backoff, reconnect deadlines, decode tail).
@@ -372,7 +373,7 @@ class LiveSupervisor:
         self._epoch = loop.create_future()
         self._report = loop.create_future()
         params_file = tmp / "params.json"
-        params_file.write_text(json.dumps(wire.params_to_wire(self.params)))
+        params_file.write_text(json.dumps(encode(self.params)))
         checkpoint = tmp / "server.ckpt"
 
         self._server = _Child(

@@ -25,15 +25,13 @@ payload digest, so any collector can verify a decoded segment end to end.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
 
 from repro.coding.block import CodedBlock, SegmentDescriptor
 from repro.core.params import MODE_RLNC, Parameters
-from repro.faults.plan import FaultPlan
 from repro.live.framing import FrameGarbage
 
 # -- control plane ----------------------------------------------------------
@@ -176,7 +174,7 @@ def validate_live_params(params: Parameters, supervised: bool = False) -> None:
     """Reject configurations the live runtime cannot execute faithfully.
 
     The one gate every live entry point passes: the swarm harness, the
-    server and peer constructors, and the WELCOME serializer.
+    supervisor, the server, and every peer adopting a WELCOME.
     *supervised* marks a multi-process run under
     :class:`repro.live.supervisor.LiveSupervisor`: only there can
     ``process_faults`` be delivered (as real signals); a single-process
@@ -209,33 +207,3 @@ def validate_live_params(params: Parameters, supervised: bool = False) -> None:
             "network time"
         )
 
-
-def params_to_wire(params: Parameters) -> Dict[str, Any]:
-    """Serialize :class:`Parameters` for the WELCOME frame.
-
-    The live runtime reuses ``Parameters`` and ``FaultPlan`` verbatim;
-    anything it cannot execute (adversary plans, simulator-only knobs) is
-    rejected here rather than silently dropped.
-    """
-    validate_live_params(params, supervised=True)
-    return dataclasses.asdict(params)
-
-
-def params_from_wire(payload: Mapping[str, Any]) -> Parameters:
-    """Reconstruct :class:`Parameters` from a WELCOME frame header."""
-    data = dict(payload)
-    faults = data.get("faults")
-    if faults is not None:
-        faults = dict(faults)
-        windows = faults.get("outage_windows") or ()
-        faults["outage_windows"] = tuple(
-            (float(start), float(end)) for start, end in windows
-        )
-        process_faults = faults.get("process_faults") or ()
-        faults["process_faults"] = tuple(
-            (str(kind), float(at), float(duration), float(fraction))
-            for kind, at, duration, fraction in process_faults
-        )
-        data["faults"] = FaultPlan(**faults)
-    data.pop("adversary", None)
-    return Parameters(**data)

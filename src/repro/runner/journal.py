@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.runner.spec import RunSpec
+from repro.util.codec import decode, encode
 
 #: Manifest status values over a run's lifecycle.
 STATUS_RUNNING = "running"
@@ -79,7 +80,7 @@ class RunJournal:
         journal.tasks_dir.mkdir(parents=True, exist_ok=True)
         manifest: Dict[str, Any] = {
             "run_id": run_dir.name,
-            "spec": spec.to_dict(),
+            "spec": encode(spec),
             "fingerprint": spec.fingerprint(task_ids),
             "task_ids": list(task_ids),
             "n_tasks": len(task_ids),
@@ -108,8 +109,18 @@ class RunJournal:
             raise JournalError(
                 f"torn manifest in {self.run_dir}: {exc}"
             ) from None
-        result: Dict[str, Any] = loaded
-        return result
+        if not isinstance(loaded, dict):
+            raise JournalError(f"manifest in {self.run_dir} is not an object")
+        return loaded
+
+    def spec(self) -> RunSpec:
+        """The spec the manifest records (:class:`JournalError` if malformed)."""
+        try:
+            return decode(RunSpec, self.manifest().get("spec"))
+        except ValueError as exc:
+            raise JournalError(
+                f"malformed manifest in {self.run_dir}: {exc}"
+            ) from None
 
     def write_manifest(self, manifest: Mapping[str, Any]) -> None:
         """Atomically (re)write the manifest."""

@@ -280,7 +280,7 @@ def run_session(
     try:
         if args.resume is not None:
             journal = RunJournal.load(args.runs_dir / args.resume)
-            spec = RunSpec.from_dict(journal.manifest()["spec"])
+            spec = journal.spec()
             if spec.experiment != experiment:
                 return usage_error(
                     f"run {args.resume} is a {spec.experiment!r} sweep, "

@@ -33,6 +33,7 @@ methods.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import multiprocessing.connection
 import time
@@ -43,6 +44,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from collections import deque
 
 from repro.runner.spec import RunSpec
+from repro.util.codec import decode, encode
 from repro.runner.telemetry import (
     KIND_TASK_DISPATCH,
     KIND_TASK_DONE,
@@ -96,7 +98,7 @@ def worker_main(
     spec_json: str, conn: "multiprocessing.connection.Connection[Any, Any]"
 ) -> None:
     """Worker entry point: rebuild the plan, then serve task requests."""
-    spec = RunSpec.from_json(spec_json)
+    spec = decode(RunSpec, json.loads(spec_json))
     plan = spec.build_plan()
     tasks = {task.task_id: task for task in plan.tasks}
     while True:
@@ -162,7 +164,7 @@ class WorkerPool:
             raise ValueError(f"need at least one worker, got {n_workers}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        self._spec_json = spec.to_json()
+        self._spec_json = json.dumps(encode(spec), allow_nan=False)
         self.n_workers = n_workers
         self.task_timeout = task_timeout
         self.retries = retries

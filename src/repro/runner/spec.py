@@ -20,12 +20,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.experiments.base import (
-    ExperimentPlan,
-    SimBudget,
-    budget_as_dict,
-    budget_from_dict,
-)
+from repro.experiments.base import ExperimentPlan, SimBudget
+from repro.util.codec import decode, encode
 
 #: Experiment-name prefix routed to the synthetic-plan registry (test and
 #: benchmark harness plans) instead of the real figure runners.
@@ -40,16 +36,16 @@ CHAOS_PREFIX = "chaos-"
 class RunSpec:
     """Self-contained, JSON-serializable description of one sweep.
 
-    ``budget`` is the *resolved* budget mapping (see
-    :func:`repro.experiments.base.budget_as_dict`), never a preset name;
-    ``options`` carries extra keyword arguments for the plan builder and
-    must be JSON-serializable.
+    ``budget`` is the *resolved* budget, never a preset name; ``options``
+    carries extra keyword arguments for the plan builder and must be
+    JSON-serializable.  Manifests and worker handshakes carry the spec
+    through :mod:`repro.util.codec`.
     """
 
     experiment: str
     quality: str
-    budget: Mapping[str, Any]
-    options: Mapping[str, Any] = field(default_factory=dict)
+    budget: SimBudget
+    options: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod
     def create(
@@ -59,55 +55,10 @@ class RunSpec:
         budget: SimBudget,
         options: Optional[Mapping[str, Any]] = None,
     ) -> "RunSpec":
-        """Build a spec from an in-memory budget (normalizing to JSON)."""
-        payload: Dict[str, Any] = {
-            "experiment": experiment,
-            "quality": quality,
-            "budget": budget_as_dict(budget),
-            "options": dict(options or {}),
-        }
-        normalized: Dict[str, Any] = json.loads(
-            json.dumps(payload, sort_keys=True, allow_nan=False)
-        )
-        return cls(
-            experiment=str(normalized["experiment"]),
-            quality=str(normalized["quality"]),
-            budget=dict(normalized["budget"]),
-            options=dict(normalized["options"]),
-        )
-
-    def sim_budget(self) -> SimBudget:
-        """The resolved :class:`SimBudget` this spec's tasks run under."""
-        return budget_from_dict(self.budget)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Canonical JSON-ready form (stable key order when dumped)."""
-        return {
-            "experiment": self.experiment,
-            "quality": self.quality,
-            "budget": dict(self.budget),
-            "options": dict(self.options),
-        }
-
-    def to_json(self) -> str:
-        """Canonical JSON encoding (the worker handshake payload)."""
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunSpec":
-        """Inverse of :meth:`to_json`."""
-        payload = json.loads(text)
-        return cls.from_dict(payload)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RunSpec":
-        """Rebuild a spec from a manifest/handshake mapping."""
-        return cls(
-            experiment=str(payload["experiment"]),
-            quality=str(payload["quality"]),
-            budget=dict(payload["budget"]),
-            options=dict(payload.get("options", {})),
-        )
+        """Build a spec, normalizing its options through JSON."""
+        spec = cls(experiment, quality, budget, dict(options or {}))
+        text = json.dumps(encode(spec), sort_keys=True, allow_nan=False)
+        return decode(cls, json.loads(text))
 
     def build_plan(self) -> ExperimentPlan:
         """Reconstruct the task grid this spec describes.
@@ -123,13 +74,13 @@ class RunSpec:
             from repro.runner.synthetic import build_synthetic_plan
 
             return build_synthetic_plan(
-                self.experiment, self.sim_budget(), dict(self.options)
+                self.experiment, self.budget, dict(self.options)
             )
         if self.experiment.startswith(CHAOS_PREFIX):
             from repro.chaos.campaign import build_chaos_plan
 
             return build_chaos_plan(
-                self.experiment, self.sim_budget(), dict(self.options)
+                self.experiment, self.budget, dict(self.options)
             )
         from repro.experiments import PLAN_BUILDERS
 
@@ -140,14 +91,14 @@ class RunSpec:
                 f"{sorted(PLAN_BUILDERS)}"
             )
         plan: ExperimentPlan = builder(
-            quality=self.quality, budget=self.sim_budget(), **self.options
+            quality=self.quality, budget=self.budget, **self.options
         )
         return plan
 
     def fingerprint(self, task_ids: List[str]) -> str:
         """SHA-256 binding this spec to its plan's exact task grid."""
         canonical = json.dumps(
-            {"spec": self.to_dict(), "task_ids": list(task_ids)},
+            {"spec": encode(self), "task_ids": list(task_ids)},
             sort_keys=True,
             allow_nan=False,
         )

@@ -428,28 +428,29 @@ class TestSystemProperties:
 class TestChaosIntegration:
     def test_trial_config_roundtrips_adversary(self):
         from repro.chaos.space import TrialConfig, sample_trial
+        from repro.util.codec import decode, encode
 
         found = 0
         for trial_id in range(60):
             config = sample_trial(99, trial_id)
-            back = TrialConfig.from_json(config.to_json())
+            back = decode(TrialConfig, encode(config))
             assert back == config
             if config.adversary:
                 found += 1
-                assert not config.build_adversary_plan().is_null
-                assert config.build_adversary_plan().describe() in (
-                    config.describe()
-                )
+                adversary = config.parameters().adversary
+                assert not adversary.is_null
+                assert adversary.describe() in config.describe()
         assert found > 5  # the space actually explores adversaries
 
     def test_old_journals_without_adversary_key_load(self):
         from repro.chaos.space import TrialConfig, sample_trial
+        from repro.util.codec import decode, encode
 
-        payload = sample_trial(99, 0).to_json()
+        payload = encode(sample_trial(99, 0))
         payload.pop("adversary")
-        config = TrialConfig.from_json(payload)
+        config = decode(TrialConfig, payload)
         assert config.adversary == {}
-        assert config.build_adversary_plan() is None
+        assert config.parameters().adversary is None
 
     def test_shrinker_drops_adversary_dimensions(self):
         from dataclasses import replace

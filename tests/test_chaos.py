@@ -28,6 +28,7 @@ from repro.core.system import CollectionSystem
 from repro.experiments.base import QUALITY_FAST, budget_for
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
+from repro.util.codec import decode, encode
 
 
 def small_params(**overrides):
@@ -107,19 +108,19 @@ class TestSampler:
     def test_same_inputs_same_trial(self):
         a = sample_trial(42, 7)
         b = sample_trial(42, 7)
-        assert a.to_json() == b.to_json()
+        assert encode(a) == encode(b)
 
     def test_different_trials_differ(self):
-        assert sample_trial(42, 0).to_json() != sample_trial(42, 1).to_json()
+        assert encode(sample_trial(42, 0)) != encode(sample_trial(42, 1))
 
     def test_trials_are_independent_of_each_other(self):
         """Trial i never depends on trials 0..i-1 (own substream)."""
-        assert sample_trial(42, 5).to_json() == sample_trial(42, 5).to_json()
+        assert encode(sample_trial(42, 5)) == encode(sample_trial(42, 5))
 
     def test_sampled_configs_are_valid(self):
         for trial_id in range(60):
             config = sample_trial(3, trial_id)
-            params = config.build_params()  # re-validates everything
+            params = config.parameters()  # re-validates everything
             assert params.n_peers >= 1
             assert config.duration > 0
 
@@ -146,9 +147,7 @@ class TestSampler:
 
     def test_config_json_round_trip(self):
         config = sample_trial(9, 3, mutant="buffer-cap-off-by-one")
-        clone = TrialConfig.from_json(
-            json.loads(json.dumps(config.to_json()))
-        )
+        clone = decode(TrialConfig, json.loads(json.dumps(encode(config))))
         assert clone == config
 
     def test_negative_trial_id_rejected(self):
@@ -292,21 +291,20 @@ class TestHarness:
 
     def test_outcome_json_round_trip(self):
         outcome = run_trial(sample_trial(7, 1))
-        clone = TrialOutcome.from_json(
-            json.loads(json.dumps(outcome.to_json()))
-        )
+        clone = decode(TrialOutcome, json.loads(json.dumps(encode(outcome))))
         assert clone == outcome
 
     def test_trials_replay_deterministically(self):
         config = sample_trial(7, 2)
-        assert run_trial(config).to_json() == run_trial(config).to_json()
+        assert encode(run_trial(config)) == encode(run_trial(config))
 
     def test_crash_becomes_exception_outcome(self):
         """A trial that raises is a caught failure, not a worker fault."""
         config = sample_trial(7, 0)
-        broken = TrialConfig.from_json(
-            {**config.to_json(), "params": {**config.params, "n_peers": 1,
-                                           "n_servers": 5}}
+        broken = decode(
+            TrialConfig,
+            {**encode(config), "params": {**config.params, "n_peers": 1,
+                                         "n_servers": 5}},
         )
         outcome = run_trial(broken)
         assert not outcome.ok
@@ -351,7 +349,7 @@ class TestShrink:
         first = run_trial(loaded_config)
         second = run_trial(loaded_config)
         assert not first.ok and first.monitor == monitor
-        assert first.to_json() == second.to_json()
+        assert encode(first) == encode(second)
 
     def test_repro_refuses_passing_trial(self, tmp_path):
         outcome = run_trial(sample_trial(7, 0))

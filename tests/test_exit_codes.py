@@ -32,6 +32,9 @@ def _argv(template, tmp_path):
     [
         ["fig3", "--n-peers", "0"],
         ["fig3", "--engine", "fast", "--tau", "0"],
+        ["transient", "--engine", "fast"],
+        ["ablation-selection", "--engine", "fast"],
+        ["run", "adversary", "--engine", "fast", *SESSION],
         ["run", "fig3", "--n-peers", "0", *SESSION],
         ["run", "fig3", "--tau", "0", *SESSION],
         ["run", "fig3", "--workers", "0", *SESSION],
@@ -71,6 +74,7 @@ def test_invalid_configuration_exits_2_with_one_error_line(
     "template,code",
     [
         (["theorem1", *TINY], 0),
+        (["ablation-ttl", *TINY, "--engine", "fast"], 0),
         (["run", "theorem1", *TINY, *SESSION], 0),
         (["run", "theorem1", *TINY, "--stop-after", "1", *SESSION], 3),
         (["chaos", "run", "--budget", "2", "--seed", "7", *SESSION], 0),
@@ -100,7 +104,7 @@ def test_invalid_configuration_exits_2_with_one_error_line(
         ),
     ],
     ids=[
-        "experiment-done", "run-done", "run-checkpointed", "chaos-clean",
+        "experiment-done", "experiment-fast-engine-done", "run-done", "run-checkpointed", "chaos-clean",
         "chaos-violations", "chaos-checkpointed", "lint-clean",
         "lint-findings", "live-swarm-done",
     ],

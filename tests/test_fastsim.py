@@ -26,10 +26,9 @@ from repro.core.params import ENGINE_FAST, Parameters
 from repro.core.system import CollectionSystem
 from repro.experiments import (
     SimBudget,
-    budget_as_dict,
-    budget_from_dict,
     override_budget,
     plan_scale,
+    plan_ttl_ablation,
 )
 from repro.experiments.base import simulate_cell
 from repro.fastsim import (
@@ -42,6 +41,7 @@ from repro.fastsim.shard import shard_seed
 from repro.fastsim.system import DelayAccumulator
 from repro.faults import FaultPlan
 from repro.adversary import AdversaryPlan
+from repro.util.codec import decode, encode
 
 
 def params(**overrides):
@@ -110,17 +110,17 @@ class TestBudgetPlumbing:
             n_peers=10, warmup=1.0, duration=2.0, seeds=(1, 2),
             engine=ENGINE_FAST, tau=0.25,
         )
-        restored = budget_from_dict(budget_as_dict(budget))
+        restored = decode(SimBudget, encode(budget))
         assert restored == budget
 
     def test_budget_from_legacy_dict_defaults_to_event(self):
         # manifests journaled before the fast engine carry no engine/tau
-        legacy = budget_as_dict(
+        legacy = encode(
             SimBudget(n_peers=10, warmup=1.0, duration=2.0, seeds=(1,))
         )
         legacy.pop("engine")
         legacy.pop("tau")
-        restored = budget_from_dict(legacy)
+        restored = decode(SimBudget, legacy)
         assert restored.engine == "event"
         assert restored.tau == 0.01
 
@@ -130,6 +130,15 @@ class TestBudgetPlumbing:
         assert bumped.engine == ENGINE_FAST
         assert bumped.tau == 0.1
         assert override_budget(base).engine == base.engine
+
+    def test_seed_cells_run_on_the_budget_engine(self):
+        budget = SimBudget(
+            n_peers=10, warmup=1.0, duration=2.0, seeds=(1,),
+            engine=ENGINE_FAST, tau=0.25,
+        )
+        for task in plan_ttl_ablation(budget=budget).tasks:
+            cell_params = task.thunk.args[0]
+            assert (cell_params.engine, cell_params.tau) == (ENGINE_FAST, 0.25)
 
     def test_simulate_cell_rejects_workload_on_fast_engine(self):
         fast = params(n_peers=40, engine=ENGINE_FAST, tau=0.05)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.params import ENGINE_FAST, Parameters
+from repro.core.params import ENGINE_FAST, GOSSIP_TARGET_TRIES, Parameters
 from repro.fastsim import FastCollectionSystem, FastState
 from repro.fastsim.state import _sorted_unique
 
@@ -244,7 +244,7 @@ class TestGossipCapacityRule:
             no_target = emitting
         elif emitting:
             if full:
-                fail = (full / n) ** system.params.gossip_target_tries
+                fail = (full / n) ** GOSSIP_TARGET_TRIES
                 missed = rng.random(emitting) < fail
                 no_target = int(missed.sum())
                 offered = [s for s, miss in zip(offered, missed) if not miss]

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from repro.coding.block import SegmentDescriptor, make_source_blocks
-from repro.core.params import Parameters
+from repro.core.params import GOSSIP_TARGET_TRIES, Parameters
 from repro.live import framing, ports, wire
 from repro.live.livemetrics import PeerStats, aggregate_report
 from repro.live.peer import LivePeer
 from repro.live.server import LiveLoggingServer
 from repro.live.transport import FramedConnection
+from repro.util.codec import encode
 from tests.fake_peer import (
     FakePeer,
     raw_block,
@@ -569,8 +570,7 @@ class TestBinaryHeaderIngress:
             return sender
 
         sender = run_quiet(scenario)
-        tries = sender.cfg.gossip_target_tries
-        assert sender.stats.offers_sent == tries
+        assert sender.stats.offers_sent == GOSSIP_TARGET_TRIES
         assert sender.stats.gossip_transfers == 0
         assert sender.stats.gossip_no_target == 1
 
@@ -579,7 +579,7 @@ def _welcome(session, **overrides):
     """A WELCOME header as the registry sends it, with *overrides*."""
     header = {
         "type": wire.MSG_WELCOME, "slot": 0, "seed": 5, "time_scale": 1.0,
-        "epoch": None, "params": wire.params_to_wire(session),
+        "epoch": None, "params": encode(session),
     }
     header.update(overrides)
     return {k: v for k, v in header.items() if v is not _DROP}
@@ -637,14 +637,14 @@ class TestWelcomeIngress:
     def test_malformed_welcome_is_garbage_and_leaves_nothing(self, overrides):
         params = _params()
         if overrides.get("params") == "unknown-key":
-            overrides = {"params": {**wire.params_to_wire(params), "bogus": 1}}
+            overrides = {"params": {**encode(params), "bogus": 1}}
         elif overrides.get("params") == "outage-arity":
-            blob = wire.params_to_wire(params)
+            blob = encode(params)
             blob["faults"] = {"outage_windows": [[1.0, 2.0, 3.0]]}
             overrides = {"params": blob}
         elif isinstance(overrides.get("params"), dict):
             # Valid Parameters the live runtime cannot execute.
-            blob = {**wire.params_to_wire(params), **overrides["params"]}
+            blob = {**encode(params), **overrides["params"]}
             overrides = {"params": blob}
 
         async def scenario():

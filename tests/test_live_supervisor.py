@@ -22,6 +22,7 @@ from repro.live.ports import Backoff
 from repro.live.supervisor import LiveSupervisor, RestartPolicy
 from repro.live.transport import sample_process_cohort
 from repro.sim.rng import SeedSequenceRegistry
+from repro.util.codec import decode, encode
 
 
 def _params(n_peers=8, **overrides):
@@ -224,7 +225,7 @@ class TestChaosIntegration:
             if not config.plan.get("process_faults"):
                 continue
             sampled += 1
-            plan = config.build_fault_plan()
+            plan = config.parameters().faults
             for kind, *_ in plan.process_faults:
                 assert kind in PROCESS_FAULT_KINDS
             # process faults never coexist with server outage channels
@@ -237,10 +238,10 @@ class TestChaosIntegration:
         for index in range(200):
             config = space.sample(random.Random(2000 + index), index)
             if config.plan.get("process_faults"):
-                restored = TrialConfig.from_json(config.to_json())
+                restored = decode(TrialConfig, encode(config))
                 assert (
-                    restored.build_fault_plan().process_faults
-                    == config.build_fault_plan().process_faults
+                    restored.parameters().faults.process_faults
+                    == config.parameters().faults.process_faults
                 )
                 return
         pytest.fail("no sampled config carried process faults")

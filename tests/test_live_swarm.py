@@ -6,6 +6,7 @@ so parallel runs on a busy CI host cannot collide.
 """
 
 import asyncio
+import json
 import random
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.live.peer import LivePeer
 from repro.live.server import LiveLoggingServer
 from repro.live.transport import POLLUTER_STREAM, detects_pollution
 from repro.sim.rng import SeedSequenceRegistry
+from repro.util.codec import decode, encode
 
 
 def _params(**overrides):
@@ -182,7 +184,7 @@ class TestWire:
                 outage_windows=((1.0, 2.0), (5.0, 6.5)),
             ),
         )
-        back = wire.params_from_wire(wire.params_to_wire(params))
+        back = decode(Parameters, json.loads(json.dumps(encode(params))))
         assert back == params
         assert isinstance(back.faults, FaultPlan)
         assert back.faults.outage_windows == ((1.0, 2.0), (5.0, 6.5))
@@ -192,7 +194,7 @@ class TestWire:
 
         params = _params(adversary=AdversaryPlan(liar_fraction=0.1))
         with pytest.raises(ValueError):
-            wire.params_to_wire(params)
+            wire.validate_live_params(params, supervised=True)
 
     def test_payload_digest_is_stable_and_short(self):
         digest = wire.payload_digest(b"hello world")

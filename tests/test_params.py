@@ -47,7 +47,6 @@ class TestValidation:
             ("mean_lifetime", 0.0),
             ("mean_lifetime", -2.0),
             ("payload_bytes", -1),
-            ("gossip_target_tries", 0),
         ],
     )
     def test_rejects_bad_values(self, field, value):

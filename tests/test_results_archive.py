@@ -1,8 +1,8 @@
 """Integration checks for the shipped results archive (results/*.json).
 
-The archive is produced by ``repro all --quality fast --json results/`` and
-serves as the regression baseline for `compare_results`.  These tests keep
-it loadable and self-consistent without re-running the experiments.
+The archive is produced by ``repro all --quality fast --json results/``;
+CI regenerates some of it and compares bytes.  These tests keep it
+loadable and complete without re-running the experiments.
 """
 
 import pathlib
@@ -10,7 +10,6 @@ import pathlib
 import pytest
 
 from repro.experiments.base import SeriesResult
-from repro.experiments.regression import compare_archives, compare_results
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -25,20 +24,6 @@ class TestResultsArchive:
             assert result.name == path.stem
             assert result.x_values, path
             assert result.series, path
-
-    def test_archives_compare_equal_to_themselves(self):
-        for path in archives:
-            result = SeriesResult.from_json(path.read_text())
-            report = compare_results(result, result, rel_tolerance=0.0)
-            assert report.matches, report.summary()
-
-    def test_compare_archives_end_to_end(self):
-        loaded = {
-            path.stem: SeriesResult.from_json(path.read_text())
-            for path in archives
-        }
-        reports = compare_archives(loaded, loaded)
-        assert all(report.matches for report in reports.values())
 
     def test_figure_archives_present(self):
         names = {path.stem for path in archives}

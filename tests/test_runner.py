@@ -210,6 +210,18 @@ class TestFaultTolerance:
 
 
 class TestJournal:
+    def test_fingerprint_matches_journals_of_earlier_releases(self):
+        """A run journaled by an earlier release still resumes: the same
+        spec hashes to the same hex it did when it was journaled."""
+        spec = RunSpec.create(
+            "fig5", "fast",
+            SimBudget(n_peers=40, warmup=2.0, duration=3.0, seeds=(1, 2)),
+            {"extra": [1, 2]},
+        )
+        assert spec.fingerprint(["a", "b"]) == (
+            "975b5fc7e2284fbeb68d03f7f6ecc6bc9dec5a1f36a343c54d5ff25ca111d692"
+        )
+
     def test_resume_rejects_spec_drift(self, tmp_path):
         spec_a = RunSpec.create(
             "synthetic-grid", "fast", TINY, synthetic_options(3)

@@ -8,6 +8,7 @@ from repro.coding.block import make_abstract_blocks
 from repro.core.params import Parameters
 from repro.core.peer import Peer
 from repro.core.segments import SegmentRegistry
+from repro.core import server as server_module
 from repro.core.server import ServerPool
 from repro.core.system import CollectionSystem
 from repro.sim.metrics import MetricsCollector
@@ -32,10 +33,6 @@ class TestPolicyValidation:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             params("psychic")
-
-    def test_scheduler_tries_validated(self):
-        with pytest.raises(ValueError):
-            params("random", scheduler_tries=0)
 
     def test_pool_round_robin_needs_accessor(self):
         import random
@@ -107,7 +104,7 @@ class TestPolicyBehavior:
         assert a == b
 
 
-def make_pool(policy, sample_nonempty_peer, scheduler_tries=8, seed=0):
+def make_pool(policy, sample_nonempty_peer, seed=0):
     """Standalone ServerPool against injected collaborators (no system)."""
     metrics = MetricsCollector(
         n_peers=4, arrival_rate=1.0, segment_size=3, normalized_capacity=1.0
@@ -122,7 +119,6 @@ def make_pool(policy, sample_nonempty_peer, scheduler_tries=8, seed=0):
         sample_nonempty_peer=sample_nonempty_peer,
         rlnc_mode=False,
         pull_policy=policy,
-        scheduler_tries=scheduler_tries,
     )
     return pool, registry, metrics
 
@@ -152,14 +148,15 @@ class TestSchedulerCornerCases:
         assert metrics.idle_pulls.total == 1
 
     @pytest.mark.parametrize("policy", ["avoid-redundant", "greedy-completion"])
-    def test_every_candidate_complete_is_redundant_pull(self, policy):
+    def test_every_candidate_complete_is_redundant_pull(self, monkeypatch, policy):
         """When all draws hit completed segments the budget is exhausted and
         the trial is charged as one redundant pull — never an infinite loop,
         never a crash."""
+        monkeypatch.setattr(server_module, "SCHEDULER_TRIES", 4)
         peer = Peer(slot=0, capacity=8)
         sampled = []
         pool, registry, metrics = make_pool(
-            policy, lambda: (sampled.append(1), peer)[1], scheduler_tries=4
+            policy, lambda: (sampled.append(1), peer)[1]
         )
         state = add_segment(registry, peer, size=1, blocks=1, collected=1)
         assert state.is_complete
@@ -173,12 +170,13 @@ class TestSchedulerCornerCases:
         # greedy always draws its full candidate budget)
         assert len(sampled) == 4
 
-    def test_avoid_redundant_buffer_drains_mid_retry(self):
+    def test_avoid_redundant_buffer_drains_mid_retry(self, monkeypatch):
         """If the network empties between retries the trial ends idle."""
+        monkeypatch.setattr(server_module, "SCHEDULER_TRIES", 4)
         peer = Peer(slot=0, capacity=8)
         draws = [peer, None]
         pool, registry, metrics = make_pool(
-            "avoid-redundant", lambda: draws.pop(0), scheduler_tries=4
+            "avoid-redundant", lambda: draws.pop(0)
         )
         add_segment(registry, peer, size=1, blocks=1, collected=1)
         pool.pull(0, 1.0)
@@ -187,10 +185,11 @@ class TestSchedulerCornerCases:
         assert server.redundant_pulls == 0
         assert not draws  # both draws were consumed
 
-    def test_avoid_redundant_finds_incomplete_candidate(self):
+    def test_avoid_redundant_finds_incomplete_candidate(self, monkeypatch):
+        monkeypatch.setattr(server_module, "SCHEDULER_TRIES", 32)
         peer = Peer(slot=0, capacity=16)
         pool, registry, metrics = make_pool(
-            "avoid-redundant", lambda: peer, scheduler_tries=32
+            "avoid-redundant", lambda: peer
         )
         add_segment(registry, peer, size=1, blocks=4, collected=1)  # complete
         fresh = add_segment(registry, peer, size=3, blocks=4)  # incomplete
@@ -198,10 +197,11 @@ class TestSchedulerCornerCases:
         assert pool.servers[0].useful_pulls == 1
         assert fresh.collected == 1
 
-    def test_greedy_completion_picks_closest_to_completion(self):
+    def test_greedy_completion_picks_closest_to_completion(self, monkeypatch):
+        monkeypatch.setattr(server_module, "SCHEDULER_TRIES", 32)
         peer = Peer(slot=0, capacity=16)
         pool, registry, _ = make_pool(
-            "greedy-completion", lambda: peer, scheduler_tries=32
+            "greedy-completion", lambda: peer
         )
         behind = add_segment(registry, peer, size=3, blocks=4, collected=0)
         ahead = add_segment(registry, peer, size=3, blocks=4, collected=2)

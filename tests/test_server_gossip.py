@@ -117,8 +117,7 @@ class TestServerPool:
 
 
 class TestGossipProtocol:
-    def make_gossip(self, peers, registry, metrics, stored, selection="proportional",
-                    tries=32):
+    def make_gossip(self, peers, registry, metrics, stored, selection="proportional"):
         params = Parameters(
             n_peers=len(peers),
             arrival_rate=1.0,
@@ -128,7 +127,6 @@ class TestGossipProtocol:
             segment_size=2,
             n_servers=1,
             segment_selection=selection,
-            gossip_target_tries=tries,
         )
 
         def store(peer, block):
