@@ -1,24 +1,14 @@
 #!/usr/bin/env python3
-"""Inject benchmark tables into EXPERIMENTS.md.
+"""Inject the archived experiment tables into EXPERIMENTS.md.
 
-Two input modes, selected by what the first argument points at:
+Reads every series JSON under a results directory (``results/*.json``, as
+written by ``repro all --quality fast --json results/``, plus the
+full-budget archives in ``results/full/*.json``), renders each through
+``SeriesResult.to_table``, and writes the whole table into the archive's
+``<!-- NAME_TABLE -->`` placeholder of EXPERIMENTS.md, replacing any block
+injected there before.  Running it twice changes nothing.
 
-- **console log** (legacy): the output of a benchmark run
-  (``REPRO_BENCH_QUALITY=full pytest benchmarks/ --benchmark-only -s |
-  tee bench_full_output.txt``);
-- **directory** of archived series JSON: either the legacy flat
-  ``results/`` layout (``results/fig3.json`` ...), a single runner run
-  directory (``runs/fig5-001/`` containing ``result.json``), or a parent
-  ``runs/`` directory (every child run's ``result.json`` is collected;
-  the newest run wins when an experiment appears more than once).  The
-  tables are re-rendered from the JSON through ``SeriesResult.to_table``,
-  so both execution paths keep feeding the same doc.
-
-Each experiment's table is substituted into the matching
-``<!-- NAME_TABLE -->`` placeholder of EXPERIMENTS.md (or refreshes a
-previously injected block).
-
-Usage:  python scripts/update_experiments_md.py [log_or_dir] [experiments_md]
+Usage:  python scripts/update_experiments_md.py [results_dir] [experiments_md]
 """
 
 from __future__ import annotations
@@ -26,138 +16,82 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict
 
-#: placeholder -> regex matching the table's title line in the log
-TABLE_TITLES = {
-    "FIG3_TABLE": r"^Fig\. 3 —",
-    "FIG4_TABLE": r"^Fig\. 4 —",
-    "FIG5_TABLE": r"^Fig\. 5 —",
-    "FIG6_TABLE": r"^Fig\. 6 —",
-    "T1_TABLE": r"^Theorem 1 —",
-    "BASELINE_TABLE": r"^Fig\. 1\(a\) vs 1\(b\) —",
-    "TRANSIENT_TABLE": r"^Flash crowd at the fluid limit",
-    "ABL_TTL_TABLE": r"^Ablation — TTL rate",
-    "ABL_BUF_TABLE": r"^Ablation — buffer cap",
-    "ABL_SELECT_TABLE": r"^Ablation — segment selection",
-    "ABL_SCHED_TABLE": r"^Ablation — server pull scheduling",
-    "ABL_CODE_TABLE": r"^Ablation — abstract innovation",
-    "ABL_TOPO_TABLE": r"^Ablation — overlay degree",
-    "ROBUST_TABLE": r"^Robustness — fault injection",
-    "ADVERSARY_TABLE": r"^Adversary — Byzantine strategies",
-    "SCALE_TABLE": r"^E-SCALE —",
-    "LIVE_TABLE": r"^E-LIVE —",
-    "LIVE_CHAOS_TABLE": r"^E-LIVE-CHAOS —",
+#: archive key (``SeriesResult.name``, prefixed with its subdirectory of
+#: the results directory) -> placeholder in EXPERIMENTS.md
+PLACEHOLDERS = {
+    "fig3": "FIG3_TABLE",
+    "fig4": "FIG4_TABLE",
+    "fig5": "FIG5_TABLE",
+    "fig6": "FIG6_TABLE",
+    "theorem1": "T1_TABLE",
+    "baseline": "BASELINE_TABLE",
+    "transient": "TRANSIENT_TABLE",
+    "ablation-ttl": "ABL_TTL_TABLE",
+    "ablation-buffer": "ABL_BUF_TABLE",
+    "ablation-selection": "ABL_SELECT_TABLE",
+    "ablation-scheduler": "ABL_SCHED_TABLE",
+    "ablation-coding": "ABL_CODE_TABLE",
+    "ablation-topology": "ABL_TOPO_TABLE",
+    "robustness": "ROBUST_TABLE",
+    "adversary": "ADVERSARY_TABLE",
+    "scale": "SCALE_TABLE",
+    "full/scale": "SCALE_FULL_TABLE",
+    "live": "LIVE_TABLE",
+    "live_chaos": "LIVE_CHAOS_TABLE",
 }
 
 
-def extract_table(log_lines: list, title_pattern: str) -> str:
-    """Return the table starting at the title line, through its notes."""
-    title_re = re.compile(title_pattern)
-    start = None
-    for index, line in enumerate(log_lines):
-        if title_re.search(line):
-            start = index
-            break
-    if start is None:
-        return ""
-    block = []
-    for line in log_lines[start:]:
-        stripped = line.rstrip("\n")
-        # A table ends at the first line that is neither table content
-        # (rule, header/data rows, which are indented or numeric) nor a note.
-        is_content = (
-            stripped.startswith("note:")
-            or stripped.startswith("=")
-            or stripped.startswith("-")
-            or (stripped and stripped[0].isspace())
-            or any(ch.isdigit() for ch in stripped[:20])
-        )
-        if block and stripped and not is_content:
-            break
-        if not stripped and len(block) > 3:
-            break
-        block.append(stripped)
-    return "\n".join(block).rstrip()
-
-
-def _result_files(root: Path) -> List[Path]:
-    """Series-JSON files under *root*, newest-run-last so later wins.
-
-    Recognizes, in order: a single run directory (``result.json``
-    present), a parent of run directories (children with
-    ``manifest.json``), and the legacy flat ``results/*.json`` layout.
-    """
-    if (root / "result.json").is_file():
-        return [root / "result.json"]
-    run_results = sorted(
-        child / "result.json"
-        for child in root.iterdir()
-        if child.is_dir() and (child / "manifest.json").is_file()
-        and (child / "result.json").is_file()
-    )
-    if run_results:
-        return run_results
-    return sorted(path for path in root.glob("*.json") if path.is_file())
-
-
-def render_directory(root: Path) -> List[str]:
-    """Re-render every archived series under *root* as console lines."""
+def render_tables(root: Path) -> Dict[str, str]:
+    """``{archive key: to_table() text}`` for every series JSON under *root*."""
     repo_src = Path(__file__).resolve().parents[1] / "src"
     if repo_src.is_dir() and str(repo_src) not in sys.path:
         sys.path.insert(0, str(repo_src))
     from repro.experiments import SeriesResult
 
     tables: Dict[str, str] = {}
-    for path in _result_files(root):
-        try:
-            result = SeriesResult.from_json(path.read_text())
-        except (ValueError, KeyError) as exc:
-            print(f"skipping {path}: {exc}", file=sys.stderr)
-            continue
-        tables[result.name] = result.to_table()
-    lines: List[str] = []
-    for table in tables.values():
-        lines.extend(table.splitlines())
-        lines.append("")
-    return lines
+    for path in sorted(root.rglob("*.json")):
+        result = SeriesResult.from_json(path.read_text())
+        if result.name != path.stem:
+            raise ValueError(f"{path} holds series {result.name!r}")
+        key = path.relative_to(root).with_suffix("").as_posix()
+        tables[key] = result.to_table()
+    return tables
 
 
-def inject(markdown: str, name: str, table: str) -> str:
-    """Replace the placeholder (or an earlier injected block) for *name*."""
-    placeholder = f"<!-- {name} -->"
-    fenced = f"{placeholder}\n```\n{table}\n```"
-    # refresh an existing injected block
-    pattern = re.compile(
-        re.escape(placeholder) + r"\n```\n.*?\n```", re.DOTALL
-    )
-    if pattern.search(markdown):
-        return pattern.sub(fenced, markdown)
-    if placeholder in markdown:
-        return markdown.replace(placeholder, fenced)
-    return markdown
+def inject(markdown: str, placeholder: str, table: str) -> str:
+    """Put *table* under *placeholder*, replacing an earlier injected block."""
+    marker = f"<!-- {placeholder} -->"
+    if marker not in markdown:
+        raise ValueError(f"EXPERIMENTS.md has no {marker}")
+    block = re.compile(re.escape(marker) + r"\n```\n.*?\n```\n", re.DOTALL)
+    fenced = f"{marker}\n```\n{table}\n```\n"
+    if block.search(markdown):
+        return block.sub(lambda _: fenced, markdown, count=1)
+    return markdown.replace(marker + "\n", fenced, 1)
 
 
 def main(argv: list) -> int:
-    source = Path(argv[1]) if len(argv) > 1 else Path("bench_full_output.txt")
+    root = Path(argv[1]) if len(argv) > 1 else Path("results")
     md_path = Path(argv[2]) if len(argv) > 2 else Path("EXPERIMENTS.md")
-    if source.is_dir():
-        log_lines = render_directory(source)
-    else:
-        log_lines = source.read_text().splitlines()
     markdown = md_path.read_text()
-    missing = []
-    for name, title_pattern in TABLE_TITLES.items():
-        table = extract_table(log_lines, title_pattern)
-        if not table:
-            missing.append(name)
-            continue
-        markdown = inject(markdown, name, table)
+    try:
+        tables = render_tables(root)
+        unmapped = sorted(set(tables) - set(PLACEHOLDERS))
+        missing = sorted(set(PLACEHOLDERS) - set(tables))
+        if unmapped or missing:
+            raise ValueError(
+                f"archives without a placeholder {unmapped}, "
+                f"placeholders without an archive {missing}"
+            )
+        for key, placeholder in PLACEHOLDERS.items():
+            markdown = inject(markdown, placeholder, tables[key])
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     md_path.write_text(markdown)
-    injected = len(TABLE_TITLES) - len(missing)
-    print(f"injected {injected} tables into {md_path}")
-    if missing:
-        print(f"not found in {source}: {', '.join(missing)}")
+    print(f"injected {len(PLACEHOLDERS)} tables into {md_path}")
     return 0
 
 

@@ -17,7 +17,7 @@ Design rules, mirroring the fault injector's:
   one (the monitored-run regression test asserts exactly this).
 - **Near-zero cost when off.**  An uninstalled suite leaves the engine's
   probe slot ``None``; the hot loop then pays one local is-None test per
-  event (benchmarked in ``benchmarks/test_bench_microbench.py``).
+  event (inside the perf ledger's ``sim.engine.us_per_event`` row).
 - **One source of truth.**  ``System.consistency_check()`` delegates to
   :func:`end_state_monitors`, so the end-of-run checks the test suite has
   always performed and the mid-run chaos checks cannot drift apart.

@@ -2,15 +2,15 @@
 
 Every experiment produces a :class:`SeriesResult` — one x-axis sweep with
 several labelled y-series, which is exactly the structure of each figure in
-the paper.  Results render as ASCII tables (for the benchmark logs and
-EXPERIMENTS.md) and serialize to JSON (for archival/regression diffing).
+the paper.  Results render as ASCII tables (for the console and
+EXPERIMENTS.md) and serialize to JSON (the ``results/`` archive).
 
 Two quality presets control cost:
 
 - ``fast`` — small network, single seed, coarse sweep; minutes of CPU.
-  Used by the pytest-benchmark harness and CI.
+  Used by CI and for most of the ``results/`` archive.
 - ``full`` — paper-scale sweep with seed replication; tens of minutes.
-  Used to produce the numbers recorded in EXPERIMENTS.md.
+  Used for ``results/live.json`` and ``results/full/scale.json``.
 
 Task grids
 ----------

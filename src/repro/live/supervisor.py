@@ -193,11 +193,9 @@ class LiveSupervisor:
                 return
             try:
                 event = json.loads(line)
-            except (ValueError, UnicodeDecodeError):
-                continue
-            if not isinstance(event, dict):
-                continue
-            self._on_event(child, event)
+                self._on_event(child, event if isinstance(event, dict) else {})
+            except (KeyError, TypeError, ValueError):
+                continue  # not JSON, or a field of the wrong type
 
     async def _read_stderr(
         self, child: _Child, proc: "asyncio.subprocess.Process"

@@ -194,6 +194,17 @@ class TestFastPathScheduling:
         sim.run_until(2.0)
         assert order == ["c0", "h1", "c1", "h2"]
 
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_every_scheduled_call_is_counted(self, probe):
+        """Also with a probe armed: the chaos monitors' hook drops nothing."""
+        sim = Simulator()
+        if probe:
+            sim.set_probe(lambda: None, every=256)
+        for index in range(20_000):
+            sim.schedule_call(index * 1e-4, lambda: None)
+        sim.run_until(10.0)
+        assert sim.events_processed == 20_000
+
     def test_schedule_call_validation(self):
         sim = Simulator()
         for bad in (-1.0, math.nan, math.inf):

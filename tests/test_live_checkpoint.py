@@ -198,6 +198,34 @@ class TestJournalFile:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_server_without_a_checkpoint_path_writes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.live.server import LiveLoggingServer
+
+        params = Parameters(
+            n_peers=8,
+            arrival_rate=0.5,
+            gossip_rate=2.0,
+            deletion_rate=0.25,
+            normalized_capacity=1.0,
+            segment_size=2,
+            n_servers=2,
+            mode="rlnc",
+            payload_bytes=32,
+        )
+
+        async def build():
+            return LiveLoggingServer(params, seed=1)
+
+        monkeypatch.chdir(tmp_path)
+        server = asyncio.run(build())
+        for _ in range(3):
+            server.write_checkpoint_now()
+        assert server.checkpoint_path is None
+        assert server.checkpoint_writes == 0
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestServerSigkill:
     def test_supervised_swarm_survives_server_sigkill(self):

@@ -328,6 +328,51 @@ class TestSupervisorValidation:
             )
 
 
+class TestSupervisorStdout:
+    @pytest.mark.parametrize("line", [
+        b"not json",
+        b"[1, 2]",
+        b'"report"',
+        b'{"port": "x"}',
+        b'{"port": null}',
+        b'{"type": "started", "epoch": "x"}',
+        b'{"type": "resumed", "epoch": [1]}',
+        b'{"type": "report", "report": 5}',
+        b'{"type": "report"}',
+    ])
+    def test_malformed_line_is_skipped_and_the_report_still_arrives(
+        self, line
+    ):
+        from types import SimpleNamespace
+
+        from repro.live.supervisor import _Child
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            supervisor = LiveSupervisor(
+                _params(), seed=1, warmup=1.0, duration=2.0,
+            )
+            server = _Child("server", [])
+            supervisor._server = server
+            supervisor._epoch = loop.create_future()
+            supervisor._report = loop.create_future()
+            stdout = asyncio.StreamReader()
+            stdout.feed_data(line + b"\n")
+            stdout.feed_data(b'{"port": 4242}\n')
+            stdout.feed_data(b'{"type": "started", "epoch": 7.5}\n')
+            stdout.feed_data(b'{"type": "report", "report": {"x": 1}}\n')
+            stdout.feed_eof()
+            await supervisor._read_stdout(
+                server, SimpleNamespace(stdout=stdout)
+            )
+            return supervisor
+
+        supervisor = asyncio.run(scenario())
+        assert supervisor._port == 4242
+        assert supervisor._epoch.result() == 7.5
+        assert supervisor._report.result() == {"x": 1}
+
+
 class TestPeerReconnect:
     def test_severed_control_connection_heals_in_place(self):
         """Cut one peer's control TCP from the server side; the peer must
