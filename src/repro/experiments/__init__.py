@@ -58,10 +58,8 @@ from repro.experiments.baseline import (
     FlashCrowdScenario,
     plan_baseline_comparison,
 )
-from repro.experiments.fig3 import plan_fig3
+from repro.experiments.fig3 import plan_fig3, plan_fig5, plan_fig6
 from repro.experiments.fig4 import plan_fig4
-from repro.experiments.fig5 import plan_fig5
-from repro.experiments.fig6 import plan_fig6
 from repro.experiments.live import plan_live
 from repro.experiments.live_chaos import plan_live_chaos
 from repro.experiments.robustness import (

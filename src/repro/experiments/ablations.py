@@ -20,7 +20,7 @@
 
 from __future__ import annotations
 
-import math
+from dataclasses import replace
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
@@ -30,26 +30,48 @@ from repro.experiments.base import (
     ExperimentPlan,
     Payload,
     QUALITY_FAST,
+    SeedMeans,
     SeriesResult,
     SimBudget,
     SimTask,
+    add_seed_series,
     budget_for,
-    seed_mean,
-    seed_cells,
+    report_payload,
     require_event_engine,
+    sweep,
 )
 
-
-def _raw(value: float) -> Optional[float]:
-    """Encode one raw (un-averaged) metric for a JSON payload."""
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return None
-    return float(value)
-
-
-def _thaw(value: Optional[float]) -> float:
-    """Decode :func:`_raw`'s encoding back to the in-memory float."""
-    return math.nan if value is None else float(value)
+#: Per ablation, the simulated series: label -> metric.
+TTL_SERIES = {
+    "occupancy rho": "mean_buffer_occupancy",
+    "normalized throughput": "normalized_throughput",
+    "saved blocks/peer": "saved_blocks_per_peer",
+}
+BUFFER_SERIES = {
+    "normalized throughput": "normalized_throughput",
+    "blocked injections": "blocked_injections",
+    "occupancy rho": "mean_buffer_occupancy",
+}
+SELECTION_SERIES = {
+    "throughput": "normalized_throughput",
+    "goodput": "normalized_goodput",
+}
+CODING_SERIES = {
+    "efficiency": "efficiency",
+    "throughput": "normalized_throughput",
+}
+SCHEDULER_SERIES = {
+    "throughput": "normalized_throughput",
+    "goodput": "normalized_goodput",
+    "efficiency": "efficiency",
+    "block delay": "mean_block_delay",
+}
+TOPOLOGY_METRICS = (
+    "normalized_throughput",
+    "gossip_no_target",
+    "gossip_transfers",
+    "mean_buffer_occupancy",
+)
 
 
 def plan_ttl_ablation(
@@ -59,15 +81,8 @@ def plan_ttl_ablation(
 ) -> ExperimentPlan:
     """E-ABL-TTL as a task grid: one cell per (gamma, seed)."""
     budget = budget or budget_for(quality)
-    metrics = (
-        "mean_buffer_occupancy",
-        "normalized_throughput",
-        "saved_blocks_per_peer",
-    )
-
-    tasks = []
-    for gamma in gammas:
-        params = Parameters(
+    cells = [
+        (f"gamma={gamma:g}", Parameters(
             n_peers=budget.n_peers,
             arrival_rate=8.0,
             gossip_rate=10.0,
@@ -75,10 +90,11 @@ def plan_ttl_ablation(
             normalized_capacity=4.0,
             segment_size=16,
             n_servers=budget.n_servers,
-        )
-        tasks.extend(seed_cells(budget, f"gamma={gamma:g}", params, metrics))
+        ))
+        for gamma in gammas
+    ]
 
-    def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
+    def fold(mean: SeedMeans) -> SeriesResult:
         result = SeriesResult(
             name="ablation-ttl",
             title="Ablation — TTL rate gamma: storage vs throughput "
@@ -86,24 +102,7 @@ def plan_ttl_ablation(
             x_name="gamma",
             x_values=[float(g) for g in gammas],
         )
-        occupancy, throughput, saved = [], [], []
-        for gamma in gammas:
-            prefix = f"gamma={gamma:g}"
-            occupancy.append(
-                seed_mean(payloads, prefix, budget.seeds,
-                          "mean_buffer_occupancy")
-            )
-            throughput.append(
-                seed_mean(payloads, prefix, budget.seeds,
-                          "normalized_throughput")
-            )
-            saved.append(
-                seed_mean(payloads, prefix, budget.seeds,
-                          "saved_blocks_per_peer")
-            )
-        result.add_series("occupancy rho", occupancy)
-        result.add_series("normalized throughput", throughput)
-        result.add_series("saved blocks/peer", saved)
+        add_seed_series(result, mean, TTL_SERIES, [p for p, _ in cells])
         result.add_note(
             "expected: occupancy ~ (mu+lambda)/gamma; throughput and the "
             "saved reserve fall as gamma grows (blocks die before they can "
@@ -111,7 +110,9 @@ def plan_ttl_ablation(
         )
         return result
 
-    return ExperimentPlan("ablation-ttl", tasks, merge)
+    return sweep(
+        "ablation-ttl", budget, cells, tuple(TTL_SERIES.values()), fold
+    )
 
 
 def plan_buffer_ablation(
@@ -121,15 +122,8 @@ def plan_buffer_ablation(
 ) -> ExperimentPlan:
     """E-ABL-BUF as a task grid: one cell per (B, seed)."""
     budget = budget or budget_for(quality)
-    metrics = (
-        "normalized_throughput",
-        "blocked_injections",
-        "mean_buffer_occupancy",
-    )
-
-    tasks = []
-    for capacity in capacities:
-        params = Parameters(
+    cells = [
+        (f"B={capacity}", Parameters(
             n_peers=budget.n_peers,
             arrival_rate=8.0,
             gossip_rate=10.0,
@@ -138,10 +132,11 @@ def plan_buffer_ablation(
             segment_size=8,
             n_servers=budget.n_servers,
             buffer_capacity=capacity,
-        )
-        tasks.extend(seed_cells(budget, f"B={capacity}", params, metrics))
+        ))
+        for capacity in capacities
+    ]
 
-    def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
+    def fold(mean: SeedMeans) -> SeriesResult:
         result = SeriesResult(
             name="ablation-buffer",
             title="Ablation — buffer cap B: blocking vs throughput "
@@ -149,24 +144,7 @@ def plan_buffer_ablation(
             x_name="B",
             x_values=[float(b) for b in capacities],
         )
-        throughput, blocked, occupancy = [], [], []
-        for capacity in capacities:
-            prefix = f"B={capacity}"
-            throughput.append(
-                seed_mean(payloads, prefix, budget.seeds,
-                          "normalized_throughput")
-            )
-            blocked.append(
-                seed_mean(payloads, prefix, budget.seeds,
-                          "blocked_injections")
-            )
-            occupancy.append(
-                seed_mean(payloads, prefix, budget.seeds,
-                          "mean_buffer_occupancy")
-            )
-        result.add_series("normalized throughput", throughput)
-        result.add_series("blocked injections", blocked)
-        result.add_series("occupancy rho", occupancy)
+        add_seed_series(result, mean, BUFFER_SERIES, [p for p, _ in cells])
         result.add_note(
             "expected: blocking vanishes and throughput saturates once B "
             "clears the natural occupancy; below it peers refuse "
@@ -174,7 +152,9 @@ def plan_buffer_ablation(
         )
         return result
 
-    return ExperimentPlan("ablation-buffer", tasks, merge)
+    return sweep(
+        "ablation-buffer", budget, cells, tuple(BUFFER_SERIES.values()), fold
+    )
 
 
 def plan_selection_ablation(
@@ -184,26 +164,23 @@ def plan_selection_ablation(
 ) -> ExperimentPlan:
     """E-ABL-SELECT as a task grid: one cell per (rule, s, seed)."""
     budget = budget or budget_for(quality)
-    metrics = ("normalized_throughput", "normalized_goodput")
+    rules = ("proportional", "uniform")
+    cells = [
+        (f"{selection}:s={s}", Parameters(
+            n_peers=budget.n_peers,
+            arrival_rate=20.0,
+            gossip_rate=10.0,
+            deletion_rate=1.0,
+            normalized_capacity=8.0,
+            segment_size=s,
+            n_servers=budget.n_servers,
+            segment_selection=selection,
+        ))
+        for selection in rules
+        for s in segment_sizes
+    ]
 
-    tasks = []
-    for selection in ("proportional", "uniform"):
-        for s in segment_sizes:
-            params = Parameters(
-                n_peers=budget.n_peers,
-                arrival_rate=20.0,
-                gossip_rate=10.0,
-                deletion_rate=1.0,
-                normalized_capacity=8.0,
-                segment_size=s,
-                n_servers=budget.n_servers,
-                segment_selection=selection,
-            )
-            tasks.extend(seed_cells(
-                budget, f"{selection}:s={s}", params, metrics,
-            ))
-
-    def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
+    def fold(mean: SeedMeans) -> SeriesResult:
         result = SeriesResult(
             name="ablation-selection",
             title="Ablation — segment selection rule "
@@ -211,20 +188,12 @@ def plan_selection_ablation(
             x_name="s",
             x_values=[float(s) for s in segment_sizes],
         )
-        for selection in ("proportional", "uniform"):
-            throughput, goodput = [], []
-            for s in segment_sizes:
-                prefix = f"{selection}:s={s}"
-                throughput.append(
-                    seed_mean(payloads, prefix, budget.seeds,
-                              "normalized_throughput")
-                )
-                goodput.append(
-                    seed_mean(payloads, prefix, budget.seeds,
-                              "normalized_goodput")
-                )
-            result.add_series(f"{selection} throughput", throughput)
-            result.add_series(f"{selection} goodput", goodput)
+        for selection in rules:
+            add_seed_series(
+                result, mean, SELECTION_SERIES,
+                [f"{selection}:s={s}" for s in segment_sizes],
+                tag=f"{selection} ",
+            )
         result.add_note(
             "proportional matches the paper's analysis (Eq. 2 equivalence); "
             "uniform is the literal Sec. 2 text — it pays ~20% throughput "
@@ -233,29 +202,10 @@ def plan_selection_ablation(
         )
         return result
 
-    return ExperimentPlan("ablation-selection", tasks, merge)
-
-
-def _coding_cell(
-    n_peers: int, mode: str, s: int, seed: int, warmup: float, duration: float
-) -> Payload:
-    """One fidelity-mode run: raw efficiency/throughput, no seed average."""
-    params = Parameters(
-        n_peers=n_peers,
-        arrival_rate=6.0,
-        gossip_rate=8.0,
-        deletion_rate=1.0,
-        normalized_capacity=3.0,
-        segment_size=s,
-        n_servers=2,
-        mode=mode,
+    return sweep(
+        "ablation-selection", budget, cells,
+        tuple(SELECTION_SERIES.values()), fold,
     )
-    system = CollectionSystem(params, seed=seed)
-    report = system.run(warmup, duration)
-    return {
-        "efficiency": _raw(report.efficiency),
-        "normalized_throughput": _raw(report.normalized_throughput),
-    }
 
 
 def plan_coding_ablation(
@@ -270,25 +220,29 @@ def plan_coding_ablation(
     and compares collection efficiency; the RLNC mode additionally reports
     the measured redundant fraction among pulls of *incomplete* segments —
     the quantity the abstract mode idealizes to zero.  One cell per
-    (fidelity mode, s).
+    (fidelity mode, s), each a single run at *seed* (no seed average).
     """
     budget = budget or budget_for(quality)
     require_event_engine(budget, "ablation-coding")
     # Full RLNC carries real rank computations: keep the network small.
     n_peers = min(budget.n_peers, 60)
+    modes = ("abstract", "rlnc")
+    cells = [
+        (f"{mode}:s={s}", Parameters(
+            n_peers=n_peers,
+            arrival_rate=6.0,
+            gossip_rate=8.0,
+            deletion_rate=1.0,
+            normalized_capacity=3.0,
+            segment_size=s,
+            n_servers=2,
+            mode=mode,
+        ))
+        for mode in modes
+        for s in segment_sizes
+    ]
 
-    tasks = []
-    for mode in ("abstract", "rlnc"):
-        for s in segment_sizes:
-            tasks.append(SimTask(
-                task_id=f"{mode}:s={s}:seed={seed}",
-                thunk=partial(
-                    _coding_cell, n_peers, mode, s, seed,
-                    budget.warmup, budget.duration,
-                ),
-            ))
-
-    def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
+    def fold(mean: SeedMeans) -> SeriesResult:
         result = SeriesResult(
             name="ablation-coding",
             title="Ablation — abstract innovation assumption vs real RLNC "
@@ -296,14 +250,11 @@ def plan_coding_ablation(
             x_name="s",
             x_values=[float(s) for s in segment_sizes],
         )
-        for mode in ("abstract", "rlnc"):
-            efficiency, throughput = [], []
-            for s in segment_sizes:
-                cell = payloads[f"{mode}:s={s}:seed={seed}"]
-                efficiency.append(_thaw(cell["efficiency"]))
-                throughput.append(_thaw(cell["normalized_throughput"]))
-            result.add_series(f"{mode} efficiency", efficiency)
-            result.add_series(f"{mode} throughput", throughput)
+        for mode in modes:
+            add_seed_series(
+                result, mean, CODING_SERIES,
+                [f"{mode}:s={s}" for s in segment_sizes], tag=f"{mode} ",
+            )
         result.add_note(
             "finding: real RLNC loses 10-30% of collection efficiency to "
             "the idealization in this deliberately adversarial "
@@ -315,7 +266,10 @@ def plan_coding_ablation(
         )
         return result
 
-    return ExperimentPlan("ablation-coding", tasks, merge)
+    return sweep(
+        "ablation-coding", replace(budget, seeds=(seed,)), cells,
+        tuple(CODING_SERIES.values()), fold,
+    )
 
 
 def plan_scheduler_ablation(
@@ -338,16 +292,8 @@ def plan_scheduler_ablation(
     (policy, seed).
     """
     budget = budget or budget_for(quality)
-    metrics = (
-        "normalized_throughput",
-        "normalized_goodput",
-        "efficiency",
-        "mean_block_delay",
-    )
-
-    tasks = []
-    for policy in policies:
-        params = Parameters(
+    cells = [
+        (policy, Parameters(
             n_peers=budget.n_peers,
             arrival_rate=20.0,
             gossip_rate=10.0,
@@ -356,10 +302,11 @@ def plan_scheduler_ablation(
             segment_size=20,
             n_servers=budget.n_servers,
             pull_policy=policy,
-        )
-        tasks.extend(seed_cells(budget, policy, params, metrics))
+        ))
+        for policy in policies
+    ]
 
-    def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
+    def fold(mean: SeedMeans) -> SeriesResult:
         result = SeriesResult(
             name="ablation-scheduler",
             title="Ablation — server pull scheduling "
@@ -367,26 +314,7 @@ def plan_scheduler_ablation(
             x_name="policy#",
             x_values=[float(i) for i in range(len(policies))],
         )
-        throughput, goodput, efficiency, delay = [], [], [], []
-        for policy in policies:
-            throughput.append(
-                seed_mean(payloads, policy, budget.seeds,
-                          "normalized_throughput")
-            )
-            goodput.append(
-                seed_mean(payloads, policy, budget.seeds,
-                          "normalized_goodput")
-            )
-            efficiency.append(
-                seed_mean(payloads, policy, budget.seeds, "efficiency")
-            )
-            delay.append(
-                seed_mean(payloads, policy, budget.seeds, "mean_block_delay")
-            )
-        result.add_series("throughput", throughput)
-        result.add_series("goodput", goodput)
-        result.add_series("efficiency", efficiency)
-        result.add_series("block delay", delay)
+        add_seed_series(result, mean, SCHEDULER_SERIES, policies)
         for index, policy in enumerate(policies):
             result.add_note(f"policy {index}: {policy}")
         result.add_note(
@@ -397,7 +325,10 @@ def plan_scheduler_ablation(
         )
         return result
 
-    return ExperimentPlan("ablation-scheduler", tasks, merge)
+    return sweep(
+        "ablation-scheduler", budget, cells,
+        tuple(SCHEDULER_SERIES.values()), fold,
+    )
 
 
 def _topology_cell(
@@ -428,13 +359,7 @@ def _topology_cell(
             n_peers, degree, overlay_seeds.python(f"degree:{degree}")
         )
     system = CollectionSystem(params, seed=seed, topology=topology)
-    report = system.run(warmup, duration)
-    return {
-        "normalized_throughput": _raw(report.normalized_throughput),
-        "gossip_no_target": report.gossip_no_target,
-        "gossip_transfers": report.gossip_transfers,
-        "mean_buffer_occupancy": _raw(report.mean_buffer_occupancy),
-    }
+    return report_payload(system.run(warmup, duration), TOPOLOGY_METRICS)
 
 
 def plan_topology_ablation(
@@ -466,6 +391,7 @@ def plan_topology_ablation(
     ]
 
     def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
+        mean = SeedMeans(payloads, (seed,))
         result = SeriesResult(
             name="ablation-topology",
             title="Ablation — overlay degree vs mean-field "
@@ -476,12 +402,13 @@ def plan_topology_ablation(
         )
         throughput, gossip_failures, occupancy = [], [], []
         for degree in degrees:
-            cell = payloads[f"degree={degree}:seed={seed}"]
-            throughput.append(_thaw(cell["normalized_throughput"]))
+            prefix = f"degree={degree}"
+            throughput.append(mean(prefix, "normalized_throughput"))
             gossip_failures.append(
-                cell["gossip_no_target"] / max(cell["gossip_transfers"], 1)
+                mean(prefix, "gossip_no_target")
+                / max(mean(prefix, "gossip_transfers"), 1)
             )
-            occupancy.append(_thaw(cell["mean_buffer_occupancy"]))
+            occupancy.append(mean(prefix, "mean_buffer_occupancy"))
         result.add_series("normalized throughput", throughput)
         result.add_series("gossip failure ratio", gossip_failures)
         result.add_series("occupancy rho", occupancy)

@@ -42,21 +42,21 @@ as-is rather than hidden.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.adversary.plan import AdversaryPlan
 from repro.core.params import Parameters
 from repro.experiments.base import (
     ExperimentPlan,
-    Payload,
     QUALITY_FAST,
+    SeedMeans,
     SeriesResult,
     SimBudget,
     budget_for,
-    seed_mean,
-    seed_cells,
     require_event_engine,
+    sweep,
 )
+from repro.experiments.robustness import add_degradation
 from repro.stats.workload import TraceWorkload
 
 #: The four Byzantine strategies, swept one at a time.
@@ -146,12 +146,6 @@ def _workload(budget: SimBudget) -> TraceWorkload:
     )
 
 
-def _ratio(value: float, baseline: float) -> float:
-    if not baseline or math.isnan(value) or math.isnan(baseline):
-        return math.nan
-    return value / baseline
-
-
 def _recovery(base: float, off: float, on: float) -> float:
     """Fraction of the headroom lost (base - off) that the defenses win
     back (on - off); NaN when there was no loss to recover."""
@@ -195,6 +189,12 @@ def _time_recovery(base: float, off: float, on: float) -> float:
     return (t_off - t_on) / lost
 
 
+def _nanmean(values: Sequence[float]) -> float:
+    """Mean of the non-NaN *values*; NaN when there are none."""
+    kept = [v for v in values if not math.isnan(v)]
+    return math.fsum(kept) / len(kept) if kept else math.nan
+
+
 def plan_adversary(
     quality: str = QUALITY_FAST,
     fractions: Sequence[float] = DEFAULT_FRACTIONS,
@@ -208,27 +208,26 @@ def plan_adversary(
     """
     budget = budget or budget_for(quality)
     require_event_engine(budget, "adversary")
-    workload = _workload(budget)
+    base = {arm: f"baseline:defense={arm}" for arm in DEFENSE_ARMS}
 
-    tasks = []
-    for arm in DEFENSE_ARMS:
-        params = _base_params(budget, AdversaryPlan(), defended=arm == "on")
-        tasks.extend(seed_cells(
-            budget, f"baseline:defense={arm}", params, WANTED, workload,
-        ))
-    for strategy in STRATEGIES:
-        for fraction in fractions:
-            if fraction == 0.0:
-                continue
-            plan = plan_for(strategy, fraction)
-            for arm in DEFENSE_ARMS:
-                params = _base_params(budget, plan, defended=arm == "on")
-                prefix = f"{strategy}:fraction={fraction:g}:defense={arm}"
-                tasks.extend(seed_cells(
-                    budget, prefix, params, WANTED, workload,
-                ))
+    def prefix(strategy: str, fraction: float, arm: str) -> str:
+        if fraction == 0.0:
+            return base[arm]
+        return f"{strategy}:fraction={fraction:g}:defense={arm}"
 
-    def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
+    cells = [
+        (base[arm], _base_params(budget, AdversaryPlan(), arm == "on"))
+        for arm in DEFENSE_ARMS
+    ] + [
+        (prefix(strategy, fraction, arm),
+         _base_params(budget, plan_for(strategy, fraction), arm == "on"))
+        for strategy in STRATEGIES
+        for fraction in fractions
+        if fraction != 0.0
+        for arm in DEFENSE_ARMS
+    ]
+
+    def fold(mean: SeedMeans) -> SeriesResult:
         result = SeriesResult(
             name="adversary",
             title="Adversary — Byzantine strategies: delivery ratio, delay "
@@ -237,58 +236,36 @@ def plan_adversary(
             x_name="fraction",
             x_values=[float(f) for f in fractions],
         )
-        base: Dict[str, Dict[str, float]] = {}
-        for arm in DEFENSE_ARMS:
-            base[arm] = {
-                name: seed_mean(
-                    payloads, f"baseline:defense={arm}", budget.seeds, name
-                )
-                for name in WANTED
-            }
         result.add_note(
             "honest baselines (defenses off/on): normalized goodput "
-            f"{base['off']['normalized_goodput']:.4f}/"
-            f"{base['on']['normalized_goodput']:.4f}, mean block delay "
-            f"{base['off']['mean_block_delay']:.4f}/"
-            f"{base['on']['mean_block_delay']:.4f}"
+            f"{mean(base['off'], 'normalized_goodput'):.4f}/"
+            f"{mean(base['on'], 'normalized_goodput'):.4f}, mean block delay "
+            f"{mean(base['off'], 'mean_block_delay'):.4f}/"
+            f"{mean(base['on'], 'mean_block_delay'):.4f}"
         )
-        false_quarantines = base["on"]["false_quarantines"]
-
-        def cell(strategy: str, fraction: float, arm: str) -> Dict[str, float]:
-            if fraction == 0.0:
-                return base[arm]
-            prefix = f"{strategy}:fraction={fraction:g}:defense={arm}"
-            return {
-                name: seed_mean(payloads, prefix, budget.seeds, name)
-                for name in WANTED
-            }
-
+        false_quarantines = mean(base["on"], "false_quarantines")
+        base_goodput = mean(base["off"], "normalized_goodput")
         recovery_notes: List[str] = []
         for strategy in STRATEGIES:
             for arm in DEFENSE_ARMS:
-                delivery, inflation, junk = [], [], []
-                for fraction in fractions:
-                    metrics = cell(strategy, fraction, arm)
-                    delivery.append(_ratio(
-                        metrics["normalized_goodput"],
-                        base[arm]["normalized_goodput"],
-                    ))
-                    inflation.append(_ratio(
-                        metrics["mean_block_delay"],
-                        base[arm]["mean_block_delay"],
-                    ))
-                    pulls = metrics["pulls"]
+                prefixes = [prefix(strategy, f, arm) for f in fractions]
+                tag = f"{strategy} [defenses {arm}]"
+                add_degradation(result, mean, base[arm], prefixes, tag)
+                junk = []
+                for cell in prefixes:
+                    pulls = mean(cell, "pulls")
                     junk.append(
-                        metrics["junk_blocks_served"] / pulls
+                        mean(cell, "junk_blocks_served") / pulls
                         if pulls
                         else math.nan
                     )
-                    if arm == "on" and fraction > 0.0:
-                        false_quarantines += metrics["false_quarantines"]
-                tag = f"{strategy} [defenses {arm}]"
-                result.add_series(f"delivery ratio: {tag}", delivery)
-                result.add_series(f"delay inflation: {tag}", inflation)
                 result.add_series(f"junk ratio: {tag}", junk)
+                if arm == "on":
+                    for fraction, cell in zip(fractions, prefixes):
+                        if fraction > 0.0:
+                            false_quarantines += mean(
+                                cell, "false_quarantines"
+                            )
             # Defense recovery at the acceptance fractions (>= 0.2): how
             # much of the goodput loss and the per-block collection-delay
             # inflation the defended arm claws back against the undefended
@@ -297,33 +274,15 @@ def plan_adversary(
             for fraction in fractions:
                 if fraction < 0.2:
                     continue
-                off = cell(strategy, fraction, "off")
-                on = cell(strategy, fraction, "on")
-                goodput_rec.append(_recovery(
-                    base["off"]["normalized_goodput"],
-                    off["normalized_goodput"],
-                    on["normalized_goodput"],
-                ))
-                delay_rec.append(_time_recovery(
-                    base["off"]["normalized_goodput"],
-                    off["normalized_goodput"],
-                    on["normalized_goodput"],
-                ))
-            goodput_values = [v for v in goodput_rec if not math.isnan(v)]
-            delay_values = [v for v in delay_rec if not math.isnan(v)]
-            mean_goodput = (
-                math.fsum(goodput_values) / len(goodput_values)
-                if goodput_values
-                else math.nan
-            )
-            mean_delay = (
-                math.fsum(delay_values) / len(delay_values)
-                if delay_values
-                else math.nan
-            )
+                off, on = (
+                    mean(prefix(strategy, fraction, arm), "normalized_goodput")
+                    for arm in DEFENSE_ARMS
+                )
+                goodput_rec.append(_recovery(base_goodput, off, on))
+                delay_rec.append(_time_recovery(base_goodput, off, on))
             recovery_notes.append(
-                f"{strategy}: goodput recovery {mean_goodput:.2f}, "
-                f"collection-delay recovery {mean_delay:.2f}"
+                f"{strategy}: goodput recovery {_nanmean(goodput_rec):.2f}, "
+                f"collection-delay recovery {_nanmean(delay_rec):.2f}"
             )
         result.add_note(
             "defense recovery at fractions >= 0.2 (1.0 = full headroom "
@@ -346,4 +305,4 @@ def plan_adversary(
         )
         return result
 
-    return ExperimentPlan("adversary", tasks, merge)
+    return sweep("adversary", budget, cells, WANTED, fold, _workload(budget))

@@ -50,10 +50,11 @@ from repro.core.params import (
     Parameters,
 )
 from repro.core.system import CollectionSystem
+from repro.sim.metrics import MetricsReport
 from repro.stats.workload import Workload
 from repro.util.summary import summarize
 from repro.util.tables import render_series
-from repro.util.validation import require_positive
+from repro.util.validation import require_nonnegative, require_positive
 
 QUALITY_FAST = "fast"
 QUALITY_FULL = "full"
@@ -64,8 +65,11 @@ VALID_QUALITIES = (QUALITY_FAST, QUALITY_FULL)
 class SimBudget:
     """Simulation sizing for one quality level.
 
-    ``engine``/``tau`` select the simulation engine for every cell of the
-    sweep (see :class:`repro.core.params.Parameters`): ``"event"`` is the
+    ``warmup`` is finite and >= 0, ``duration`` finite and > 0, and
+    ``seeds`` non-empty: a budget that could run no measured window is
+    refused here, before any cell starts.  ``engine``/``tau`` select the
+    simulation engine for every cell of the sweep (see
+    :class:`repro.core.params.Parameters`): ``"event"`` is the
     event-exact default, ``"fast"`` the vectorized struct-of-arrays
     engine with tau-leap step size ``tau`` (> 0).
     """
@@ -84,6 +88,10 @@ class SimBudget:
                 f"engine must be one of {VALID_ENGINES}, got {self.engine!r}"
             )
         require_positive("tau", self.tau)
+        require_nonnegative("warmup", self.warmup)
+        require_positive("duration", self.duration)
+        if not self.seeds:
+            raise ValueError("seeds must name at least one seed")
 
 
 #: Default budgets.  The paper does not state its simulated N; these sizes
@@ -298,16 +306,6 @@ class ExperimentPlan:
         """Task ids in canonical grid order."""
         return [task.task_id for task in self.tasks]
 
-    def task(self, task_id: str) -> SimTask:
-        """Look one task up by id (raises ``KeyError`` with context)."""
-        for task in self.tasks:
-            if task.task_id == task_id:
-                return task
-        raise KeyError(
-            f"plan {self.experiment!r} has no task {task_id!r} "
-            f"({len(self.tasks)} tasks in grid)"
-        )
-
     def merge(self, payloads: Mapping[str, Payload]) -> "SeriesResult":
         """Aggregate completed payloads (validates grid completeness)."""
         missing = [
@@ -326,6 +324,24 @@ class ExperimentPlan:
         return self.merge({task.task_id: task.run() for task in self.tasks})
 
 
+def report_payload(
+    report: MetricsReport, metrics: Sequence[str]
+) -> Dict[str, Optional[float]]:
+    """Extract *metrics* from *report* as one strict-JSON cell payload.
+
+    Every value becomes a float; ``None``/NaN (e.g. no delay observations)
+    becomes ``None``, which :class:`SeedMeans` drops on the other side.
+    """
+    cell: Dict[str, Optional[float]] = {}
+    for name in metrics:
+        value = getattr(report, name)
+        if value is None or (isinstance(value, float) and math.isnan(value)):
+            cell[name] = None
+        else:
+            cell[name] = float(value)
+    return cell
+
+
 def simulate_cell(
     params: Parameters,
     warmup: float,
@@ -336,13 +352,10 @@ def simulate_cell(
 ) -> Dict[str, Optional[float]]:
     """Run ONE (parameter point, seed) simulation; extract *metrics*.
 
-    The single-cell unit of every task grid.  ``None``/NaN metric values
-    (e.g. no delay observations) are encoded as ``None`` so the payload
-    survives strict JSON; :func:`seed_mean` drops them on the other side.
-
-    ``params.engine`` selects the simulator: the event-exact engine (the
-    default) or the vectorized fast engine (abstract mode only; see
-    :mod:`repro.fastsim`).
+    The single-cell unit of every task grid, encoded by
+    :func:`report_payload`.  ``params.engine`` selects the simulator: the
+    event-exact engine (the default) or the vectorized fast engine
+    (abstract mode only; see :mod:`repro.fastsim`).
     """
     if params.engine == ENGINE_FAST:
         if workload is not None:
@@ -356,14 +369,7 @@ def simulate_cell(
     else:
         system = CollectionSystem(params, seed=seed, workload=workload)
         report = system.run(warmup, duration)
-    cell: Dict[str, Optional[float]] = {}
-    for name in metrics:
-        value = getattr(report, name)
-        if value is None or (isinstance(value, float) and math.isnan(value)):
-            cell[name] = None
-        else:
-            cell[name] = float(value)
-    return cell
+    return report_payload(report, metrics)
 
 
 def seed_cells(
@@ -379,13 +385,12 @@ def seed_cells(
     the fast engine cannot simulate, while the grid is built.
     """
     params = replace(params, engine=budget.engine, tau=budget.tau)
-    extra = () if workload is None else (workload,)
     return [
         SimTask(
             task_id=f"{prefix}:seed={seed}",
             thunk=partial(
                 simulate_cell, params, budget.warmup, budget.duration,
-                metrics, seed, *extra,
+                metrics, seed, workload,
             ),
         )
         for seed in budget.seeds
@@ -401,21 +406,65 @@ def require_event_engine(budget: SimBudget, experiment: str) -> None:
         )
 
 
-def seed_mean(
-    payloads: Mapping[str, Payload],
-    cell_prefix: str,
-    seeds: Sequence[int],
-    metric: str,
-) -> float:
-    """Mean of *metric* over per-seed cells ``{cell_prefix}:seed={n}``.
+@dataclass(frozen=True)
+class SeedMeans:
+    """What a sweep's fold reads: ``mean(prefix, metric)`` is the mean of
+    *metric* over the per-seed cells ``{prefix}:seed={n}``; ``payloads``
+    holds every task's raw payload, for the rare task that is not a seed
+    cell."""
 
-    Folds seeds in declared budget order (never completion order), drops
-    ``None`` samples, and is NaN when none remain, so a merged parallel run
-    reproduces the serial mean bit for bit.
+    payloads: Mapping[str, Payload]
+    seeds: Sequence[int]
+
+    def __call__(self, prefix: str, metric: str) -> float:
+        """Folds seeds in declared budget order (never completion order),
+        drops ``None`` samples, and is NaN when none remain, so a merged
+        parallel run reproduces the serial mean bit for bit."""
+        values: List[float] = []
+        for seed in self.seeds:
+            value = self.payloads[f"{prefix}:seed={seed}"][metric]
+            if value is not None:
+                values.append(float(value))
+        return summarize(values).mean if values else math.nan
+
+
+def add_seed_series(
+    result: SeriesResult,
+    mean: SeedMeans,
+    series: Mapping[str, str],
+    prefixes: Sequence[str],
+    tag: str = "",
+) -> None:
+    """Add one series per ``label -> metric`` entry of *series*, labelled
+    ``{tag}{label}``: the metric's seed mean at each cell of *prefixes*."""
+    for label, metric in series.items():
+        result.add_series(
+            f"{tag}{label}", [mean(prefix, metric) for prefix in prefixes]
+        )
+
+
+def sweep(
+    experiment: str,
+    budget: SimBudget,
+    cells: Sequence[Tuple[str, Parameters]],
+    metrics: Sequence[str],
+    fold: Callable[[SeedMeans], SeriesResult],
+    workload: Optional[Workload] = None,
+) -> ExperimentPlan:
+    """A seed-mean experiment: a grid of cells and a fold over their means.
+
+    Each ``(prefix, params)`` cell becomes :func:`seed_cells` over the
+    budget's seeds (task ids ``{prefix}:seed={n}``, in cell order), every
+    task recording *metrics*; the merge hands *fold* a :class:`SeedMeans`
+    over the payloads.
     """
-    values: List[float] = []
-    for seed in seeds:
-        value = payloads[f"{cell_prefix}:seed={seed}"][metric]
-        if value is not None:
-            values.append(float(value))
-    return summarize(values).mean if values else math.nan
+    tasks = [
+        task
+        for prefix, params in cells
+        for task in seed_cells(budget, prefix, params, metrics, workload)
+    ]
+
+    def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
+        return fold(SeedMeans(payloads, budget.seeds))
+
+    return ExperimentPlan(experiment, tasks, merge)

@@ -22,18 +22,17 @@ not model churn, so this figure is simulation-driven there as well.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.params import Parameters
 from repro.experiments.base import (
     ExperimentPlan,
-    Payload,
     QUALITY_FAST,
+    SeedMeans,
     SeriesResult,
     SimBudget,
     budget_for,
-    seed_mean,
-    seed_cells,
+    sweep,
 )
 
 #: Paper parameters for Fig. 4.
@@ -50,7 +49,7 @@ MU_VALUES = {
 #: (c, s) scenario grid: ample vs scarce capacity, no coding vs heavy coding.
 SCENARIOS = ((8.0, 1), (8.0, 30), (2.0, 1), (2.0, 30))
 
-METRICS = ("normalized_throughput",)
+REGIMES = ("static", "churn")
 
 
 def plan_fig4(
@@ -63,26 +62,23 @@ def plan_fig4(
     if mu_values is None:
         mu_values = MU_VALUES["full" if quality == "full" else "fast"]
     budget = budget or budget_for(quality)
+    cells = [
+        (f"c={c:g}:s={s}:{regime}:mu={mu:g}", Parameters(
+            n_peers=budget.n_peers,
+            arrival_rate=ARRIVAL_RATE,
+            gossip_rate=mu,
+            deletion_rate=DELETION_RATE,
+            normalized_capacity=c,
+            segment_size=s,
+            n_servers=budget.n_servers,
+            mean_lifetime=CHURN_LIFETIME if regime == "churn" else None,
+        ))
+        for c, s in scenarios
+        for regime in REGIMES
+        for mu in mu_values
+    ]
 
-    tasks = []
-    for c, s in scenarios:
-        for churned in (False, True):
-            regime = "churn" if churned else "static"
-            for mu in mu_values:
-                params = Parameters(
-                    n_peers=budget.n_peers,
-                    arrival_rate=ARRIVAL_RATE,
-                    gossip_rate=mu,
-                    deletion_rate=DELETION_RATE,
-                    normalized_capacity=c,
-                    segment_size=s,
-                    n_servers=budget.n_servers,
-                    mean_lifetime=CHURN_LIFETIME if churned else None,
-                )
-                prefix = f"c={c:g}:s={s}:{regime}:mu={mu:g}"
-                tasks.extend(seed_cells(budget, prefix, params, METRICS))
-
-    def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
+    def fold(mean: SeedMeans) -> SeriesResult:
         result = SeriesResult(
             name="fig4",
             title=(
@@ -94,19 +90,14 @@ def plan_fig4(
             x_values=[float(mu) for mu in mu_values],
         )
         for c, s in scenarios:
-            for churned in (False, True):
-                regime = "churn" if churned else "static"
-                values = [
-                    seed_mean(
-                        payloads, f"c={c:g}:s={s}:{regime}:mu={mu:g}",
-                        budget.seeds, "normalized_throughput",
+            for regime in REGIMES:
+                result.add_series(f"c={c:g} s={s} {regime}", [
+                    mean(
+                        f"c={c:g}:s={s}:{regime}:mu={mu:g}",
+                        "normalized_throughput",
                     )
                     for mu in mu_values
-                ]
-                label = f"c={c:g} s={s}" + (
-                    " churn" if churned else " static"
-                )
-                result.add_series(label, values)
+                ])
         result.add_note(
             "shape target: with ample capacity (c=lambda=8) churn+large s "
             "degrades throughput; with scarce capacity (c=2) larger s and "
@@ -114,4 +105,4 @@ def plan_fig4(
         )
         return result
 
-    return ExperimentPlan("fig4", tasks, merge)
+    return sweep("fig4", budget, cells, ("normalized_throughput",), fold)

@@ -24,29 +24,118 @@ zero everywhere (end-to-end RLNC decode correctness on the wire).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.params import MODE_RLNC, Parameters
 from repro.experiments.base import (
     ExperimentPlan,
     Payload,
     QUALITY_FAST,
+    SeedMeans,
     SeriesResult,
     SimBudget,
     SimTask,
     budget_for,
-    seed_mean,
     simulate_cell,
     require_event_engine,
 )
+from repro.faults.plan import FaultPlan
 from repro.live.crossval import (
     DEFAULT_TOLERANCES,
+    CrossValReport,
     compare_reports,
     verdict_note,
     verification_note,
 )
 from repro.live.harness import live_cell
+
+#: The two engines of a sim-twin/live pair, in task and series order.
+ENGINES = ("sim", "live")
+
+#: One engine's cell: ``cell(params, seed=n)`` returns its payload.
+TwinCell = Callable[..., Mapping[str, object]]
+
+
+@dataclass(frozen=True)
+class Twins(SeedMeans):
+    """The payloads of a sim-twin/live grid, read by engine and point."""
+
+    points: Sequence[str]
+
+    def mean(self, engine: str, point: str, metric: str) -> float:
+        """Seed mean of *metric* on *engine* at *point*."""
+        return self(f"{engine}:{point}", metric)
+
+    def live_sum(
+        self, metric: str, points: Optional[Sequence[str]] = None
+    ) -> int:
+        """Total of a live-only counter over *points* (default: all)."""
+        return sum(
+            int(value)
+            for point in (self.points if points is None else points)
+            for seed in self.seeds
+            for value in [self.payloads[f"live:{point}:seed={seed}"][metric]]
+            if value is not None
+        )
+
+    def crossval(
+        self,
+        result: SeriesResult,
+        metrics: Sequence[str],
+        tolerances: Mapping[str, float],
+        band_note: str = "",
+    ) -> List[CrossValReport]:
+        """Add one series per metric x engine, then one verdict note per
+        point comparing the engines within *tolerances*; return the
+        verdicts."""
+        for metric in metrics:
+            for engine in ENGINES:
+                result.add_series(f"{engine} {metric}", [
+                    self.mean(engine, point, metric) for point in self.points
+                ])
+        verdicts = [
+            compare_reports(
+                *(
+                    {m: self.mean(engine, point, m) for m in tolerances}
+                    for engine in ENGINES
+                ),
+                tolerances=tolerances,
+            )
+            for point in self.points
+        ]
+        for point, report in zip(self.points, verdicts):
+            result.add_note(verdict_note(point, report) + band_note)
+        return verdicts
+
+
+def twin_plan(
+    experiment: str,
+    points: Sequence[Tuple[str, Parameters]],
+    seeds: Sequence[int],
+    sim: TwinCell,
+    live: TwinCell,
+    fold: Callable[[Twins], SeriesResult],
+) -> ExperimentPlan:
+    """A sim-twin/live grid: per ``(point, params)`` and seed, the task
+    ``sim:{point}:seed={n}`` then ``live:{point}:seed={n}``; the merge
+    hands *fold* the :class:`Twins` of the payloads."""
+    tasks = [
+        SimTask(
+            task_id=f"{engine}:{point}:seed={seed}",
+            thunk=partial(cell, params, seed=seed),
+        )
+        for point, params in points
+        for seed in seeds
+        for engine, cell in zip(ENGINES, (sim, live))
+    ]
+    labels = [point for point, _ in points]
+
+    def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
+        return fold(Twins(payloads, seeds, labels))
+
+    return ExperimentPlan(experiment, tasks, merge)
 
 #: The operating point (per-peer rates; the Fig. 3 family's low-load
 #: corner, where a live swarm reaches steady state in seconds).
@@ -84,6 +173,27 @@ SIM_WARMUP = 40.0
 SIM_DURATION = 120.0
 
 
+def operating_point(
+    n_peers: int,
+    n_servers: int,
+    segment_size: int,
+    faults: Optional[FaultPlan] = None,
+) -> Parameters:
+    """The RLNC session both live experiments run at this corner."""
+    return Parameters(
+        n_peers=n_peers,
+        arrival_rate=ARRIVAL_RATE,
+        gossip_rate=GOSSIP_RATE,
+        deletion_rate=DELETION_RATE,
+        normalized_capacity=CAPACITY,
+        segment_size=segment_size,
+        n_servers=n_servers,
+        mode=MODE_RLNC,
+        payload_bytes=PAYLOAD_BYTES,
+        faults=faults,
+    )
+
+
 def plan_live(
     quality: str = QUALITY_FAST,
     segment_sizes: Sequence[int] = SEGMENT_SIZES,
@@ -105,40 +215,13 @@ def plan_live(
     if budget.n_peers != preset.n_peers:
         # explicit --n-peers override: cross-validate that population
         n_peers = budget.n_peers
-    seeds = budget.seeds
 
-    tasks = []
-    grid: List[Tuple[int, Parameters]] = []
-    for s in segment_sizes:
-        params = Parameters(
-            n_peers=n_peers,
-            arrival_rate=ARRIVAL_RATE,
-            gossip_rate=GOSSIP_RATE,
-            deletion_rate=DELETION_RATE,
-            normalized_capacity=CAPACITY,
-            segment_size=s,
-            n_servers=budget.n_servers,
-            mode=MODE_RLNC,
-            payload_bytes=PAYLOAD_BYTES,
-        )
-        grid.append((s, params))
-        for seed in seeds:
-            tasks.append(SimTask(
-                task_id=f"sim:s={s}:seed={seed}",
-                thunk=partial(
-                    simulate_cell, params, SIM_WARMUP, SIM_DURATION,
-                    CROSSVAL_METRICS, seed,
-                ),
-            ))
-            tasks.append(SimTask(
-                task_id=f"live:s={s}:seed={seed}",
-                thunk=partial(
-                    live_cell, params, seed, live_warmup, live_duration,
-                    time_scale, LIVE_METRICS,
-                ),
-            ))
+    points = [
+        (f"s={s}", operating_point(n_peers, budget.n_servers, s))
+        for s in segment_sizes
+    ]
 
-    def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
+    def fold(twins: Twins) -> SeriesResult:
         result = SeriesResult(
             name="live",
             title=(
@@ -149,42 +232,30 @@ def plan_live(
                 f"time_scale={time_scale:g})"
             ),
             x_name="s",
-            x_values=[float(s) for s, _ in grid],
+            x_values=[float(s) for s in segment_sizes],
         )
-
-        def mean(prefix: str, s: int, metric: str) -> float:
-            return seed_mean(payloads, f"{prefix}:s={s}", seeds, metric)
-
-        def live_sum(metric: str) -> int:
-            return sum(
-                int(value)
-                for s, _ in grid
-                for seed in seeds
-                for value in [payloads[f"live:s={s}:seed={seed}"][metric]]
-                if value is not None
-            )
-
-        verdicts = [
-            (s, compare_reports(*(
-                {m: mean(prefix, s, m) for m in CROSSVAL_METRICS}
-                for prefix in ("sim", "live")
-            )))
-            for s, _ in grid
-        ]
-        for metric in DEFAULT_TOLERANCES:
-            for prefix in ("sim", "live"):
-                result.add_series(
-                    f"{prefix} {metric}",
-                    [mean(prefix, s, metric) for s, _ in grid],
-                )
-        for s, report in verdicts:
-            result.add_note(verdict_note(f"s={s}", report))
-        failures = live_sum("hash_failures")
-        result.add_note(verification_note(live_sum("hash_verified"), failures))
-        if all(report.agrees for _, report in verdicts) and failures == 0:
+        verdicts = twins.crossval(
+            result, CROSSVAL_METRICS, DEFAULT_TOLERANCES
+        )
+        failures = twins.live_sum("hash_failures")
+        result.add_note(
+            verification_note(twins.live_sum("hash_verified"), failures)
+        )
+        if all(report.agrees for report in verdicts) and failures == 0:
             result.add_note("CROSS-VALIDATION PASSED")
         else:
             result.add_note("CROSS-VALIDATION FAILED")
         return result
 
-    return ExperimentPlan("live", tasks, merge)
+    return twin_plan(
+        "live", points, budget.seeds,
+        sim=partial(
+            simulate_cell, warmup=SIM_WARMUP, duration=SIM_DURATION,
+            metrics=CROSSVAL_METRICS,
+        ),
+        live=partial(
+            live_cell, warmup=live_warmup, duration=live_duration,
+            time_scale=time_scale, metrics=LIVE_METRICS,
+        ),
+        fold=fold,
+    )

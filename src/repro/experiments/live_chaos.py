@@ -36,35 +36,23 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.core.params import MODE_RLNC, Parameters
 from repro.experiments.base import (
     ExperimentPlan,
-    Payload,
     QUALITY_FAST,
     SeriesResult,
     SimBudget,
-    SimTask,
     budget_for,
-    seed_mean,
     simulate_cell,
     require_event_engine,
 )
+from repro.experiments.live import ENGINES, Twins, operating_point, twin_plan
 from repro.faults.plan import FaultPlan
-from repro.live.crossval import (
-    compare_reports,
-    verdict_note,
-    verification_note,
-)
+from repro.live.crossval import verification_note
 from repro.live.supervisor import supervised_cell
 
-#: The operating point (same low-load corner as E-LIVE).
-ARRIVAL_RATE = 0.25
-GOSSIP_RATE = 1.0
-DELETION_RATE = 0.25
-CAPACITY = 1.0
-PAYLOAD_BYTES = 64
+#: The operating point: E-LIVE's low-load corner at one segment size.
 SEGMENT_SIZE = 2
 
 #: Widened sim-vs-live bands for faulted short windows (see module doc).
@@ -138,42 +126,15 @@ def plan_live_chaos(
         # explicit --n-peers override: chaos that population instead
         n_peers = budget.n_peers
         peer_procs = min(peer_procs, n_peers)
-    seeds = budget.seeds
+    points = [
+        (condition, operating_point(
+            n_peers, budget.n_servers, SEGMENT_SIZE,
+            _chaos_plan() if condition == "fault" else None,
+        ))
+        for condition in CONDITIONS
+    ]
 
-    def params_for(condition: str) -> Parameters:
-        return Parameters(
-            n_peers=n_peers,
-            arrival_rate=ARRIVAL_RATE,
-            gossip_rate=GOSSIP_RATE,
-            deletion_rate=DELETION_RATE,
-            normalized_capacity=CAPACITY,
-            segment_size=SEGMENT_SIZE,
-            n_servers=budget.n_servers,
-            mode=MODE_RLNC,
-            payload_bytes=PAYLOAD_BYTES,
-            faults=_chaos_plan() if condition == "fault" else None,
-        )
-
-    tasks = []
-    for condition in CONDITIONS:
-        params = params_for(condition)
-        for seed in seeds:
-            tasks.append(SimTask(
-                task_id=f"sim:{condition}:seed={seed}",
-                thunk=partial(
-                    simulate_cell, params, warmup, duration,
-                    CROSSVAL_METRICS, seed,
-                ),
-            ))
-            tasks.append(SimTask(
-                task_id=f"live:{condition}:seed={seed}",
-                thunk=partial(
-                    supervised_cell, params, seed, warmup, duration,
-                    time_scale, peer_procs, LIVE_METRICS,
-                ),
-            ))
-
-    def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
+    def fold(twins: Twins) -> SeriesResult:
         result = SeriesResult(
             name="live_chaos",
             title=(
@@ -186,64 +147,31 @@ def plan_live_chaos(
             x_name="faulted",
             x_values=[float(i) for i, _ in enumerate(CONDITIONS)],
         )
-
-        def mean(prefix: str, condition: str, metric: str) -> float:
-            return seed_mean(
-                payloads, f"{prefix}:{condition}", seeds, metric
-            )
-
-        def live_sum(condition: str, metric: str) -> int:
-            return sum(
-                int(value)
-                for seed in seeds
-                for value in [
-                    payloads[f"live:{condition}:seed={seed}"][metric]
-                ]
-                if value is not None
-            )
-
         bands = ", ".join(
             f"{m}<={t:.0%}" for m, t in CHAOS_TOLERANCES.items()
         )
-        verdicts = [
-            compare_reports(
-                *(
-                    {m: mean(prefix, condition, m) for m in CHAOS_TOLERANCES}
-                    for prefix in ("sim", "live")
-                ),
-                tolerances=CHAOS_TOLERANCES,
-            )
-            for condition in CONDITIONS
-        ]
-        for metric in CROSSVAL_METRICS:
-            for prefix in ("sim", "live"):
-                result.add_series(
-                    f"{prefix} {metric}",
-                    [mean(prefix, c, metric) for c in CONDITIONS],
-                )
-        for condition, report in zip(CONDITIONS, verdicts):
-            result.add_note(
-                f"{verdict_note(condition, report)} [bands: {bands}]"
-            )
+        verdicts = twins.crossval(
+            result, CROSSVAL_METRICS, CHAOS_TOLERANCES, f" [bands: {bands}]"
+        )
 
         # Outage-induced delay degradation, engine by engine.
         for metric in ("mean_block_delay", "normalized_throughput"):
-            for prefix in ("sim", "live"):
-                base = mean(prefix, "base", metric)
-                fault = mean(prefix, "fault", metric)
+            for engine in ENGINES:
+                base = twins.mean(engine, "base", metric)
+                fault = twins.mean(engine, "fault", metric)
                 if not (math.isnan(base) or math.isnan(fault)):
                     result.add_note(
-                        f"{prefix} {metric} degradation: "
+                        f"{engine} {metric} degradation: "
                         f"{base:.4f} -> {fault:.4f} "
                         f"({fault - base:+.4f})"
                     )
 
-        restarts = live_sum("fault", "server_restarts")
+        restarts = twins.live_sum("server_restarts", ["fault"])
         peer_kills = sum(
             1
-            for seed in seeds
+            for seed in twins.seeds
             for executed in [
-                payloads[f"live:fault:seed={seed}"][
+                twins.payloads[f"live:fault:seed={seed}"][
                     "process_faults_executed"
                 ]
             ]
@@ -251,13 +179,9 @@ def plan_live_chaos(
             for event in executed
             if event.get("kind") == "kill-peers"
         )
-        restored = live_sum("fault", "restored_rank")
-        failures = sum(
-            live_sum(condition, "hash_failures") for condition in CONDITIONS
-        )
-        verified = sum(
-            live_sum(condition, "hash_verified") for condition in CONDITIONS
-        )
+        restored = twins.live_sum("restored_rank", ["fault"])
+        failures = twins.live_sum("hash_failures")
+        verified = twins.live_sum("hash_verified")
         result.add_note(
             f"fault plane: {restarts} server SIGKILL(s) survived "
             f"(decoder pool restored with {restored} rank unit(s), "
@@ -277,4 +201,16 @@ def plan_live_chaos(
         )
         return result
 
-    return ExperimentPlan("live_chaos", tasks, merge)
+    return twin_plan(
+        "live_chaos", points, budget.seeds,
+        sim=partial(
+            simulate_cell, warmup=warmup, duration=duration,
+            metrics=CROSSVAL_METRICS,
+        ),
+        live=partial(
+            supervised_cell, warmup=warmup, duration=duration,
+            time_scale=time_scale, peer_procs=peer_procs,
+            metrics=LIVE_METRICS,
+        ),
+        fold=fold,
+    )

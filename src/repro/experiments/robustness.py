@@ -27,7 +27,7 @@ original bytes — zero tolerance, recorded as a table note.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,13 +38,13 @@ from repro.experiments.base import (
     ExperimentPlan,
     Payload,
     QUALITY_FAST,
+    SeedMeans,
     SeriesResult,
     SimBudget,
     SimTask,
     budget_for,
-    seed_mean,
-    seed_cells,
     require_event_engine,
+    sweep,
 )
 from repro.faults import FaultPlan
 from repro.sim.rng import SeedSequenceRegistry
@@ -96,6 +96,30 @@ def _ratio(value: float, baseline: float) -> float:
     return value / baseline
 
 
+def add_degradation(
+    result: SeriesResult,
+    mean: SeedMeans,
+    baseline: str,
+    prefixes: Sequence[str],
+    tag: str,
+) -> None:
+    """Add the ``delivery ratio: {tag}`` and ``delay inflation: {tag}``
+    series: each cell of *prefixes* against the *baseline* cell.
+
+    A severity-0 point names *baseline* itself, so it rides the shared
+    baseline run instead of simulating a fault-free cell again.
+    """
+    for label, metric in (
+        ("delivery ratio", "normalized_goodput"),
+        ("delay inflation", "mean_block_delay"),
+    ):
+        base = mean(baseline, metric)
+        result.add_series(
+            f"{label}: {tag}",
+            [_ratio(mean(prefix, metric), base) for prefix in prefixes],
+        )
+
+
 def _audit_cell() -> Payload:
     rejected, corrupted, decoded = rlnc_pollution_audit()
     return {"rejected": rejected, "corrupted": corrupted, "decoded": decoded}
@@ -115,21 +139,20 @@ def plan_robustness(
     budget = budget or budget_for(quality)
     require_event_engine(budget, "robustness")
 
-    tasks = []
-    tasks.extend(seed_cells(
-        budget, "baseline", _base_params(budget, FaultPlan()), WANTED,
-    ))
-    for channel in CHANNELS:
-        for severity in severities:
-            if severity == 0.0:
-                continue
-            params = _base_params(budget, plan_for(channel, severity))
-            tasks.extend(seed_cells(
-                budget, f"{channel}:severity={severity:g}", params, WANTED,
-            ))
-    tasks.append(SimTask(task_id="audit", thunk=_audit_cell))
+    def prefix(channel: str, severity: float) -> str:
+        if severity == 0.0:
+            return "baseline"
+        return f"{channel}:severity={severity:g}"
 
-    def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
+    cells = [("baseline", _base_params(budget, FaultPlan()))] + [
+        (prefix(channel, severity),
+         _base_params(budget, plan_for(channel, severity)))
+        for channel in CHANNELS
+        for severity in severities
+        if severity != 0.0
+    ]
+
+    def fold(mean: SeedMeans) -> SeriesResult:
         result = SeriesResult(
             name="robustness",
             title="Robustness — fault injection: delivery ratio and delay "
@@ -138,36 +161,18 @@ def plan_robustness(
             x_name="severity",
             x_values=[float(s) for s in severities],
         )
-        baseline: Dict[str, float] = {
-            name: seed_mean(payloads, "baseline", budget.seeds, name)
-            for name in WANTED
-        }
-        base_goodput = baseline["normalized_goodput"]
-        base_delay = baseline["mean_block_delay"]
         result.add_note(
-            f"fault-free baseline: normalized goodput {base_goodput:.4f}, "
-            f"mean block delay {base_delay:.4f}"
+            "fault-free baseline: normalized goodput "
+            f"{mean('baseline', 'normalized_goodput'):.4f}, "
+            f"mean block delay {mean('baseline', 'mean_block_delay'):.4f}"
         )
         for channel in CHANNELS:
-            delivery, inflation = [], []
-            for severity in severities:
-                if severity == 0.0:
-                    metrics = baseline
-                else:
-                    prefix = f"{channel}:severity={severity:g}"
-                    metrics = {
-                        name: seed_mean(payloads, prefix, budget.seeds, name)
-                        for name in ("normalized_goodput", "mean_block_delay")
-                    }
-                delivery.append(
-                    _ratio(metrics["normalized_goodput"], base_goodput)
-                )
-                inflation.append(
-                    _ratio(metrics["mean_block_delay"], base_delay)
-                )
-            result.add_series(f"delivery ratio: {channel}", delivery)
-            result.add_series(f"delay inflation: {channel}", inflation)
-        audit = payloads["audit"]
+            add_degradation(
+                result, mean, "baseline",
+                [prefix(channel, severity) for severity in severities],
+                channel,
+            )
+        audit = mean.payloads["audit"]
         result.add_note(
             f"rlnc pollution audit: {audit['rejected']} polluted blocks "
             f"rejected by rank detection, {audit['corrupted']} corrupted "
@@ -182,7 +187,11 @@ def plan_robustness(
         )
         return result
 
-    return ExperimentPlan("robustness", tasks, merge)
+    plan = sweep("robustness", budget, cells, WANTED, fold)
+    audit = SimTask(task_id="audit", thunk=_audit_cell)
+    return ExperimentPlan(
+        "robustness", plan.tasks + [audit], plan.merge_payloads
+    )
 
 
 def rlnc_pollution_audit(

@@ -16,20 +16,20 @@ of occupancy and the empty-peer fraction:
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.ode import CollectionODE
 from repro.analysis.theorems import theorem1_storage
 from repro.core.params import Parameters
 from repro.experiments.base import (
     ExperimentPlan,
-    Payload,
     QUALITY_FAST,
+    SeedMeans,
     SeriesResult,
     SimBudget,
+    add_seed_series,
     budget_for,
-    seed_mean,
-    seed_cells,
+    sweep,
 )
 from repro.experiments.fig3 import ARRIVAL_RATE, DELETION_RATE, GOSSIP_RATE
 
@@ -41,7 +41,12 @@ SEGMENT_SIZES = {
 #: mid-range value so the same runs double as a throughput sanity check.
 CAPACITY = 8.0
 
-METRICS = ("mean_buffer_occupancy", "empty_peer_fraction", "storage_overhead")
+#: Simulated series: label -> metric.
+SIM_SERIES = {
+    "sim rho": "mean_buffer_occupancy",
+    "sim z0": "empty_peer_fraction",
+    "sim overhead": "storage_overhead",
+}
 
 
 def plan_theorem1(
@@ -53,10 +58,8 @@ def plan_theorem1(
     if segment_sizes is None:
         segment_sizes = SEGMENT_SIZES["full" if quality == "full" else "fast"]
     budget = budget or budget_for(quality)
-
-    tasks = []
-    for s in segment_sizes:
-        params = Parameters(
+    cells = [
+        (f"s={s}", Parameters(
             n_peers=budget.n_peers,
             arrival_rate=ARRIVAL_RATE,
             gossip_rate=GOSSIP_RATE,
@@ -64,10 +67,11 @@ def plan_theorem1(
             normalized_capacity=CAPACITY,
             segment_size=s,
             n_servers=budget.n_servers,
-        )
-        tasks.extend(seed_cells(budget, f"s={s}", params, METRICS))
+        ))
+        for s in segment_sizes
+    ]
 
-    def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
+    def fold(mean: SeedMeans) -> SeriesResult:
         closed = theorem1_storage(ARRIVAL_RATE, GOSSIP_RATE, DELETION_RATE)
         result = SeriesResult(
             name="theorem1",
@@ -96,27 +100,13 @@ def plan_theorem1(
         result.add_series("ODE rho", ode_rho)
         result.add_series("ODE z0", ode_z0)
 
-        sim_rho, sim_z0, sim_overhead = [], [], []
-        for s in segment_sizes:
-            prefix = f"s={s}"
-            sim_rho.append(
-                seed_mean(payloads, prefix, budget.seeds,
-                          "mean_buffer_occupancy")
-            )
-            sim_z0.append(
-                seed_mean(payloads, prefix, budget.seeds,
-                          "empty_peer_fraction")
-            )
-            sim_overhead.append(
-                seed_mean(payloads, prefix, budget.seeds, "storage_overhead")
-            )
-        result.add_series("sim rho", sim_rho)
-        result.add_series("sim z0", sim_z0)
-        result.add_series("sim overhead", sim_overhead)
+        add_seed_series(
+            result, mean, SIM_SERIES, [f"s={s}" for s in segment_sizes]
+        )
         result.add_note(
             "Theorem 1 claims rho is independent of s and overhead < "
             f"mu/gamma = {GOSSIP_RATE / DELETION_RATE:g}"
         )
         return result
 
-    return ExperimentPlan("theorem1", tasks, merge)
+    return sweep("theorem1", budget, cells, tuple(SIM_SERIES.values()), fold)

@@ -36,6 +36,10 @@ def _argv(template, tmp_path):
         ["ablation-selection", "--engine", "fast"],
         ["run", "adversary", "--engine", "fast", *SESSION],
         ["run", "fig3", "--n-peers", "0", *SESSION],
+        ["ablation-ttl", "--duration", "0"],
+        ["ablation-ttl", "--warmup", "-1"],
+        ["run", "fig3", "--duration", "0", *SESSION],
+        ["run", "theorem1", "--warmup", "-1", *SESSION],
         ["run", "fig3", "--tau", "0", *SESSION],
         ["run", "fig3", "--workers", "0", *SESSION],
         ["run", "fig3", "--resume", "no-such-run", *SESSION],

@@ -1,5 +1,6 @@
 """Tests for the experiment harness and CLI (tiny budgets)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,20 +9,18 @@ from repro.experiments import PLAN_BUILDERS
 from repro.experiments.base import (
     QUALITY_FAST,
     ExperimentPlan,
+    SeedMeans,
     SeriesResult,
     SimBudget,
     budget_for,
-    seed_mean,
     simulate_cell,
 )
 from repro.experiments.baseline import (
     FlashCrowdScenario,
     plan_baseline_comparison,
 )
-from repro.experiments.fig3 import plan_fig3
+from repro.experiments.fig3 import plan_fig3, plan_fig5, plan_fig6
 from repro.experiments.fig4 import plan_fig4
-from repro.experiments.fig5 import plan_fig5
-from repro.experiments.fig6 import plan_fig6
 from repro.experiments.theorem1 import plan_theorem1
 
 TINY = SimBudget(n_peers=30, warmup=3.0, duration=4.0, seeds=(1,), n_servers=2)
@@ -69,6 +68,23 @@ class TestBudgets:
         with pytest.raises(ValueError):
             budget_for("ultra")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("warmup", -1.0),
+            ("warmup", float("nan")),
+            ("warmup", float("inf")),
+            ("duration", 0.0),
+            ("duration", -1.0),
+            ("duration", float("nan")),
+            ("duration", float("inf")),
+            ("seeds", ()),
+        ],
+    )
+    def test_budget_without_a_measured_window_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(TINY, **{field: value})
+
 
 class TestSimulateMetrics:
     def test_returns_requested_metrics(self):
@@ -91,8 +107,8 @@ class TestSimulateMetrics:
             for seed in TINY.seeds
         }
         assert all(set(cell) == set(names) for cell in cells.values())
-        throughput = seed_mean(
-            cells, "point", TINY.seeds, "normalized_throughput"
+        throughput = SeedMeans(cells, TINY.seeds)(
+            "point", "normalized_throughput"
         )
         assert 0 < throughput <= 1
 
@@ -112,13 +128,6 @@ class TestRunners:
         analytic = result.series["analytic c=2"]
         assert analytic[1] > analytic[0]
         assert all(v <= 2.0 / 20.0 + 1e-9 for v in result.series["capacity c=2"])
-
-    def test_fig3_without_simulation_is_fast(self):
-        result = plan_fig3(
-            segment_sizes=(1, 2), capacities=(4.0,), budget=TINY,
-            include_simulation=False,
-        ).run_serial()
-        assert "sim c=4" not in result.series
 
     def test_fig4_shape(self):
         result = plan_fig4(

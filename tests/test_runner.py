@@ -46,6 +46,7 @@ EQUIVALENCE_CASES = [
     ("transient", TINY, {"n_samples": 4}),
     ("baseline", TINY, {}),
     ("robustness", TINY, {"severities": [0.0, 0.3]}),
+    ("adversary", TINY, {"fractions": [0.0, 0.2]}),
     ("ablation-ttl", TINY, {"gammas": [0.5, 2.0]}),
     ("ablation-buffer", TINY, {"capacities": [16, 48]}),
     ("ablation-selection", TINY, {"segment_sizes": [1, 5]}),
