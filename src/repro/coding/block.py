@@ -148,6 +148,33 @@ class CodedBlock:
         )
 
 
+def corrupt_block(block: CodedBlock) -> CodedBlock:
+    """Mark *block* as polluted, invalidating its coefficient header.
+
+    In RLNC mode the coefficient vector is zeroed — a detectably invalid
+    header that GF(2^8) rank arithmetic can never count as innovative, so
+    the server-side decoder rejects the block for free.  In abstract mode
+    the ``polluted`` tag alone carries the information (the tagged-block
+    approximation of the same detection).  Returns the block for chaining.
+    """
+    block.polluted = True
+    if block.coefficients is not None:
+        block.coefficients.fill(0)
+    return block
+
+
+def detects_pollution(block: CodedBlock) -> bool:
+    """Recognise a :func:`corrupt_block` header: all-zero coefficients.
+
+    This is the *real* detection the simulator's RLNC mode models — a
+    zeroed header can never be innovative under GF(2^8) rank arithmetic —
+    done cheaply before the decoder is touched.  The live collector runs
+    it on every pulled block; the wire ``polluted`` tag is carried for
+    accounting cross-checks but is deliberately not trusted.
+    """
+    return block.coefficients is not None and not block.coefficients.any()
+
+
 class BlockRows:
     """The rows of one holder's coded blocks of one segment, in one matrix.
 

@@ -25,48 +25,13 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.params import Parameters
-from repro.core.system import PostmortemReport, SourceRecovery
+from repro.core.system import MeasuredRun, PostmortemReport, SourceRecovery
 from repro.sim.churn import ChurnModel
 from repro.sim.engine import PoissonProcess, Simulator, ThinnedPoissonProcess
-from repro.sim.metrics import MetricsCollector, MetricsReport
+from repro.sim.metrics import MetricsCollector
 from repro.sim.rng import SeedSequenceRegistry, exponential
 from repro.stats.workload import Workload
 from repro.util.randomset import RandomizedSet
-
-
-class MeasuredRun:
-    """The measurement lifecycle both baselines share: warm up, then open
-    a metric window, run it and report (``CollectionSystem``'s shape)."""
-
-    sim: Simulator
-    metrics: MetricsCollector
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self.sim.now
-
-    def run(self, warmup: float, duration: float) -> MetricsReport:
-        """Warm up, measure for *duration*, and return the window's report."""
-        if warmup < 0 or duration <= 0:
-            raise ValueError(
-                f"need warmup >= 0 and duration > 0, got {warmup}, {duration}"
-            )
-        if warmup > 0:
-            self.sim.run_until(self.sim.now + warmup)
-        return self.run_phase(duration)
-
-    def run_phase(self, duration: float) -> MetricsReport:
-        """Open a fresh measurement window, run, and report."""
-        if duration <= 0:
-            raise ValueError(f"duration must be > 0, got {duration}")
-        self.metrics.begin_window(self.sim.now)
-        self.sim.run_until(self.sim.now + duration)
-        return self.metrics.report(self.sim.now, engine=self.sim.perf())
-
-    def run_until(self, end_time: float) -> None:
-        """Advance raw simulation time without touching metric windows."""
-        self.sim.run_until(end_time)
 
 
 class _PendingBlock:

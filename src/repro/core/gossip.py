@@ -29,13 +29,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.adversary.injector import AdversaryInjector
-from repro.coding.block import CodedBlock
+from repro.coding.block import CodedBlock, corrupt_block
 from repro.core.params import (
     GOSSIP_TARGET_TRIES, Parameters, SELECTION_UNIFORM,
 )
 from repro.core.peer import Peer
 from repro.core.segments import SegmentRegistry
-from repro.faults.injector import FaultInjector, corrupt_block
+from repro.faults.injector import FaultInjector
 from repro.sim.metrics import MetricsCollector
 from repro.sim.topology import Topology
 

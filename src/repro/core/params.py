@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from repro.adversary.plan import AdversaryPlan
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import PROC_KILL_PEERS, FaultPlan
 from repro.util.validation import (
     require_nonnegative,
     require_positive,
@@ -214,6 +214,14 @@ class Parameters:
                 raise ValueError(
                     "engine='fast' does not support the server-side "
                     "defenses (pull_scoring/advert_discounting)"
+                )
+            if self.faults is not None and any(
+                kind == PROC_KILL_PEERS
+                for kind, *_ in self.faults.process_faults
+            ):
+                raise ValueError(
+                    f"engine='fast' does not model {PROC_KILL_PEERS!r} "
+                    "process faults (its bursts are tau-leap counts)"
                 )
 
     # -- derived quantities --------------------------------------------------

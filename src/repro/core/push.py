@@ -30,10 +30,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
-from repro.core.baseline import MeasuredRun
 from repro.core.params import Parameters
+from repro.core.system import MeasuredRun
 from repro.sim.engine import PoissonProcess, Simulator, ThinnedPoissonProcess
-from repro.sim.metrics import MetricsCollector, MetricsReport
+from repro.sim.metrics import MetricsCollector
 from repro.sim.rng import SeedSequenceRegistry, exponential
 from repro.stats.workload import Workload
 from repro.util.validation import require_positive_int

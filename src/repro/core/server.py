@@ -45,9 +45,10 @@ from repro.adversary.defense import (
     PullSourceScorer,
 )
 from repro.adversary.injector import AdversaryInjector
+from repro.coding.block import corrupt_block
 from repro.core.peer import Peer
 from repro.core.segments import SegmentRegistry, SegmentState
-from repro.faults.injector import FaultVerdicts, corrupt_block
+from repro.faults.injector import FaultVerdicts
 from repro.sim.metrics import MetricsCollector
 from repro.sim.trace import (
     KIND_DROP,

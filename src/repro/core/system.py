@@ -141,7 +141,46 @@ class PostmortemReport:
         return f"PostmortemReport(departed={self.departed}, live={self.live})"
 
 
-class CollectionSystem:
+class MeasuredRun:
+    """The measurement lifecycle every event-engine system shares: warm up,
+    then open a metric window, run it and report."""
+
+    sim: Simulator
+    metrics: MetricsCollector
+
+    @property
+    def now(self) -> float:
+        """Current simulation time."""
+        return self.sim.now
+
+    def run(self, warmup: float, duration: float) -> MetricsReport:
+        """Warm up, measure for *duration*, and return the window's report."""
+        if warmup < 0 or duration <= 0:
+            raise ValueError(
+                f"need warmup >= 0 and duration > 0, got {warmup}, {duration}"
+            )
+        if warmup > 0:
+            self.sim.run_until(self.sim.now + warmup)
+        return self.run_phase(duration)
+
+    def run_phase(self, duration: float) -> MetricsReport:
+        """Open a fresh measurement window, run *duration*, and report.
+
+        Successive phases let an experiment watch regimes evolve (e.g. a
+        flash crowd burst, then the post-burst drain of Theorem 4).
+        """
+        if duration <= 0:
+            raise ValueError(f"duration must be > 0, got {duration}")
+        self.metrics.begin_window(self.sim.now)
+        self.sim.run_until(self.sim.now + duration)
+        return self.metrics.report(self.sim.now, engine=self.sim.perf())
+
+    def run_until(self, end_time: float) -> None:
+        """Advance raw simulation time without touching metric windows."""
+        self.sim.run_until(end_time)
+
+
+class CollectionSystem(MeasuredRun):
     """One simulated collection session.
 
     Args:
@@ -397,11 +436,6 @@ class CollectionSystem:
         """Current occupant of topology *slot*."""
         return self.peers[slot]
 
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self.sim.now
-
     def _sample_nonempty_peer(self) -> Optional[Peer]:
         if not self._nonempty:
             return None
@@ -641,37 +675,14 @@ class CollectionSystem:
 
     # -- measurement lifecycle -------------------------------------------------------
 
-    def run(self, warmup: float, duration: float) -> MetricsReport:
-        """Warm up, measure for *duration*, and return the window's report."""
-        if warmup < 0 or duration <= 0:
-            raise ValueError(
-                f"need warmup >= 0 and duration > 0, got {warmup}, {duration}"
-            )
-        if warmup > 0:
-            self.sim.run_until(self.sim.now + warmup)
-        return self.run_phase(duration)
-
     def run_phase(self, duration: float) -> MetricsReport:
-        """Open a fresh measurement window, run *duration*, and report.
-
-        Successive phases let an experiment watch regimes evolve (e.g. a
-        flash crowd burst, then the post-burst drain of Theorem 4).
-        """
-        if duration <= 0:
-            raise ValueError(f"duration must be > 0, got {duration}")
-        self.metrics.begin_window(self.sim.now)
-        self.sim.run_until(self.sim.now + duration)
-        report = self.metrics.report(self.sim.now, engine=self.sim.perf())
         # Under pytest (tests/conftest.py sets REPRO_AUTO_CONSISTENCY) every
         # measured phase ends with a full invariant sweep; in normal runs
         # the flag is unset and this costs one dict lookup.
+        report = super().run_phase(duration)
         if os.environ.get("REPRO_AUTO_CONSISTENCY"):
             self.consistency_check()
         return report
-
-    def run_until(self, end_time: float) -> None:
-        """Advance raw simulation time without touching metric windows."""
-        self.sim.run_until(end_time)
 
     def engine_perf(self) -> "EnginePerf":
         """Event-engine perf counters for this run (see Simulator.perf)."""

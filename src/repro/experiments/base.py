@@ -41,7 +41,9 @@ import json
 import math
 from functools import partial
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar,
+)
 
 from repro.core.params import (
     ENGINE_EVENT,
@@ -112,6 +114,19 @@ def budget_for(quality: str) -> SimBudget:
             f"quality must be one of {sorted(BUDGETS)}, got {quality!r}"
         )
     return BUDGETS[quality]
+
+
+Shape = TypeVar("Shape")
+
+
+def preset_shape(
+    quality: str, budget: SimBudget, shapes: Mapping[str, Shape]
+) -> Tuple[Shape, Optional[int]]:
+    """*quality*'s row of a per-preset *shapes* table, and the population
+    an explicit ``--n-peers`` put in *budget* (None: the preset's own)."""
+    preset = budget_for(quality)
+    override = budget.n_peers if budget.n_peers != preset.n_peers else None
+    return shapes[quality], override
 
 
 def parse_seeds(text: str) -> Tuple[int, ...]:

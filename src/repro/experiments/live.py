@@ -38,6 +38,7 @@ from repro.experiments.base import (
     SimBudget,
     SimTask,
     budget_for,
+    preset_shape,
     simulate_cell,
     require_event_engine,
 )
@@ -208,13 +209,10 @@ def plan_live(
     """
     budget = budget or budget_for(quality)
     require_event_engine(budget, "live")
-    n_peers, live_warmup, live_duration, time_scale = LIVE_SHAPE[
-        "full" if quality == "full" else "fast"
-    ]
-    preset = budget_for(quality)
-    if budget.n_peers != preset.n_peers:
-        # explicit --n-peers override: cross-validate that population
-        n_peers = budget.n_peers
+    shape, override = preset_shape(quality, budget, LIVE_SHAPE)
+    n_peers, live_warmup, live_duration, time_scale = shape
+    if override is not None:
+        n_peers = override
 
     points = [
         (f"s={s}", operating_point(n_peers, budget.n_servers, s))

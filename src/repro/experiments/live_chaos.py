@@ -44,6 +44,7 @@ from repro.experiments.base import (
     SeriesResult,
     SimBudget,
     budget_for,
+    preset_shape,
     simulate_cell,
     require_event_engine,
 )
@@ -118,13 +119,10 @@ def plan_live_chaos(
     """
     budget = budget or budget_for(quality)
     require_event_engine(budget, "live-chaos")
-    n_peers, peer_procs, warmup, duration, time_scale = CHAOS_SHAPE[
-        "full" if quality == "full" else "fast"
-    ]
-    preset = budget_for(quality)
-    if budget.n_peers != preset.n_peers:
-        # explicit --n-peers override: chaos that population instead
-        n_peers = budget.n_peers
+    shape, override = preset_shape(quality, budget, CHAOS_SHAPE)
+    n_peers, peer_procs, warmup, duration, time_scale = shape
+    if override is not None:
+        n_peers = override
         peer_procs = min(peer_procs, n_peers)
     points = [
         (condition, operating_point(

@@ -37,6 +37,7 @@ from repro.experiments.base import (
     SimBudget,
     SimTask,
     budget_for,
+    preset_shape,
 )
 from repro.experiments.fig3 import ARRIVAL_RATE, DELETION_RATE, GOSSIP_RATE
 from repro.fastsim import merge_shard_payloads, run_shard
@@ -84,12 +85,9 @@ def plan_scale(
         raise ValueError(f"shards must be >= 1, got {shards}")
     budget = budget or budget_for(quality)
     if n_values is None:
-        preset = budget_for(quality)
-        if budget.n_peers != preset.n_peers:
-            # explicit --n-peers override: sweep that single population
-            n_values = (budget.n_peers,)
-        else:
-            n_values = N_VALUES["full" if quality == "full" else "fast"]
+        n_values, override = preset_shape(quality, budget, N_VALUES)
+        if override is not None:
+            n_values = (override,)
     n_values = tuple(int(n) for n in n_values)
     for n in n_values:
         if n < shards:

@@ -4,11 +4,12 @@
 statements of the rules — :class:`repro.faults.injector.FaultVerdicts` and
 :class:`repro.adversary.injector.AdversaryRoles` — with what is genuinely
 batch: per-transfer loss and capture decisions over a vector of uniforms,
-boolean slot masks, and the pre-drawn outage timeline.  *Who* misbehaves
-and *how many* a burst hits are inherited, drawn from the same-named
-``random.Random`` substreams as the event engine's injectors, so a
-same-seed fast run and event run pick the same slots (docs/PROTOCOL.md,
-"Where each rule is stated").
+boolean slot masks, and the outage timeline clipped to the run's horizon.
+*Who* misbehaves and *how many* a burst hits are inherited, drawn from the
+same-named ``random.Random`` substreams as the event engine's injectors,
+so a same-seed fast run and event run pick the same slots; *when* the
+servers are down is the inherited timeline (docs/PROTOCOL.md, "Where each
+rule is stated").
 
 A scalar injector decides ``u < p`` per transfer; the mask methods decide
 the identical predicate over a vector of uniforms (property-tested by
@@ -23,6 +24,7 @@ decision method below, same as the inherited ones, with its knob off).
 from __future__ import annotations
 
 import random
+from itertools import takewhile
 from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
@@ -31,7 +33,6 @@ from repro.adversary.injector import AdversaryRoles
 from repro.adversary.plan import TARGET_LOW_DEGREE, AdversaryPlan
 from repro.faults.injector import FaultVerdicts
 from repro.faults.plan import FaultPlan
-from repro.sim.rng import exponential
 
 
 class FastFaultMasks(FaultVerdicts):
@@ -40,8 +41,7 @@ class FastFaultMasks(FaultVerdicts):
     Args:
         plan: The fault configuration.
         py_rng: Dedicated ``random.Random`` substream for everything
-            inherited (polluter set, burst slots) and the renewal outage
-            gaps.
+            inherited (polluter set, burst slots, renewal outage gaps).
         np_rng: Dedicated numpy substream for the vectorized per-transfer
             loss draws.
         n_slots: Number of peer slots.
@@ -87,33 +87,12 @@ class FastFaultMasks(FaultVerdicts):
     # -- outage event support -----------------------------------------------
 
     def outage_timeline(self, horizon: float) -> Tuple[Tuple[float, float], ...]:
-        """Materialize the outage schedule over ``[0, horizon]``.
-
-        Deterministic windows pass through (clipped); the renewal process
-        is pre-drawn here — onset gaps are Exp(outage_rate) measured from
-        the previous recovery, exactly the injector's renewal structure.
-        A plan with no outage channel returns () without touching the RNG.
-        """
-        plan = self.plan
-        if plan.outage_windows:
-            clipped = [
-                (start, min(end, horizon))
-                for start, end in plan.outage_windows
-                if start < horizon
-            ]
-            return tuple(clipped)
-        if plan.outage_rate > 0.0:
-            windows = []
-            t = 0.0
-            while True:
-                t += exponential(self._rng, plan.outage_rate)
-                if t >= horizon:
-                    break
-                end = min(t + plan.outage_duration, horizon)
-                windows.append((t, end))
-                t = end
-            return tuple(windows)
-        return ()
+        """The shared outage timeline (:meth:`FaultVerdicts.outages`),
+        drawn up front and clipped to ``[0, horizon]``."""
+        windows = takewhile(
+            lambda window: window[0] < horizon, self.outages(self._rng)
+        )
+        return tuple((start, min(end, horizon)) for start, end in windows)
 
 
 class FastAdversaryMasks(AdversaryRoles):

@@ -643,10 +643,11 @@ class FastCollectionSystem:
 
     def kernel_fault_burst(self) -> None:
         """One correlated mass-departure event (FaultPlan burst channel)."""
-        assert self.fault_masks is not None
+        masks = self.fault_masks
+        assert masks is not None
+        rng = self.seeds.python("faults")
         slots = np.asarray(
-            self.fault_masks.burst_slots(self.seeds.python("faults")),
-            dtype=np.int64,
+            masks.cohort(rng, masks.plan.burst_fraction), dtype=np.int64
         )
         self.kill_slots(slots, burst=True)
 

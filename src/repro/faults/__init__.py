@@ -3,17 +3,14 @@
 This package models the adversarial conditions the paper's robustness
 story implies but never simulates: lossy links, block pollution, server
 outages, and correlated churn bursts.  :class:`FaultPlan` declares what
-goes wrong; :class:`FaultVerdicts` decides it per event under every
-engine; :class:`FaultInjector` executes it against a running simulation.
+goes wrong; :class:`FaultVerdicts` decides it per event and states its
+timeline under every engine; :class:`FaultInjector` drives it on a
+running simulation.
 A default-constructed plan is bitwise-neutral — see ``plan.py``.
 """
 
-from repro.faults.injector import (
-    FaultInjector,
-    FaultVerdicts,
-    PollutableHolding,
-    corrupt_block,
-)
+from repro.coding.block import corrupt_block
+from repro.faults.injector import FaultInjector, FaultVerdicts, PollutableHolding
 from repro.faults.plan import FaultPlan
 
 __all__ = [

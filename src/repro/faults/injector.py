@@ -1,20 +1,24 @@
 """Runtime fault injection: the machinery behind a :class:`FaultPlan`.
 
-:class:`FaultVerdicts` is the one statement of the plan's per-event
-decisions — who pollutes, which transfer is lost, how large a burst or a
-catch-up is — under every engine: the event simulator consults it through
-:class:`FaultInjector`, which extends it with the fault *event* clocks
-(outage onsets/recoveries, correlated churn bursts); the live runtime
-constructs it directly; the fast engine's masks inherit its set and size
-arithmetic.  Design rules:
+:class:`FaultVerdicts` is the one statement of the plan under every
+engine: its per-event decisions — who pollutes, which transfer is lost,
+how large a burst or a catch-up is — and its *timeline*, the lazy
+per-channel iterators of when each outage window, renewal burst and
+``kill-peers`` cohort falls due.  The event simulator drives both through
+:class:`FaultInjector`, which schedules each channel's next event on the
+engine; the live collector constructs it directly and sleeps until each
+onset; the fast engine's masks inherit it and clip the outage timeline to
+the run's horizon.  Design rules:
 
 - **Own randomness.**  Verdicts draw only from the RNG substreams they are
   handed, so enabling a fault channel never perturbs the draws of
-  injection, gossip, server, TTL or churn clocks.
+  injection, gossip, server, TTL or churn clocks.  A timeline gap is drawn
+  only when its consumer asks for the next event, so every draw stays in
+  the order the consumer acts in.
 - **Bitwise neutral at zero.**  The engines build a verdict object only
   for a non-null plan, every query short-circuits before touching the RNG
-  when its own knob is off, and ``start()`` arms no clock whose rate is
-  zero — a system built with ``FaultPlan()`` replays the exact event
+  when its own knob is off, and a timeline whose rate is zero draws
+  nothing — a system built with ``FaultPlan()`` replays the exact event
   sequence of a system built with no plan at all (the zero-knob table
   test has one row per query).
 - **Hooks, not references.**  The injector manipulates the system through
@@ -25,29 +29,54 @@ arithmetic.  Design rules:
 from __future__ import annotations
 
 import random
-from typing import Callable, FrozenSet, List, Optional, Protocol, Sequence
+from functools import partial
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
-from repro.coding.block import CodedBlock
+from repro.coding.block import CodedBlock, corrupt_block
 from repro.faults.plan import PROC_KILL_PEERS, FaultPlan
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.metrics import MetricsCollector
 from repro.sim.rng import cohort_size, exponential, sample_cohort
 from repro.sim.trace import KIND_OUTAGE, KIND_RECOVER, Tracer
 
+#: Substream names shared by every process of a live swarm, so each derives
+#: the identical polluter set / burst cohort sequence from the root seed.
+#: (The simulators draw theirs from the ``"faults"`` substream: equal in
+#: size and law, not slot for slot.)
+POLLUTER_STREAM = "live:polluters"
+BURST_STREAM = "live:bursts"
+#: Substream the supervisor draws peer-process fault cohorts from, so the
+#: processes SIGKILLed by a given plan are a pure function of the root seed.
+PROCESS_STREAM = "live:process-faults"
 
-def corrupt_block(block: CodedBlock) -> CodedBlock:
-    """Mark *block* as polluted, invalidating its coefficient header.
+#: An outage window: absolute ``(start, end)`` simulated times.
+Window = Tuple[float, float]
+#: A cohort event: its absolute onset and the population share it hits.
+Cohort = Tuple[float, float]
 
-    In RLNC mode the coefficient vector is zeroed — a detectably invalid
-    header that GF(2^8) rank arithmetic can never count as innovative, so
-    the server-side decoder rejects the block for free.  In abstract mode
-    the ``polluted`` tag alone carries the information (the tagged-block
-    approximation of the same detection).  Returns the block for chaining.
+
+def sample_process_cohort(
+    rng: random.Random, fraction: float, n_procs: int
+) -> Tuple[int, ...]:
+    """Draw the peer-process cohort one process fault hits.
+
+    Sized like every other population share (at least one process, at most
+    all), so a live ``kill-peers`` event and its simulated churn-burst twin
+    remove the same population share.
     """
-    block.polluted = True
-    if block.coefficients is not None:
-        block.coefficients.fill(0)
-    return block
+    if n_procs < 1:
+        raise ValueError(f"n_procs must be >= 1, got {n_procs}")
+    return tuple(sample_cohort(rng, fraction, n_procs))
 
 
 class PollutableHolding(Protocol):
@@ -137,9 +166,10 @@ class FaultVerdicts:
         """Slots killed per burst event (at least one, at most all)."""
         return cohort_size(self.plan.burst_fraction, self._n_slots)
 
-    def burst_slots(self, rng: random.Random) -> List[int]:
-        """Draw the slots one correlated-departure burst kills."""
-        return sample_cohort(rng, self.plan.burst_fraction, self._n_slots)
+    def cohort(self, rng: random.Random, fraction: float) -> List[int]:
+        """Draw the slots one correlated departure (a burst or a
+        ``kill-peers`` cohort of *fraction*) kills."""
+        return sample_cohort(rng, fraction, self._n_slots)
 
     def catchup_pulls(self, downtime: float, per_server_rate: float) -> int:
         """Immediate pulls one server fires when an outage ends.
@@ -149,9 +179,57 @@ class FaultVerdicts:
         """
         return min(int(downtime * per_server_rate), self.plan.catchup_limit)
 
+    # -- the fault timeline (each gap drawn when its event is asked for) -----
+
+    def outages(
+        self, rng: random.Random, process_faults: bool = True
+    ) -> Iterator[Window]:
+        """Server downtime windows in onset order, from time 0.
+
+        First the deterministic windows — ``outage_windows``, merged with
+        the ``kill-server``/``stop-server`` downtimes unless
+        *process_faults* is False (the live supervisor delivers those as
+        real signals) — then the renewal process: an Exp(``outage_rate``)
+        gap after each recovery, then ``outage_duration`` down.  The plan
+        refuses to combine the two, so at most one part yields anything.
+        """
+        plan = self.plan
+        windows = plan.outage_windows
+        if process_faults:
+            windows = tuple(sorted(windows + plan.server_process_windows))
+        yield from windows
+        end = 0.0
+        while plan.outage_rate > 0.0:
+            start = end + exponential(rng, plan.outage_rate)
+            end = start + plan.outage_duration
+            yield start, end
+
+    def bursts(self, rng: random.Random) -> Iterator[Cohort]:
+        """Renewal bursts: an Exp(``burst_rate``) gap after each onset."""
+        plan = self.plan
+        at = 0.0
+        while plan.burst_rate > 0.0:
+            at += exponential(rng, plan.burst_rate)
+            yield at, plan.burst_fraction
+
+    def peer_kills(self) -> Iterator[Cohort]:
+        """The scheduled ``kill-peers`` cohorts, in onset order.
+
+        The simulators model each as a correlated departure burst;
+        ``stop-peers`` has no simulator analogue (a frozen peer still
+        holds TCP state) and is deliberately absent.
+        """
+        for kind, at, _duration, fraction in self.plan.process_faults:
+            if kind == PROC_KILL_PEERS:
+                yield at, fraction
+
 
 class FaultInjector(FaultVerdicts):
-    """Executes one :class:`FaultPlan` against a running simulation.
+    """Drives one :class:`FaultPlan`'s timeline on a running simulation.
+
+    Each channel — outages, renewal bursts, ``kill-peers`` cohorts — keeps
+    one pending event: when it fires, the injector acts, then takes the
+    channel's next event and schedules it at its absolute time.
 
     Args:
         plan: The fault configuration.
@@ -175,9 +253,9 @@ class FaultInjector(FaultVerdicts):
         self._sim = sim
         self._metrics = metrics
         self._tracer = tracer
-        self._down = False
-        self._down_since = 0.0
-        self._handles: List[EventHandle] = []
+        self._down_since: Optional[float] = None
+        #: the one pending event of each channel
+        self._pending: Dict[str, EventHandle] = {}
         self._started = False
         # hooks bound by the system before start()
         self._pause_servers: Optional[Callable[[], None]] = None
@@ -202,68 +280,43 @@ class FaultInjector(FaultVerdicts):
         self._kill_slots = kill_slots
 
     def start(self) -> None:
-        """Arm the outage and burst clocks (no-op channels schedule nothing)."""
+        """Schedule each channel's first event (empty channels draw nothing)."""
         if self._started:
             raise RuntimeError("fault injector already started")
         self._started = True
         plan = self.plan
-        if plan.has_outages and self._pause_servers is None:
+        clocked = (
+            plan.has_outages or plan.burst_rate > 0 or plan.has_process_faults
+        )
+        if clocked and self._kill_slots is None:
             raise RuntimeError("bind() must be called before start()")
-        if plan.burst_rate > 0 and self._kill_slots is None:
-            raise RuntimeError("bind() must be called before start()")
-        if plan.has_process_faults and any(
-            kind == PROC_KILL_PEERS for kind, *_ in plan.process_faults
-        ) and self._kill_slots is None:
-            raise RuntimeError("bind() must be called before start()")
-        for start, end in plan.outage_windows:
-            self._handles.append(
-                self._sim.schedule_at(start, self._begin_outage)
-            )
-            self._handles.append(self._sim.schedule_at(end, self._end_outage))
-        # Server process faults are downtime windows of the supervised
-        # restart latency (kill) or the SIGSTOP hold (stop); a peer-process
-        # kill is a scheduled correlated burst.  stop-peers has no
-        # simulator analogue (a frozen peer still holds TCP state) and is
-        # deliberately a no-op here.
-        for start, end in plan.server_process_windows:
-            self._handles.append(
-                self._sim.schedule_at(start, self._begin_outage)
-            )
-            self._handles.append(self._sim.schedule_at(end, self._end_outage))
-        for kind, at, _duration, fraction in plan.process_faults:
-            if kind == PROC_KILL_PEERS:
-                self._handles.append(
-                    self._sim.schedule_at(
-                        at, self._make_process_burst(fraction)
-                    )
-                )
-        if plan.outage_rate > 0:
-            self._arm_next_outage()
-        if plan.burst_rate > 0:
-            self._arm_next_burst()
+        self._next_outage(self.outages(self._rng))
+        self._next_cohort("kill-peers", self.peer_kills())
+        self._next_cohort("bursts", self.bursts(self._rng))
 
     def stop(self) -> None:
         """Cancel every pending fault event (teardown for repeated runs)."""
-        for handle in self._handles:
+        for handle in self._pending.values():
             handle.cancel()
-        self._handles.clear()
+        self._pending.clear()
 
     @property
     def servers_down(self) -> bool:
         """True while an outage window is in effect."""
-        return self._down
+        return self._down_since is not None
 
-    # -- outage machinery --------------------------------------------------------
+    # -- outages ------------------------------------------------------------------
 
-    def _arm_next_outage(self) -> None:
-        gap = exponential(self._rng, self.plan.outage_rate)
-        self._handles.append(self._sim.schedule(gap, self._begin_outage))
+    def _next_outage(self, windows: Iterator[Window]) -> None:
+        window = next(windows, None)
+        if window is not None:
+            start, end = window
+            self._pending["outages"] = self._sim.schedule_at(
+                start, partial(self._begin_outage, end, windows)
+            )
 
-    def _begin_outage(self) -> None:
-        if self._down:
-            return
+    def _begin_outage(self, end: float, windows: Iterator[Window]) -> None:
         now = self._sim.now
-        self._down = True
         self._down_since = now
         self.outages_started += 1
         self._metrics.servers_down.update(now, 1.0)
@@ -271,47 +324,37 @@ class FaultInjector(FaultVerdicts):
             self._tracer.record(now, KIND_OUTAGE)
         assert self._pause_servers is not None  # start() enforces bind()
         self._pause_servers()
-        if self.plan.outage_rate > 0:
-            self._handles.append(
-                self._sim.schedule(self.plan.outage_duration, self._end_outage)
-            )
+        self._pending["outages"] = self._sim.schedule_at(
+            end, partial(self._end_outage, windows)
+        )
 
-    def _end_outage(self) -> None:
-        if not self._down:
-            return
+    def _end_outage(self, windows: Iterator[Window]) -> None:
         now = self._sim.now
-        self._down = False
+        assert self._down_since is not None  # scheduled by _begin_outage
         elapsed = now - self._down_since
+        self._down_since = None
         self._metrics.servers_down.update(now, 0.0)
         if self._tracer is not None:
             self._tracer.record(now, KIND_RECOVER, downtime=elapsed)
         assert self._resume_servers is not None  # start() enforces bind()
         self._resume_servers(elapsed)
-        if self.plan.outage_rate > 0:
-            self._arm_next_outage()
+        self._next_outage(windows)
 
-    # -- correlated churn bursts ---------------------------------------------------
+    # -- correlated departures (renewal bursts and kill-peers cohorts) -------------
 
-    def _arm_next_burst(self) -> None:
-        gap = exponential(self._rng, self.plan.burst_rate)
-        self._handles.append(self._sim.schedule(gap, self._fire_burst))
+    def _next_cohort(self, channel: str, cohorts: Iterator[Cohort]) -> None:
+        cohort = next(cohorts, None)
+        if cohort is not None:
+            at, fraction = cohort
+            self._pending[channel] = self._sim.schedule_at(
+                at, partial(self._fire_cohort, channel, cohorts, fraction)
+            )
 
-    def _fire_burst(self) -> None:
-        slots = self.burst_slots(self._rng)
+    def _fire_cohort(
+        self, channel: str, cohorts: Iterator[Cohort], fraction: float
+    ) -> None:
+        slots = self.cohort(self._rng, fraction)
         self.bursts_fired += 1
         assert self._kill_slots is not None  # start() enforces bind()
         self._kill_slots(slots)
-        self._arm_next_burst()
-
-    # -- process faults ----------------------------------------------------------
-
-    def _make_process_burst(self, fraction: float) -> Callable[[], None]:
-        """One scheduled kill-peers event as a correlated departure burst."""
-
-        def fire() -> None:
-            slots = sample_cohort(self._rng, fraction, self._n_slots)
-            self.bursts_fired += 1
-            assert self._kill_slots is not None  # start() enforces bind()
-            self._kill_slots(slots)
-
-        return fire
+        self._next_cohort(channel, cohorts)

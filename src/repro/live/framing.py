@@ -18,10 +18,11 @@ apart, and both decode to the same dict.  The payload is opaque bytes
 Failure behavior is part of the contract: a reader faced with a bad magic,
 an oversized length, an unparseable header, or an EOF mid-frame raises a
 :class:`FrameError` subclass *immediately* — it never blocks waiting for
-bytes that cannot complete a valid frame.  The sans-IO
-:class:`FrameDecoder` exposes the same state machine for byte-level fuzz
-tests; :func:`read_frame` / :func:`write_frame` adapt it to asyncio
-streams.
+bytes that cannot complete a valid frame.  Two readers share those
+checks: the sans-IO :class:`FrameDecoder` (byte-level fuzz tests feed it
+arbitrary chunks) and :func:`read_frame` (asyncio streams, reading exactly
+the bytes the prefix declares); both validate a prefix with
+:func:`_unpack_prefix` and a header with :func:`_parse_header`.
 """
 
 from __future__ import annotations
@@ -167,7 +168,11 @@ def _parse_header(data: bytes) -> Dict[str, Any]:
     return header
 
 
-def _check_lengths(header_len: int, payload_len: int) -> None:
+def _unpack_prefix(prefix: bytes) -> Tuple[int, int]:
+    """Validate one frame prefix; its (header length, payload length)."""
+    if prefix[: len(MAGIC)] != MAGIC:
+        raise FrameGarbage(f"bad frame magic {prefix[: len(MAGIC)]!r}")
+    header_len, payload_len = _LENGTHS.unpack_from(prefix, len(MAGIC))
     if header_len > MAX_HEADER_BYTES:
         raise FrameTooLarge(
             f"declared header length {header_len} exceeds "
@@ -180,6 +185,7 @@ def _check_lengths(header_len: int, payload_len: int) -> None:
         )
     if header_len == 0:
         raise FrameGarbage("declared header length is 0 (no JSON object)")
+    return header_len, payload_len
 
 
 def encode_frame(header: Mapping[str, Any], payload: bytes = b"") -> bytes:
@@ -241,19 +247,15 @@ class FrameDecoder:
 
     def _try_extract(self) -> Optional[Frame]:
         buf = self._buffer
-        if len(buf) < len(MAGIC):
-            if not MAGIC.startswith(bytes(buf)):
-                self._poison()
-                raise FrameGarbage(f"bad frame magic {bytes(buf)!r}")
-            return None
-        if bytes(buf[: len(MAGIC)]) != MAGIC:
-            self._poison()
-            raise FrameGarbage(f"bad frame magic {bytes(buf[:4])!r}")
-        if len(buf) < PREFIX_SIZE:
-            return None
-        header_len, payload_len = _LENGTHS.unpack_from(buf, len(MAGIC))
         try:
-            _check_lengths(header_len, payload_len)
+            if len(buf) < PREFIX_SIZE:
+                # a wrong magic fails as soon as its bytes are in
+                if not MAGIC.startswith(bytes(buf[: len(MAGIC)])):
+                    raise FrameGarbage(
+                        f"bad frame magic {bytes(buf[: len(MAGIC)])!r}"
+                    )
+                return None
+            header_len, payload_len = _unpack_prefix(bytes(buf[:PREFIX_SIZE]))
         except FrameError:
             self._poison()
             raise
@@ -312,10 +314,7 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Frame]:
         raise FrameTruncated(
             f"stream ended {len(exc.partial)} byte(s) into a frame prefix"
         ) from exc
-    if prefix[: len(MAGIC)] != MAGIC:
-        raise FrameGarbage(f"bad frame magic {prefix[:len(MAGIC)]!r}")
-    header_len, payload_len = _LENGTHS.unpack_from(prefix, len(MAGIC))
-    _check_lengths(header_len, payload_len)
+    header_len, payload_len = _unpack_prefix(prefix)
     try:
         body = await reader.readexactly(header_len + payload_len)
     except asyncio.IncompleteReadError as exc:

@@ -37,17 +37,13 @@ from repro.core.params import (
     GOSSIP_TARGET_TRIES, SELECTION_UNIFORM, Parameters,
 )
 from repro.core.peer import Peer
-from repro.faults.injector import FaultVerdicts
+from repro.faults.injector import POLLUTER_STREAM, FaultVerdicts
 from repro.live import ports, wire
 from repro.live.clock import LiveClock, PoissonSchedule
 from repro.live.framing import Frame, FrameError, FrameGarbage, FrameTruncated
 from repro.live.livemetrics import PeerStats
 from repro.live.ports import Backoff
-from repro.live.transport import (
-    ConnectionCache,
-    FramedConnection,
-    POLLUTER_STREAM,
-)
+from repro.live.transport import ConnectionCache, FramedConnection
 from repro.sim.rng import SeedSequenceRegistry, exponential
 from repro.util.codec import decode
 

@@ -28,13 +28,18 @@ from __future__ import annotations
 import asyncio
 import contextlib
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.coding.block import CodedBlock
+from repro.coding.block import CodedBlock, detects_pollution
 from repro.coding.rlnc import SegmentDecoder
 from repro.core.params import Parameters
 from repro.core.server import pull_trial
-from repro.faults.injector import FaultVerdicts
+from repro.faults.injector import (
+    BURST_STREAM,
+    POLLUTER_STREAM,
+    FaultVerdicts,
+    Window,
+)
 from repro.live import ports, wire
 from repro.live.checkpoint import (
     CheckpointError,
@@ -50,15 +55,8 @@ from repro.live.livemetrics import (
     aggregate_report,
     peer_summary_from_wire,
 )
-from repro.live.transport import (
-    Address,
-    BURST_STREAM,
-    ConnectionCache,
-    FramedConnection,
-    POLLUTER_STREAM,
-    detects_pollution,
-)
-from repro.sim.rng import SeedSequenceRegistry, exponential
+from repro.live.transport import Address, ConnectionCache, FramedConnection
+from repro.sim.rng import SeedSequenceRegistry
 from repro.util.codec import encode
 from repro.util.randomset import RandomizedSet
 
@@ -423,25 +421,23 @@ class LiveLoggingServer:
             spawn(self._pull_loop(i), name=f"server:pull{i}")
             for i in range(self.params.n_servers)
         ]
-        # process_faults are NOT scheduled here: in the live runtime they
-        # are delivered as real signals by the supervisor; only the
-        # blackhole-style outage channels run in-process.
+        # The shared fault timeline, built after _restore re-salted its
+        # streams.  Server process faults are not in it: the supervisor
+        # delivers them as real signals.
         if self.faults is not None:
-            plan = self.faults.plan
-            if plan.outage_windows or plan.outage_rate > 0.0:
-                self._tasks.append(
-                    spawn(
-                        self._outage_controller(self.faults),
-                        name="server:outages",
-                    )
-                )
-            if plan.burst_rate > 0.0:
-                self._tasks.append(
-                    spawn(
-                        self._burst_controller(self.faults),
-                        name="server:bursts",
-                    )
-                )
+            windows = self.faults.outages(
+                self._outage_rng, process_faults=False
+            )
+            self._tasks += [
+                spawn(
+                    self._outage_controller(self.faults, windows),
+                    name="server:outages",
+                ),
+                spawn(
+                    self._burst_controller(self.faults, self.clock.now()),
+                    name="server:bursts",
+                ),
+            ]
         if self.checkpoint_path is not None:
             self._tasks.append(
                 spawn(self._checkpoint_loop(), name="server:checkpoint")
@@ -823,55 +819,52 @@ class LiveLoggingServer:
 
     # -- fault controllers ---------------------------------------------------
 
-    async def _outage_controller(self, faults: FaultVerdicts) -> None:
-        """Drive server outages: scheduled windows or the renewal process."""
-        plan = faults.plan
-        if plan.outage_windows:
-            for start, end in plan.outage_windows:
-                if end <= self.clock.now():
-                    # Window fully elapsed before this (restarted) process
-                    # came up; the blackout already happened for real.
-                    continue
-                await self.clock.sleep_until(start)
-                await self._enter_outage(faults, end - start)
-            return
-        while True:
-            gap = exponential(self._outage_rng, plan.outage_rate)
-            await self.clock.sleep_sim(gap)
-            await self._enter_outage(faults, plan.outage_duration)
-
-    async def _enter_outage(
-        self, faults: FaultVerdicts, duration: float
+    async def _outage_controller(
+        self, faults: FaultVerdicts, windows: Iterator[Window]
     ) -> None:
-        """All servers blackhole for *duration* sim units, then catch up."""
-        if duration <= 0:
-            return
-        self._paused = True
-        self._resumed.clear()
-        self.stats.servers_down.update(self.clock.now(), 1.0)
-        await self.clock.sleep_sim(duration)
-        now = self.clock.now()
-        self.stats.servers_down.update(now, 0.0)
-        catchup = faults.catchup_pulls(duration, self.params.per_server_rate)
-        # Push every pull clock past the outage so the backlog does not
-        # drain as an unbounded burst; the bounded catch-up below is the
-        # only compensation, exactly like the simulator.
-        for schedule in self._pull_schedules:
-            schedule.defer(duration)
-        self._paused = False
-        self._resumed.set()
-        # Burn down the backlog: the same bounded catch-up burst the
-        # simulator schedules at resume time.
-        for _ in range(self.params.n_servers):
-            for _ in range(catchup):
-                await self._pull_once(self.clock.now())
+        """Blackhole every pull loop through each window, edges at their
+        absolute sim times, then fire the bounded catch-up.
 
-    async def _burst_controller(self, faults: FaultVerdicts) -> None:
-        """Correlated departures: RESET a random cohort of peers."""
-        while True:
-            gap = exponential(self._burst_rng, faults.plan.burst_rate)
-            await self.clock.sleep_sim(gap)
-            slots = faults.burst_slots(self._burst_rng)
+        A window that ended before this (restored) process came up is
+        skipped: that blackout already happened for real.  One in progress
+        runs to its absolute end.
+        """
+        clock = self.clock
+        for start, end in windows:
+            since = max(start, clock.now())
+            if since >= end:
+                continue
+            await clock.sleep_until(start)
+            self._paused = True
+            self._resumed.clear()
+            self.stats.servers_down.update(clock.now(), 1.0)
+            await clock.sleep_until(end)
+            self.stats.servers_down.update(clock.now(), 0.0)
+            downtime = end - since
+            catchup = faults.catchup_pulls(
+                downtime, self.params.per_server_rate
+            )
+            # Push every pull clock past the outage so the backlog does not
+            # drain as an unbounded burst; the bounded catch-up below is the
+            # only compensation, exactly like the simulator.
+            for schedule in self._pull_schedules:
+                schedule.defer(downtime)
+            self._paused = False
+            self._resumed.set()
+            for _ in range(self.params.n_servers):
+                for _ in range(catchup):
+                    await self._pull_once(clock.now())
+
+    async def _burst_controller(
+        self, faults: FaultVerdicts, since: float
+    ) -> None:
+        """Correlated departures: RESET a random cohort of peers at each
+        burst onset from *since* (when this process spawned its engine)."""
+        for at, fraction in faults.bursts(self._burst_rng):
+            if at < since:
+                continue
+            await self.clock.sleep_until(at)
+            slots = faults.cohort(self._burst_rng, fraction)
             self.stats.burst_departures += len(slots)
             for slot in slots:
                 self.nonempty.discard(slot)

@@ -47,7 +47,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 import repro
 from repro.core.params import Parameters
 from repro.live import wire
-from repro.live.transport import PROCESS_STREAM, sample_process_cohort
+from repro.faults.injector import PROCESS_STREAM, sample_process_cohort
 from repro.faults.plan import (
     PROC_KILL_PEERS,
     PROC_KILL_SERVER,

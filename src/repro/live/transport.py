@@ -1,4 +1,4 @@
-"""Framed TCP connections, connection caching, and the fault-plan mapping.
+"""Framed TCP connections and the process's outbound connection cache.
 
 :class:`FramedConnection` wraps one asyncio stream pair with the frame
 codec and a write lock, so concurrent tasks can share a connection without
@@ -15,45 +15,17 @@ Gossip targets are drawn uniformly, so there are no hot pairs to keep warm:
 a private 4-link cache hits 4/(N-1) of its draws (3 % at N = 128, 0.4 % at
 1000) and pays connect + accept + handler task + two closes for the rest;
 K hosted peers sharing 4K links hit min(1, 4K/(N-1)) of theirs.
-
-The same :class:`FaultPlan` drives simulation and live runs.  The live
-peers and collector ask the simulator's own
-:class:`repro.faults.injector.FaultVerdicts` for every decision (built
-only for a non-null plan; docs/PROTOCOL.md, "Where each rule is stated")
-and realize the verdicts netem-style, at the transport:
-
-=====================  ====================================================
-FaultPlan channel      live transport behavior
-=====================  ====================================================
-gossip_loss_rate       receiver drops the BLOCK frame after transfer
-pull_loss_rate         collector discards the PULL-BLOCK reply in flight
-pollution_fraction     polluter peers zero the GF(256) coefficient header
-                       of every block they emit (detectably junk)
-outage_*               collector pull clocks blackhole (pause + catch-up)
-burst_rate/fraction    server RESETs a random peer cohort: buffers wiped,
-                       accepted connections torn down mid-stream
-=====================  ====================================================
-
-The polluter set is sampled from the dedicated swarm-wide
-:data:`POLLUTER_STREAM` substream, so every process of a live swarm —
-peers and servers alike — derives the *same* set from the root seed alone.
-(The event simulator draws its set from its own ``"faults"`` substream, so
-the sets are equal in size and law but not slot-for-slot identical across
-engines.)
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
 from collections import OrderedDict
 from typing import Any, Mapping, Optional, Tuple
 from weakref import WeakKeyDictionary
 
-from repro.coding.block import CodedBlock
 from repro.live import ports
 from repro.live.framing import Frame, FrameError, read_frame, write_frame
-from repro.sim.rng import sample_cohort
 
 
 class FramedConnection:
@@ -188,36 +160,3 @@ class ConnectionCache:
 _POOLS: "WeakKeyDictionary[asyncio.AbstractEventLoop, ConnectionCache]"
 _POOLS = WeakKeyDictionary()
 
-
-#: Substream names shared by every process of a swarm, so each samples the
-#: identical polluter set / burst cohort sequence from the same root seed.
-POLLUTER_STREAM = "live:polluters"
-BURST_STREAM = "live:bursts"
-#: Substream the supervisor draws peer-process fault cohorts from, so the
-#: processes SIGKILLed by a given plan are a pure function of the root seed.
-PROCESS_STREAM = "live:process-faults"
-
-
-def sample_process_cohort(
-    rng: random.Random, fraction: float, n_procs: int
-) -> Tuple[int, ...]:
-    """Draw the peer-process cohort one process fault hits.
-
-    Sized like every other population share (at least one process, at most
-    all), so a live ``kill-peers`` event and its simulated churn-burst twin
-    remove the same population share.
-    """
-    if n_procs < 1:
-        raise ValueError(f"n_procs must be >= 1, got {n_procs}")
-    return tuple(sample_cohort(rng, fraction, n_procs))
-
-
-def detects_pollution(block: CodedBlock) -> bool:
-    """Collector-side pollution detection: an all-zero coefficient header.
-
-    This is the *real* detection the simulator's RLNC mode models — a
-    zeroed header can never be innovative under GF(2^8) rank arithmetic —
-    done cheaply before the decoder is touched.  The wire ``polluted`` tag
-    is carried for accounting cross-checks but is deliberately not trusted.
-    """
-    return block.coefficients is not None and not block.coefficients.any()

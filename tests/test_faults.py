@@ -2,12 +2,14 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.coding.block import make_abstract_blocks
-from repro.core.params import Parameters
+from repro.core.params import ENGINE_EVENT, ENGINE_FAST, Parameters
 from repro.core.system import CollectionSystem
+from repro.fastsim.system import FastCollectionSystem
 from repro.faults import FaultInjector, FaultPlan, corrupt_block
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsCollector
@@ -182,7 +184,7 @@ class TestFaultInjectorUnit:
         )
         injector.bind(lambda: None, lambda e: None, lambda s: None)
         injector.start()
-        assert sim.pending == 4
+        assert sim.pending == 1  # each channel keeps one pending event
         injector.stop()
         sim.run_until(10.0)
         assert injector.outages_started == 0
@@ -425,6 +427,45 @@ class TestFaultsEndToEnd:
         assert data["blocks_rejected_polluted"] == 0
         assert data["burst_departures"] == 0
         assert data["outage_time"] == 0.0
+
+
+class TestOneTimelineBothSimulators:
+    KILL_SERVER = ("kill-server", 3.0, 0.0, 0.0)
+    KILL_PEERS = ("kill-peers", 5.0, 0.0, 0.5)
+
+    def test_fast_engine_honours_server_process_faults(self):
+        """A kill-server costs both simulators the restart latency in
+        downtime; the fast engine refuses kill-peers rather than drop it."""
+        plan = FaultPlan(
+            process_faults=(self.KILL_SERVER, self.KILL_PEERS),
+            process_restart_latency=4.0,
+        )
+        event = CollectionSystem(params(plan, n_peers=200), seed=1)
+        report = event.run(2.0, 8.0)
+        assert report.outage_time == pytest.approx(4.0)
+        assert report.burst_departures == 100
+        with pytest.raises(ValueError, match="kill-peers"):
+            params(plan, n_peers=200, engine=ENGINE_FAST)
+        server_only = replace(plan, process_faults=(self.KILL_SERVER,))
+        fast = FastCollectionSystem(
+            params(server_only, n_peers=200, engine=ENGINE_FAST), seed=1
+        )
+        assert fast.run(2.0, 8.0).outage_time == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("engine", [ENGINE_EVENT, ENGINE_FAST])
+    def test_a_window_touching_a_server_fault_window_still_runs(self, engine):
+        """The stop-server window (4, 5) ends as the outage window (5, 6)
+        begins: the timeline runs one after the other on both engines."""
+        plan = FaultPlan(
+            outage_windows=((5.0, 6.0),),
+            process_faults=(("stop-server", 4.0, 1.0, 0.0),),
+        )
+        config = params(plan, engine=engine)
+        system_cls = (
+            FastCollectionSystem if engine == ENGINE_FAST else CollectionSystem
+        )
+        report = system_cls(config, seed=3).run(2.0, 8.0)
+        assert report.outage_time == pytest.approx(2.0)
 
 
 class TestFaultEdgeProperties:

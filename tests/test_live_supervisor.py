@@ -16,11 +16,11 @@ import pytest
 from repro.chaos.shrink import _candidates
 from repro.chaos.space import PlanSpace, TrialConfig
 from repro.core.params import Parameters
+from repro.faults.injector import sample_process_cohort
 from repro.faults.plan import FaultPlan, PROCESS_FAULT_KINDS
 from repro.live.cli import parse_proc_fault
 from repro.live.ports import Backoff
 from repro.live.supervisor import LiveSupervisor, RestartPolicy
-from repro.live.transport import sample_process_cohort
 from repro.sim.rng import SeedSequenceRegistry
 from repro.util.codec import decode, encode
 

@@ -12,11 +12,16 @@ import random
 import numpy as np
 import pytest
 
-from repro.coding.block import SegmentDescriptor, make_source_blocks
+from repro.coding.block import (
+    SegmentDescriptor,
+    detects_pollution,
+    make_source_blocks,
+)
 from repro.core.params import Parameters
-from repro.faults.injector import FaultVerdicts
+from repro.faults.injector import POLLUTER_STREAM, FaultVerdicts
 from repro.faults.plan import FaultPlan
 from repro.live import ports, wire
+from repro.live.clock import TIMER_SLACK
 from repro.live.crossval import (
     DEFAULT_TOLERANCES,
     compare_metric,
@@ -26,7 +31,6 @@ from repro.live.framing import FrameGarbage
 from repro.live.harness import run_swarm, validate_live_params
 from repro.live.peer import LivePeer
 from repro.live.server import LiveLoggingServer
-from repro.live.transport import POLLUTER_STREAM, detects_pollution
 from repro.sim.rng import SeedSequenceRegistry
 from repro.util.codec import decode, encode
 
@@ -351,6 +355,24 @@ class TestSwarm:
             report["transfers_dropped"] > 0
             or report["blocks_rejected_polluted"] > 0
         )
+
+    def test_outage_window_and_bursts_run_in_the_collector(self):
+        params = _params(
+            faults=FaultPlan(
+                outage_windows=((3.0, 5.0),),
+                burst_rate=1.0,
+                burst_fraction=0.25,
+            ),
+        )
+        report = asyncio.run(
+            run_swarm(params, seed=5, warmup=2.0, duration=6.0,
+                      time_scale=4.0)
+        )
+        # Each window edge wakes on the timer grid: a slack late at most,
+        # plus the loop's own lag.
+        assert report["outage_time"] == pytest.approx(2.0, abs=4 * TIMER_SLACK)
+        assert report["burst_departures"] > 0
+        assert report["hash_failures"] == 0
 
     def test_swarm_rejects_bad_windows(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ whether or not those planes exist; this file is the one place that is
 checked.
 
 ``TABLE`` has one row per fault/adversary/engine hook method (the 31 the
-retired lint rule R7 used to certify statically, ``CERTIFIED``), each
-called on a *real* object twice:
+retired lint rule R7 used to certify statically, plus the two timeline
+iterators: ``CERTIFIED``), each called on a *real* object twice:
 
 - under a fully **null** plan, with RNGs, simulator, tracer and metrics
   that raise on any use;
@@ -190,6 +190,11 @@ TABLE = [
     Row(FaultVerdicts, "maybe_pollute", verdicts,
         lambda v: v.maybe_pollute(3, CleanHolding(), clean_block()),
         ("pollution_fraction",), False),
+    # the shared fault timeline: no rate and no windows, no draw
+    Row(FaultVerdicts, "outages", verdicts,
+        lambda v: tuple(v.outages(v._rng)), ("outage_rate",), ()),
+    Row(FaultVerdicts, "bursts", verdicts,
+        lambda v: tuple(v.bursts(v._rng)), ("burst_rate",), ()),
     # the event engine's fault clocks
     Row(FaultInjector, "__init__", injector, None, ("pollution_fraction",), ANY),
     Row(FaultInjector, "start", injector,
@@ -250,12 +255,13 @@ BEYOND_R7 = [
         lambda m: m.capture_mask(100, 0), (), None),
 ]
 
-#: The certificates the parent's ``python -m repro.lint --json`` listed.
+#: The certificates ``python -m repro.lint --json`` listed when R7 retired,
+#: plus the fault timeline's iterators.
 CERTIFIED = {
     f"{cls}.{method}"
     for cls, methods in {
         "FaultVerdicts": "__init__ _sample_polluters drop_gossip drop_pull "
-        "is_polluter maybe_pollute pollutes",
+        "is_polluter maybe_pollute pollutes outages bursts",
         "FaultInjector": "__init__ servers_down start stop",
         "AdversaryRoles": "__init__ _sample_roles capture_probability "
         "sybil_burst_size",
