@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.core.params import Parameters
 from repro.util.validation import (
@@ -271,6 +270,7 @@ class CollectionODE:
         Returns (z, residual).  The z-system is small (B+1 states) and
         non-stiff enough for LSODA at any parameterization we use.
         """
+        from scipy.integrate import solve_ivp
         t_end = self.config.t_end / self.gamma
         z = np.zeros(self._n_z)
         z[0] = 1.0
@@ -377,6 +377,7 @@ class CollectionODE:
         """
         if not math.isfinite(t_end) or t_end <= 0:
             raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
+        from scipy.integrate import solve_ivp
         if y0 is None:
             y0 = self.initial_state()
         solution = solve_ivp(
@@ -471,6 +472,7 @@ class SegmentDegreeODE:
 
     def steady_state(self, t_end: float = 200.0) -> np.ndarray:
         """Integrate from empty to *t_end*; returns w with a zero row 0."""
+        from scipy.integrate import solve_ivp
         solution = solve_ivp(
             self.rhs,
             (0.0, t_end / self.gamma),

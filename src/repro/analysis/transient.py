@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 # numpy 2.x renamed trapz -> trapezoid; support both.
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -108,6 +107,7 @@ class TransientCollectionODE(CollectionODE):
             raise ValueError(f"n_points must be >= 2, got {n_points}")
         if y0 is None:
             y0 = self.initial_state()
+        from scipy.integrate import solve_ivp
         times = np.linspace(0.0, t_end, n_points)
         solution = solve_ivp(
             self.rhs,

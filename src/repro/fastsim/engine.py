@@ -109,8 +109,6 @@ class TauLeapStepper:
             system.push_averages(
                 t1, segments=self._steps % STATS_STRIDE == 0
             )
-            if state.should_compact():
-                state.compact_segments()
             if self._steps % CHECK_EVERY_STEPS == 0:
                 system.consistency_check()
 

@@ -13,8 +13,9 @@ Three flat column groups replace the event engine's object graph:
   block count, server-collected count ``j_r``, and injection time.
 
 Everything is indexed by position; dead segments (degree 0) are retired
-lazily by :meth:`FastState.compact_segments`, which remaps the block
-table's segment column in one vectorized pass.
+by :meth:`FastState.compact_segments` when a batch of new segments would
+not fit, which remaps the block table's segment column in one vectorized
+pass.
 """
 
 from __future__ import annotations
@@ -25,24 +26,24 @@ import numpy as np
 
 #: Initial capacity of the growable tables.
 _INITIAL_CAPACITY = 1024
-#: Dead segments must both exceed this floor and outnumber live ones
-#: before a compaction pays for itself.
-_COMPACT_MIN_DEAD = 4096
 #: The block table's owner-slot and segment-id columns: every kernel gathers
 #: from them at random, so they are as narrow as the ids allow (guarded in
 #: the constructor and in :meth:`FastState.new_segments`).
 _BLOCK_ID = np.int32
 _BLOCK_ID_MAX = int(np.iinfo(_BLOCK_ID).max)
+#: The per-segment columns, sized and compacted together.  The counters stay
+#: int64: ``np.add.at``/``np.subtract.at`` with a Python-int operand run an
+#: order of magnitude slower on narrower ints (docs/PERFORMANCE.md, Memory).
+_SEGMENT_COLUMNS = (
+    "seg_degree", "seg_polluted", "seg_collected", "seg_injected_at",
+    "seg_alive",
+)
 
 
-def _grow(array: np.ndarray, needed: int) -> np.ndarray:
-    """Return *array* grown geometrically to hold *needed* rows."""
-    capacity = len(array)
-    if needed <= capacity:
-        return array
-    new_capacity = max(needed, 2 * capacity)
-    grown = np.zeros(new_capacity, dtype=array.dtype)
-    grown[:capacity] = array
+def _resize(array: np.ndarray, rows: int) -> np.ndarray:
+    """Return a zero-padded copy of *array* with *rows* (>= its length) rows."""
+    grown = np.zeros(rows, dtype=array.dtype)
+    grown[: len(array)] = array
     return grown
 
 
@@ -102,8 +103,8 @@ class FastState:
         self.seg_injected_at = np.zeros(_INITIAL_CAPACITY, dtype=np.float64)
         self.seg_alive = np.zeros(_INITIAL_CAPACITY, dtype=bool)
         self.n_segments = 0
-        #: live (degree > 0) segments; maintained incrementally so the
-        #: compaction trigger is O(1).
+        #: live (degree > 0) segments; maintained incrementally so sizing
+        #: the segment columns is O(1).
         self.live_segments = 0
 
     # -- derived -----------------------------------------------------------
@@ -147,29 +148,32 @@ class FastState:
 
         The new segments start at degree 0; the caller appends their
         original blocks through :meth:`append_blocks` immediately after.
+
+        The segment columns are sized by the live segments: a batch that
+        does not fit first evicts the dead rows, and the columns are
+        reallocated only when the live rows and the batch would then fill
+        more than three quarters of them, to twice that.  So they never
+        grow past twice the live segments, and every compaction leaves at
+        least a quarter of them free.
         """
         count = len(injected_at)
-        start = self.n_segments
-        end = start + count
+        end = self.n_segments + count
         if end > _BLOCK_ID_MAX:
             raise OverflowError(
                 f"segment ids exceed {_BLOCK_ID_MAX}: {end} segment rows"
             )
-        self.seg_degree = _grow(self.seg_degree, end)
-        self.seg_polluted = _grow(self.seg_polluted, end)
-        self.seg_collected = _grow(self.seg_collected, end)
-        self.seg_injected_at = _grow(self.seg_injected_at, end)
-        self.seg_alive = _grow(self.seg_alive, end)
+        if end > len(self.seg_alive):
+            self.compact_segments()
+            end = self.n_segments + count
+            if 4 * end > 3 * len(self.seg_alive):
+                for name in _SEGMENT_COLUMNS:
+                    setattr(self, name, _resize(getattr(self, name), 2 * end))
+        start = end - count
         self.seg_injected_at[start:end] = injected_at
         self.seg_alive[start:end] = True
         self.n_segments = end
         self.live_segments += count
         return np.arange(start, end, dtype=np.int64)
-
-    def should_compact(self) -> bool:
-        """True when dead segment rows dominate the segment columns."""
-        dead = self.n_segments - self.live_segments
-        return dead > _COMPACT_MIN_DEAD and dead > self.live_segments
 
     def compact_segments(self) -> int:
         """Retire dead segment rows; returns how many were evicted.
@@ -179,27 +183,20 @@ class FastState:
         callers must not hold ids across a compaction.
         """
         m = self.n_segments
-        keep = self.seg_alive[:m]
-        kept = int(np.count_nonzero(keep))
-        evicted = m - kept
-        if evicted == 0:
+        live = np.flatnonzero(self.seg_alive[:m])
+        kept = len(live)
+        if kept == m:
             return 0
-        remap = np.full(m, -1, dtype=np.int64)
-        remap[np.flatnonzero(keep)] = np.arange(kept, dtype=np.int64)
-        for name in (
-            "seg_degree",
-            "seg_polluted",
-            "seg_collected",
-            "seg_injected_at",
-            "seg_alive",
-        ):
+        for name in _SEGMENT_COLUMNS:
             column = getattr(self, name)
-            column[:kept] = column[:m][keep]
+            column[:kept] = column[live]
             column[kept:m] = 0
         self.n_segments = kept
+        remap = np.full(m, -1, dtype=_BLOCK_ID)
+        remap[live] = np.arange(kept, dtype=_BLOCK_ID)
         k = self.n_blocks
         self.block_seg[:k] = remap[self.block_seg[:k]]
-        return evicted
+        return m - kept
 
     # -- block table -------------------------------------------------------
 
@@ -216,9 +213,11 @@ class FastState:
             return
         start = self.n_blocks
         end = start + count
-        self.block_peer = _grow(self.block_peer, end)
-        self.block_seg = _grow(self.block_seg, end)
-        self.block_polluted = _grow(self.block_polluted, end)
+        if end > len(self.block_peer):
+            rows = max(end, 2 * len(self.block_peer))
+            self.block_peer = _resize(self.block_peer, rows)
+            self.block_seg = _resize(self.block_seg, rows)
+            self.block_polluted = _resize(self.block_polluted, rows)
         self.block_peer[start:end] = peers
         self.block_seg[start:end] = segments
         self.block_polluted[start:end] = polluted

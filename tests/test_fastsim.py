@@ -37,6 +37,7 @@ from repro.fastsim import (
     run_shard,
     shard_parameters,
 )
+from repro.fastsim.engine import TauLeapStepper
 from repro.fastsim.shard import shard_seed
 from repro.fastsim.system import DelayAccumulator
 from repro.faults import FaultPlan
@@ -299,6 +300,46 @@ class TestPinnedDigests:
         assert digest(merged) == (
             "ec8fdb57acd78bc411667c6d40aad3527d863d3c0caf720b3dca85973f4531fb"
         )
+
+
+class TestSegmentColumnSizing:
+    """The segment columns are sized by the live segments: a batch that
+    does not fit evicts the dead rows, and the columns grow only when the
+    live rows would still crowd them."""
+
+    def test_columns_track_live_segments(self):
+        p = params(n_peers=2000, engine=ENGINE_FAST, tau=0.05)
+        system = FastCollectionSystem(p, seed=4)
+        state = system.state
+        compact, new_segments = state.compact_segments, state.new_segments
+        compactions = []
+        batches = []
+
+        def audited_compact():
+            compactions.append(compact())
+            state.check_conservation()
+            return compactions[-1]
+
+        def recorded_new_segments(injected_at):
+            batches.append(len(injected_at))
+            return new_segments(injected_at)
+
+        state.compact_segments = audited_compact
+        state.new_segments = recorded_new_segments
+        stepper = TauLeapStepper(system, p.tau)
+        peak_live = largest = 0
+        for step in range(1, 601):
+            stepper.run_until(step * p.tau)
+            peak_live = max(peak_live, state.live_segments)
+            largest = max(largest, len(state.seg_alive))
+            bound = max(1024, 2 * (peak_live + max(batches, default=0)))
+            assert len(state.seg_alive) <= bound
+        assert sum(1 for evicted in compactions if evicted) >= 3
+        # 14,532 rows for 10,337 peak live segments here; doubling full
+        # columns and compacting only once dead rows outnumber live ones
+        # reaches 32,768 and fails this
+        assert largest < 2 * peak_live
+        state.check_conservation()
 
 
 class TestDelayAccumulator:

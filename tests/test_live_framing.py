@@ -11,10 +11,12 @@ import asyncio
 import json
 import math
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.live.checkpoint import CheckpointError, load_checkpoint
 from repro.live.framing import (
     BINARY_HEADERS,
     Frame,
@@ -224,6 +226,56 @@ class TestStreamReader:
             await server.wait_closed()
 
         asyncio.run(scenario())
+
+
+class TestBoundedAllocation:
+    """A hostile length field costs the bytes that arrived, never the bytes
+    it declares: each case below is traced under 64 KiB."""
+
+    LIMIT = 64 * 1024
+    #: a legal frame's prefix whose 64 MiB payload never arrives
+    LEGAL = MAGIC + struct.pack(">II", 16, MAX_PAYLOAD_BYTES)
+    OVERSIZED = MAGIC + struct.pack(">II", 16, MAX_PAYLOAD_BYTES + 1)
+
+    def traced(self, error, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.LIMIT
+
+    def traced_read(self, error, blob):
+        loop = asyncio.new_event_loop()
+        try:
+            reader = asyncio.StreamReader(loop=loop)
+            reader.feed_data(blob)
+            reader.feed_eof()
+            self.traced(
+                error, lambda: loop.run_until_complete(read_frame(reader))
+            )
+        finally:
+            loop.close()
+
+    def test_oversized_payload_is_refused(self):
+        self.traced(FrameTooLarge, lambda: FrameDecoder().feed(self.OVERSIZED))
+        self.traced_read(FrameTooLarge, self.OVERSIZED)
+
+    def test_declared_payload_then_eof_is_truncated(self):
+        def decode():
+            decoder = FrameDecoder()
+            assert decoder.feed(self.LEGAL) == []
+            decoder.finish()
+
+        self.traced(FrameTruncated, decode)
+        self.traced_read(FrameTruncated, self.LEGAL)
+
+    def test_checkpoint_of_a_bare_prefix(self, tmp_path):
+        path = tmp_path / "hostile.ckpt"
+        path.write_bytes(self.LEGAL)
+        self.traced(CheckpointError, lambda: load_checkpoint(path))
 
 
 class TestFrameValue:

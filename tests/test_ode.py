@@ -1,5 +1,10 @@
 """Tests for the ODE systems of Sec. 3 and their steady-state solver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -187,3 +192,31 @@ class TestSegmentDegreeODE:
             SegmentDegreeODE(
                 1.0, 1.0, 1.0, 1, z0=0.5, e=1.0, i_max=10, injection_fraction=2.0
             )
+
+
+class TestScipyLoadsOnlyInASolve:
+    """scipy (~43 MB resident) serves only the analysis solves: importing
+    the simulators, the live runtime, the runner or the CLI must not load
+    it, so neither does any peer child or shard task."""
+
+    def test_fresh_interpreter(self):
+        script = (
+            "import sys\n"
+            "import repro, repro.cli, repro.core.system, repro.fastsim\n"
+            "import repro.live.peer, repro.live.server, repro.runner\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+            "from repro import CollectionODE\n"
+            "steady = CollectionODE(8.0, 6.0, 1.0, 1, 2.0).steady_state()\n"
+            "assert 'scipy' in sys.modules\n"
+            "print(steady.z0)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert 0.0 < float(done.stdout) < 1.0
