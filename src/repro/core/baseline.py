@@ -299,7 +299,3 @@ class DirectCollectionSystem(MeasuredRun):
             bucket.collected += delivered  # every direct pull is an original
             bucket.recoverable += live_backlog.get(source, 0)
         return PostmortemReport(departed=departed, live=live)
-
-    def loss_summary(self) -> Tuple[int, int, int]:
-        """(lost_to_churn, lost_to_ttl, lost_to_overflow) lifetime totals."""
-        return self.lost_to_churn, self.lost_to_ttl, self.lost_to_overflow

@@ -60,7 +60,6 @@ from repro.util.validation import require_nonnegative, require_positive
 
 QUALITY_FAST = "fast"
 QUALITY_FULL = "full"
-VALID_QUALITIES = (QUALITY_FAST, QUALITY_FULL)
 
 
 @dataclass(frozen=True)

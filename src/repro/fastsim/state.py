@@ -5,17 +5,17 @@ Three flat column groups replace the event engine's object graph:
 - **peers** — one ``int64`` block count per slot (the bipartite graph's
   peer degrees ``y_i``), plus boolean role masks for the fault/adversary
   channels;
-- **blocks** — a dense table of live blocks, one row per block, holding
-  (owner slot, segment id, polluted flag).  Uniform sampling over rows is
-  exactly the degree-proportional draw the paper's analysis assumes, and
-  deleting rows swaps the tail down so the table stays dense;
+- **blocks** — a dense table of live blocks, one row per block: an int32
+  (owner slot, segment id) pair moved as one word, and a polluted flag read
+  only while a row is tagged.  Uniform row draws are the paper's degree-
+  proportional selection; deleting rows swaps the tail down into the holes;
 - **segments** — growable columns of per-segment degree ``x_r``, polluted
   block count, server-collected count ``j_r``, and injection time.
 
 Everything is indexed by position; dead segments (degree 0) are retired
 by :meth:`FastState.compact_segments` when a batch of new segments would
-not fit, which remaps the block table's segment column in one vectorized
-pass.
+not fit and growth would not hold them, which remaps the block table's
+segment column in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 _INITIAL_CAPACITY = 1024
 #: The block table's owner-slot and segment-id columns: every kernel gathers
 #: from them at random, so they are as narrow as the ids allow (guarded in
-#: the constructor and in :meth:`FastState.new_segments`).
+#: the constructor, ``new_segments`` and ``append_blocks``: rows share it).
 _BLOCK_ID = np.int32
 _BLOCK_ID_MAX = int(np.iinfo(_BLOCK_ID).max)
 #: The per-segment columns, sized and compacted together.  The counters stay
@@ -42,7 +42,7 @@ _SEGMENT_COLUMNS = (
 
 def _resize(array: np.ndarray, rows: int) -> np.ndarray:
     """Return a zero-padded copy of *array* with *rows* (>= its length) rows."""
-    grown = np.zeros(rows, dtype=array.dtype)
+    grown = np.zeros((rows,) + array.shape[1:], dtype=array.dtype)
     grown[: len(array)] = array
     return grown
 
@@ -91,10 +91,11 @@ class FastState:
         self.is_fault_polluter = np.zeros(n_peers, dtype=bool)
 
         # blocks -----------------------------------------------------------
-        self.block_peer = np.zeros(_INITIAL_CAPACITY, dtype=_BLOCK_ID)
-        self.block_seg = np.zeros(_INITIAL_CAPACITY, dtype=_BLOCK_ID)
+        self._bind_block_ids(np.zeros((_INITIAL_CAPACITY, 2), dtype=_BLOCK_ID))
+        #: all False past ``n_blocks``, and below it while ``n_polluted`` is 0
         self.block_polluted = np.zeros(_INITIAL_CAPACITY, dtype=bool)
         self.n_blocks = 0
+        self.n_polluted = 0  # tagged rows, exact
 
         # segments ---------------------------------------------------------
         self.seg_degree = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
@@ -107,12 +108,14 @@ class FastState:
         #: the segment columns is O(1).
         self.live_segments = 0
 
-    # -- derived -----------------------------------------------------------
+    def _bind_block_ids(self, ids: np.ndarray) -> None:
+        """Adopt the ``(rows, 2)`` id table and its column and word views."""
+        self.block_ids = ids
+        self.block_peer = ids[:, 0]
+        self.block_seg = ids[:, 1]
+        self._block_words = ids.view(np.int64)[:, 0]
 
-    @property
-    def total_blocks(self) -> int:
-        """Live blocks in the network (Σ y_i == Σ x_r)."""
-        return self.n_blocks
+    # -- derived -----------------------------------------------------------
 
     def empty_peer_count(self) -> int:
         """Peers with no buffered blocks (the z₀ population)."""
@@ -150,11 +153,11 @@ class FastState:
         original blocks through :meth:`append_blocks` immediately after.
 
         The segment columns are sized by the live segments: a batch that
-        does not fit first evicts the dead rows, and the columns are
-        reallocated only when the live rows and the batch would then fill
-        more than three quarters of them, to twice that.  So they never
-        grow past twice the live segments, and every compaction leaves at
-        least a quarter of them free.
+        does not fit reallocates them, to twice the live rows plus the
+        batch, only if those fill more than three quarters of them; the
+        dead rows are evicted first unless that growth holds them.  So the
+        columns never grow past twice the live segments, and every
+        compaction leaves at least a quarter of them free.
         """
         count = len(injected_at)
         end = self.n_segments + count
@@ -163,11 +166,14 @@ class FastState:
                 f"segment ids exceed {_BLOCK_ID_MAX}: {end} segment rows"
             )
         if end > len(self.seg_alive):
-            self.compact_segments()
-            end = self.n_segments + count
-            if 4 * end > 3 * len(self.seg_alive):
+            wanted = 2 * (self.live_segments + count)
+            grow = 2 * wanted > 3 * len(self.seg_alive)
+            if not grow or end > wanted:
+                self.compact_segments()
+                end = self.n_segments + count
+            if grow:
                 for name in _SEGMENT_COLUMNS:
-                    setattr(self, name, _resize(getattr(self, name), 2 * end))
+                    setattr(self, name, _resize(getattr(self, name), wanted))
         start = end - count
         self.seg_injected_at[start:end] = injected_at
         self.seg_alive[start:end] = True
@@ -208,23 +214,23 @@ class FastState:
     ) -> None:
         """Add one row per (peer, segment, polluted) triple, updating the
         peer/segment degree columns and the segment pollution counts."""
-        count = len(peers)
-        if count == 0:
-            return
         start = self.n_blocks
-        end = start + count
-        if end > len(self.block_peer):
-            rows = max(end, 2 * len(self.block_peer))
-            self.block_peer = _resize(self.block_peer, rows)
-            self.block_seg = _resize(self.block_seg, rows)
+        end = start + len(peers)
+        if end > _BLOCK_ID_MAX:
+            raise OverflowError(f"block rows exceed {_BLOCK_ID_MAX}: {end}")
+        if end > len(self.block_ids):
+            rows = max(end, 2 * len(self.block_ids))
+            self._bind_block_ids(_resize(self.block_ids, rows))
             self.block_polluted = _resize(self.block_polluted, rows)
         self.block_peer[start:end] = peers
         self.block_seg[start:end] = segments
-        self.block_polluted[start:end] = polluted
         self.n_blocks = end
         np.add.at(self.peer_blocks, peers, 1)
         np.add.at(self.seg_degree, segments, 1)
-        if polluted.any():
+        tagged = int(np.count_nonzero(polluted))
+        if tagged:
+            self.block_polluted[start:end] = polluted
+            self.n_polluted += tagged
             np.add.at(self.seg_polluted, segments[polluted], 1)
 
     def remove_block_rows(
@@ -240,12 +246,9 @@ class FastState:
         """
         count = len(rows)
         n = self.n_blocks
-        if count == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty.astype(bool), empty
-        peers = self.block_peer[rows]
-        segments = self.block_seg[rows]
-        polluted = self.block_polluted[rows]
+        words = self._block_words
+        ids = words[rows].view(_BLOCK_ID).reshape(count, 2)
+        peers, segments = ids[:, 0], ids[:, 1]
 
         # holes below the new end (ascending) take the surviving rows of
         # the `count`-row tail (ascending): row order is state.
@@ -255,20 +258,22 @@ class FastState:
         tail_survives = np.ones(count, dtype=bool)
         tail_survives[rows[in_tail] - keep_start] = False
         tail_kept = keep_start + np.flatnonzero(tail_survives)
-        self.block_peer[holes] = self.block_peer[tail_kept]
-        self.block_seg[holes] = self.block_seg[tail_kept]
-        self.block_polluted[holes] = self.block_polluted[tail_kept]
+        words[holes] = words[tail_kept]
         self.n_blocks = keep_start
 
         np.subtract.at(self.peer_blocks, peers, 1)
         np.subtract.at(self.seg_degree, segments, 1)
-        if polluted.any():
+        if self.n_polluted:
+            polluted = self.block_polluted[rows]
+            self.block_polluted[holes] = self.block_polluted[tail_kept]
+            self.block_polluted[keep_start:n] = False
+            self.n_polluted -= int(np.count_nonzero(polluted))
             np.subtract.at(self.seg_polluted, segments[polluted], 1)
+        else:
+            polluted = np.zeros(count, dtype=bool)
 
-        touched = _sorted_unique(segments)
-        extinct = touched[
-            (self.seg_degree[touched] == 0) & self.seg_alive[touched]
-        ]
+        # a segment that lost a row was alive: it died iff its degree is 0
+        extinct = _sorted_unique(segments[self.seg_degree[segments] == 0])
         if len(extinct):
             self.seg_alive[extinct] = False
             self.live_segments -= len(extinct)
@@ -316,10 +321,10 @@ class FastState:
             raise AssertionError("segment pollution count out of range")
         table_polluted = int(np.count_nonzero(self.block_polluted[:k]))
         seg_polluted = int(self.seg_polluted[:m].sum())
-        if table_polluted != seg_polluted:
+        if not table_polluted == seg_polluted == self.n_polluted:
             raise AssertionError(
                 f"pollution accounting broken: table tags {table_polluted}, "
-                f"segments account {seg_polluted}"
+                f"segments account {seg_polluted}, tracked {self.n_polluted}"
             )
         if (self.seg_collected[:m] < 0).any() or (
             self.seg_collected[:m] > self.segment_size

@@ -137,25 +137,17 @@ class FastCollectionSystem:
         params: Parameters,
         seed: int = 0,
     ) -> None:
-        if params.mode != MODE_ABSTRACT:
-            raise ValueError(
-                f"fastsim requires mode={MODE_ABSTRACT!r}, got {params.mode!r}"
-            )
-        if params.segment_selection != SELECTION_PROPORTIONAL:
-            raise ValueError(
-                f"fastsim requires segment_selection="
-                f"{SELECTION_PROPORTIONAL!r}, got {params.segment_selection!r}"
-            )
-        if params.pull_policy != "random":
-            raise ValueError(
-                f"fastsim requires pull_policy='random', "
-                f"got {params.pull_policy!r}"
-            )
-        if params.gossip_latency != 0.0:
-            raise ValueError(
-                f"fastsim requires gossip_latency == 0, "
-                f"got {params.gossip_latency!r}"
-            )
+        for knob, needed in (
+            ("mode", MODE_ABSTRACT),
+            ("segment_selection", SELECTION_PROPORTIONAL),
+            ("pull_policy", "random"),
+            ("gossip_latency", 0.0),
+        ):
+            if getattr(params, knob) != needed:
+                raise ValueError(
+                    f"fastsim requires {knob}={needed!r}, "
+                    f"got {getattr(params, knob)!r}"
+                )
         if params.has_defenses:
             raise ValueError(
                 "fastsim does not support pull_scoring/advert_discounting"
@@ -379,7 +371,9 @@ class FastCollectionSystem:
             return
         rows = self._gossip_rng.integers(0, state.n_blocks, size=emitting)
         segments = state.block_seg[rows]
-        polluted = state.block_polluted[rows]
+        polluted = np.zeros(emitting, dtype=bool)
+        if state.n_polluted:
+            polluted = state.block_polluted[rows]
         if self.adversary_masks is not None and self.adversary_masks.targets_low_degree:
             strategic = state.is_adv_polluter[senders]
             if strategic.any():
@@ -503,6 +497,10 @@ class FastCollectionSystem:
         ):
             budget += fault_plan.pollution_repull_budget
         trials = remaining
+        # owners and pollution tags matter only to a hostile plan
+        hostile = (
+            self.fault_masks is not None or self.adversary_masks is not None
+        )
         for attempt in range(budget):
             if trials <= 0:
                 break
@@ -516,7 +514,8 @@ class FastCollectionSystem:
             if n_redundant:
                 metrics.redundant_pulls.increment(in_window, n_redundant)
             active = ~complete
-            rows = rows[active]
+            if hostile:
+                rows = rows[active]
             segments = segments[active]
             if len(segments) == 0:
                 break
@@ -531,7 +530,6 @@ class FastCollectionSystem:
                         segments = segments[keep]
             if len(segments) == 0:
                 break
-            # owner and pollution tag matter only to a hostile plan
             junk = np.zeros(len(segments), dtype=bool)
             if self.adversary_masks is not None:
                 junk = (
@@ -539,10 +537,9 @@ class FastCollectionSystem:
                 )[state.block_peer[rows]]
             polluted = junk.copy()
             if self.fault_masks is not None:
-                polluted |= (
-                    state.is_fault_polluter[state.block_peer[rows]]
-                    | state.block_polluted[rows]
-                )
+                polluted |= state.is_fault_polluter[state.block_peer[rows]]
+                if state.n_polluted:
+                    polluted |= state.block_polluted[rows]
             n_junk = int(junk.sum())
             if n_junk:
                 metrics.junk_blocks_served.increment(in_window, n_junk)
@@ -594,9 +591,9 @@ class FastCollectionSystem:
         if count == 0 or self.state.n_blocks == 0:
             return
         state = self.state
-        rows = _sorted_unique(
-            self._ttl_rng.integers(0, state.n_blocks, size=count)
-        )
+        drawn = self._ttl_rng.integers(0, state.n_blocks, size=count)
+        # int32 sorts faster; append_blocks keeps every row id within it
+        rows = _sorted_unique(drawn.astype(np.int32))
         _, _, _, extinct = state.remove_block_rows(rows)
         in_window = self.metrics.in_window
         self.metrics.blocks_expired.increment(in_window, len(rows))

@@ -62,9 +62,6 @@ PROCESS_FAULT_KINDS = (
     PROC_KILL_SERVER, PROC_STOP_SERVER, PROC_KILL_PEERS, PROC_STOP_PEERS,
 )
 
-#: Process-fault kinds that take the logging servers down.
-_SERVER_KINDS = (PROC_KILL_SERVER, PROC_STOP_SERVER)
-
 
 @dataclass(frozen=True)
 class FaultPlan:

@@ -35,8 +35,6 @@ WALL_CLOCK_CALLS = frozenset(
     }
 )
 
-_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-
 
 class DeterminismHazardRule(Rule):
     """Flag ordering hazards inside the simulation hot paths."""

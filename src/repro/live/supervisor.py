@@ -42,7 +42,7 @@ import tempfile
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, AsyncIterator, Deque, Dict, List, Optional, Sequence, Tuple
 
 import repro
 from repro.core.params import Parameters
@@ -91,6 +91,19 @@ class RestartPolicy:
             self.backoff_cap,
         )
         return base * (0.5 + 0.5 * jitter)
+
+
+async def _lines(stream: asyncio.StreamReader) -> AsyncIterator[bytes]:
+    """A child pipe's lines until EOF, skipping any over the reader's limit
+    (``readline`` discards such a line, then raises): the pipe keeps draining."""
+    while True:
+        try:
+            line = await stream.readline()
+        except ValueError:
+            continue
+        if not line:
+            return
+        yield line
 
 
 class _Child:
@@ -187,10 +200,7 @@ class LiveSupervisor:
         self, child: _Child, proc: "asyncio.subprocess.Process"
     ) -> None:
         assert proc.stdout is not None
-        while True:
-            line = await proc.stdout.readline()
-            if not line:
-                return
+        async for line in _lines(proc.stdout):
             try:
                 event = json.loads(line)
                 self._on_event(child, event if isinstance(event, dict) else {})
@@ -201,10 +211,7 @@ class LiveSupervisor:
         self, child: _Child, proc: "asyncio.subprocess.Process"
     ) -> None:
         assert proc.stderr is not None
-        while True:
-            line = await proc.stderr.readline()
-            if not line:
-                return
+        async for line in _lines(proc.stderr):
             child.stderr_tail.append(
                 line.decode("utf-8", "replace").rstrip()
             )

@@ -8,6 +8,9 @@ a scalar loop stating the same rule:
 - ``FastState.remove_block_rows`` against a list-based reference that
   computes the *exact* post-removal table — row order is state, because
   later kernels draw uniform row indices;
+- ``append_blocks``/``remove_block_rows`` over alternating tagged and
+  untagged batches against the same list reference, with the polluted-row
+  count and the id table's column views checked after every batch;
 - the gossip within-batch capacity rule against one Python loop iteration
   per transfer, replaying the kernel's own draws from a cloned generator.
 """
@@ -183,6 +186,82 @@ class TestBlockIdGuards:
         with pytest.raises(OverflowError, match="segment ids"):
             state.new_segments(np.zeros(2))
         assert state.n_segments == 2**31 - 2
+
+    def test_block_rows_run_out(self):
+        """TTL draws rows as int32, so the table stops at 2**31 - 1 rows."""
+        state = build_state(1, [(0, 0, False)])
+        state.n_blocks = 2**31 - 2
+        with pytest.raises(OverflowError, match="block rows"):
+            state.append_blocks(
+                np.zeros(2, dtype=np.int64),
+                np.zeros(2, dtype=np.int64),
+                np.zeros(2, dtype=bool),
+            )
+        assert state.n_blocks == 2**31 - 2
+        assert state.peer_blocks.tolist() == [1, 0, 0, 0, 0]
+
+
+class TestPollutedRowCount:
+    """The pollution column is read only while a row is tagged, so the
+    tagged-row count must be exact through every append and removal."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_alternating_batches_match_list_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n_segments = 40
+        state = FastState(N_PEERS, capacity=10**6, segment_size=4)
+        state.new_segments(np.zeros(n_segments))
+        table = []
+        alive = set(range(n_segments))
+        grew = False
+        for step in range(40):
+            tagged = step % 2 == 1
+            count = int(rng.integers(1, 400))
+            live = sorted(alive)
+            batch = [
+                (
+                    int(rng.integers(0, N_PEERS)),
+                    live[int(rng.integers(0, len(live)))],
+                    bool(tagged and rng.random() < 0.5),
+                )
+                for _ in range(count)
+            ]
+            peers, segments, polluted = (
+                np.asarray(column) for column in zip(*batch)
+            )
+            size = len(state.block_ids)
+            state.append_blocks(
+                peers.astype(np.int64), segments.astype(np.int64), polluted
+            )
+            grew |= len(state.block_ids) > size
+            table += batch
+            if table and step % 3 != 2:
+                drawn = rng.integers(0, len(table), size=len(table) // 4)
+                rows = sorted({int(row) for row in drawn})
+                if step % 10 == 9:  # untag the table: the count returns to 0
+                    rows = [r for r, (_, _, tag) in enumerate(table) if tag]
+                _, _, _, extinct = state.remove_block_rows(
+                    np.asarray(rows, dtype=np.int32)
+                )
+                table = reference_remove(table, rows)
+                held = {segment for _, segment, _ in table}
+                died = sorted(alive - held)
+                alive &= held
+                assert extinct.tolist() == died
+            k = state.n_blocks
+            assert list(
+                zip(
+                    state.block_peer[:k].tolist(),
+                    state.block_seg[:k].tolist(),
+                    state.block_polluted[:k].tolist(),
+                )
+            ) == table
+            assert np.shares_memory(state.block_peer, state.block_ids)
+            assert np.shares_memory(state.block_seg, state.block_ids)
+            assert state.n_polluted == sum(tag for _, _, tag in table)
+            assert not state.block_polluted[k:].any()
+            state.check_conservation()
+        assert grew
 
 
 def gossip_system(fill, seed):

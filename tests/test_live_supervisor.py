@@ -339,6 +339,8 @@ class TestSupervisorStdout:
         b'{"type": "resumed", "epoch": [1]}',
         b'{"type": "report", "report": 5}',
         b'{"type": "report"}',
+        # over the StreamReader's 64 KiB line limit
+        pytest.param(b"x" * 100_000, id="over-long-line"),
     ])
     def test_malformed_line_is_skipped_and_the_report_still_arrives(
         self, line
@@ -371,6 +373,28 @@ class TestSupervisorStdout:
         assert supervisor._port == 4242
         assert supervisor._epoch.result() == 7.5
         assert supervisor._report.result() == {"x": 1}
+
+    def test_over_long_stderr_line_is_skipped_and_the_next_kept(self):
+        from types import SimpleNamespace
+
+        from repro.live.supervisor import _Child
+
+        async def scenario():
+            supervisor = LiveSupervisor(
+                _params(), seed=1, warmup=1.0, duration=2.0,
+            )
+            child = _Child("peer-0", [])
+            stderr = asyncio.StreamReader()
+            stderr.feed_data(b"e" * 100_000 + b"\n")
+            stderr.feed_data(b"Traceback: the line after\n")
+            stderr.feed_eof()
+            await supervisor._read_stderr(
+                child, SimpleNamespace(stderr=stderr)
+            )
+            return child
+
+        child = asyncio.run(scenario())
+        assert list(child.stderr_tail) == ["Traceback: the line after"]
 
 
 class TestPeerReconnect:
