@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "AST determinism & protocol-invariant checker "
-            "(rules R1-R5, R8; see docs/LINTING.md)"
+            "(rules R1, R2, R4, R5, R8; see docs/LINTING.md)"
         ),
     )
     parser.add_argument(

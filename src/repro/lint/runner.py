@@ -1,9 +1,7 @@
 """Lint orchestration: file discovery, waiver application, reporting.
 
 ``run_lint`` walks the given paths, parses every ``*.py`` file once,
-discovers the trace-kind registry (any scanned file ending in
-``sim/trace.py``), runs each rule over the modules it applies to, and
-splits the raw findings into *active* (fail the build), *waived*
+runs each rule over the modules it applies to, and splits the raw findings into *active* (fail the build), *waived*
 (suppressed by a justified inline waiver) and *problems* (broken waivers,
 unparseable files).  The result renders as terminal text or as a
 machine-readable JSON report for CI artifacts.
@@ -25,25 +23,20 @@ from repro.lint.framework import (
     Finding,
     Rule,
     SourceModule,
-    path_endswith,
 )
 from repro.lint.rules_determinism import DeterminismHazardRule
 from repro.lint.rules_numeric import FloatAccumulationRule, Gf256MisuseRule
 from repro.lint.rules_rng import RngDisciplineRule
-from repro.lint.rules_trace import TRACE_MODULE_SUFFIX, TraceKindRule
 
 #: Directory names never descended into.
 SKIP_DIRS = frozenset({"__pycache__", ".git", ".pytest_cache", "build", "dist"})
 
 
-def default_rules(
-    trace_registry: Optional[Dict[str, str]] = None,
-) -> List[Rule]:
-    """Fresh instances of the per-module rule set (R1–R5, R8)."""
+def default_rules() -> List[Rule]:
+    """Fresh instances of the per-module rule set (R1, R2, R4, R5, R8)."""
     return [
         RngDisciplineRule(),
         DeterminismHazardRule(),
-        TraceKindRule(registry=trace_registry),
         FloatAccumulationRule(),
         Gf256MisuseRule(),
         WorkerBoundaryRule(),
@@ -201,27 +194,17 @@ def run_lint(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     rules: Optional[List[Rule]] = None,
-    trace_registry: Optional[Dict[str, str]] = None,
 ) -> LintReport:
     """Lint every Python file under *paths* and return the full report.
 
     Args:
         paths: Files or directories to scan.
         root: Base for the relative paths in findings (default: cwd).
-        rules: Per-module rule instances to run (default: R1–R5, R8).
-        trace_registry: Explicit kind registry for R3; by default the
-            registry is discovered from a scanned ``sim/trace.py``.
+        rules: Per-module rule instances to run (default: R1, R2, R4, R5,
+            R8).
     """
     modules, problems = _load_modules(paths, root)
-    active_rules = rules if rules is not None else default_rules(trace_registry)
-
-    for rule in active_rules:
-        if isinstance(rule, TraceKindRule):
-            for module in modules:
-                if path_endswith(module.relpath, TRACE_MODULE_SUFFIX):
-                    rule.learn_registry(module)
-                    break
-
+    active_rules = rules if rules is not None else default_rules()
     report = LintReport(files_scanned=len(modules), rules=list(active_rules))
     report.problems.extend(problems)
     known_rules = [rule.id for rule in report.rules]

@@ -95,14 +95,23 @@ class RestartPolicy:
 
 async def _lines(stream: asyncio.StreamReader) -> AsyncIterator[bytes]:
     """A child pipe's lines until EOF, skipping any over the reader's limit
-    (``readline`` discards such a line, then raises): the pipe keeps draining."""
+    through its newline, however many reads it arrives in: the pipe keeps
+    draining and no piece of a long line comes back as a line of its own."""
+    overlong = False
     while True:
         try:
-            line = await stream.readline()
-        except ValueError:
-            continue
-        if not line:
+            line = await stream.readuntil(b"\n")
+        except asyncio.IncompleteReadError as eof:
+            if eof.partial and not overlong:
+                yield eof.partial
             return
+        except asyncio.LimitOverrunError as over:
+            await stream.readexactly(over.consumed)  # drop what is buffered
+            overlong = True
+            continue
+        if overlong:
+            overlong = False  # this read ends the over-long line
+            continue
         yield line
 
 

@@ -170,6 +170,13 @@ def block_digest_of(header: Mapping[str, Any]) -> str:
     return value if isinstance(value, str) else ""
 
 
+#: The most peers a live session may declare.  A WELCOME's ``n_peers``
+#: sizes what each adopting peer allocates (its fault verdicts sample the
+#: polluter cohort over every slot), so it is bounded like a frame length:
+#: at the bound adoption costs a few MB, far below the 64 MiB frame cap.
+MAX_LIVE_PEERS = 1 << 16
+
+
 def validate_live_params(params: Parameters, supervised: bool = False) -> None:
     """Reject configurations the live runtime cannot execute faithfully.
 
@@ -184,6 +191,11 @@ def validate_live_params(params: Parameters, supervised: bool = False) -> None:
         raise ValueError(
             "live swarms move real bytes: set mode='rlnc' and "
             "payload_bytes > 0"
+        )
+    if params.n_peers > MAX_LIVE_PEERS:
+        raise ValueError(
+            f"live swarms run at most {MAX_LIVE_PEERS} peers, got "
+            f"n_peers={params.n_peers}"
         )
     if params.has_adversary:
         raise ValueError("live swarms do not run adversary plans")

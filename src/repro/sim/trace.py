@@ -44,10 +44,10 @@ KIND_SYBIL = "sybil"
 KIND_QUARANTINE = "quarantine"
 
 #: The single source of truth for every event kind the system may emit.
-#: ``repro.lint`` rule R3 statically checks each ``record(..., kind)`` call
-#: site against this registry, so a typo'd kind fails lint instead of
-#: silently producing an event no filter ever matches.  Add new kinds here
-#: (with a one-line description) before emitting them anywhere.
+#: :meth:`Tracer.record` refuses any kind missing here, so a typo'd kind
+#: fails the first traced run that reaches it instead of silently producing
+#: an event no filter ever matches.  Add new kinds here (with a one-line
+#: description) before emitting them anywhere.
 TRACE_KINDS: Dict[str, str] = {
     KIND_INJECT: "a source peer injected a fresh segment",
     KIND_GOSSIP: "one coded block was gossiped between peers",
@@ -172,7 +172,16 @@ class Tracer:
         segment: Optional[int] = None,
         **detail: float,
     ) -> None:
-        """Capture one event (no-op if the kind is filtered out)."""
+        """Capture one event (no-op if the kind is filtered out).
+
+        Raises:
+            ValueError: *kind* is not in :data:`TRACE_KINDS` (checked before
+                the filter, so a filtered tracer still catches a typo).
+        """
+        if kind not in TRACE_KINDS:
+            raise ValueError(
+                f"unregistered trace kind {kind!r}; declare it in TRACE_KINDS"
+            )
         if not self.wants(kind):
             return
         self.counts[kind] = self.counts.get(kind, 0) + 1

@@ -10,6 +10,8 @@ field, never with a traceback.
 """
 
 import json
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,9 +21,16 @@ from repro.chaos.space import sample_trial
 from repro.cli import main
 from repro.core.params import Parameters
 from repro.experiments.base import SimBudget
+from repro.faults.plan import FaultPlan
 from repro.live.checkpoint import CheckpointError, load_checkpoint
-from repro.live.framing import FrameDecoder, FrameGarbage, encode_frame
+from repro.live.framing import (
+    MAX_PAYLOAD_BYTES,
+    FrameDecoder,
+    FrameGarbage,
+    encode_frame,
+)
 from repro.live.peer import LivePeer
+from repro.live.wire import MAX_LIVE_PEERS
 from repro.runner import JournalError, RunJournal, RunSpec
 from repro.util.codec import encode
 
@@ -151,3 +160,45 @@ def test_malformed_configuration_is_refused_naming_the_field(
     message = boundary(tmp_path, capsys, mutate)
     assert field in message
     assert "Traceback" not in message
+
+
+class TestWelcomeAllocation:
+    """A WELCOME's ``n_peers`` sizes what adoption allocates (the polluter
+    cohort over every slot), so it is a hostile size like a frame length:
+    above the bound it costs the bytes that arrived, never the peers it
+    declares."""
+
+    def adopt(self, n_peers):
+        """(refusal or None, adopting peer, traced peak bytes)."""
+        session = replace(
+            SESSION, n_peers=n_peers, faults=FaultPlan(pollution_fraction=1.0)
+        )
+        header = {
+            "type": "welcome", "slot": 0, "seed": 5, "time_scale": 1.0,
+            "epoch": None, "params": encode(session),
+        }
+        peer = LivePeer(None, None, None, "127.0.0.1", 1)
+        refusal = None
+        tracemalloc.start()
+        try:
+            try:
+                peer._adopt(header)
+            except FrameGarbage as exc:
+                refusal = exc
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return refusal, peer, peak
+
+    @pytest.mark.parametrize("n_peers", [MAX_LIVE_PEERS + 1, 200_000])
+    def test_above_the_bound_is_refused_cheaply(self, n_peers):
+        refusal, peer, peak = self.adopt(n_peers)
+        assert refusal is not None and "n_peers" in str(refusal)
+        assert peer.params is None
+        assert peak < 64 * 1024
+
+    def test_at_the_bound_stays_far_below_the_frame_cap(self):
+        refusal, peer, peak = self.adopt(MAX_LIVE_PEERS)
+        assert refusal is None
+        assert peer.params.n_peers == MAX_LIVE_PEERS
+        assert peak < MAX_PAYLOAD_BYTES // 4

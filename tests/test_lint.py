@@ -60,17 +60,6 @@ class TestGoldenFindings:
             ("R2", "sim/hotpath.py", 14),  # id() sort key
         ]
 
-    def test_r3_trace_kinds(self):
-        report = lint_case("case_r3")
-        assert triples(report.findings) == [
-            ("R3", "core/emitter.py", 9),  # unknown literal "gosip"
-            ("R3", "core/emitter.py", 10),  # statically unresolvable kind
-            ("R3", "sim/trace.py", 5),  # KIND_DRIFT missing from registry
-        ]
-        messages = {f.line: f.message for f in report.findings}
-        assert "'gosip'" in messages[9]
-        assert "KIND_DRIFT" in messages[5]
-
     def test_r4_float_accumulation(self):
         report = lint_case("case_r4")
         assert triples(report.findings) == [("R4", "analysis/agg.py", 5)]
@@ -114,6 +103,14 @@ class TestWaivers:
         assert "no justification" in by_line[8]
         assert "unknown rule 'R7'" in by_line[10]
         assert report.exit_code(strict=True) == 1
+
+    def test_a_waiver_naming_retired_r3_is_unknown(self, tmp_path):
+        (tmp_path / "mod.py").write_text(
+            "x = 1  # lint: ok(R3): the rule is gone\n", encoding="utf-8"
+        )
+        report = run_lint([tmp_path], root=tmp_path)
+        assert [(p.rule, p.line) for p in report.problems] == [("W0", 1)]
+        assert "unknown rule 'R3'" in report.problems[0].message
 
     def test_parse_error_is_reported(self, tmp_path):
         bad = tmp_path / "broken.py"
@@ -183,7 +180,6 @@ class TestCommandLine:
         assert {r["id"] for r in payload["rules"]} == {
             "R1",
             "R2",
-            "R3",
             "R4",
             "R5",
             "R8",

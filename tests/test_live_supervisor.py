@@ -341,6 +341,11 @@ class TestSupervisorStdout:
         b'{"type": "report"}',
         # over the StreamReader's 64 KiB line limit
         pytest.param(b"x" * 100_000, id="over-long-line"),
+        # ...arriving in pieces: the reader overruns on the first, and the
+        # tail is still the skipped line, not a port event of its own
+        pytest.param(
+            (b"x" * 70_000, b'{"port": 1}'), id="over-long-line-in-pieces"
+        ),
     ])
     def test_malformed_line_is_skipped_and_the_report_still_arrives(
         self, line
@@ -359,14 +364,19 @@ class TestSupervisorStdout:
             supervisor._epoch = loop.create_future()
             supervisor._report = loop.create_future()
             stdout = asyncio.StreamReader()
-            stdout.feed_data(line + b"\n")
+            reader = asyncio.create_task(supervisor._read_stdout(
+                server, SimpleNamespace(stdout=stdout)
+            ))
+            *head, tail = line if isinstance(line, tuple) else (line,)
+            for piece in head:
+                stdout.feed_data(piece)
+                await asyncio.sleep(0)  # let the reader see this piece alone
+            stdout.feed_data(tail + b"\n")
             stdout.feed_data(b'{"port": 4242}\n')
             stdout.feed_data(b'{"type": "started", "epoch": 7.5}\n')
             stdout.feed_data(b'{"type": "report", "report": {"x": 1}}\n')
             stdout.feed_eof()
-            await supervisor._read_stdout(
-                server, SimpleNamespace(stdout=stdout)
-            )
+            await reader
             return supervisor
 
         supervisor = asyncio.run(scenario())
@@ -395,6 +405,30 @@ class TestSupervisorStdout:
 
         child = asyncio.run(scenario())
         assert list(child.stderr_tail) == ["Traceback: the line after"]
+
+    def test_over_long_stderr_line_arriving_in_pieces_is_skipped_whole(self):
+        from types import SimpleNamespace
+
+        from repro.live.supervisor import _Child
+
+        async def scenario():
+            supervisor = LiveSupervisor(
+                _params(), seed=1, warmup=1.0, duration=2.0,
+            )
+            child = _Child("peer-0", [])
+            stderr = asyncio.StreamReader()
+            reader = asyncio.create_task(supervisor._read_stderr(
+                child, SimpleNamespace(stderr=stderr)
+            ))
+            stderr.feed_data(b"e" * 70_000)
+            await asyncio.sleep(0)  # the reader overruns on this piece
+            stderr.feed_data(b"TAIL-OF-LONG-LINE\nnext line\n")
+            stderr.feed_eof()
+            await reader
+            return child
+
+        child = asyncio.run(scenario())
+        assert list(child.stderr_tail) == ["next line"]
 
 
 class TestPeerReconnect:

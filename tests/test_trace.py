@@ -1,9 +1,18 @@
 """Tests for event tracing and the instrumented collection system."""
 
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.adversary.plan import AdversaryPlan
 from repro.core.params import Parameters
 from repro.core.system import CollectionSystem
+from repro.faults.plan import FaultPlan
+from repro.runner import telemetry
+from repro.sim import trace
 from repro.sim.trace import (
     ADVERSARY_KINDS,
     ALL_KINDS,
@@ -12,9 +21,12 @@ from repro.sim.trace import (
     KIND_GOSSIP,
     KIND_INJECT,
     PROTOCOL_KINDS,
+    TRACE_KINDS,
     TraceEvent,
     Tracer,
 )
+
+PACKAGE = Path(repro.__file__).resolve().parent
 
 
 def traced_run(tracer, seed=1, duration=6.0, **overrides):
@@ -53,6 +65,14 @@ class TestTracer:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Tracer(kinds=["injct"])
+
+    @pytest.mark.parametrize("kinds", [None, [KIND_INJECT]])
+    def test_unregistered_kind_refused_at_record(self, kinds):
+        """Checked before the filter: a narrowed tracer still sees a typo."""
+        tracer = Tracer(kinds=kinds)
+        with pytest.raises(ValueError, match="'gosip'"):
+            tracer.record(0.0, "gosip", peer=1)
+        assert len(tracer) == 0 and tracer.counts == {}
 
     def test_ring_buffer_keeps_latest(self):
         tracer = Tracer(max_events=3)
@@ -140,3 +160,102 @@ class TestInstrumentedSystem:
         event = TraceEvent(time=1.0, kind=KIND_INJECT, peer=None, segment=3)
         payload = event.as_dict()
         assert payload == {"time": 1.0, "kind": KIND_INJECT, "segment": 3}
+
+
+@pytest.mark.parametrize(
+    "module, registry",
+    [
+        (trace, trace.TRACE_KINDS),
+        (telemetry, telemetry.RUNNER_EVENT_KINDS),
+    ],
+    ids=["sim.trace", "runner.telemetry"],
+)
+def test_every_kind_constant_is_registered(module, registry):
+    """A ``KIND_*`` constant outside its closed registry is drift."""
+    constants = {
+        name: value for name, value in vars(module).items()
+        if name.startswith("KIND_")
+    }
+    assert constants
+    unregistered = sorted(
+        name for name, value in constants.items() if value not in registry
+    )
+    assert unregistered == []
+
+
+def emission_sites():
+    """``(module path, line)`` of every ``*tracer*.record(`` call in the
+    package; a multi-line call is keyed by the line it starts on."""
+    sites = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "record"
+                and "tracer" in ast.unparse(node.func.value).lower()
+            ):
+                sites.add((path.relative_to(PACKAGE).as_posix(), node.lineno))
+    return sites
+
+
+class SiteTracer(Tracer):
+    """A tracer that also notes which call site emitted each event."""
+
+    def __init__(self):
+        super().__init__()
+        self.sites = set()
+
+    def record(self, time, kind, *args, **detail):
+        caller = sys._getframe(1)
+        path = Path(caller.f_code.co_filename).resolve()
+        self.sites.add((path.relative_to(PACKAGE).as_posix(), caller.f_lineno))
+        super().record(time, kind, *args, **detail)
+
+
+@pytest.fixture(scope="module")
+def fired():
+    """Unfiltered tracers over a churn, a fault and an adversary run."""
+    base = dict(
+        n_peers=40, arrival_rate=6.0, gossip_rate=8.0, deletion_rate=1.0,
+        normalized_capacity=3.0, segment_size=4, n_servers=2,
+    )
+    runs = [
+        dict(mean_lifetime=3.0),
+        dict(faults=FaultPlan(
+            gossip_loss_rate=0.2, pull_loss_rate=0.2, pollution_fraction=0.2,
+            outage_windows=((2.0, 3.0),), burst_rate=1.0, burst_fraction=0.1,
+        )),
+        dict(
+            adversary=AdversaryPlan(
+                liar_fraction=0.3, sybil_rate=1.5, sybil_fraction=0.2
+            ),
+            pull_scoring=True,
+            advert_discounting=True,
+        ),
+    ]
+    tracers = []
+    for overrides in runs:
+        tracer = SiteTracer()
+        CollectionSystem(
+            Parameters(**base, **overrides), seed=3, tracer=tracer
+        ).run(2.0, 6.0)
+        tracers.append(tracer)
+    return tracers
+
+
+class TestEmissionCoverage:
+    def test_every_registered_kind_fires(self, fired):
+        counted = set().union(*(tracer.counts for tracer in fired))
+        assert counted == set(TRACE_KINDS)
+
+    def test_every_emission_site_fires(self, fired):
+        """Every site the source walk finds is reached by a traced run, and
+        every reached site is one the walk found."""
+        sites = emission_sites()
+        assert {module for module, _ in sites} == {
+            "core/system.py", "core/server.py", "faults/injector.py",
+        }
+        reached = set().union(*(tracer.sites for tracer in fired))
+        assert sorted(sites - reached) == []
+        assert reached <= sites
