@@ -9,42 +9,44 @@ Three flat column groups replace the event engine's object graph:
   (owner slot, segment id) pair moved as one word, and a polluted flag read
   only while a row is tagged.  Uniform row draws are the paper's degree-
   proportional selection; deleting rows swaps the tail down into the holes;
-- **segments** — growable columns of per-segment degree ``x_r``, polluted
-  block count, server-collected count ``j_r``, and injection time.
+- **segments** — columns of per-segment degree ``x_r``, polluted block
+  count and server-collected count ``j_r`` (``int32``), and injection time.
 
+Each table is reserved once, for ``N·B`` rows (``n_peers × capacity``),
+and never grows: a peer holds at most B blocks, and every live segment
+holds one, so a batch of ``count`` segments (``s·count`` blocks) leaves
+``n_segments + count ≤ n_blocks + s·count ≤ N·B`` after a compaction.
 Everything is indexed by position; dead segments (degree 0) are retired
-by :meth:`FastState.compact_segments` when a batch of new segments would
-not fit and growth would not hold them, which remaps the block table's
-segment column in one vectorized pass.
+by :meth:`FastState.compact_segments`.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Tuple
 
 import numpy as np
 
-#: Initial capacity of the growable tables.
-_INITIAL_CAPACITY = 1024
 #: The block table's owner-slot and segment-id columns: every kernel gathers
-#: from them at random, so they are as narrow as the ids allow (guarded in
-#: the constructor, ``new_segments`` and ``append_blocks``: rows share it).
+#: from them at random, so they are as narrow as the ids allow (the
+#: constructor keeps the ``N·B``-row reservation within it).
 _BLOCK_ID = np.int32
 _BLOCK_ID_MAX = int(np.iinfo(_BLOCK_ID).max)
-#: The per-segment columns, sized and compacted together.  The counters stay
-#: int64: ``np.add.at``/``np.subtract.at`` with a Python-int operand run an
-#: order of magnitude slower on narrower ints (docs/PERFORMANCE.md, Memory).
-_SEGMENT_COLUMNS = (
-    "seg_degree", "seg_polluted", "seg_collected", "seg_injected_at",
-    "seg_alive",
-)
+#: The ``ufunc.at`` operand for the int32 counters: a Python int takes a
+#: casting path ~20x slower there (docs/PERFORMANCE.md, "Memory").
+_ONE = np.int32(1)
+#: Rows a compaction moves per pass, and so the size of its temporaries.
+_CHUNK = 1 << 16
 
 
-def _resize(array: np.ndarray, rows: int) -> np.ndarray:
-    """Return a zero-padded copy of *array* with *rows* (>= its length) rows."""
-    grown = np.zeros((rows,) + array.shape[1:], dtype=array.dtype)
-    grown[: len(array)] = array
-    return grown
+def _reserve(dtype: type, *shape: int) -> np.ndarray:
+    """A zero table on its own private anonymous mapping: a page costs
+    memory once a row on it is written, and is unmapped with the table.
+    (``np.zeros`` below glibc's mmap threshold would ``calloc`` it from the
+    heap, which commits reused pages and keeps them after the session.)"""
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(buffer, dtype=dtype).reshape(shape)
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -75,6 +77,9 @@ class FastState:
                 f"capacity ({capacity}) must be >= segment_size "
                 f"({segment_size})"
             )
+        rows = n_peers * capacity  # every table's reservation
+        if rows > _BLOCK_ID_MAX:
+            raise ValueError(f"n_peers * capacity must be <= {_BLOCK_ID_MAX}")
         self.n_peers = n_peers
         self.capacity = capacity
         self.segment_size = segment_size
@@ -91,29 +96,24 @@ class FastState:
         self.is_fault_polluter = np.zeros(n_peers, dtype=bool)
 
         # blocks -----------------------------------------------------------
-        self._bind_block_ids(np.zeros((_INITIAL_CAPACITY, 2), dtype=_BLOCK_ID))
+        self.block_ids = _reserve(_BLOCK_ID, rows, 2)
+        self.block_peer = self.block_ids[:, 0]
+        self.block_seg = self.block_ids[:, 1]
+        self._block_words = self.block_ids.view(np.int64)[:, 0]
         #: all False past ``n_blocks``, and below it while ``n_polluted`` is 0
-        self.block_polluted = np.zeros(_INITIAL_CAPACITY, dtype=bool)
+        self.block_polluted = _reserve(np.bool_, rows)
         self.n_blocks = 0
         self.n_polluted = 0  # tagged rows, exact
 
-        # segments ---------------------------------------------------------
-        self.seg_degree = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self.seg_polluted = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self.seg_collected = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self.seg_injected_at = np.zeros(_INITIAL_CAPACITY, dtype=np.float64)
-        self.seg_alive = np.zeros(_INITIAL_CAPACITY, dtype=bool)
+        # segments: all zero past ``n_segments`` ---------------------------
+        self.seg_degree = _reserve(np.int32, rows)
+        self.seg_polluted = _reserve(np.int32, rows)
+        self.seg_collected = _reserve(np.int32, rows)
+        self.seg_injected_at = _reserve(np.float64, rows)
+        self.seg_alive = _reserve(np.bool_, rows)
         self.n_segments = 0
-        #: live (degree > 0) segments; maintained incrementally so sizing
-        #: the segment columns is O(1).
+        #: live (degree > 0) segments, maintained incrementally
         self.live_segments = 0
-
-    def _bind_block_ids(self, ids: np.ndarray) -> None:
-        """Adopt the ``(rows, 2)`` id table and its column and word views."""
-        self.block_ids = ids
-        self.block_peer = ids[:, 0]
-        self.block_seg = ids[:, 1]
-        self._block_words = ids.view(np.int64)[:, 0]
 
     # -- derived -----------------------------------------------------------
 
@@ -152,12 +152,9 @@ class FastState:
         The new segments start at degree 0; the caller appends their
         original blocks through :meth:`append_blocks` immediately after.
 
-        The segment columns are sized by the live segments: a batch that
-        does not fit reallocates them, to twice the live rows plus the
-        batch, only if those fill more than three quarters of them; the
-        dead rows are evicted first unless that growth holds them.  So the
-        columns never grow past twice the live segments, and every
-        compaction leaves at least a quarter of them free.
+        The dead rows are evicted first when they outnumber half the live
+        ones, or when the batch would not fit.  So the rows ever written
+        stay at or below 1.5 times the live segments plus one batch.
         """
         count = len(injected_at)
         end = self.n_segments + count
@@ -165,15 +162,10 @@ class FastState:
             raise OverflowError(
                 f"segment ids exceed {_BLOCK_ID_MAX}: {end} segment rows"
             )
-        if end > len(self.seg_alive):
-            wanted = 2 * (self.live_segments + count)
-            grow = 2 * wanted > 3 * len(self.seg_alive)
-            if not grow or end > wanted:
-                self.compact_segments()
-                end = self.n_segments + count
-            if grow:
-                for name in _SEGMENT_COLUMNS:
-                    setattr(self, name, _resize(getattr(self, name), wanted))
+        dead = self.n_segments - self.live_segments
+        if 2 * dead > self.live_segments or end > len(self.seg_alive):
+            self.compact_segments()
+            end = self.n_segments + count
         start = end - count
         self.seg_injected_at[start:end] = injected_at
         self.seg_alive[start:end] = True
@@ -184,24 +176,35 @@ class FastState:
     def compact_segments(self) -> int:
         """Retire dead segment rows; returns how many were evicted.
 
-        Live segments keep their relative order; the block table's segment
-        column is remapped in one pass.  Segment *ids* are positional, so
-        callers must not hold ids across a compaction.
+        Live segments keep their relative order; the tables are rewritten
+        in place, ``_CHUNK`` rows at a time.  Segment *ids* are positional,
+        so callers must not hold ids across a compaction.
         """
         m = self.n_segments
-        live = np.flatnonzero(self.seg_alive[:m])
-        kept = len(live)
+        kept = self.live_segments
         if kept == m:
             return 0
-        for name in _SEGMENT_COLUMNS:
-            column = getattr(self, name)
-            column[:kept] = column[live]
+        alive = self.seg_alive
+        # remap[r] is live segment r's new id (dead rows own no block)
+        remap = np.cumsum(alive[:m], dtype=_BLOCK_ID)
+        remap -= 1
+        columns = [self.seg_degree, self.seg_collected, self.seg_injected_at]
+        if self.n_polluted:  # else seg_polluted is all zero
+            columns.append(self.seg_polluted)
+        # a chunk's live rows move down to `to` <= start, so no row is
+        # overwritten before it is read
+        to = 0
+        for start in range(0, m, _CHUNK):
+            live = start + np.flatnonzero(alive[start : start + _CHUNK])
+            for column in columns + [alive]:
+                column[to : to + len(live)] = column[live]
+            to += len(live)
+        for column in columns + [alive]:
             column[kept:m] = 0
         self.n_segments = kept
-        remap = np.full(m, -1, dtype=_BLOCK_ID)
-        remap[live] = np.arange(kept, dtype=_BLOCK_ID)
-        k = self.n_blocks
-        self.block_seg[:k] = remap[self.block_seg[:k]]
+        for start in range(0, self.n_blocks, _CHUNK):
+            chunk = self.block_seg[start : start + _CHUNK]
+            chunk[:] = remap[chunk]
         return m - kept
 
     # -- block table -------------------------------------------------------
@@ -218,20 +221,16 @@ class FastState:
         end = start + len(peers)
         if end > _BLOCK_ID_MAX:
             raise OverflowError(f"block rows exceed {_BLOCK_ID_MAX}: {end}")
-        if end > len(self.block_ids):
-            rows = max(end, 2 * len(self.block_ids))
-            self._bind_block_ids(_resize(self.block_ids, rows))
-            self.block_polluted = _resize(self.block_polluted, rows)
         self.block_peer[start:end] = peers
         self.block_seg[start:end] = segments
         self.n_blocks = end
         np.add.at(self.peer_blocks, peers, 1)
-        np.add.at(self.seg_degree, segments, 1)
+        np.add.at(self.seg_degree, segments, _ONE)
         tagged = int(np.count_nonzero(polluted))
         if tagged:
             self.block_polluted[start:end] = polluted
             self.n_polluted += tagged
-            np.add.at(self.seg_polluted, segments[polluted], 1)
+            np.add.at(self.seg_polluted, segments[polluted], _ONE)
 
     def remove_block_rows(
         self, rows: np.ndarray
@@ -262,13 +261,13 @@ class FastState:
         self.n_blocks = keep_start
 
         np.subtract.at(self.peer_blocks, peers, 1)
-        np.subtract.at(self.seg_degree, segments, 1)
+        np.subtract.at(self.seg_degree, segments, _ONE)
         if self.n_polluted:
             polluted = self.block_polluted[rows]
             self.block_polluted[holes] = self.block_polluted[tail_kept]
             self.block_polluted[keep_start:n] = False
             self.n_polluted -= int(np.count_nonzero(polluted))
-            np.subtract.at(self.seg_polluted, segments[polluted], 1)
+            np.subtract.at(self.seg_polluted, segments[polluted], _ONE)
         else:
             polluted = np.zeros(count, dtype=bool)
 

@@ -1,6 +1,6 @@
 """Tests for the vectorized fast engine (state, stepper, sharding).
 
-Three contracts are exercised here:
+Four contracts are exercised here:
 
 - **Engine fidelity** — same-seed fast and event runs agree
   *distributionally* (the fast engine is a mean-field closure, not an
@@ -12,11 +12,19 @@ Three contracts are exercised here:
 - **Shard determinism** — ``run_shard`` payloads are pure (JSON
   round-trippable) and ``merge_shard_payloads`` is order-blind, so a
   sharded run is byte-identical for any worker count.
+- **Memory** — every table is reserved once at its ``N·B`` bound, costs
+  only the rows written, and returns its pages with the session.
 """
 
+import ast
 import hashlib
+import importlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -33,10 +41,12 @@ from repro.experiments import (
 from repro.experiments.base import simulate_cell
 from repro.fastsim import (
     FastCollectionSystem,
+    FastState,
     merge_shard_payloads,
     run_shard,
     shard_parameters,
 )
+from repro.fastsim import state as state_module
 from repro.fastsim.engine import TauLeapStepper
 from repro.fastsim.shard import shard_seed
 from repro.fastsim.system import DelayAccumulator
@@ -303,9 +313,9 @@ class TestPinnedDigests:
 
 
 class TestSegmentColumnSizing:
-    """The segment columns are sized by the live segments: a batch that
-    does not fit evicts the dead rows, and the columns grow only when the
-    live rows would still crowd them."""
+    """The segment columns are reserved once; a compaction runs when the
+    dead rows outnumber half the live ones, so the rows ever written stay
+    at or below 1.5 times the live segments plus one batch."""
 
     def test_columns_track_live_segments(self):
         p = params(n_peers=2000, engine=ENGINE_FAST, tau=0.05)
@@ -327,19 +337,130 @@ class TestSegmentColumnSizing:
         state.compact_segments = audited_compact
         state.new_segments = recorded_new_segments
         stepper = TauLeapStepper(system, p.tau)
-        peak_live = largest = 0
+        reserved = len(state.seg_alive)
         for step in range(1, 601):
+            # injection runs first in a step, against the live segments
+            # the previous step left
+            live = state.live_segments
             stepper.run_until(step * p.tau)
-            peak_live = max(peak_live, state.live_segments)
-            largest = max(largest, len(state.seg_alive))
-            bound = max(1024, 2 * (peak_live + max(batches, default=0)))
-            assert len(state.seg_alive) <= bound
+            assert state.n_segments <= 1.5 * live + max(batches, default=0)
+            assert len(state.seg_alive) == reserved
         assert sum(1 for evicted in compactions if evicted) >= 3
-        # 14,532 rows for 10,337 peak live segments here; doubling full
-        # columns and compacting only once dead rows outnumber live ones
-        # reaches 32,768 and fails this
-        assert largest < 2 * peak_live
         state.check_conservation()
+
+
+#: Preamble of a fresh-interpreter probe; ``rss_kib`` reads its VmRSS.
+_RSS_PROBE = """
+import gc, json
+from repro.core.params import ENGINE_FAST, Parameters
+from repro.fastsim import FastCollectionSystem, FastState
+
+def rss_kib():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+"""
+
+
+def run_rss_probe(body):
+    """Run *body* after the probe preamble in a fresh interpreter and return
+    the JSON object it prints last."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE + body],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+needs_proc_status = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"),
+    reason="reads VmRSS from /proc/self/status (Linux)",
+)
+
+
+class TestReservation:
+    """Every table is reserved once at its ``N·B`` bound on a private
+    anonymous mapping: rows cost memory only once written, and a dropped
+    session gives its pages back."""
+
+    @needs_proc_status
+    def test_reserving_commits_nothing(self):
+        # fastsim_100k's shape: 10^5 peers, B = 37, s = 5
+        probe = run_rss_probe(
+            "before = rss_kib()\n"
+            "state = FastState(100_000, 37, 5)\n"
+            "print(json.dumps({'grew_kib': rss_kib() - before}))\n"
+        )
+        assert probe["grew_kib"] < 1024
+
+    @needs_proc_status
+    def test_released_sessions_return_their_pages(self):
+        probe = run_rss_probe(
+            "after = []\n"
+            "for seed in range(3):\n"
+            "    p = Parameters(n_peers=20_000, arrival_rate=6.0,\n"
+            "                   gossip_rate=8.0, deletion_rate=1.0,\n"
+            "                   normalized_capacity=3.0, segment_size=4,\n"
+            "                   engine=ENGINE_FAST, tau=0.05)\n"
+            "    FastCollectionSystem(p, seed=seed).run(2.0, 2.0)\n"
+            "    gc.collect()\n"
+            "    after.append(rss_kib())\n"
+            "print(json.dumps({'after_kib': after}))\n"
+        )
+        first, *later = probe["after_kib"]
+        assert all(abs(rss - first) <= 2048 for rss in later), probe
+
+    def test_oversized_reservation_refused_before_reserving(self, monkeypatch):
+        reserved = []
+        monkeypatch.setattr(
+            state_module, "_reserve", lambda *args: reserved.append(args)
+        )
+        with pytest.raises(ValueError, match="n_peers \\* capacity"):
+            FastState(2**16, capacity=2**15, segment_size=4)
+        assert reserved == []
+
+
+class TestTypedAtOperands:
+    """``np.add.at``/``np.subtract.at`` with a Python-int operand take a
+    casting path ~20x slower on a column narrower than int64, so every
+    ``ufunc.at`` in the package names a ``FastState`` column as its target,
+    and one narrower than int64 gets a module-level operand of its dtype."""
+
+    def test_narrow_targets_pass_a_typed_operand(self):
+        package = Path(state_module.__file__).parent
+        columns = vars(FastState(4, capacity=8, segment_size=4))
+        narrow = 0
+        for path in sorted(package.glob("*.py")):
+            module = importlib.import_module(f"repro.fastsim.{path.stem}")
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "at"
+                    and isinstance(node.func.value, ast.Attribute)
+                    and isinstance(node.func.value.value, ast.Name)
+                    and node.func.value.value.id == "np"
+                ):
+                    continue
+                where = f"{path.name}:{node.lineno}"
+                target, operand = node.args[0], node.args[2]
+                assert isinstance(target, ast.Attribute), where
+                column = columns.get(target.attr)
+                assert isinstance(column, np.ndarray), where
+                if column.dtype.itemsize >= 8:
+                    continue
+                narrow += 1
+                assert isinstance(operand, ast.Name), where
+                value = getattr(module, operand.id, None)
+                assert isinstance(value, np.generic), where
+                assert value.dtype == column.dtype, where
+        # seg_degree and seg_polluted, each in append and removal
+        assert narrow >= 4
 
 
 class TestDelayAccumulator:

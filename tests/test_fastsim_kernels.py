@@ -213,7 +213,7 @@ class TestPollutedRowCount:
         state.new_segments(np.zeros(n_segments))
         table = []
         alive = set(range(n_segments))
-        grew = False
+        ids = state.block_ids
         for step in range(40):
             tagged = step % 2 == 1
             count = int(rng.integers(1, 400))
@@ -229,11 +229,9 @@ class TestPollutedRowCount:
             peers, segments, polluted = (
                 np.asarray(column) for column in zip(*batch)
             )
-            size = len(state.block_ids)
             state.append_blocks(
                 peers.astype(np.int64), segments.astype(np.int64), polluted
             )
-            grew |= len(state.block_ids) > size
             table += batch
             if table and step % 3 != 2:
                 drawn = rng.integers(0, len(table), size=len(table) // 4)
@@ -256,12 +254,12 @@ class TestPollutedRowCount:
                     state.block_polluted[:k].tolist(),
                 )
             ) == table
+            assert state.block_ids is ids  # reserved once, never moved
             assert np.shares_memory(state.block_peer, state.block_ids)
             assert np.shares_memory(state.block_seg, state.block_ids)
             assert state.n_polluted == sum(tag for _, _, tag in table)
             assert not state.block_polluted[k:].any()
             state.check_conservation()
-        assert grew
 
 
 def gossip_system(fill, seed):
