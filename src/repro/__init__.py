@@ -47,7 +47,6 @@ from repro.analysis import (
     theorem4_saved_data,
 )
 from repro.analysis.transient import Trajectory, TransientCollectionODE
-from repro.analysis.validation import ValidationResult, validate_report
 from repro.core import (
     CollectionSystem,
     DirectCollectionSystem,

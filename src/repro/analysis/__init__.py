@@ -2,12 +2,6 @@
 
 from repro.analysis.ode import CollectionODE, ODEConfig, SegmentDegreeODE, SteadyState
 from repro.analysis.transient import Trajectory, TransientCollectionODE
-from repro.analysis.validation import (
-    DEFAULT_TOLERANCES,
-    MetricCheck,
-    ValidationResult,
-    validate_report,
-)
 from repro.analysis.theorems import (
     AnalyticalPoint,
     DelayResult,
@@ -31,10 +25,6 @@ __all__ = [
     "SteadyState",
     "Trajectory",
     "TransientCollectionODE",
-    "DEFAULT_TOLERANCES",
-    "MetricCheck",
-    "ValidationResult",
-    "validate_report",
     "AnalyticalPoint",
     "DelayResult",
     "SavedDataResult",

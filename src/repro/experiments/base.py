@@ -54,7 +54,7 @@ from repro.core.params import (
 from repro.core.system import CollectionSystem
 from repro.sim.metrics import MetricsReport
 from repro.stats.workload import Workload
-from repro.util.summary import summarize
+from repro.util.summary import mean
 from repro.util.tables import render_series
 from repro.util.validation import require_nonnegative, require_positive
 
@@ -439,7 +439,7 @@ class SeedMeans:
             value = self.payloads[f"{prefix}:seed={seed}"][metric]
             if value is not None:
                 values.append(float(value))
-        return summarize(values).mean if values else math.nan
+        return mean(values) if values else math.nan
 
 
 def add_seed_series(

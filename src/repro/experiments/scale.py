@@ -41,7 +41,7 @@ from repro.experiments.base import (
 )
 from repro.experiments.fig3 import ARRIVAL_RATE, DELETION_RATE, GOSSIP_RATE
 from repro.fastsim import merge_shard_payloads, run_shard
-from repro.util.summary import summarize
+from repro.util.summary import mean
 
 #: Server capacity for the N sweep (the middle Fig. 3 curve).
 CAPACITY = 8.0
@@ -157,7 +157,7 @@ def plan_scale(
                         if value is not None
                     ]
                     values.append(
-                        summarize(samples).mean if samples else None
+                        mean(samples) if samples else None
                     )
                 result.add_series(f"{label} s={s}", values)
         dirty = sorted(

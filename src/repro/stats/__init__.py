@@ -1,15 +1,5 @@
-"""Statistics payloads, generation workloads, and operator analytics."""
+"""Statistics payloads (the per-peer record and its codec) and generation workloads."""
 
-from repro.stats.aggregate import (
-    FieldSummary,
-    OutageReport,
-    PeerHealth,
-    compare_cohorts,
-    detect_outage,
-    fleet_health,
-    group_by_peer,
-    summarize_peer,
-)
 from repro.stats.records import (
     FLAG_REBUFFERING,
     RECORD_SIZE,
@@ -28,14 +18,6 @@ from repro.stats.workload import (
 )
 
 __all__ = [
-    "FieldSummary",
-    "OutageReport",
-    "PeerHealth",
-    "compare_cohorts",
-    "detect_outage",
-    "fleet_health",
-    "group_by_peer",
-    "summarize_peer",
     "FLAG_REBUFFERING",
     "RECORD_SIZE",
     "RecordCodec",

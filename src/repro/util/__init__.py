@@ -1,7 +1,7 @@
 """Shared utilities: randomized sets, validation, tables, summary statistics."""
 
 from repro.util.randomset import RandomizedSet
-from repro.util.summary import Summary, mean, merge_by_key, relative_error, summarize
+from repro.util.summary import mean
 from repro.util.tables import format_cell, render_series, render_table
 from repro.util.validation import (
     require_in_range,
@@ -15,11 +15,7 @@ from repro.util.validation import (
 
 __all__ = [
     "RandomizedSet",
-    "Summary",
     "mean",
-    "merge_by_key",
-    "relative_error",
-    "summarize",
     "format_cell",
     "render_series",
     "render_table",

@@ -1,61 +1,14 @@
-"""Small summary-statistics helpers for experiment reporting.
+"""The two sample statistics the repo reports: a mean and a percentile.
 
-Simulation experiments repeat each configuration over several seeds; the
-harness reports the sample mean together with a normal-approximation
-confidence interval so shape comparisons against the paper are made on
-stable numbers rather than single noisy runs.
+Experiments average a metric over their seeds with :func:`mean` (summed
+in the order given, so a merged parallel run matches the serial one bit
+for bit); delay reports and the bench ledger read :func:`percentile`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Sample summary of a repeated scalar measurement."""
-
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-
-    @property
-    def stderr(self) -> float:
-        """Standard error of the mean (0 for a single sample)."""
-        if self.n <= 1:
-            return 0.0
-        return self.std / math.sqrt(self.n)
-
-    def ci95(self) -> float:
-        """Half-width of the ~95% normal-approximation confidence interval."""
-        return 1.96 * self.stderr
-
-    def __str__(self) -> str:
-        return f"{self.mean:.4f} +/- {self.ci95():.4f} (n={self.n})"
-
-
-def summarize(samples: Sequence[float]) -> Summary:
-    """Summarize *samples*; raises :class:`ValueError` when empty."""
-    values = [float(v) for v in samples]
-    if not values:
-        raise ValueError("cannot summarize an empty sample")
-    n = len(values)
-    mean = sum(values) / n
-    if n > 1:
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    else:
-        var = 0.0
-    return Summary(
-        n=n,
-        mean=mean,
-        std=math.sqrt(var),
-        minimum=min(values),
-        maximum=max(values),
-    )
+from typing import Sequence
 
 
 def mean(samples: Sequence[float]) -> float:
@@ -64,19 +17,6 @@ def mean(samples: Sequence[float]) -> float:
     if not values:
         raise ValueError("cannot take the mean of an empty sample")
     return sum(float(v) for v in values) / len(values)
-
-
-def merge_by_key(rows: Iterable[Dict[str, float]]) -> Dict[str, Summary]:
-    """Summarize a list of homogeneous metric dicts key by key.
-
-    Useful for aggregating the metric dictionaries produced by repeated
-    simulation runs: ``merge_by_key(run() for _ in range(5))``.
-    """
-    collected: Dict[str, List[float]] = {}
-    for row in rows:
-        for key, value in row.items():
-            collected.setdefault(key, []).append(float(value))
-    return {key: summarize(values) for key, values in collected.items()}
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -100,9 +40,3 @@ def percentile(values: Sequence[float], q: float) -> float:
     weight = position - low
     return data[low] * (1 - weight) + data[high] * weight
 
-
-def relative_error(measured: float, reference: float) -> float:
-    """``|measured - reference| / |reference|`` with a 0/0 -> 0 convention."""
-    if reference == 0.0:
-        return 0.0 if measured == 0.0 else math.inf
-    return abs(measured - reference) / abs(reference)

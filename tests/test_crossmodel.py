@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis.ode import CollectionODE
 from repro.analysis.theorems import (
+    analyze,
     theorem1_storage,
     theorem2_throughput,
     theorem2_throughput_s1,
@@ -78,6 +79,36 @@ class TestOccupancyAgreement:
         )
         report = CollectionSystem(params, seed=5).run(15.0, 20.0)
         assert report.empty_peer_fraction == pytest.approx(closed.z0, abs=0.05)
+
+
+@pytest.fixture(scope="module")
+def busy_s8():
+    """One busy s = 8 run, shared by the Theorem 1 and Theorem 4 checks."""
+    params = Parameters(
+        n_peers=120,
+        arrival_rate=LAM,
+        gossip_rate=MU,
+        deletion_rate=GAMMA,
+        normalized_capacity=C,
+        segment_size=8,
+        n_servers=3,
+    )
+    report = CollectionSystem(params, seed=5).run(10.0, 14.0)
+    return report, analyze(LAM, MU, GAMMA, 8, C)
+
+
+class TestSavedDataAgreement:
+    def test_saved_blocks_match_theorem4(self, busy_s8):
+        """Finite N saves ~8-11% less than the limit over seeds 1-5."""
+        report, point = busy_s8
+        predicted = point.saved.saved_blocks_per_peer
+        assert report.saved_blocks_per_peer == pytest.approx(predicted, rel=0.15)
+
+    def test_busy_network_has_no_empty_peers(self, busy_s8):
+        """z0 ~ 1e-8 here, so the check is on an absolute 0.01 scale."""
+        report, point = busy_s8
+        assert point.storage.z0 < 1e-6
+        assert report.empty_peer_fraction == pytest.approx(point.storage.z0, abs=0.01)
 
 
 class TestDistributionAgreement:

@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.util.randomset import RandomizedSet
-from repro.util.summary import (
-    Summary,
-    mean,
-    merge_by_key,
-    percentile,
-    relative_error,
-    summarize,
-)
+from repro.util.summary import mean, percentile
 from repro.util.tables import format_cell, render_series, render_table
 from repro.util.validation import (
     require_in_range,
@@ -131,40 +124,10 @@ class TestTables:
 
 
 class TestSummary:
-    def test_summarize_basic(self):
-        summary = summarize([1.0, 2.0, 3.0])
-        assert summary.mean == 2.0
-        assert summary.n == 3
-        assert summary.minimum == 1.0 and summary.maximum == 3.0
-        assert math.isclose(summary.std, 1.0)
-
-    def test_summarize_single(self):
-        summary = summarize([5.0])
-        assert summary.std == 0.0
-        assert summary.stderr == 0.0
-        assert summary.ci95() == 0.0
-
-    def test_summarize_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
     def test_mean(self):
         assert mean([2, 4]) == 3.0
         with pytest.raises(ValueError):
             mean([])
-
-    def test_merge_by_key(self):
-        merged = merge_by_key([{"a": 1.0, "b": 2.0}, {"a": 3.0}])
-        assert merged["a"].mean == 2.0
-        assert merged["b"].n == 1
-
-    def test_relative_error(self):
-        assert relative_error(11.0, 10.0) == pytest.approx(0.1)
-        assert relative_error(0.0, 0.0) == 0.0
-        assert math.isinf(relative_error(1.0, 0.0))
-
-    def test_str_format(self):
-        assert "n=2" in str(summarize([1.0, 2.0]))
 
     def test_percentile_basics(self):
         assert percentile([5.0], 50.0) == 5.0
