@@ -151,6 +151,9 @@ class AdversaryInjector(AdversaryRoles):
         self._liar_list: Tuple[int, ...] = tuple(sorted(self.liars))
         #: active sybil identities: slot -> adversarial generation.
         self._sybils: Dict[int, int] = {}
+        #: the slots advertising inflated buffers: the liars, then the sorted
+        #: non-liar sybil slots; rebuilt when the marks change, not per pull.
+        self._attractors: Tuple[int, ...] = self._liar_list
         self._handles: List[EventHandle] = []
         self._started = False
         # hooks bound by the system before start()
@@ -238,30 +241,17 @@ class AdversaryInjector(AdversaryRoles):
 
     # -- liar advertisement capture ----------------------------------------------
 
-    def _active_attractors(self) -> Sequence[int]:
-        """Slots currently advertising inflated buffers (liars + sybils)."""
-        if not self._sybils:
-            return self._liar_list
-        self._prune_sybils()
-        if not self._sybils:
-            return self._liar_list
-        extra = [
+    def _rebuild_attractors(self) -> None:
+        self._attractors = self._liar_list + tuple(
             slot for slot in sorted(self._sybils) if slot not in self.liars
-        ]
-        return list(self._liar_list) + extra
+        )
 
-    def _prune_sybils(self) -> None:
-        """Drop sybil marks whose identity natural churn already replaced."""
-        get_generation = self._get_generation
-        if get_generation is None:
-            return
-        stale = [
-            slot
-            for slot, generation in self._sybils.items()
-            if get_generation(slot) != generation
-        ]
-        for slot in stale:
+    def slot_replaced(self, slot: int) -> None:
+        """The system replaced *slot*'s occupant (natural churn, a burst or
+        a sybil kill): a sybil mark on the departed identity is stale."""
+        if slot in self._sybils:
             del self._sybils[slot]
+            self._rebuild_attractors()
 
     def capture_pull(self) -> Optional[int]:
         """Decide whether an advertising adversary captures one pull.
@@ -272,9 +262,7 @@ class AdversaryInjector(AdversaryRoles):
         proceeds through the honest selection path.  Runs with no liars
         and no sybils return None without touching the RNG.
         """
-        if not self.liars and not self._sybils:
-            return None
-        attractors = self._active_attractors()
+        attractors = self._attractors
         k = len(attractors)
         if k == 0:
             return None
@@ -291,11 +279,14 @@ class AdversaryInjector(AdversaryRoles):
     # -- sybil bursts ------------------------------------------------------------
 
     def active_sybil_count(self) -> int:
-        """Currently active sybil identities (stale marks pruned)."""
-        if not self._sybils:
-            return 0
-        self._prune_sybils()
-        return len(self._sybils)
+        """Sybil marks whose identity still holds its slot."""
+        get_generation = self._get_generation
+        if get_generation is None:
+            return len(self._sybils)
+        return sum(
+            get_generation(slot) == generation
+            for slot, generation in self._sybils.items()
+        )
 
     def _arm_next_sybil_burst(self) -> None:
         gap = exponential(self._rng, self.plan.sybil_rate)
@@ -312,5 +303,6 @@ class AdversaryInjector(AdversaryRoles):
         self._kill_slots(slots)
         for slot in slots:
             self._sybils[slot] = self._get_generation(slot)
+        self._rebuild_attractors()
         self.sybil_conversions += len(slots)
         self._arm_next_sybil_burst()

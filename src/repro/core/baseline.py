@@ -137,8 +137,8 @@ class DirectCollectionSystem(MeasuredRun):
                         self.sim,
                         self._injection_rng,
                         params.arrival_rate,
-                        lambda slot=slot: self._generate(slot),
-                        cancellable=False,
+                        self._generate,
+                        slot,
                     )
                 )
             else:
@@ -146,9 +146,10 @@ class DirectCollectionSystem(MeasuredRun):
                     ThinnedPoissonProcess(
                         self.sim,
                         self._injection_rng,
-                        max_rate=workload.max_rate,
-                        rate_fn=workload.rate,
-                        action=lambda slot=slot: self._generate(slot),
+                        workload.max_rate,
+                        workload.rate,
+                        self._generate,
+                        slot,
                     )
                 )
         for index in range(params.n_servers):
@@ -158,7 +159,6 @@ class DirectCollectionSystem(MeasuredRun):
                     self._server_rng,
                     params.per_server_rate,
                     self._server_pull,
-                    cancellable=False,
                 )
             )
 
@@ -175,11 +175,10 @@ class DirectCollectionSystem(MeasuredRun):
 
     def _generate(self, slot: int) -> None:
         peer = self.peers[slot]
-        in_window = self.metrics.in_window
         peer.compact()
         if peer.live_count() >= peer.capacity:
             self.lost_to_overflow += 1
-            self.metrics.blocked_injections.increment(in_window)
+            self.metrics.blocked_injections += 1
             return
         block = _PendingBlock(self.sim.now)
         peer.queue.append(block)
@@ -187,8 +186,8 @@ class DirectCollectionSystem(MeasuredRun):
         self.injected_by_source[source] = (
             self.injected_by_source.get(source, 0) + 1
         )
-        self.metrics.injected_blocks.increment(in_window)
-        self.metrics.injected_segments.increment(in_window)
+        self.metrics.injected_blocks += 1
+        self.metrics.injected_segments += 1
         self.metrics.total_blocks.add(self.sim.now, 1)
         if peer.live_count() == 1:
             self._pending.add(slot)
@@ -207,25 +206,24 @@ class DirectCollectionSystem(MeasuredRun):
             return  # churn already destroyed this buffer
         block.alive = False
         self.lost_to_ttl += 1
-        self.metrics.blocks_expired.increment(self.metrics.in_window)
+        self.metrics.blocks_expired += 1
         self.metrics.total_blocks.add(self.sim.now, -1)
-        self.metrics.segments_lost.increment(self.metrics.in_window)
+        self.metrics.segments_lost += 1
         peer.compact()
         if peer.live_count() == 0:
             self._pending.discard(slot)
             self.metrics.empty_peers.add(self.sim.now, 1)
 
     def _server_pull(self) -> None:
-        in_window = self.metrics.in_window
-        self.metrics.pulls.increment(in_window)
+        self.metrics.pulls += 1
         if self.blind:
             # Oracle-free probe: any peer, pending or not.
             slot = self._selection_rng.randrange(self.params.n_peers)
             if slot not in self._pending:
-                self.metrics.idle_pulls.increment(in_window)
+                self.metrics.idle_pulls += 1
                 return
         elif not self._pending:
-            self.metrics.idle_pulls.increment(in_window)
+            self.metrics.idle_pulls += 1
             return
         else:
             slot = self._pending.sample(self._selection_rng)
@@ -238,12 +236,12 @@ class DirectCollectionSystem(MeasuredRun):
         self.delivered_by_source[source] = (
             self.delivered_by_source.get(source, 0) + 1
         )
-        self.metrics.useful_pulls.increment(in_window)
+        self.metrics.useful_pulls += 1
         self.metrics.total_blocks.add(self.sim.now, -1)
         # A delivered raw block is a completed "segment" of size 1, which
         # feeds the shared delay accounting.
         self.metrics.on_segment_completed(self.sim.now, block.created_at, 1)
-        self.metrics.segments_completed.increment(in_window)
+        self.metrics.segments_completed += 1
         peer.compact()
         if peer.live_count() == 0:
             self._pending.discard(slot)
@@ -256,15 +254,14 @@ class DirectCollectionSystem(MeasuredRun):
             if block.alive:
                 block.alive = False
                 lost += 1
-        in_window = self.metrics.in_window
         if lost:
             self.lost_to_churn += lost
-            self.metrics.blocks_lost_to_churn.increment(in_window, lost)
-            self.metrics.segments_lost.increment(in_window, lost)
+            self.metrics.blocks_lost_to_churn += lost
+            self.metrics.segments_lost += lost
             self.metrics.total_blocks.add(self.sim.now, -lost)
             self._pending.discard(slot)
             self.metrics.empty_peers.add(self.sim.now, 1)
-        self.metrics.departures.increment(in_window)
+        self.metrics.departures += 1
         self.peers[slot] = _DirectPeer(
             slot, self.params.effective_buffer_capacity, peer.generation + 1
         )

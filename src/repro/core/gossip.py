@@ -24,7 +24,7 @@ Implementation notes:
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.core.params import (
 from repro.core.peer import Peer
 from repro.core.segments import SegmentRegistry
 from repro.faults.injector import FaultInjector
+from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsCollector
 from repro.sim.topology import Topology
 
@@ -49,18 +50,23 @@ class GossipProtocol:
         topology: Topology,
         rng: random.Random,
         coding_rng: np.random.Generator,
-        get_peer: Callable[[int], Peer],
+        peers: Sequence[Peer],
         store_block: Callable[[Peer, CodedBlock], None],
         registry: SegmentRegistry,
         metrics: MetricsCollector,
         faults: Optional[FaultInjector] = None,
         adversary: Optional[AdversaryInjector] = None,
+        clock: Optional[Simulator] = None,
     ) -> None:
-        self._params = params
+        self._uniform = params.segment_selection == SELECTION_UNIFORM
         self._topology = topology
         self._rng = rng
         self._coding_rng = coding_rng
-        self._get_peer = get_peer
+        #: every slot's current occupant, read in place (churn replaces
+        #: entries, never the sequence).
+        self._peers = peers
+        #: whose time a tick called without *now* (the μ-clock's call) uses.
+        self._clock = clock
         self._store_block = store_block
         self._registry = registry
         self._metrics = metrics
@@ -72,23 +78,27 @@ class GossipProtocol:
         #: ticks here and strategic polluters steer + corrupt emissions.
         self._adversary = adversary
 
-    def tick(self, slot: int, now: float) -> bool:
-        """One gossip opportunity for the peer in *slot*.
-
-        Returns True iff a block was actually transferred.
-        """
-        sender = self._get_peer(slot)
-        if sender.is_empty:
+    def tick(self, slot: int, now: Optional[float] = None) -> bool:
+        """One gossip opportunity for the peer in *slot* at *now* (default:
+        the clock's time).  Returns True iff a block was transferred."""
+        if now is None:
+            assert self._clock is not None, "a tick without now needs a clock"
+            now = self._clock.now
+        peers = self._peers
+        sender = peers[slot]
+        if not sender.block_count:
             # Idle tick: the μ-clock ran but there was nothing to send.
             return False
 
+        metrics = self._metrics
+        rng = self._rng
         adversary = self._adversary
         if adversary is not None and adversary.suppress_gossip(
             slot, sender.generation
         ):
             # Free-riders (and active sybils) consume blocks but contribute
             # nothing: the μ-clock tick is silently wasted.
-            self._metrics.gossip_suppressed.increment(self._metrics.in_window)
+            metrics.gossip_suppressed += 1
             return False
 
         if adversary is not None and adversary.targets_low_degree(slot):
@@ -103,13 +113,22 @@ class GossipProtocol:
                 ),
             )
         else:
-            segment_id = sender.draw_segment(
-                self._rng,
-                self._params.segment_selection == SELECTION_UNIFORM,
-            )
-        target = self._find_target(slot, segment_id)
+            segment_id = sender.draw_segment(rng, self._uniform)
+
+        # Rejection-sample an eligible neighbor for the segment.
+        size = self._registry.get(segment_id).size
+        sample_neighbor = self._topology.sample_neighbor
+        target = None
+        for _ in range(GOSSIP_TARGET_TRIES):
+            candidate_slot = sample_neighbor(slot, rng)
+            if candidate_slot is None:
+                break
+            candidate = peers[candidate_slot]
+            if candidate.needs_segment(segment_id, size):
+                target = candidate
+                break
         if target is None:
-            self._metrics.gossip_no_target.increment(self._metrics.in_window)
+            metrics.gossip_no_target += 1
             return False
 
         holding = sender.holdings[segment_id]
@@ -119,17 +138,5 @@ class GossipProtocol:
         if adversary is not None and adversary.pollutes_gossip(slot):
             corrupt_block(block)
         self._store_block(target, block)
-        self._metrics.gossip_transfers.increment(self._metrics.in_window)
+        metrics.gossip_transfers += 1
         return True
-
-    def _find_target(self, sender_slot: int, segment_id: int) -> Optional[Peer]:
-        """Rejection-sample an eligible neighbor for *segment_id*."""
-        size = self._registry.get(segment_id).size
-        for _ in range(GOSSIP_TARGET_TRIES):
-            candidate_slot = self._topology.sample_neighbor(sender_slot, self._rng)
-            if candidate_slot is None:
-                return None
-            candidate = self._get_peer(candidate_slot)
-            if candidate.needs_segment(segment_id, size):
-                return candidate
-        return None

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from repro.coding.block import BlockRows, CodedBlock, SegmentDescriptor
 from repro.coding.linalg import rank as matrix_rank
 from repro.coding.rlnc import RngLike, recode
-from repro.util.randomset import RandomizedSet
+from repro.util.randomset import RandomizedSet, randbelow
 
 
 #: ``SegmentHolding._rows`` before the first block has chosen the layout.
@@ -189,7 +189,8 @@ class Peer:
     # -- mutations -----------------------------------------------------------
 
     def add_block(self, block: CodedBlock) -> None:
-        """Buffer one live block; raises if the buffer is full."""
+        """Buffer one live block; raises if the buffer is full.  An abstract
+        holding's bookkeeping is done here (found by id: no segment check)."""
         if self.is_full:
             raise ValueError(
                 f"peer {self.slot} buffer full ({self.capacity} blocks)"
@@ -200,7 +201,11 @@ class Peer:
             holding = SegmentHolding(block.segment)
             self.holdings[segment_id] = holding
             self.held_segments.add(segment_id)
-        holding.add(block)
+        if holding._rows is None:
+            holding.blocks.append(block)
+            holding.polluted_count += block.polluted
+        else:
+            holding.add(block)
         block.position = len(self.buffered_blocks)
         self.buffered_blocks.append(block)
         self.block_count += 1
@@ -209,7 +214,15 @@ class Peer:
         """Remove one block (TTL expiry); True when it was present."""
         segment_id = block.segment.segment_id
         holding = self.holdings.get(segment_id)
-        if holding is None or not holding.remove(block):
+        if holding is None:
+            return False
+        if holding._rows is None:
+            try:
+                holding.blocks.remove(block)
+            except ValueError:
+                return False
+            holding.polluted_count -= block.polluted
+        elif not holding.remove(block):
             return False
         last = self.buffered_blocks.pop()
         if last is not block:
@@ -232,7 +245,10 @@ class Peer:
         """
         if uniform:
             return self.held_segments.sample(rng)
-        return rng.choice(self.buffered_blocks).segment.segment_id
+        if not self.block_count:
+            raise IndexError("draw from an empty buffer")
+        block = self.buffered_blocks[randbelow(rng, self.block_count)]
+        return block.segment.segment_id
 
     def all_blocks(self) -> List[CodedBlock]:
         """Every live block in the buffer (e.g. for churn teardown)."""

@@ -103,7 +103,6 @@ class PushCollectionSystem(MeasuredRun):
                         self._arrival_rng,
                         params.arrival_rate,
                         self._push_block,
-                        cancellable=False,
                     )
                 )
             else:
@@ -121,9 +120,8 @@ class PushCollectionSystem(MeasuredRun):
 
     def _push_block(self) -> None:
         """A peer reports one freshly generated statistics block."""
-        in_window = self.metrics.in_window
-        self.metrics.injected_blocks.increment(in_window)
-        self.metrics.injected_segments.increment(in_window)
+        self.metrics.injected_blocks += 1
+        self.metrics.injected_segments += 1
         server = self.servers[self._routing_rng.randrange(len(self.servers))]
         # `queue` holds the in-service block (when busy) plus the waiting
         # room; an arrival is refused when the waiting room is full.
@@ -132,7 +130,7 @@ class PushCollectionSystem(MeasuredRun):
             # the "de facto DDoS" failure mode.
             server.dropped += 1
             self.dropped += 1
-            self.metrics.segments_lost.increment(in_window)
+            self.metrics.segments_lost += 1
             return
         server.accepted += 1
         server.queue.append(self.sim.now)
@@ -148,10 +146,9 @@ class PushCollectionSystem(MeasuredRun):
     def _finish_service(self, server: _ServerQueue) -> None:
         arrived_at = server.queue.popleft()
         self.delivered += 1
-        in_window = self.metrics.in_window
-        self.metrics.pulls.increment(in_window)
-        self.metrics.useful_pulls.increment(in_window)
-        self.metrics.segments_completed.increment(in_window)
+        self.metrics.pulls += 1
+        self.metrics.useful_pulls += 1
+        self.metrics.segments_completed += 1
         self.metrics.total_blocks.add(self.sim.now, -1)
         self.metrics.on_segment_completed(self.sim.now, arrived_at, 1)
         if server.queue:

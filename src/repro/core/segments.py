@@ -157,7 +157,8 @@ class SegmentRegistry:
         increments whenever it is below ``s``.  In RLNC mode the pooled
         decoder decides.
         """
-        if state.is_complete:
+        size = state.size
+        if state.collected >= size:  # already complete
             return False
         if state.decoder is not None:
             if block is None:
@@ -169,7 +170,7 @@ class SegmentRegistry:
             innovative = True
         if innovative and self.on_useful_pull is not None:
             self.on_useful_pull(state)
-        if state.is_complete and state.completed_at is None:
+        if state.collected >= size and state.completed_at is None:
             state.completed_at = now
             self._metrics.on_segment_completed(
                 now, state.descriptor.injected_at, state.size
@@ -198,7 +199,7 @@ class SegmentRegistry:
     def _extinguish(self, state: SegmentState, now: float) -> None:
         """Degree hit zero: the segment can never gain blocks again."""
         if not state.is_complete:
-            self._metrics.segments_lost.increment(self._metrics.in_window)
+            self._metrics.segments_lost += 1
             self.lost_segment_ids.append(state.segment_id)
             if self.on_lost is not None:
                 self.on_lost(state)

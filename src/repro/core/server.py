@@ -49,6 +49,7 @@ from repro.coding.block import corrupt_block
 from repro.core.peer import Peer
 from repro.core.segments import SegmentRegistry, SegmentState
 from repro.faults.injector import FaultVerdicts
+from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsCollector
 from repro.sim.trace import (
     KIND_DROP,
@@ -324,7 +325,7 @@ class _Held:
             faults is not None and faults.pollutes(peer.slot, holding)
         )
         if adv_junk:
-            pool._metrics.junk_blocks_served.increment(pool._metrics.in_window)
+            pool._metrics.junk_blocks_served += 1
         if pool._rlnc_mode:
             block = holding.make_coded_block(pool._coding_rng, now)
             if polluted:
@@ -374,6 +375,7 @@ class ServerPool:
         scorer: Optional[PullSourceScorer] = None,
         discounting: bool = False,
         on_quarantine: Optional[Callable[[int, int], None]] = None,
+        clock: Optional[Simulator] = None,
     ) -> None:
         if n_servers < 1:
             raise ValueError(f"n_servers must be >= 1, got {n_servers}")
@@ -407,7 +409,13 @@ class ServerPool:
         self._sample_nonempty_peer = sample_nonempty_peer
         self._rlnc_mode = rlnc_mode
         self._uniform_selection = segment_selection == SELECTION_UNIFORM
-        self._policy = pull_policy
+        #: the policy's fresh (peer, segment) draw, resolved once.
+        self._select = {
+            POLICY_RANDOM: self._draw_candidate,
+            POLICY_ROUND_ROBIN: self._draw_round_robin,
+            POLICY_AVOID_REDUNDANT: self._select_avoid_redundant,
+            POLICY_GREEDY_COMPLETION: self._select_greedy_completion,
+        }[pull_policy]
         self._all_peers = all_peers
         self._n_slots = n_slots
         self._rr_cursor = 0
@@ -425,6 +433,8 @@ class ServerPool:
             else None
         )
         self._on_quarantine = on_quarantine
+        #: whose time a pull called without *now* (the c_s-clock's call) uses.
+        self._clock = clock
 
     # -- candidate selection ---------------------------------------------------
 
@@ -449,49 +459,44 @@ class ServerPool:
                 return peer, self._draw_segment(peer)
         return None
 
-    def _select(self) -> Optional[Tuple[Peer, SegmentState]]:
-        """Pick the (peer, segment) to pull from, according to the policy."""
-        if self._policy == POLICY_ROUND_ROBIN:
-            return self._draw_round_robin()
-        if self._policy == POLICY_AVOID_REDUNDANT:
-            candidate = None
-            for _ in range(SCHEDULER_TRIES):
-                candidate = self._draw_candidate()
-                if candidate is None or not candidate[1].is_complete:
-                    return candidate
-            return candidate  # every try was redundant: pay the redundant pull
-        if self._policy == POLICY_GREEDY_COMPLETION:
-            best: Optional[Tuple[Peer, SegmentState]] = None
-            for _ in range(SCHEDULER_TRIES):
-                candidate = self._draw_candidate()
-                if candidate is None:
-                    break
-                state: SegmentState = candidate[1]
-                if state.is_complete:
-                    if best is None:
-                        best = candidate
-                    continue
-                if (
-                    best is None
-                    or best[1].is_complete
-                    or state.collected > best[1].collected
-                ):
+    def _select_avoid_redundant(self) -> Optional[Tuple[Peer, SegmentState]]:
+        """Resample while the drawn segment is already complete."""
+        candidate = None
+        for _ in range(SCHEDULER_TRIES):
+            candidate = self._draw_candidate()
+            if candidate is None or not candidate[1].is_complete:
+                return candidate
+        return candidate  # every try was redundant: pay the redundant pull
+
+    def _select_greedy_completion(self) -> Optional[Tuple[Peer, SegmentState]]:
+        """The incomplete candidate closest to completion among the draws."""
+        best: Optional[Tuple[Peer, SegmentState]] = None
+        for _ in range(SCHEDULER_TRIES):
+            candidate = self._draw_candidate()
+            if candidate is None:
+                break
+            state: SegmentState = candidate[1]
+            if state.is_complete:
+                if best is None:
                     best = candidate
-            return best
-        return self._draw_candidate()
+                continue
+            if (
+                best is None
+                or best[1].is_complete
+                or state.collected > best[1].collected
+            ):
+                best = candidate
+        return best
 
     def _candidate(self, request: int) -> Optional[_Held]:
         """Answer one request of the trial (see :func:`pull_trial`)."""
         if request == FRESH:
             selected = self._select()
-            if selected is None:
-                return None
-            return _Held(self, *selected)
-        assert self._all_peers is not None  # __init__ enforces with adversary
-        peer = self._all_peers(request)
-        if peer.is_empty:
-            return None
-        return _Held(self, peer, self._draw_segment(peer))
+        else:
+            assert self._all_peers is not None  # __init__ enforces with adversary
+            peer = self._all_peers(request)
+            selected = None if peer.is_empty else (peer, self._draw_segment(peer))
+        return None if selected is None else _Held(self, *selected)
 
     def _attractor_trust(self, slot: int) -> float:
         assert self._all_peers is not None and self._scorer is not None
@@ -502,21 +507,25 @@ class ServerPool:
         metrics = self._metrics
 
         def count(outcome: str) -> None:
-            getattr(metrics, outcome).increment(metrics.in_window)
+            setattr(metrics, outcome, getattr(metrics, outcome) + 1)
             if outcome in _PER_SERVER:
                 setattr(server, outcome, getattr(server, outcome) + 1)
 
         return count
 
-    def pull(self, server_index: int, now: float) -> None:
-        """Execute one pull trial for server *server_index* at time *now*.
+    def pull(self, server_index: int, now: Optional[float] = None) -> None:
+        """Execute one pull trial for server *server_index* at time *now*
+        (by default the clock's time).
 
         Drives :func:`pull_trial` synchronously: candidates come from the
         pull policy (or from the attractor slot that captured the trial),
         outcomes land in the metrics and the per-server tallies.
         """
+        if now is None:
+            assert self._clock is not None, "a pull without now needs a clock"
+            now = self._clock.now
         self.servers[server_index].pulls += 1
-        self._metrics.pulls.increment(self._metrics.in_window)
+        self._metrics.pulls += 1
         trial = pull_trial(
             self._candidate(FRESH),
             now,

@@ -30,6 +30,7 @@ churn departure        1/L                          peer slot
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -297,12 +298,16 @@ class CollectionSystem(MeasuredRun):
             topology=self.topology,
             rng=self._selection_rng,
             coding_rng=self._coding_rng,
-            get_peer=self.peer,
-            store_block=self._store_gossip_block,
+            peers=self.peers,
+            # No lossy link, latency or tracer: a delivered block is stored.
+            store_block=self._store_block
+            if self.faults is None and tracer is None and not params.gossip_latency
+            else self._store_gossip_block,
             registry=self.registry,
             metrics=self.metrics,
             faults=self.faults,
             adversary=self.adversary,
+            clock=self.sim,
         )
         self.servers = ServerPool(
             n_servers=params.n_servers,
@@ -314,7 +319,7 @@ class CollectionSystem(MeasuredRun):
             rlnc_mode=self._rlnc,
             segment_selection=params.segment_selection,
             pull_policy=params.pull_policy,
-            all_peers=self.peer,
+            all_peers=self.peers.__getitem__,
             n_slots=params.n_peers,
             faults=self.faults,
             tracer=tracer,
@@ -322,6 +327,7 @@ class CollectionSystem(MeasuredRun):
             scorer=self.scorer,
             discounting=params.advert_discounting,
             on_quarantine=self._on_quarantine,
+            clock=self.sim,
         )
 
         #: decoded original data of completed segments (RLNC+payload mode):
@@ -379,17 +385,14 @@ class CollectionSystem(MeasuredRun):
     def _build_processes(self) -> None:
         params = self.params
         for slot in range(params.n_peers):
-            # Injection and gossip clocks run at a fixed (maximum) rate for the
-            # lifetime of the system (only shutdown() ever stops them), so
-            # they ride the engine's handle-free fast path.
             if self.workload is None:
                 self._processes.append(
                     PoissonProcess(
                         self.sim,
                         self._injection_rng,
                         params.segment_arrival_rate,
-                        lambda slot=slot: self._inject(slot),
-                        cancellable=False,
+                        self._inject,
+                        slot,
                     )
                 )
             else:
@@ -399,10 +402,10 @@ class CollectionSystem(MeasuredRun):
                     ThinnedPoissonProcess(
                         self.sim,
                         self._injection_rng,
-                        max_rate=workload.max_rate / segment_size,
-                        rate_fn=lambda t, w=workload, s=segment_size: w.rate(t) / s,
-                        action=lambda slot=slot: self._inject(slot),
-                        cancellable=False,
+                        workload.max_rate / segment_size,
+                        lambda t, w=workload, s=segment_size: w.rate(t) / s,
+                        self._inject,
+                        slot,
                     )
                 )
             if params.gossip_rate > 0:
@@ -411,8 +414,8 @@ class CollectionSystem(MeasuredRun):
                         self.sim,
                         self._gossip_rng,
                         params.gossip_rate,
-                        lambda slot=slot: self.gossip.tick(slot, self.sim.now),
-                        cancellable=False,
+                        self.gossip.tick,
+                        slot,
                     )
                 )
         for index in range(params.n_servers):
@@ -420,7 +423,8 @@ class CollectionSystem(MeasuredRun):
                 self.sim,
                 self._server_rng,
                 params.per_server_rate,
-                lambda index=index: self.servers.pull(index, self.sim.now),
+                self.servers.pull,
+                index,
             )
             self._processes.append(process)
             self._server_processes.append(process)
@@ -432,14 +436,12 @@ class CollectionSystem(MeasuredRun):
 
     # -- accessors ---------------------------------------------------------------
 
-    def peer(self, slot: int) -> Peer:
-        """Current occupant of topology *slot*."""
-        return self.peers[slot]
-
     def _sample_nonempty_peer(self) -> Optional[Peer]:
-        if not self._nonempty:
+        try:
+            slot = self._nonempty.sample(self._selection_rng)
+        except IndexError:  # every buffer is empty
             return None
-        return self.peers[self._nonempty.sample(self._selection_rng)]
+        return self.peers[slot]
 
     # -- event handlers ------------------------------------------------------------
 
@@ -447,11 +449,10 @@ class CollectionSystem(MeasuredRun):
         """Poisson injection: a new segment of s blocks appears at the peer."""
         params = self.params
         peer = self.peers[slot]
-        in_window = self.metrics.in_window
         if not peer.can_inject(params.segment_size):
             # Buffer too full for a whole segment (degree > B - s): the
             # freshly generated statistics cannot be buffered and are lost.
-            self.metrics.blocked_injections.increment(in_window)
+            self.metrics.blocked_injections += 1
             return
         state = self.registry.create(
             source_peer=slot,
@@ -474,8 +475,8 @@ class CollectionSystem(MeasuredRun):
             blocks = make_abstract_blocks(
                 state.descriptor, params.segment_size, self.sim.now
             )
-        self.metrics.injected_segments.increment(in_window)
-        self.metrics.injected_blocks.increment(in_window, params.segment_size)
+        self.metrics.injected_segments += 1
+        self.metrics.injected_blocks += params.segment_size
         if self.tracer is not None:
             self.tracer.record(
                 self.sim.now,
@@ -501,7 +502,7 @@ class CollectionSystem(MeasuredRun):
         (the tick already counted a transfer) but nothing arrives.
         """
         if self.faults is not None and self.faults.drop_gossip():
-            self.metrics.transfers_dropped.increment(self.metrics.in_window)
+            self.metrics.transfers_dropped += 1
             if self.tracer is not None:
                 self.tracer.record(
                     self.sim.now,
@@ -532,7 +533,7 @@ class CollectionSystem(MeasuredRun):
             and peer.needs_segment(segment_id, block.segment.size)
         )
         if not deliverable:
-            self.metrics.gossip_undeliverable.increment(self.metrics.in_window)
+            self.metrics.gossip_undeliverable += 1
             return
         self._land_gossip_block(peer, block)
 
@@ -561,7 +562,8 @@ class CollectionSystem(MeasuredRun):
             self.metrics.empty_peers.add(now, -1)
         # TTL expiries are never cancelled (expiry itself checks liveness),
         # so they ride the handle-free fast path; Parameters validated γ > 0.
-        ttl = self._ttl_rng.expovariate(self.params.deletion_rate)
+        # The gap is Random.expovariate's expression, inlined.
+        ttl = -math.log(1.0 - self._ttl_rng.random()) / self.params.deletion_rate
         sim.schedule_call(ttl, self._expire, peer, block)
 
     def _expire_block(self, peer: Peer, block: CodedBlock) -> None:
@@ -576,7 +578,7 @@ class CollectionSystem(MeasuredRun):
             )
         now = self.sim.now
         metrics = self.metrics
-        metrics.blocks_expired.increment(metrics.in_window)
+        metrics.blocks_expired += 1
         metrics.total_blocks.add(now, -1)
         if peer.block_count == 0:
             self._nonempty.discard(peer.slot)
@@ -602,13 +604,12 @@ class CollectionSystem(MeasuredRun):
             state = self.registry.get(block.segment.segment_id)
             self.registry.on_block_removed(state, now)
         lost = len(blocks)
-        in_window = self.metrics.in_window
         if lost:
-            self.metrics.blocks_lost_to_churn.increment(in_window, lost)
+            self.metrics.blocks_lost_to_churn += lost
             self.metrics.total_blocks.add(now, -lost)
             self._nonempty.discard(slot)
             self.metrics.empty_peers.add(now, 1)
-        self.metrics.departures.increment(in_window)
+        self.metrics.departures += 1
         if self.tracer is not None:
             self.tracer.record(
                 now, KIND_DEPART, peer=slot, blocks_lost=float(lost)
@@ -616,6 +617,8 @@ class CollectionSystem(MeasuredRun):
         self.peers[slot] = Peer(
             slot, self.params.effective_buffer_capacity, old.generation + 1, now
         )
+        if self.adversary is not None:
+            self.adversary.slot_replaced(slot)
 
     # -- fault hooks (bound into the FaultInjector) -----------------------------------
 
@@ -644,9 +647,7 @@ class CollectionSystem(MeasuredRun):
         """Correlated churn burst: force-depart every slot in *slots* now."""
         for slot in slots:
             self.churn.force_depart(slot)
-        self.metrics.burst_departures.increment(
-            self.metrics.in_window, len(slots)
-        )
+        self.metrics.burst_departures += len(slots)
         if self.tracer is not None:
             self.tracer.record(
                 self.sim.now, KIND_BURST, killed=float(len(slots))
@@ -659,9 +660,7 @@ class CollectionSystem(MeasuredRun):
         identity (the post-burst generation) is adversarial."""
         for slot in slots:
             self.churn.force_depart(slot)
-        self.metrics.sybil_conversions.increment(
-            self.metrics.in_window, len(slots)
-        )
+        self.metrics.sybil_conversions += len(slots)
         if self.tracer is not None:
             self.tracer.record(
                 self.sim.now, KIND_SYBIL, converted=float(len(slots))
@@ -671,7 +670,7 @@ class CollectionSystem(MeasuredRun):
         """Classify a fresh quarantine as a hit or a false positive."""
         adversary = self.adversary
         if adversary is None or not adversary.is_adversarial(slot, generation):
-            self.metrics.false_quarantines.increment(self.metrics.in_window)
+            self.metrics.false_quarantines += 1
 
     # -- measurement lifecycle -------------------------------------------------------
 
@@ -693,9 +692,7 @@ class CollectionSystem(MeasuredRun):
 
         Call when a long-lived process runs many systems against shared
         tooling and wants this one's clocks silenced; a shut-down system can
-        still be inspected but will not advance further state.  Fast-path
-        (non-cancellable) clocks may each leave one stale queue entry that
-        drains as a no-op if the simulator is ever run further.
+        still be inspected but will not advance further state.
         """
         for process in self._processes:
             process.stop()

@@ -239,5 +239,5 @@ def rlnc_pollution_audit(
     for segment_id, (_, payload) in system.collected_data.items():
         if not np.array_equal(payload, originals[segment_id]):
             corrupted += 1
-    rejected = system.metrics.blocks_rejected_polluted.total
+    rejected = system.metrics.blocks_rejected_polluted
     return rejected, corrupted, len(system.collected_data)

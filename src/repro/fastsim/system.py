@@ -326,7 +326,6 @@ class FastCollectionSystem:
             return
         state = self.state
         metrics = self.metrics
-        in_window = metrics.in_window
         s = self.params.segment_size
         slots = self._inj_rng.integers(0, state.n_peers, size=count)
         sources, per_slot = np.unique(slots, return_counts=True)
@@ -335,7 +334,7 @@ class FastCollectionSystem:
         total = int(allowed.sum())
         blocked = count - total
         if blocked:
-            metrics.blocked_injections.increment(in_window, blocked)
+            metrics.blocked_injections += blocked
         if total == 0:
             return
         src = np.repeat(sources, allowed)
@@ -346,8 +345,8 @@ class FastCollectionSystem:
             np.repeat(segment_ids, s),
             np.zeros(total * s, dtype=bool),
         )
-        metrics.injected_segments.increment(in_window, total)
-        metrics.injected_blocks.increment(in_window, total * s)
+        metrics.injected_segments += total
+        metrics.injected_blocks += total * s
 
     def kernel_gossip(self, count: int, t0: float, t1: float) -> None:
         """Gossip ticks: emission, target search, delivery."""
@@ -355,7 +354,6 @@ class FastCollectionSystem:
             return
         state = self.state
         metrics = self.metrics
-        in_window = metrics.in_window
         n = state.n_peers
         capacity = state.capacity
         senders = self._gossip_rng.integers(0, n, size=count)
@@ -364,7 +362,7 @@ class FastCollectionSystem:
             suppressed = (state.is_freerider | state.is_sybil)[senders]
             lost = int(suppressed.sum())
             if lost:
-                metrics.gossip_suppressed.increment(in_window, lost)
+                metrics.gossip_suppressed += lost
                 senders = senders[~suppressed]
         emitting = len(senders)
         if emitting == 0 or state.n_blocks == 0:
@@ -393,7 +391,7 @@ class FastCollectionSystem:
         # batch form thins each tick by the all-tries-full probability.
         full = state.full_peer_count()
         if full >= n:
-            metrics.gossip_no_target.increment(in_window, emitting)
+            metrics.gossip_no_target += emitting
             return
         if full:
             fail = (full / n) ** GOSSIP_TARGET_TRIES
@@ -401,7 +399,7 @@ class FastCollectionSystem:
                 no_target = self._gossip_rng.random(emitting) < fail
                 missed = int(no_target.sum())
                 if missed:
-                    metrics.gossip_no_target.increment(in_window, missed)
+                    metrics.gossip_no_target += missed
                     keep = ~no_target
                     segments = segments[keep]
                     polluted = polluted[keep]
@@ -428,12 +426,12 @@ class FastCollectionSystem:
         fits = position < free
         overflow = transfers - int(fits.sum())
         if overflow:
-            metrics.gossip_no_target.increment(in_window, overflow)
+            metrics.gossip_no_target += overflow
         selected = order[fits]
         delivered = len(selected)
         if delivered == 0:
             return
-        metrics.gossip_transfers.increment(in_window, delivered)
+        metrics.gossip_transfers += delivered
         receivers = receivers[selected]
         segments = segments[selected]
         polluted = polluted[selected]
@@ -442,7 +440,7 @@ class FastCollectionSystem:
             if loss is not None:
                 dropped = int(loss.sum())
                 if dropped:
-                    metrics.transfers_dropped.increment(in_window, dropped)
+                    metrics.transfers_dropped += dropped
                     keep = ~loss
                     receivers = receivers[keep]
                     segments = segments[keep]
@@ -455,11 +453,10 @@ class FastCollectionSystem:
             return
         state = self.state
         metrics = self.metrics
-        in_window = metrics.in_window
         s = self.params.segment_size
-        metrics.pulls.increment(in_window, count)
+        metrics.pulls += count
         if state.n_blocks == 0:
-            metrics.idle_pulls.increment(in_window, count)
+            metrics.idle_pulls += count
             return
         remaining = count
         if self.adversary_masks is not None:
@@ -469,21 +466,19 @@ class FastCollectionSystem:
             if captured is not None:
                 n_captured = int(captured.sum())
                 if n_captured:
-                    metrics.pulls_captured.increment(in_window, n_captured)
+                    metrics.pulls_captured += n_captured
                     slots = self.adversary_masks.capture_attractors(
                         n_captured, np.flatnonzero(attractor_mask)
                     )
                     empty = int(np.count_nonzero(state.peer_blocks[slots] == 0))
                     if empty:
-                        metrics.idle_pulls.increment(in_window, empty)
+                        metrics.idle_pulls += empty
                     junk = n_captured - empty
                     if junk:
                         # bait-and-switch: the attractor serves junk, the
                         # server detects and discards it (abstract tag).
-                        metrics.junk_blocks_served.increment(in_window, junk)
-                        metrics.blocks_rejected_polluted.increment(
-                            in_window, junk
-                        )
+                        metrics.junk_blocks_served += junk
+                        metrics.blocks_rejected_polluted += junk
                     remaining = count - n_captured
         if remaining <= 0:
             return
@@ -505,14 +500,14 @@ class FastCollectionSystem:
             if trials <= 0:
                 break
             if state.n_blocks == 0:
-                metrics.idle_pulls.increment(in_window, trials)
+                metrics.idle_pulls += trials
                 break
             rows = self._srv_rng.integers(0, state.n_blocks, size=trials)
             segments = state.block_seg[rows]
             complete = state.seg_collected[segments] >= s
             n_redundant = int(complete.sum())
             if n_redundant:
-                metrics.redundant_pulls.increment(in_window, n_redundant)
+                metrics.redundant_pulls += n_redundant
             active = ~complete
             if hostile:
                 rows = rows[active]
@@ -524,7 +519,7 @@ class FastCollectionSystem:
                 if loss is not None:
                     dropped = int(loss.sum())
                     if dropped:
-                        metrics.transfers_dropped.increment(in_window, dropped)
+                        metrics.transfers_dropped += dropped
                         keep = ~loss
                         rows = rows[keep]
                         segments = segments[keep]
@@ -542,12 +537,10 @@ class FastCollectionSystem:
                     polluted |= state.block_polluted[rows]
             n_junk = int(junk.sum())
             if n_junk:
-                metrics.junk_blocks_served.increment(in_window, n_junk)
+                metrics.junk_blocks_served += n_junk
             n_polluted = int(polluted.sum())
             if n_polluted:
-                metrics.blocks_rejected_polluted.increment(
-                    in_window, n_polluted
-                )
+                metrics.blocks_rejected_polluted += n_polluted
             clean_segments = segments[~polluted]
             if len(clean_segments):
                 uniq, per_segment = np.unique(
@@ -559,24 +552,22 @@ class FastCollectionSystem:
                 state.seg_collected[uniq] += innovative
                 n_useful = int(innovative.sum())
                 if n_useful:
-                    metrics.useful_pulls.increment(in_window, n_useful)
+                    metrics.useful_pulls += n_useful
                 if extra:
-                    metrics.redundant_pulls.increment(in_window, extra)
+                    metrics.redundant_pulls += extra
                 completed = uniq[
                     (innovative > 0) & (state.seg_collected[uniq] >= s)
                 ]
                 if len(completed):
-                    self._record_completions(completed, t0, t1, in_window)
+                    self._record_completions(completed, t0, t1)
             # only polluted draws re-pull (budget > 1 iff fault polluters)
             trials = n_polluted if attempt + 1 < budget else 0
 
-    def _record_completions(
-        self, segment_ids: np.ndarray, t0: float, t1: float, in_window: bool
-    ) -> None:
+    def _record_completions(self, segment_ids: np.ndarray, t0: float, t1: float) -> None:
         """Account newly completed segments at jittered completion times."""
         times = self._jitter(len(segment_ids), t0, t1, self._srv_rng)
-        self.metrics.segments_completed.increment(in_window, len(segment_ids))
-        if in_window:
+        self.metrics.segments_completed += len(segment_ids)
+        if self.metrics.in_window:
             delays = np.maximum(
                 times - self.state.seg_injected_at[segment_ids], 0.0
             )
@@ -595,19 +586,16 @@ class FastCollectionSystem:
         # int32 sorts faster; append_blocks keeps every row id within it
         rows = _sorted_unique(drawn.astype(np.int32))
         _, _, _, extinct = state.remove_block_rows(rows)
-        in_window = self.metrics.in_window
-        self.metrics.blocks_expired.increment(in_window, len(rows))
-        self._account_extinctions(extinct, in_window)
+        self.metrics.blocks_expired += len(rows)
+        self._account_extinctions(extinct)
 
-    def _account_extinctions(
-        self, extinct: np.ndarray, in_window: bool
-    ) -> None:
+    def _account_extinctions(self, extinct: np.ndarray) -> None:
         if len(extinct) == 0:
             return
         s = self.params.segment_size
         lost = int(np.count_nonzero(self.state.seg_collected[extinct] < s))
         if lost:
-            self.metrics.segments_lost.increment(in_window, lost)
+            self.metrics.segments_lost += lost
 
     def kernel_churn(self, count: int, t0: float, t1: float) -> None:
         """Lifetime expirations: *count* uniform slots are replaced."""
@@ -627,15 +615,14 @@ class FastCollectionSystem:
         """
         state = self.state
         metrics = self.metrics
-        in_window = metrics.in_window
         rows = state.rows_of_peers(slots)
         _, _, _, extinct = state.remove_block_rows(rows)
         if len(rows):
-            metrics.blocks_lost_to_churn.increment(in_window, len(rows))
-        metrics.departures.increment(in_window, len(slots))
+            metrics.blocks_lost_to_churn += len(rows)
+        metrics.departures += len(slots)
         if burst:
-            metrics.burst_departures.increment(in_window, len(slots))
-        self._account_extinctions(extinct, in_window)
+            metrics.burst_departures += len(slots)
+        self._account_extinctions(extinct)
         state.is_sybil[slots] = False
 
     def kernel_fault_burst(self) -> None:
@@ -654,9 +641,7 @@ class FastCollectionSystem:
         slots = np.asarray(self.adversary_masks.sybil_slots(), dtype=np.int64)
         self.kill_slots(slots, burst=False)
         self.state.is_sybil[slots] = True
-        self.metrics.sybil_conversions.increment(
-            self.metrics.in_window, len(slots)
-        )
+        self.metrics.sybil_conversions += len(slots)
 
     # -- channel rates -------------------------------------------------------
 

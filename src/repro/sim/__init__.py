@@ -7,7 +7,7 @@ from repro.sim.engine import (
     Simulator,
     ThinnedPoissonProcess,
 )
-from repro.sim.metrics import MetricsCollector, MetricsReport, WindowedAverage, WindowedCounter
+from repro.sim.metrics import MetricsCollector, MetricsReport, WindowedAverage
 from repro.sim.rng import SeedSequenceRegistry, exponential
 from repro.sim.trace import TraceEvent, Tracer
 from repro.sim.topology import (
@@ -27,7 +27,6 @@ __all__ = [
     "MetricsCollector",
     "MetricsReport",
     "WindowedAverage",
-    "WindowedCounter",
     "SeedSequenceRegistry",
     "TraceEvent",
     "Tracer",

@@ -10,17 +10,20 @@ The engine is deliberately single-threaded and deterministic: given the same
 seeds and the same schedule of calls, two runs produce identical event
 orderings (ties in time are broken by insertion sequence).
 
-Hot-path design.  Two scheduling flavours share one heap:
+Hot-path design.  Three kinds of entry share one heap:
 
 - :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` allocate an
   :class:`EventHandle` per event and support cancellation (lazy: cancelled
   entries are skipped on pop, with the live/cancelled split tracked
   exactly and the heap compacted in place once cancelled entries dominate);
 - :meth:`Simulator.schedule_call` / :meth:`Simulator.schedule_call_at` are
-  the handle-free fast path for fire-and-forget events (recurring clock
-  fires, TTL expiries, delivery latencies): the heap entry *is* the bare
-  callable followed by its arguments — no per-event allocation beyond the
-  tuple, so a caller passes ``(fn, a, b)`` instead of closing over a and b.
+  the handle-free fast path for fire-and-forget events (TTL expiries,
+  delivery latencies): the heap entry *is* the bare callable followed by
+  its arguments, so a caller passes ``(fn, a, b)`` instead of a closure;
+- a :class:`PoissonProcess` is its own entry: ``run_until`` pushes its next
+  fire and calls its action, so a clock fire costs no frame of its own.
+  ``stop()`` makes the one live entry stale (the process remembers its
+  sequence number); stale entries are accounted like cancelled handles.
 
 ``run_until`` additionally batch-drains the heap: when many entries are due
 before the horizon, one linear partition + ``sort`` replaces thousands of
@@ -82,8 +85,9 @@ class EventHandle:
 
 
 #: A heap entry ``(time, sequence, item, *args)``: cancellable events carry
-#: an EventHandle, fast-path events the bare callable and its arguments.
-#: The sequence number is unique, so tuple comparison never reaches the item.
+#: an EventHandle, clock fires the PoissonProcess, fast-path events the bare
+#: callable and its arguments.  The sequence number is unique, so tuple
+#: comparison never reaches the item.
 _Entry = Tuple[Any, ...]
 
 
@@ -202,8 +206,8 @@ class Simulator:
         Identical ordering semantics to :meth:`schedule`, but the heap entry
         is the bare callable and its arguments — no :class:`EventHandle`, and
         no closure when the caller passes *args* instead of capturing them.
-        Use it for fire-and-forget events (clock fires, TTL expiries,
-        latencies) whose handle would be dropped anyway.
+        Use it for fire-and-forget events (TTL expiries, latencies) whose
+        handle would be dropped anyway.
         """
         if not 0.0 <= delay < math.inf:
             raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
@@ -339,15 +343,35 @@ class Simulator:
                     pos += 1
                 item = entry[2]
                 popped += 1
-                if type(item) is EventHandle:
+                kind = type(item)
+                if kind is PoissonProcess or kind is ThinnedPoissonProcess:
+                    if entry[1] != item._seq:
+                        # Stale: the clock was stopped after this push.
+                        self._cancelled_pending -= 1
+                        if popped >= limit:
+                            self._ready_pos = pos
+                            raise _runaway(popped, end_time)
+                        continue
+                    self._ready_pos = pos
+                    self.now = now = entry[0]
+                    item.events_fired += 1
+                    # Push the next fire before the action runs, so the
+                    # action may stop the clock and have that take effect.
+                    # The gap is Random.expovariate's expression, inlined.
+                    gap = -math.log(1.0 - item._rng.random()) / item._rate
+                    if gap < math.inf:
+                        seq = next(self._sequence)
+                        heapq.heappush(heap, (now + gap, seq, item))
+                        item._seq = seq
+                    else:
+                        item._seq = None
+                    item._action(*item._args)
+                elif kind is EventHandle:
                     if item.cancelled:
                         self._cancelled_pending -= 1
                         if popped >= limit:
                             self._ready_pos = pos
-                            raise RuntimeError(
-                                f"run_until popped {popped} events without "
-                                f"reaching t={end_time}; runaway schedule?"
-                            )
+                            raise _runaway(popped, end_time)
                         continue
                     action = item.action
                     item.action = None
@@ -370,10 +394,7 @@ class Simulator:
                     # Leave the clock at the stopping event's time.
                     return executed
                 if popped >= limit:
-                    raise RuntimeError(
-                        f"run_until popped {popped} events without reaching "
-                        f"t={end_time}; runaway schedule?"
-                    )
+                    raise _runaway(popped, end_time)
             self.now = end_time
             return executed
         finally:
@@ -403,7 +424,7 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Evict cancelled entries from the heap in place.
+        """Evict cancelled handles' and stopped clocks' entries in place.
 
         Mutates ``self._heap`` via slice assignment so aliases held by a
         running ``run_until`` stay valid.  Entries parked in the current
@@ -413,7 +434,11 @@ class Simulator:
         kept = [
             entry
             for entry in heap
-            if not (type(entry[2]) is EventHandle and entry[2].cancelled)
+            if not (
+                entry[2].cancelled
+                if type(entry[2]) is EventHandle
+                else isinstance(entry[2], PoissonProcess) and entry[1] != entry[2]._seq
+            )
         ]
         removed = len(heap) - len(kept)
         if not removed:
@@ -424,21 +449,22 @@ class Simulator:
         self._heap_compactions += 1
 
 
+def _runaway(popped: int, end_time: float) -> RuntimeError:
+    return RuntimeError(
+        f"run_until popped {popped} events without reaching t={end_time}; "
+        "runaway schedule?"
+    )
+
+
 class PoissonProcess:
     """Self-rescheduling exponential clock driving a recurring action.
 
-    Fires ``action()`` at the points of a Poisson process with the given
-    fixed *rate*.  A rate of 0 (or one so small the first gap overflows)
-    parks the process: it never fires.  ``stop()`` / ``start()`` pause and
-    resume it (server pull clocks across outages); by the memorylessness
-    of the exponential clock a restart simply draws a fresh gap.
-
-    Perf knob: ``cancellable=False`` uses the simulator's handle-free fast
-    path (no :class:`EventHandle` allocation per fire).  Restriction: a
-    scheduled fire cannot be revoked, so after ``stop()`` the stale fire
-    must drain (as a no-op) before ``start()`` is allowed again.  Use it
-    for clocks that run until the end of the simulation (the common case:
-    per-peer injection and gossip clocks).
+    Fires ``action(*args)`` at the points of a Poisson process with the
+    given fixed *rate*.  A rate of 0 (or one so small the first gap
+    overflows) parks the process: it never fires.  ``stop()`` / ``start()``
+    pause and resume it (server pull clocks across outages); by the
+    memorylessness of the exponential clock a restart simply draws a fresh
+    gap.  The process is its own heap entry (see the module docstring).
     """
 
     def __init__(
@@ -446,9 +472,9 @@ class PoissonProcess:
         sim: Simulator,
         rng: random.Random,
         rate: float,
-        action: Action,
+        action: Callable[..., None],
+        *args: object,
         start: bool = True,
-        cancellable: bool = True,
     ) -> None:
         if rate < 0 or not math.isfinite(rate):
             raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
@@ -456,13 +482,11 @@ class PoissonProcess:
         self._rng = rng
         self._rate = rate
         self._action = action
-        self._handle: Optional[EventHandle] = None
+        self._args = args
         self._running = False
-        self._cancellable = cancellable
-        # Fast-path state: is a handle-free fire queued (0 or 1), and how many
-        # stale (post-stop) fires are still in the queue as pending no-ops?
-        self._armed_count = 0
-        self._dead_pending = 0
+        #: sequence number of this clock's one live heap entry (None when
+        #: none is queued); an entry with any other number is stale.
+        self._seq: Optional[int] = None
         # Per-clock perf counters.
         self.events_fired = 0
         self.events_cancelled = 0
@@ -483,54 +507,28 @@ class PoissonProcess:
         """Arm the clock (no-op if already running)."""
         if self._running:
             return
-        if self._dead_pending:
-            raise RuntimeError(
-                "cannot restart a non-cancellable clock while a stale fire "
-                "is still queued; run the simulator past it first"
-            )
         self._running = True
-        self._arm()
-
-    def stop(self) -> None:
-        """Disarm the clock; a pending fire is cancelled (or, on the
-        non-cancellable fast path, left to drain as a no-op)."""
-        self._running = False
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-            self.events_cancelled += 1
-        if self._armed_count:
-            self._dead_pending += self._armed_count
-            self._armed_count = 0
-
-    def _arm(self) -> None:
-        if not self._running or self._rate <= 0:
+        if self._rate <= 0:
             return
-        gap = self._rng.expovariate(self._rate)
+        # Random.expovariate's expression; the simulator re-arms with it too.
+        gap = -math.log(1.0 - self._rng.random()) / self._rate
         if not math.isfinite(gap):
-            # A subnormal rate can overflow expovariate to infinity; such a
+            # A subnormal rate can overflow the gap to infinity; such a
             # clock will effectively never fire — park it.
             return
-        if self._cancellable:
-            self._handle = self._sim.schedule(gap, self._fire)
-        else:
-            self._sim.schedule_call(gap, self._fire)
-            self._armed_count = 1
+        sim = self._sim
+        seq = next(sim._sequence)
+        heapq.heappush(sim._heap, (sim.now + gap, seq, self))
+        self._seq = seq
 
-    def _fire(self) -> None:
-        if self._cancellable:
-            self._handle = None
-        else:
-            if not self._running:
-                # Stale fast-path fire from before stop(); drain silently.
-                self._dead_pending -= 1
-                return
-            self._armed_count -= 1
-        self.events_fired += 1
-        # Re-arm before running the action so the action may stop the
-        # process and have that take effect immediately.
-        self._arm()
-        self._action()
+    def stop(self) -> None:
+        """Disarm the clock; its queued fire becomes a stale entry that the
+        simulator accounts as cancelled."""
+        self._running = False
+        if self._seq is not None:
+            self._seq = None
+            self.events_cancelled += 1
+            self._sim._note_cancelled()
 
 
 class ThinnedPoissonProcess(PoissonProcess):
@@ -548,30 +546,26 @@ class ThinnedPoissonProcess(PoissonProcess):
         rng: random.Random,
         max_rate: float,
         rate_fn: Callable[[float], float],
-        action: Action,
+        action: Callable[..., None],
+        *args: object,
         start: bool = True,
-        cancellable: bool = True,
     ) -> None:
         if max_rate <= 0 or not math.isfinite(max_rate):
             raise ValueError(f"max_rate must be finite and > 0, got {max_rate!r}")
         self._rate_fn = rate_fn
-        self._max_rate = max_rate
-        self._thinning_rng = rng
         self._user_action = action
-        super().__init__(
-            sim, rng, max_rate, self._maybe_fire, start=start, cancellable=cancellable
-        )
+        super().__init__(sim, rng, max_rate, self._maybe_fire, *args, start=start)
 
-    def _maybe_fire(self) -> None:
+    def _maybe_fire(self, *args: object) -> None:
         current = self._rate_fn(self._sim.now)
         if current < 0:
             raise ValueError(
                 f"rate_fn returned negative rate {current} at t={self._sim.now}"
             )
-        if current > self._max_rate * (1 + 1e-9):
+        if current > self._rate * (1 + 1e-9):
             raise ValueError(
-                f"rate_fn returned {current} above max_rate {self._max_rate} "
+                f"rate_fn returned {current} above max_rate {self._rate} "
                 f"at t={self._sim.now}"
             )
-        if self._thinning_rng.random() * self._max_rate <= current:
-            self._user_action()
+        if self._rng.random() * self._rate <= current:
+            self._user_action(*args)

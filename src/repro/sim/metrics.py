@@ -16,8 +16,8 @@ Implements the four metrics Sec. 4 evaluates, with the paper's definitions:
   the servers, times ``s``, per peer (Theorem 4 / Fig. 6).
 
 All time-dependent quantities are integrated exactly between state changes
-(no sampling grid), and every counter is split into a lifetime total and a
-measurement-window total so a warmup transient can be excluded.
+(no sampling grid).  A counter is a plain lifetime total bumped in place;
+its window count is the total minus its value when the window opened.
 """
 
 from __future__ import annotations
@@ -97,22 +97,6 @@ class WindowedAverage:
         self._last_time = state["last_time"]
         self._integral = state["integral"]
         self._window_start = state["window_start"]
-
-
-@dataclass
-class WindowedCounter:
-    """Event counter with a lifetime total and a measurement-window total."""
-
-    total: int = 0
-    window: int = 0
-
-    def increment(self, in_window: bool, amount: int = 1) -> None:
-        self.total += amount
-        if in_window:
-            self.window += amount
-
-    def reset_window(self) -> None:
-        self.window = 0
 
 
 @dataclass(frozen=True)
@@ -357,13 +341,16 @@ class MetricsCollector:
     Lifecycle: construct at t=0, ``begin_window(now)`` after warmup,
     ``report(now)`` at the end.  The collector is passive — it never reads
     simulator state; the system pushes every change in.  Every name in
-    :data:`COUNTERS` is a :class:`WindowedCounter` attribute, every name in
+    :data:`COUNTERS` is an ``int`` attribute holding the lifetime total
+    (callers bump it in place: ``metrics.pulls += 1``), every name in
     :data:`AVERAGES` a :class:`WindowedAverage` one.
     """
 
     if TYPE_CHECKING:
 
-        def __getattr__(self, name: str) -> WindowedCounter: ...
+        def __getattr__(self, name: str) -> int: ...
+
+        def __setattr__(self, name: str, value: Any) -> None: ...
 
     def __init__(
         self,
@@ -387,7 +374,9 @@ class MetricsCollector:
         self.decodable_segments = WindowedAverage(0.0, now)
         self.servers_down = WindowedAverage(0.0, now)
         for name in COUNTERS:
-            setattr(self, name, WindowedCounter())
+            setattr(self, name, 0)
+        #: each counter's lifetime total when the window opened.
+        self._window_base: Dict[str, int] = {}
 
         self._delay_samples: List[float] = []
         self._delivered_original_blocks = 0
@@ -400,8 +389,7 @@ class MetricsCollector:
         self._window_start = now
         for name in AVERAGES:
             getattr(self, name).reset(now)
-        for name in COUNTERS:
-            getattr(self, name).reset_window()
+        self._window_base = {name: getattr(self, name) for name in COUNTERS}
         self._delay_samples = []
         self._delivered_original_blocks = 0
 
@@ -409,12 +397,18 @@ class MetricsCollector:
 
     def on_segment_completed(self, now: float, injected_at: float, size: int) -> None:
         """A segment became decodable at the servers."""
-        self.segments_completed.increment(self.in_window)
+        self.segments_completed += 1
         if self.in_window:
             self._delay_samples.append(now - injected_at)
             self._delivered_original_blocks += size
 
     # -- report -------------------------------------------------------------
+
+    def window_count(self, name: str) -> int:
+        """Counter *name*'s count since the window opened (0 before)."""
+        if not self.in_window:
+            return 0
+        return int(getattr(self, name) - self._window_base[name])
 
     def snapshot(self, now: float) -> Dict[str, Any]:
         """The window so far as plain JSON-safe values: what :func:`fold_report`
@@ -427,9 +421,7 @@ class MetricsCollector:
             "normalized_capacity": self.normalized_capacity,
             "deletion_rate": self._deletion_rate_hint,
             "window": max(now - self._window_start, 0.0),
-            "counters": {
-                name: int(getattr(self, name).window) for name in COUNTERS
-            },
+            "counters": {name: self.window_count(name) for name in COUNTERS},
             "averages": {
                 name: float(getattr(self, name).average(now))
                 for name in AVERAGES

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.util.randomset import randbelow
 from repro.util.validation import require_positive_int, require_probability
 
 
@@ -67,10 +68,11 @@ class CompleteTopology(Topology):
         return [other for other in range(self._n) if other != slot]
 
     def sample_neighbor(self, slot: int, rng: random.Random) -> Optional[int]:
-        self._check_slot(slot)
+        """One uniformly random other slot.  *slot* is not range-checked per
+        draw: the collection system checks its topology once, at start."""
         if self._n == 1:
             return None
-        other = rng.randrange(self._n - 1)
+        other = randbelow(rng, self._n - 1)
         return other if other < slot else other + 1
 
     def degree(self, slot: int) -> int:

@@ -22,6 +22,17 @@ T = TypeVar("T")
 SamplingRng = Union[random.Random, np.random.Generator]
 
 
+def randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` (and ``rng.choice``'s index), bit for bit: the
+    ``getrandbits`` rejection loop CPython's ``Random._randbelow`` runs, in
+    one frame instead of two or three.  Pinned by ``tests/test_util.py``."""
+    bits = n.bit_length()
+    index = rng.getrandbits(bits)
+    while index >= n:
+        index = rng.getrandbits(bits)
+    return index
+
+
 class RandomizedSet(Generic[T]):
     """Container with O(1) ``add``, ``discard``, ``__contains__`` and ``sample``.
 
@@ -81,9 +92,8 @@ class RandomizedSet(Generic[T]):
         ``integers``).  Raises :class:`IndexError` when empty."""
         if not self._items:
             raise IndexError("sample from an empty RandomizedSet")
-        if hasattr(rng, "randrange"):
-            # randrange(len)'s own draw, without its argument processing
-            return rng.choice(self._items)
+        if isinstance(rng, random.Random):
+            return self._items[randbelow(rng, len(self._items))]
         return self._items[int(rng.integers(len(self._items)))]
 
     def __contains__(self, item: object) -> bool:

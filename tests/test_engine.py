@@ -409,13 +409,14 @@ class TestNonCancellableClock:
             random.Random(21),
             rate=50.0,
             action=lambda: fires.append(sim.now),
-            cancellable=False,
         )
         sim.run_until(20.0)
         assert abs(len(fires) / 20.0 - 50.0) / 50.0 < 0.1
         assert sim.pending_cancelled == 0  # no handles, nothing to cancel
 
-    def test_stop_leaves_stale_fire_that_drains_as_noop(self):
+    def test_stop_then_start_skips_the_stale_entry(self):
+        """A stopped clock may restart at once: its old entry is stale,
+        skipped when popped and accounted as cancelled, never fired."""
         sim = Simulator()
         fires = []
         process = PoissonProcess(
@@ -423,16 +424,27 @@ class TestNonCancellableClock:
             random.Random(2),
             rate=1.0,
             action=lambda: fires.append(sim.now),
-            cancellable=False,
         )
         process.stop()
-        with pytest.raises(RuntimeError, match="stale fire"):
-            process.start()
-        sim.run_until(100.0)  # drain the stale entry (fires nothing)
-        assert not fires
         process.start()
-        sim.run_until(200.0)
-        assert fires  # restart works once the stale fire drained
+        assert sim.events_cancelled == 1
+        assert sim.pending == 1 and sim.pending_cancelled == 1
+        sim.run_until(1e-9)  # before either entry is due
+        assert sim.perf().events_fired == 0
+        sim.run_until(100.0)
+        assert fires
+        assert sim.events_cancelled == 1
+        assert sim.perf().events_fired == len(fires)
+        assert sim.pending_cancelled == 0
+
+    def test_positional_args_reach_the_action(self):
+        sim = Simulator()
+        fires = []
+        PoissonProcess(
+            sim, random.Random(3), 10.0, lambda a, b: fires.append((a, b)), 1, "x"
+        )
+        sim.run_until(1.0)
+        assert fires and set(fires) == {(1, "x")}
 
     def test_per_clock_counters(self):
         sim = Simulator()
@@ -443,6 +455,40 @@ class TestNonCancellableClock:
         assert process.events_fired > 0
         process.stop()
         assert process.events_cancelled == 1
+
+
+class TestInlineGap:
+    """The clock's gap expression is bit-identical to Random.expovariate."""
+
+    # gamma, mu, lambda/s and c_s = c*N/N_s of the figure preset (N = 250,
+    # lambda = 20, mu = 10, gamma = 1, c = 8, s = 20, N_s = 4), then extremes.
+    @pytest.mark.parametrize(
+        "rate",
+        [1.0, 10.0, 20.0 / 20, 8.0 * 250 / 4, 1e-300, 1e300],
+        ids=["gamma", "mu", "lambda_over_s", "c_s", "tiny", "huge"],
+    )
+    def test_gap_equals_expovariate_bitwise(self, rate):
+        reference = random.Random(11)
+        inline = random.Random(11)
+        for _ in range(100_000):
+            want = reference.expovariate(rate)
+            got = -math.log(1.0 - inline.random()) / rate
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_clock_fires_at_the_expovariate_times(self):
+        sim = Simulator()
+        fires = []
+        PoissonProcess(sim, random.Random(9), 3.0, lambda: fires.append(sim.now))
+        sim.run_until(50.0)
+        reference = random.Random(9)
+        t, expected = 0.0, []
+        while True:
+            t += reference.expovariate(3.0)
+            if t > 50.0:
+                break
+            expected.append(t)
+        assert fires == expected
 
 
 class TestPoissonProcess:

@@ -322,7 +322,7 @@ class TestFaultsEndToEnd:
         assert tracer.counts[KIND_DROP] > 0
         assert report.transfers_dropped > 0
         # the tracer sees lifetime drops; the metrics total must agree
-        assert system.metrics.transfers_dropped.total == tracer.counts[KIND_DROP]
+        assert system.metrics.transfers_dropped == tracer.counts[KIND_DROP]
 
     def test_partial_loss_still_collects(self):
         _, report = run_faulty(FaultPlan(pull_loss_rate=0.3))
@@ -338,7 +338,7 @@ class TestFaultsEndToEnd:
         assert report.blocks_rejected_polluted > 0
         assert (
             tracer.counts[KIND_POLLUTED]
-            == system.metrics.blocks_rejected_polluted.total
+            == system.metrics.blocks_rejected_polluted
         )
         system.consistency_check()
 
@@ -357,13 +357,13 @@ class TestFaultsEndToEnd:
         system = CollectionSystem(params(faults=plan), seed=2)
         system.metrics.begin_window(0.0)
         system.run_until(3.0)
-        during = system.metrics.pulls.total
+        during = system.metrics.pulls
         system.run_until(4.9)
         assert system.faults.servers_down
-        assert system.metrics.pulls.total == during  # pull clocks paused
+        assert system.metrics.pulls == during  # pull clocks paused
         system.run_until(8.0)
         assert not system.faults.servers_down
-        assert system.metrics.pulls.total > during  # resumed (plus catch-up)
+        assert system.metrics.pulls > during  # resumed (plus catch-up)
         report = system.metrics.report(8.0)
         assert report.outage_time == pytest.approx(2.0)
 
@@ -387,7 +387,7 @@ class TestFaultsEndToEnd:
         assert report.burst_departures > 0
         # every burst kills exactly burst_size slots (40 * 0.2 = 8)
         assert (
-            system.metrics.burst_departures.total
+            system.metrics.burst_departures
             == 8 * system.faults.bursts_fired
         )
         assert tracer.counts[KIND_BURST] == system.faults.bursts_fired
@@ -412,11 +412,11 @@ class TestFaultsEndToEnd:
         system.shutdown()
         # shutdown cancelled every recurring clock: advancing time fires no
         # further pulls, bursts, or outages (pending TTL expiries may drain)
-        pulls = system.metrics.pulls.total
+        pulls = system.metrics.pulls
         bursts = system.faults.bursts_fired
         outages = system.faults.outages_started
         system.run_until(system.sim.now + 10.0)
-        assert system.metrics.pulls.total == pulls
+        assert system.metrics.pulls == pulls
         assert system.faults.bursts_fired == bursts
         assert system.faults.outages_started == outages
 
@@ -485,10 +485,10 @@ class TestFaultEdgeProperties:
         system.metrics.begin_window(0.0)
         system.run_until(1.0)
         assert system.faults.servers_down
-        assert system.metrics.pulls.total == 0  # nothing pulled while down
+        assert system.metrics.pulls == 0  # nothing pulled while down
         system.run_until(6.0)
         assert not system.faults.servers_down
-        assert system.metrics.pulls.total > 0
+        assert system.metrics.pulls > 0
         report = system.metrics.report(6.0)
         assert report.outage_time == pytest.approx(2.0)
         system.consistency_check()

@@ -78,7 +78,7 @@ def collector(n_peers):
 
 def apply(metrics, now, what, amount):
     if what in COUNTERS:
-        getattr(metrics, what).increment(True, amount)
+        setattr(metrics, what, getattr(metrics, what) + amount)
     elif what == "completed":
         metrics.on_segment_completed(now, now - amount / 8, 4)
     elif what == "servers_down":
@@ -104,7 +104,7 @@ class TestFoldAlgebra:
                 # delays reach the fold as one summary; the parts only
                 # split the completion counter
                 whole.on_segment_completed(now, now - amount / 8, 4)
-                parts[index % k].segments_completed.increment(True)
+                parts[index % k].segments_completed += 1
                 continue
             apply(parts[index % k], now, what, amount)
             apply(whole, now, what, amount)

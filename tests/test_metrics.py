@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.metrics import MetricsCollector, WindowedAverage, WindowedCounter
+from repro.sim.metrics import MetricsCollector, WindowedAverage
 
 
 class TestWindowedAverage:
@@ -44,16 +44,21 @@ class TestWindowedAverage:
         assert avg.value == 1.0
 
 
-class TestWindowedCounter:
-    def test_window_vs_total(self):
-        counter = WindowedCounter()
-        counter.increment(False)
-        counter.increment(True, 3)
-        assert counter.total == 4
-        assert counter.window == 3
-        counter.reset_window()
-        assert counter.total == 4
-        assert counter.window == 0
+class TestWindowCounts:
+    def test_counts_before_the_window_stay_out_of_it(self):
+        collector = MetricsCollector(
+            n_peers=1, arrival_rate=1.0, segment_size=1, normalized_capacity=1.0
+        )
+        collector.pulls += 1
+        assert collector.window_count("pulls") == 0  # no window yet
+        collector.begin_window(1.0)
+        collector.pulls += 3
+        assert collector.pulls == 4
+        assert collector.window_count("pulls") == 3
+        collector.begin_window(2.0)
+        assert collector.pulls == 4
+        assert collector.window_count("pulls") == 0
+        assert collector.snapshot(2.0)["counters"]["pulls"] == 0
 
 
 class TestMetricsCollector:
@@ -72,18 +77,18 @@ class TestMetricsCollector:
 
     def test_begin_window_resets(self):
         collector = self.make()
-        collector.pulls.increment(True, 5)
+        collector.pulls += 5
         collector.begin_window(10.0)
         assert collector.in_window
-        assert collector.pulls.window == 0
-        assert collector.pulls.total == 5
+        assert collector.window_count("pulls") == 0
+        assert collector.pulls == 5
 
     def test_report_throughput_math(self):
         collector = self.make(n=10, lam=2.0)
         collector.begin_window(0.0)
         for _ in range(40):
-            collector.pulls.increment(True)
-            collector.useful_pulls.increment(True)
+            collector.pulls += 1
+            collector.useful_pulls += 1
         report = collector.report(10.0)
         assert report.throughput == pytest.approx(4.0)
         # demand = 10 * 2 = 20
@@ -95,9 +100,9 @@ class TestMetricsCollector:
         collector = self.make()
         collector.begin_window(0.0)
         for _ in range(3):
-            collector.pulls.increment(True)
-        collector.useful_pulls.increment(True)
-        collector.redundant_pulls.increment(True, 2)
+            collector.pulls += 1
+        collector.useful_pulls += 1
+        collector.redundant_pulls += 2
         report = collector.report(1.0)
         assert report.efficiency == pytest.approx(1 / 3)
         assert report.redundant_pulls == 2

@@ -100,9 +100,9 @@ class TestRepullBudgetExhaustion:
         registry.on_block_added(state, 0.0)
         pool.pull(0, now=1.0)
         assert len(draws) == 3
-        assert metrics.blocks_rejected_polluted.window == 3
-        assert metrics.redundant_pulls.window == 0
-        assert metrics.idle_pulls.window == 0
+        assert metrics.window_count("blocks_rejected_polluted") == 3
+        assert metrics.window_count("redundant_pulls") == 0
+        assert metrics.window_count("idle_pulls") == 0
         assert state.collected == 0
 
     def test_live_driver_over_real_sockets(self):
@@ -178,8 +178,8 @@ def _run_event_driver(params, scripts):
             pool._candidate = lambda attractor: feed()
             pool.pull(0, now=1.0)
             log.append("|")
-    counters = {name: getattr(metrics, name).window for name in OUTCOMES}
-    counters["pulls"] = metrics.pulls.window
+    counters = {name: metrics.window_count(name) for name in OUTCOMES}
+    counters["pulls"] = metrics.window_count("pulls")
     return log, consumed, counters
 
 

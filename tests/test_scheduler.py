@@ -145,7 +145,7 @@ class TestSchedulerCornerCases:
         assert server.pulls == 1
         assert server.idle_pulls == 1
         assert server.useful_pulls == server.redundant_pulls == 0
-        assert metrics.idle_pulls.total == 1
+        assert metrics.idle_pulls == 1
 
     @pytest.mark.parametrize("policy", ["avoid-redundant", "greedy-completion"])
     def test_every_candidate_complete_is_redundant_pull(self, monkeypatch, policy):
@@ -165,7 +165,7 @@ class TestSchedulerCornerCases:
         assert server.pulls == 1
         assert server.redundant_pulls == 1
         assert server.useful_pulls == server.idle_pulls == 0
-        assert metrics.redundant_pulls.total == 1
+        assert metrics.redundant_pulls == 1
         # the retry budget was actually spent (avoid-redundant retries all 4;
         # greedy always draws its full candidate budget)
         assert len(sampled) == 4

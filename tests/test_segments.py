@@ -44,7 +44,7 @@ class TestLifecycle:
         registry.on_block_added(state, 0.0)
         registry.on_block_removed(state, 1.0)
         assert state.segment_id not in registry
-        assert metrics.segments_lost.window == 1
+        assert metrics.window_count("segments_lost") == 1
         assert registry.lost_segment_ids == [state.segment_id]
 
     def test_extinction_after_completion_is_not_loss(self):
@@ -53,7 +53,7 @@ class TestLifecycle:
         registry.on_block_added(state, 0.0)
         assert registry.on_server_block(state, 0.5)
         registry.on_block_removed(state, 1.0)
-        assert metrics.segments_lost.window == 0
+        assert metrics.window_count("segments_lost") == 0
         assert registry.completed_count == 1
 
 

@@ -77,8 +77,8 @@ class TestServerPool:
         pool = self.make_pool(peers, registry, metrics)
         pool.pull(0, now=0.0)
         assert pool.servers[0].idle_pulls == 1
-        assert metrics.idle_pulls.window == 1
-        assert metrics.pulls.window == 1
+        assert metrics.window_count("idle_pulls") == 1
+        assert metrics.window_count("pulls") == 1
 
     def test_useful_pull_advances_state(self):
         metrics, registry, peers = make_world()
@@ -96,7 +96,7 @@ class TestServerPool:
         assert state.is_complete
         pool.pull(1, now=0.1)
         assert pool.servers[1].redundant_pulls == 1
-        assert metrics.redundant_pulls.window == 1
+        assert metrics.window_count("redundant_pulls") == 1
 
     def test_pool_accounting(self):
         metrics, registry, peers = make_world()
@@ -139,7 +139,7 @@ class TestGossipProtocol:
             topology=CompleteTopology(len(peers)),
             rng=random.Random(1),
             coding_rng=np.random.default_rng(1),
-            get_peer=lambda slot: peers[slot],
+            peers=peers,
             store_block=store,
             registry=registry,
             metrics=metrics,
@@ -161,7 +161,7 @@ class TestGossipProtocol:
         assert len(stored) == 1
         target_slot, block = stored[0]
         assert target_slot != 0
-        assert metrics.gossip_transfers.window == 1
+        assert metrics.window_count("gossip_transfers") == 1
 
     def test_no_eligible_target_counted(self):
         metrics, registry, peers = make_world(n_peers=2)
@@ -174,7 +174,7 @@ class TestGossipProtocol:
         stored = []
         gossip = self.make_gossip(peers, registry, metrics, stored)
         assert not gossip.tick(0, now=0.0)
-        assert metrics.gossip_no_target.window == 1
+        assert metrics.window_count("gossip_no_target") == 1
 
     def test_full_target_skipped(self):
         metrics, registry, peers = make_world(n_peers=2, capacity=2)

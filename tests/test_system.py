@@ -159,12 +159,12 @@ class TestWorkloads:
         system.run_until(5.0)
         at_cutoff = system.total_blocks_in_network()
         assert at_cutoff > 0
-        pulls_at_cutoff = system.metrics.useful_pulls.total
+        pulls_at_cutoff = system.metrics.useful_pulls
         system.run_until(25.0)
         # the pool decays below its driven level...
         assert system.total_blocks_in_network() < at_cutoff
         # ...while the servers keep collecting from it (delayed delivery)
-        assert system.metrics.useful_pulls.total > pulls_at_cutoff
+        assert system.metrics.useful_pulls > pulls_at_cutoff
 
     def test_constant_workload_equals_default(self):
         """A ConstantWorkload(lam) drives the same average injection rate as

@@ -65,6 +65,41 @@ class TestRandomizedSet:
         rng = np.random.default_rng(0)
         assert rs.sample(rng) in (10, 20)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 100, 249, 250, 4097])
+    def test_sample_is_random_choice_bitwise(self, n):
+        """sample() inlines Random.choice's getrandbits rejection loop; the
+        draws, and the state of the stream after them, must not differ."""
+        rs = RandomizedSet(list(range(n)))
+        layout = list(rs)
+        inline, reference = random.Random(n), random.Random(n)
+        for _ in range(2_000):
+            assert rs.sample(inline) == reference.choice(layout)
+        assert inline.getstate() == reference.getstate()
+
+    def test_neighbor_and_buffer_draws_are_randrange_bitwise(self):
+        """CompleteTopology.sample_neighbor and Peer.draw_segment inline
+        the same loop as sample(): same draws as randrange / choice."""
+        from repro.coding.block import CodedBlock, SegmentDescriptor
+        from repro.core.peer import Peer
+        from repro.sim.topology import CompleteTopology
+
+        for n in (2, 3, 250, 1001, 2**31 + 2):
+            topology = CompleteTopology(n)
+            inline, reference = random.Random(n), random.Random(n)
+            for slot in range(min(n, 50)):
+                other = reference.randrange(n - 1)
+                expected = other if other < slot else other + 1
+                assert topology.sample_neighbor(slot, inline) == expected
+            assert inline.getstate() == reference.getstate()
+        peer = Peer(slot=0, capacity=300)
+        for segment_id in range(257):
+            descriptor = SegmentDescriptor(segment_id, 0, 1, 0.0)
+            peer.add_block(CodedBlock(segment=descriptor))
+        inline, reference = random.Random(5), random.Random(5)
+        for _ in range(2_000):
+            expected = reference.choice(peer.buffered_blocks).segment.segment_id
+            assert peer.draw_segment(inline, uniform=False) == expected
+
     def test_bool_and_repr(self):
         assert not RandomizedSet()
         rs = RandomizedSet([1])
