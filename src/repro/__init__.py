@@ -37,7 +37,6 @@ figure-by-figure reproduction record.
 from repro.analysis import (
     AnalyticalPoint,
     CollectionODE,
-    ODEConfig,
     SteadyState,
     analyze,
     theorem1_storage,
@@ -75,7 +74,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AnalyticalPoint",
     "CollectionODE",
-    "ODEConfig",
     "SteadyState",
     "analyze",
     "theorem1_storage",

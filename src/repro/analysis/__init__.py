@@ -1,6 +1,6 @@
 """Analytical layer: ODE systems of Sec. 3, Theorems 1-4."""
 
-from repro.analysis.ode import CollectionODE, ODEConfig, SegmentDegreeODE, SteadyState
+from repro.analysis.ode import CollectionODE, SegmentDegreeODE, SteadyState
 from repro.analysis.transient import Trajectory, TransientCollectionODE
 from repro.analysis.theorems import (
     AnalyticalPoint,
@@ -20,7 +20,6 @@ from repro.analysis.theorems import (
 
 __all__ = [
     "CollectionODE",
-    "ODEConfig",
     "SegmentDegreeODE",
     "SteadyState",
     "Trajectory",

@@ -12,16 +12,15 @@ systems:
   (degree-``i`` segments of which the servers already hold ``j`` linearly
   independent blocks, per peer).
 
-Since ``w_i = sum_j m_i^j`` identically (the collection terms of (12)
-telescope over ``j``), we integrate ``z`` and ``m`` and obtain ``w`` as the
-row sum — a consistency that the test suite verifies against a standalone
+Each of (7) and (12) is three constant jump operators scaled by rates
+that depend on ``z`` alone.  Since ``w_i = sum_j m_i^j`` identically (the
+collection terms of (12) telescope over ``j``), ``w`` is the row sum of
+``m`` — a consistency that the test suite verifies against a standalone
 integration of (8).
 
 Truncation: ``z`` is naturally finite (``i <= B``); the segment-degree index
-is truncated at ``i_max`` with a reflecting boundary (the transfer flux out
-of ``i_max`` is suppressed), which conserves segment mass; the steady-state
-solver reports the boundary occupancy so a too-small ``i_max`` is visible
-rather than silent.
+is truncated at ``i_max`` with a reflecting boundary, which conserves
+segment mass; ``SteadyState.tail_mass`` makes a too-small ``i_max`` visible.
 
 Fidelity notes — the ODEs inherit the paper's two modeling approximations,
 both of which the event simulator does *not* make:
@@ -40,7 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
@@ -51,34 +51,42 @@ from repro.util.validation import (
     require_rate,
 )
 
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
-@dataclass(frozen=True)
-class ODEConfig:
-    """Numerical configuration of the ODE integration."""
+#: One term of a right-hand side: a rate times a unit-rate jump operator.
+Term = Tuple[float, "csr_matrix"]
+Operators = Tuple["csr_matrix", "csr_matrix", "csr_matrix"]
 
-    #: peer-degree truncation B; None = auto (mean + 8 sigma, >= 3 segments)
-    z_max: Optional[int] = None
-    #: segment-degree truncation; None = auto (max(4*rho, 3s, 60))
-    i_max: Optional[int] = None
-    #: integration horizon for the steady-state solve (units of 1/gamma)
-    t_end: float = 120.0
-    #: solver tolerances
-    rtol: float = 1e-8
-    atol: float = 1e-10
-    #: steady-state acceptance: max |dy/dt| must fall below this
-    steady_tol: float = 1e-7
-    #: extend integration (doubling t_end) at most this many times
-    max_extensions: int = 3
+#: ``steady_z`` gives up after this many fixed-point steps.  The experiments
+#: and tests need at most 18; the map contracts by about (mu/gamma) z_0, so
+#: only near-critical gossip (mu ~ gamma, tiny lambda) needs hundreds.
+_MAX_FIXED_POINT_STEPS = 1000
 
-    def __post_init__(self) -> None:
-        require_positive("t_end", self.t_end)
-        require_positive("rtol", self.rtol)
-        require_positive("atol", self.atol)
-        require_positive("steady_tol", self.steady_tol)
-        if self.z_max is not None:
-            require_positive_int("z_max", self.z_max)
-        if self.i_max is not None:
-            require_positive_int("i_max", self.i_max)
+
+def _jumps(
+    n: int, source: np.ndarray, target: np.ndarray, weight: np.ndarray
+) -> "csr_matrix":
+    """Generator of the jumps ``source[k] -> target[k]`` at ``weight[k]``.
+
+    ``dx/dt = G @ x``: column ``source`` loses what row ``target`` gains;
+    a negative target leaves the system (segment extinction).
+    """
+    from scipy.sparse import csr_matrix
+
+    kept = target >= 0
+    rows = np.concatenate([target[kept], source])
+    cols = np.concatenate([source[kept], source])
+    values = np.concatenate([weight[kept], -weight])
+    return csr_matrix((values, (rows, cols)), shape=(n, n))
+
+
+def _apply(terms: List[Term], x: np.ndarray) -> np.ndarray:
+    """``sum(rate * operator @ x)`` over *terms*."""
+    out = np.zeros_like(x)
+    for rate, operator in terms:
+        out += rate * (operator @ x)
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,12 @@ class SteadyState:
 
 
 class CollectionODE:
-    """Integrator of the coupled (7) + (12) systems for one parameter set."""
+    """The coupled (7) + (12) systems for one parameter set.
+
+    Each system is a few constant jump operators scaled by state-dependent
+    rates (:meth:`_z_terms`, :meth:`_m_terms`); the right-hand side and
+    both steady-state solves read those terms.
+    """
 
     def __init__(
         self,
@@ -128,42 +141,31 @@ class CollectionODE:
         deletion_rate: float,
         segment_size: int,
         normalized_capacity: float,
-        config: Optional[ODEConfig] = None,
     ) -> None:
         self.lam = require_rate("arrival_rate", arrival_rate)
         self.mu = require_rate("gossip_rate", gossip_rate, allow_zero=True)
         self.gamma = require_rate("deletion_rate", deletion_rate)
         self.s = require_positive_int("segment_size", segment_size)
         self.c = require_rate("normalized_capacity", normalized_capacity)
-        self.config = config or ODEConfig()
 
+        # Truncations: B = mean + 8 sigma of the peer degree, i_max a
+        # multiple of it; both at least 3 segments.
         rho_bound = (self.lam + self.mu) / self.gamma
-        if self.config.z_max is not None:
-            self.B = self.config.z_max
-        else:
-            self.B = max(
-                int(math.ceil(rho_bound + 8.0 * math.sqrt(max(rho_bound, 1.0)))),
-                3 * self.s,
-                16,
-            )
-        if self.B < self.s:
-            raise ValueError(
-                f"z truncation B={self.B} is below the segment size s={self.s}"
-            )
-        if self.config.i_max is not None:
-            self.i_max = self.config.i_max
-        else:
-            self.i_max = max(int(math.ceil(4.0 * rho_bound)), 3 * self.s, 60)
+        self.B = max(
+            int(math.ceil(rho_bound + 8.0 * math.sqrt(max(rho_bound, 1.0)))),
+            3 * self.s,
+            16,
+        )
+        self.i_max = max(int(math.ceil(4.0 * rho_bound)), 3 * self.s, 60)
 
         self._n_z = self.B + 1
         self._n_m = self.i_max * (self.s + 1)  # rows i=1..i_max
-        #: degree index column vector for the m rows (i = 1..i_max)
-        self._degrees = np.arange(1, self.i_max + 1, dtype=float)
+        self._z_degrees = np.arange(self._n_z, dtype=float)
+        #: flat m index of (i = s, j = 0), where new segments arrive
+        self._injection_state = (self.s - 1) * (self.s + 1)
 
     @classmethod
-    def from_parameters(
-        cls, params: Parameters, config: Optional[ODEConfig] = None
-    ) -> "CollectionODE":
+    def from_parameters(cls, params: Parameters) -> "CollectionODE":
         """Build the model from a full protocol :class:`Parameters`."""
         return cls(
             arrival_rate=params.arrival_rate,
@@ -171,7 +173,6 @@ class CollectionODE:
             deletion_rate=params.deletion_rate,
             segment_size=params.segment_size,
             normalized_capacity=params.normalized_capacity,
-            config=config,
         )
 
     # -- state packing ------------------------------------------------------
@@ -187,206 +188,150 @@ class CollectionODE:
         m = y[self._n_z :].reshape(self.i_max, self.s + 1)
         return z, m
 
-    # -- right-hand side ------------------------------------------------------
+    def _edge_density(self, z: np.ndarray) -> float:
+        """Blocks per peer, ``e = sum_i i*z_i``."""
+        return float(self._z_degrees @ z)
+
+    # -- the model: six operators and their rates -----------------------------
+    # Built at the first solve, so scipy loads only there.
+
+    @cached_property
+    def _z_operators(self) -> Operators:
+        """Eq. (7)'s unit-rate jumps: gossip, injection, deletion."""
+        B, s, n = self.B, self.s, self._n_z
+        peer = np.arange(n)
+        room = peer[: B - s + 1]  # peers that can take a whole segment
+        return (
+            _jumps(n, peer[:B], peer[:B] + 1, np.ones(B)),  # none at the cap B
+            _jumps(n, room, room + s, np.ones(room.size)),
+            _jumps(n, peer[1:], peer[1:] - 1, self._z_degrees[1:]),  # i blocks
+        )
+
+    @cached_property
+    def _m_operators(self) -> Operators:
+        """Eq. (12)'s per-edge jumps: growth, deletion, collection."""
+        n, n_cols = self._n_m, self.s + 1
+        # flat state k is (i, j) = (k // n_cols + 1, k % n_cols)
+        state = np.arange(n)
+        degree = (state // n_cols + 1).astype(float)
+        grows = state[degree < self.i_max]  # reflected at i_max: mass stays
+        pulls = state[state % n_cols < self.s]  # j = s absorbs
+        # a copy expires, i -> i-1; at i = 1 the segment goes extinct
+        expires = np.where(degree > 1, state - n_cols, -1)
+        return (
+            _jumps(n, grows, grows + n_cols, degree[grows]),
+            _jumps(n, state, expires, degree),
+            _jumps(n, pulls, pulls + 1, degree[pulls]),
+        )
+
+    def arrival_rate(self, t: float) -> float:
+        """λ at time *t*: constant here, the workload's in a transient."""
+        return self.lam
+
+    def _z_terms(self, t: float, z: np.ndarray) -> List[Term]:
+        """Eq. (7)'s (rate, operator) terms at the peer-degree law *z*."""
+        gossip, inject, delete = self._z_operators
+        terms: List[Term] = [
+            (self.arrival_rate(t) / self.s, inject),
+            (self.gamma, delete),
+        ]
+        if self.mu > 0.0:
+            # a gossip from a non-empty peer lands on a non-full one
+            non_full = max(1.0 - float(z[self.B]), 1e-12)
+            terms.append(((1.0 - float(z[0])) * self.mu / non_full, gossip))
+        return terms
+
+    def _m_terms(self, t: float, z: np.ndarray) -> Tuple[List[Term], float]:
+        """Eq. (12)'s per-edge (rate, operator) terms at *z*, and the
+        injection source at (i = s, j = 0).  Nothing moves m while the
+        network is empty (e ~ 0); injection still arrives."""
+        growth, delete, collect = self._m_operators
+        e = self._edge_density(z)
+        terms: List[Term] = []
+        if e > 1e-12:
+            if self.mu > 0.0:
+                terms.append(((1.0 - float(z[0])) * self.mu / e, growth))
+            terms += [(self.gamma, delete), (self.c / e, collect)]
+        # segments enter at peers with room for all s blocks (Eq. 6)
+        room = float(z[: self.B - self.s + 1].sum())
+        return terms, self.arrival_rate(t) / self.s * room
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         """d/dt of the packed state [z, m]."""
-        z, m = self._unpack(y)
-        B, s = self.B, self.s
-        lam, mu, gamma, c = self.lam, self.mu, self.gamma, self.c
+        z, m = y[: self._n_z], y[self._n_z :]
+        m_terms, injection = self._m_terms(t, z)
+        dm = _apply(m_terms, m)
+        dm[self._injection_state] += injection
+        return np.concatenate([_apply(self._z_terms(t, z), z), dm])
 
-        dz = np.zeros_like(z)
-        dm = np.zeros_like(m)
-
-        # Edge density e(t) = sum_i i*z_i; guard the early instants when the
-        # network is still empty.
-        degrees_z = np.arange(B + 1, dtype=float)
-        e = float(degrees_z @ z)
-        z0 = float(z[0])
-        zB = float(z[B])
-
-        # ---- Eq. (1): gossip transfer on the peer side -----------------------
-        if mu > 0.0:
-            denom = max(1.0 - zB, 1e-12)
-            rate = (1.0 - z0) * mu / denom
-            # gain at i from i-1; loss at i toward i+1 (none at the cap B)
-            dz[1:] += z[:-1] * rate
-            dz[:B] -= z[:B] * rate
-
-        # ---- Eq. (5): segment injection (blocked above degree B - s) ---------
-        inj = lam / s
-        can = slice(0, B - s + 1)  # peers with degree <= B - s can inject
-        dz_inj_loss = np.zeros_like(z)
-        dz_inj_loss[can] = z[can] * inj
-        dz -= dz_inj_loss
-        dz[s : B + 1] += dz_inj_loss[0 : B - s + 1]
-        injection_fraction = float(z[can].sum())  # 1 - z_(f) of Eq. (6)
-
-        # ---- Eq. (3): block deletion on the peer side -------------------------
-        dz[:B] += degrees_z[1:] * z[1:] * gamma
-        dz -= degrees_z * z * gamma
-
-        # ---- segment side (Eq. 12) -------------------------------------------
-        if e > 1e-12:
-            i = self._degrees[:, None]  # (i_max, 1) broadcasts over states j
-            # transfer: degree-proportional growth at per-edge rate
-            # (1 - z0) * mu / e; reflecting boundary at i_max.
-            if mu > 0.0:
-                growth = (1.0 - z0) * mu / e
-                flux = i * m * growth  # outflow of row i (all j)
-                flux[-1, :] = 0.0  # reflect at the truncation boundary
-                dm -= flux
-                dm[1:, :] += flux[:-1, :]
-            # deletion: degree-proportional decay at per-edge rate gamma;
-            # the i=1 outflow is segment extinction (mass leaves the system).
-            decay = i * m * gamma
-            dm -= decay
-            dm[:-1, :] += decay[1:, :] * 1.0
-            # server collection: per-edge pull rate c / e advances the state
-            # j -> j+1 while j < s; state s absorbs (redundant pulls).
-            pull = c / e
-            collect = i * m[:, :s] * pull  # flux out of states 0..s-1
-            dm[:, :s] -= collect
-            dm[:, 1 : s + 1] += collect
-        # injection: new segments arrive at degree s, state 0.
-        dm[s - 1, 0] += inj * injection_fraction
-
-        out = np.empty_like(y)
-        out[: self._n_z] = dz
-        out[self._n_z :] = dm.reshape(-1)
-        return out
-
-    # -- z subsystem (closed in itself) -------------------------------------
-
-    def rhs_z(self, t: float, z: np.ndarray) -> np.ndarray:
-        """d/dt of the peer-degree system alone (Eq. 7)."""
-        y = np.zeros(self._n_z + self._n_m)
-        y[: self._n_z] = z
-        return self.rhs(t, y)[: self._n_z]
+    # -- steady states: a fixed point for z, one linear solve for m ----------
 
     def steady_z(self) -> Tuple[np.ndarray, float]:
-        """Steady peer-degree distribution via integration of Eq. (7).
+        """Steady peer-degree law of Eq. (7) and its residual max |dz/dt|.
 
-        Returns (z, residual).  The z-system is small (B+1 states) and
-        non-stiff enough for LSODA at any parameterization we use.
+        Eq. (7) couples its states only through the gossip rate, a function
+        of (z_0, z_B).  At a frozen rate it is a (B+1)-state jump chain
+        whose stationary law is one dense solve, with a balance row replaced
+        by ``sum z = 1``.  Iterate from the empty network until z stops
+        moving.  The replaced row is the cap B's: the kept balances of the
+        low states give a tiny z_0 to full relative precision.
         """
-        from scipy.integrate import solve_ivp
-        t_end = self.config.t_end / self.gamma
-        z = np.zeros(self._n_z)
-        z[0] = 1.0
-        residual = math.inf
-        for _ in range(self.config.max_extensions + 1):
-            solution = solve_ivp(
-                self.rhs_z,
-                (0.0, t_end),
-                z,
-                method="LSODA",
-                rtol=self.config.rtol,
-                atol=self.config.atol,
-            )
-            if not solution.success:
-                raise RuntimeError(
-                    f"z-system integration failed: {solution.message}"
-                )
-            z = solution.y[:, -1]
-            residual = float(np.max(np.abs(self.rhs_z(t_end, z))))
-            if residual < self.config.steady_tol:
-                return z, residual
-            t_end *= 2.0
+        normalization = np.zeros(self._n_z)
+        normalization[-1] = 1.0
+        z = self.initial_state()[: self._n_z]
+        for _ in range(_MAX_FIXED_POINT_STEPS):
+            generator = np.zeros((self._n_z, self._n_z))
+            for rate, operator in self._z_terms(0.0, z):
+                generator += rate * operator.toarray()
+            generator[-1, :] = 1.0
+            z_next = np.linalg.solve(generator, normalization)
+            if float(np.max(np.abs(z_next - z))) <= 1e-15:
+                residual = np.abs(_apply(self._z_terms(0.0, z_next), z_next))
+                return z_next, float(residual.max())
+            z = z_next
         raise RuntimeError(
-            f"z steady state not reached: residual {residual:.3e} "
-            f"(tol {self.config.steady_tol:.1e})"
+            f"z fixed point not reached in {_MAX_FIXED_POINT_STEPS} steps"
         )
 
-    # -- m subsystem: linear once z is frozen ----------------------------------
-
     def steady_m(self, z: np.ndarray) -> np.ndarray:
-        """Exact steady collection matrix by sparse direct solve.
+        """Exact steady collection matrix by one sparse solve.
 
         Given the steady ``z`` (hence constant ``z0`` and ``e``), Eq. (12)
-        is linear in ``m``: build the generator matrix A with the reflecting
-        boundary at ``i_max`` and solve ``A m = -injection``.  Extinction at
-        degree 1 makes A strictly diagonally dominant in the relevant sense
-        (an M-matrix), so the solve is well posed.
+        is linear in ``m``: ``G m = -injection`` with G the rate-scaled sum
+        of the three m operators.  Extinction at degree 1 makes G an
+        M-matrix, so the solve is well posed.
         """
-        from scipy.sparse import lil_matrix
+        from scipy.sparse import csr_matrix
         from scipy.sparse.linalg import spsolve
 
-        s = self.s
-        degrees_z = np.arange(self.B + 1, dtype=float)
-        e = float(degrees_z @ z)
-        if e <= 0:
+        terms, injection = self._m_terms(0.0, z)
+        if not terms:
             raise ValueError("steady z has zero edge density; cannot solve m")
-        z0 = float(z[0])
-        growth = (1.0 - z0) * self.mu / e
-        pull = self.c / e
-        gamma = self.gamma
-        inj = self.lam / s * float(z[: self.B - s + 1].sum())
-
-        n_cols = self.s + 1
-
-        def idx(i: int, j: int) -> int:
-            return (i - 1) * n_cols + j
-
-        size = self.i_max * n_cols
-        matrix = lil_matrix((size, size))
-        rhs_vec = np.zeros(size)
-        for i in range(1, self.i_max + 1):
-            for j in range(n_cols):
-                row = idx(i, j)
-                diag = 0.0
-                # growth outflow i -> i+1 (suppressed at the boundary)
-                if i < self.i_max:
-                    diag -= i * growth
-                # growth inflow from i-1
-                if i > 1:
-                    matrix[row, idx(i - 1, j)] += (i - 1) * growth
-                # deletion outflow i -> i-1 (extinction when i=1)
-                diag -= i * gamma
-                # deletion inflow from i+1
-                if i < self.i_max:
-                    matrix[row, idx(i + 1, j)] += (i + 1) * gamma
-                # collection j -> j+1 while j < s
-                if j < s:
-                    diag -= i * pull
-                if j >= 1:
-                    matrix[row, idx(i, j - 1)] += i * pull
-                matrix[row, row] = diag
-        rhs_vec[idx(s, 0)] = -inj
-        solution = spsolve(matrix.tocsr(), rhs_vec)
-        m = solution.reshape(self.i_max, n_cols)
+        generator = csr_matrix((self._n_m, self._n_m))
+        for rate, operator in terms:
+            generator = generator + rate * operator
+        source = np.zeros(self._n_m)
+        source[self._injection_state] = -injection
+        m = spsolve(generator, source).reshape(self.i_max, self.s + 1)
         # Numerical noise can leave tiny negatives; clip for downstream sums.
         return np.clip(m, 0.0, None)
 
     # -- integration of the coupled transient ------------------------------------
 
-    def integrate(
-        self,
-        t_end: float,
-        y0: Optional[np.ndarray] = None,
-        method: str = "RK45",
-        rtol: float = 1e-6,
-        atol: float = 1e-9,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Integrate the full coupled transient to *t_end*.
-
-        Used for time-dependent studies and tests; steady states should use
-        :meth:`steady_state`, which is exact and much faster.  Tolerances
-        default looser than the steady-state solve: the transient has
-        thousands of states and explicit steppers pay for every digit.
-        """
+    def integrate(self, t_end: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Integrate the coupled transient from empty to *t_end*; returns
+        the final state and its derivative.  RK45 at transient tolerances:
+        an explicit stepper pays for every digit of thousands of states."""
         if not math.isfinite(t_end) or t_end <= 0:
             raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
         from scipy.integrate import solve_ivp
-        if y0 is None:
-            y0 = self.initial_state()
         solution = solve_ivp(
             self.rhs,
             (0.0, t_end),
-            y0,
-            method=method,
-            rtol=rtol,
-            atol=atol,
+            self.initial_state(),
+            method="RK45",
+            rtol=1e-6,
+            atol=1e-9,
         )
         if not solution.success:
             raise RuntimeError(f"ODE integration failed: {solution.message}")
@@ -394,7 +339,7 @@ class CollectionODE:
         return y_final, self.rhs(t_end, y_final)
 
     def steady_state(self) -> SteadyState:
-        """Steady state: integrate the z-system, then solve m exactly."""
+        """Steady state: the z fixed point, then m by one linear solve."""
         z, residual_z = self.steady_z()
         m_rows = self.steady_m(z)
         y = np.concatenate([z, m_rows.reshape(-1)])
@@ -407,13 +352,11 @@ class CollectionODE:
         m = np.zeros((self.i_max + 1, self.s + 1))
         m[1:, :] = m_rows
         w = m.sum(axis=1)
-        degrees_z = np.arange(self.B + 1, dtype=float)
-        e = float(degrees_z @ z)
         return SteadyState(
             z=z.copy(),
             w=w,
             m=m,
-            e=e,
+            e=self._edge_density(z),
             residual=residual,
             tail_mass=float(w[self.i_max]),
         )

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from repro.analysis.ode import CollectionODE, ODEConfig, SteadyState
+from repro.analysis.ode import CollectionODE, SteadyState
 from repro.util.validation import require_positive_int, require_rate
 
 
@@ -291,7 +290,6 @@ def analyze(
     deletion_rate: float,
     segment_size: int,
     normalized_capacity: float,
-    config: Optional[ODEConfig] = None,
 ) -> AnalyticalPoint:
     """Solve the ODE steady state and evaluate Theorems 1-4 on it."""
     model = CollectionODE(
@@ -300,7 +298,6 @@ def analyze(
         deletion_rate=deletion_rate,
         segment_size=segment_size,
         normalized_capacity=normalized_capacity,
-        config=config,
     )
     steady = model.steady_state()
     storage = theorem1_storage(arrival_rate, gossip_rate, deletion_rate)

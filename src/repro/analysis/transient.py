@@ -16,14 +16,12 @@ to set against the finite-N event simulation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
-
 import numpy as np
 
 # numpy 2.x renamed trapz -> trapezoid; support both.
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
-from repro.analysis.ode import CollectionODE, ODEConfig
+from repro.analysis.ode import CollectionODE
 from repro.stats.workload import Workload
 from repro.util.validation import require_positive
 
@@ -53,8 +51,8 @@ class Trajectory:
 class TransientCollectionODE(CollectionODE):
     """The coupled (7)+(12) systems with workload-driven λ(t).
 
-    The *arrival_rate* passed to the base class is used for truncation
-    sizing only; the dynamics read ``workload.rate(t)``.  Keep the workload
+    The peak workload rate sizes the truncations; the dynamics read
+    ``workload.rate(t)`` through :meth:`arrival_rate`.  Keep the workload
     peak at or below the sizing rate or the truncation may clip mass (the
     constructor enforces this).
     """
@@ -66,7 +64,6 @@ class TransientCollectionODE(CollectionODE):
         deletion_rate: float,
         segment_size: int,
         normalized_capacity: float,
-        config: Optional[ODEConfig] = None,
     ) -> None:
         peak = require_positive("workload.max_rate", workload.max_rate)
         super().__init__(
@@ -75,86 +72,51 @@ class TransientCollectionODE(CollectionODE):
             deletion_rate=deletion_rate,
             segment_size=segment_size,
             normalized_capacity=normalized_capacity,
-            config=config,
         )
         self.workload = workload
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        # Temporarily swap in the instantaneous rate; the base RHS reads
-        # self.lam.  Single-threaded integration makes this safe.
-        sized_lam = self.lam
-        try:
-            self.lam = self.workload.rate(t)
-            if self.lam <= 0.0:
-                # Degenerate but legal (shutoff): emulate by a vanishing rate
-                # so the injection terms cancel without special-casing.
-                self.lam = 1e-300
-            return super().rhs(t, y)
-        finally:
-            self.lam = sized_lam
+    def arrival_rate(self, t: float) -> float:
+        return self.workload.rate(t)
 
-    def simulate(
-        self,
-        t_end: float,
-        n_points: int = 200,
-        y0: Optional[np.ndarray] = None,
-        rtol: float = 1e-6,
-        atol: float = 1e-9,
-    ) -> Trajectory:
-        """Integrate to *t_end* recording *n_points* evenly spaced samples."""
+    def simulate(self, t_end: float, n_points: int = 200) -> Trajectory:
+        """Integrate from empty to *t_end* recording *n_points* evenly
+        spaced samples."""
         require_positive("t_end", t_end)
         if n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {n_points}")
-        if y0 is None:
-            y0 = self.initial_state()
         from scipy.integrate import solve_ivp
         times = np.linspace(0.0, t_end, n_points)
         solution = solve_ivp(
             self.rhs,
             (0.0, t_end),
-            y0,
+            self.initial_state(),
             method="RK45",
             t_eval=times,
-            rtol=rtol,
-            atol=atol,
+            rtol=1e-6,
+            atol=1e-9,
         )
         if not solution.success:
             raise RuntimeError(f"transient integration failed: {solution.message}")
         return self._record(times, solution.y)
 
     def _record(self, times: np.ndarray, states: np.ndarray) -> Trajectory:
+        """Per-peer observables of the sampled states (one column each)."""
         s = self.s
-        degrees_z = np.arange(self.B + 1, dtype=float)
-        degrees_m = np.arange(self.i_max + 1, dtype=float)
-        demand: List[float] = []
-        occupancy: List[float] = []
-        empty: List[float] = []
-        collection: List[float] = []
-        saved: List[float] = []
-        for index, t in enumerate(times):
-            y = states[:, index]
-            z = y[: self._n_z]
-            m_rows = y[self._n_z :].reshape(self.i_max, s + 1)
-            m = np.zeros((self.i_max + 1, s + 1))
-            m[1:, :] = m_rows
-            e = float(degrees_z @ z)
-            demand.append(self.workload.rate(t))
-            occupancy.append(e)
-            empty.append(float(z[0]))
-            # useful pull rate per peer: c * P(draw lands on a needed
-            # segment) = c * (1 - redundant edge fraction)
-            if e > 1e-9:
-                redundant_edges = float(degrees_m @ m[:, s])
-                collection.append(self.c * (1.0 - redundant_edges / e))
-            else:
-                collection.append(0.0)
-            w = m.sum(axis=1)
-            saved.append(s * float((w[s:] - m[s:, s]).sum()))
+        z = states[: self._n_z]
+        m = states[self._n_z :].reshape(self.i_max, s + 1, -1)  # rows i = 1..
+        e = self._z_degrees @ z
+        # useful pull rate per peer: c * P(draw lands on a needed segment)
+        # = c * (1 - redundant edge fraction)
+        redundant = np.arange(1, self.i_max + 1, dtype=float) @ m[:, s]
+        nonempty = e > 1e-9
+        collection = np.zeros_like(e)
+        collection[nonempty] = self.c * (1.0 - redundant[nonempty] / e[nonempty])
+        w = m.sum(axis=1)
         return Trajectory(
             times=times,
-            demand=np.array(demand),
-            occupancy=np.array(occupancy),
-            empty_fraction=np.array(empty),
-            collection_rate=np.array(collection),
-            saved_blocks=np.array(saved),
+            demand=np.array([self.workload.rate(t) for t in times]),
+            occupancy=e,
+            empty_fraction=z[0].copy(),
+            collection_rate=collection,
+            saved_blocks=s * (w[s - 1 :] - m[s - 1 :, s]).sum(axis=0),
         )

@@ -8,17 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.ode import CollectionODE, ODEConfig, SegmentDegreeODE
+from repro.analysis.ode import CollectionODE, SegmentDegreeODE
 
 
-def model(s=1, lam=8.0, mu=6.0, gamma=1.0, c=2.0, **config):
+def model(s=1, lam=8.0, mu=6.0, gamma=1.0, c=2.0):
     return CollectionODE(
         arrival_rate=lam,
         gossip_rate=mu,
         deletion_rate=gamma,
         segment_size=s,
         normalized_capacity=c,
-        config=ODEConfig(**config) if config else None,
     )
 
 
@@ -33,16 +32,6 @@ class TestConfiguration:
         m = model(s=30)
         assert m.B >= 90
         assert m.i_max >= 90
-
-    def test_explicit_truncations(self):
-        m = model(s=2, z_max=40, i_max=50)
-        assert m.B == 40 and m.i_max == 50
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            ODEConfig(t_end=-1.0)
-        with pytest.raises(ValueError):
-            ODEConfig(z_max=0)
 
     def test_from_parameters(self):
         from repro.core.params import Parameters
@@ -111,7 +100,7 @@ class TestSteadyState:
 
     def test_residual_is_small(self):
         steady = model(s=2).steady_state()
-        assert steady.residual < 1e-6
+        assert steady.residual < 1e-12
 
     def test_w_is_row_sum_of_m(self):
         steady = model(s=3).steady_state()
@@ -147,11 +136,57 @@ class TestSteadyState:
             assert occupancy == pytest.approx(occupancies[0], rel=0.05)
 
 
+class TestSteadyZAgainstIntegration:
+    """The z fixed point against Eq. (7) integrated to a long horizon, with
+    the rules written out here rather than read from the model."""
+
+    @staticmethod
+    def eq7(m, z):
+        dz = np.zeros_like(z)
+        degree = np.arange(m.B + 1, dtype=float)
+        if m.mu > 0.0:
+            gossip = (1.0 - z[0]) * m.mu / max(1.0 - z[m.B], 1e-12)
+            dz[1:] += gossip * z[:-1]
+            dz[:-1] -= gossip * z[:-1]
+        inject = m.lam / m.s * z[: m.B - m.s + 1]
+        dz[: m.B - m.s + 1] -= inject
+        dz[m.s :] += inject
+        dz[:-1] += m.gamma * degree[1:] * z[1:]
+        dz -= m.gamma * degree * z
+        return dz
+
+    @pytest.mark.parametrize(
+        "lam, mu, s",
+        [(8.0, 6.0, 1), (8.0, 0.0, 2), (20.0, 10.0, 5), (8.0, 6.0, 30), (1.0, 2.0, 1)],
+    )
+    def test_matches_long_lsoda_run(self, lam, mu, s):
+        from scipy.integrate import solve_ivp
+
+        m = model(s=s, lam=lam, mu=mu)
+        z_start = np.zeros(m.B + 1)
+        z_start[0] = 1.0
+        solution = solve_ivp(
+            lambda t, z: self.eq7(m, z), (0.0, 200.0), z_start,
+            method="LSODA", rtol=1e-11, atol=1e-14,
+        )
+        assert solution.success
+        z, residual = m.steady_z()
+        assert np.max(np.abs(z - solution.y[:, -1])) < 1e-9
+        assert residual < 1e-12
+
+    def test_step_cap_raises(self, monkeypatch):
+        from repro.analysis import ode
+
+        monkeypatch.setattr(ode, "_MAX_FIXED_POINT_STEPS", 2)
+        with pytest.raises(RuntimeError, match="fixed point"):
+            model(s=1).steady_z()
+
+
 class TestTransient:
     def test_transient_approaches_steady_state(self):
-        m = model(s=2, i_max=40)
+        m = model(s=2)
         steady = m.steady_state()
-        y, _ = m.integrate(60.0, method="RK45")
+        y, _ = m.integrate(60.0)
         z_transient = y[: m.B + 1]
         assert np.allclose(z_transient, steady.z, atol=5e-3)
 

@@ -8,17 +8,13 @@ from repro.analysis.transient import Trajectory, TransientCollectionODE
 from repro.stats.workload import ConstantWorkload, FlashCrowdWorkload, ShutoffWorkload
 
 
-def make_model(workload, s=4, mu=8.0, gamma=1.0, c=3.0, **config_kwargs):
-    from repro.analysis.ode import ODEConfig
-
-    config = ODEConfig(**config_kwargs) if config_kwargs else None
+def make_model(workload, s=4, mu=8.0, gamma=1.0, c=3.0):
     return TransientCollectionODE(
         workload=workload,
         gossip_rate=mu,
         deletion_rate=gamma,
         segment_size=s,
         normalized_capacity=c,
-        config=config,
     )
 
 
