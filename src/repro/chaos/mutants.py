@@ -28,12 +28,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Tuple
 
-import numpy as np
-
 from repro.coding import gf256
 
 if TYPE_CHECKING:
-    from repro.coding.gf256 import Vector
     from repro.coding.linalg import IncrementalDecoder
     from repro.core.peer import Peer
     from repro.core.segments import SegmentRegistry, SegmentState
@@ -80,7 +77,7 @@ def _install_buffer_cap_off_by_one() -> Undo:
 def _install_decoder_skip_elimination() -> Undo:
     """Drop Gauss-Jordan back-substitution when installing a pivot row.
 
-    The decoder's batched single-pass reduction is only exact while the
+    The decoder's single-pass reduction is only exact while the
     basis stays mutually reduced (see the proof in ``linalg.py``); without
     back-substitution, dependent blocks can be mistaken for innovative and
     ``decode()`` returns linear mixtures instead of the source rows — the
@@ -90,17 +87,15 @@ def _install_decoder_skip_elimination() -> Undo:
 
     original = IncrementalDecoder.__dict__["_insert"]
 
-    def insert_without_elimination(self: "IncrementalDecoder", row: "Vector") -> None:
-        pivot_col = int(np.nonzero(row[: self.size])[0][0])
-        pivot_value = int(row[pivot_col])
+    def insert_without_elimination(
+        self: "IncrementalDecoder", row: bytes, pivot_col: int
+    ) -> None:
+        pivot_value = row[pivot_col]
         if pivot_value != 1:
-            row = gf256.vec_scale(row, gf256.inv(pivot_value))
-        r = self._rank
-        # BUG: the back-substitution into rows [:r] is skipped entirely.
-        self._matrix[r] = row
+            row = row.translate(gf256.SCALE[gf256.inv(pivot_value)])
+        # BUG: the back-substitution into the stored rows is skipped entirely.
+        self._rows.append(row)
         self._pivot_cols.append(pivot_col)
-        self._pivot_array[r] = pivot_col
-        self._rank = r + 1
 
     setattr(IncrementalDecoder, "_insert", insert_without_elimination)
 

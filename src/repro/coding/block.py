@@ -15,12 +15,12 @@ without global coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.coding import gf256
-from repro.coding.gf256 import Vector
+from repro.coding.gf256 import Vector, VectorLike
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,19 @@ class CodedBlock:
     """One coded block of a segment.
 
     ``coefficients`` is the encoding vector over the segment's original
-    blocks; ``payload`` is the coded data bytes.  Both are optional because
-    the abstract simulation mode tracks block *counts* only (the paper's
+    blocks; ``payload`` is the coded data bytes.  Both are absent in the
+    abstract simulation mode, which tracks block *counts* only (the paper's
     bipartite-graph view, where a block is just an edge); the full-RLNC mode
     fills them in.
 
-    A coded block is one buffer: ``row`` is the contiguous ``uint8`` vector
-    ``[header | payload]`` of ``s + L`` bytes (``L = 0`` for header-only
-    RLNC) and ``coefficients`` / ``payload`` are views into it, because the
-    two always undergo the same linear combination — recode, decode and the
-    wire each make one pass over ``row``.  Writing through a view (pollution
-    zero-fills the header) writes the row; rebinding an attribute does not.
+    A coded block is one immutable ``bytes`` row ``[header | payload]`` of
+    ``s + L`` bytes (``L = 0`` for header-only RLNC), because header and
+    payload always undergo the same linear combination: recode, decode and
+    the wire each make one pass over ``row``, and holdings store it without
+    copying.  ``coefficients`` and ``payload`` are read-only ``uint8``
+    views of it, built on access.  Pollution swaps in a new row
+    (:func:`corrupt_block`).  The constructor takes ``uint8`` arrays and
+    converts them once.
 
     Identity (not value) equality is deliberate: two blocks with equal
     coefficients are still distinct objects occupying distinct buffer slots.
@@ -77,24 +79,19 @@ class CodedBlock:
     ``__dict__`` doubles what the garbage collector tracks for each.
     """
 
-    __slots__ = (
-        "segment", "coefficients", "payload", "created_at",
-        "alive", "polluted", "row", "position",
-    )
+    __slots__ = ("segment", "created_at", "alive", "polluted", "row", "position")
 
     def __init__(
         self,
         segment: SegmentDescriptor,
-        coefficients: Optional[Vector] = None,
-        payload: Optional[Vector] = None,
+        coefficients: Optional[VectorLike] = None,
+        payload: Optional[VectorLike] = None,
         created_at: float = 0.0,
         alive: bool = True,
         polluted: bool = False,
-        row: Optional[Vector] = None,
+        row: Optional[Union[bytes, Vector]] = None,
     ) -> None:
         self.segment = segment
-        self.coefficients = coefficients
-        self.payload = payload
         self.created_at = created_at
         #: Liveness flag flipped by TTL expiry and churn; lets stale deletion
         #: events detect that their target is already gone.
@@ -105,40 +102,51 @@ class CodedBlock:
         #: detection rejects the block without consulting this flag; abstract
         #: mode relies on the tag alone (the tagged-block approximation).
         self.polluted = polluted
-        #: ``[header | payload]``, None for an abstract block; passed instead
-        #: of ``coefficients``/``payload`` by a caller that has it (not copied).
-        self.row = row
         #: Index in the holding peer's ``buffered_blocks`` while buffered
         #: there (``Peer.add_block`` / ``remove_block`` maintain it).
         self.position = -1
+        #: ``[header | payload]`` as ``bytes``, None for an abstract block;
+        #: passed instead of ``coefficients``/``payload`` by a caller that
+        #: has it.
+        self.row: Optional[bytes] = None
         if row is None:
             if coefficients is None:
                 return
-            parts = [
-                gf256.as_vector(part, copy=False)
-                for part in (coefficients, payload)
-                if part is not None
-            ]
-            if parts[0].shape != (segment.size,) or parts[-1].ndim != 1:
+            row = gf256.as_row(coefficients)
+            if len(row) != segment.size:
                 raise ValueError(
-                    f"coefficients and payload of shapes "
-                    f"{[part.shape for part in parts]}, expected "
-                    f"({segment.size},) and one row of bytes"
+                    f"{len(row)} coefficients for a segment of {segment.size}"
                 )
-            row = self.row = np.concatenate(parts)
-        size = segment.size
-        if row.ndim != 1 or row.shape[0] < size or row.dtype != np.uint8:
+            if payload is not None:
+                row += gf256.as_row(payload)
+        elif type(row) is not bytes:
+            row = gf256.as_row(row)
+        if len(row) < segment.size:
             raise ValueError(
-                f"a block row of {segment} is >= {size} uint8 entries, "
-                f"got {row.dtype} {row.shape}"
+                f"a block row of {segment} is >= {segment.size} bytes, "
+                f"got {len(row)}"
             )
-        self.coefficients = row[:size]
-        self.payload = row[size:] if row.shape[0] > size else None
+        self.row = row
+
+    @property
+    def coefficients(self) -> Optional[Vector]:
+        """The encoding vector, a read-only view of ``row``."""
+        if self.row is None:
+            return None
+        return np.frombuffer(self.row, np.uint8, self.segment.size)
+
+    @property
+    def payload(self) -> Optional[Vector]:
+        """The coded data, a read-only view of ``row``; None without one."""
+        row, size = self.row, self.segment.size
+        if row is None or len(row) == size:
+            return None
+        return np.frombuffer(row, np.uint8, offset=size)
 
     @property
     def is_coded(self) -> bool:
         """True when the block carries an explicit encoding vector."""
-        return self.coefficients is not None
+        return self.row is not None
 
     def __repr__(self) -> str:
         kind = "rlnc" if self.is_coded else "abstract"
@@ -151,15 +159,18 @@ class CodedBlock:
 def corrupt_block(block: CodedBlock) -> CodedBlock:
     """Mark *block* as polluted, invalidating its coefficient header.
 
-    In RLNC mode the coefficient vector is zeroed — a detectably invalid
-    header that GF(2^8) rank arithmetic can never count as innovative, so
-    the server-side decoder rejects the block for free.  In abstract mode
-    the ``polluted`` tag alone carries the information (the tagged-block
-    approximation of the same detection).  Returns the block for chaining.
+    In RLNC mode the row is replaced by a zero header plus the same payload
+    — a detectably invalid header that GF(2^8) rank arithmetic can never
+    count as innovative, so the server-side decoder rejects the block for
+    free.  In abstract mode the ``polluted`` tag alone carries the
+    information (the tagged-block approximation of the same detection).
+    Returns the block for chaining.
     """
     block.polluted = True
-    if block.coefficients is not None:
-        block.coefficients.fill(0)
+    row = block.row
+    if row is not None:
+        size = block.segment.size
+        block.row = bytes(size) + row[size:]
     return block
 
 
@@ -172,24 +183,24 @@ def detects_pollution(block: CodedBlock) -> bool:
     it on every pulled block; the wire ``polluted`` tag is carried for
     accounting cross-checks but is deliberately not trusted.
     """
-    return block.coefficients is not None and not block.coefficients.any()
+    size = block.segment.size
+    return block.row is not None and block.row.count(0, 0, size) == size
 
 
 class BlockRows:
-    """The rows of one holder's coded blocks of one segment, in one matrix.
+    """The rows of one holder's coded blocks of one segment, in order.
 
     Order is state: recoding coefficient ``i`` multiplies the ``i``-th row,
-    so rows stay in insertion order and a removal shifts the tail up.  Rows
-    are copied in (an emitter may still zero its header in place); room for
-    ``s`` rows doubles when a holder keeps more (its rank is still < s).
+    so rows stay in insertion order and a removal is ``del rows[i]``.  Rows
+    are immutable ``bytes``, so storing one never copies it.
     """
 
-    __slots__ = ("segment", "count", "_matrix")
+    __slots__ = ("segment", "width", "rows")
 
     def __init__(self, segment: SegmentDescriptor, width: int) -> None:
         self.segment = segment
-        self.count = 0
-        self._matrix: Vector = np.empty((segment.size, width), dtype=np.uint8)
+        self.width = width
+        self.rows: List[bytes] = []
 
     @classmethod
     def of(cls, blocks: Sequence[CodedBlock]) -> "BlockRows":
@@ -197,61 +208,58 @@ class BlockRows:
         if not blocks:
             raise ValueError("cannot recode from an empty block set")
         first = blocks[0]
-        rows = cls(first.segment, 0 if first.row is None else first.row.shape[0])
+        rows = cls(first.segment, 0 if first.row is None else len(first.row))
         for block in blocks:
             if block.segment is not first.segment and block.segment != first.segment:
                 raise ValueError("recode inputs must belong to a single segment")
             rows.append(block)
         return rows
 
-    @property
-    def rows(self) -> Vector:
-        """The live ``(count, s + L)`` rows, a view."""
-        return self._matrix[: self.count]
-
     def append(self, block: CodedBlock) -> None:
-        """Copy the row of *block* in as the last row."""
-        row, matrix = block.row, self._matrix
-        if row is None or row.shape[0] != matrix.shape[1]:
+        """Store the row of *block* as the last row."""
+        row = block.row
+        if row is None or len(row) != self.width:
             raise ValueError(
-                f"{block!r} among coded blocks with rows of {matrix.shape[1]} "
+                f"{block!r} among coded blocks with rows of {self.width} "
                 f"bytes: payloads are all of one length or all absent"
             )
-        if self.count == matrix.shape[0]:
-            self._matrix = np.empty((2 * self.count, row.shape[0]), dtype=np.uint8)
-            self._matrix[: self.count] = matrix
-        self._matrix[self.count] = row
-        self.count += 1
-
-    def remove(self, index: int) -> None:
-        """Drop row *index*, keeping the order of the rest."""
-        last = self.count - 1
-        self._matrix[index:last] = self._matrix[index + 1 : last + 1]
-        self.count = last
+        self.rows.append(row)
 
 
 def make_source_blocks(
     segment: SegmentDescriptor,
-    payloads: Optional[Vector] = None,
+    payloads: Optional[VectorLike] = None,
     created_at: Optional[float] = None,
 ) -> List[CodedBlock]:
     """Create the ``s`` systematic (identity-coded) blocks of a new segment.
 
     When the source injects a segment it holds the original blocks
     themselves; in coded form those are unit coefficient vectors, so the
-    blocks' rows are the rows of ``[I | payloads]``, built once.  *payloads*
-    is an optional ``(s, payload_len)`` array of original data rows.
+    blocks' rows are the rows of ``[I | payloads]``, cut from one
+    ``tobytes()`` of *payloads*, an optional ``(s, payload_len)`` array of
+    original data rows.
     """
-    rows: Vector = np.eye(segment.size, dtype=np.uint8)
+    size = segment.size
+    data, length = b"", 0
     if payloads is not None:
-        payloads = np.atleast_2d(np.asarray(payloads)).astype(np.uint8)
-        if payloads.shape[0] != segment.size:
+        array = np.atleast_2d(np.asarray(payloads)).astype(np.uint8, copy=False)
+        if array.ndim != 2 or array.shape[0] != size:
             raise ValueError(
-                f"expected {segment.size} payload rows, got {payloads.shape[0]}"
+                f"expected {size} payload rows, got an array of shape {array.shape}"
             )
-        rows = np.concatenate((rows, payloads), axis=1)
+        data, length = array.tobytes(), array.shape[1]
+    zeros = bytes(size)
     when = segment.injected_at if created_at is None else created_at
-    return [CodedBlock(segment, row=row, created_at=when) for row in rows]
+    return [
+        CodedBlock(
+            segment,
+            row=b"".join(
+                (zeros[:i], b"\x01", zeros[i + 1 :], data[i * length : (i + 1) * length])
+            ),
+            created_at=when,
+        )
+        for i in range(size)
+    ]
 
 
 def make_abstract_blocks(

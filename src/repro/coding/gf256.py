@@ -7,24 +7,22 @@ field GF(2^8)").  This module implements the field from scratch:
 - construction of exponential/logarithm tables over the AES polynomial
   ``x^8 + x^4 + x^3 + x + 1`` (0x11B) with generator 0x03,
 - scalar ``add``/``sub``/``mul``/``div``/``inv``/``pow``,
-- vectorized numpy kernels used by the linear-algebra layer
-  (:mod:`repro.coding.linalg`), where coefficient vectors are ``uint8``
-  arrays.
+- row arithmetic on immutable ``bytes`` rows, the representation of a coded
+  block on the whole RLNC path (:data:`SCALE`, :func:`combine_rows`), and
+- vectorized numpy kernels over ``uint8`` arrays, used by the batch helpers
+  of :mod:`repro.coding.linalg` (``rref``/``rank``/``solve``) and by tests.
 
 Addition in a binary extension field is XOR, so ``add`` and ``sub`` coincide.
 
-Kernel design (the hot path of every simulated coding operation): a full
-256x256 ``uint8`` multiplication table (:data:`MUL_TABLE`, 64 KiB — it lives
-comfortably in L1/L2 cache) is precomputed at import from the exp/log
-tables.  Every vector kernel is then a *single table gather* —
-``MUL_TABLE[scalar][vector]`` — followed by an XOR, with no ``int32`` log
-temporaries, no post-hoc zero-masking (row 0 and column 0 of the table are
-already zero), and no per-call allocation on the axpy path (a reusable
-module-level scratch buffer backs :func:`vec_addmul`).  Batched kernels
-(:func:`vec_addmul_rows`, :func:`rows_addmul`, :func:`combine_rows`) fold
-whole elimination passes into one gather + XOR-reduce, which is what makes
-the incremental decoder's per-block cost a handful of numpy calls instead
-of a Python loop over pivot rows.
+Kernel design: a full 256x256 ``uint8`` multiplication table
+(:data:`MUL_TABLE`, 64 KiB) is precomputed at import from the exp/log
+tables.  A bytes row is scaled by ``c`` with one ``row.translate(SCALE[c])``
+(``SCALE[c]`` is table row ``c`` as ``bytes``) and two rows are added by
+XOR of their little-endian integers, so one combination of a block's
+``[header | payload]`` row costs a C pass per input row and no numpy call.
+The numpy kernels gather through the same table with no ``int32`` log
+temporaries and no post-hoc zero-masking (row 0 and column 0 of the table
+are already zero); :func:`vec_addmul` reuses a module-level scratch buffer.
 
 The module is deliberately not thread-safe (the scratch buffer is shared);
 the simulator is single-threaded by design.
@@ -32,7 +30,7 @@ the simulator is single-threaded by design.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple, Union, cast
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -88,6 +86,8 @@ def _build_mul_table() -> Vector:
 
 #: Flat multiplication table: ``MUL_TABLE[a, b] == mul(a, b)`` (64 KiB).
 MUL_TABLE: Vector = _build_mul_table()
+#: ``row.translate(SCALE[c])`` multiplies every byte of *row* by ``c``.
+SCALE: Tuple[bytes, ...] = tuple(bytes(row) for row in MUL_TABLE)
 #: The same 64 KiB as one vector, ``_FLAT_TABLE[(a << 8) | b] == mul(a, b)``,
 #: and where each scalar's table row starts in it, as a ``(256, 1)`` column.
 _FLAT_TABLE: Vector = MUL_TABLE.reshape(-1)
@@ -162,6 +162,30 @@ def power(a: int, exponent: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Row arithmetic on immutable bytes rows (the coded-block hot path).
+# ---------------------------------------------------------------------------
+
+
+def combine_rows(rows: Sequence[bytes], scalars: Sequence[int]) -> bytes:
+    """Return the linear combination ``XOR_i scalars[i] * rows[i]``.
+
+    The coding primitive behind re-encoding: a fresh row from equal-length
+    ``bytes`` *rows* and one coefficient each.  One row is one ``translate``;
+    more are translated and XOR-ed as little-endian integers.
+    """
+    if not rows or len(rows) != len(scalars):
+        raise ValueError(
+            f"{len(rows)} rows and {len(scalars)} scalars do not align"
+        )
+    if len(rows) == 1:
+        return rows[0].translate(SCALE[scalars[0]])
+    total, from_bytes, tables = 0, int.from_bytes, SCALE
+    for row, scalar in zip(rows, scalars):
+        total ^= from_bytes(row.translate(tables[scalar]), "little")
+    return total.to_bytes(len(rows[0]), "little")
+
+
+# ---------------------------------------------------------------------------
 # Vectorized operations on uint8 numpy arrays.
 # ---------------------------------------------------------------------------
 
@@ -206,6 +230,14 @@ def as_vector(values: VectorLike, copy: bool = True) -> Vector:
         raise ValueError("GF(256) vector entries must lie in [0, 255]")
     coerced: Vector = array.astype(np.uint8)  # astype always copies here
     return coerced
+
+
+def as_row(values: VectorLike) -> bytes:
+    """*values* as one ``bytes`` row, validated by :func:`as_vector`."""
+    vector = as_vector(values, copy=False)
+    if vector.ndim != 1:
+        raise ValueError(f"expected one row of bytes, got shape {vector.shape}")
+    return vector.tobytes()
 
 
 def vec_add(a: Vector, b: Vector) -> Vector:
@@ -255,68 +287,26 @@ def vec_addmul(accumulator: Vector, vector: Vector, scalar: int) -> None:
         np.bitwise_xor(accumulator, row[vector], out=accumulator)
 
 
-def _scaled(scalars: Vector, values: Vector) -> Vector:
-    """The ``(r, n)`` products ``scalars[i] * values[i, j]``; *values* may
-    also be one ``(n,)`` vector, scaled by every scalar.  One ``take`` on
-    ``(scalar << 8) | value``: ``MUL_TABLE[scalars[:, None], values]`` is
-    the same bytes 2-3x slower at payload widths (docs/PERFORMANCE.md)."""
-    index = np.bitwise_or(_ROW_START[scalars], values)
-    products: Vector = _FLAT_TABLE.take(index, mode="clip")
-    return products
-
-
-def _require_aligned(rows: Vector, scalars: Vector) -> None:
-    if rows.ndim != 2 or rows.shape[0] != scalars.shape[0]:
-        raise ValueError(
-            f"rows {rows.shape} and scalars {scalars.shape} do not align"
-        )
-
-
-def vec_addmul_rows(accumulator: Vector, rows: Vector, scalars: Vector) -> None:
-    """Batched axpy: ``accumulator ^= XOR_i scalars[i] * rows[i]``.
-
-    *rows* is ``(r, n)``, *scalars* ``(r,)``, *accumulator* ``(n,)``.  One
-    broadcast gather builds all scaled rows at once; zero scalars contribute
-    nothing because table row 0 is zero.  This is the whole elimination pass
-    of the incremental decoder.
-    """
-    _require_aligned(rows, scalars)
-    if rows.shape[1] != accumulator.shape[0]:
-        raise ValueError(
-            f"rows {rows.shape} do not match accumulator {accumulator.shape}"
-        )
-    if not scalars.any():
-        return
-    np.bitwise_xor(
-        accumulator,
-        np.bitwise_xor.reduce(_scaled(scalars, rows), axis=0),
-        out=accumulator,
-    )
-
-
 def rows_addmul(rows: Vector, vector: Vector, scalars: Vector) -> None:
     """Batched row update: ``rows[i] ^= scalars[i] * vector`` for every i.
 
     The outer-product gather used for Gauss-Jordan back-elimination: one
-    new pivot row is folded into all stored rows in a single pass.
+    new pivot row is folded into all stored rows in a single pass, as one
+    ``take`` on ``(scalar << 8) | value`` through the flat table
+    (``MUL_TABLE[scalars[:, None], vector]`` is the same bytes, slower).
     """
-    _require_aligned(rows, scalars)
+    if rows.ndim != 2 or rows.shape[0] != scalars.shape[0]:
+        raise ValueError(
+            f"rows {rows.shape} and scalars {scalars.shape} do not align"
+        )
     if rows.shape[1] != vector.shape[0]:
         raise ValueError(f"rows {rows.shape} do not match vector {vector.shape}")
     if not scalars.any():
         return
-    np.bitwise_xor(rows, _scaled(scalars, vector), out=rows)
-
-
-def combine_rows(rows: Vector, scalars: Vector) -> Vector:
-    """Return the linear combination ``XOR_i scalars[i] * rows[i]``.
-
-    The coding primitive behind re-encoding: a fresh ``(n,)`` vector from
-    ``(r, n)`` rows and ``(r,)`` coefficients, one gather and one XOR-reduce.
-    """
-    _require_aligned(rows, scalars)
-    combined: Vector = np.bitwise_xor.reduce(_scaled(scalars, rows), axis=0)
-    return combined
+    products = _FLAT_TABLE.take(
+        np.bitwise_or(_ROW_START[scalars], vector), mode="clip"
+    )
+    np.bitwise_xor(rows, products, out=rows)
 
 
 def vec_mul(a: Vector, b: Vector) -> Vector:

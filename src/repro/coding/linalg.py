@@ -11,28 +11,28 @@ Two styles of elimination are provided:
 
 The paper notes that decoding a segment of ``s`` blocks costs about ``O(s)``
 operations per input block once blocks arrive; the incremental decoder has
-exactly that per-block profile (one elimination pass against at most ``s``
-pivot rows), and the pass itself is a *single batched gather-scale-XOR*
-(:func:`repro.coding.gf256.vec_addmul_rows`) rather than a Python loop.
+exactly that per-block profile: one elimination pass against at most ``s``
+pivot rows, each a ``bytes.translate`` through
+:data:`repro.coding.gf256.SCALE` and an integer XOR over the whole
+``[header | payload]`` row.
 
-Equivalence of the batched pass with sequential elimination: stored pivot
-rows are kept mutually Gauss-Jordan reduced, i.e. ``row_i[pivot_col_j] ==
-(1 if i == j else 0)``.  Eliminating with ``row_i`` therefore never changes
-the incoming vector's entry at any *other* pivot column, so the elimination
-factors gathered up-front equal the factors the sequential loop would read
-one at a time, and XOR accumulation commutes — the batched result is
-byte-identical.
+Reading every elimination factor from the incoming row up-front is exact:
+stored pivot rows are kept mutually Gauss-Jordan reduced, i.e.
+``row_i[pivot_col_j] == (1 if i == j else 0)``.  Eliminating with ``row_i``
+therefore never changes the incoming row's entry at any *other* pivot
+column, so the factors read up-front equal the factors the sequential loop
+would read one at a time, and XOR accumulation commutes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.coding import gf256
-from repro.coding.gf256 import Vector, VectorLike
+from repro.coding.gf256 import SCALE, Vector, VectorLike
 
 
 @dataclass(frozen=True)
@@ -142,20 +142,20 @@ class IncrementalDecoder:
     """Progressive Gauss-Jordan elimination over GF(256).
 
     Collects the coded blocks of one segment of *size* original blocks as
-    rows ``[coefficients | payload]``.  Each offered row is reduced against
-    the pivot rows accumulated so far; a row whose coefficients reduce to
-    zero is *redundant* and rejected, otherwise it becomes a new pivot row.
-    Once ``size`` pivot rows exist the payload columns *are* the originals.
+    ``bytes`` rows ``[coefficients | payload]``.  Each offered row is reduced
+    against the pivot rows accumulated so far; a row whose coefficients
+    reduce to zero is *redundant* and rejected, otherwise it becomes a new
+    pivot row.  Once ``size`` pivot rows exist the payload columns *are* the
+    originals.
 
     Payloads are optional (the protocol simulators often track rank
     evolution without carrying data bytes) but uniform: the first row fixes
     the payload length ``L`` (0 for header-only blocks) and a row of any
     other width raises ``ValueError``.
 
-    Storage invariants (the zero-copy design): one ``size x (size + L)``
-    matrix whose rows ``[0, rank)`` are the live pivot rows in insertion
-    order — nothing is reallocated or vstacked per insert, and header and
-    payload share every elimination pass because they are one row.
+    Storage: the live pivot rows as immutable ``bytes`` in insertion order,
+    each with its pivot column.  A row is eliminated as one little-endian
+    integer, so header and payload share every pass.
     """
 
     def __init__(self, size: int, payload_length: Optional[int] = None) -> None:
@@ -164,27 +164,27 @@ class IncrementalDecoder:
         self.size = size
         #: ``L`` once a payload row has been offered, None until then.
         self.payload_length = payload_length
-        # Preallocated pivot-row storage; rows [0, _rank) are live.  The
-        # payload columns join with the first payload row (`_widen`).
-        self._matrix: Vector = np.zeros((size, size), dtype=np.uint8)
-        # pivot column of each stored row, in insertion order
+        # The width of every row: ``size`` until the first payload row
+        # (`_widen`), and the header bits of a row's little-endian integer.
+        self._width = size
+        self._header_bits = (1 << (8 * size)) - 1
+        # pivot rows and the pivot column of each, in insertion order
+        self._rows: List[bytes] = []
         self._pivot_cols: List[int] = []
-        self._pivot_array = np.zeros(size, dtype=np.intp)
-        self._rank = 0
 
     @property
     def rank(self) -> int:
         """Number of linearly independent blocks received so far."""
-        return self._rank
+        return len(self._rows)
 
     @property
     def is_complete(self) -> bool:
         """True once the full segment can be decoded."""
-        return self._rank == self.size
+        return len(self._rows) == self.size
 
-    def would_be_innovative(self, coefficients: Vector) -> bool:
+    def would_be_innovative(self, coefficients: VectorLike) -> bool:
         """Check innovation without mutating the decoder state."""
-        return bool(self._reduce(self._header(coefficients)).any())
+        return bool(self._reduce(self._header(coefficients)) & self._header_bits)
 
     def add(
         self, coefficients: VectorLike, payload: Optional[VectorLike] = None
@@ -195,19 +195,24 @@ class IncrementalDecoder:
         original blocks; *payload* is the coded data, present on every call
         or on none.  :meth:`add_row` takes the two as the one row they are.
         """
-        parts = [self._header(coefficients)]
-        if payload is not None:
-            parts.append(gf256.as_vector(payload, copy=False))
-        return self.add_row(np.concatenate(parts))
+        header = self._header(coefficients)
+        if payload is None:
+            return self.add_row(header)
+        return self.add_row(header + gf256.as_row(payload))
 
-    def add_row(self, row: Vector) -> bool:
+    def add_row(self, row: Union[bytes, Vector]) -> bool:
         """Offer one block as its row ``[coefficients | payload]``."""
-        if row.shape != (self._matrix.shape[1],):
+        if type(row) is not bytes:
+            row = gf256.as_row(row)
+        if len(row) != self._width:
             self._widen(row)
         reduced = self._reduce(row)
-        if not reduced[: self.size].any():
+        header = reduced & self._header_bits
+        if not header:
             return False
-        self._insert(reduced)
+        # The pivot is the lowest non-zero byte of the reduced header.
+        pivot_col = ((header & -header).bit_length() - 1) >> 3
+        self._insert(reduced.to_bytes(len(row), "little"), pivot_col)
         return True
 
     def decode(self) -> Vector:
@@ -220,110 +225,119 @@ class IncrementalDecoder:
             raise ValueError(
                 f"segment not decodable: rank {self.rank} < size {self.size}"
             )
-        if self._matrix.shape[1] == self.size:
+        size = self.size
+        if self._width == size:
             raise ValueError("cannot decode: coded blocks carried no payloads")
         # Rows are maintained in fully reduced (Gauss-Jordan) form, so after
         # sorting by pivot column the coefficient matrix is the identity and
         # the payloads *are* the original blocks.
-        order = np.argsort(self._pivot_array)
-        result: Vector = self._matrix[order, self.size :]
-        return result
+        order = sorted(range(size), key=self._pivot_cols.__getitem__)
+        data = bytearray().join(self._rows[index][size:] for index in order)
+        return np.frombuffer(data, dtype=np.uint8).reshape(size, -1)
 
     def coefficient_matrix(self) -> Vector:
         """Copy of the current reduced coefficient rows (for inspection)."""
-        return self._matrix[: self._rank, : self.size].copy()
+        size = self.size
+        data = bytearray().join(row[:size] for row in self._rows)
+        return np.frombuffer(data, dtype=np.uint8).reshape(self.rank, size)
 
     def snapshot(self) -> DecoderSnapshot:
         """Serialize the live rows to a :class:`DecoderSnapshot`."""
-        live = self._matrix[: self._rank]
+        size = self.size
         return DecoderSnapshot(
-            size=self.size,
+            size=size,
             payload_length=self.payload_length,
             pivot_cols=tuple(self._pivot_cols),
-            has_payload=(live.shape[1] > self.size,) * self._rank,
-            matrix_rows=live[:, : self.size].tobytes(),
-            payload_rows=live[:, self.size :].tobytes(),
+            has_payload=(self._width > size,) * self.rank,
+            matrix_rows=b"".join(row[:size] for row in self._rows),
+            payload_rows=b"".join(row[size:] for row in self._rows),
         )
 
     @classmethod
     def from_snapshot(cls, snap: DecoderSnapshot) -> "IncrementalDecoder":
         """Rebuild a decoder whose state is byte-identical to the snapshot."""
-        r = len(snap.pivot_cols)
+        r, size = len(snap.pivot_cols), snap.size
         # All rows carry payloads or none does.
         length = (snap.payload_length or 0) if any(snap.has_payload) else 0
-        if r > snap.size or snap.has_payload != (length > 0,) * r:
+        if r > size or snap.has_payload != (length > 0,) * r:
             raise ValueError(
-                f"snapshot of size {snap.size} has {r} pivot(s) with payload "
+                f"snapshot of size {size} has {r} pivot(s) with payload "
                 f"flags {snap.has_payload} at length {snap.payload_length}"
             )
-        # reshape raises ValueError unless each half holds exactly r rows.
-        header = np.frombuffer(snap.matrix_rows, dtype=np.uint8).reshape(r, snap.size)
-        data = np.frombuffer(snap.payload_rows, dtype=np.uint8).reshape(r, length)
-        decoder = cls(snap.size, snap.payload_length)
-        if r:
-            decoder._matrix = np.zeros(
-                (snap.size, snap.size + length), dtype=np.uint8
+        header, data = snap.matrix_rows, snap.payload_rows
+        if len(header) != r * size or len(data) != r * length:
+            raise ValueError(
+                f"snapshot of {r} row(s) of {size} + {length} bytes holds "
+                f"{len(header)} + {len(data)} bytes"
             )
-            decoder._matrix[:r] = np.concatenate((header, data), axis=1)
+        decoder = cls(size, snap.payload_length)
+        if r:
+            decoder._width = size + length
+            decoder._rows = [
+                header[i * size : (i + 1) * size] + data[i * length : (i + 1) * length]
+                for i in range(r)
+            ]
             decoder._pivot_cols = list(snap.pivot_cols)
-            decoder._pivot_array[:r] = snap.pivot_cols
-            decoder._rank = r
         return decoder
 
     # -- internals ---------------------------------------------------------
 
-    def _header(self, coefficients: VectorLike) -> Vector:
-        vector = gf256.as_vector(coefficients, copy=False)  # _reduce copies
-        if vector.shape != (self.size,):
+    def _header(self, coefficients: VectorLike) -> bytes:
+        header = gf256.as_row(coefficients)
+        if len(header) != self.size:
             raise ValueError(
-                f"coefficient vector has shape {vector.shape}, expected ({self.size},)"
+                f"coefficient vector has shape ({len(header)},), expected ({self.size},)"
             )
-        return vector
+        return header
 
-    def _widen(self, row: Vector) -> None:
+    def _widen(self, row: bytes) -> None:
         """The first payload row, offered at rank 0, fixes ``L``."""
-        length = row.shape[0] - self.size if row.ndim == 1 else 0
-        if self._rank or length < 1 or self.payload_length not in (None, length):
+        length = len(row) - self.size
+        if self._rows or length < 1 or self.payload_length not in (None, length):
             raise ValueError(
-                f"block row of shape {row.shape} offered at rank {self._rank} of "
+                f"block row of {len(row)} bytes offered at rank {self.rank} of "
                 f"size {self.size}, payload length {self.payload_length}"
             )
         self.payload_length = length
-        self._matrix = np.zeros((self.size, row.shape[0]), dtype=np.uint8)
+        self._width = len(row)
 
-    def _reduce(self, row: Vector) -> Vector:
-        """Eliminate *row* against the stored rows; returns a reduced copy.
+    def _reduce(self, row: bytes) -> int:
+        """*row* eliminated against the stored rows, as a little-endian int.
 
-        One batched gather-scale-XOR pass over all pivot rows, as wide as
-        *row* (a bare header probes the header columns).  Gathering the
-        factors up-front is exact because stored rows are mutually reduced.
+        A bare header probes the header bits only.  Reading the factors
+        up-front is exact because stored rows are mutually reduced.
         """
-        reduced = row.copy()
-        r = self._rank
-        if r:
-            gf256.vec_addmul_rows(
-                reduced,
-                self._matrix[:r, : row.shape[0]],
-                reduced[self._pivot_array[:r]],
-            )
+        from_bytes, tables = int.from_bytes, SCALE
+        reduced = from_bytes(row, "little")
+        for stored, col in zip(self._rows, self._pivot_cols):
+            factor = row[col]
+            if factor:
+                reduced ^= from_bytes(stored.translate(tables[factor]), "little")
         return reduced
 
-    def _insert(self, row: Vector) -> None:
-        """Normalize the reduced *row*, install it, and back-eliminate."""
-        pivot_col = int(np.nonzero(row[: self.size])[0][0])
-        pivot_value = int(row[pivot_col])
+    def _insert(self, row: bytes, pivot_col: int) -> None:
+        """Normalize the reduced *row*, back-eliminate, and install it."""
+        pivot_value = row[pivot_col]
         if pivot_value != 1:
-            row = gf256.vec_scale(row, gf256.inv(pivot_value))
-        r = self._rank
-        if r:
-            # Back-substitute into existing rows so the basis stays
-            # Gauss-Jordan reduced; this keeps `decode` trivial and
-            # `_reduce` single-pass.  The factor column must be copied
-            # before the in-place update zeroes it.
-            gf256.rows_addmul(
-                self._matrix[:r], row, self._matrix[:r, pivot_col].copy()
-            )
-        self._matrix[r] = row
+            row = row.translate(SCALE[gf256.inv(pivot_value)])
+        # Back-substitute into existing rows so the basis stays Gauss-Jordan
+        # reduced; this keeps `decode` trivial and `_reduce` single-pass.
+        rows, width = self._rows, len(row)
+        for index, stored in enumerate(rows):
+            factor = stored[pivot_col]
+            if factor:
+                rows[index] = (
+                    int.from_bytes(stored, "little")
+                    ^ int.from_bytes(row.translate(SCALE[factor]), "little")
+                ).to_bytes(width, "little")
+        rows.append(row)
         self._pivot_cols.append(pivot_col)
-        self._pivot_array[r] = pivot_col
-        self._rank = r + 1
+
+
+def rank_of_rows(rows: Iterable[bytes], size: int) -> int:
+    """Rank of the ``size``-byte headers of *rows*, by the incremental
+    eliminator."""
+    eliminator = IncrementalDecoder(size)
+    for row in rows:
+        eliminator.add_row(row[:size])
+    return eliminator.rank

@@ -26,33 +26,39 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.coding import gf256
-from repro.coding.block import BlockRows, CodedBlock, SegmentDescriptor
+from repro.coding.block import (
+    BlockRows,
+    CodedBlock,
+    SegmentDescriptor,
+    make_source_blocks,
+)
 from repro.coding.gf256 import Vector
-from repro.coding.linalg import DecoderSnapshot, IncrementalDecoder, rank as matrix_rank
+from repro.coding.linalg import DecoderSnapshot, IncrementalDecoder, rank_of_rows
 
 #: Either RNG flavour the codec accepts; draws are routed by isinstance.
 RngLike = Union[np.random.Generator, random.Random]
 
 
-def _draw_coefficients(rng: RngLike, count: int) -> Vector:
+def _draw_coefficients(rng: RngLike, count: int) -> bytes:
     """Draw *count* uniform GF(256) coefficients, rejecting the all-zero draw.
 
     An all-zero combination would emit the zero block, which carries no
     information; resampling keeps the output distribution uniform over the
-    remaining 256^count - 1 vectors.
+    remaining 256^count - 1 vectors.  One coefficient is drawn by numpy's
+    scalar path, which consumes the generator exactly as ``size=1`` does at
+    about half the cost.
     """
     if count < 1:
         raise ValueError(f"cannot draw coefficients for {count} blocks")
     while True:
-        coeffs: Vector
-        if isinstance(rng, np.random.Generator):
-            coeffs = rng.integers(0, 256, size=count, dtype=np.uint8)
+        if not isinstance(rng, np.random.Generator):
+            drawn = bytes(rng.randrange(256) for _ in range(count))
+        elif count == 1:
+            drawn = rng.integers(0, 256, dtype=np.uint8).tobytes()
         else:
-            coeffs = np.array(
-                [rng.randrange(256) for _ in range(count)], dtype=np.uint8
-            )
-        if coeffs.any():
-            return coeffs
+            drawn = rng.integers(0, 256, size=count, dtype=np.uint8).tobytes()
+        if drawn.count(0) != count:
+            return drawn
 
 
 def recode(
@@ -64,16 +70,15 @@ def recode(
 
     All inputs must be coded blocks of the same segment, all with a payload
     of one length or all without (:class:`BlockRows` checks on the way in).
-    One coefficient draw and one gather-XOR over the ``[header | payload]``
-    rows: the output's header is expressed over the segment's original
-    blocks and its payload is the same combination of the input payloads.
+    One coefficient draw and one :func:`gf256.combine_rows` over the
+    ``[header | payload]`` rows: the output's header is expressed over the
+    segment's original blocks and its payload is the same combination of
+    the input payloads.
     """
     held = blocks if isinstance(blocks, BlockRows) else BlockRows.of(blocks)
     rows = held.rows
-    local = _draw_coefficients(rng, rows.shape[0])
-    return CodedBlock(
-        held.segment, row=gf256.combine_rows(rows, local), created_at=created_at
-    )
+    row = gf256.combine_rows(rows, _draw_coefficients(rng, len(rows)))
+    return CodedBlock(held.segment, row=row, created_at=created_at)
 
 
 def encode_from_source(
@@ -82,16 +87,9 @@ def encode_from_source(
     rng: RngLike,
     created_at: float = 0.0,
 ) -> CodedBlock:
-    """Encode one coded block directly from a segment's original payloads."""
-    payloads = np.atleast_2d(np.asarray(payloads)).astype(np.uint8)
-    if payloads.shape[0] != segment.size:
-        raise ValueError(
-            f"expected {segment.size} original rows, got {payloads.shape[0]}"
-        )
-    coefficients = _draw_coefficients(rng, segment.size)
-    return CodedBlock(
-        segment, coefficients, gf256.combine_rows(payloads, coefficients), created_at
-    )
+    """Encode one coded block directly from a segment's original payloads:
+    a recode of its systematic blocks."""
+    return recode(make_source_blocks(segment, payloads), rng, created_at)
 
 
 class SegmentDecoder:
@@ -185,12 +183,10 @@ def rank_of_blocks(blocks: Sequence[CodedBlock]) -> int:
     Used by peers in full-RLNC mode to answer "how many linearly independent
     blocks of this segment do I hold?" after arbitrary TTL deletions.
     """
-    vectors = [b.coefficients for b in blocks if b.coefficients is not None]
-    if len(vectors) != len(blocks):
+    rows = [block.row for block in blocks if block.row is not None]
+    if len(rows) != len(blocks):
         raise ValueError("rank_of_blocks requires coded blocks")
-    if not vectors:
-        return 0
-    return matrix_rank(np.stack(vectors))
+    return rank_of_rows(rows, blocks[0].segment.size) if rows else 0
 
 
 def innovation_probability(
@@ -210,8 +206,7 @@ def innovation_probability(
     receiver_matrix = np.atleast_2d(receiver_matrix).astype(np.uint8)
     base = IncrementalDecoder(holder_blocks[0].segment.size)
     for row in receiver_matrix:
-        if row.any():
-            base.add(row)
+        base.add(row)
     held = BlockRows.of(holder_blocks)
     hits = 0
     for _ in range(trials):

@@ -24,7 +24,7 @@ import random
 from typing import Dict, List, Optional
 
 from repro.coding.block import BlockRows, CodedBlock, SegmentDescriptor
-from repro.coding.linalg import rank as matrix_rank
+from repro.coding.linalg import rank_of_rows
 from repro.coding.rlnc import RngLike, recode
 from repro.util.randomset import RandomizedSet, randbelow
 
@@ -70,7 +70,7 @@ class SegmentHolding:
             useful = len(self.blocks) - self.polluted_count
             return min(useful, self.descriptor.size)
         if self._rank_cache is None:
-            self._rank_cache = matrix_rank(self._rows.rows[:, : self.descriptor.size])
+            self._rank_cache = rank_of_rows(self._rows.rows, self.descriptor.size)
         return self._rank_cache
 
     def add(self, block: CodedBlock) -> None:
@@ -98,7 +98,7 @@ class SegmentHolding:
             else:
                 index = self.blocks.index(block)
                 del self.blocks[index]
-                rows.remove(index)
+                del rows.rows[index]
                 self._rank_cache = None
         except ValueError:
             return False

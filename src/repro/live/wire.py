@@ -18,8 +18,8 @@ Data plane (peer <-> peer, server -> peer)
     -server coupon pull.
 
 Coded blocks travel as their row — the GF(256) coefficient header followed
-by the coded payload, the block's one buffer verbatim as raw bytes (never
-through JSON) — plus the segment descriptor and the source segment's
+by the coded payload, the block's one immutable ``bytes`` row verbatim
+(never through JSON) — plus the segment descriptor and the source segment's
 payload digest, so any collector can verify a decoded segment end to end.
 """
 
@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import hashlib
 from typing import Any, Dict, Mapping, Tuple
-
-import numpy as np
 
 from repro.coding.block import CodedBlock, SegmentDescriptor
 from repro.core.params import MODE_RLNC, Parameters
@@ -115,7 +113,7 @@ def block_to_wire(
         "digest": digest,
         **extra,
     }
-    return header, block.row.tobytes()
+    return header, block.row
 
 
 def block_from_wire(header: Mapping[str, Any], payload: bytes) -> CodedBlock:
@@ -136,9 +134,8 @@ def block_from_wire(header: Mapping[str, Any], payload: bytes) -> CodedBlock:
             f"block payload is {len(payload)} byte(s), need more than the "
             f"{segment.size}-byte coefficient vector"
         )
-    # The copy makes the row writable (pollution zero-fills headers in place).
-    row = np.frombuffer(payload, dtype=np.uint8).copy()
-    return CodedBlock(segment, row=row, created_at=created_at, polluted=polluted)
+    # The frame's bytes are the row as they are: rows are immutable.
+    return CodedBlock(segment, row=payload, created_at=created_at, polluted=polluted)
 
 
 def session_block_from_wire(

@@ -33,7 +33,7 @@ from repro.coding.block import (
     make_source_blocks,
 )
 from repro.coding.linalg import IncrementalDecoder, rank, rref
-from repro.coding.rlnc import SegmentDecoder, recode
+from repro.coding.rlnc import SegmentDecoder, _draw_coefficients, recode
 from repro.core.peer import SegmentHolding
 from repro.core.system import CollectionSystem
 from repro.faults import FaultPlan
@@ -124,14 +124,33 @@ class TestRecodeEquivalence:
         segment = descriptor(3)
         blocks = make_source_blocks(segment, np.arange(12).reshape(3, 4))
         out = recode(blocks, np.random.default_rng(0))
-        assert out.row.shape == (7,) and out.row.flags["C_CONTIGUOUS"]
-        assert np.shares_memory(out.coefficients, out.row)
-        assert np.shares_memory(out.payload, out.row)
-        assert out.row.tobytes() == out.coefficients.tobytes() + out.payload.tobytes()
+        assert type(out.row) is bytes and len(out.row) == 7
+        assert out.coefficients.base is out.row and out.payload.base is out.row
+        assert out.row == out.coefficients.tobytes() + out.payload.tobytes()
+
+    def test_scalar_draw_is_the_array_stream(self):
+        """A one-block holding draws its coefficient by numpy's scalar path;
+        it must consume the generator exactly as the ``size=k`` array draw
+        does.  Half the 10^4 draws are of one coefficient, so the all-zero
+        rejection is taken too."""
+        lengths = np.random.default_rng(11).integers(1, 21, size=10_000)
+        lengths[::2] = 1
+        drawn_rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+        rejected = 0
+        for count in lengths.tolist():
+            drawn = _draw_coefficients(drawn_rng, count)
+            while True:
+                reference = reference_rng.integers(0, 256, size=count, dtype=np.uint8)
+                if reference.any():
+                    break
+                rejected += 1
+            assert type(drawn) is bytes and drawn == reference.tobytes()
+        assert rejected > 0
+        assert drawn_rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_header_only_block_has_no_payload(self):
         out = recode(make_source_blocks(descriptor(3)), np.random.default_rng(0))
-        assert out.payload is None and out.row.shape == (3,)
+        assert out.payload is None and len(out.row) == 3
 
 
 class TestValidationHoles:
@@ -220,10 +239,10 @@ class TestDecoderAgainstRref:
         basis = rng.integers(0, 256, size=(min(span, size), size), dtype=np.uint8)
 
         def row_for(header):
-            return np.concatenate((header, gf256.combine_rows(originals, header)))
+            return np.concatenate((header, gf256.mat_vec(originals.T, header)))
 
         stream = [
-            row_for(gf256.combine_rows(basis, rng.integers(0, 256, len(basis), np.uint8)))
+            row_for(gf256.mat_vec(basis.T, rng.integers(0, 256, len(basis), np.uint8)))
             for _ in range(size + 2)
         ]
         stream += [
@@ -248,8 +267,10 @@ class TestDecoderAgainstRref:
             assert decoder.rank == len(pivots) == before + innovative
             assert sorted(decoder._pivot_cols) == pivots
             order = np.argsort(decoder._pivot_cols)
-            live = decoder._matrix[: decoder.rank][order]
             if pivots:
+                live = np.frombuffer(
+                    b"".join(decoder._rows[index] for index in order), np.uint8
+                ).reshape(decoder.rank, -1)
                 assert np.array_equal(live, reduced[: len(pivots)])
         if decoder.is_complete and length:
             assert np.array_equal(decoder.decode(), originals)
@@ -295,10 +316,11 @@ class TestHoldingMatrix:
                 assert not holding.remove(victim)
             else:
                 holding.add(random_blocks(rng, segment, 1, length)[0])
-            assert holding._rows.count == holding.block_count
-            expected = [block.row for block in holding.blocks]
-            if expected:
-                assert np.array_equal(holding._rows.rows, np.stack(expected))
+            stored = holding._rows.rows
+            assert len(stored) == holding.block_count
+            # the blocks' own row objects, in order: stored without a copy
+            assert all(a is block.row for a, block in zip(stored, holding.blocks))
+            if stored:
                 headers = np.stack([block.coefficients for block in holding.blocks])
                 assert holding.independent_count() == rank(headers)
             else:
@@ -314,42 +336,52 @@ class TestHoldingMatrix:
         segment = descriptor(2)
         blocks = random_blocks(np.random.default_rng(0), segment, 9, 4)
         rows = BlockRows.of(blocks)
-        assert rows.count == 9
-        assert np.array_equal(rows.rows, np.stack([block.row for block in blocks]))
-        rows.remove(0)
-        rows.remove(7)
-        assert np.array_equal(
-            rows.rows, np.stack([block.row for block in blocks[1:8]])
-        )
+        assert rows.rows == [block.row for block in blocks]
+        del rows.rows[0]
+        del rows.rows[7]
+        assert rows.rows == [block.row for block in blocks[1:8]]
 
     def test_rows_are_copied_in_not_aliased(self):
-        """Pollution zero-fills the header of the *emitted* block in place
+        """Pollution invalidates the header of the *emitted* block
         (``faults/injector.py``): neither the holding it was recoded from
-        nor a holding that already stored it may see that write."""
+        nor a holding that already stored it may see that.  Rows are
+        immutable ``bytes`` shared without a copy, and pollution swaps in a
+        new row."""
         segment = descriptor(3)
         source = SegmentHolding(segment)
         for block in make_source_blocks(segment, np.arange(12).reshape(3, 4)):
             source.add(block)
         receiver = SegmentHolding(segment)
-        before = source._rows.rows.copy()
+        before = list(source._rows.rows)
         emitted = source.make_coded_block(np.random.default_rng(2), 0.0)
         receiver.add(emitted)
-        stored = receiver._rows.rows.copy()
-        assert stored[0, :3].any()
+        stored = list(receiver._rows.rows)
+        assert any(stored[0][:3])
         corrupt_block(emitted)
-        assert not emitted.coefficients.any() and not emitted.row[:3].any()
+        assert not emitted.coefficients.any() and not any(emitted.row[:3])
         assert emitted.payload.any()  # only the header is invalidated
-        assert np.array_equal(source._rows.rows, before)
-        assert np.array_equal(receiver._rows.rows, stored)
+        assert source._rows.rows == before
+        assert receiver._rows.rows == stored
 
     def test_single_block_holding_does_not_alias_its_emission(self):
+        """Nothing can write through an emission into the holding it came
+        from: the row is immutable, its views are read-only, and pollution
+        rebinds the emission's row alone.  (A one-row recode by the scalar
+        1 may return the very same row object.)"""
         segment = descriptor(2)
         holding = SegmentHolding(segment)
         holding.add(CodedBlock(segment, np.array([1, 0], np.uint8), np.array([5], np.uint8)))
         emitted = holding.make_coded_block(np.random.default_rng(0), 0.0)
-        emitted.row.fill(0)
-        assert holding._rows.rows.tolist() == [[1, 0, 5]]
-        assert holding.blocks[0].row.tolist() == [1, 0, 5]
+        with pytest.raises(TypeError):
+            emitted.row[0] = 0
+        for view in (emitted.coefficients, emitted.payload):
+            assert not view.flags["WRITEABLE"]
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0
+        corrupt_block(emitted)
+        assert emitted.row[:2] == bytes(2)
+        assert holding._rows.rows == [bytes([1, 0, 5])]
+        assert holding.blocks[0].row == bytes([1, 0, 5])
 
     def test_abstract_holding_keeps_no_matrix(self):
         holding = SegmentHolding(descriptor(2))
@@ -366,16 +398,20 @@ class TestWireIsTheRow:
             np.random.default_rng(4),
         )
         _, payload = wire.block_to_wire(wire.MSG_BLOCK, block, "")
-        assert payload == block.row.tobytes()
+        assert payload is block.row  # sent as it is, no copy
         assert payload == block.coefficients.tobytes() + block.payload.tobytes()
 
-    def test_received_block_is_writable(self):
+    def test_received_block_is_the_frame_bytes(self):
         block = make_source_blocks(descriptor(2), np.arange(6).reshape(2, 3))[0]
         header, payload = wire.block_to_wire(wire.MSG_PULL_BLOCK, block, "")
-        back = wire.block_from_wire(header, payload)
-        assert back.row.flags["WRITEABLE"] and back.row.tobytes() == payload
-        corrupt_block(back)  # zero-fills the header in place
-        assert not back.row[:2].any() and back.payload.tolist() == [0, 1, 2]
+        received = bytes(bytearray(payload))  # a frame's own bytes object
+        back = wire.block_from_wire(header, received)
+        assert back.row is received  # taken as the row, no copy
+        with pytest.raises(ValueError, match="read-only"):
+            back.coefficients[0] = 0
+        corrupt_block(back)  # swaps in a zero header plus the same payload
+        assert back.row == bytes([0, 0, 0, 1, 2]) and back.payload.tolist() == [0, 1, 2]
+        assert received == payload == bytes([1, 0, 0, 1, 2])
 
 
 FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_pr16_midrank.ckpt"
@@ -490,3 +526,38 @@ class TestPinnedRlncDigests:
         assert _digest(report.as_dict()) == (
             "908bd238ba32760c1e2da48e3aff759660606d10c8211819a95e2de3aa74d5fd"
         )
+
+
+class TestDecodeAtBenchGeometry:
+    """The coded path at the bench's geometry: ``event_rlnc``'s rates at
+    N = 100, s = 20 and 256-byte payloads, where recodes combine holdings of
+    up to 20 rows and decoders reach rank 20.  Every decoded segment must be
+    the injected one, byte for byte."""
+
+    def test_segments_decode_byte_for_byte(self, monkeypatch):
+        widest = []
+        combine = gf256.combine_rows
+
+        def recording_combine(rows, scalars):
+            widest.append(len(rows))
+            return combine(rows, scalars)
+
+        monkeypatch.setattr(gf256, "combine_rows", recording_combine)
+
+        def payloads(descriptor):
+            rng = np.random.default_rng([1, descriptor.segment_id])
+            return rng.integers(0, 256, size=(20, 256), dtype=np.uint8)
+
+        params = Parameters(
+            n_peers=100, arrival_rate=20.0, gossip_rate=10.0, deletion_rate=1.0,
+            normalized_capacity=8.0, segment_size=20, n_servers=4,
+            mode="rlnc", payload_bytes=256,
+        )
+        system = CollectionSystem(params, seed=1, payload_provider=payloads)
+        system.run_until(2.0)
+        system.consistency_check()
+        assert max(widest) >= 20
+        assert len(system.collected_data) >= 5
+        for descriptor, rows in system.collected_data.values():
+            assert rows.shape == (20, 256)
+            assert rows.tobytes() == payloads(descriptor).tobytes()

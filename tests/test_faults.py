@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.coding.block import make_abstract_blocks
+from repro.coding.block import CodedBlock, make_abstract_blocks
 from repro.core.params import ENGINE_EVENT, ENGINE_FAST, Parameters
 from repro.core.system import CollectionSystem
 from repro.fastsim.system import FastCollectionSystem
@@ -243,11 +243,13 @@ class TestFaultInjectorUnit:
         descriptor = SegmentDescriptor(
             segment_id=0, source_peer=0, size=2, injected_at=0.0
         )
-        block = make_abstract_blocks(descriptor, 1, 0.0)[0]
-        block.coefficients = np.array([3, 7], dtype=np.uint8)
+        block = CodedBlock(
+            descriptor, np.array([3, 7], dtype=np.uint8), np.array([9], dtype=np.uint8)
+        )
         corrupt_block(block)
         assert block.polluted
         assert not block.coefficients.any()
+        assert block.payload.tolist() == [9]
 
     def test_burst_size_bounds(self):
         _, _, injector = make_injector(

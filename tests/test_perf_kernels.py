@@ -87,23 +87,6 @@ class TestKernelsAgainstScalarOps:
         )
         assert np.array_equal(gf256.vec_mul(a, b), expected)
 
-    def test_vec_addmul_rows_matches_loop(self):
-        rows = self.rng.integers(0, 256, size=(9, 40), dtype=np.uint8)
-        scalars = self._vec(9)
-        expected = self._vec(40)
-        acc = expected.copy()
-        for row, scalar in zip(rows, scalars):
-            gf256.vec_addmul(expected, row, int(scalar))
-        gf256.vec_addmul_rows(acc, rows, scalars)
-        assert np.array_equal(acc, expected)
-
-    def test_vec_addmul_rows_all_zero_scalars_is_noop(self):
-        rows = self.rng.integers(0, 256, size=(4, 8), dtype=np.uint8)
-        acc = self._vec(8)
-        before = acc.copy()
-        gf256.vec_addmul_rows(acc, rows, np.zeros(4, dtype=np.uint8))
-        assert np.array_equal(acc, before)
-
     def test_rows_addmul_matches_loop(self):
         rows = self.rng.integers(0, 256, size=(7, 33), dtype=np.uint8)
         expected = rows.copy()
@@ -115,19 +98,28 @@ class TestKernelsAgainstScalarOps:
         assert np.array_equal(rows, expected)
 
     def test_combine_rows_matches_loop(self):
-        rows = self.rng.integers(0, 256, size=(5, 21), dtype=np.uint8)
-        scalars = self._vec(5)
-        expected = np.zeros(21, dtype=np.uint8)
-        for row, scalar in zip(rows, scalars):
-            gf256.vec_addmul(expected, row, int(scalar))
-        assert np.array_equal(gf256.combine_rows(rows, scalars), expected)
+        """Bytes rows against the numpy axpy, for one row (the ``translate``
+        path) and many, with zero scalars and zero rows among them."""
+        for count in (1, 2, 5, 20):
+            rows = self.rng.integers(0, 256, size=(count, 21), dtype=np.uint8)
+            scalars = self._vec(count)
+            rows[-1] = 0
+            if count > 1:
+                scalars[0] = 0
+            expected = np.zeros(21, dtype=np.uint8)
+            for row, scalar in zip(rows, scalars):
+                gf256.vec_addmul(expected, row, int(scalar))
+            combined = gf256.combine_rows(
+                [row.tobytes() for row in rows], scalars.tobytes()
+            )
+            assert type(combined) is bytes and combined == expected.tobytes()
 
     def test_batched_kernels_reject_misaligned_shapes(self):
         rows = self.rng.integers(0, 256, size=(3, 6), dtype=np.uint8)
         with pytest.raises(ValueError):
-            gf256.vec_addmul_rows(self._vec(6), rows, self._vec(2))
+            gf256.combine_rows([row.tobytes() for row in rows], bytes(2))
         with pytest.raises(ValueError):
-            gf256.vec_addmul_rows(self._vec(5), rows, self._vec(3))
+            gf256.combine_rows([], b"")
         with pytest.raises(ValueError):
             gf256.rows_addmul(rows, self._vec(5), self._vec(3))
         with pytest.raises(ValueError):
@@ -333,7 +325,7 @@ class TestDecoderEquivalence:
         decoder = IncrementalDecoder(size)
         while not decoder.is_complete:
             coeffs = rng.integers(0, 256, size=size, dtype=np.uint8)
-            payload = gf256.combine_rows(originals, coeffs)
+            payload = gf256.mat_vec(originals.T, coeffs)
             decoder.add(coeffs, payload)
         assert np.array_equal(decoder.decode(), originals)
 
