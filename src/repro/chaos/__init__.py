@@ -28,7 +28,6 @@ from repro.chaos.monitors import (
     MonitorSuite,
     runtime_monitors,
 )
-from repro.chaos.mutants import MUTANTS, apply_mutant
 from repro.chaos.shrink import ShrinkResult, shrink_trial, write_repro
 from repro.chaos.space import CHAOS_CAMPAIGN, PlanSpace, TrialConfig, sample_trial
 
@@ -37,12 +36,10 @@ __all__ = [
     "InvariantMonitor",
     "InvariantViolation",
     "MonitorSuite",
-    "MUTANTS",
     "PlanSpace",
     "ShrinkResult",
     "TrialConfig",
     "TrialOutcome",
-    "apply_mutant",
     "run_trial",
     "runtime_monitors",
     "sample_trial",

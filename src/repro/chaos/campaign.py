@@ -22,7 +22,6 @@ from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.chaos.harness import TrialOutcome, run_trial
-from repro.chaos.mutants import MUTANTS, mutant_names
 from repro.chaos.space import CHAOS_CAMPAIGN, sample_trial
 from repro.experiments.base import (
     ExperimentPlan,
@@ -35,15 +34,10 @@ from repro.util.codec import decode, encode
 
 
 def campaign_options(
-    budget: int,
-    seed: int,
-    mutant: Optional[str] = None,
-    every: Optional[int] = None,
+    budget: int, seed: int, every: Optional[int] = None
 ) -> Dict[str, Any]:
     """JSON-clean options mapping for a chaos campaign spec."""
     options: Dict[str, Any] = {"budget": int(budget), "seed": int(seed)}
-    if mutant is not None:
-        options["mutant"] = str(mutant)
     if every is not None:
         options["every"] = int(every)
     return options
@@ -54,11 +48,10 @@ def build_chaos_plan(
 ) -> ExperimentPlan:
     """Build the task grid of one chaos campaign.
 
-    ``options``: ``budget`` (trial count), ``seed`` (campaign seed),
-    optional ``mutant`` (seeded defect applied to every trial) and
-    ``every`` (monitor cadence override).  The :class:`SimBudget` argument
-    is part of the builder signature contract but unused — chaos trials
-    size themselves from the sampled plan-space, not the quality presets.
+    ``options``: ``budget`` (trial count), ``seed`` (campaign seed) and
+    optional ``every`` (monitor cadence override).  The :class:`SimBudget`
+    argument is in the signature every plan function shares, and unused:
+    chaos trials size themselves from the sampled plan-space.
     """
     del budget  # trials carry their own horizons and populations
     if name != CHAOS_CAMPAIGN:
@@ -69,18 +62,12 @@ def build_chaos_plan(
     if n_trials < 1:
         raise ValueError(f"campaign budget must be >= 1 trial, got {n_trials}")
     seed = int(options.get("seed", 0))
-    raw_mutant = options.get("mutant")
-    mutant = str(raw_mutant) if raw_mutant else None
-    if mutant is not None and mutant not in MUTANTS:
-        raise ValueError(
-            f"unknown mutant {mutant!r}; available: {', '.join(mutant_names())}"
-        )
     raw_every = options.get("every")
     every = int(raw_every) if raw_every is not None else None
 
     def make_task(trial_id: int) -> SimTask:
         def thunk() -> Payload:
-            config = sample_trial(seed, trial_id, mutant=mutant)
+            config = sample_trial(seed, trial_id)
             if every is not None:
                 config = replace(config, every=every)
             return encode(run_trial(config))
@@ -92,10 +79,7 @@ def build_chaos_plan(
     def merge(payloads: Mapping[str, Payload]) -> SeriesResult:
         result = SeriesResult(
             name=CHAOS_CAMPAIGN,
-            title=(
-                f"chaos campaign: {n_trials} trials, seed={seed}"
-                + (f", mutant={mutant}" if mutant else "")
-            ),
+            title=f"chaos campaign: {n_trials} trials, seed={seed}",
             x_name="trial",
             x_values=[float(i) for i in range(n_trials)],
         )

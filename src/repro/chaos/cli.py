@@ -3,7 +3,6 @@
 ::
 
     repro chaos run --budget 200 --workers 4 --seed 7
-    repro chaos run --budget 40 --mutant buffer-cap-off-by-one
     repro chaos run --budget 200 --resume chaos-campaign-001
     repro chaos replay runs/chaos-campaign-002/repro-00013.json
 
@@ -24,7 +23,6 @@ from typing import List, Optional
 
 from repro.chaos.campaign import campaign_options, outcomes_from_payloads
 from repro.chaos.harness import TrialOutcome, run_trial
-from repro.chaos.mutants import mutant_names
 from repro.chaos.shrink import load_repro, shrink_trial, write_repro
 from repro.chaos.space import CHAOS_CAMPAIGN, TrialConfig
 from repro.experiments.base import QUALITY_FAST, budget_for
@@ -63,13 +61,6 @@ def build_chaos_parser() -> argparse.ArgumentParser:
         "(default 0)",
     )
     run.add_argument(
-        "--mutant", default=None, metavar="NAME",
-        help=(
-            "apply a seeded defect to every trial (positive control); "
-            f"one of: {', '.join(mutant_names())}"
-        ),
-    )
-    run.add_argument(
         "--every", type=int, default=None, metavar="K",
         help="override the sampled monitor cadence (events per sweep)",
     )
@@ -99,15 +90,12 @@ def build_chaos_parser() -> argparse.ArgumentParser:
 def _chaos_run(args: argparse.Namespace) -> int:
     def fresh_spec() -> RunSpec:
         options = campaign_options(
-            budget=args.budget,
-            seed=args.seed,
-            mutant=args.mutant,
-            every=args.every,
+            budget=args.budget, seed=args.seed, every=args.every
         )
         spec = RunSpec.create(
             CHAOS_CAMPAIGN, QUALITY_FAST, budget_for(QUALITY_FAST), options
         )
-        spec.build_plan()  # surface bad --budget/--mutant before journaling
+        spec.build_plan()  # surface a bad --budget before journaling
         return spec
 
     return run_session(

@@ -6,8 +6,8 @@ reduced configs, and ``repro chaos replay`` calls it once.  It never raises
 on a violation — the verdict is *data* (:class:`TrialOutcome`), because a
 violating trial is the campaign's successful output, not its crash.  Any
 unexpected exception inside the simulated run is likewise folded into the
-outcome (monitor ``"exception"``): a mutant that makes the system throw
-instead of drifting is still a caught mutant, and must not look like a
+outcome (monitor ``"exception"``): a defect that makes the system throw
+instead of drifting is still a caught defect, and must not look like a
 worker fault the pool would retry.
 """
 
@@ -23,7 +23,6 @@ from repro.chaos.monitors import (
     MonitorSuite,
     runtime_monitors,
 )
-from repro.chaos.mutants import apply_mutant
 from repro.chaos.space import TrialConfig
 from repro.core.params import MODE_RLNC
 from repro.core.system import CollectionSystem
@@ -64,14 +63,10 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     """Execute one monitored chaos trial and return its verdict.
 
     Deterministic: the outcome is a pure function of *config* (seed, plan,
-    horizon, mutant, monitor cadence all included), which is what makes
-    ``repro.json`` replays and shrinker probes meaningful.
+    horizon and monitor cadence all included) and of the code it runs,
+    which is what makes ``repro.json`` replays and shrinker probes
+    meaningful.
     """
-    with apply_mutant(config.mutant):
-        return _run_monitored(config)
-
-
-def _run_monitored(config: TrialConfig) -> TrialOutcome:
     monitor: Optional[str] = None
     message: Optional[str] = None
     checks_run = 0

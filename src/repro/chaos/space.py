@@ -44,9 +44,7 @@ class TrialConfig:
     ``params``, ``plan``, and ``adversary`` are JSON-clean keyword
     dictionaries for :class:`Parameters`, :class:`FaultPlan`, and
     :class:`AdversaryPlan`; ``seed`` feeds the system's seed registry;
-    ``every`` is the invariant-monitor cadence in executed events;
-    ``mutant`` optionally names a seeded defect from
-    :mod:`repro.chaos.mutants` to apply for the trial's duration.
+    ``every`` is the invariant-monitor cadence in executed events.
     """
 
     trial_id: int
@@ -56,7 +54,6 @@ class TrialConfig:
     warmup: float
     duration: float
     every: int
-    mutant: Optional[str] = None
     adversary: Dict[str, Any] = field(default_factory=dict)
 
     def parameters(self) -> Parameters:
@@ -85,7 +82,6 @@ class TrialConfig:
             f"T={self.warmup:g}+{self.duration:g} every={self.every} "
             f"[{faults}]"
             + (f" [{adversary.describe()}]" if adversary is not None else "")
-            + (f" mutant={self.mutant}" if self.mutant else "")
         )
 
 
@@ -326,12 +322,7 @@ class PlanSpace:
             )
         return adversary
 
-    def sample(
-        self,
-        rng: random.Random,
-        trial_id: int,
-        mutant: Optional[str] = None,
-    ) -> TrialConfig:
+    def sample(self, rng: random.Random, trial_id: int) -> TrialConfig:
         """Draw one trial from the space using *rng* exclusively."""
         params = self._sample_params(rng)
         warmup = round(self._uniform(rng, self.warmup), 6)
@@ -353,7 +344,6 @@ class PlanSpace:
             warmup=warmup,
             duration=duration,
             every=self._randint(rng, self.every),
-            mutant=mutant,
         )
         # Fail at sampling time, not inside a worker, if the space ever
         # drifts outside the validated parameter envelope.
@@ -365,7 +355,6 @@ def sample_trial(
     campaign_seed: int,
     trial_id: int,
     space: Optional[PlanSpace] = None,
-    mutant: Optional[str] = None,
 ) -> TrialConfig:
     """Draw campaign trial *trial_id* — a pure function of the arguments.
 
@@ -377,4 +366,4 @@ def sample_trial(
         raise ValueError(f"trial_id must be >= 0, got {trial_id}")
     space = space if space is not None else PlanSpace()
     rng = SeedSequenceRegistry(campaign_seed).python(f"chaos-trial-{trial_id}")
-    return space.sample(rng, trial_id, mutant=mutant)
+    return space.sample(rng, trial_id)

@@ -3,9 +3,6 @@
 Also reachable as ``repro lint ...`` through the main CLI.  Exit status is
 0 when the tree is clean, 1 when findings (strict: or warnings/waiver
 problems) remain, 2 on usage errors.
-
-Beyond the basic scan, the CLI fronts the seeded-violation positive
-controls (``--self-test``); see docs/LINTING.md.
 """
 
 from __future__ import annotations
@@ -54,14 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the machine-readable JSON report to PATH ('-' for stdout)",
     )
     parser.add_argument(
-        "--self-test",
-        action="store_true",
-        help=(
-            "positive controls: seed each known violation mutant into a "
-            "package copy and assert its pass detects it"
-        ),
-    )
-    parser.add_argument(
         "--quiet",
         action="store_true",
         help="suppress the text report (exit status only)",
@@ -78,12 +67,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         listed = ", ".join(str(path) for path in missing)
         print(f"error: no such path: {listed}", file=sys.stderr)
         return 2
-
-    if args.self_test:
-        from repro.lint.mutants import run_self_test
-
-        package_dir = args.paths[0] if args.paths else None
-        return run_self_test(package_dir, verbose=not args.quiet)
 
     report = run_lint(paths)
     if report.files_scanned == 0 and not report.problems:

@@ -1,4 +1,9 @@
-"""Tests for the chaos layer: sampler, monitors, mutants, shrinker, CLI."""
+"""Tests for the chaos layer: sampler, monitors, seeded defects, shrinker, CLI.
+
+The seeded defects are the chaos entries of the catalogue in
+``tests/mutants.py``: each runs as a campaign on its own mutated copy of
+the tree, once per module (``caught``).
+"""
 
 import json
 
@@ -8,11 +13,9 @@ from repro.chaos import (
     CHAOS_CAMPAIGN,
     InvariantViolation,
     MonitorSuite,
-    MUTANTS,
     PlanSpace,
     TrialConfig,
     TrialOutcome,
-    apply_mutant,
     run_trial,
     runtime_monitors,
     sample_trial,
@@ -29,6 +32,7 @@ from repro.experiments.base import QUALITY_FAST, budget_for
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 from repro.util.codec import decode, encode
+from tests.mutants import MUTANTS, Chaos, run_mutant
 
 
 def small_params(**overrides):
@@ -146,7 +150,7 @@ class TestSampler:
         assert saw_window_at_zero and saw_rlnc
 
     def test_config_json_round_trip(self):
-        config = sample_trial(9, 3, mutant="buffer-cap-off-by-one")
+        config = sample_trial(9, 3)
         clone = decode(TrialConfig, json.loads(json.dumps(encode(config))))
         assert clone == config
 
@@ -243,39 +247,42 @@ class TestMonitors:
             assert rows.shape[1] == 4
 
 
-# -- seeded mutants -----------------------------------------------------------
+# -- seeded mutants ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def caught(tmp_path_factory):
+    """``caught(name)``: the kill-matrix rows of one chaos mutant and the
+    directory holding its mutated copy and campaign, checked once."""
+    checked = {}
+
+    def check(name):
+        if name not in checked:
+            work = tmp_path_factory.mktemp(name)
+            checked[name] = run_mutant(MUTANTS[name], work), work
+        return checked[name]
+
+    return check
 
 
 class TestMutants:
-    @pytest.mark.parametrize("name", sorted(MUTANTS))
-    def test_mutant_caught_by_expected_monitor(self, name):
-        caught = None
-        for trial_id in range(25):
-            outcome = run_trial(sample_trial(7, trial_id, mutant=name))
-            if not outcome.ok:
-                caught = outcome
-                break
-        assert caught is not None, f"mutant {name} survived 25 trials"
-        assert caught.monitor == MUTANTS[name].caught_by
-
-    def test_mutant_patch_is_undone(self):
-        original = Peer.__dict__["is_full"]
-        with apply_mutant("buffer-cap-off-by-one"):
-            assert Peer.__dict__["is_full"] is not original
-        assert Peer.__dict__["is_full"] is original
-
-    def test_clean_trial_after_mutant_trial_passes(self):
-        run_trial(sample_trial(7, 0, mutant="churn-leaks-registry-degree"))
-        assert run_trial(sample_trial(7, 0)).ok
-
-    def test_unknown_mutant_rejected(self):
-        with pytest.raises(ValueError):
-            with apply_mutant("nonexistent-mutant"):
-                pass
-
-    def test_none_is_noop(self):
-        with apply_mutant(None):
-            pass
+    @pytest.mark.parametrize(
+        "name,monitor",
+        [
+            pytest.param("buffer-cap-off-by-one", "buffer-cap",
+                         id="buffer-cap-off-by-one"),
+            pytest.param("decoder-skip-elimination", "decode-fidelity",
+                         id="decoder-skip-elimination"),
+            pytest.param("churn-leaks-registry-degree", "block-conservation",
+                         id="churn-leaks-registry-degree"),
+        ],
+    )
+    def test_mutant_caught_by_expected_monitor(self, name, monitor, caught):
+        """The campaign on the mutated copy exits 1, a reproducer names
+        *monitor*, and it replays on the copy but not on the shipped tree."""
+        rows, _ = caught(name)
+        assert [row.check for row in rows] == [Chaos(monitor)]
+        assert rows[0].verdict == "killed", rows[0].detail
 
 
 # -- trial harness ------------------------------------------------------------
@@ -315,9 +322,15 @@ class TestHarness:
 
 
 class TestShrink:
-    @pytest.fixture(scope="class")
-    def failing(self):
-        config = sample_trial(7, 0, mutant="buffer-cap-off-by-one")
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        """A trial that fails in this process: the shrinker probes it here,
+        so the buffer-cap defect is seeded for the test's duration."""
+        monkeypatch.setattr(
+            Peer, "is_full",
+            property(lambda peer: peer.block_count >= peer.capacity + 1),
+        )
+        config = sample_trial(7, 0)
         outcome = run_trial(config)
         assert not outcome.ok and outcome.monitor == "buffer-cap"
         return config, outcome
@@ -378,26 +391,18 @@ class TestCampaign:
         assert result.series["ok"] == [1.0, 1.0, 1.0]
         assert any("0/3 trials violated" in note for note in result.notes)
 
-    def test_mutant_campaign_reports_violations(self):
-        plan = build_chaos_plan(
-            CHAOS_CAMPAIGN,
-            budget_for(QUALITY_FAST),
-            campaign_options(
-                budget=2, seed=7, mutant="churn-leaks-registry-degree"
-            ),
+    def test_mutant_campaign_reports_violations(self, caught):
+        _, work = caught("churn-leaks-registry-degree")
+        result = json.loads(
+            (work / "runs" / "block-conservation" / "result.json").read_text()
         )
-        result = plan.run_serial()
-        assert 0.0 in result.series["ok"]
-        assert any("block-conservation" in note for note in result.notes)
+        assert 0.0 in result["series"]["ok"]
+        assert any("block-conservation" in note for note in result["notes"])
 
     def test_bad_options_rejected(self):
         budget = budget_for(QUALITY_FAST)
         with pytest.raises(ValueError):
             build_chaos_plan(CHAOS_CAMPAIGN, budget, {"budget": 0})
-        with pytest.raises(ValueError):
-            build_chaos_plan(
-                CHAOS_CAMPAIGN, budget, {"budget": 1, "mutant": "bogus"}
-            )
         with pytest.raises(ValueError):
             build_chaos_plan("chaos-unknown", budget, {"budget": 1})
 
@@ -429,33 +434,18 @@ class TestChaosCli:
         assert status == 0
         assert "0 violation(s)" in capsys.readouterr().out
 
-    def test_mutant_campaign_exits_one_and_writes_repros(
-        self, tmp_path, capsys
-    ):
-        status = chaos_main(
-            [
-                "run", "--budget", "2", "--seed", "7",
-                "--mutant", "churn-leaks-registry-degree",
-                "--max-shrink", "1", "--shrink-probes", "16",
-                "--runs-dir", str(tmp_path), "--no-progress",
-            ]
-        )
-        assert status == 1
-        repros = sorted(tmp_path.glob("*/repro-*.json"))
-        assert repros
-        capsys.readouterr()
-        assert chaos_main(["replay", str(repros[0])]) == 0
-        assert "reproduced" in capsys.readouterr().out
+    def test_mutant_campaign_exits_one_and_writes_repros(self, caught):
+        """On a mutated copy: exit 1, and the reproducers it writes replay
+        there with exit 0 (the catalogue's chaos check asserts both)."""
+        rows, work = caught("churn-leaks-registry-degree")
+        assert rows[0].verdict == "killed", rows[0].detail
+        assert sorted(work.glob("runs/block-conservation/repro-*.json"))
 
-    def test_replay_of_fixed_code_fails_closed(self, tmp_path, capsys):
-        """A repro whose bug is 'fixed' (mutant stripped) exits non-zero."""
-        config = sample_trial(7, 0, mutant="buffer-cap-off-by-one")
-        outcome = run_trial(config)
-        path = write_repro(tmp_path / "repro.json", outcome)
-        payload = json.loads(path.read_text())
-        payload["config"]["mutant"] = None  # "fix" the bug
-        path.write_text(json.dumps(payload))
-        assert chaos_main(["replay", str(path)]) == 1
+    def test_replay_of_fixed_code_fails_closed(self, caught, capsys):
+        """A reproducer written on a mutated copy exits 1 on this tree."""
+        _, work = caught("buffer-cap-off-by-one")
+        repro = sorted(work.glob("runs/buffer-cap/repro-*.json"))[0]
+        assert chaos_main(["replay", str(repro)]) == 1
         assert "NOT reproduced" in capsys.readouterr().err
 
     def test_resume_round_trip(self, tmp_path, capsys):

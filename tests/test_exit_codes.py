@@ -3,17 +3,23 @@
 0 = done; 1 = the check the command exists for failed; 2 = usage or
 invalid configuration, exactly one ``error: …`` line on stderr and no
 traceback; 3 = checkpointed, resumable.  Everything goes through
-``repro.cli.main``, the dispatcher every command shares.
+``repro.cli.main``, the dispatcher every command shares.  A chaos campaign
+exits 1 only on defective code, so that row runs ``python -m repro`` on a
+mutated copy of the tree (``tests/mutants.py``).
 """
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.core.params import Parameters
+from tests.mutants import MUTANTS, apply_mutant
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
@@ -49,7 +55,6 @@ def _argv(template, tmp_path):
         ["live", "swarm", "--n-peers", "4", "--time-scale", "0"],
         ["live", "serve", "--params-json", "{tmp}/missing.json"],
         ["live", "serve", "--params-json", "{tmp}/round-robin.json"],
-        ["chaos", "run", "--mutant", "no-such-mutant", *SESSION],
         ["chaos", "replay", "{tmp}/missing.json"],
         ["lint", "{tmp}/missing"],
     ],
@@ -74,6 +79,10 @@ def test_invalid_configuration_exits_2_with_one_error_line(
     assert line.startswith("error: ")
 
 
+#: The row that needs defective code: a seeded mutant the campaign catches.
+VIOLATIONS_MUTANT = "churn-leaks-registry-degree"
+
+
 @pytest.mark.parametrize(
     "template,code",
     [
@@ -85,7 +94,6 @@ def test_invalid_configuration_exits_2_with_one_error_line(
         (
             [
                 "chaos", "run", "--budget", "2", "--seed", "7",
-                "--mutant", "churn-leaks-registry-degree",
                 "--max-shrink", "0", *SESSION,
             ],
             1,
@@ -113,7 +121,20 @@ def test_invalid_configuration_exits_2_with_one_error_line(
         "lint-findings", "live-swarm-done",
     ],
 )
-def test_done_failed_and_checkpointed_codes(template, code, tmp_path, capsys):
+def test_done_failed_and_checkpointed_codes(
+    request, template, code, tmp_path, capsys
+):
+    if request.node.callspec.id == "chaos-violations":
+        tree = tmp_path / "tree"
+        apply_mutant(MUTANTS[VIOLATIONS_MUTANT], tree)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *_argv(template, tmp_path)],
+            cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        return
     assert main(_argv(template, tmp_path)) == code
     assert "Traceback" not in capsys.readouterr().err
 

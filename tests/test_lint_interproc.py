@@ -1,14 +1,14 @@
 """Goldens and integration tests for the scoped lint passes.
 
-Covers the R8 worker-boundary pass and the seeded-violation positive
-controls.  Fixture goldens pin exact (rule, path, line) triples, same
+Covers the R8 worker-boundary pass and its positive controls: the lint
+entries of the seeded-defect catalogue in ``tests/mutants.py``.  Fixture goldens pin exact (rule, path, line) triples, same
 discipline as ``test_lint.py``.
 """
 
 from pathlib import Path
 
 from repro.lint import run_lint
-from repro.lint.mutants import MUTANTS, run_self_test
+from tests.mutants import CATALOGUE, Lint, main as run_catalogue
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
@@ -47,15 +47,31 @@ class TestR8WorkerBoundary:
         assert report.problems == []
 
 
+LINT_MUTANTS = [
+    mutant.name
+    for mutant in CATALOGUE
+    if any(isinstance(check, Lint) for check in mutant.killers)
+]
+
+
 class TestPositiveControls:
     def test_mutant_catalog_shape(self):
-        assert {m.rule for m in MUTANTS} == {"R1", "R8"}
-        names = [m.name for m in MUTANTS]
-        assert len(names) == len(set(names))
+        killers = {
+            (mutant.name, check)
+            for mutant in CATALOGUE
+            for check in mutant.killers
+            if isinstance(check, Lint)
+        }
+        assert killers == {
+            ("rng-smuggled-through-helper", Lint("R1", "sim/rng.py")),
+            ("fork-shared-result-cache", Lint("R8", "runner/pool.py")),
+        }
 
-    def test_all_seeded_violations_detected(self):
-        """Acceptance: each mutant is caught by its rule in its file."""
-        assert run_self_test(verbose=False) == 0
+    def test_all_seeded_violations_detected(self, capsys):
+        """Acceptance: each mutant is caught by its rule in its file, with
+        no waiver or parse problems in the scan."""
+        assert run_catalogue(LINT_MUTANTS) == 0, capsys.readouterr().out
 
-    def test_unknown_mutant_name_rejected(self):
-        assert run_self_test(names=["no-such-mutant"], verbose=False) == 2
+    def test_unknown_mutant_name_rejected(self, capsys):
+        assert run_catalogue(["no-such-mutant"]) == 2
+        assert "unknown mutant" in capsys.readouterr().err
