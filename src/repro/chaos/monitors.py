@@ -42,17 +42,10 @@ from typing import (
 
 import numpy as np
 
+from repro.util.invariants import InvariantViolation
+
 if TYPE_CHECKING:  # imported lazily everywhere else to avoid a core cycle
     from repro.core.system import CollectionSystem
-
-
-class InvariantViolation(AssertionError):
-    """One invariant monitor fired; carries the monitor name and message."""
-
-    def __init__(self, monitor: str, message: str) -> None:
-        super().__init__(f"[{monitor}] {message}")
-        self.monitor = monitor
-        self.message = message
 
 
 class InvariantMonitor:

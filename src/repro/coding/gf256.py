@@ -92,6 +92,8 @@ SCALE: Tuple[bytes, ...] = tuple(bytes(row) for row in MUL_TABLE)
 #: and where each scalar's table row starts in it, as a ``(256, 1)`` column.
 _FLAT_TABLE: Vector = MUL_TABLE.reshape(-1)
 _ROW_START = (np.arange(ORDER, dtype=np.uint16) << 8)[:, None]
+#: ``INVERSE[a] == inv(a)`` for ``a != 0``, one byte each (``INVERSE[0]`` is 0).
+INVERSE = bytes([0]) + bytes(EXP_TABLE[255 - LOG_TABLE[1:ORDER]].tolist())
 
 
 def validate_symbol(value: int) -> int:
@@ -127,7 +129,7 @@ def inv(a: int) -> int:
     a = validate_symbol(a)
     if a == 0:
         raise ZeroDivisionError("0 has no multiplicative inverse in GF(256)")
-    return int(EXP_TABLE[255 - LOG_TABLE[a]])
+    return INVERSE[a]
 
 
 def div(a: int, b: int) -> int:
@@ -307,51 +309,3 @@ def rows_addmul(rows: Vector, vector: Vector, scalars: Vector) -> None:
         np.bitwise_or(_ROW_START[scalars], vector), mode="clip"
     )
     np.bitwise_xor(rows, products, out=rows)
-
-
-def vec_mul(a: Vector, b: Vector) -> Vector:
-    """Element-wise field multiplication of two uint8 arrays."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    result: Vector = MUL_TABLE[a, b]
-    return result
-
-
-def mat_vec(matrix: Vector, vector: Vector) -> Vector:
-    """GF(256) matrix-vector product (rows of *matrix* dot *vector*)."""
-    matrix = np.atleast_2d(matrix)
-    if matrix.shape[1] != vector.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix {matrix.shape} x vector {vector.shape}"
-        )
-    if matrix.shape[1] == 0:
-        return np.zeros(matrix.shape[0], dtype=np.uint8)
-    products = MUL_TABLE[matrix, vector[None, :]]
-    result: Vector = np.bitwise_xor.reduce(products, axis=1)
-    return result
-
-
-#: Element budget for one mat_mul broadcast; larger products are chunked
-#: over the contraction axis to bound peak memory at ~4 MiB per step.
-_MAT_MUL_CHUNK_ELEMS = 1 << 22
-
-
-def mat_mul(a: Vector, b: Vector) -> Vector:
-    """GF(256) matrix-matrix product."""
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    m, k = a.shape
-    p = b.shape[1]
-    out = np.zeros((m, p), dtype=np.uint8)
-    if k == 0:
-        return out
-    step = max(1, _MAT_MUL_CHUNK_ELEMS // max(1, m * p))
-    for start in range(0, k, step):
-        stop = min(k, start + step)
-        products = MUL_TABLE[a[:, start:stop, None], b[None, start:stop, :]]
-        np.bitwise_xor(
-            out, np.bitwise_xor.reduce(products, axis=1), out=out
-        )
-    return out

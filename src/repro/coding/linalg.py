@@ -4,7 +4,7 @@ Two styles of elimination are provided:
 
 - batch helpers (:func:`rank`, :func:`rref`, :func:`solve`, :func:`invert`)
   over ``uint8`` numpy matrices, used by tests and by offline decoding, and
-- :class:`IncrementalDecoder`, a progressive Gauss-Jordan eliminator that
+- :class:`IncrementalDecoder`, a progressive Gaussian eliminator that
   accepts one coded block at a time and answers the question the protocol
   actually asks: *is this block innovative?*  Servers (and, in full-RLNC
   mode, peers) keep one instance per segment.
@@ -13,15 +13,22 @@ The paper notes that decoding a segment of ``s`` blocks costs about ``O(s)``
 operations per input block once blocks arrive; the incremental decoder has
 exactly that per-block profile: one elimination pass against at most ``s``
 pivot rows, each a ``bytes.translate`` through
-:data:`repro.coding.gf256.SCALE` and an integer XOR over the whole
-``[header | payload]`` row.
+:data:`repro.coding.gf256.SCALE` and an integer XOR.  The pass runs over
+the ``s``-byte headers first and touches a payload only when the header
+survives, i.e. only for an innovative row.
 
-Reading every elimination factor from the incoming row up-front is exact:
-stored pivot rows are kept mutually Gauss-Jordan reduced, i.e.
-``row_i[pivot_col_j] == (1 if i == j else 0)``.  Eliminating with ``row_i``
-therefore never changes the incoming row's entry at any *other* pivot
-column, so the factors read up-front equal the factors the sequential loop
-would read one at a time, and XOR accumulation commutes.
+Stored pivot rows are kept in echelon form in insertion order: row ``i``
+is 1 at its own pivot column and 0 at the pivot column of every earlier
+row.  Eliminating with row ``i`` therefore never changes the incoming
+row's entry at an *earlier* pivot column, so one sequential pass that
+reads each factor from the running header clears every pivot column.
+The reduced row is the unique vector of ``row + span(rows)`` that is zero
+at every pivot column, whatever basis of the span is stored, so verdicts,
+pivots and new rows are those of full Gauss-Jordan elimination.  The
+Jordan step itself (clearing later pivot columns too) runs only where
+reduced rows are read: :meth:`IncrementalDecoder.decode`,
+:meth:`~IncrementalDecoder.coefficient_matrix` and
+:meth:`~IncrementalDecoder.snapshot`.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.coding import gf256
-from repro.coding.gf256 import SCALE, Vector, VectorLike
+from repro.coding.gf256 import INVERSE, SCALE, Vector, VectorLike
 
 
 @dataclass(frozen=True)
@@ -139,7 +146,7 @@ def invert(matrix: VectorLike) -> Vector:
 
 
 class IncrementalDecoder:
-    """Progressive Gauss-Jordan elimination over GF(256).
+    """Progressive Gaussian elimination over GF(256).
 
     Collects the coded blocks of one segment of *size* original blocks as
     ``bytes`` rows ``[coefficients | payload]``.  Each offered row is reduced
@@ -153,9 +160,10 @@ class IncrementalDecoder:
     the payload length ``L`` (0 for header-only blocks) and a row of any
     other width raises ``ValueError``.
 
-    Storage: the live pivot rows as immutable ``bytes`` in insertion order,
-    each with its pivot column.  A row is eliminated as one little-endian
-    integer, so header and payload share every pass.
+    Storage: the live pivot rows as immutable ``bytes`` in insertion order
+    and echelon form, each with its header and its pivot column.  A row is
+    eliminated as one little-endian integer, so an innovative row's header
+    and payload share one pass.
     """
 
     def __init__(self, size: int, payload_length: Optional[int] = None) -> None:
@@ -168,8 +176,9 @@ class IncrementalDecoder:
         # (`_widen`), and the header bits of a row's little-endian integer.
         self._width = size
         self._header_bits = (1 << (8 * size)) - 1
-        # pivot rows and the pivot column of each, in insertion order
+        # pivot rows, their headers and pivot columns, in insertion order
         self._rows: List[bytes] = []
+        self._headers: List[bytes] = []
         self._pivot_cols: List[int] = []
 
     @property
@@ -228,29 +237,29 @@ class IncrementalDecoder:
         size = self.size
         if self._width == size:
             raise ValueError("cannot decode: coded blocks carried no payloads")
-        # Rows are maintained in fully reduced (Gauss-Jordan) form, so after
-        # sorting by pivot column the coefficient matrix is the identity and
-        # the payloads *are* the original blocks.
+        # Reduced rows sorted by pivot column have the identity for their
+        # coefficient matrix, so their payloads *are* the original blocks.
+        rows = self._jordan()
         order = sorted(range(size), key=self._pivot_cols.__getitem__)
-        data = bytearray().join(self._rows[index][size:] for index in order)
+        data = bytearray().join(rows[index][size:] for index in order)
         return np.frombuffer(data, dtype=np.uint8).reshape(size, -1)
 
     def coefficient_matrix(self) -> Vector:
         """Copy of the current reduced coefficient rows (for inspection)."""
         size = self.size
-        data = bytearray().join(row[:size] for row in self._rows)
+        data = bytearray().join(row[:size] for row in self._jordan())
         return np.frombuffer(data, dtype=np.uint8).reshape(self.rank, size)
 
     def snapshot(self) -> DecoderSnapshot:
-        """Serialize the live rows to a :class:`DecoderSnapshot`."""
-        size = self.size
+        """Serialize the reduced rows to a :class:`DecoderSnapshot`."""
+        size, rows = self.size, self._jordan()
         return DecoderSnapshot(
             size=size,
             payload_length=self.payload_length,
             pivot_cols=tuple(self._pivot_cols),
             has_payload=(self._width > size,) * self.rank,
-            matrix_rows=b"".join(row[:size] for row in self._rows),
-            payload_rows=b"".join(row[size:] for row in self._rows),
+            matrix_rows=b"".join(row[:size] for row in rows),
+            payload_rows=b"".join(row[size:] for row in rows),
         )
 
     @classmethod
@@ -277,6 +286,7 @@ class IncrementalDecoder:
                 header[i * size : (i + 1) * size] + data[i * length : (i + 1) * length]
                 for i in range(r)
             ]
+            decoder._headers = [row[:size] for row in decoder._rows]
             decoder._pivot_cols = list(snap.pivot_cols)
         return decoder
 
@@ -304,34 +314,55 @@ class IncrementalDecoder:
     def _reduce(self, row: bytes) -> int:
         """*row* eliminated against the stored rows, as a little-endian int.
 
-        A bare header probes the header bits only.  Reading the factors
-        up-front is exact because stored rows are mutually reduced.
+        The header is eliminated first, each factor read from the running
+        header at a stored row's pivot column (exact on echelon rows).  A
+        header that reduces to zero is returned as it is, with no payload
+        byte touched; a surviving one replays the factors over the row.
         """
         from_bytes, tables = int.from_bytes, SCALE
+        header = from_bytes(row[: self.size], "little")
+        factors: List[int] = []
+        for stored, col in zip(self._headers, self._pivot_cols):
+            factor = (header >> (col << 3)) & 255
+            if factor:
+                header ^= from_bytes(stored.translate(tables[factor]), "little")
+            factors.append(factor)
+        if not header or len(row) == self.size:
+            return header
         reduced = from_bytes(row, "little")
-        for stored, col in zip(self._rows, self._pivot_cols):
-            factor = row[col]
+        for stored, factor in zip(self._rows, factors):
             if factor:
                 reduced ^= from_bytes(stored.translate(tables[factor]), "little")
         return reduced
 
     def _insert(self, row: bytes, pivot_col: int) -> None:
-        """Normalize the reduced *row*, back-eliminate, and install it."""
+        """Normalize the reduced *row* and install it as the last pivot row."""
         pivot_value = row[pivot_col]
         if pivot_value != 1:
-            row = row.translate(SCALE[gf256.inv(pivot_value)])
-        # Back-substitute into existing rows so the basis stays Gauss-Jordan
-        # reduced; this keeps `decode` trivial and `_reduce` single-pass.
-        rows, width = self._rows, len(row)
-        for index, stored in enumerate(rows):
-            factor = stored[pivot_col]
-            if factor:
-                rows[index] = (
-                    int.from_bytes(stored, "little")
-                    ^ int.from_bytes(row.translate(SCALE[factor]), "little")
-                ).to_bytes(width, "little")
-        rows.append(row)
+            row = row.translate(SCALE[INVERSE[pivot_value]])
+        self._rows.append(row)
+        self._headers.append(row[: self.size])
         self._pivot_cols.append(pivot_col)
+
+    def _jordan(self) -> List[bytes]:
+        """A copy of the rows, Gauss-Jordan reduced: ``row_i[pivot_col_j]
+        == (1 if i == j else 0)``.
+
+        Back-substitution from the last row up.  A row's entries at later
+        pivot columns are cleared with the later rows, each reduced already
+        and zero at every other pivot column, so each factor is read from
+        the echelon row up front.
+        """
+        rows, cols, width = list(self._rows), self._pivot_cols, self._width
+        from_bytes, tables = int.from_bytes, SCALE
+        for index in range(len(rows) - 2, -1, -1):
+            row = rows[index]
+            reduced = from_bytes(row, "little")
+            for later, col in zip(rows[index + 1 :], cols[index + 1 :]):
+                if row[col]:
+                    reduced ^= from_bytes(later.translate(tables[row[col]]), "little")
+            rows[index] = reduced.to_bytes(width, "little")
+        return rows
 
 
 def rank_of_rows(rows: Iterable[bytes], size: int) -> int:

@@ -44,21 +44,29 @@ def _draw_coefficients(rng: RngLike, count: int) -> bytes:
 
     An all-zero combination would emit the zero block, which carries no
     information; resampling keeps the output distribution uniform over the
-    remaining 256^count - 1 vectors.  One coefficient is drawn by numpy's
-    scalar path, which consumes the generator exactly as ``size=1`` does at
-    about half the cost.
+    remaining 256^count - 1 vectors.  A numpy generator is read the way
+    ``integers(0, 256, size=count, dtype=np.uint8)`` fills its array: the
+    first *count* little-endian bytes of ceil(count / 4) words from the bit
+    generator's own ``next_uint32`` (which also serves the 32-bit half a
+    64-bit generator holds over), called through its ctypes interface.
+    Same bytes, same generator state, without the wrapper's fixed cost.
     """
     if count < 1:
         raise ValueError(f"cannot draw coefficients for {count} blocks")
-    while True:
-        if not isinstance(rng, np.random.Generator):
+    if not isinstance(rng, np.random.Generator):
+        while True:
             drawn = bytes(rng.randrange(256) for _ in range(count))
-        elif count == 1:
-            drawn = rng.integers(0, 256, dtype=np.uint8).tobytes()
-        else:
-            drawn = rng.integers(0, 256, size=count, dtype=np.uint8).tobytes()
-        if drawn.count(0) != count:
-            return drawn
+            if drawn.count(0) != count:
+                return drawn
+    bits = rng.bit_generator.ctypes
+    next_uint32, state = bits.next_uint32, bits.state
+    shifts, mask = range(0, 8 * count, 32), (1 << (8 * count)) - 1
+    while True:
+        value = 0
+        for shift in shifts:
+            value |= next_uint32(state) << shift
+        if value & mask:
+            return (value & mask).to_bytes(count, "little")
 
 
 def recode(

@@ -25,6 +25,7 @@ from repro.core.params import Parameters
 from repro.fastsim.system import DelayAccumulator, FastCollectionSystem
 from repro.sim.metrics import fold_report
 from repro.sim.rng import SeedSequenceRegistry
+from repro.util.invariants import InvariantViolation
 
 #: Payload schema version (bump on incompatible payload changes).
 PAYLOAD_SCHEMA = 1
@@ -81,8 +82,6 @@ def run_shard(
     system = FastCollectionSystem(shard_params, shard_seed(seed, shard_index))
     monitors_clean = True
     violation = ""
-    from repro.chaos.monitors import InvariantViolation
-
     try:
         system.run(warmup, duration)
     except InvariantViolation as error:

@@ -28,7 +28,6 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.chaos.monitors import InvariantViolation
 from repro.core.params import (
     GOSSIP_TARGET_TRIES,
     MODE_ABSTRACT,
@@ -44,6 +43,7 @@ from repro.sim.metrics import (
     fold_report,
 )
 from repro.sim.rng import SeedSequenceRegistry
+from repro.util.invariants import InvariantViolation
 
 #: Consistency-check cadence of the tau stepper, in steps.
 CHECK_EVERY_STEPS = 64
@@ -260,19 +260,21 @@ class FastCollectionSystem:
         try:
             self.state.check_conservation()
         except AssertionError as error:
-            raise InvariantViolation(str(error)) from None
+            raise InvariantViolation("block-conservation", str(error)) from None
         tracked = self.metrics.total_blocks.value
         actual = float(self.state.n_blocks)
         if tracked != actual:
             raise InvariantViolation(
-                f"metrics track {tracked} blocks, arrays hold {actual}"
+                "block-conservation",
+                f"metrics track {tracked} blocks, arrays hold {actual}",
             )
         saved = float(self.state.saved_segment_count())
         pushed = self.metrics.saved_segments.value
         if pushed != saved:
             raise InvariantViolation(
+                "saved-accounting",
                 f"saved-segment accounting drifted: metrics {pushed}, "
-                f"arrays {saved}"
+                f"arrays {saved}",
             )
 
     # -- metric pushes -------------------------------------------------------

@@ -40,6 +40,7 @@ from repro.faults import FaultPlan
 from repro.faults.injector import corrupt_block
 from repro.live import wire
 from repro.live.checkpoint import load_checkpoint, write_checkpoint
+from tests import gf256_oracle as oracle
 
 PAYLOAD_LENGTHS = st.sampled_from([0, 1, 256])
 
@@ -129,10 +130,9 @@ class TestRecodeEquivalence:
         assert out.row == out.coefficients.tobytes() + out.payload.tobytes()
 
     def test_scalar_draw_is_the_array_stream(self):
-        """A one-block holding draws its coefficient by numpy's scalar path;
-        it must consume the generator exactly as the ``size=k`` array draw
-        does.  Half the 10^4 draws are of one coefficient, so the all-zero
-        rejection is taken too."""
+        """Every draw, one coefficient included, consumes the generator
+        exactly as the ``size=k`` array draw does.  Half the 10^4 draws are
+        of one coefficient, so the all-zero rejection is taken too."""
         lengths = np.random.default_rng(11).integers(1, 21, size=10_000)
         lengths[::2] = 1
         drawn_rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
@@ -147,6 +147,37 @@ class TestRecodeEquivalence:
             assert type(drawn) is bytes and drawn == reference.tobytes()
         assert rejected > 0
         assert drawn_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_draw_reads_the_stream_other_draws_share(self):
+        """The draw reads the bit generator's 32-bit words directly, so it
+        must agree with ``integers(0, 256, size=k, dtype=uint8)`` also when
+        other draws from the one generator come between: scalar ``uint8``
+        draws, and ``(s, L)`` payload draws (the system's payloads share the
+        coding stream).  Bytes and generator state are compared after every
+        step of 10^4, a third of them one-coefficient draws, so the all-zero
+        rejection (1 in 256 at k = 1) is taken."""
+        lengths = np.random.default_rng(12).integers(1, 21, size=10_000)
+        lengths[::3] = 1
+        drawn_rng, reference_rng = np.random.default_rng(4), np.random.default_rng(4)
+        rejected = 0
+        for step, count in enumerate(lengths.tolist()):
+            drawn = _draw_coefficients(drawn_rng, count)
+            while True:
+                reference = reference_rng.integers(0, 256, size=count, dtype=np.uint8)
+                if reference.any():
+                    break
+                rejected += 1
+            assert drawn == reference.tobytes()
+            if step % 3 == 1:
+                for rng in (drawn_rng, reference_rng):
+                    rng.integers(0, 256, dtype=np.uint8)
+            elif step % 5 == 2:
+                shape = (count, 1 + step % 7)
+                assert drawn_rng.integers(0, 256, size=shape, dtype=np.uint8).tobytes() == (
+                    reference_rng.integers(0, 256, size=shape, dtype=np.uint8).tobytes()
+                )
+            assert drawn_rng.bit_generator.state == reference_rng.bit_generator.state
+        assert rejected > 0
 
     def test_header_only_block_has_no_payload(self):
         out = recode(make_source_blocks(descriptor(3)), np.random.default_rng(0))
@@ -230,19 +261,20 @@ class TestDecoderAgainstRref:
     def test_add_sequence_matches_rref_of_the_offered_rows(
         self, size, length, span, seed
     ):
-        """Rank, pivot columns and the stored rows after every ``add`` equal
-        ``rref`` of the rows offered so far — over a stream with dependent
-        blocks (drawn from a *span*-dimensional subspace first), exact
-        duplicates and polluted blocks (zero header, junk payload)."""
+        """Rank, pivot columns and the reduced rows (``coefficient_matrix``
+        and ``snapshot``) after every ``add`` equal ``rref`` of the rows
+        offered so far — over a stream with dependent blocks (drawn from a
+        *span*-dimensional subspace first), exact duplicates and polluted
+        blocks (zero header, junk payload)."""
         rng = np.random.default_rng(seed)
         originals = rng.integers(0, 256, size=(size, length), dtype=np.uint8)
         basis = rng.integers(0, 256, size=(min(span, size), size), dtype=np.uint8)
 
         def row_for(header):
-            return np.concatenate((header, gf256.mat_vec(originals.T, header)))
+            return np.concatenate((header, oracle.mat_vec(originals.T, header)))
 
         stream = [
-            row_for(gf256.mat_vec(basis.T, rng.integers(0, 256, len(basis), np.uint8)))
+            row_for(oracle.mat_vec(basis.T, rng.integers(0, 256, len(basis), np.uint8)))
             for _ in range(size + 2)
         ]
         stream += [
@@ -265,13 +297,16 @@ class TestDecoderAgainstRref:
                 offered.append(row)
             reduced, pivots = rref(np.stack(offered)) if offered else (None, [])
             assert decoder.rank == len(pivots) == before + innovative
-            assert sorted(decoder._pivot_cols) == pivots
-            order = np.argsort(decoder._pivot_cols)
+            snap = decoder.snapshot()
+            assert sorted(snap.pivot_cols) == pivots
+            order = np.argsort(snap.pivot_cols)
             if pivots:
-                live = np.frombuffer(
-                    b"".join(decoder._rows[index] for index in order), np.uint8
-                ).reshape(decoder.rank, -1)
-                assert np.array_equal(live, reduced[: len(pivots)])
+                r = decoder.rank
+                headers = np.frombuffer(snap.matrix_rows, np.uint8).reshape(r, size)
+                data = np.frombuffer(snap.payload_rows, np.uint8).reshape(r, -1)
+                live = np.concatenate((headers, data), axis=1)[order]
+                assert np.array_equal(live, reduced[:r])
+                assert np.array_equal(decoder.coefficient_matrix(), headers)
         if decoder.is_complete and length:
             assert np.array_equal(decoder.decode(), originals)
 
@@ -293,6 +328,97 @@ class TestDecoderAgainstRref:
         assert restored.add(np.array([1, 0], np.uint8), np.array([1, 2, 3], np.uint8))
         with pytest.raises(ValueError, match="block row"):
             restored.add(np.array([0, 1], np.uint8), np.array([1, 2], np.uint8))
+
+
+
+class EagerGaussJordan:
+    """The decoder as it was before its Jordan step moved to the reads:
+    stored rows always fully reduced, factors read up front from the
+    offered row, and every new pivot row back-substituted into all stored
+    rows."""
+
+    def __init__(self, size):
+        self.size = size
+        self.rows = []
+        self.pivot_cols = []
+
+    def add_row(self, row):
+        reduced = int.from_bytes(row, "little")
+        for stored, col in zip(self.rows, self.pivot_cols):
+            if row[col]:
+                reduced ^= int.from_bytes(stored.translate(gf256.SCALE[row[col]]), "little")
+        header = reduced & ((1 << (8 * self.size)) - 1)
+        if not header:
+            return False
+        col = ((header & -header).bit_length() - 1) >> 3
+        new = reduced.to_bytes(len(row), "little")
+        new = new.translate(gf256.SCALE[gf256.inv(new[col])])
+        for index, stored in enumerate(self.rows):
+            if stored[col]:
+                self.rows[index] = (
+                    int.from_bytes(stored, "little")
+                    ^ int.from_bytes(new.translate(gf256.SCALE[stored[col]]), "little")
+                ).to_bytes(len(row), "little")
+        self.rows.append(new)
+        self.pivot_cols.append(col)
+        return True
+
+
+class TestDecoderAgainstEagerGaussJordan:
+    @given(
+        size=st.integers(1, 8),
+        length=PAYLOAD_LENGTHS,
+        span=st.integers(1, 8),
+        restore_at=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_read_matches_the_eager_decoder(
+        self, size, length, span, restore_at, seed
+    ):
+        """Verdicts, rank, pivot columns, ``coefficient_matrix()``,
+        ``snapshot()`` and ``decode()`` bytes equal the eager decoder's after
+        every row of a stream with redundant rows (from a *span*-dimensional
+        subspace, singular when *span* < *size*), exact duplicates and
+        polluted rows (zero header, junk payload), header-only when
+        *length* is 0.  Midway the decoder is swapped for the one its
+        snapshot restores, whose rows are fully reduced."""
+        rng = np.random.default_rng(seed)
+        originals = rng.integers(0, 256, size=(size, length), dtype=np.uint8)
+        basis = rng.integers(0, 256, size=(min(span, size), size), dtype=np.uint8)
+
+        def row_for(header):
+            return (header.tobytes() + oracle.mat_vec(originals.T, header).tobytes())
+
+        stream = [
+            row_for(oracle.mat_vec(basis.T, rng.integers(0, 256, len(basis), np.uint8)))
+            for _ in range(size + 2)
+        ]
+        stream += [
+            row_for(rng.integers(0, 256, size=size, dtype=np.uint8))
+            for _ in range(size + 2)
+        ]
+        stream.insert(3, stream[1])
+        stream.insert(2, bytes(size) + rng.integers(0, 256, length, np.uint8).tobytes())
+        stream.append(stream[-2])
+
+        decoder, eager = IncrementalDecoder(size), EagerGaussJordan(size)
+        for step, row in enumerate(stream):
+            if step == restore_at:
+                decoder = IncrementalDecoder.from_snapshot(decoder.snapshot())
+            assert decoder.would_be_innovative(np.frombuffer(row[:size], np.uint8)) == (
+                decoder.add_row(row)
+            ) == eager.add_row(row)
+            snap = decoder.snapshot()
+            assert decoder.rank == len(eager.rows)
+            assert list(snap.pivot_cols) == eager.pivot_cols
+            assert snap.matrix_rows == b"".join(row[:size] for row in eager.rows)
+            assert snap.payload_rows == b"".join(row[size:] for row in eager.rows)
+            assert decoder.coefficient_matrix().tobytes() == snap.matrix_rows
+        if decoder.is_complete and length:
+            order = np.argsort(eager.pivot_cols)
+            expected = b"".join(eager.rows[index][size:] for index in order)
+            assert decoder.decode().tobytes() == expected == originals.tobytes()
 
 
 class TestHoldingMatrix:

@@ -53,6 +53,7 @@ from repro.fastsim.system import DelayAccumulator
 from repro.faults import FaultPlan
 from repro.adversary import AdversaryPlan
 from repro.util.codec import decode, encode
+from repro.util.invariants import InvariantViolation
 
 
 def params(**overrides):
@@ -265,6 +266,41 @@ def digest(payload):
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
+
+
+class TestInvariantViolations:
+    """An array-level breach raises the exception the chaos monitors raise,
+    tagged with the monitor it corresponds to, and the fast engine raises
+    it without loading the chaos package."""
+
+    def test_breach_is_a_tagged_violation(self, monkeypatch):
+        def broken(state):
+            raise AssertionError("peer side != block table")
+
+        monkeypatch.setattr(FastState, "check_conservation", broken)
+        p = params(n_peers=80, engine=ENGINE_FAST, tau=0.05)
+        with pytest.raises(InvariantViolation) as caught:
+            FastCollectionSystem(p, seed=3).consistency_check()
+        assert caught.value.monitor == "block-conservation"
+        payload = run_shard(p, 3, 0, 2, 2.0, 6.0)
+        assert payload["monitors_clean"] is False
+        assert payload["violation"].startswith("[block-conservation]")
+
+    def test_fresh_interpreter_loads_no_chaos_module(self):
+        script = (
+            "import sys\n"
+            "import repro.fastsim.system\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('repro.chaos'))\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 class TestPinnedDigests:
     """Every simulated statistic of four fixed sessions, as recorded on the

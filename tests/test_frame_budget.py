@@ -31,7 +31,7 @@ LANDED_FRAMES = 115_003
 BUDGET = int(LANDED_FRAMES * 1.03)
 #: ``call`` events plus ``c_call`` events into numpy of the RLNC session,
 #: on CPython 3.11 and numpy 2.4 when the budget landed.
-LANDED_RLNC_CALLS = 179_608
+LANDED_RLNC_CALLS = 163_463
 RLNC_BUDGET = int(LANDED_RLNC_CALLS * 1.03)
 
 
