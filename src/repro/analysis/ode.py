@@ -40,28 +40,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.params import Parameters
 from repro.util.validation import (
-    require_positive,
     require_positive_int,
     require_rate,
 )
 
 if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import csc_matrix, csr_matrix
 
 #: One term of a right-hand side: a rate times a unit-rate jump operator.
 Term = Tuple[float, "csr_matrix"]
 Operators = Tuple["csr_matrix", "csr_matrix", "csr_matrix"]
 
-#: ``steady_z`` gives up after this many fixed-point steps.  The experiments
-#: and tests need at most 18; the map contracts by about (mu/gamma) z_0, so
-#: only near-critical gossip (mu ~ gamma, tiny lambda) needs hundreds.
-_MAX_FIXED_POINT_STEPS = 1000
+#: ``steady_z`` gives up after this many dense solves.  The experiments need
+#: at most 7 and the tests 23 (near-critical gossip, lambda=0.01, mu=1.1);
+#: lambda=0.001, mu=1.05 takes 50.
+_MAX_FIXED_POINT_STEPS = 100
 
 
 def _jumps(
@@ -79,6 +78,16 @@ def _jumps(
     cols = np.concatenate([source[kept], source])
     values = np.concatenate([weight[kept], -weight])
     return csr_matrix((values, (rows, cols)), shape=(n, n))
+
+
+def _generator(n: int, terms: List[Term]) -> "csr_matrix":
+    """``sum(rate * operator)`` over *terms*: the n-state generator."""
+    from scipy.sparse import csr_matrix
+
+    generator = csr_matrix((n, n))
+    for rate, operator in terms:
+        generator = generator + rate * operator
+    return generator
 
 
 def _apply(terms: List[Term], x: np.ndarray) -> np.ndarray:
@@ -130,8 +139,9 @@ class CollectionODE:
     """The coupled (7) + (12) systems for one parameter set.
 
     Each system is a few constant jump operators scaled by state-dependent
-    rates (:meth:`_z_terms`, :meth:`_m_terms`); the right-hand side and
-    both steady-state solves read those terms.
+    rates (:meth:`_z_terms`, :meth:`_m_terms`); the right-hand side, the
+    Jacobian of the stiff solve and both steady-state solves read those
+    terms.
     """
 
     def __init__(
@@ -228,17 +238,21 @@ class CollectionODE:
         """λ at time *t*: constant here, the workload's in a transient."""
         return self.lam
 
-    def _z_terms(self, t: float, z: np.ndarray) -> List[Term]:
-        """Eq. (7)'s (rate, operator) terms at the peer-degree law *z*."""
+    def _gossip_rate(self, z: np.ndarray) -> float:
+        """Eq. (7)'s gossip rate at *z*: a gossip from a non-empty peer
+        lands on a non-full one.  The only way z feeds back into (7)."""
+        non_full = max(1.0 - float(z[self.B]), 1e-12)
+        return (1.0 - float(z[0])) * self.mu / non_full
+
+    def _z_terms(self, t: float, gossip_rate: float) -> List[Term]:
+        """Eq. (7)'s (rate, operator) terms at the given gossip rate."""
         gossip, inject, delete = self._z_operators
         terms: List[Term] = [
             (self.arrival_rate(t) / self.s, inject),
             (self.gamma, delete),
         ]
         if self.mu > 0.0:
-            # a gossip from a non-empty peer lands on a non-full one
-            non_full = max(1.0 - float(z[self.B]), 1e-12)
-            terms.append(((1.0 - float(z[0])) * self.mu / non_full, gossip))
+            terms.append((gossip_rate, gossip))
         return terms
 
     def _m_terms(self, t: float, z: np.ndarray) -> Tuple[List[Term], float]:
@@ -262,33 +276,61 @@ class CollectionODE:
         m_terms, injection = self._m_terms(t, z)
         dm = _apply(m_terms, m)
         dm[self._injection_state] += injection
-        return np.concatenate([_apply(self._z_terms(t, z), z), dm])
+        dz = _apply(self._z_terms(t, self._gossip_rate(z)), z)
+        return np.concatenate([dz, dm])
+
+    def jac(self, t: float, y: np.ndarray) -> "csc_matrix":
+        """The generator at *y*: block-diagonal [G_z, G_m], rates frozen.
+
+        Deliberately not the full Jacobian: the rates' own derivatives are
+        rank-one columns that fill the (m, z) block and make every sparse
+        LU dearer than the Newton steps they save.
+        """
+        from scipy.sparse import block_diag
+
+        z = y[: self._n_z]
+        g_z = _generator(self._n_z, self._z_terms(t, self._gossip_rate(z)))
+        g_m = _generator(self._n_m, self._m_terms(t, z)[0])
+        return block_diag((g_z, g_m), format="csc")
 
     # -- steady states: a fixed point for z, one linear solve for m ----------
 
     def steady_z(self) -> Tuple[np.ndarray, float]:
         """Steady peer-degree law of Eq. (7) and its residual max |dz/dt|.
 
-        Eq. (7) couples its states only through the gossip rate, a function
-        of (z_0, z_B).  At a frozen rate it is a (B+1)-state jump chain
-        whose stationary law is one dense solve, with a balance row replaced
-        by ``sum z = 1``.  Iterate from the empty network until z stops
-        moving.  The replaced row is the cap B's: the kept balances of the
-        low states give a tiny z_0 to full relative precision.
+        Eq. (7) couples its states only through the gossip rate g.  At a
+        frozen g it is a (B+1)-state jump chain whose stationary law z(g)
+        is one dense solve, with a balance row replaced by ``sum z = 1``.
+        The replaced row is the cap B's: the kept balances of the low
+        states give a tiny z_0 to full relative precision.
+
+        The fixed point g = gossip_rate(z(g)) starts at the empty network
+        and runs until z stops moving.  Where the plain map is slow (its
+        step shrank by less than half) it takes the secant step instead,
+        unless that would make g negative.  Where the map is fast the
+        iterates are the plain map's, bit for bit.
         """
         normalization = np.zeros(self._n_z)
         normalization[-1] = 1.0
         z = self.initial_state()[: self._n_z]
+        g = self._gossip_rate(z)
+        previous: Optional[Tuple[float, float]] = None  # (g, map(g) - g)
         for _ in range(_MAX_FIXED_POINT_STEPS):
-            generator = np.zeros((self._n_z, self._n_z))
-            for rate, operator in self._z_terms(0.0, z):
-                generator += rate * operator.toarray()
+            generator = _generator(self._n_z, self._z_terms(0.0, g)).toarray()
             generator[-1, :] = 1.0
             z_next = np.linalg.solve(generator, normalization)
+            mapped = self._gossip_rate(z_next)
             if float(np.max(np.abs(z_next - z))) <= 1e-15:
-                residual = np.abs(_apply(self._z_terms(0.0, z_next), z_next))
+                residual = np.abs(_apply(self._z_terms(0.0, mapped), z_next))
                 return z_next, float(residual.max())
-            z = z_next
+            z, g_next, step = z_next, mapped, mapped - g
+            if previous is not None and step != previous[1]:
+                # the secant through this step and the last hits map(g) = g
+                last_g, last_step = previous
+                secant = g - step * (g - last_g) / (step - last_step)
+                if abs(step) > 0.5 * abs(last_step) and secant >= 0.0:
+                    g_next = secant
+            previous, g = (g, step), g_next
         raise RuntimeError(
             f"z fixed point not reached in {_MAX_FIXED_POINT_STEPS} steps"
         )
@@ -301,42 +343,17 @@ class CollectionODE:
         of the three m operators.  Extinction at degree 1 makes G an
         M-matrix, so the solve is well posed.
         """
-        from scipy.sparse import csr_matrix
         from scipy.sparse.linalg import spsolve
 
         terms, injection = self._m_terms(0.0, z)
         if not terms:
             raise ValueError("steady z has zero edge density; cannot solve m")
-        generator = csr_matrix((self._n_m, self._n_m))
-        for rate, operator in terms:
-            generator = generator + rate * operator
         source = np.zeros(self._n_m)
         source[self._injection_state] = -injection
-        m = spsolve(generator, source).reshape(self.i_max, self.s + 1)
+        m = spsolve(_generator(self._n_m, terms), source)
+        m = m.reshape(self.i_max, self.s + 1)
         # Numerical noise can leave tiny negatives; clip for downstream sums.
         return np.clip(m, 0.0, None)
-
-    # -- integration of the coupled transient ------------------------------------
-
-    def integrate(self, t_end: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Integrate the coupled transient from empty to *t_end*; returns
-        the final state and its derivative.  RK45 at transient tolerances:
-        an explicit stepper pays for every digit of thousands of states."""
-        if not math.isfinite(t_end) or t_end <= 0:
-            raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
-        from scipy.integrate import solve_ivp
-        solution = solve_ivp(
-            self.rhs,
-            (0.0, t_end),
-            self.initial_state(),
-            method="RK45",
-            rtol=1e-6,
-            atol=1e-9,
-        )
-        if not solution.success:
-            raise RuntimeError(f"ODE integration failed: {solution.message}")
-        y_final = solution.y[:, -1]
-        return y_final, self.rhs(t_end, y_final)
 
     def steady_state(self) -> SteadyState:
         """Steady state: the z fixed point, then m by one linear solve."""
@@ -361,71 +378,3 @@ class CollectionODE:
             tail_mass=float(w[self.i_max]),
         )
 
-
-class SegmentDegreeODE:
-    """Standalone integrator of Eq. (8) for the w_i system.
-
-    Exists to *verify* the identity ``w_i = sum_j m_i^j``: the test suite
-    integrates this system independently and compares with the row sums of
-    the coupled model.  Requires the z-trajectory inputs ``z0`` and ``e`` to
-    be supplied (in steady state they are constants).
-    """
-
-    def __init__(
-        self,
-        arrival_rate: float,
-        gossip_rate: float,
-        deletion_rate: float,
-        segment_size: int,
-        z0: float,
-        e: float,
-        i_max: int,
-        injection_fraction: float = 1.0,
-    ) -> None:
-        self.lam = require_rate("arrival_rate", arrival_rate)
-        self.mu = require_rate("gossip_rate", gossip_rate, allow_zero=True)
-        self.gamma = require_rate("deletion_rate", deletion_rate)
-        self.s = require_positive_int("segment_size", segment_size)
-        if not 0.0 <= z0 <= 1.0:
-            raise ValueError(f"z0 must lie in [0, 1], got {z0}")
-        self.z0 = z0
-        self.e = require_positive("e", e)
-        self.i_max = require_positive_int("i_max", i_max)
-        if not 0.0 <= injection_fraction <= 1.0:
-            raise ValueError(
-                f"injection_fraction must lie in [0, 1], got {injection_fraction}"
-            )
-        self.injection_fraction = injection_fraction
-        self._degrees = np.arange(1, i_max + 1, dtype=float)
-
-    def rhs(self, t: float, w: np.ndarray) -> np.ndarray:
-        dw = np.zeros_like(w)
-        i = self._degrees
-        if self.mu > 0.0:
-            growth = (1.0 - self.z0) * self.mu / self.e
-            flux = i * w * growth
-            flux[-1] = 0.0
-            dw -= flux
-            dw[1:] += flux[:-1]
-        decay = i * w * self.gamma
-        dw -= decay
-        dw[:-1] += decay[1:]
-        dw[self.s - 1] += self.lam / self.s * self.injection_fraction
-        return dw
-
-    def steady_state(self, t_end: float = 200.0) -> np.ndarray:
-        """Integrate from empty to *t_end*; returns w with a zero row 0."""
-        from scipy.integrate import solve_ivp
-        solution = solve_ivp(
-            self.rhs,
-            (0.0, t_end / self.gamma),
-            np.zeros(self.i_max),
-            method="LSODA",
-            rtol=1e-9,
-            atol=1e-11,
-        )
-        if not solution.success:
-            raise RuntimeError(f"w-system integration failed: {solution.message}")
-        w = np.zeros(self.i_max + 1)
-        w[1:] = solution.y[:, -1]
-        return w

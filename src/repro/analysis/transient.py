@@ -80,7 +80,8 @@ class TransientCollectionODE(CollectionODE):
 
     def simulate(self, t_end: float, n_points: int = 200) -> Trajectory:
         """Integrate from empty to *t_end* recording *n_points* evenly
-        spaced samples."""
+        spaced samples.  The system is stiff (deletion at i·γ beside
+        injection at λ/s), so BDF, with the generator as its Jacobian."""
         require_positive("t_end", t_end)
         if n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {n_points}")
@@ -90,10 +91,11 @@ class TransientCollectionODE(CollectionODE):
             self.rhs,
             (0.0, t_end),
             self.initial_state(),
-            method="RK45",
+            method="BDF",
             t_eval=times,
             rtol=1e-6,
             atol=1e-9,
+            jac=self.jac,
         )
         if not solution.success:
             raise RuntimeError(f"transient integration failed: {solution.message}")

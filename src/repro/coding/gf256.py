@@ -9,8 +9,8 @@ field GF(2^8)").  This module implements the field from scratch:
 - scalar ``add``/``sub``/``mul``/``div``/``inv``/``pow``,
 - row arithmetic on immutable ``bytes`` rows, the representation of a coded
   block on the whole RLNC path (:data:`SCALE`, :func:`combine_rows`), and
-- vectorized numpy kernels over ``uint8`` arrays, used by the batch helpers
-  of :mod:`repro.coding.linalg` (``rref``/``rank``/``solve``) and by tests.
+- the numpy kernels :func:`vec_scale` and :func:`rows_addmul` over ``uint8``
+  arrays, which :func:`repro.coding.linalg.rref` uses.
 
 Addition in a binary extension field is XOR, so ``add`` and ``sub`` coincide.
 
@@ -22,15 +22,12 @@ XOR of their little-endian integers, so one combination of a block's
 ``[header | payload]`` row costs a C pass per input row and no numpy call.
 The numpy kernels gather through the same table with no ``int32`` log
 temporaries and no post-hoc zero-masking (row 0 and column 0 of the table
-are already zero); :func:`vec_addmul` reuses a module-level scratch buffer.
-
-The module is deliberately not thread-safe (the scratch buffer is shared);
-the simulator is single-threaded by design.
+are already zero).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union, cast
+from typing import Iterable, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -191,24 +188,6 @@ def combine_rows(rows: Sequence[bytes], scalars: Sequence[int]) -> bytes:
 # Vectorized operations on uint8 numpy arrays.
 # ---------------------------------------------------------------------------
 
-#: Reusable gather buffers for the allocation-free axpy path, keyed by
-#: length.  The simulation uses a handful of vector lengths (segment sizes
-#: and payload widths), so the cache stays tiny; it is cleared if it ever
-#: grows past ``_SCRATCH_LIMIT`` distinct lengths.
-_SCRATCH: Dict[int, Vector] = {}
-_SCRATCH_LIMIT = 16
-
-
-def _scratch(length: int) -> Vector:
-    buffer = _SCRATCH.get(length)
-    if buffer is None:
-        if len(_SCRATCH) >= _SCRATCH_LIMIT:
-            _SCRATCH.clear()
-        buffer = np.empty(length, dtype=np.uint8)
-        _SCRATCH[length] = buffer
-    return buffer
-
-
 def as_vector(values: VectorLike, copy: bool = True) -> Vector:
     """Coerce *values* into a ``uint8`` coefficient vector, validating range.
 
@@ -242,12 +221,6 @@ def as_row(values: VectorLike) -> bytes:
     return vector.tobytes()
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    """Element-wise field addition of two uint8 arrays."""
-    result: Vector = np.bitwise_xor(a, b)
-    return result
-
-
 def vec_scale(vector: Vector, scalar: int, out: Optional[Vector] = None) -> Vector:
     """Multiply every entry of *vector* by the field scalar *scalar*.
 
@@ -263,30 +236,6 @@ def vec_scale(vector: Vector, scalar: int, out: Optional[Vector] = None) -> Vect
     # table row are always in range.
     row.take(vector, out=out, mode="clip")
     return out
-
-
-def vec_addmul(accumulator: Vector, vector: Vector, scalar: int) -> None:
-    """In-place ``accumulator ^= scalar * vector`` (the axpy of GF(256)).
-
-    One table gather into a reused scratch buffer plus one in-place XOR —
-    no temporaries are allocated for 1-d operands.
-    """
-    if accumulator.shape != vector.shape:
-        raise ValueError(
-            f"shape mismatch: accumulator {accumulator.shape} vs vector {vector.shape}"
-        )
-    scalar = validate_symbol(scalar)
-    if scalar == 0:
-        return  # adds the zero vector
-    row = MUL_TABLE[scalar]
-    if vector.ndim == 1:
-        buffer = _scratch(vector.shape[0])
-        # mode='clip' skips bounds checking; uint8 indices into a 256-entry
-        # table row are always in range.
-        row.take(vector, out=buffer, mode="clip")
-        np.bitwise_xor(accumulator, buffer, out=accumulator)
-    else:
-        np.bitwise_xor(accumulator, row[vector], out=accumulator)
 
 
 def rows_addmul(rows: Vector, vector: Vector, scalars: Vector) -> None:

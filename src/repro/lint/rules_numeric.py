@@ -60,7 +60,7 @@ class Gf256MisuseRule(Rule):
     id: ClassVar[str] = "R5"
     name: ClassVar[str] = "gf256-misuse"
     hint: ClassVar[str] = (
-        "use repro.coding.gf256 (add/mul/vec_add/vec_scale/vec_addmul) for "
+        "use repro.coding.gf256 (add/mul/combine_rows/vec_scale) for "
         "field arithmetic"
     )
 

@@ -1,9 +1,10 @@
-"""GF(256) matrix products, for building and checking test data.
+"""GF(256) vector and matrix products, for building and checking test data.
 
-The package computes over ``bytes`` rows and needs no matrix product; the
-tests use these to make coded payloads (``mat_vec(originals.T, header)``)
-and to check inverses and solutions.  They gather through
-:data:`repro.coding.gf256.MUL_TABLE` and XOR-reduce.
+The package computes over ``bytes`` rows and needs neither the numpy axpy
+nor a matrix product; the tests use these to make coded payloads
+(``mat_vec(originals.T, header)``) and to check combinations, inverses and
+solutions.  They gather through :data:`repro.coding.gf256.MUL_TABLE` and
+XOR-reduce.
 """
 
 import numpy as np
@@ -20,6 +21,15 @@ def vec_mul(a: Vector, b: Vector) -> Vector:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return MUL_TABLE[a, b]
+
+
+def vec_addmul(accumulator: Vector, vector: Vector, scalar: int) -> None:
+    """In-place ``accumulator ^= scalar * vector`` (the axpy of GF(256))."""
+    if accumulator.shape != vector.shape:
+        raise ValueError(
+            f"shape mismatch: accumulator {accumulator.shape} vs vector {vector.shape}"
+        )
+    np.bitwise_xor(accumulator, MUL_TABLE[scalar][vector], out=accumulator)
 
 
 def mat_vec(matrix: Vector, vector: Vector) -> Vector:

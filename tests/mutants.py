@@ -253,6 +253,19 @@ CATALOGUE: Tuple[Mutant, ...] = (
         )),),
     ),
     Mutant(
+        name="ode-jac-drops-gossip",
+        patches=(Patch(
+            _ODE,
+            "        g_z = _generator(self._n_z, self._z_terms(t, self._gossip_rate(z)))\n",
+            "        g_z = _generator(self._n_z, self._z_terms(t, 0.0))"
+            "  # BUG: no gossip term\n",
+        ),),
+        # A wrong Jacobian still converges; only the cost of the solve shows it.
+        killers=(Pytest((
+            "tests/test_transient.py::TestFlashCrowd::test_stiff_solve_is_cheap",
+        )),),
+    ),
+    Mutant(
         name="call-per-stored-block",
         patches=(Patch(
             _PEER,

@@ -195,7 +195,7 @@ class TestIncrementalDecoder:
             payload = np.zeros(payload_len, dtype=np.uint8)
             for j in range(size):
                 if coeffs[j]:
-                    gf256.vec_addmul(payload, originals[j], int(coeffs[j]))
+                    oracle.vec_addmul(payload, originals[j], int(coeffs[j]))
             decoder.add(coeffs, payload)
         assert np.array_equal(decoder.decode(), originals)
 

@@ -74,12 +74,12 @@ class TestKernelsAgainstScalarOps:
                 ],
                 dtype=np.uint8,
             )
-            gf256.vec_addmul(acc, vector, scalar)
+            oracle.vec_addmul(acc, vector, scalar)
             assert np.array_equal(acc, expected)
 
     def test_vec_addmul_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            gf256.vec_addmul(self._vec(4), self._vec(5), 1)
+            oracle.vec_addmul(self._vec(4), self._vec(5), 1)
 
     def test_vec_mul_matches_scalar(self):
         a, b = self._vec(300), self._vec(300)
@@ -94,7 +94,7 @@ class TestKernelsAgainstScalarOps:
         vector = self._vec(33)
         scalars = self._vec(7)
         for index in range(7):
-            gf256.vec_addmul(expected[index], vector, int(scalars[index]))
+            oracle.vec_addmul(expected[index], vector, int(scalars[index]))
         gf256.rows_addmul(rows, vector, scalars)
         assert np.array_equal(rows, expected)
 
@@ -109,7 +109,7 @@ class TestKernelsAgainstScalarOps:
                 scalars[0] = 0
             expected = np.zeros(21, dtype=np.uint8)
             for row, scalar in zip(rows, scalars):
-                gf256.vec_addmul(expected, row, int(scalar))
+                oracle.vec_addmul(expected, row, int(scalar))
             combined = gf256.combine_rows(
                 [row.tobytes() for row in rows], scalars.tobytes()
             )
@@ -258,7 +258,7 @@ def _random_stream(seed, size, payload_mode, n_blocks, span=None):
         else:
             coeffs = np.zeros(size, dtype=np.uint8)
             for vector in basis:
-                gf256.vec_addmul(
+                oracle.vec_addmul(
                     coeffs,
                     np.array(vector, dtype=np.uint8),
                     rng.randrange(256),
@@ -355,7 +355,7 @@ class TestRrefEquivalence:
                 work[row] = gf256.vec_scale(work[row], gf256.inv(pivot_value))
             for other in range(n_rows):
                 if other != row and work[other, col]:
-                    gf256.vec_addmul(
+                    oracle.vec_addmul(
                         work[other], work[row], int(work[other, col])
                     )
             pivot_cols.append(col)

@@ -30,6 +30,8 @@ class TestConstruction:
             model.simulate(-1.0)
         with pytest.raises(ValueError):
             model.simulate(5.0, n_points=1)
+        with pytest.raises(ValueError):
+            model.simulate(float("nan"))
 
 
 class TestConstantDemandConsistency:
@@ -53,15 +55,33 @@ class TestConstantDemandConsistency:
 
 
 class TestFlashCrowd:
-    def make_trajectory(self):
+    @pytest.fixture(scope="class")
+    def solve(self):
+        """One flash-crowd solve, and how many right-hand sides it read."""
         workload = FlashCrowdWorkload(
             base_rate=4.0, burst_start=10.0, burst_end=15.0, multiplier=5.0
         )
         model = make_model(workload, s=4, mu=8.0, gamma=0.5, c=5.0)
-        return model.simulate(40.0, n_points=120)
+        rhs, calls = model.rhs, []
 
-    def test_buffer_swells_through_burst_and_drains(self):
-        trajectory = self.make_trajectory()
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        model.rhs = counted
+        return model.simulate(40.0, n_points=120), len(calls)
+
+    @pytest.fixture
+    def trajectory(self, solve):
+        return solve[0]
+
+    def test_stiff_solve_is_cheap(self, solve):
+        """BDF with the generator as Jacobian reads 1,113 right-hand sides
+        here, RK45 35,720.  A wrong Jacobian still converges, only slower,
+        so this count is what sees it."""
+        assert solve[1] <= 1500
+
+    def test_buffer_swells_through_burst_and_drains(self, trajectory):
         times = trajectory.times
         pre = trajectory.occupancy[(times > 8.0) & (times < 10.0)].mean()
         peak = trajectory.peak_occupancy()
@@ -69,22 +89,19 @@ class TestFlashCrowd:
         assert peak > 1.5 * pre  # the buffering zone absorbs the burst
         assert post < 1.2 * pre  # and drains back down afterwards
 
-    def test_collection_rate_smoother_than_demand(self):
+    def test_collection_rate_smoother_than_demand(self, trajectory):
         """The smoothing factor: server intake varies far less than the
         offered load does."""
-        trajectory = self.make_trajectory()
         demand_swing = trajectory.demand.max() / trajectory.demand.min()
         window = trajectory.collection_rate[trajectory.times > 5.0]
         intake_swing = window.max() / window.min()
         assert demand_swing == pytest.approx(5.0)
         assert intake_swing < demand_swing / 2.0
 
-    def test_collection_capped_by_capacity(self):
-        trajectory = self.make_trajectory()
+    def test_collection_capped_by_capacity(self, trajectory):
         assert (trajectory.collection_rate <= 5.0 + 1e-9).all()
 
-    def test_collected_fraction_below_one(self):
-        trajectory = self.make_trajectory()
+    def test_collected_fraction_below_one(self, trajectory):
         assert 0.0 < trajectory.collected_fraction() < 1.0
 
 
