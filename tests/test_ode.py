@@ -1,5 +1,6 @@
 """Tests for the ODE systems of Sec. 3 and their steady-state solver."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.ode import CollectionODE
+from repro.analysis.transient import TransientCollectionODE
+from repro.stats.workload import ConstantWorkload
 from repro.util.validation import (
     require_positive,
     require_positive_int,
@@ -201,6 +204,25 @@ class TestSteadyZAgainstIntegration:
         monkeypatch.setattr(ode, "_MAX_FIXED_POINT_STEPS", 2)
         with pytest.raises(RuntimeError, match="fixed point"):
             model(s=1).steady_z()
+
+
+class _DemandTurnsNaN(ConstantWorkload):
+    """Constant demand that turns NaN after t = 1, breaking the solve."""
+
+    def rate(self, t):
+        return math.nan if t > 1.0 else super().rate(t)
+
+
+class TestTransient:
+    def test_integration_failure_surfaces(self):
+        """The fluid model's time integration raises rather than returning
+        a trajectory: on a bad horizon, and when the solve itself breaks."""
+        m = TransientCollectionODE(ConstantWorkload(8.0), 6.0, 1.0, 1, 2.0)
+        with pytest.raises((RuntimeError, ValueError)):
+            m.simulate(float("nan"))
+        broken = TransientCollectionODE(_DemandTurnsNaN(8.0), 6.0, 1.0, 1, 2.0)
+        with pytest.raises((RuntimeError, ValueError)):
+            broken.simulate(5.0)
 
 
 class SegmentDegreeODE:
